@@ -10,11 +10,20 @@
 //!    Perfetto JSON and Prometheus snapshot are byte-identical across
 //!    runs, so traces can be diffed and cached like any other artifact.
 //!
+//! 3. **Pinned output** — the length and fnv64 of all three exports are
+//!    constants captured at the commit before the recorder's hot path
+//!    moved to pre-resolved handles, so an `obs` change that alters a
+//!    single artefact byte fails here across commits, not only
+//!    run-to-run. Re-capture only with a deliberate format or engine
+//!    change (`tests/golden_obs_pins.rs` mirrors the first pin for
+//!    Tier-1).
+//!
 //! Plus the failure path: an aborted flow must leave its flight-ring
 //! dump in the cell artifact directory.
 
 use cca::CcaKind;
 use greenenvy::campaign::artifacts::persist_cell_obs;
+use greenenvy::campaign::journal::fnv64;
 use netsim::fault::FaultSpec;
 use netsim::time::SimDuration;
 use netsim::units::MB;
@@ -36,6 +45,59 @@ fn two_flow_scenario() -> Scenario {
         ],
     )
     .with_seed(7)
+}
+
+/// `(length, fnv64)` of the Perfetto, Prometheus and flight exports.
+type ExportPins = [(usize, u64); 3];
+
+/// Two-flow golden scenario, full observability, 10 ms flow trace.
+const PINNED_TWO_FLOW: ExportPins = [
+    (154_246, 9129871597134649437),
+    (13_940, 8011786687621228208),
+    (86_929, 4057014721375129441),
+];
+/// Four CCAs under loss, reordering and duplication, packet log and
+/// 1 ms flow trace: the recovery-path hooks (loss, retx, RTO, recovery
+/// spans, injected drops) all fire.
+const PINNED_LOSSY_MIX: ExportPins = [
+    (173_059, 3410832940949042476),
+    (22_362, 9090015895691049553),
+    (175_214, 18026761321088023420),
+];
+
+fn lossy_mix_scenario() -> Scenario {
+    let flows = [
+        CcaKind::Cubic,
+        CcaKind::Reno,
+        CcaKind::Bbr,
+        CcaKind::Baseline,
+    ]
+    .into_iter()
+    .map(|cca| FlowSpec::bulk(cca, 10 * MB))
+    .collect();
+    Scenario::new(3000, flows)
+        .with_seed(11)
+        .with_fault(
+            FaultSpec::random_loss(0.01)
+                .with_reordering(0.001, SimDuration::from_micros(40))
+                .with_duplication(0.0005),
+        )
+        .with_observability()
+        .with_packet_log(65_536)
+        .with_trace(SimDuration::from_millis(1))
+}
+
+fn export_pins(scenario: &Scenario) -> ExportPins {
+    let report = workload::scenario::run(scenario)
+        .expect("observed run")
+        .obs
+        .expect("report");
+    [
+        report.perfetto_json().to_string(),
+        report.prometheus_text(),
+        report.flight_dump(),
+    ]
+    .map(|text| (text.len(), fnv64(text.as_bytes())))
 }
 
 fn fingerprint(out: &ScenarioOutcome) -> (u64, u64, f64, u64) {
@@ -110,6 +172,23 @@ fn observed_exports_are_byte_identical_across_runs() {
     assert!(a.perfetto_json().contains("\"traceEvents\""));
     assert!(a.perfetto_json().contains("throughput_gbps"));
     assert!(a.prometheus_text().contains("tcp_rtt_ns"));
+}
+
+#[test]
+fn observed_exports_match_the_pinned_bytes() {
+    let two_flow = two_flow_scenario()
+        .with_observability()
+        .with_trace(SimDuration::from_millis(10));
+    assert_eq!(
+        export_pins(&two_flow),
+        PINNED_TWO_FLOW,
+        "two-flow export bytes moved (perfetto, prometheus, flight)"
+    );
+    assert_eq!(
+        export_pins(&lossy_mix_scenario()),
+        PINNED_LOSSY_MIX,
+        "lossy-mix export bytes moved (perfetto, prometheus, flight)"
+    );
 }
 
 #[test]
