@@ -11,8 +11,9 @@
 //! With `--check`, nothing is written: the scenario suite is re-measured
 //! and compared against the committed BENCH_netsim.json, and the process
 //! exits non-zero if any tracked scenario's `events_per_sec` regressed
-//! by more than [`CHECK_TOLERANCE`]. This is the `scripts/verify.sh
-//! --perf` gate.
+//! by more than [`CHECK_TOLERANCE`], or if a fully observed run costs
+//! more than [`OBS_FULL_BUDGET`] times the plain run. This is the
+//! `scripts/verify.sh --perf` gate.
 //!
 //! With `--check-journal`, only the checkpoint-journal throughput probe
 //! runs: the sharded writer pool must hold at least `1 -
@@ -101,6 +102,28 @@ struct ObsOverhead {
     overhead_frac: f64,
 }
 
+/// `--check` fails when a fully observed run takes more than this many
+/// times the plain run (`obs_full_overhead.ratio`). Both sides are
+/// measured interleaved in one process, so host speed cancels out.
+const OBS_FULL_BUDGET: f64 = 2.0;
+
+/// Cost of the real recorder: the same lossy two-flow scenario with
+/// `Observe::Off` and with `Observe::Full` (every hook recording into
+/// the registry, the flight rings and the trace; the report rendered at
+/// the end). `obs_overhead` above prices the seam; this prices what is
+/// behind it. Budget: [`OBS_FULL_BUDGET`].
+#[derive(Serialize)]
+struct ObsFullOverhead {
+    /// Median wall seconds, no recorder anywhere.
+    plain_wall_s: f64,
+    /// Median wall seconds with the full recorder attached.
+    observed_wall_s: f64,
+    /// observed / plain.
+    ratio: f64,
+    /// The ratio `--check` fails above.
+    budget: f64,
+}
+
 /// Throughput of the fsynced campaign checkpoint journal, single-file
 /// vs sharded-per-worker. Sharding exists so checkpoint appends from a
 /// wide worker pool don't serialize on one file lock + fsync queue; the
@@ -155,6 +178,8 @@ struct Baseline {
     paranoid_overhead: ParanoidOverhead,
     /// Observability-hook cost with a no-op recorder attached.
     obs_overhead: ObsOverhead,
+    /// Full-recorder cost as a multiple of the plain run.
+    obs_full_overhead: ObsFullOverhead,
     /// Checkpoint-journal throughput, single vs sharded.
     journal: JournalThroughput,
     /// Whole-workspace simlint token-pass cost and findings.
@@ -331,6 +356,47 @@ fn measure_obs_overhead() -> ObsOverhead {
         overhead.plain_wall_s,
         overhead.noop_wall_s,
         overhead.overhead_frac * 100.0
+    );
+    overhead
+}
+
+fn measure_obs_full_overhead() -> ObsFullOverhead {
+    // Two flows under random loss: recovery, retransmit and RTO hooks
+    // fire along with the per-ack ones, and a run lasts long enough
+    // (~0.1 s) that a median of five is stable.
+    let plain = Scenario::new(
+        1500,
+        vec![
+            FlowSpec::bulk(CcaKind::Cubic, 80 * MB),
+            FlowSpec::bulk(CcaKind::Reno, 80 * MB),
+        ],
+    )
+    .with_seed(7)
+    .with_fault(FaultSpec::random_loss(0.001));
+    let observed = plain.clone().with_observability();
+    // Interleave the variants so host-frequency drift hits both equally.
+    const OVERHEAD_RUNS: usize = 5;
+    let mut plain_walls = [0.0; OVERHEAD_RUNS];
+    let mut observed_walls = [0.0; OVERHEAD_RUNS];
+    for run in 0..OVERHEAD_RUNS {
+        plain_walls[run] = best_wall(&plain, 1, false);
+        observed_walls[run] = best_wall(&observed, 1, false);
+    }
+    let median = |walls: &mut [f64; OVERHEAD_RUNS]| {
+        walls.sort_by(f64::total_cmp);
+        walls[OVERHEAD_RUNS / 2]
+    };
+    let (plain_wall_s, observed_wall_s) = (median(&mut plain_walls), median(&mut observed_walls));
+    let overhead = ObsFullOverhead {
+        plain_wall_s,
+        observed_wall_s,
+        ratio: observed_wall_s / plain_wall_s,
+        budget: OBS_FULL_BUDGET,
+    };
+    println!(
+        "obs full overhead (real recorder, lossy two-flow run): \
+         plain {:.4} s, observed {:.4} s, {:.2}x (budget {:.1}x)",
+        overhead.plain_wall_s, overhead.observed_wall_s, overhead.ratio, overhead.budget
     );
     overhead
 }
@@ -598,6 +664,8 @@ fn main() {
     let repo_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     if check {
         let regressions = check_against(&repo_root.join("BENCH_netsim.json"), &scenarios);
+        println!();
+        let obs_full = measure_obs_full_overhead();
         if regressions > 0 {
             eprintln!(
                 "perf check: {regressions} scenario(s) regressed more than {:.0}%",
@@ -605,7 +673,14 @@ fn main() {
             );
             std::process::exit(exitcode::FAILURE);
         }
-        println!("perf check: all scenarios within tolerance");
+        if obs_full.ratio > obs_full.budget {
+            eprintln!(
+                "perf check: an observed run costs {:.2}x the plain run (budget {:.1}x)",
+                obs_full.ratio, obs_full.budget
+            );
+            std::process::exit(exitcode::FAILURE);
+        }
+        println!("perf check: all scenarios within tolerance, obs within budget");
         return;
     }
 
@@ -619,6 +694,7 @@ fn main() {
         chaos_overhead: measure_chaos_overhead(),
         paranoid_overhead: measure_paranoid_overhead(),
         obs_overhead: measure_obs_overhead(),
+        obs_full_overhead: measure_obs_full_overhead(),
         journal: measure_journal_throughput(),
         simlint: measure_lint(
             "simlint",

@@ -7,8 +7,8 @@
 //! samples. Overflow is explicit: the ring counts what it evicted
 //! instead of silently wrapping.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use crate::entity::EntityTable;
+use std::fmt::{self, Write as _};
 
 /// One typed flow event. Timestamps live on [`FlightEntry`]; payloads
 /// are plain integers so entries are `Copy`, comparable, and render
@@ -157,11 +157,11 @@ impl FlightRing {
 /// Default per-flow ring capacity.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
 
-/// Flight rings for every observed flow.
+/// Flight rings for every observed flow, reached by index per event.
 #[derive(Clone, Debug)]
 pub struct FlightRecorder {
     capacity: usize,
-    rings: BTreeMap<u32, FlightRing>,
+    rings: EntityTable<FlightRing>,
 }
 
 impl Default for FlightRecorder {
@@ -175,26 +175,27 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         FlightRecorder {
             capacity: capacity.max(1),
-            rings: BTreeMap::new(),
+            rings: EntityTable::default(),
         }
     }
 
     /// Record an event on `flow`'s ring, creating the ring on first use.
+    #[inline]
     pub fn record(&mut self, flow: u32, at_ns: u64, event: FlowEvent) {
+        let capacity = self.capacity;
         self.rings
-            .entry(flow)
-            .or_insert_with(|| FlightRing::new(self.capacity))
+            .get_or_insert_with(flow, || FlightRing::new(capacity))
             .record(FlightEntry { at_ns, event });
     }
 
     /// The ring for `flow`, if it ever recorded.
     pub fn ring(&self, flow: u32) -> Option<&FlightRing> {
-        self.rings.get(&flow)
+        self.rings.get(flow)
     }
 
     /// Flows with at least one event, ascending.
     pub fn flows(&self) -> impl Iterator<Item = u32> + '_ {
-        self.rings.keys().copied()
+        self.rings.ids()
     }
 
     /// Events evicted across all rings.
@@ -204,21 +205,12 @@ impl FlightRecorder {
 
     /// Render one flow's ring as text, one event per line.
     pub fn dump_flow(&self, flow: u32) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let Some(ring) = self.rings.get(&flow) else {
-            let _ = writeln!(out, "flow f{flow}: no events recorded");
-            return out;
-        };
-        let _ = writeln!(
-            out,
-            "flow f{flow}: {} events held, {} seen, {} evicted",
-            ring.len(),
-            ring.seen(),
-            ring.overflowed()
-        );
-        for e in ring.entries() {
-            let _ = writeln!(out, "  {:>14} ns  {}", e.at_ns, e.event);
+        match self.rings.get(flow) {
+            Some(ring) => write_ring(&mut out, flow, ring),
+            None => {
+                let _ = writeln!(out, "flow f{flow}: no events recorded");
+            }
         }
         out
     }
@@ -226,13 +218,26 @@ impl FlightRecorder {
     /// Render every ring, flows in ascending order.
     pub fn dump_all(&self) -> String {
         let mut out = String::new();
-        for flow in self.flows() {
-            out.push_str(&self.dump_flow(flow));
+        for (flow, ring) in self.rings.iter() {
+            write_ring(&mut out, flow, ring);
         }
         if out.is_empty() {
             out.push_str("flight recorder: no events recorded\n");
         }
         out
+    }
+}
+
+fn write_ring(out: &mut String, flow: u32, ring: &FlightRing) {
+    let _ = writeln!(
+        out,
+        "flow f{flow}: {} events held, {} seen, {} evicted",
+        ring.len(),
+        ring.seen(),
+        ring.overflowed()
+    );
+    for e in ring.entries() {
+        let _ = writeln!(out, "  {:>14} ns  {}", e.at_ns, e.event);
     }
 }
 

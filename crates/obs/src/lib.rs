@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 
+mod entity;
 pub mod flight;
 pub mod hist;
 pub mod metrics;
@@ -38,6 +39,6 @@ pub mod series;
 
 pub use flight::{FlightEntry, FlightRecorder, FlightRing, FlowEvent};
 pub use hist::Histogram;
-pub use metrics::{labels, Labels, MetricKey, MetricsRegistry, MetricsSnapshot};
-pub use perfetto::{TraceBuilder, TrackKind};
+pub use metrics::{labels, CounterId, HistId, Labels, MetricKey, MetricsRegistry, MetricsSnapshot};
+pub use perfetto::{CounterSlot, TraceBuilder, TrackKind};
 pub use recorder::{NoopRecorder, ObsRecorder, ObsReport, Recorder, SharedRecorder};

@@ -1,14 +1,19 @@
 //! Sim-time metrics registry.
 //!
 //! Counters, gauges, and log-linear histograms keyed by a static metric
-//! name plus a small, ordered label set. Everything lives in `BTreeMap`s
-//! so iteration (and therefore the rendered exposition text) is
-//! deterministic, and timestamps are caller-supplied sim-clock
+//! name plus a small, ordered label set. Every series is indexed by a
+//! `BTreeMap`, so iteration (and therefore the rendered exposition text)
+//! is deterministic, and timestamps are caller-supplied sim-clock
 //! nanoseconds — the registry never looks at a wall clock.
+//!
+//! A key is looked up once: [`MetricsRegistry::counter_handle`] and
+//! [`MetricsRegistry::histogram_handle`] resolve it to a handle, and
+//! recording through the handle is an indexed write. The keyed
+//! `counter_add` / `observe` are that same pair of calls back to back.
 
 use crate::hist::Histogram;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// An ordered label set. Keys are static (they name dimensions we
 /// control); values are small formatted ids like `"f0"` or `"l2"`.
@@ -45,12 +50,43 @@ impl MetricKey {
     }
 }
 
+/// A counter resolved once by [`MetricsRegistry::counter_handle`]; adds
+/// through it are an indexed write. Valid only on the registry that
+/// issued it (and that registry's clones).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CounterId(u32);
+
+/// A histogram resolved once by [`MetricsRegistry::histogram_handle`].
+/// Valid only on the registry that issued it (and its clones).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HistId(u32);
+
 /// The live registry instruments record into.
+///
+/// Counter and histogram values live in dense vectors; the ordered maps
+/// only index them, and are walked when a key is resolved and when a
+/// snapshot is taken — never per sample on the by-handle path.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<MetricKey, u64>,
+    counter_index: BTreeMap<MetricKey, u32>,
+    counters: Vec<u64>,
     gauges: BTreeMap<MetricKey, f64>,
-    histograms: BTreeMap<MetricKey, Histogram>,
+    histogram_index: BTreeMap<MetricKey, u32>,
+    histograms: Vec<Histogram>,
+}
+
+/// Slot of `key` in the dense `values`, pushing `empty()` for a key
+/// seen for the first time.
+fn resolve<T>(
+    index: &mut BTreeMap<MetricKey, u32>,
+    values: &mut Vec<T>,
+    key: MetricKey,
+    empty: impl FnOnce() -> T,
+) -> u32 {
+    *index.entry(key).or_insert_with(|| {
+        values.push(empty());
+        u32::try_from(values.len() - 1).expect("more series than u32 handles")
+    })
 }
 
 impl MetricsRegistry {
@@ -59,12 +95,46 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Resolve a counter to its handle, creating it at zero first. The
+    /// series exists (and is exported) from this call on.
+    pub fn counter_handle(&mut self, name: &'static str, labels: Labels) -> CounterId {
+        let key = MetricKey::with_labels(name, labels);
+        CounterId(resolve(
+            &mut self.counter_index,
+            &mut self.counters,
+            key,
+            || 0,
+        ))
+    }
+
+    /// Resolve a histogram to its handle, creating it empty first. The
+    /// series exists (and is exported) from this call on.
+    pub fn histogram_handle(&mut self, name: &'static str, labels: Labels) -> HistId {
+        let key = MetricKey::with_labels(name, labels);
+        HistId(resolve(
+            &mut self.histogram_index,
+            &mut self.histograms,
+            key,
+            Histogram::new,
+        ))
+    }
+
+    /// Add `delta` to a resolved counter.
+    #[inline]
+    pub fn counter_add_at(&mut self, id: CounterId, delta: u64) {
+        self.counters[id.0 as usize] += delta;
+    }
+
+    /// Record `value` into a resolved histogram.
+    #[inline]
+    pub fn observe_at(&mut self, id: HistId, value: u64) {
+        self.histograms[id.0 as usize].record(value);
+    }
+
     /// Add `delta` to a monotonic counter, creating it at zero first.
     pub fn counter_add(&mut self, name: &'static str, labels: Labels, delta: u64) {
-        *self
-            .counters
-            .entry(MetricKey::with_labels(name, labels))
-            .or_insert(0) += delta;
+        let id = self.counter_handle(name, labels);
+        self.counter_add_at(id, delta);
     }
 
     /// Set a gauge to `value`.
@@ -75,17 +145,15 @@ impl MetricsRegistry {
 
     /// Record `value` into a histogram, creating it empty first.
     pub fn observe(&mut self, name: &'static str, labels: Labels, value: u64) {
-        self.histograms
-            .entry(MetricKey::with_labels(name, labels))
-            .or_default()
-            .record(value);
+        let id = self.histogram_handle(name, labels);
+        self.observe_at(id, value);
     }
 
     /// Current counter value, if the key exists.
     pub fn counter(&self, name: &'static str, labels: &Labels) -> Option<u64> {
-        self.counters
+        self.counter_index
             .get(&MetricKey::with_labels(name, labels.clone()))
-            .copied()
+            .map(|&slot| self.counters[slot as usize])
     }
 
     /// Current gauge value, if the key exists.
@@ -97,25 +165,35 @@ impl MetricsRegistry {
 
     /// Histogram under the key, if it exists.
     pub fn histogram(&self, name: &'static str, labels: &Labels) -> Option<&Histogram> {
-        self.histograms
+        self.histogram_index
             .get(&MetricKey::with_labels(name, labels.clone()))
+            .map(|&slot| &self.histograms[slot as usize])
     }
 
     /// Freeze the registry at sim instant `at_ns`. The snapshot is a
-    /// deep copy — the live registry keeps accumulating afterwards, so
-    /// campaigns can snapshot at any sim instant mid-run.
+    /// deep copy — the live registry keeps accumulating afterwards (by
+    /// key and through handles resolved earlier), so campaigns can
+    /// snapshot at any sim instant mid-run.
     pub fn snapshot(&self, at_ns: u64) -> MetricsSnapshot {
         MetricsSnapshot {
             at_ns,
-            counters: self.counters.clone(),
+            counters: self
+                .counter_index
+                .iter()
+                .map(|(key, &slot)| (key.clone(), self.counters[slot as usize]))
+                .collect(),
             gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
+            histograms: self
+                .histogram_index
+                .iter()
+                .map(|(key, &slot)| (key.clone(), self.histograms[slot as usize].clone()))
+                .collect(),
         }
     }
 }
 
 /// An immutable view of the registry at one sim instant.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Sim-clock nanoseconds the snapshot was taken at.
     pub at_ns: u64,
@@ -176,7 +254,7 @@ impl MetricsSnapshot {
                 let _ = writeln!(out, "# TYPE {} counter", key.name);
                 last_name = key.name;
             }
-            let _ = writeln!(out, "{}{} {}", key.name, render_labels(&key.labels), value);
+            let _ = writeln!(out, "{}{} {}", key.name, LabelSet::of(key), value);
         }
 
         last_name = "";
@@ -185,7 +263,7 @@ impl MetricsSnapshot {
                 let _ = writeln!(out, "# TYPE {} gauge", key.name);
                 last_name = key.name;
             }
-            let _ = writeln!(out, "{}{} {}", key.name, render_labels(&key.labels), value);
+            let _ = writeln!(out, "{}{} {}", key.name, LabelSet::of(key), value);
         }
 
         last_name = "";
@@ -194,76 +272,106 @@ impl MetricsSnapshot {
                 let _ = writeln!(out, "# TYPE {} histogram", key.name);
                 last_name = key.name;
             }
+            let name = key.name;
             let mut cumulative = 0u64;
             for (hi, count) in hist.nonzero_buckets() {
                 cumulative += count;
-                let mut with_le = key.labels.clone();
-                with_le.insert("le", hi.to_string());
-                let _ = writeln!(
-                    out,
-                    "{}_bucket{} {}",
-                    key.name,
-                    render_labels(&with_le),
-                    cumulative
-                );
+                let labels = LabelSet::with_le(key, Le::Bound(hi));
+                let _ = writeln!(out, "{name}_bucket{labels} {cumulative}");
             }
-            let mut with_le = key.labels.clone();
-            with_le.insert("le", "+Inf".to_string());
-            let _ = writeln!(
-                out,
-                "{}_bucket{} {}",
-                key.name,
-                render_labels(&with_le),
-                hist.count()
-            );
-            let _ = writeln!(
-                out,
-                "{}_sum{} {}",
-                key.name,
-                render_labels(&key.labels),
-                hist.sum()
-            );
-            let _ = writeln!(
-                out,
-                "{}_count{} {}",
-                key.name,
-                render_labels(&key.labels),
-                hist.count()
-            );
+            let labels = LabelSet::with_le(key, Le::Inf);
+            let _ = writeln!(out, "{name}_bucket{labels} {}", hist.count());
+            let labels = LabelSet::of(key);
+            let _ = writeln!(out, "{name}_sum{labels} {}", hist.sum());
+            let _ = writeln!(out, "{name}_count{labels} {}", hist.count());
         }
         out
     }
 }
 
-/// `{k="v",k2="v2"}` or the empty string for no labels.
-fn render_labels(labels: &Labels) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{}\"", escape_label_value(v));
-    }
-    out.push('}');
-    out
+/// A histogram bucket's upper bound, the value of its `le` label.
+#[derive(Clone, Copy)]
+enum Le {
+    Bound(u64),
+    Inf,
 }
 
-/// Escape a label value per the exposition format (backslash, quote,
-/// newline).
-fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
+impl fmt::Display for Le {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Le::Bound(hi) => write!(f, "{hi}"),
+            Le::Inf => f.write_str("+Inf"),
         }
     }
-    out
+}
+
+/// Displays as `{k="v",k2="v2"}`, or as nothing for no labels. A bucket
+/// line's `le` takes its sorted place among the keys (replacing a label
+/// of that name), exactly where inserting it into the map would put it.
+struct LabelSet<'a> {
+    labels: &'a Labels,
+    le: Option<Le>,
+}
+
+impl<'a> LabelSet<'a> {
+    fn of(key: &'a MetricKey) -> Self {
+        LabelSet {
+            labels: &key.labels,
+            le: None,
+        }
+    }
+
+    fn with_le(key: &'a MetricKey, le: Le) -> Self {
+        LabelSet {
+            labels: &key.labels,
+            le: Some(le),
+        }
+    }
+}
+
+impl fmt::Display for LabelSet<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.labels.is_empty() && self.le.is_none() {
+            return Ok(());
+        }
+        let mut le = self.le;
+        let mut sep = '{';
+        for (&k, v) in self.labels {
+            if k >= "le" {
+                if let Some(bound) = le.take() {
+                    write!(f, "{sep}le=\"{bound}\"")?;
+                    sep = ',';
+                    if k == "le" {
+                        continue;
+                    }
+                }
+            }
+            write!(f, "{sep}{k}=\"{}\"", EscapedLabelValue(v))?;
+            sep = ',';
+        }
+        if let Some(bound) = le {
+            write!(f, "{sep}le=\"{bound}\"")?;
+        }
+        f.write_char('}')
+    }
+}
+
+/// A label value escaped per the exposition format (backslash, quote,
+/// newline).
+struct EscapedLabelValue<'a>(&'a str);
+
+impl fmt::Display for EscapedLabelValue<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '\\' => f.write_str("\\\\")?,
+                '"' => f.write_str("\\\"")?,
+                '\n' => f.write_str("\\n")?,
+                _ => f.write_char(c)?,
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

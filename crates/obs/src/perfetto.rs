@@ -14,7 +14,7 @@
 //! iteration order, no float formatting that depends on locale.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// What kind of simulated entity a track models. Each kind owns a
 /// disjoint pid range so ids never collide across kinds.
@@ -74,13 +74,31 @@ struct Pending {
 /// kilobytes instead of tens of megabytes.
 pub const DEFAULT_COUNTER_BIN_NS: u64 = 1_000_000;
 
+/// A `(pid, name)` counter track resolved once by
+/// [`TraceBuilder::counter_slot`]; samples through it are an indexed
+/// write. Valid only on the builder that issued it (and its clones).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CounterSlot(u32);
+
+/// One counter track: its identity and the sample its open bin holds.
+#[derive(Clone, Debug)]
+struct CounterTrack {
+    pid: u32,
+    name: &'static str,
+    pending: Option<Pending>,
+}
+
 /// Accumulates tracks and events; renders the JSON document once at the
 /// end of a run.
 #[derive(Clone, Debug)]
 pub struct TraceBuilder {
     track_names: BTreeMap<u32, String>,
     events: Vec<Ev>,
-    pending: BTreeMap<(u32, &'static str), Pending>,
+    /// Counter tracks in resolve order, reached by [`CounterSlot`].
+    counters: Vec<CounterTrack>,
+    /// `(pid, name)` → slot: walked on resolve and, for its order, on
+    /// flush — never per sample on the by-slot path.
+    counter_index: BTreeMap<(u32, &'static str), u32>,
     counter_bin_ns: u64,
 }
 
@@ -97,7 +115,8 @@ impl TraceBuilder {
         TraceBuilder {
             track_names: BTreeMap::new(),
             events: Vec::new(),
-            pending: BTreeMap::new(),
+            counters: Vec::new(),
+            counter_index: BTreeMap::new(),
             counter_bin_ns,
         }
     }
@@ -108,9 +127,59 @@ impl TraceBuilder {
         self.track_names.insert(kind.pid(id), name.to_string());
     }
 
-    /// Record a counter sample, downsampled to the last value per bin.
-    /// Samples must arrive in non-decreasing `ts_ns` order per track
-    /// (simulation order guarantees this).
+    /// Resolve the counter track `name` of `(kind, id)` to its slot. A
+    /// track that never gets a sample emits nothing.
+    pub fn counter_slot(&mut self, kind: TrackKind, id: u32, name: &'static str) -> CounterSlot {
+        let pid = kind.pid(id);
+        let counters = &mut self.counters;
+        let slot = *self.counter_index.entry((pid, name)).or_insert_with(|| {
+            counters.push(CounterTrack {
+                pid,
+                name,
+                pending: None,
+            });
+            u32::try_from(counters.len() - 1).expect("more counter tracks than u32 slots")
+        });
+        CounterSlot(slot)
+    }
+
+    /// Record a counter sample on a resolved track, downsampled to the
+    /// last value per bin. Samples must arrive in non-decreasing
+    /// `ts_ns` order per track (simulation order guarantees this).
+    #[inline]
+    pub fn counter_at(&mut self, slot: CounterSlot, ts_ns: u64, value: f64) {
+        let track = &mut self.counters[slot.0 as usize];
+        if self.counter_bin_ns == 0 {
+            self.events.push(Ev::Counter {
+                ts_ns,
+                pid: track.pid,
+                name: track.name,
+                value,
+            });
+            return;
+        }
+        let bin = ts_ns / self.counter_bin_ns;
+        match &mut track.pending {
+            Some(p) if p.bin == bin => {
+                // Same bin: keep only the newest sample.
+                p.ts_ns = ts_ns;
+                p.value = value;
+            }
+            pending => {
+                if let Some(flushed) = pending.replace(Pending { bin, ts_ns, value }) {
+                    self.events.push(Ev::Counter {
+                        ts_ns: flushed.ts_ns,
+                        pid: track.pid,
+                        name: track.name,
+                        value: flushed.value,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Record a counter sample on the track `name` of `(kind, id)`:
+    /// [`TraceBuilder::counter_slot`], then [`TraceBuilder::counter_at`].
     pub fn counter(
         &mut self,
         ts_ns: u64,
@@ -119,38 +188,8 @@ impl TraceBuilder {
         name: &'static str,
         value: f64,
     ) {
-        let pid = kind.pid(id);
-        if self.counter_bin_ns == 0 {
-            self.events.push(Ev::Counter {
-                ts_ns,
-                pid,
-                name,
-                value,
-            });
-            return;
-        }
-        let bin = ts_ns / self.counter_bin_ns;
-        match self.pending.get_mut(&(pid, name)) {
-            Some(p) if p.bin == bin => {
-                // Same bin: keep only the newest sample.
-                p.ts_ns = ts_ns;
-                p.value = value;
-            }
-            Some(p) => {
-                let flushed = *p;
-                *p = Pending { bin, ts_ns, value };
-                self.events.push(Ev::Counter {
-                    ts_ns: flushed.ts_ns,
-                    pid,
-                    name,
-                    value: flushed.value,
-                });
-            }
-            None => {
-                self.pending
-                    .insert((pid, name), Pending { bin, ts_ns, value });
-            }
-        }
+        let slot = self.counter_slot(kind, id, name);
+        self.counter_at(slot, ts_ns, value);
     }
 
     /// Record an instant event on the track.
@@ -176,14 +215,15 @@ impl TraceBuilder {
     /// tail sample of every track becomes its final event). Flushes in
     /// `(pid, name)` order, which is deterministic.
     pub fn flush_counters(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        for ((pid, name), p) in pending {
-            self.events.push(Ev::Counter {
-                ts_ns: p.ts_ns,
-                pid,
-                name,
-                value: p.value,
-            });
+        for (&(pid, name), &slot) in &self.counter_index {
+            if let Some(p) = self.counters[slot as usize].pending.take() {
+                self.events.push(Ev::Counter {
+                    ts_ns: p.ts_ns,
+                    pid,
+                    name,
+                    value: p.value,
+                });
+            }
         }
     }
 
@@ -208,7 +248,7 @@ impl TraceBuilder {
             let _ = write!(
                 out,
                 "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(name)
+                JsonStr(name)
             );
         }
         for ev in &self.events {
@@ -223,17 +263,17 @@ impl TraceBuilder {
                     let _ = write!(
                         out,
                         "{{\"ph\":\"C\",\"pid\":{pid},\"ts\":{},\"name\":\"{}\",\"args\":{{\"value\":{}}}}}",
-                        ts_us(*ts_ns),
-                        escape_json(name),
-                        fmt_f64(*value)
+                        Micros(*ts_ns),
+                        JsonStr(name),
+                        JsonNum(*value)
                     );
                 }
                 Ev::Instant { ts_ns, pid, name } => {
                     let _ = write!(
                         out,
                         "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"s\":\"p\",\"name\":\"{}\"}}",
-                        ts_us(*ts_ns),
-                        escape_json(name)
+                        Micros(*ts_ns),
+                        JsonStr(name)
                     );
                 }
                 Ev::Span {
@@ -245,9 +285,9 @@ impl TraceBuilder {
                     let _ = write!(
                         out,
                         "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"dur\":{},\"name\":\"{}\"}}",
-                        ts_us(*ts_ns),
-                        ts_us(*dur_ns),
-                        escape_json(name)
+                        Micros(*ts_ns),
+                        Micros(*dur_ns),
+                        JsonStr(name)
                     );
                 }
             }
@@ -268,41 +308,50 @@ fn push_sep(out: &mut String, first: &mut bool) {
 /// Integer sim-nanoseconds as the microsecond timestamps the format
 /// expects, rendered fixed-point (`123.456`) so the bytes never depend
 /// on float formatting.
-fn ts_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+struct Micros(u64);
+
+impl fmt::Display for Micros {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1_000, self.0 % 1_000)
+    }
 }
 
 /// Deterministic JSON number for counter values: integral values print
 /// as integers, everything else uses Rust's shortest-round-trip float
 /// formatting (stable for bit-identical inputs).
-fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    if v.fract() == 0.0 && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+struct JsonNum(f64);
+
+impl fmt::Display for JsonNum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if !v.is_finite() {
+            f.write_str("0")
+        } else if v.fract() == 0.0 && v.abs() < 9.0e15 {
+            write!(f, "{}", v as i64)
+        } else {
+            write!(f, "{v}")
+        }
     }
 }
 
-/// Escape a string for a JSON literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// A string escaped for a JSON literal.
+struct JsonStr<'a>(&'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
             }
-            c => out.push(c),
         }
+        Ok(())
     }
-    out
 }
 
 #[cfg(test)]

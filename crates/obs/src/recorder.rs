@@ -12,11 +12,11 @@
 //! so `obs` stays below `netsim` in the dependency graph; callers adapt
 //! their typed ids at the call site.
 
+use crate::entity::EntityTable;
 use crate::flight::{FlightRecorder, FlowEvent, DEFAULT_FLIGHT_CAPACITY};
-use crate::metrics::{labels, Labels, MetricsRegistry, MetricsSnapshot};
-use crate::perfetto::{TraceBuilder, TrackKind, DEFAULT_COUNTER_BIN_NS};
+use crate::metrics::{labels, CounterId, HistId, Labels, MetricsRegistry, MetricsSnapshot};
+use crate::perfetto::{CounterSlot, TraceBuilder, TrackKind, DEFAULT_COUNTER_BIN_NS};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Observer of simulation moments. All methods default to no-ops.
@@ -92,16 +92,112 @@ fn host_labels(host: u32) -> Labels {
     labels([("host", format!("n{host}"))])
 }
 
+/// What the recorder keeps per flow: the handles its samples write
+/// through and the flow's open episodes. A metric handle is resolved the
+/// first time that metric is recorded, because a resolved series is
+/// exported; a trace track is resolved with the entity, because a track
+/// without samples emits nothing.
+#[derive(Clone, Debug)]
+struct FlowObs {
+    rtt: Option<HistId>,
+    power: Option<HistId>,
+    lost_bytes: Option<CounterId>,
+    recoveries: Option<CounterId>,
+    rto: Option<CounterId>,
+    ecn_marked_bytes: Option<CounterId>,
+    pacing_stalls: Option<CounterId>,
+    retx: Option<CounterId>,
+    cwnd_track: CounterSlot,
+    rtt_track: CounterSlot,
+    /// Entry instant of the open fast-recovery episode.
+    open_recovery: Option<u64>,
+    /// Start instant of the transfer, until a terminal event closes it.
+    started_at: Option<u64>,
+}
+
+impl FlowObs {
+    fn new(trace: &mut TraceBuilder, flow: u32) -> Self {
+        FlowObs {
+            rtt: None,
+            power: None,
+            lost_bytes: None,
+            recoveries: None,
+            rto: None,
+            ecn_marked_bytes: None,
+            pacing_stalls: None,
+            retx: None,
+            cwnd_track: trace.counter_slot(TrackKind::Flow, flow, "cwnd_bytes"),
+            rtt_track: trace.counter_slot(TrackKind::Flow, flow, "rtt_ns"),
+            open_recovery: None,
+            started_at: None,
+        }
+    }
+}
+
+/// Per-link handles, resolved by the same rule as [`FlowObs`]'s.
+#[derive(Clone, Debug)]
+struct LinkObs {
+    depth: Option<HistId>,
+    /// `queue_drops_total` by `injected` = no / yes.
+    drops: [Option<CounterId>; 2],
+    ce_marks: Option<CounterId>,
+    queue_track: CounterSlot,
+    utilization_track: CounterSlot,
+}
+
+impl LinkObs {
+    fn new(trace: &mut TraceBuilder, link: u32) -> Self {
+        LinkObs {
+            depth: None,
+            drops: [None; 2],
+            ce_marks: None,
+            queue_track: trace.counter_slot(TrackKind::Queue, link, "queue_bytes"),
+            utilization_track: trace.counter_slot(TrackKind::Queue, link, "utilization"),
+        }
+    }
+}
+
+/// Per-host handles, resolved by the same rule as [`FlowObs`]'s.
+#[derive(Clone, Debug)]
+struct HostObs {
+    power: Option<HistId>,
+    power_track: CounterSlot,
+}
+
+impl HostObs {
+    fn new(trace: &mut TraceBuilder, host: u32) -> Self {
+        HostObs {
+            power: None,
+            power_track: trace.counter_slot(TrackKind::Host, host, "power_w"),
+        }
+    }
+}
+
+/// Handles of the label-free metrics.
+#[derive(Clone, Debug)]
+struct GlobalObs {
+    dispatch_batch: Option<HistId>,
+    flow_table_live: Option<HistId>,
+    flow_table_track: CounterSlot,
+    flows_started: Option<CounterId>,
+    flows_completed: Option<CounterId>,
+    flows_aborted: Option<CounterId>,
+}
+
 /// The full observability pipeline: metrics + flight recorder + trace.
+///
+/// The hooks resolve each `(metric, entity)` once — the keyed lookup
+/// that formats the label and walks the registry — and keep the handle
+/// in a per-entity table; every later sample is an indexed write.
 #[derive(Clone, Debug)]
 pub struct ObsRecorder {
     metrics: MetricsRegistry,
     flight: FlightRecorder,
     trace: TraceBuilder,
-    /// Open fast-recovery episodes: flow -> entry instant.
-    open_recovery: BTreeMap<u32, u64>,
-    /// Transfer starts: flow -> start instant.
-    started_at: BTreeMap<u32, u64>,
+    flows: EntityTable<FlowObs>,
+    links: EntityTable<LinkObs>,
+    hosts: EntityTable<HostObs>,
+    global: GlobalObs,
 }
 
 impl Default for ObsRecorder {
@@ -119,12 +215,23 @@ impl ObsRecorder {
     /// Recorder with explicit per-flow ring capacity and counter
     /// downsampling bin (`0` disables downsampling).
     pub fn with_config(flight_capacity: usize, counter_bin_ns: u64) -> Self {
+        let mut trace = TraceBuilder::new(counter_bin_ns);
+        let global = GlobalObs {
+            dispatch_batch: None,
+            flow_table_live: None,
+            flow_table_track: trace.counter_slot(TrackKind::Host, 0, "flow_table_occupancy"),
+            flows_started: None,
+            flows_completed: None,
+            flows_aborted: None,
+        };
         ObsRecorder {
             metrics: MetricsRegistry::new(),
             flight: FlightRecorder::new(flight_capacity),
-            trace: TraceBuilder::new(counter_bin_ns),
-            open_recovery: BTreeMap::new(),
-            started_at: BTreeMap::new(),
+            trace,
+            flows: EntityTable::default(),
+            links: EntityTable::default(),
+            hosts: EntityTable::default(),
+            global,
         }
     }
 
@@ -155,29 +262,37 @@ impl ObsRecorder {
         self.trace.set_track_name(TrackKind::Queue, link, name);
     }
 
+    /// `link`'s handles, with the two sinks they write to.
+    #[inline]
+    fn link(&mut self, link: u32) -> (&mut LinkObs, &mut MetricsRegistry, &mut TraceBuilder) {
+        let trace = &mut self.trace;
+        let l = self
+            .links
+            .get_or_insert_with(link, || LinkObs::new(trace, link));
+        (l, &mut self.metrics, trace)
+    }
+
     /// Close open episodes, flush counter tails, snapshot the registry
     /// at `end_ns`, and render the trace — the run is over.
     pub fn finalize(mut self, end_ns: u64) -> ObsReport {
-        let open = std::mem::take(&mut self.open_recovery);
-        for (flow, since) in open {
-            self.trace.span(
-                since,
-                end_ns.saturating_sub(since),
-                TrackKind::Flow,
-                flow,
-                "fast_recovery",
-            );
+        let trace = &mut self.trace;
+        let mut close = |flow: u32, since: Option<u64>, name: &str| {
+            if let Some(since) = since {
+                trace.span(
+                    since,
+                    end_ns.saturating_sub(since),
+                    TrackKind::Flow,
+                    flow,
+                    name,
+                );
+            }
+        };
+        for (flow, f) in self.flows.iter() {
+            close(flow, f.open_recovery, "fast_recovery");
         }
-        let started = std::mem::take(&mut self.started_at);
-        for (flow, since) in started {
+        for (flow, f) in self.flows.iter() {
             // Never saw a terminal event: the flow was still running.
-            self.trace.span(
-                since,
-                end_ns.saturating_sub(since),
-                TrackKind::Flow,
-                flow,
-                "transfer (unfinished)",
-            );
+            close(flow, f.started_at, "transfer (unfinished)");
         }
         let evicted = self.flight.total_overflowed();
         if evicted > 0 {
@@ -191,52 +306,60 @@ impl ObsRecorder {
             trace_json: self.trace.json(),
         }
     }
+}
 
-    fn close_transfer(&mut self, at_ns: u64, flow: u32, name: &str) {
-        if let Some(since) = self.started_at.remove(&flow) {
-            self.trace.span(
-                since,
-                at_ns.saturating_sub(since),
-                TrackKind::Flow,
-                flow,
-                name,
-            );
-        }
+/// Span the transfer `f` started, if it is still open, up to `at_ns`.
+fn close_transfer(trace: &mut TraceBuilder, f: &mut FlowObs, at_ns: u64, flow: u32, name: &str) {
+    if let Some(since) = f.started_at.take() {
+        trace.span(
+            since,
+            at_ns.saturating_sub(since),
+            TrackKind::Flow,
+            flow,
+            name,
+        );
     }
 }
 
 impl Recorder for ObsRecorder {
     fn flow_event(&mut self, at_ns: u64, flow: u32, event: FlowEvent) {
         self.flight.record(flow, at_ns, event);
+        let ObsRecorder {
+            metrics,
+            trace,
+            flows,
+            global,
+            ..
+        } = self;
+        let f = flows.get_or_insert_with(flow, || FlowObs::new(trace, flow));
         match event {
             FlowEvent::CwndChange { cwnd_bytes } => {
-                self.trace.counter(
-                    at_ns,
-                    TrackKind::Flow,
-                    flow,
-                    "cwnd_bytes",
-                    cwnd_bytes as f64,
-                );
+                trace.counter_at(f.cwnd_track, at_ns, cwnd_bytes as f64);
             }
             FlowEvent::RttSample { rtt_ns } => {
-                self.metrics
-                    .observe("tcp_rtt_ns", flow_labels(flow), rtt_ns);
-                self.trace
-                    .counter(at_ns, TrackKind::Flow, flow, "rtt_ns", rtt_ns as f64);
+                let id = *f.rtt.get_or_insert_with(|| {
+                    metrics.histogram_handle("tcp_rtt_ns", flow_labels(flow))
+                });
+                metrics.observe_at(id, rtt_ns);
+                trace.counter_at(f.rtt_track, at_ns, rtt_ns as f64);
             }
             FlowEvent::Loss { bytes } => {
-                self.metrics
-                    .counter_add("tcp_lost_bytes_total", flow_labels(flow), bytes);
-                self.trace.instant(at_ns, TrackKind::Flow, flow, "loss");
+                let id = *f.lost_bytes.get_or_insert_with(|| {
+                    metrics.counter_handle("tcp_lost_bytes_total", flow_labels(flow))
+                });
+                metrics.counter_add_at(id, bytes);
+                trace.instant(at_ns, TrackKind::Flow, flow, "loss");
             }
             FlowEvent::RecoveryEnter => {
-                self.metrics
-                    .counter_add("tcp_recoveries_total", flow_labels(flow), 1);
-                self.open_recovery.entry(flow).or_insert(at_ns);
+                let id = *f.recoveries.get_or_insert_with(|| {
+                    metrics.counter_handle("tcp_recoveries_total", flow_labels(flow))
+                });
+                metrics.counter_add_at(id, 1);
+                f.open_recovery.get_or_insert(at_ns);
             }
             FlowEvent::RecoveryExit => {
-                if let Some(since) = self.open_recovery.remove(&flow) {
-                    self.trace.span(
+                if let Some(since) = f.open_recovery.take() {
+                    trace.span(
                         since,
                         at_ns.saturating_sub(since),
                         TrackKind::Flow,
@@ -246,81 +369,115 @@ impl Recorder for ObsRecorder {
                 }
             }
             FlowEvent::Rto { .. } => {
-                self.metrics
-                    .counter_add("tcp_rto_total", flow_labels(flow), 1);
-                self.trace.instant(at_ns, TrackKind::Flow, flow, "rto");
+                let id = *f.rto.get_or_insert_with(|| {
+                    metrics.counter_handle("tcp_rto_total", flow_labels(flow))
+                });
+                metrics.counter_add_at(id, 1);
+                trace.instant(at_ns, TrackKind::Flow, flow, "rto");
             }
             FlowEvent::EcnMark { bytes } => {
-                self.metrics
-                    .counter_add("tcp_ecn_marked_bytes_total", flow_labels(flow), bytes);
-                self.trace.instant(at_ns, TrackKind::Flow, flow, "ecn_mark");
+                let id = *f.ecn_marked_bytes.get_or_insert_with(|| {
+                    metrics.counter_handle("tcp_ecn_marked_bytes_total", flow_labels(flow))
+                });
+                metrics.counter_add_at(id, bytes);
+                trace.instant(at_ns, TrackKind::Flow, flow, "ecn_mark");
             }
             FlowEvent::PacingStall { .. } => {
                 // Flight ring + counter only: pacing stalls are far too
                 // frequent to be useful as trace instants.
-                self.metrics
-                    .counter_add("tcp_pacing_stalls_total", flow_labels(flow), 1);
+                let id = *f.pacing_stalls.get_or_insert_with(|| {
+                    metrics.counter_handle("tcp_pacing_stalls_total", flow_labels(flow))
+                });
+                metrics.counter_add_at(id, 1);
             }
             FlowEvent::Retransmit { .. } => {
-                self.metrics
-                    .counter_add("tcp_retx_total", flow_labels(flow), 1);
-                self.trace.instant(at_ns, TrackKind::Flow, flow, "retx");
+                let id = *f.retx.get_or_insert_with(|| {
+                    metrics.counter_handle("tcp_retx_total", flow_labels(flow))
+                });
+                metrics.counter_add_at(id, 1);
+                trace.instant(at_ns, TrackKind::Flow, flow, "retx");
             }
             FlowEvent::EnergySample { milliwatts } => {
-                self.metrics
-                    .observe("flow_power_mw", flow_labels(flow), milliwatts);
+                let id = *f.power.get_or_insert_with(|| {
+                    metrics.histogram_handle("flow_power_mw", flow_labels(flow))
+                });
+                metrics.observe_at(id, milliwatts);
             }
             FlowEvent::Started => {
-                self.metrics
-                    .counter_add("flows_started_total", Labels::new(), 1);
-                self.started_at.entry(flow).or_insert(at_ns);
+                let id = *global.flows_started.get_or_insert_with(|| {
+                    metrics.counter_handle("flows_started_total", Labels::new())
+                });
+                metrics.counter_add_at(id, 1);
+                f.started_at.get_or_insert(at_ns);
             }
             FlowEvent::Completed => {
-                self.metrics
-                    .counter_add("flows_completed_total", Labels::new(), 1);
-                self.close_transfer(at_ns, flow, "transfer");
+                let id = *global.flows_completed.get_or_insert_with(|| {
+                    metrics.counter_handle("flows_completed_total", Labels::new())
+                });
+                metrics.counter_add_at(id, 1);
+                close_transfer(trace, f, at_ns, flow, "transfer");
             }
             FlowEvent::Aborted => {
-                self.metrics
-                    .counter_add("flows_aborted_total", Labels::new(), 1);
-                self.trace.instant(at_ns, TrackKind::Flow, flow, "aborted");
-                self.close_transfer(at_ns, flow, "transfer (aborted)");
+                let id = *global.flows_aborted.get_or_insert_with(|| {
+                    metrics.counter_handle("flows_aborted_total", Labels::new())
+                });
+                metrics.counter_add_at(id, 1);
+                trace.instant(at_ns, TrackKind::Flow, flow, "aborted");
+                close_transfer(trace, f, at_ns, flow, "transfer (aborted)");
             }
         }
     }
 
     fn queue_depth(&mut self, at_ns: u64, link: u32, bytes: u64) {
-        self.metrics
-            .observe("queue_depth_bytes", link_labels(link), bytes);
-        self.trace
-            .counter(at_ns, TrackKind::Queue, link, "queue_bytes", bytes as f64);
+        let (l, metrics, trace) = self.link(link);
+        let id = *l.depth.get_or_insert_with(|| {
+            metrics.histogram_handle("queue_depth_bytes", link_labels(link))
+        });
+        metrics.observe_at(id, bytes);
+        trace.counter_at(l.queue_track, at_ns, bytes as f64);
     }
 
     fn queue_drop(&mut self, at_ns: u64, link: u32, flow: u32, injected: bool) {
-        let mut l = link_labels(link);
-        l.insert("injected", if injected { "yes" } else { "no" }.to_string());
-        self.metrics.counter_add("queue_drops_total", l, 1);
         let _ = flow;
-        self.trace.instant(at_ns, TrackKind::Queue, link, "drop");
+        let (l, metrics, trace) = self.link(link);
+        let id = *l.drops[usize::from(injected)].get_or_insert_with(|| {
+            let mut labels = link_labels(link);
+            labels.insert("injected", if injected { "yes" } else { "no" }.to_string());
+            metrics.counter_handle("queue_drops_total", labels)
+        });
+        metrics.counter_add_at(id, 1);
+        trace.instant(at_ns, TrackKind::Queue, link, "drop");
     }
 
     fn queue_mark(&mut self, at_ns: u64, link: u32, flow: u32) {
         let _ = flow;
-        self.metrics
-            .counter_add("queue_ce_marks_total", link_labels(link), 1);
-        self.trace.instant(at_ns, TrackKind::Queue, link, "ce_mark");
+        let (l, metrics, trace) = self.link(link);
+        let id = *l.ce_marks.get_or_insert_with(|| {
+            metrics.counter_handle("queue_ce_marks_total", link_labels(link))
+        });
+        metrics.counter_add_at(id, 1);
+        trace.instant(at_ns, TrackKind::Queue, link, "ce_mark");
     }
 
     fn link_utilization(&mut self, at_ns: u64, link: u32, fraction: f64) {
-        self.trace
-            .counter(at_ns, TrackKind::Queue, link, "utilization", fraction);
+        let (l, _, trace) = self.link(link);
+        trace.counter_at(l.utilization_track, at_ns, fraction);
     }
 
     fn power_sample(&mut self, at_ns: u64, host: u32, watts: f64) {
         let mw = (watts * 1_000.0).round().max(0.0) as u64;
-        self.metrics.observe("host_power_mw", host_labels(host), mw);
-        self.trace
-            .counter(at_ns, TrackKind::Host, host, "power_w", watts);
+        let ObsRecorder {
+            metrics,
+            trace,
+            hosts,
+            ..
+        } = self;
+        let h = hosts.get_or_insert_with(host, || HostObs::new(trace, host));
+        let id = *h
+            .power
+            .get_or_insert_with(|| metrics.histogram_handle("host_power_mw", host_labels(host)));
+        metrics.observe_at(id, mw);
+        trace.counter_at(h.power_track, at_ns, watts);
     }
 
     fn dispatch_batch(&mut self, at_ns: u64, node: u32, pkts: u32) {
@@ -328,17 +485,24 @@ impl Recorder for ObsRecorder {
         // One workspace-wide histogram: per-host label cardinality at
         // population scale (10k hosts) would swamp the registry for a
         // distribution that is interesting in aggregate.
-        self.metrics
-            .observe("dispatch_batch_pkts", Labels::new(), pkts as u64);
+        let metrics = &mut self.metrics;
+        let id = *self
+            .global
+            .dispatch_batch
+            .get_or_insert_with(|| metrics.histogram_handle("dispatch_batch_pkts", Labels::new()));
+        metrics.observe_at(id, pkts as u64);
     }
 
     fn flow_table_occupancy(&mut self, at_ns: u64, live: u64, capacity: u64) {
-        self.metrics.observe("flow_table_live", Labels::new(), live);
-        self.trace.counter(
+        let metrics = &mut self.metrics;
+        let id = *self
+            .global
+            .flow_table_live
+            .get_or_insert_with(|| metrics.histogram_handle("flow_table_live", Labels::new()));
+        metrics.observe_at(id, live);
+        self.trace.counter_at(
+            self.global.flow_table_track,
             at_ns,
-            TrackKind::Host,
-            0,
-            "flow_table_occupancy",
             if capacity == 0 {
                 0.0
             } else {

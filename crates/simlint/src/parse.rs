@@ -51,8 +51,9 @@ pub struct Mention {
 }
 
 /// A string literal passed as the first argument to one of the
-/// metric-registration methods (`counter_add`/`gauge_set`/`observe`),
-/// or bound to a `*_METRIC` const. Fuel for `metric-name-registry`.
+/// metric-registration methods (`counter_add`/`gauge_set`/`observe`,
+/// or the handle-resolving `counter_handle`/`histogram_handle`), or
+/// bound to a `*_METRIC` const. Fuel for `metric-name-registry`.
 #[derive(Clone, Debug)]
 pub struct MetricLit {
     /// The literal content without quotes.
@@ -114,7 +115,13 @@ const KEYWORDS: &[&str] = &[
     "where", "while", "yield",
 ];
 
-const METRIC_METHODS: &[&str] = &["counter_add", "gauge_set", "observe"];
+const METRIC_METHODS: &[&str] = &[
+    "counter_add",
+    "gauge_set",
+    "observe",
+    "counter_handle",
+    "histogram_handle",
+];
 
 /// Parse one file. `watch` is the ident watch-list recorded into
 /// [`FnItem::mentions`] (the ident-shaped taint sinks).
@@ -951,13 +958,22 @@ mod tests {
                 m.gauge_set("campaign_degraded", labels([]), 1.0);
                 m.observe("queue_depth_bytes", l, 42);
                 m.counter_add(variable_name, l, 1);
+                let id = *slot.get_or_insert_with(|| m.counter_handle("tcp_rto_total", l));
+                m.counter_add_at(id, 1);
+                let h = m.histogram_handle("tcp_rtt_ns", l);
             }
             "#,
         );
         let names: Vec<&str> = pf.metric_lits.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,
-            ["tcp_retx_total", "campaign_degraded", "queue_depth_bytes"]
+            [
+                "tcp_retx_total",
+                "campaign_degraded",
+                "queue_depth_bytes",
+                "tcp_rto_total",
+                "tcp_rtt_ns"
+            ]
         );
     }
 }

@@ -492,6 +492,12 @@ mod tests {
                 "obs",
                 "fn a(m: &mut M) { m.counter_add(\"tcp_ok_total\", l, 1); m.counter_add(\"BadName\", l, 1); m.gauge_set(\"unprefixed_thing\", l, 1.0); }\n",
             ),
+            // Names resolved to handles are checked at the resolving call.
+            pf(
+                "crates/obs/src/recorder.rs",
+                "obs",
+                "fn c(m: &mut M) { let id = m.counter_handle(\"tcp_fine_total\", l); m.counter_add_at(id, 1); let h = m.histogram_handle(\"stray_ns\", l); }\n",
+            ),
             pf(
                 "crates/core/src/lib.rs",
                 "core",
@@ -501,9 +507,14 @@ mod tests {
         let mut out = Vec::new();
         metric_names(&files, &rc, &mut BTreeMap::new(), &mut out);
         let msgs: Vec<&str> = out.iter().map(|d| d.message.as_str()).collect();
-        assert_eq!(out.len(), 3, "{msgs:?}");
+        assert_eq!(out.len(), 4, "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("not snake_case")));
-        assert!(msgs.iter().any(|m| m.contains("lacks a registered prefix")));
+        assert!(msgs
+            .iter()
+            .any(|m| m.contains("`unprefixed_thing` lacks a registered prefix")));
+        assert!(msgs
+            .iter()
+            .any(|m| m.contains("`stray_ns` lacks a registered prefix")));
         // Files sort by path, so `core` claims the name first.
         assert!(msgs
             .iter()

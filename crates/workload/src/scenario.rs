@@ -662,7 +662,7 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
 
     // Feed post-run series into the recorder, then finalize the report.
     // The engine and senders still hold `Rc` clones inside `net`, so the
-    // recorder is cloned out rather than unwrapped.
+    // recorder is taken out of the cell rather than unwrapped.
     let obs = obs_rec.map(|rec| {
         let mut r = rec.borrow_mut();
         let bin_ns = scenario.activity_bin.as_nanos();
@@ -725,8 +725,7 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
             }
         }
         let end_ns = net.now().as_nanos();
-        drop(r);
-        rec.borrow().clone().finalize(end_ns)
+        std::mem::take(&mut *r).finalize(end_ns)
     });
 
     Ok(ScenarioOutcome {

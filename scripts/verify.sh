@@ -28,7 +28,9 @@
 #   --perf    additionally run the perf-regression gate: re-measure the
 #             perf_baseline scenario suite (including bulk_10k_flows)
 #             and fail if any tracked events_per_sec falls more than 15%
-#             below the committed BENCH_netsim.json.
+#             below the committed BENCH_netsim.json, or if a fully
+#             observed run costs more than 2.0x the plain run
+#             (obs_full_overhead).
 #   --scenarios
 #             additionally run the declarative resilience suite twice at
 #             tiny scale: every scenario must behave (positives pass
