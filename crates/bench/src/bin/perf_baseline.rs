@@ -11,9 +11,10 @@
 //! With `--check`, nothing is written: the scenario suite is re-measured
 //! and compared against the committed BENCH_netsim.json, and the process
 //! exits non-zero if any tracked scenario's `events_per_sec` regressed
-//! by more than [`CHECK_TOLERANCE`], or if a fully observed run costs
-//! more than [`OBS_FULL_BUDGET`] times the plain run. This is the
-//! `scripts/verify.sh --perf` gate.
+//! by more than [`CHECK_TOLERANCE`], if a fully observed run costs more
+//! than [`OBS_FULL_BUDGET`] times the plain run, or if Figure 4 costs
+//! more than [`FIG4_SHARING_BUDGET`] of the Figure 1 + Figure 2 sweeps
+//! it borrows from. This is the `scripts/verify.sh --perf` gate.
 //!
 //! With `--check-journal`, only the checkpoint-journal throughput probe
 //! runs: the sharded writer pool must hold at least `1 -
@@ -162,6 +163,28 @@ struct LintPerf {
     budget_s: f64,
 }
 
+/// `--check` fails when `fig4::run` takes more than this fraction of
+/// `fig1::run` + `fig2::run` at the same scale (`fig4_sharing.ratio`).
+/// Figure 4 meters each of its simulations under every load; simulating
+/// once per load instead puts the ratio near 1.0 at four loads.
+const FIG4_SHARING_BUDGET: f64 = 0.5;
+
+/// Whether Figure 4's load levels share their packet simulations: wall
+/// time of `fig4::run` against the two sweeps whose machinery it reuses,
+/// all at quick scale. A ratio of two sums of the same kind of run, so
+/// host speed cancels out. Budget: [`FIG4_SHARING_BUDGET`].
+#[derive(Serialize)]
+struct Fig4Sharing {
+    /// Median wall seconds of `fig1::run` + `fig2::run`.
+    fig1_fig2_wall_s: f64,
+    /// Median wall seconds of `fig4::run`.
+    fig4_wall_s: f64,
+    /// fig4 / (fig1 + fig2).
+    ratio: f64,
+    /// The ratio `--check` fails above.
+    budget: f64,
+}
+
 #[derive(Serialize)]
 struct Baseline {
     /// What produced this file.
@@ -180,6 +203,8 @@ struct Baseline {
     obs_overhead: ObsOverhead,
     /// Full-recorder cost as a multiple of the plain run.
     obs_full_overhead: ObsFullOverhead,
+    /// Figure 4's cost relative to the sweeps it borrows from.
+    fig4_sharing: Fig4Sharing,
     /// Checkpoint-journal throughput, single vs sharded.
     journal: JournalThroughput,
     /// Whole-workspace simlint token-pass cost and findings.
@@ -360,6 +385,11 @@ fn measure_obs_overhead() -> ObsOverhead {
     overhead
 }
 
+fn median(walls: &mut [f64]) -> f64 {
+    walls.sort_by(f64::total_cmp);
+    walls[walls.len() / 2]
+}
+
 fn measure_obs_full_overhead() -> ObsFullOverhead {
     // Two flows under random loss: recovery, retransmit and RTO hooks
     // fire along with the per-ack ones, and a run lasts long enough
@@ -382,10 +412,6 @@ fn measure_obs_full_overhead() -> ObsFullOverhead {
         plain_walls[run] = best_wall(&plain, 1, false);
         observed_walls[run] = best_wall(&observed, 1, false);
     }
-    let median = |walls: &mut [f64; OVERHEAD_RUNS]| {
-        walls.sort_by(f64::total_cmp);
-        walls[OVERHEAD_RUNS / 2]
-    };
     let (plain_wall_s, observed_wall_s) = (median(&mut plain_walls), median(&mut observed_walls));
     let overhead = ObsFullOverhead {
         plain_wall_s,
@@ -399,6 +425,40 @@ fn measure_obs_full_overhead() -> ObsFullOverhead {
         overhead.plain_wall_s, overhead.observed_wall_s, overhead.ratio, overhead.budget
     );
     overhead
+}
+
+fn measure_fig4_sharing() -> Fig4Sharing {
+    use greenenvy::{fig1, fig2, fig4};
+    let scale = greenenvy::Scale::quick();
+    let (c1, c2, c4) = (
+        fig1::Config::at_scale(scale),
+        fig2::Config::at_scale(scale),
+        fig4::Config::at_scale(scale),
+    );
+    // Interleave the two sides so host-frequency drift hits both equally.
+    const SHARING_RUNS: usize = 3;
+    let mut borrowed_walls = [0.0; SHARING_RUNS];
+    let mut fig4_walls = [0.0; SHARING_RUNS];
+    for run in 0..SHARING_RUNS {
+        let start = Instant::now();
+        std::hint::black_box((fig1::run(&c1), fig2::run(&c2)));
+        borrowed_walls[run] = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        std::hint::black_box(fig4::run(&c4));
+        fig4_walls[run] = start.elapsed().as_secs_f64();
+    }
+    let (fig1_fig2_wall_s, fig4_wall_s) = (median(&mut borrowed_walls), median(&mut fig4_walls));
+    let sharing = Fig4Sharing {
+        fig1_fig2_wall_s,
+        fig4_wall_s,
+        ratio: fig4_wall_s / fig1_fig2_wall_s,
+        budget: FIG4_SHARING_BUDGET,
+    };
+    println!(
+        "fig4 sharing (quick scale): fig1+fig2 {:.4} s, fig4 {:.4} s, ratio {:.2} (budget {:.2})",
+        sharing.fig1_fig2_wall_s, sharing.fig4_wall_s, sharing.ratio, sharing.budget
+    );
+    sharing
 }
 
 /// One synthetic journal cell record; payload shaped like a real one.
@@ -666,6 +726,7 @@ fn main() {
         let regressions = check_against(&repo_root.join("BENCH_netsim.json"), &scenarios);
         println!();
         let obs_full = measure_obs_full_overhead();
+        let sharing = measure_fig4_sharing();
         if regressions > 0 {
             eprintln!(
                 "perf check: {regressions} scenario(s) regressed more than {:.0}%",
@@ -680,7 +741,15 @@ fn main() {
             );
             std::process::exit(exitcode::FAILURE);
         }
-        println!("perf check: all scenarios within tolerance, obs within budget");
+        if sharing.ratio > sharing.budget {
+            eprintln!(
+                "perf check: fig4 costs {:.2} of fig1 + fig2 (budget {:.2}): \
+                 its loads no longer share simulations",
+                sharing.ratio, sharing.budget
+            );
+            std::process::exit(exitcode::FAILURE);
+        }
+        println!("perf check: all scenarios within tolerance, obs and fig4 sharing within budget");
         return;
     }
 
@@ -695,6 +764,7 @@ fn main() {
         paranoid_overhead: measure_paranoid_overhead(),
         obs_overhead: measure_obs_overhead(),
         obs_full_overhead: measure_obs_full_overhead(),
+        fig4_sharing: measure_fig4_sharing(),
         journal: measure_journal_throughput(),
         simlint: measure_lint(
             "simlint",

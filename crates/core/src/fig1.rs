@@ -27,7 +27,7 @@ pub struct Config {
     /// Seeds (one run per seed per point).
     pub seeds: Vec<u64>,
     /// Background load on both sender hosts (0 for Figure 1; Figure 4
-    /// reuses this experiment at higher loads).
+    /// evaluates the same simulations under higher loads).
     pub background: StressLoad,
 }
 
@@ -80,7 +80,6 @@ fn fair_scenario(cfg: &Config, seed: u64) -> Scenario {
         ],
     )
     .with_seed(seed)
-    .with_background_load(cfg.background)
 }
 
 /// Throttled scenario realizing the allocation `(f, 1-f)`: flow #1 is
@@ -105,7 +104,6 @@ fn throttled_scenario(cfg: &Config, fraction: f64, seed: u64) -> Scenario {
         ],
     )
     .with_seed(seed)
-    .with_background_load(cfg.background)
 }
 
 /// Serial schedule: flow #1 alone at line rate, then flow #2. The second
@@ -117,10 +115,7 @@ fn serial_scenario(cfg: &Config, seed: u64) -> Scenario {
         vec![FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes)],
     )
     .with_seed(seed);
-    let solo_fct = workload::scenario::run(&solo)
-        .expect("solo flow completes")
-        .reports[0]
-        .completed_at;
+    let solo_fct = simulate(&solo).expect("solo flow completes").reports[0].completed_at;
     Scenario::new(
         cfg.mtu,
         vec![
@@ -130,28 +125,37 @@ fn serial_scenario(cfg: &Config, seed: u64) -> Scenario {
         ],
     )
     .with_seed(seed)
-    .with_background_load(cfg.background)
 }
 
+#[derive(Clone)]
 struct RawPoint {
     fraction: f64,
     energy: Vec<f64>,
     window: Vec<f64>,
 }
 
-fn measure(scenarios: impl Iterator<Item = Scenario>, fraction: f64) -> RawPoint {
-    let mut energy = Vec::new();
-    let mut window = Vec::new();
-    for s in scenarios {
-        let out = workload::scenario::run(&s).expect("two-flow scenario completes");
-        energy.push(out.sender_energy_j);
-        window.push(out.window.as_secs_f64());
-    }
-    RawPoint {
+/// Simulate each scenario once and meter it under every load: one
+/// `RawPoint` per load, in `loads` order. Each run is dropped before the
+/// next is built, so one network is alive at a time.
+fn measure(
+    scenarios: impl Iterator<Item = Scenario>,
+    fraction: f64,
+    loads: &[StressLoad],
+) -> Vec<RawPoint> {
+    let empty = RawPoint {
         fraction,
-        energy,
-        window,
+        energy: Vec::new(),
+        window: Vec::new(),
+    };
+    let mut points = vec![empty; loads.len()];
+    for s in scenarios {
+        let sim = simulate(&s).expect("two-flow scenario completes");
+        for (rp, &load) in points.iter_mut().zip(loads) {
+            rp.energy.push(sim.meter(load).sender_energy_j);
+            rp.window.push(sim.window.as_secs_f64());
+        }
     }
+    points
 }
 
 /// Extend every point's energy to a per-seed *common* measurement window
@@ -159,10 +163,10 @@ fn measure(scenarios: impl Iterator<Item = Scenario>, fraction: f64) -> RawPoint
 /// host idles at exactly base power, so the extension is the analytic
 /// `(W - w) * P_base` per host — this removes completion-jitter noise
 /// from the savings comparison without rerunning anything.
-fn equalize_windows(raw: &mut [RawPoint], cfg: &Config, hosts: f64) {
+fn equalize_windows(raw: &mut [RawPoint], load: StressLoad, hosts: f64) {
     let fan = energy::calibration::reference_fan();
-    let base_w = energy::calibration::P_IDLE_W + fan.watts(cfg.background.utilization());
-    let seeds = cfg.seeds.len();
+    let base_w = energy::calibration::P_IDLE_W + fan.watts(load.utilization());
+    let seeds = raw[0].window.len();
     for i in 0..seeds {
         let common = raw.iter().map(|rp| rp.window[i]).fold(0.0_f64, f64::max);
         for rp in raw.iter_mut() {
@@ -172,23 +176,51 @@ fn equalize_windows(raw: &mut [RawPoint], cfg: &Config, hosts: f64) {
     }
 }
 
-/// Run the sweep.
+/// Run the sweep under `cfg.background`.
 pub fn run(cfg: &Config) -> Result {
-    let fair = measure(cfg.seeds.iter().map(|&s| fair_scenario(cfg, s)), 0.5);
-    let serial = measure(cfg.seeds.iter().map(|&s| serial_scenario(cfg, s)), 1.0);
+    run_under_loads(cfg, &[cfg.background])
+        .pop()
+        .expect("one result per load")
+}
 
-    let mut raw = vec![fair, serial];
+/// Run the sweep's simulations once and evaluate them under each of
+/// `loads` (one `Result` per load, in order). Background load changes
+/// power, not packets, so the loads share every simulation;
+/// `cfg.background` is not read — [`run`] passes it as the single load.
+pub(crate) fn run_under_loads(cfg: &Config, loads: &[StressLoad]) -> Vec<Result> {
+    let fair = measure(cfg.seeds.iter().map(|&s| fair_scenario(cfg, s)), 0.5, loads);
+    let serial = measure(
+        cfg.seeds.iter().map(|&s| serial_scenario(cfg, s)),
+        1.0,
+        loads,
+    );
+
+    let mut schedules = vec![fair, serial];
     for &f in &cfg.fractions {
         assert!(
             f > 0.5 && f < 1.0,
             "sweep fractions must lie strictly between fair and serial"
         );
-        raw.push(measure(
+        schedules.push(measure(
             cfg.seeds.iter().map(|&s| throttled_scenario(cfg, f, s)),
             f,
+            loads,
         ));
     }
-    equalize_windows(&mut raw, cfg, 2.0);
+
+    loads
+        .iter()
+        .enumerate()
+        .map(|(l, &load)| {
+            let raw = schedules.iter().map(|points| points[l].clone()).collect();
+            evaluate(raw, load)
+        })
+        .collect()
+}
+
+/// The per-load half of the sweep: savings over fair on a common window.
+fn evaluate(mut raw: Vec<RawPoint>, load: StressLoad) -> Result {
+    equalize_windows(&mut raw, load, 2.0);
 
     let fair_energy: Vec<f64> = raw[0].energy.clone();
     let to_point = |rp: &RawPoint| -> Point {

@@ -27,7 +27,8 @@ pub struct Config {
     pub mtu: u32,
     /// Seeds.
     pub seeds: Vec<u64>,
-    /// Background compute load (Figure 4 reuses this at >0 loads).
+    /// Background compute load (Figure 4 evaluates the same simulations
+    /// under >0 loads).
     pub background: StressLoad,
 }
 
@@ -90,13 +91,26 @@ impl Result {
     }
 }
 
-/// Run the sweep.
+/// Run the sweep under `cfg.background`.
 pub fn run(cfg: &Config) -> Result {
-    let mut points = Vec::with_capacity(cfg.rates_gbps.len());
+    run_under_loads(cfg, &[cfg.background])
+        .pop()
+        .expect("one result per load")
+}
+
+/// Run the sweep's simulations once and evaluate them under each of
+/// `loads` (one `Result` per load, in order). Background load changes
+/// power, not packets, so the loads share every simulation;
+/// `cfg.background` is not read — [`run`] passes it as the single load.
+pub(crate) fn run_under_loads(cfg: &Config, loads: &[StressLoad]) -> Vec<Result> {
+    let mut curves: Vec<Vec<Point>> = loads
+        .iter()
+        .map(|_| Vec::with_capacity(cfg.rates_gbps.len()))
+        .collect();
     for &rate in &cfg.rates_gbps {
         assert!(rate > 0.0, "zero rate is the analytic idle point");
         let bytes = ((rate * 1e9 / 8.0) * cfg.duration_s) as u64;
-        let mut power = Vec::new();
+        let mut power_by_load = vec![Vec::new(); loads.len()];
         let mut goodput = Vec::new();
         for &seed in &cfg.seeds {
             // Every point is a *throttled* run — "sending smoothly at a
@@ -105,23 +119,36 @@ pub fn run(cfg: &Config) -> Result {
             // belongs to Figures 5-8, not to this curve.
             let spec = FlowSpec::bulk(CcaKind::Cubic, bytes.max(10_000_000))
                 .with_rate_limit(Rate::from_gbps(rate));
-            let scenario = Scenario::new(cfg.mtu, vec![spec])
-                .with_seed(seed)
-                .with_background_load(cfg.background);
-            let out = workload::scenario::run(&scenario).expect("throttled flow completes");
-            power.push(out.average_sender_power_w());
-            goodput.push(out.reports[0].mean_goodput.gbps());
+            let scenario = Scenario::new(cfg.mtu, vec![spec]).with_seed(seed);
+            let sim = simulate(&scenario).expect("throttled flow completes");
+            // Average sender power: energy over iperf time.
+            let window_s = sim.window.as_secs_f64();
+            for (power, &load) in power_by_load.iter_mut().zip(loads) {
+                power.push(sim.meter(load).sender_energy_j / window_s);
+            }
+            goodput.push(sim.reports[0].mean_goodput.gbps());
         }
-        points.push(Point {
-            target_gbps: rate,
-            goodput_gbps: Summary::of(&goodput),
-            power_w: Summary::of(&power),
-            mix_power_w: 0.0, // filled below once line-rate power is known
-        });
+        for (points, power) in curves.iter_mut().zip(&power_by_load) {
+            points.push(Point {
+                target_gbps: rate,
+                goodput_gbps: Summary::of(&goodput),
+                power_w: Summary::of(power),
+                mix_power_w: 0.0, // filled below once line-rate power is known
+            });
+        }
     }
+    curves
+        .into_iter()
+        .zip(loads)
+        .map(|(points, &load)| with_mix_line(points, load))
+        .collect()
+}
 
+/// The per-load half of the sweep: idle power and the "full speed, then
+/// idle" chord at this load.
+fn with_mix_line(mut points: Vec<Point>, load: StressLoad) -> Result {
     let fan = energy::calibration::reference_fan();
-    let idle_w = P_IDLE_W + fan.watts(cfg.background.utilization());
+    let idle_w = P_IDLE_W + fan.watts(load.utilization());
     let line_rate_w = points.last().map(|p| p.power_w.mean).unwrap_or(idle_w);
     let max_rate = points.last().map(|p| p.target_gbps).unwrap_or(10.0);
     for p in &mut points {

@@ -66,43 +66,54 @@ pub struct Result {
     pub rows: Vec<LoadRow>,
 }
 
-/// Run the experiment.
+/// Run the experiment. Background load changes power, not packets, so
+/// every transfer is simulated once and metered under each load.
 pub fn run(cfg: &Config) -> Result {
-    let mut rows = Vec::with_capacity(cfg.loads.len());
-    for &load in &cfg.loads {
-        let background = StressLoad::fraction(load);
+    let loads: Vec<StressLoad> = cfg.loads.iter().map(|&l| StressLoad::fraction(l)).collect();
 
-        // Power curve at this load (reuses the Figure-2 machinery).
-        let curve = fig2::run(&fig2::Config {
+    // Power curve per load (the Figure-2 machinery).
+    let curves = fig2::run_under_loads(
+        &fig2::Config {
             rates_gbps: cfg.rates_gbps.clone(),
             duration_s: cfg.duration_s,
             mtu: cfg.mtu,
             seeds: cfg.seeds.clone(),
-            background,
-        });
+            background: StressLoad::IDLE,
+        },
+        &loads,
+    );
 
-        // Fair-vs-serial savings at this load (reuses Figure 1's
-        // endpoints only).
-        let sweep = fig1::run(&fig1::Config {
+    // Fair-vs-serial savings per load (Figure 1's endpoints only).
+    let sweeps = fig1::run_under_loads(
+        &fig1::Config {
             per_flow_bytes: cfg.per_flow_bytes,
             mtu: cfg.mtu,
             fractions: vec![],
             seeds: cfg.seeds.clone(),
-            background,
-        });
-        let serial = sweep
-            .points
-            .iter()
-            .find(|p| p.fraction == 1.0)
-            .expect("serial point present");
+            background: StressLoad::IDLE,
+        },
+        &loads,
+    );
 
-        rows.push(LoadRow {
-            load,
-            idle_w: curve.idle_w,
-            power_w: curve.points.iter().map(|p| p.power_w).collect(),
-            savings_pct: serial.savings_pct,
-        });
-    }
+    let rows = cfg
+        .loads
+        .iter()
+        .zip(curves)
+        .zip(sweeps)
+        .map(|((&load, curve), sweep)| {
+            let serial = sweep
+                .points
+                .iter()
+                .find(|p| p.fraction == 1.0)
+                .expect("serial point present");
+            LoadRow {
+                load,
+                idle_w: curve.idle_w,
+                power_w: curve.points.iter().map(|p| p.power_w).collect(),
+                savings_pct: serial.savings_pct,
+            }
+        })
+        .collect();
     Result {
         rates_gbps: cfg.rates_gbps.clone(),
         rows,

@@ -131,13 +131,20 @@ pub struct ActivityTotals {
     pub acks_rx: u64,
 }
 
+/// One host's record: its bins and lifetime totals.
+#[derive(Debug, Default)]
+struct HostRecord {
+    bins: Vec<ActivityBin>,
+    totals: ActivityTotals,
+}
+
 /// Per-host binned transmit/receive activity.
 #[derive(Debug)]
 pub struct HostActivity {
     bin: SimDuration,
-    /// host -> bins
-    bins: BTreeMap<NodeId, Vec<ActivityBin>>,
-    totals: BTreeMap<NodeId, ActivityTotals>,
+    /// Indexed by [`NodeId::index`], grown on first sight; a host that
+    /// never moved a packet has no bins.
+    records: Vec<HostRecord>,
 }
 
 impl HostActivity {
@@ -146,8 +153,7 @@ impl HostActivity {
         assert!(!bin.is_zero(), "activity bin must be positive");
         HostActivity {
             bin,
-            bins: BTreeMap::new(),
-            totals: BTreeMap::new(),
+            records: Vec::new(),
         }
     }
 
@@ -156,62 +162,73 @@ impl HostActivity {
         self.bin
     }
 
-    fn bin_mut(&mut self, host: NodeId, now: SimTime) -> &mut ActivityBin {
-        let idx = (now.as_nanos() / self.bin.as_nanos()) as usize;
-        let bins = self.bins.entry(host).or_default();
-        if bins.len() <= idx {
-            bins.resize(idx + 1, ActivityBin::default());
+    fn record_mut(
+        &mut self,
+        host: NodeId,
+        now: SimTime,
+    ) -> (&mut ActivityBin, &mut ActivityTotals) {
+        let h = host.index();
+        if self.records.len() <= h {
+            self.records.resize_with(h + 1, HostRecord::default);
         }
-        &mut bins[idx]
+        let record = &mut self.records[h];
+        let idx = (now.as_nanos() / self.bin.as_nanos()) as usize;
+        if record.bins.len() <= idx {
+            record.bins.resize(idx + 1, ActivityBin::default());
+        }
+        (&mut record.bins[idx], &mut record.totals)
     }
 
     /// Record a transmission starting at `now` from `host`.
     pub fn record_tx(&mut self, host: NodeId, now: SimTime, wire_bytes: u64, is_retx: bool) {
-        let b = self.bin_mut(host, now);
+        let (b, t) = self.record_mut(host, now);
         b.tx_bytes += wire_bytes;
         b.tx_pkts += 1;
-        if is_retx {
-            b.retx_pkts += 1;
-        }
-        let t = self.totals.entry(host).or_default();
         t.tx_bytes += wire_bytes;
         t.tx_pkts += 1;
         if is_retx {
+            b.retx_pkts += 1;
             t.retx_pkts += 1;
         }
     }
 
     /// Record a packet received by `host` at `now`.
     pub fn record_rx(&mut self, host: NodeId, now: SimTime, wire_bytes: u64, is_ack: bool) {
-        let b = self.bin_mut(host, now);
+        let (b, t) = self.record_mut(host, now);
         b.rx_bytes += wire_bytes;
         b.rx_pkts += 1;
-        if is_ack {
-            b.acks_rx += 1;
-        }
-        let t = self.totals.entry(host).or_default();
         t.rx_bytes += wire_bytes;
         t.rx_pkts += 1;
         if is_ack {
+            b.acks_rx += 1;
             t.acks_rx += 1;
         }
     }
 
     /// The activity series for a host (empty if it never moved a packet).
     pub fn series(&self, host: NodeId) -> &[ActivityBin] {
-        self.bins.get(&host).map(Vec::as_slice).unwrap_or(&[])
+        self.records
+            .get(host.index())
+            .map(|r| r.bins.as_slice())
+            .unwrap_or(&[])
     }
 
     /// Lifetime totals for a host.
     pub fn totals(&self, host: NodeId) -> ActivityTotals {
-        self.totals.get(&host).copied().unwrap_or_default()
+        self.records
+            .get(host.index())
+            .map(|r| r.totals)
+            .unwrap_or_default()
     }
 
-    /// All hosts with recorded activity.
+    /// All hosts with recorded activity, ascending.
     pub fn hosts(&self) -> Vec<NodeId> {
-        let mut v: Vec<_> = self.bins.keys().copied().collect();
-        v.sort();
-        v
+        self.records
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !r.bins.is_empty())
+            .map(|(i, _)| NodeId::from_raw(i as u32))
+            .collect()
     }
 }
 
@@ -282,6 +299,19 @@ mod tests {
         assert_eq!(t.retx_pkts, 1);
         assert_eq!(t.acks_rx, 1);
         assert_eq!(a.hosts(), vec![H]);
+    }
+
+    #[test]
+    fn host_activity_lists_only_hosts_that_moved_a_packet() {
+        let mut a = HostActivity::new(SimDuration::from_millis(1));
+        let (h2, h5) = (NodeId::from_raw(2), NodeId::from_raw(5));
+        a.record_rx(h5, SimTime::from_micros(10), 64, false);
+        a.record_tx(h2, SimTime::from_micros(20), 1500, false);
+        assert_eq!(a.hosts(), vec![h2, h5], "ascending, gaps skipped");
+        assert!(a.series(H).is_empty());
+        assert_eq!(a.totals(NodeId::from_raw(3)).tx_pkts, 0);
+        assert!(a.series(NodeId::from_raw(9)).is_empty(), "beyond the table");
+        assert_eq!(a.totals(h5).rx_bytes, 64);
     }
 
     #[test]

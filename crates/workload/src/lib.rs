@@ -33,6 +33,8 @@ pub mod prelude {
         run_population, run_population_with_threads, PopulationError, PopulationFingerprint,
         PopulationOutcome, PopulationSpec,
     };
-    pub use crate::scenario::{run, Scenario, ScenarioError, ScenarioOutcome};
+    pub use crate::scenario::{
+        run, simulate, Scenario, ScenarioError, ScenarioOutcome, SimulatedRun,
+    };
     pub use crate::stress::StressLoad;
 }

@@ -14,12 +14,13 @@ use cca::{CcaConfig, CcaKind};
 use energy::calibration::{self, MAX_HOST_PPS, PACING_PPS_BONUS};
 use energy::host::HostContext;
 use energy::meter::{EnergyMeter, EnergyReading};
-use netsim::engine::{EngineCounters, Network, RunOutcome};
+use netsim::engine::{EngineCounters, Network, NetworkStats, RunOutcome};
 use netsim::fault::FaultSpec;
-use netsim::ids::FlowId;
+use netsim::ids::{FlowId, NodeId};
 use netsim::packet::HEADER_BYTES;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::{BottleneckQueue, Dumbbell, DumbbellConfig};
+use netsim::trace::HostActivity;
 use netsim::units::Rate;
 use obs::{
     FlowEvent, Labels, NoopRecorder, ObsRecorder, ObsReport, Recorder, SharedRecorder, TrackKind,
@@ -390,8 +391,66 @@ impl ScenarioOutcome {
     }
 }
 
-/// Run a scenario to completion and measure it.
+/// A finished packet-level simulation, before any energy metering.
+///
+/// Everything in it is a function of the scenario's network inputs
+/// alone: [`simulate`] never reads [`Scenario::background_load`]
+/// (background compute changes power, not packets — DESIGN.md, "Run
+/// phases"). [`SimulatedRun::meter`] evaluates the recorded host
+/// activity under a load and can be called any number of times, which
+/// is how Figure 4 measures one transfer at four load levels.
+pub struct SimulatedRun {
+    /// Per-flow iperf-style reports, in flow order.
+    pub reports: Vec<FlowReport>,
+    /// The measurement window: experiment start until the last flow
+    /// completed.
+    pub window: SimDuration,
+    /// How the engine's run loop returned.
+    pub run_outcome: RunOutcome,
+    /// Drop, mark, fault and frame-conservation counters.
+    pub net_stats: NetworkStats,
+    /// Per-flow throughput series in Gb/s (if tracing was enabled).
+    pub throughput_traces: Option<Vec<Vec<f64>>>,
+    /// Simulation time when the run loop returned.
+    pub sim_end: SimTime,
+    /// Engine performance counters.
+    pub engine: EngineCounters,
+    /// The finished network: owns the host activity record the meter
+    /// integrates, plus the packet log and flow trace the recorder reads.
+    net: Network,
+    /// The metered sender hosts, each with the CC compute-cost factor of
+    /// the flows it served (a single host when senders are colocated).
+    senders: Vec<(NodeId, f64)>,
+    receiver: NodeId,
+    /// One sender host per flow (not colocated): per-flow energy
+    /// samples are attributable.
+    host_per_flow: bool,
+    obs_rec: Option<Rc<RefCell<ObsRecorder>>>,
+}
+
+/// One energy measurement of a [`SimulatedRun`] under a background load.
+#[derive(Clone, Debug)]
+pub struct EnergyMeasurement {
+    /// Total sender-side energy over the window.
+    pub sender_energy_j: f64,
+    /// Per-sender-host energy readings.
+    pub sender_readings: Vec<EnergyReading>,
+    /// The receiver host's energy over the same window.
+    pub receiver_energy_j: f64,
+    /// Per-sender-host instantaneous power series (W per activity bin).
+    pub sender_power_series_w: Vec<Vec<f64>>,
+}
+
+/// Run a scenario to completion and measure it: [`simulate`], then meter
+/// under the scenario's own background load.
 pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
+    Ok(simulate(scenario)?.finish(scenario.background_load))
+}
+
+/// The packet-level phase of [`run`]: build the testbed, wire the
+/// flows, run the engine to quiescence and collect the flow reports.
+/// Reads every scenario field except `background_load`.
+pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
     let mss = scenario.mtu - HEADER_BYTES;
     let mut net = Network::new(scenario.seed);
     net.set_delivery_batching(scenario.delivery_batching);
@@ -599,7 +658,7 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
         });
     }
 
-    // Energy: RAPL-style reads over [0, last completion].
+    // The measurement window: RAPL-style reads cover [0, last completion].
     let window_end = reports
         .iter()
         .map(|r| r.completed_at)
@@ -607,12 +666,7 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
         .expect("at least one flow");
     let window = window_end.saturating_since(SimTime::ZERO);
 
-    let meter = EnergyMeter::new(calibration::reference_host_model());
-    let activity = net.activity().expect("activity recording enabled");
-    let ref_cost = calibration::cc_cost_per_ack_ref_j();
-    let mut sender_power_series_w = Vec::new();
-    let mut sender_readings = Vec::new();
-    if scenario.colocate_senders {
+    let senders = if scenario.colocate_senders {
         // One host serves every flow: weight the CC cost by each flow's
         // share of the processed acks.
         let total_acks: u64 = reports.iter().map(|r| r.acks_processed).sum();
@@ -625,68 +679,133 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
                 .sum::<f64>()
                 / total_acks as f64
         };
-        let ctx = HostContext {
-            background_util: scenario.background_load.utilization(),
-            cc_cost_per_ack_j: ref_cost * weighted_factor,
-        };
-        sender_readings.push(meter.measure_host(activity, dumbbell.senders[0], window, ctx));
-        sender_power_series_w.push(meter.model().power_series(
-            activity.series(dumbbell.senders[0]),
-            activity.bin(),
-            ctx,
-        ));
+        vec![(dumbbell.senders[0], weighted_factor)]
     } else {
-        for (i, report) in reports.iter().enumerate() {
-            let ctx = HostContext {
-                background_util: scenario.background_load.utilization(),
-                cc_cost_per_ack_j: ref_cost * report.compute_cost_factor,
-            };
-            sender_readings.push(meter.measure_host(activity, dumbbell.senders[i], window, ctx));
-            sender_power_series_w.push(meter.model().power_series(
-                activity.series(dumbbell.senders[i]),
-                activity.bin(),
-                ctx,
-            ));
-        }
-    }
-    let sender_energy_j = sender_readings.iter().map(|r| r.joules).sum();
-    let receiver_reading =
-        meter.measure_host(activity, dumbbell.receiver, window, HostContext::default());
+        dumbbell
+            .senders
+            .iter()
+            .zip(&reports)
+            .map(|(&host, report)| (host, report.compute_cost_factor))
+            .collect()
+    };
 
-    let net_stats = net.network_stats();
     let throughput_traces = net.flow_trace().map(|trace| {
         (0..scenario.flows.len())
             .map(|i| trace.throughput_gbps(FlowId::from_raw(i as u32)))
             .collect()
     });
 
-    // Feed post-run series into the recorder, then finalize the report.
-    // The engine and senders still hold `Rc` clones inside `net`, so the
-    // recorder is taken out of the cell rather than unwrapped.
-    let obs = obs_rec.map(|rec| {
-        let mut r = rec.borrow_mut();
-        let bin_ns = scenario.activity_bin.as_nanos();
-        let sender_hosts: &[netsim::ids::NodeId] = if scenario.colocate_senders {
-            &dumbbell.senders[..1]
-        } else {
-            &dumbbell.senders
-        };
-        for (series, &host) in sender_power_series_w.iter().zip(sender_hosts) {
+    Ok(SimulatedRun {
+        reports,
+        window,
+        run_outcome,
+        net_stats: net.network_stats(),
+        throughput_traces,
+        sim_end: net.now(),
+        engine: net.counters(),
+        net,
+        senders,
+        receiver: dumbbell.receiver,
+        host_per_flow: !scenario.colocate_senders,
+        obs_rec,
+    })
+}
+
+impl SimulatedRun {
+    fn activity(&self) -> &HostActivity {
+        self.net.activity().expect("activity recording enabled")
+    }
+
+    /// The energy-metering phase: RAPL-style reads of every host over the
+    /// window, with `load` as the sender hosts' background utilization.
+    /// A pure function of the recorded activity, the reports and `load`.
+    pub fn meter(&self, load: StressLoad) -> EnergyMeasurement {
+        let meter = EnergyMeter::new(calibration::reference_host_model());
+        let activity = self.activity();
+        let ref_cost = calibration::cc_cost_per_ack_ref_j();
+        let mut sender_readings = Vec::with_capacity(self.senders.len());
+        let mut sender_power_series_w = Vec::with_capacity(self.senders.len());
+        for &(host, cost_factor) in &self.senders {
+            let ctx = HostContext {
+                background_util: load.utilization(),
+                cc_cost_per_ack_j: ref_cost * cost_factor,
+            };
+            sender_readings.push(meter.measure_host(activity, host, self.window, ctx));
+            sender_power_series_w.push(meter.model().power_series(
+                activity.series(host),
+                activity.bin(),
+                ctx,
+            ));
+        }
+        let receiver_reading =
+            meter.measure_host(activity, self.receiver, self.window, HostContext::default());
+        EnergyMeasurement {
+            sender_energy_j: sender_readings.iter().map(|r| r.joules).sum(),
+            sender_readings,
+            receiver_energy_j: receiver_reading.joules,
+            sender_power_series_w,
+        }
+    }
+
+    /// Meter under `load`, feed the post-run series into the recorder (if
+    /// the run carried one) and assemble the outcome.
+    fn finish(self, load: StressLoad) -> ScenarioOutcome {
+        let energy = self.meter(load);
+        let power_bin = self.activity().bin();
+        // The engine and senders still hold `Rc` clones inside `net`, so
+        // the recorder is taken out of the cell rather than unwrapped.
+        let obs = self.obs_rec.as_ref().map(|rec| {
+            let mut r = rec.borrow_mut();
+            self.feed_recorder(&mut r, &energy.sender_power_series_w);
+            std::mem::take(&mut *r).finalize(self.sim_end.as_nanos())
+        });
+        let stats = self.net_stats;
+        ScenarioOutcome {
+            reports: self.reports,
+            window: self.window,
+            sender_energy_j: energy.sender_energy_j,
+            sender_readings: energy.sender_readings,
+            receiver_energy_j: energy.receiver_energy_j,
+            dropped_pkts: stats.dropped_pkts,
+            marked_pkts: stats.marked_pkts,
+            injected_drops: stats.injected_drops,
+            injected_corrupts: stats.injected_corrupts,
+            injected_dups: stats.injected_dups,
+            injected_reorders: stats.injected_reorders,
+            originated_pkts: stats.originated_pkts,
+            delivered_pkts: stats.delivered_pkts,
+            corrupt_discards: stats.corrupt_discards,
+            run_outcome: self.run_outcome,
+            throughput_traces: self.throughput_traces,
+            sender_power_series_w: energy.sender_power_series_w,
+            power_bin,
+            sim_end: self.sim_end,
+            engine: self.engine,
+            obs,
+        }
+    }
+
+    /// Post-run series for the observability report: host power tracks,
+    /// per-flow energy samples, packet-log totals and throughput tracks.
+    fn feed_recorder(&self, r: &mut ObsRecorder, sender_power_series_w: &[Vec<f64>]) {
+        let activity = self.activity();
+        let bin_ns = activity.bin().as_nanos();
+        for (series, &(host, _)) in sender_power_series_w.iter().zip(&self.senders) {
             for (b, &w) in series.iter().enumerate() {
                 r.power_sample(b as u64 * bin_ns, host.index() as u32, w);
             }
         }
-        let receiver_series = meter.model().power_series(
-            activity.series(dumbbell.receiver),
+        let receiver_series = calibration::reference_host_model().power_series(
+            activity.series(self.receiver),
             activity.bin(),
             HostContext::default(),
         );
         for (b, &w) in receiver_series.iter().enumerate() {
-            r.power_sample(b as u64 * bin_ns, dumbbell.receiver.index() as u32, w);
+            r.power_sample(b as u64 * bin_ns, self.receiver.index() as u32, w);
         }
         // Per-flow energy samples (one sender host per flow), strided so
         // they don't evict the flight ring's protocol history.
-        if !scenario.colocate_senders {
+        if self.host_per_flow {
             for (i, series) in sender_power_series_w.iter().enumerate() {
                 let stride = (series.len() / MAX_FLIGHT_ENERGY_SAMPLES).max(1);
                 for (b, &w) in series.iter().enumerate().step_by(stride) {
@@ -700,7 +819,7 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
                 }
             }
         }
-        if let Some(log) = net.packet_log() {
+        if let Some(log) = self.net.packet_log() {
             r.metrics_mut()
                 .counter_add("pktlog_records_total", Labels::new(), log.total_seen());
             r.metrics_mut().counter_add(
@@ -709,10 +828,9 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
                 log.overflowed(),
             );
         }
-        if let Some(trace) = net.flow_trace() {
+        if let (Some(trace), Some(traces)) = (self.net.flow_trace(), &self.throughput_traces) {
             let trace_bin_ns = trace.bin().as_nanos();
-            for i in 0..scenario.flows.len() {
-                let series = trace.throughput_gbps(FlowId::from_raw(i as u32));
+            for (i, series) in traces.iter().enumerate() {
                 for (b, &gbps) in series.iter().enumerate() {
                     r.trace_mut().counter(
                         b as u64 * trace_bin_ns,
@@ -724,33 +842,7 @@ pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
                 }
             }
         }
-        let end_ns = net.now().as_nanos();
-        std::mem::take(&mut *r).finalize(end_ns)
-    });
-
-    Ok(ScenarioOutcome {
-        reports,
-        window,
-        sender_energy_j,
-        sender_readings,
-        receiver_energy_j: receiver_reading.joules,
-        dropped_pkts: net_stats.dropped_pkts,
-        marked_pkts: net_stats.marked_pkts,
-        injected_drops: net_stats.injected_drops,
-        injected_corrupts: net_stats.injected_corrupts,
-        injected_dups: net_stats.injected_dups,
-        injected_reorders: net_stats.injected_reorders,
-        originated_pkts: net_stats.originated_pkts,
-        delivered_pkts: net_stats.delivered_pkts,
-        corrupt_discards: net_stats.corrupt_discards,
-        run_outcome,
-        throughput_traces,
-        sender_power_series_w,
-        power_bin: scenario.activity_bin,
-        sim_end: net.now(),
-        engine: net.counters(),
-        obs,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use green_envy_repro::analysis::table::Table;
 use green_envy_repro::cca::CcaKind;
-use green_envy_repro::netsim::time::SimTime;
+use green_envy_repro::netsim::time::{SimDuration, SimTime};
 use green_envy_repro::workload::prelude::*;
 
 fn main() {
@@ -17,14 +17,27 @@ fn main() {
         .unwrap_or(250);
     let bytes = per_flow_mb * 1_000_000;
 
-    // The solo completion time defines the serial schedule; background
-    // load does not change completion times, only power.
-    let solo = workload::scenario::run(&Scenario::new(
+    let two_flows = |second_start| {
+        Scenario::new(
+            9000,
+            vec![
+                FlowSpec::bulk(CcaKind::Cubic, bytes),
+                FlowSpec::bulk(CcaKind::Cubic, bytes).with_start_delay(second_start),
+            ],
+        )
+    };
+
+    // Background load changes power, not packets: simulate each schedule
+    // once (`simulate` never sees a load), then meter it per load below.
+    // The solo completion time defines the serial schedule.
+    let solo = simulate(&Scenario::new(
         9000,
         vec![FlowSpec::bulk(CcaKind::Cubic, bytes)],
     ))
     .expect("solo run completes");
     let flow1_fct = solo.reports[0].completed_at.saturating_since(SimTime::ZERO);
+    let fair = simulate(&two_flows(SimDuration::ZERO)).expect("fair completes");
+    let serial = simulate(&two_flows(flow1_fct)).expect("serial completes");
 
     let mut t = Table::new([
         "background load",
@@ -34,36 +47,15 @@ fn main() {
     ]);
     for load in [0.0, 0.25, 0.5, 0.75] {
         let background = StressLoad::fraction(load);
-        let fair = workload::scenario::run(
-            &Scenario::new(
-                9000,
-                vec![
-                    FlowSpec::bulk(CcaKind::Cubic, bytes),
-                    FlowSpec::bulk(CcaKind::Cubic, bytes),
-                ],
-            )
-            .with_background_load(background),
-        )
-        .expect("fair completes");
-        let serial = workload::scenario::run(
-            &Scenario::new(
-                9000,
-                vec![
-                    FlowSpec::bulk(CcaKind::Cubic, bytes),
-                    FlowSpec::bulk(CcaKind::Cubic, bytes).with_start_delay(flow1_fct),
-                ],
-            )
-            .with_background_load(background),
-        )
-        .expect("serial completes");
-
         // Compare over a common window: a finished host idles at base
         // power, so extend the shorter run analytically.
         let base_w = green_envy_repro::energy::calibration::P_IDLE_W
             + green_envy_repro::energy::calibration::reference_fan().watts(load);
         let w = fair.window.as_secs_f64().max(serial.window.as_secs_f64());
-        let fair_e = fair.sender_energy_j + (w - fair.window.as_secs_f64()) * base_w * 2.0;
-        let serial_e = serial.sender_energy_j + (w - serial.window.as_secs_f64()) * base_w * 2.0;
+        let fair_e =
+            fair.meter(background).sender_energy_j + (w - fair.window.as_secs_f64()) * base_w * 2.0;
+        let serial_e = serial.meter(background).sender_energy_j
+            + (w - serial.window.as_secs_f64()) * base_w * 2.0;
 
         t.row([
             format!("{:.0}%", load * 100.0),

@@ -28,9 +28,10 @@
 #   --perf    additionally run the perf-regression gate: re-measure the
 #             perf_baseline scenario suite (including bulk_10k_flows)
 #             and fail if any tracked events_per_sec falls more than 15%
-#             below the committed BENCH_netsim.json, or if a fully
+#             below the committed BENCH_netsim.json, if a fully
 #             observed run costs more than 2.0x the plain run
-#             (obs_full_overhead).
+#             (obs_full_overhead), or if fig4 costs more than 0.5 of
+#             fig1 + fig2 (fig4_sharing: its loads share simulations).
 #   --scenarios
 #             additionally run the declarative resilience suite twice at
 #             tiny scale: every scenario must behave (positives pass

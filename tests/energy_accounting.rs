@@ -59,22 +59,19 @@ fn energy_is_linear_in_transfer_size() {
 /// increment (the §4.2 coupling), end to end.
 #[test]
 fn background_load_attenuates_network_energy() {
-    let energy = |load: f64, bytes: u64| {
-        workload::scenario::run(
-            &Scenario::new(9000, vec![FlowSpec::bulk(CcaKind::Cubic, bytes)])
-                .with_background_load(StressLoad::fraction(load)),
-        )
-        .unwrap()
-    };
-    // Network increment at idle: active energy minus idle-host energy
-    // over the same window.
-    let idle_run = energy(0.0, 200 * MB);
-    let loaded_run = energy(0.75, 200 * MB);
-    let w_idle = idle_run.window.as_secs_f64();
-    let w_loaded = loaded_run.window.as_secs_f64();
-    let net_idle = idle_run.sender_energy_j - P_IDLE_W * w_idle;
-    let base_loaded = (P_IDLE_W + reference_fan().watts(0.75)) * w_loaded;
-    let net_loaded = loaded_run.sender_energy_j - base_loaded;
+    // Load changes power, not packets: simulate the transfer once and
+    // meter it under each load.
+    let sim = simulate(&Scenario::new(
+        9000,
+        vec![FlowSpec::bulk(CcaKind::Cubic, 200 * MB)],
+    ))
+    .unwrap();
+    let energy = |load: f64| sim.meter(StressLoad::fraction(load)).sender_energy_j;
+    // Network increment: active energy minus base-power energy over the
+    // same window.
+    let w = sim.window.as_secs_f64();
+    let net_idle = energy(0.0) - P_IDLE_W * w;
+    let net_loaded = energy(0.75) - (P_IDLE_W + reference_fan().watts(0.75)) * w;
     assert!(
         net_loaded < 0.2 * net_idle,
         "network energy must attenuate on a busy host: {net_loaded:.2} vs {net_idle:.2}"
