@@ -98,6 +98,73 @@ fn faulted_two_flow_fingerprint_replays_identically() {
     );
 }
 
+/// Exact fingerprint of [`lossy_mix_scenario`], captured at the commit
+/// before the SACK scoreboard learned to remember sacked runs: engine
+/// events, simulated end, sender Joules as raw bits, injected drops, and
+/// per flow `(bytes_acked, retransmits, rtos, fct ns)`. Loss recovery —
+/// SACK marking, the RFC 6675 / RACK scan, TLP and RTO — decides every
+/// one of these, so a scoreboard change that moves a single loss
+/// declaration fails here (`tests/golden_lossy_pins.rs` mirrors the pin
+/// for Tier-1; re-capture both together).
+const GOLDEN_LOSSY_EVENTS_PROCESSED: u64 = 89_359;
+const GOLDEN_LOSSY_SIM_END_NS: u64 = 606_401_672;
+const GOLDEN_LOSSY_SENDER_ENERGY_BITS: u64 = 4626653305144082432;
+const GOLDEN_LOSSY_INJECTED_DROPS: u64 = 98;
+const GOLDEN_LOSSY_FLOWS: [(u64, u64, u64, u64); 4] = [
+    (8_000_000, 58, 1, 234_475_137),
+    (8_000_000, 40, 0, 32_161_480),
+    (8_000_000, 40, 0, 18_307_933),
+    (8_000_000, 262, 0, 8_657_615),
+];
+
+/// Cubic, Reno, BBR and the constant-cwnd baseline sharing a bottleneck
+/// that loses 1 % of frames, reorders and duplicates a few more. Seed 13
+/// makes the Cubic flow lose a retransmission too and take one RTO.
+fn lossy_mix_scenario() -> Scenario {
+    let flows = [
+        CcaKind::Cubic,
+        CcaKind::Reno,
+        CcaKind::Bbr,
+        CcaKind::Baseline,
+    ]
+    .into_iter()
+    .map(|cca| FlowSpec::bulk(cca, 8 * MB))
+    .collect();
+    Scenario::new(3000, flows).with_seed(13).with_fault(
+        FaultSpec::random_loss(0.01)
+            .with_reordering(0.001, SimDuration::from_micros(40))
+            .with_duplication(0.0005),
+    )
+}
+
+#[test]
+fn lossy_mix_fingerprint_is_stable() {
+    let out = workload::scenario::run(&lossy_mix_scenario()).expect("lossy scenario runs");
+    let flows: Vec<_> = out
+        .reports
+        .iter()
+        .map(|r| (r.bytes_acked, r.retransmits, r.rtos, r.fct.as_nanos()))
+        .collect();
+    let observed = (
+        out.engine.events_processed,
+        out.sim_end.as_nanos(),
+        out.sender_energy_j.to_bits(),
+        out.injected_drops,
+    );
+    println!("observed lossy fingerprint: {observed:?} {flows:?}");
+    assert_eq!(
+        observed,
+        (
+            GOLDEN_LOSSY_EVENTS_PROCESSED,
+            GOLDEN_LOSSY_SIM_END_NS,
+            GOLDEN_LOSSY_SENDER_ENERGY_BITS,
+            GOLDEN_LOSSY_INJECTED_DROPS
+        ),
+        "lossy-mix fingerprint moved — loss recovery changed behaviour"
+    );
+    assert_eq!(flows, GOLDEN_LOSSY_FLOWS, "per-flow recovery counts moved");
+}
+
 /// The work-stealing campaign runner hands cells to whichever thread
 /// asks next, so the *assignment* of cells to threads is racy — but the
 /// cells themselves are pure functions of `(cca, mtu, seeds)`. The
