@@ -228,6 +228,17 @@ fn bench_scoreboard(c: &mut Criterion) {
             black_box(out.newly_delivered)
         })
     });
+    // Steady loss with a window's worth of holes open: what
+    // `perf_baseline`'s `sack_scaling` gate holds to a ratio. Per-ack
+    // time is the reported time / 2 000.
+    let mut g = c.benchmark_group("scoreboard_windowed_holes_2k_acks");
+    for window in [128usize, 2048] {
+        let trace = bench::sack_trace::record(window, 2_000);
+        g.bench_function(format!("window_{window}"), |b| {
+            b.iter(|| black_box(bench::sack_trace::replay(black_box(&trace))))
+        });
+    }
+    g.finish();
 }
 
 fn bench_cca_ack_processing(c: &mut Criterion) {

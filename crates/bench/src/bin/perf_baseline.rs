@@ -12,9 +12,11 @@
 //! and compared against the committed BENCH_netsim.json, and the process
 //! exits non-zero if any tracked scenario's `events_per_sec` regressed
 //! by more than [`CHECK_TOLERANCE`], if a fully observed run costs more
-//! than [`OBS_FULL_BUDGET`] times the plain run, or if Figure 4 costs
+//! than [`OBS_FULL_BUDGET`] times the plain run, if Figure 4 costs
 //! more than [`FIG4_SHARING_BUDGET`] of the Figure 1 + Figure 2 sweeps
-//! it borrows from. This is the `scripts/verify.sh --perf` gate.
+//! it borrows from, or if a scoreboard ack at a 2 048-segment window
+//! costs more than [`SACK_SCALING_BUDGET`] times one at 128 segments.
+//! This is the `scripts/verify.sh --perf` gate.
 //!
 //! With `--check-journal`, only the checkpoint-journal throughput probe
 //! runs: the sharded writer pool must hold at least `1 -
@@ -185,6 +187,34 @@ struct Fig4Sharing {
     budget: f64,
 }
 
+/// `--check` fails when an ack at the large window costs more than this
+/// many times an ack at the small one (`sack_scaling.ratio`). The window
+/// grows 16-fold and the open holes with it; a scoreboard that re-walks
+/// the window on every ack lands near 16, one that visits only what an
+/// ack changes plus the holes stays near 3.
+const SACK_SCALING_BUDGET: f64 = 5.0;
+
+/// How `Scoreboard::on_ack` scales with the window under steady loss:
+/// nanoseconds per ack replaying [`bench::sack_trace`] (one first
+/// transmission in 97 lost, an ack per two arrivals, up to three blocks,
+/// latest first) at two window sizes. A ratio of two replays of the same
+/// code, so host speed cancels out. Budget: [`SACK_SCALING_BUDGET`].
+#[derive(Serialize)]
+struct SackScaling {
+    /// Segments tracked in the small-window trace.
+    small_window_segs: usize,
+    /// Segments tracked in the large-window trace.
+    large_window_segs: usize,
+    /// Median nanoseconds per ack at the small window.
+    small_ns_per_ack: f64,
+    /// Median nanoseconds per ack at the large window.
+    large_ns_per_ack: f64,
+    /// large / small.
+    ratio: f64,
+    /// The ratio `--check` fails above.
+    budget: f64,
+}
+
 #[derive(Serialize)]
 struct Baseline {
     /// What produced this file.
@@ -205,6 +235,8 @@ struct Baseline {
     obs_full_overhead: ObsFullOverhead,
     /// Figure 4's cost relative to the sweeps it borrows from.
     fig4_sharing: Fig4Sharing,
+    /// Per-ack scoreboard cost at a large window relative to a small one.
+    sack_scaling: SackScaling,
     /// Checkpoint-journal throughput, single vs sharded.
     journal: JournalThroughput,
     /// Whole-workspace simlint token-pass cost and findings.
@@ -459,6 +491,43 @@ fn measure_fig4_sharing() -> Fig4Sharing {
         sharing.fig1_fig2_wall_s, sharing.fig4_wall_s, sharing.ratio, sharing.budget
     );
     sharing
+}
+
+fn measure_sack_scaling() -> SackScaling {
+    use bench::sack_trace::{record, replay};
+    const ACKS: usize = 50_000;
+    const WINDOWS: [usize; 2] = [128, 2048];
+    let traces = WINDOWS.map(|window| record(window, ACKS));
+    // Interleave the two windows so host-frequency drift hits both equally.
+    const SCALING_RUNS: usize = 5;
+    let mut ns_per_ack = [[0.0; SCALING_RUNS]; 2];
+    for run in 0..SCALING_RUNS {
+        for (trace, ns) in traces.iter().zip(&mut ns_per_ack) {
+            let start = Instant::now();
+            std::hint::black_box(replay(std::hint::black_box(trace)));
+            ns[run] = start.elapsed().as_secs_f64() * 1e9 / ACKS as f64;
+        }
+    }
+    let [small_ns_per_ack, large_ns_per_ack] = ns_per_ack.map(|mut ns| median(&mut ns));
+    let scaling = SackScaling {
+        small_window_segs: WINDOWS[0],
+        large_window_segs: WINDOWS[1],
+        small_ns_per_ack,
+        large_ns_per_ack,
+        ratio: large_ns_per_ack / small_ns_per_ack,
+        budget: SACK_SCALING_BUDGET,
+    };
+    println!(
+        "sack scaling (1 loss in 97): {:.0} ns/ack at {} segments, {:.0} ns/ack at {}, \
+         ratio {:.2} (budget {:.1})",
+        scaling.small_ns_per_ack,
+        scaling.small_window_segs,
+        scaling.large_ns_per_ack,
+        scaling.large_window_segs,
+        scaling.ratio,
+        scaling.budget
+    );
+    scaling
 }
 
 /// One synthetic journal cell record; payload shaped like a real one.
@@ -727,6 +796,7 @@ fn main() {
         println!();
         let obs_full = measure_obs_full_overhead();
         let sharing = measure_fig4_sharing();
+        let scaling = measure_sack_scaling();
         if regressions > 0 {
             eprintln!(
                 "perf check: {regressions} scenario(s) regressed more than {:.0}%",
@@ -749,7 +819,18 @@ fn main() {
             );
             std::process::exit(exitcode::FAILURE);
         }
-        println!("perf check: all scenarios within tolerance, obs and fig4 sharing within budget");
+        if scaling.ratio > scaling.budget {
+            eprintln!(
+                "perf check: a scoreboard ack at {} segments costs {:.2}x one at {} \
+                 (budget {:.1}x): ack cost grows with the window again",
+                scaling.large_window_segs, scaling.ratio, scaling.small_window_segs, scaling.budget
+            );
+            std::process::exit(exitcode::FAILURE);
+        }
+        println!(
+            "perf check: all scenarios within tolerance; obs, fig4 sharing and sack scaling \
+             within budget"
+        );
         return;
     }
 
@@ -765,6 +846,7 @@ fn main() {
         obs_overhead: measure_obs_overhead(),
         obs_full_overhead: measure_obs_full_overhead(),
         fig4_sharing: measure_fig4_sharing(),
+        sack_scaling: measure_sack_scaling(),
         journal: measure_journal_throughput(),
         simlint: measure_lint(
             "simlint",

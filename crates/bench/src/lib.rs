@@ -11,9 +11,14 @@
 //!   invariant audits, and graceful SIGINT/SIGTERM shutdown.
 //! * `src/bin/cca_table.rs` — the one-screen diagnostic table of every
 //!   CCA's behaviour at a chosen transfer size and MTU.
+//! * `src/sack_trace.rs` — the recorded loss-recovery trace behind
+//!   `perf_baseline`'s `sack_scaling` gate and the scoreboard
+//!   micro-bench.
 //! * `benches/` — Criterion benches: one scaled-down run per figure plus
 //!   micro-benchmarks of the simulator's hot paths and ablations of the
 //!   design choices called out in `DESIGN.md`.
+
+pub mod sack_trace;
 
 use greenenvy::campaign::persist;
 use serde::Serialize;

@@ -25,6 +25,36 @@
 //! from being re-declared lost by stale SACK information the instant they
 //! are sent (without it a deep loss episode degenerates into a
 //! retransmission storm).
+//!
+//! # Sacked runs and ordinals
+//!
+//! `Sacked` is absorbing: nothing but the cumulative ack retiring the
+//! segment takes a segment out of it ([`Scoreboard::take_retransmit`]
+//! only flips `Lost`, [`Scoreboard::mark_all_lost`] and
+//! [`Scoreboard::probe_last`] only touch `Outstanding`). The receiver
+//! re-reports the same few blocks on every ack, so the board remembers
+//! which segments are already `Sacked` as a list of *runs* and never
+//! walks one again. Positions are *ordinals*: the n-th segment ever sent
+//! has ordinal n, the front of the deque has ordinal `base_ord` (the
+//! count of retired segments), so `ordinal = base_ord + index` survives
+//! `pop_front` and turns every stored position into an O(1) jump.
+//!
+//! Run invariants, holding between calls:
+//!
+//! * each run is a non-empty half-open ordinal range of tracked
+//!   segments (`base_ord <= lo < hi <= base_ord + len`);
+//! * runs are ascending and disjoint, and *maximal*: a segment is
+//!   `Sacked` exactly when a run holds it, and two runs never touch;
+//! * a run ends at or below `high_sacked` (every segment in it was
+//!   wholly inside some SACK block).
+//!
+//! Per-ack cost: retiring costs the segments retired (runs are trimmed
+//! from the front as they go); each SACK block costs a binary search
+//! over the runs plus the segments it *newly* covers — a block inside a
+//! known run costs nothing more; the loss scan jumps over runs, so it
+//! visits only the hole segments between the scan floor and
+//! `high_sacked`. An ack costs what it changes plus the holes, not the
+//! window.
 
 use netsim::time::SimTime;
 use std::collections::VecDeque;
@@ -96,27 +126,44 @@ pub struct AckOutcome {
     pub rate_anchor: Option<RateAnchor>,
 }
 
+/// A maximal run of consecutive `Sacked` segments: the half-open ordinal
+/// range `lo..hi` (see the module docs for the invariants).
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    lo: u64,
+    hi: u64,
+}
+
 /// The scoreboard proper.
 #[derive(Debug)]
 pub struct Scoreboard {
     segs: VecDeque<SentSegment>,
+    /// Ordinal of `segs[0]`: how many segments the cumulative ack has
+    /// retired. Segment `i` of the deque has ordinal `base_ord + i`.
+    base_ord: u64,
+    /// The `Sacked` segments, as ascending disjoint maximal runs.
+    runs: VecDeque<Run>,
     /// First unacknowledged byte.
     snd_una: u64,
     /// Highest SACKed byte end seen.
     high_sacked: u64,
     /// Bytes currently Outstanding.
     in_flight: u64,
-    /// Seqs of segments to retransmit (may contain stale entries; state
-    /// is re-checked on pop).
-    retx_queue: VecDeque<u64>,
+    /// `(ordinal, seq)` of segments to retransmit (may contain stale
+    /// entries; state is re-checked on pop). The ordinal locates the
+    /// segment; the seq lets debug builds cross-check it.
+    retx_queue: VecDeque<(u64, u64)>,
     /// Maximum segment size, for the byte-based dupthresh.
     mss: u32,
     /// Latest (re)transmission time among segments that have been SACKed:
     /// the RACK reference point. Only segments sent at or before it may be
     /// declared lost.
     newest_sacked_send: SimTime,
-    /// Sequence below which no Outstanding segment exists, letting the
-    /// per-ack loss scan skip the settled prefix (amortized O(1)).
+    /// Ordinal below which the loss scan has nothing left to decide: no
+    /// Outstanding segment sits under it. A live retransmission pins it
+    /// (the scan restarts there on every ack until that segment is
+    /// retired or lost again), so what bounds the scan is the number of
+    /// holes above it, not this floor.
     scan_floor: u64,
     /// Bytes currently in the Lost state, maintained across every state
     /// transition so [`Scoreboard::has_retransmit`] is O(1) instead of a
@@ -131,6 +178,8 @@ impl Scoreboard {
         assert!(mss > 0);
         Scoreboard {
             segs: VecDeque::new(),
+            base_ord: 0,
+            runs: VecDeque::new(),
             snd_una: 0,
             high_sacked: 0,
             in_flight: 0,
@@ -181,20 +230,41 @@ impl Scoreboard {
         self.in_flight += len as u64;
     }
 
-    fn index_of(&self, seq: u64) -> Option<usize> {
-        self.segs.binary_search_by(|s| s.seq.cmp(&seq)).ok()
+    /// Deque index of the segment with ordinal `ord`, if still tracked.
+    /// `seq` is that segment's first byte, used only to cross-check.
+    fn index_of(&self, ord: u64, seq: u64) -> Option<usize> {
+        let idx = ord
+            .checked_sub(self.base_ord)
+            .and_then(|d| usize::try_from(d).ok())
+            .filter(|&i| i < self.segs.len());
+        debug_assert_eq!(
+            idx,
+            self.segs.binary_search_by(|s| s.seq.cmp(&seq)).ok(),
+            "ordinal and sequence lookups must agree"
+        );
+        idx
+    }
+
+    /// First byte of a run.
+    fn run_start(&self, run: &Run) -> u64 {
+        self.segs[(run.lo - self.base_ord) as usize].seq
+    }
+
+    /// One past the last byte of a run.
+    fn run_end(&self, run: &Run) -> u64 {
+        self.segs[(run.hi - 1 - self.base_ord) as usize].seq_end()
     }
 
     /// Pop the next segment due for retransmission, marking it
-    /// Outstanding again. Returns `(seq, len, retx_count)`.
+    /// Outstanding again. Returns `(seq, len)`.
     pub fn take_retransmit(
         &mut self,
         now: SimTime,
         delivered: u64,
         app_limited: bool,
     ) -> Option<(u64, u32)> {
-        while let Some(seq) = self.retx_queue.pop_front() {
-            let Some(idx) = self.index_of(seq) else {
+        while let Some((ord, seq)) = self.retx_queue.pop_front() {
+            let Some(idx) = self.index_of(ord, seq) else {
                 continue; // already cumulatively acked
             };
             let seg = &mut self.segs[idx];
@@ -211,7 +281,7 @@ impl Scoreboard {
             self.lost_bytes -= len as u64;
             // The segment is live again below the settled prefix: reopen
             // the loss scan down to it.
-            self.scan_floor = self.scan_floor.min(seq);
+            self.scan_floor = self.scan_floor.min(ord);
             return Some((seq, len));
         }
         None
@@ -241,6 +311,7 @@ impl Scoreboard {
                 let Some(seg) = self.segs.pop_front() else {
                     break;
                 };
+                self.base_ord += 1;
                 match seg.state {
                     SegState::Outstanding => {
                         self.in_flight -= seg.len as u64;
@@ -265,6 +336,14 @@ impl Scoreboard {
                 "partial segment ack is not modeled"
             );
             self.snd_una = cum_ack;
+            // Retired segments leave their runs from the front.
+            while let Some(run) = self.runs.front_mut() {
+                if run.hi > self.base_ord {
+                    run.lo = run.lo.max(self.base_ord);
+                    break;
+                }
+                self.runs.pop_front();
+            }
         }
 
         // 2. SACK marking.
@@ -273,39 +352,7 @@ impl Scoreboard {
                 continue;
             }
             self.high_sacked = self.high_sacked.max(end);
-            // Find the first segment at or after `start`.
-            let mut idx = self.segs.partition_point(|s| s.seq_end() <= start);
-            while idx < self.segs.len() {
-                let seg = &mut self.segs[idx];
-                if seg.seq >= end {
-                    break;
-                }
-                // Only fully covered segments flip to Sacked; the receiver
-                // SACKs whole segments, so partial coverage means a block
-                // boundary, not a partial segment.
-                if seg.seq >= start && seg.seq_end() <= end {
-                    match seg.state {
-                        SegState::Outstanding => {
-                            let sent_at = seg.sent_at;
-                            seg.state = SegState::Sacked;
-                            self.in_flight -= seg.len as u64;
-                            out.newly_delivered += seg.len as u64;
-                            self.newest_sacked_send = self.newest_sacked_send.max(sent_at);
-                        }
-                        SegState::Lost => {
-                            // Arrived after all.
-                            let sent_at = seg.sent_at;
-                            let len = seg.len;
-                            seg.state = SegState::Sacked;
-                            out.newly_delivered += len as u64;
-                            self.lost_bytes -= len as u64;
-                            self.newest_sacked_send = self.newest_sacked_send.max(sent_at);
-                        }
-                        SegState::Sacked => {}
-                    }
-                }
-                idx += 1;
-            }
+            self.mark_sacked(start.max(self.snd_una), end, &mut out);
         }
 
         // 3. Loss detection. A segment qualifies when either
@@ -313,46 +360,118 @@ impl Scoreboard {
         //    (b) RACK: SACKed evidence was sent >= reorder_window later.
         //    In both cases the evidence must be no older than the
         //    segment's own (re)transmission. The scan starts at the
-        //    settled prefix boundary and advances it, so repeated acks
-        //    don't rescan decided segments.
+        //    settled prefix boundary and advances it, and it steps over
+        //    each Sacked run in one jump, so repeated acks revisit only
+        //    the holes above a live retransmission.
         if self.high_sacked > self.snd_una {
-            self.scan_floor = self.scan_floor.max(self.snd_una);
+            let base = self.base_ord;
+            let top = base + self.segs.len() as u64;
             let threshold = DUPTHRESH * self.mss as u64;
             let mut newly_lost = 0u64;
-            let start = self.segs.partition_point(|s| s.seq < self.scan_floor);
+            let mut ord = self.scan_floor.max(base);
+            self.scan_floor = ord;
+            let mut next_run = self.runs.partition_point(|r| r.hi <= ord);
             let mut prefix_settled = true;
-            for i in start..self.segs.len() {
-                let seg = &self.segs[i];
-                if seg.seq_end() > self.high_sacked {
-                    break; // segments are ordered; no SACKed data above
-                }
-                if seg.state == SegState::Outstanding {
-                    let dup_rule = seg.seq_end() + threshold <= self.high_sacked
-                        && seg.sent_at <= self.newest_sacked_send;
-                    let rack_rule = seg
-                        .sent_at
-                        .checked_add(reorder_window)
-                        .is_some_and(|t| t <= self.newest_sacked_send);
-                    if dup_rule || rack_rule {
-                        let seg = &mut self.segs[i];
-                        seg.state = SegState::Lost;
-                        newly_lost += seg.len as u64;
-                        self.in_flight -= seg.len as u64;
-                        self.lost_bytes += seg.len as u64;
-                        self.retx_queue.push_back(seg.seq);
-                    } else {
-                        // A live (re)transmission we must revisit later.
-                        prefix_settled = false;
+            while ord < top {
+                if let Some(run) = self.runs.get(next_run).filter(|r| r.lo <= ord) {
+                    debug_assert!(self.run_end(run) <= self.high_sacked);
+                    ord = run.hi;
+                    next_run += 1;
+                } else {
+                    let seg = &mut self.segs[(ord - base) as usize];
+                    if seg.seq_end() > self.high_sacked {
+                        break; // segments are ordered; no SACKed data above
                     }
+                    if seg.state == SegState::Outstanding {
+                        let dup_rule = seg.seq_end() + threshold <= self.high_sacked
+                            && seg.sent_at <= self.newest_sacked_send;
+                        let rack_rule = seg
+                            .sent_at
+                            .checked_add(reorder_window)
+                            .is_some_and(|t| t <= self.newest_sacked_send);
+                        if dup_rule || rack_rule {
+                            seg.state = SegState::Lost;
+                            newly_lost += seg.len as u64;
+                            self.in_flight -= seg.len as u64;
+                            self.lost_bytes += seg.len as u64;
+                            self.retx_queue.push_back((ord, seg.seq));
+                        } else {
+                            // A live (re)transmission we must revisit later.
+                            prefix_settled = false;
+                        }
+                    }
+                    ord += 1;
                 }
                 if prefix_settled {
-                    self.scan_floor = self.segs[i].seq_end();
+                    self.scan_floor = ord;
                 }
             }
             out.newly_lost = newly_lost;
         }
 
         out
+    }
+
+    /// Flip every tracked segment wholly inside `[start, end)` to Sacked
+    /// and absorb it into the run set. `start` is at or above `snd_una`.
+    /// Segments already in a run are stepped over, never visited.
+    fn mark_sacked(&mut self, start: u64, end: u64, out: &mut AckOutcome) {
+        let base = self.base_ord;
+        let top = base + self.segs.len() as u64;
+        // The one run that can hold or touch the block's first segment:
+        // the first that ends at or above `start`.
+        let first_run = self.runs.partition_point(|r| self.run_end(r) < start);
+        let mut next_run = first_run;
+        // `lo..ord` is the Sacked stretch the block is known to sit in.
+        let (lo, mut ord) = match self.runs.get(first_run) {
+            Some(run) if self.run_start(run) <= start => {
+                if end <= self.run_end(run) {
+                    return; // nothing new: the block lies inside a known run
+                }
+                next_run += 1;
+                (run.lo, run.hi)
+            }
+            _ => {
+                let first = base + self.segs.partition_point(|s| s.seq < start) as u64;
+                (first, first)
+            }
+        };
+        while ord < top {
+            if let Some(run) = self.runs.get(next_run).filter(|r| r.lo <= ord) {
+                ord = run.hi;
+                next_run += 1;
+                continue;
+            }
+            let seg = &mut self.segs[(ord - base) as usize];
+            // Only fully covered segments flip to Sacked; the receiver
+            // SACKs whole segments, so partial coverage means a block
+            // boundary, not a partial segment.
+            if seg.seq_end() > end {
+                break;
+            }
+            match seg.state {
+                SegState::Outstanding => self.in_flight -= seg.len as u64,
+                // Arrived after all.
+                SegState::Lost => self.lost_bytes -= seg.len as u64,
+                SegState::Sacked => debug_assert!(false, "a Sacked segment outside every run"),
+            }
+            seg.state = SegState::Sacked;
+            out.newly_delivered += seg.len as u64;
+            self.newest_sacked_send = self.newest_sacked_send.max(seg.sent_at);
+            ord += 1;
+        }
+        if ord == lo {
+            return; // the block covers no whole segment
+        }
+        // `lo..ord` is now one maximal run; it replaces those it swallowed.
+        let merged = Run { lo, hi: ord };
+        match self.runs.get_mut(first_run) {
+            Some(slot) if next_run > first_run => {
+                *slot = merged;
+                self.runs.drain(first_run + 1..next_run);
+            }
+            _ => self.runs.insert(first_run, merged),
+        }
     }
 
     /// Tail-loss probe support: re-send the highest Outstanding segment
@@ -374,13 +493,13 @@ impl Scoreboard {
     /// Returns the number of bytes newly marked lost.
     pub fn mark_all_lost(&mut self) -> u64 {
         let mut newly_lost = 0;
-        for seg in self.segs.iter_mut() {
+        for (ord, seg) in (self.base_ord..).zip(self.segs.iter_mut()) {
             if seg.state == SegState::Outstanding {
                 seg.state = SegState::Lost;
                 newly_lost += seg.len as u64;
                 self.in_flight -= seg.len as u64;
                 self.lost_bytes += seg.len as u64;
-                self.retx_queue.push_back(seg.seq);
+                self.retx_queue.push_back((ord, seg.seq));
             }
         }
         newly_lost
@@ -551,6 +670,125 @@ mod tests {
         assert_eq!(delivered, 10_000);
         assert!(b.is_empty());
         assert_eq!(b.in_flight(), 0);
+    }
+
+    /// The run set must describe the Sacked segments exactly (module
+    /// docs, "Sacked runs and ordinals").
+    fn assert_run_invariants(b: &Scoreboard) {
+        let top = b.base_ord + b.segs.len() as u64;
+        let mut prev_hi = None;
+        for run in &b.runs {
+            assert!(b.base_ord <= run.lo && run.lo < run.hi && run.hi <= top);
+            assert!(
+                prev_hi.is_none_or(|hi| hi < run.lo),
+                "runs ascend and never touch: {:?}",
+                b.runs
+            );
+            assert!(b.run_end(run) <= b.high_sacked);
+            prev_hi = Some(run.hi);
+        }
+        for (ord, seg) in (b.base_ord..).zip(b.segs.iter()) {
+            let in_run = b.runs.iter().any(|r| r.lo <= ord && ord < r.hi);
+            assert_eq!(seg.state == SegState::Sacked, in_run, "ordinal {ord}");
+        }
+    }
+
+    fn runs(b: &Scoreboard) -> Vec<(u64, u64)> {
+        assert_run_invariants(b);
+        b.runs.iter().map(|r| (r.lo, r.hi)).collect()
+    }
+
+    //= DESIGN.md#sack-runs-and-ordinals
+    #[test]
+    fn runs_grow_merge_trim_and_retire() {
+        let mut b = board_with(12);
+        b.on_ack(0, [(2000u64, 4000u64)].into_iter(), REO);
+        b.on_ack(0, [(6000u64, 8000u64), (2000, 4000)].into_iter(), REO);
+        assert_eq!(runs(&b), [(2, 4), (6, 8)]);
+        // The latest block grows by a segment; the other is old news.
+        b.on_ack(0, [(6000u64, 9000u64), (2000, 4000)].into_iter(), REO);
+        assert_eq!(runs(&b), [(2, 4), (6, 9)]);
+        // A block that touches a run from below joins it, and so does
+        // one that starts exactly where a run ends.
+        b.on_ack(0, [(5000u64, 6000u64)].into_iter(), REO);
+        assert_eq!(runs(&b), [(2, 4), (5, 9)]);
+        b.on_ack(0, [(9000u64, 10_000u64)].into_iter(), REO);
+        assert_eq!(runs(&b), [(2, 4), (5, 10)]);
+        // Filling the hole bridges the two runs; a block inside the
+        // result changes nothing.
+        b.on_ack(0, [(2000u64, 10_000u64)].into_iter(), REO);
+        assert_eq!(runs(&b), [(2, 10)]);
+        b.on_ack(0, [(3000u64, 7000u64)].into_iter(), REO);
+        assert_eq!(runs(&b), [(2, 10)]);
+        // One block swallowing several runs and the holes between them.
+        b.on_ack(0, [(11_000u64, 12_000u64)].into_iter(), REO);
+        assert_eq!(runs(&b), [(2, 10), (11, 12)]);
+        b.on_ack(0, [(1000u64, 12_000u64)].into_iter(), REO);
+        assert_eq!(runs(&b), [(1, 12)]);
+        // A cumulative ack inside the run trims it; ordinals do not move.
+        b.on_ack(5000, std::iter::empty(), REO);
+        assert_eq!(runs(&b), [(5, 12)]);
+        b.on_ack(12_000, std::iter::empty(), REO);
+        assert_eq!(runs(&b), []);
+        assert!(b.is_empty());
+    }
+
+    //= DESIGN.md#sack-runs-and-ordinals
+    #[test]
+    fn run_invariants_hold_under_arbitrary_operations() {
+        let mut rng = netsim::rng::SimRng::new(0x5ac4);
+        for _ in 0..200 {
+            let mut b = Scoreboard::new(MSS);
+            let mut next_seq = 0u64;
+            for step in 0..120u64 {
+                let now = SimTime::from_micros(step * 7);
+                match rng.next_below(8) {
+                    0 | 1 => {
+                        for _ in 0..1 + rng.next_below(12) {
+                            // Mostly full segments, some short ones.
+                            let len = if rng.next_below(5) == 0 { 300 } else { MSS };
+                            b.on_send(next_seq, len, now, 0, false);
+                            next_seq += len as u64;
+                        }
+                    }
+                    2..=4 => {
+                        // A segment boundary at or above snd_una, or a
+                        // stale cumulative point.
+                        let cum = match rng.next_below(3) {
+                            0 => 0,
+                            _ => b
+                                .segs
+                                .get(rng.next_below(b.segs.len() as u64 + 1) as usize)
+                                .map_or(next_seq, |s| s.seq),
+                        };
+                        let blocks: Vec<(u64, u64)> = (0..rng.next_below(4))
+                            .map(|_| {
+                                // Unaligned edges, or (half the time)
+                                // edges on 1000-byte marks, where most
+                                // segments start.
+                                let grain = 1 + 999 * rng.next_below(2);
+                                let start = rng.next_below(next_seq + 2000) / grain * grain;
+                                (
+                                    start,
+                                    start + (1 + rng.next_below(9000)).next_multiple_of(grain),
+                                )
+                            })
+                            .collect();
+                        b.on_ack(cum, blocks.into_iter(), REO);
+                    }
+                    5 => {
+                        b.take_retransmit(now, 0, false);
+                    }
+                    6 => {
+                        b.probe_last(now);
+                    }
+                    _ => {
+                        b.mark_all_lost();
+                    }
+                }
+                assert_run_invariants(&b);
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@ enum Op {
     Send(u8),
     /// Cumulatively ack up to segment index (capped at what was sent).
     CumAck(u16),
-    /// SACK a range of segment indices `[a, a+len)`.
-    Sack(u16, u8),
+    /// One ack carrying up to three SACK blocks, each a range of segment
+    /// indices `[a, a+len)`.
+    Sack(Vec<(u16, u8)>),
     /// Take one retransmission if pending.
     Retx,
     /// RTO: mark everything lost.
@@ -27,7 +28,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (1u8..20).prop_map(Op::Send),
         (0u16..400).prop_map(Op::CumAck),
-        ((0u16..400), (1u8..10)).prop_map(|(a, l)| Op::Sack(a, l)),
+        proptest::collection::vec(((0u16..400), (1u8..10)), 1..4).prop_map(Op::Sack),
         Just(Op::Retx),
         Just(Op::Rto),
     ]
@@ -58,13 +59,20 @@ fn replay(ops: &[Op]) -> (Scoreboard, u64, u64) {
                 let out = board.on_ack(cum, std::iter::empty(), REO);
                 delivered += out.newly_delivered;
             }
-            Op::Sack(a, len) => {
-                let start = (*a as u64) * MSS as u64;
-                let end = (start + (*len as u64) * MSS as u64).min(next_seq);
-                if start >= end || end <= cum {
+            Op::Sack(ranges) => {
+                let blocks: Vec<(u64, u64)> = ranges
+                    .iter()
+                    .map(|&(a, len)| {
+                        let start = a as u64 * MSS as u64;
+                        (start, (start + len as u64 * MSS as u64).min(next_seq))
+                    })
+                    .filter(|&(start, end)| start < end && end > cum)
+                    .map(|(start, end)| (start.max(cum), end))
+                    .collect();
+                if blocks.is_empty() {
                     continue;
                 }
-                let out = board.on_ack(cum, [(start.max(cum), end)].into_iter(), REO);
+                let out = board.on_ack(cum, blocks.into_iter(), REO);
                 delivered += out.newly_delivered;
             }
             Op::Retx => {

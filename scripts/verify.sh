@@ -14,8 +14,10 @@
 #             unsuppressed findings and full invariant coverage required.
 #   --chaos   additionally run the fault-injection suite: the netsim and
 #             transport chaos property tests, the golden determinism
-#             fingerprints (clean + faulted), and a quick-scale run of the
-#             chaos experiment binary.
+#             fingerprints (clean, faulted, and the pinned lossy four-CCA
+#             run that guards loss recovery; tests/golden_lossy_pins.rs
+#             mirrors it in the default test stage), and a quick-scale
+#             run of the chaos experiment binary.
 #   --resume  additionally drill the durability layer end to end: start a
 #             tiny-scale journaled campaign, SIGTERM it mid-flight, resume
 #             it, and require the merged matrix to be byte-identical to an
@@ -30,8 +32,11 @@
 #             and fail if any tracked events_per_sec falls more than 15%
 #             below the committed BENCH_netsim.json, if a fully
 #             observed run costs more than 2.0x the plain run
-#             (obs_full_overhead), or if fig4 costs more than 0.5 of
-#             fig1 + fig2 (fig4_sharing: its loads share simulations).
+#             (obs_full_overhead), if fig4 costs more than 0.5 of
+#             fig1 + fig2 (fig4_sharing: its loads share simulations), or
+#             if a scoreboard ack at a 2048-segment window costs more
+#             than 5.0x one at 128 segments (sack_scaling: ack cost
+#             follows the holes, not the window).
 #   --scenarios
 #             additionally run the declarative resilience suite twice at
 #             tiny scale: every scenario must behave (positives pass
