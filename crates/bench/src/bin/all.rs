@@ -1,10 +1,10 @@
 //! Regenerate every figure and table of the paper in one invocation.
 //!
 //! `GREENENVY_SCALE=paper|standard|quick cargo run --release -p bench --bin all`
-use greenenvy::{fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, savings, theorem, Scale};
+use greenenvy::{fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, savings, theorem};
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     bench::announce("All figures", &scale);
 
     let r1 = fig1::run(&fig1::Config::at_scale(scale));

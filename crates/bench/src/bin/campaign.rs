@@ -52,7 +52,6 @@
 use greenenvy::campaign::{self, CampaignOptions};
 use greenenvy::exitcode;
 use greenenvy::matrix::{run_cell_with, Cell, CellPolicy};
-use greenenvy::Scale;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -99,7 +98,7 @@ struct CellsProjection {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     let mut opts = CampaignOptions {
         cancel: campaign::install_signal_handlers(),
         ..Default::default()

@@ -12,12 +12,12 @@
 //! Exit status: 0 — sweep complete; 5 — degraded (measurements complete
 //! but one or more trace artifacts failed to persist); 1 — the sweep
 //! itself failed; 2 — usage error.
+use greenenvy::chaos;
 use greenenvy::exitcode;
-use greenenvy::{chaos, Scale};
 use std::path::PathBuf;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     let mut cfg = chaos::Config::at_scale(scale);
 
     let mut args = std::env::args();

@@ -1,9 +1,9 @@
 //! Run the §5 future-work extension experiments: flow multiplexing at one
 //! sender, SRPT scheduling, and incast.
-use greenenvy::{extensions, Scale};
+use greenenvy::extensions;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     bench::announce("Extensions (paper §5)", &scale);
 
     let m = extensions::multiplexed::run(&extensions::multiplexed::Config::at_scale(scale));

@@ -1,8 +1,8 @@
 //! Regenerate Figure 2: power vs throughput for a CUBIC sender.
-use greenenvy::{fig2, Scale};
+use greenenvy::fig2;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     bench::announce("Figure 2", &scale);
     let result = fig2::run(&fig2::Config::at_scale(scale));
     println!("{}", fig2::render(&result));

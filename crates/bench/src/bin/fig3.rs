@@ -1,8 +1,8 @@
 //! Regenerate Figure 3: fair vs full-speed-then-idle throughput traces.
-use greenenvy::{fig3, Scale};
+use greenenvy::fig3;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     bench::announce("Figure 3", &scale);
     let result = fig3::run(&fig3::Config::at_scale(scale));
     println!("{}", fig3::render(&result));

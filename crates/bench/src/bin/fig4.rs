@@ -1,9 +1,9 @@
 //! Regenerate Figure 4: power vs bitrate under background load, plus the
 //! fate of the unfairness savings on loaded hosts.
-use greenenvy::{fig4, savings, Scale};
+use greenenvy::{fig4, savings};
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     bench::announce("Figure 4", &scale);
     let result = fig4::run(&fig4::Config::at_scale(scale));
     println!("{}", fig4::render(&result));

@@ -1,8 +1,8 @@
 //! Regenerate Figure 6 from the shared CCA x MTU campaign.
-use greenenvy::{fig6, Scale};
+use greenenvy::fig6;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     bench::announce("Figure 6", &scale);
     let matrix = bench::load_or_run_matrix(scale);
     let result = fig6::from_matrix(matrix);

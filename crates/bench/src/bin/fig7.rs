@@ -1,8 +1,8 @@
 //! Regenerate Figure 7 from the shared CCA x MTU campaign.
-use greenenvy::{fig7, Scale};
+use greenenvy::fig7;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     bench::announce("Figure 7", &scale);
     let matrix = bench::load_or_run_matrix(scale);
     let result = fig7::from_matrix(matrix);

@@ -59,7 +59,7 @@ fn spec_at(scale: &Scale) -> PopulationSpec {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     println!(
         "=== population mix (10 CUBIC : 1 BBR) | scale: {} ===\n",
         scale.name

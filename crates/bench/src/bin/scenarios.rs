@@ -17,11 +17,11 @@
 
 use greenenvy::campaign::persist;
 use greenenvy::exitcode;
-use greenenvy::{resilience, Scale};
+use greenenvy::resilience;
 use std::path::PathBuf;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = bench::scale_from_env();
     let mut out_path: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
 

@@ -44,6 +44,15 @@ pub fn save_json_in<T: Serialize>(dir: &std::path::Path, name: &str, value: &T) 
     }
 }
 
+/// The scale `GREENENVY_SCALE` selects. A set-but-unknown value is a
+/// usage error: the binary exits instead of silently running standard.
+pub fn scale_from_env() -> greenenvy::Scale {
+    greenenvy::Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(greenenvy::exitcode::USAGE)
+    })
+}
+
 /// Announce the scale a binary is running at.
 pub fn announce(figure: &str, scale: &greenenvy::Scale) {
     println!(

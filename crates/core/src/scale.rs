@@ -5,10 +5,11 @@
 //! *rate-based* (power, goodput, savings percentages) or scale linearly
 //! in the transfer size (energy, retransmissions), so smaller transfers
 //! reproduce the same shapes. [`Scale`] picks the operating point; the
-//! `GREENENVY_SCALE` environment variable (`paper`, `standard`, `quick`)
-//! selects one at runtime.
+//! `GREENENVY_SCALE` environment variable (`paper`, `standard`, `quick`,
+//! `tiny`) selects one at runtime.
 
 use netsim::units::{GB, MB};
+use std::ffi::OsStr;
 
 /// How big to run the experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,14 +69,26 @@ impl Scale {
         }
     }
 
-    /// Read `GREENENVY_SCALE` (`paper` | `standard` | `quick` | `tiny`),
-    /// defaulting to [`Scale::standard`].
-    pub fn from_env() -> Scale {
-        match std::env::var("GREENENVY_SCALE").as_deref() {
-            Ok("paper") => Scale::paper(),
-            Ok("quick") => Scale::quick(),
-            Ok("tiny") => Scale::tiny(),
-            _ => Scale::standard(),
+    /// Read `GREENENVY_SCALE` (`paper` | `standard` | `quick` | `tiny`).
+    /// Unset selects [`Scale::standard`]; a value that names no scale is
+    /// an error, not a silent standard-scale run.
+    pub fn from_env() -> Result<Scale, UnknownScale> {
+        Scale::from_env_value(std::env::var_os("GREENENVY_SCALE").as_deref())
+    }
+
+    /// [`Scale::from_env`] on the variable's value (`None` = unset).
+    pub fn from_env_value(value: Option<&OsStr>) -> Result<Scale, UnknownScale> {
+        let Some(value) = value else {
+            return Ok(Scale::standard());
+        };
+        match value.to_str() {
+            Some("paper") => Ok(Scale::paper()),
+            Some("standard") => Ok(Scale::standard()),
+            Some("quick") => Ok(Scale::quick()),
+            Some("tiny") => Ok(Scale::tiny()),
+            _ => Err(UnknownScale {
+                value: value.to_string_lossy().into_owned(),
+            }),
         }
     }
 
@@ -94,6 +107,25 @@ impl Scale {
     }
 }
 
+/// `GREENENVY_SCALE` was set to something that names no scale.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownScale {
+    /// The rejected value (lossily decoded if it was not UTF-8).
+    pub value: String,
+}
+
+impl std::fmt::Display for UnknownScale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "GREENENVY_SCALE={:?} names no scale; accepted values: paper, standard, quick, tiny",
+            self.value
+        )
+    }
+}
+
+impl std::error::Error for UnknownScale {}
+
 impl Default for Scale {
     fn default() -> Self {
         Scale::standard()
@@ -110,6 +142,37 @@ mod tests {
         assert_eq!(Scale::paper().repetitions, 10);
         assert_eq!(Scale::quick().repetitions, 2);
         assert_eq!(Scale::default(), Scale::standard());
+    }
+
+    #[test]
+    fn env_value_selects_a_scale_or_is_rejected() {
+        let parse = |v: &str| Scale::from_env_value(Some(OsStr::new(v)));
+        assert_eq!(Scale::from_env_value(None), Ok(Scale::standard()));
+        for scale in [
+            Scale::paper(),
+            Scale::standard(),
+            Scale::quick(),
+            Scale::tiny(),
+        ] {
+            assert_eq!(parse(scale.name), Ok(scale));
+        }
+        for typo in ["quik", "", "Quick", " tiny"] {
+            let err = parse(typo).expect_err("a typo is not a scale");
+            assert_eq!(err.value, typo);
+            let msg = err.to_string();
+            for accepted in ["paper", "standard", "quick", "tiny"] {
+                assert!(msg.contains(accepted), "{msg}");
+            }
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn non_utf8_env_value_is_rejected() {
+        use std::os::unix::ffi::OsStrExt;
+        let err = Scale::from_env_value(Some(OsStr::from_bytes(b"qu\xffck")))
+            .expect_err("not UTF-8, so not a scale name");
+        assert!(err.value.starts_with("qu"), "{err}");
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! [`netsim::fault::FaultSpec`], recovery checks need a scheduled
 //! outage to measure from, savings checks need a baseline run to
 //! compare against, population topologies can't take flow-level chaos)
-//! and freezes it into a [`ScenarioSpec`]; [`ScenarioSpec::run`]
-//! dispatches to the right runner — the dumbbell and rack-grid runners
-//! in `workload`, or this crate's parking-lot runner — and evaluates
-//! every expectation over the run's [`Measured`] summary.
+//! and freezes it into a [`ScenarioSpec`]; [`ScenarioSpec::run`] runs
+//! the topology's placement on the shared harness
+//! ([`workload::harness`]) — the dumbbell and rack grid from `workload`,
+//! the parking lot from this crate — and evaluates every expectation
+//! over the run's [`Measured`] summary.
 
 use crate::chaos::{self, ChaosPhase};
 use crate::expect::{Expectation, ExpectationReport, Measured};
@@ -18,7 +19,7 @@ use netsim::fault::{FaultSpec, FaultSpecError};
 use netsim::time::{SimDuration, SimTime};
 use workload::iperf::FlowSpec;
 use workload::population::{PopulationError, PopulationSpec};
-use workload::scenario::{Observe, Scenario, ScenarioError};
+use workload::scenario::{Observe, Scenario, ScenarioError, ScenarioOutcome};
 
 /// The paper's testbed link rate, shared by every topology here.
 const LINK_GBPS: f64 = 10.0;
@@ -95,8 +96,8 @@ pub enum BuildError {
         /// What the topology required.
         detail: String,
     },
-    /// The composition asks for something a runner can't do (chaos or
-    /// traces on the population runner).
+    /// The composition asks for something no runner does (chaos,
+    /// traces or observability on a population topology).
     Unsupported {
         /// What was asked and why it can't run.
         detail: String,
@@ -245,7 +246,8 @@ impl ScenarioBuilder {
     }
 
     /// Run with full observability (metrics + flight recorder +
-    /// Perfetto trace in the run's `obs` report). Dumbbell only.
+    /// Perfetto trace in the run's `obs` report). Flow-level topologies
+    /// only.
     pub fn with_observability(mut self) -> Self {
         self.observability = true;
         self
@@ -286,19 +288,19 @@ impl ScenarioBuilder {
                     detail: "population topologies take exactly one Traffic::Mix".into(),
                 });
             }
-            if fault.is_some() {
+            // Every rack runs on the shared harness, but nothing merges
+            // per-rack faults, traces or reports into one population view.
+            let unmerged = [
+                (fault.is_some(), "chaos"),
+                (self.trace_bin.is_some(), "per-flow traces"),
+                (self.observability, "observability"),
+            ];
+            if let Some((_, what)) = unmerged.into_iter().find(|&(asked, _)| asked) {
                 return Err(BuildError::Unsupported {
-                    detail: "the population runner has no fault layer; use a flow-level topology for chaos".into(),
-                });
-            }
-            if self.trace_bin.is_some() {
-                return Err(BuildError::Unsupported {
-                    detail: "the population runner records no per-flow traces".into(),
-                });
-            }
-            if self.observability {
-                return Err(BuildError::Unsupported {
-                    detail: "observability is wired through the dumbbell runner only".into(),
+                    detail: format!(
+                        "{what} on a population topology: racks run independently and \
+                         their results are not merged; use a flow-level topology"
+                    ),
                 });
             }
         } else {
@@ -328,11 +330,6 @@ impl ScenarioBuilder {
                         ),
                     });
                 }
-            }
-            if self.observability && self.topology != Topology::Dumbbell {
-                return Err(BuildError::Unsupported {
-                    detail: "observability is wired through the dumbbell runner only".into(),
-                });
             }
         }
 
@@ -384,8 +381,8 @@ pub struct ScenarioRun {
     pub reports: Vec<ExpectationReport>,
     /// Every expectation passed.
     pub passed: bool,
-    /// The observability report (dumbbell with
-    /// [`ScenarioBuilder::with_observability`] only).
+    /// The observability report (flow-level topologies with
+    /// [`ScenarioBuilder::with_observability`]).
     pub obs: Option<obs::ObsReport>,
 }
 
@@ -433,17 +430,61 @@ impl ScenarioSpec {
         })
     }
 
-    /// Execute on the right runner and summarize. Expectation-free:
+    /// Execute on the topology's runner and summarize. Expectation-free:
     /// baselines run through this.
     fn measure(&self) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
+        let measured =
+            |n_sender_hosts, reports, window, sender_energy_j, series, drops, sim_end| Measured {
+                reports,
+                window,
+                sender_energy_j,
+                n_sender_hosts,
+                capacity_gbps: self.topology.capacity_gbps(),
+                traces: self.trace_bin.zip(series),
+                injected_drops: drops,
+                sim_end,
+                fault_clear: self.fault_clear,
+            };
+        // One sender host per flow on both flow-level shapes.
+        let flow_level = |out: ScenarioOutcome| {
+            let summary = measured(
+                out.reports.len(),
+                out.reports,
+                out.window,
+                out.sender_energy_j,
+                out.throughput_traces,
+                out.injected_drops,
+                out.sim_end,
+            );
+            (summary, out.obs)
+        };
+        let population = |racks: usize, hosts_per_rack: usize| {
+            let spec = self.population(racks, hosts_per_rack);
+            let out = workload::population::run_population(&spec)?;
+            // A population's window is when the last rack's engine drained,
+            // not the last completion: later than it by the trailing
+            // timers. Kept, because the pinned verdict bytes hold it.
+            let window = out.sim_end.saturating_since(SimTime::ZERO);
+            let hosts = racks * hosts_per_rack;
+            let summary = measured(
+                hosts,
+                out.reports,
+                window,
+                out.sender_energy_j,
+                None,
+                0,
+                out.sim_end,
+            );
+            Ok((summary, None))
+        };
         match self.topology {
-            Topology::Dumbbell => self.measure_dumbbell(),
-            Topology::Incast { senders } => self.measure_population(1, senders),
+            Topology::Dumbbell => Ok(flow_level(workload::scenario::run(&self.dumbbell())?)),
+            Topology::ParkingLot { hops } => Ok(flow_level(self.parking(hops).run()?)),
+            Topology::Incast { senders } => population(1, senders),
             Topology::RackGrid {
                 racks,
                 hosts_per_rack,
-            } => self.measure_population(racks, hosts_per_rack),
-            Topology::ParkingLot { hops } => self.measure_parking(hops),
+            } => population(racks, hosts_per_rack),
         }
     }
 
@@ -451,81 +492,17 @@ impl ScenarioSpec {
         self.traffic.iter().flat_map(|t| t.compile()).collect()
     }
 
-    fn measure_dumbbell(&self) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
-        let flows = self.flat_flows();
-        let n_flows = flows.len();
-        let mut sc = Scenario::new(self.mtu, flows).with_seed(self.seed);
-        if let Some(spec) = &self.fault {
-            sc = sc.with_fault(spec.clone());
-        }
-        if let Some(bin) = self.trace_bin {
-            sc = sc.with_trace(bin);
-        }
-        if let Some(retries) = self.max_rto_retries {
-            sc = sc.with_max_rto_retries(retries);
-        }
-        if self.observability {
-            sc.observe = Observe::Full;
-        }
-        let capacity = sc.link_gbps;
-        let outcome = workload::scenario::run(&sc)?;
-        let traces = match (self.trace_bin, outcome.throughput_traces) {
-            (Some(bin), Some(series)) => Some((bin, series)),
-            _ => None,
-        };
-        Ok((
-            Measured {
-                reports: outcome.reports,
-                window: outcome.window,
-                sender_energy_j: outcome.sender_energy_j,
-                n_sender_hosts: n_flows,
-                capacity_gbps: capacity,
-                traces,
-                injected_drops: outcome.injected_drops,
-                sim_end: outcome.sim_end,
-                fault_clear: self.fault_clear,
-            },
-            outcome.obs,
-        ))
+    fn dumbbell(&self) -> Scenario {
+        let mut sc = Scenario::new(self.mtu, self.flat_flows()).with_seed(self.seed);
+        sc.bottleneck_fault = self.fault.clone();
+        sc.trace_bin = self.trace_bin;
+        sc.max_rto_retries = self.max_rto_retries;
+        sc.observe = self.observe();
+        sc
     }
 
-    fn measure_population(
-        &self,
-        racks: usize,
-        hosts_per_rack: usize,
-    ) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
-        let Some(Traffic::Mix {
-            flows,
-            mix,
-            bytes_per_flow,
-        }) = self.traffic.first()
-        else {
-            unreachable!("build() guarantees exactly one Traffic::Mix");
-        };
-        let spec = PopulationSpec::new(*flows, mix.clone())
-            .with_grid(racks, hosts_per_rack)
-            .with_bytes_per_flow(*bytes_per_flow)
-            .with_seed(self.seed);
-        let capacity = racks as f64 * spec.link_gbps;
-        let outcome = workload::population::run_population(&spec)?;
-        Ok((
-            Measured {
-                reports: outcome.reports,
-                window: outcome.sim_end.saturating_since(SimTime::ZERO),
-                sender_energy_j: outcome.sender_energy_j,
-                n_sender_hosts: racks * hosts_per_rack,
-                capacity_gbps: capacity,
-                traces: None,
-                injected_drops: 0,
-                sim_end: outcome.sim_end,
-                fault_clear: None,
-            },
-            None,
-        ))
-    }
-
-    fn measure_parking(&self, hops: usize) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
-        let run = ParkingRun {
+    fn parking(&self, hops: usize) -> ParkingRun {
+        ParkingRun {
             hops,
             mtu: self.mtu,
             link_gbps: LINK_GBPS,
@@ -536,10 +513,33 @@ impl ScenarioSpec {
             trace_bin: self.trace_bin,
             fault: self.fault.clone(),
             max_rto_retries: self.max_rto_retries,
+            observe: self.observe(),
+        }
+    }
+
+    fn population(&self, racks: usize, hosts_per_rack: usize) -> PopulationSpec {
+        let Some(Traffic::Mix {
+            flows,
+            mix,
+            bytes_per_flow,
+        }) = self.traffic.first()
+        else {
+            unreachable!("build() guarantees exactly one Traffic::Mix");
         };
-        let mut measured = run.run().map_err(RunError::Scenario)?;
-        measured.fault_clear = self.fault_clear;
-        Ok((measured, None))
+        let mut spec = PopulationSpec::new(*flows, mix.clone())
+            .with_grid(racks, hosts_per_rack)
+            .with_bytes_per_flow(*bytes_per_flow)
+            .with_seed(self.seed);
+        spec.mtu = self.mtu;
+        spec
+    }
+
+    fn observe(&self) -> Observe {
+        if self.observability {
+            Observe::Full
+        } else {
+            Observe::Off
+        }
     }
 }
 
@@ -702,6 +702,84 @@ mod tests {
             .expect("runs");
         assert!(run.passed, "{:?}", run.reports);
         assert_eq!(run.measured.reports.len(), 3);
+    }
+
+    #[test]
+    fn mtu_reaches_population_topologies() {
+        let segs_at = |mtu: u32| {
+            let run = ScenarioBuilder::new("incast-mtu")
+                .topology(Topology::Incast { senders: 4 })
+                .traffic(Traffic::Mix {
+                    flows: 8,
+                    mix: vec![(CcaKind::Cubic, 1)],
+                    bytes_per_flow: 500_000,
+                })
+                .with_mtu(mtu)
+                .build()
+                .expect("valid scenario")
+                .run()
+                .expect("runs");
+            run.measured
+                .reports
+                .iter()
+                .map(|r| r.segs_sent)
+                .sum::<u64>()
+        };
+        // 4 MB in 1460-byte segments takes several times the segments it
+        // takes in 8960-byte ones.
+        let (small, jumbo) = (segs_at(1500), segs_at(9000));
+        assert!(small > 3 * jumbo, "segs at 1500: {small}, at 9000: {jumbo}");
+    }
+
+    #[test]
+    fn parking_lot_observability_returns_a_report_without_perturbing_the_run() {
+        let hops = 2;
+        let lot = || {
+            let mut b = ScenarioBuilder::new("lot-obs")
+                .topology(Topology::ParkingLot { hops })
+                .with_seed(3);
+            for _ in 0..=hops {
+                b = b.traffic(Traffic::bulk(CcaKind::Cubic, 1_000_000));
+            }
+            b
+        };
+        let run = |b: ScenarioBuilder| b.build().expect("valid scenario").run().expect("runs");
+        let plain = run(lot());
+        let observed = run(lot().with_observability());
+        assert!(plain.obs.is_none());
+        let report = observed
+            .obs
+            .expect("an observed parking lot returns a report");
+        assert_eq!(
+            report.metrics.counter_total("flows_completed_total"),
+            hops as u64 + 1
+        );
+        // The per-hop queues and the hosts are named for the trace viewer.
+        let trace = report.perfetto_json();
+        for name in ["hop 0", "hop 1", "through sender", "local receiver 1"] {
+            assert!(trace.contains(name), "trace names {name:?}");
+        }
+        assert_eq!(plain.measured.sim_end, observed.measured.sim_end);
+        assert_eq!(
+            plain.measured.sender_energy_j.to_bits(),
+            observed.measured.sender_energy_j.to_bits()
+        );
+    }
+
+    #[test]
+    fn observability_on_a_population_is_rejected() {
+        let err = ScenarioBuilder::new("t")
+            .topology(Topology::Incast { senders: 2 })
+            .traffic(Traffic::Mix {
+                flows: 4,
+                mix: vec![(CcaKind::Cubic, 1)],
+                bytes_per_flow: 1_000,
+            })
+            .with_observability()
+            .build()
+            .expect_err("nothing merges per-rack reports");
+        assert!(matches!(err, BuildError::Unsupported { .. }));
+        assert!(err.to_string().contains("observability on a population"));
     }
 
     #[test]

@@ -47,9 +47,10 @@
 //!   [`expect::Measured`] summary, each producing an
 //!   [`expect::ExpectationReport`] with the measured value, the
 //!   target, and the margin.
-//! * [`parking`] — the parking-lot runner (one through flow crossing a
-//!   chain of bottlenecks against per-hop local flows); dumbbell and
-//!   rack-grid scenarios reuse the `workload` runners.
+//! * [`parking`] — the parking lot (one through flow crossing a chain
+//!   of bottlenecks against per-hop local flows) as a placement on
+//!   `workload`'s run harness, which the dumbbell and rack-grid runners
+//!   in `workload` go through too.
 //! * [`suite`] — named collections of scenarios with a deterministic
 //!   JSON verdict matrix and observability export (time-to-recover
 //!   histogram, per-scenario trace spans).

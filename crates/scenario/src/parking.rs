@@ -1,35 +1,30 @@
-//! The parking-lot runner: one long flow against per-hop cross traffic.
+//! The parking lot: one long flow against per-hop cross traffic.
 //!
 //! [`netsim::topology::ParkingLot`] builds the classic chain — switches
 //! `S0..=Sh`, one "through" flow spanning every bottleneck, one local
-//! flow straddling each hop — but until now nothing in the workspace
-//! ran transports over it. This runner mirrors the dumbbell runner's
-//! conventions (one sender host per flow, per-socket energy accounting,
-//! optional throughput traces, fault injection on the **first** chain
-//! link — the one every through-path packet crosses) and reports the
-//! same [`Measured`] summary the expectations engine consumes.
+//! flow straddling each hop. [`ParkingRun::run`] is that topology's
+//! placement on the shared run harness ([`workload::harness`]): it
+//! builds the chain, installs the fault on the **first** chain link (the
+//! one every through-path packet crosses), names hosts and per-hop
+//! queues for the trace viewer and puts one flow on each sender host.
+//! Wiring, running, reports, metering and observability are the
+//! harness's, so a run returns the same [`ScenarioOutcome`] a dumbbell
+//! run does.
 //!
 //! Flow order: flow 0 is the through flow; flow `1 + i` is the local
 //! flow over hop `i`.
 
-use crate::expect::Measured;
-use cca::{CcaConfig, CcaKind};
-use energy::calibration;
-use energy::host::HostContext;
-use energy::meter::EnergyMeter;
-use netsim::engine::{Network, RunOutcome};
 use netsim::fault::FaultSpec;
 use netsim::ids::FlowId;
-use netsim::packet::HEADER_BYTES;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::{BottleneckQueue, ParkingLot, ParkingLotConfig};
 use netsim::units::Rate;
-use transport::receiver::TcpReceiver;
-use transport::sender::{TcpSender, TcpSenderConfig};
-use workload::iperf::{FlowReport, FlowSpec};
-use workload::scenario::{ScenarioError, BASELINE_CWND_FACTOR};
+use workload::harness::{self, simulate_on, PlacedFlow, Placement, SenderHost, Wiring};
+use workload::iperf::FlowSpec;
+use workload::scenario::{Observe, ScenarioError, ScenarioOutcome};
+use workload::stress::StressLoad;
 
-/// Everything the parking-lot runner needs for one run.
+/// Everything the parking lot needs for one run.
 #[derive(Clone, Debug)]
 pub struct ParkingRun {
     /// Bottleneck hops (and local flows). Flow specs must number
@@ -53,10 +48,10 @@ pub struct ParkingRun {
     pub fault: Option<FaultSpec>,
     /// Consecutive-RTO retry budget override.
     pub max_rto_retries: Option<u32>,
+    /// Observability mode; [`Observe::Full`] returns a report in
+    /// [`ScenarioOutcome::obs`].
+    pub observe: Observe,
 }
-
-/// Engine stall watchdog budget, matching the dumbbell runner's.
-const STALL_BUDGET_EVENTS: u64 = 2_000_000;
 
 impl ParkingRun {
     fn time_limit(&self) -> SimTime {
@@ -65,170 +60,99 @@ impl ParkingRun {
         SimTime::from_secs_f64(20.0 * ideal + 30.0)
     }
 
-    /// Build, run, and measure. The through flow's path capacity (one
-    /// chain link's rate) is the capacity expectations divide by.
-    pub fn run(&self) -> Result<Measured, ScenarioError> {
+    /// Build, run, and measure with idle sender hosts. The through
+    /// flow's path capacity (one chain link's rate) is the capacity
+    /// expectations divide by.
+    pub fn run(&self) -> Result<ScenarioOutcome, ScenarioError> {
         debug_assert_eq!(self.flows.len(), self.hops + 1, "through + one per hop");
-        let mss = self.mtu - HEADER_BYTES;
-        let mut net = Network::new(self.seed);
-        net.enable_activity(SimDuration::from_millis(1));
-        if let Some(bin) = self.trace_bin {
-            net.enable_flow_trace(bin);
-        }
-        let cfg = ParkingLotConfig {
-            hops: self.hops,
-            link_rate: Rate::from_gbps(self.link_gbps),
-            edge_rate: Rate::from_gbps(self.link_gbps),
-            hop_delay: self.hop_delay,
-            bottleneck_queue: BottleneckQueue::DropTail {
-                capacity_bytes: self.buffer_bytes,
-            },
-            edge_buffer_bytes: 4_000_000,
+        // The constant-cwnd baseline is sized against the longest path:
+        // the through flow crosses every hop.
+        let through_rtt_s = self.hop_delay.as_secs_f64() * 2.0 * (self.hops + 1) as f64;
+        let wiring = Wiring {
+            seed: self.seed,
+            mtu: self.mtu,
+            activity_bin: SimDuration::from_millis(1),
+            trace_bin: self.trace_bin,
+            pkt_log_capacity: None,
+            delivery_batching: true,
+            observe: self.observe,
+            // The ceiling models the testbed's iperf hosts; the lot's
+            // hosts are unconstrained.
+            host_pps_cap: None,
+            max_rto_retries: self.max_rto_retries,
+            path_capacity_bytes: harness::bdp_bytes(self.link_gbps, through_rtt_s)
+                + self.buffer_bytes,
+            time_limit: self.time_limit(),
+            wall_deadline: None,
         };
-        let lot = ParkingLot::build(&mut net, &cfg);
-        if let Some(spec) = &self.fault {
-            net.set_link_fault(lot.bottlenecks[0], spec.clone())
-                .map_err(ScenarioError::Fault)?;
-        }
-        net.set_stall_budget(Some(STALL_BUDGET_EVENTS));
-
-        // Constant-cwnd baseline sizing against the longest path: the
-        // through flow crosses every hop.
-        let rtt = self.hop_delay.as_secs_f64() * 2.0 * (self.hops + 1) as f64;
-        let bdp = (self.link_gbps * 1e9 / 8.0 * rtt) as u64;
-        let baseline_cwnd = ((bdp + self.buffer_bytes) as f64 * BASELINE_CWND_FACTOR) as u64;
-        let cca_cfg = CcaConfig::new(mss).with_baseline_cwnd(baseline_cwnd);
-
-        // Sender host i drives flow i; the through pair spans the chain,
-        // local pair i straddles hop i.
-        let sender_hosts: Vec<netsim::ids::NodeId> = std::iter::once(lot.through_sender)
-            .chain(lot.local_senders.iter().copied())
-            .collect();
-        let receiver_hosts: Vec<netsim::ids::NodeId> = std::iter::once(lot.through_receiver)
-            .chain(lot.local_receivers.iter().copied())
-            .collect();
-        for (i, spec) in self.flows.iter().enumerate() {
-            let flow = FlowId::from_raw(i as u32);
-            // Seed the RTT estimator with each flow's own base RTT.
-            let path_hops = if i == 0 { self.hops + 1 } else { 2 } as u64;
-            let base_rtt = self.hop_delay.saturating_mul(2 * path_hops);
-            let mut cfg = TcpSenderConfig::bulk(flow, receiver_hosts[i], self.mtu, spec.bytes)
-                .with_rtt_hint(base_rtt)
-                .with_start_delay(spec.start_delay);
-            if let Some(retries) = self.max_rto_retries {
-                cfg = cfg.with_max_rto_retries(retries);
-            }
-            if let Some(rate) = spec.rate_limit {
-                cfg = cfg.with_rate_limit(rate);
-            }
-            for &(at, rate) in &spec.rate_schedule {
-                cfg = cfg.with_rate_change(at, rate);
-            }
-            let cc = spec.cca.build(&cca_cfg);
-            net.attach_agent(sender_hosts[i], Box::new(TcpSender::new(cfg, cc)));
-        }
-        let policy = if self.flows.iter().any(|f| f.cca == CcaKind::Dctcp) {
-            CcaKind::Dctcp.ack_policy()
-        } else {
-            CcaKind::Cubic.ack_policy()
-        };
-        for &r in &receiver_hosts {
-            net.attach_agent(r, Box::new(TcpReceiver::new(policy)));
-        }
-
-        let limit = self.time_limit();
-        match net.run_until(limit) {
-            RunOutcome::Stalled => return Err(ScenarioError::Stalled { at: net.now() }),
-            RunOutcome::Drained
-            | RunOutcome::Stopped
-            | RunOutcome::TimeLimit
-            | RunOutcome::DeadlineExceeded => {}
-        }
-
-        // Reports, in flow order (terminal state required, like the
-        // dumbbell runner).
-        let mut reports = Vec::with_capacity(self.flows.len());
-        for (i, spec) in self.flows.iter().enumerate() {
-            let flow = FlowId::from_raw(i as u32);
-            let sender = net
-                .agent::<TcpSender>(sender_hosts[i])
-                .expect("sender agent present");
-            let stats = sender.stats();
-            let terminal_at = match (stats.completed_at, stats.aborted_at) {
-                (Some(done), _) => done,
-                (None, Some(gave_up)) => gave_up,
-                (None, None) => return Err(ScenarioError::Incomplete { flow, limit }),
+        let run = simulate_on(&wiring, |net, obs_rec| {
+            let cfg = ParkingLotConfig {
+                hops: self.hops,
+                link_rate: Rate::from_gbps(self.link_gbps),
+                edge_rate: Rate::from_gbps(self.link_gbps),
+                hop_delay: self.hop_delay,
+                bottleneck_queue: BottleneckQueue::DropTail {
+                    capacity_bytes: self.buffer_bytes,
+                },
+                edge_buffer_bytes: 4_000_000,
             };
-            let started_at = stats
-                .started_at
-                .ok_or(ScenarioError::Incomplete { flow, limit })?;
-            let fct = terminal_at.saturating_since(started_at);
-            reports.push(FlowReport {
-                flow,
-                cca: spec.cca,
-                outcome: stats.outcome(),
-                bytes: spec.bytes,
-                bytes_acked: stats.bytes_acked,
-                started_at,
-                completed_at: terminal_at,
-                fct,
-                mean_goodput: netsim::units::average_rate(stats.bytes_acked, fct),
-                retransmits: stats.retx_segs,
-                rtos: stats.rto_count,
-                segs_sent: stats.segs_sent,
-                acks_processed: stats.acks_processed,
-                compute_cost_factor: sender.compute_cost_factor(),
-            });
-        }
-
-        // Energy over [0, last terminal time], one sender host per flow
-        // (the dumbbell runner's per-socket accounting).
-        let window_end = reports
-            .iter()
-            .map(|r| r.completed_at)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let window = window_end.saturating_since(SimTime::ZERO);
-        let meter = EnergyMeter::new(calibration::reference_host_model());
-        let ref_cost = calibration::cc_cost_per_ack_ref_j();
-        let mut sender_energy_j = 0.0;
-        if let Some(activity) = net.activity() {
-            for (i, report) in reports.iter().enumerate() {
-                let ctx = HostContext {
-                    background_util: 0.0,
-                    cc_cost_per_ack_j: ref_cost * report.compute_cost_factor,
-                };
-                sender_energy_j += meter
-                    .measure_host(activity, sender_hosts[i], window, ctx)
-                    .joules;
+            let lot = ParkingLot::build(net, &cfg);
+            if let Some(spec) = &self.fault {
+                net.set_link_fault(lot.bottlenecks[0], spec.clone())
+                    .map_err(ScenarioError::Fault)?;
             }
-        }
+            if let Some(rec) = obs_rec {
+                let mut r = rec.borrow_mut();
+                r.name_host(lot.through_sender.index() as u32, "through sender");
+                r.name_host(lot.through_receiver.index() as u32, "through receiver");
+                for i in 0..self.hops {
+                    r.name_host(
+                        lot.local_senders[i].index() as u32,
+                        &format!("local sender {i}"),
+                    );
+                    r.name_host(
+                        lot.local_receivers[i].index() as u32,
+                        &format!("local receiver {i}"),
+                    );
+                    r.name_queue(lot.bottlenecks[i].index() as u32, &format!("hop {i}"));
+                }
+            }
 
-        let traces = net.flow_trace().map(|trace| {
-            let series = (0..self.flows.len())
-                .map(|i| trace.throughput_gbps(FlowId::from_raw(i as u32)))
+            // Sender host i drives flow i; the through pair spans the
+            // chain, local pair i straddles hop i. Each flow's RTT
+            // estimator is seeded with its own base RTT.
+            let senders = std::iter::once(lot.through_sender).chain(lot.local_senders);
+            let receivers: Vec<_> = std::iter::once(lot.through_receiver)
+                .chain(lot.local_receivers)
                 .collect();
-            (trace.bin(), series)
-        });
-        let injected_drops = net.network_stats().injected_drops;
-        let sim_end = net.now();
-        Ok(Measured {
-            reports,
-            window,
-            sender_energy_j,
-            n_sender_hosts: self.flows.len(),
-            capacity_gbps: self.link_gbps,
-            traces,
-            injected_drops,
-            sim_end,
-            fault_clear: None, // the builder fills this from its flap phase
-        })
+            let senders = senders
+                .zip(&receivers)
+                .zip(&self.flows)
+                .enumerate()
+                .map(|(i, ((host, &receiver), spec))| {
+                    let path_hops = if i == 0 { self.hops + 1 } else { 2 } as u64;
+                    SenderHost {
+                        host,
+                        flows: vec![PlacedFlow {
+                            flow: FlowId::from_raw(i as u32),
+                            spec: spec.clone(),
+                            receiver,
+                            base_rtt: self.hop_delay.saturating_mul(2 * path_hops),
+                        }],
+                        mux: false,
+                    }
+                })
+                .collect();
+            Ok(Placement { senders, receivers })
+        })?;
+        Ok(run.finish(StressLoad::IDLE))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cca::CcaKind;
 
     fn three_hop(bytes: u64) -> ParkingRun {
         ParkingRun {
@@ -247,6 +171,7 @@ mod tests {
             trace_bin: None,
             fault: None,
             max_rto_retries: None,
+            observe: Observe::Off,
         }
     }
 

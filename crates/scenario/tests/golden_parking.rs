@@ -14,6 +14,7 @@ use netsim::fault::FaultSpec;
 use netsim::time::SimDuration;
 use scenario::parking::ParkingRun;
 use workload::iperf::FlowSpec;
+use workload::scenario::Observe;
 
 /// Per flow `(fct ns, retransmits, acks_processed, segs_sent)`.
 type FlowPin = (u64, u64, u64, u64);
@@ -95,6 +96,7 @@ fn lot(mtu: u32, lossy: bool) -> ParkingRun {
         trace_bin: Some(SimDuration::from_millis(1)),
         fault: lossy.then(|| FaultSpec::random_loss(0.02)),
         max_rto_retries: None,
+        observe: Observe::Off,
     }
 }
 

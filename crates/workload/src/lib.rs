@@ -2,10 +2,14 @@
 //!
 //! The simulated analogue of the paper's §3 methodology: iperf3-style
 //! bulk flows ([`iperf::FlowSpec`]), background compute load from the
-//! `stress` tool ([`stress::StressLoad`]), and a one-call scenario runner
-//! ([`scenario::run`]) that builds the dumbbell testbed, runs the flows to
-//! completion, and measures per-host energy over the experiment window
-//! with the calibrated RAPL model.
+//! `stress` tool ([`stress::StressLoad`]), and one run harness
+//! ([`harness::simulate_on`]) that wires placed flows onto a topology,
+//! runs them to completion and measures per-host energy over the
+//! experiment window with the calibrated RAPL model
+//! ([`harness::SimulatedRun::meter`]). Two runners place flows on it here:
+//! the one-call dumbbell testbed ([`scenario::run`]) and the rack-sharded
+//! population ([`population::run_population`]); the `scenario` crate's
+//! parking lot is the third.
 //!
 //! ```
 //! use workload::prelude::*;
@@ -20,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod arrivals;
+pub mod harness;
 pub mod iperf;
 pub mod population;
 pub mod scenario;

@@ -13,7 +13,8 @@
 //! ## Determinism under parallelism
 //!
 //! Racks share no links, so each rack is an isolated simulation — a pure
-//! function of its plan (a `Send`-able value type). That is the whole
+//! function of the shared spec and its rack index, run as an incast
+//! placement on the run harness ([`crate::harness`]). That is the whole
 //! parallelism story: [`run_population_with_threads`] hands complete
 //! racks to worker threads, each worker builds and runs its own
 //! `Network` locally, and outcomes are merged in rack-index order. The
@@ -21,21 +22,15 @@
 //! including 1 — the engine's `(at, seq)` event order inside each rack
 //! is never touched. The golden fingerprint tests pin this.
 
-use crate::iperf::FlowReport;
-use crate::scenario::ScenarioError;
-use cca::{CcaConfig, CcaKind};
-use energy::calibration::{self, PACING_PPS_BONUS};
-use energy::host::HostContext;
-use energy::meter::EnergyMeter;
-use netsim::engine::{Network, RunOutcome};
+use crate::harness::{self, simulate_on, PlacedFlow, Placement, SenderHost, Wiring};
+use crate::iperf::{FlowReport, FlowSpec};
+use crate::scenario::{Observe, ScenarioError};
+use crate::stress::StressLoad;
+use cca::CcaKind;
 use netsim::ids::FlowId;
-use netsim::packet::HEADER_BYTES;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::{BottleneckQueue, Incast, IncastConfig};
 use netsim::units::Rate;
-use transport::mux::MuxSender;
-use transport::receiver::TcpReceiver;
-use transport::sender::{TcpSender, TcpSenderConfig};
 
 /// A population of bulk flows over a grid of independent rack cells.
 #[derive(Clone, Debug)]
@@ -126,8 +121,9 @@ impl PopulationSpec {
     /// The tracked `bulk_10k_flows` benchmark population: 10,000 CUBIC
     /// flows sharing 22 racks with 1,000 BBR flows (the 10:1 CCA mix of
     /// the content-provider-fairness measurements), 1 MB per flow. This
-    /// is the scenario BENCH_netsim.json pins `events_per_sec` for and
-    /// the one the population golden tests fingerprint at tiny scale.
+    /// is the benchmark ledger's `many_flows` workload (`benchmark/`) and
+    /// the population the golden tests fingerprint at tiny scale;
+    /// `perf_baseline` also tracks its `events_per_sec`.
     pub fn bulk_10k_flows() -> Self {
         PopulationSpec::new(11_000, vec![(CcaKind::Cubic, 10), (CcaKind::Bbr, 1)])
             .with_grid(22, 10)
@@ -209,40 +205,6 @@ impl PopulationSpec {
         let ideal = rack_bytes as f64 * 8.0 / (self.link_gbps * 1e9);
         SimTime::from_secs_f64(20.0 * ideal + self.arrival_spread.as_secs_f64() + 30.0)
     }
-}
-
-/// One flow inside a rack plan: everything a worker needs to build it.
-#[derive(Clone, Copy, Debug)]
-struct PlanFlow {
-    /// Global flow id (population-wide, sparse within one rack).
-    flow: u32,
-    cca: CcaKind,
-    bytes: u64,
-    /// Deterministic arrival-ramp offset (jitter is added rack-side).
-    start: SimDuration,
-}
-
-/// A complete, `Send`-able description of one rack's simulation. The
-/// rack outcome is a pure function of this value — the contract that
-/// makes worker-thread execution safe.
-#[derive(Clone, Debug)]
-struct RackPlan {
-    rack: usize,
-    seed: u64,
-    mtu: u32,
-    hosts: usize,
-    link_gbps: f64,
-    hop_delay: SimDuration,
-    buffer_bytes: u64,
-    edge_buffer_bytes: u64,
-    bond_links: usize,
-    host_pps_cap: Option<f64>,
-    activity_bin: SimDuration,
-    start_jitter: SimDuration,
-    delivery_batching: bool,
-    time_limit: SimTime,
-    /// Rack-local flow list, in rack-local order.
-    flows: Vec<PlanFlow>,
 }
 
 /// What one rack produced (merged by the population runner).
@@ -410,260 +372,91 @@ fn rack_seed(master: u64, rack: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Shard the population into per-rack plans. Flow `f` lands on rack
-/// `f % racks` (even CCA mix per rack) and, within the rack, on host
-/// `local_index % hosts` — both pure functions of the spec.
-fn build_plans(spec: &PopulationSpec) -> Vec<RackPlan> {
-    let ccas = spec.cca_assignment();
-    let spread_ns = spec.arrival_spread.as_nanos();
-    let mut plans: Vec<RackPlan> = (0..spec.racks)
-        .map(|rack| RackPlan {
-            rack,
-            seed: rack_seed(spec.seed, rack),
-            mtu: spec.mtu,
-            hosts: spec.hosts_per_rack,
-            link_gbps: spec.link_gbps,
-            hop_delay: spec.hop_delay,
-            buffer_bytes: spec.buffer_bytes,
-            edge_buffer_bytes: spec.edge_buffer_bytes,
-            bond_links: spec.bond_links,
-            host_pps_cap: spec.host_pps_cap,
-            activity_bin: spec.activity_bin,
-            start_jitter: spec.start_jitter,
-            delivery_batching: spec.delivery_batching,
-            time_limit: SimTime::ZERO, // filled below, once rack bytes are known
-            flows: Vec::new(),
-        })
-        .collect();
-    for f in 0..spec.total_flows {
-        let start_ns = spread_ns * f as u64 / spec.total_flows as u64;
-        plans[f % spec.racks].flows.push(PlanFlow {
-            flow: f as u32,
-            cca: ccas[f],
-            bytes: spec.bytes_per_flow,
-            start: SimDuration::from_nanos(start_ns),
-        });
-    }
-    plans.retain(|p| !p.flows.is_empty());
-    for plan in &mut plans {
-        let rack_bytes: u64 = plan.flows.iter().map(|f| f.bytes).sum();
-        plan.time_limit = spec
+/// Salt of a rack's start-jitter stream (`"popu"`).
+const JITTER_SALT: u64 = 0x706f_7075;
+
+/// Build and run rack cell `rack` of the population to completion: an
+/// incast placement on the shared harness. Flow `f` lands on rack
+/// `f % racks` (even CCA mix per rack; `ccas` is the population-wide
+/// [`PopulationSpec::cca_assignment`]) and, within the rack, on host
+/// `local_index % hosts`, each host multiplexing its share — all pure
+/// functions of the arguments: no global state, no host clock, no
+/// cross-rack references. That is the worker-thread contract.
+fn run_rack(
+    spec: &PopulationSpec,
+    ccas: &[CcaKind],
+    rack: usize,
+) -> Result<RackOutcome, PopulationError> {
+    let seed = rack_seed(spec.seed, rack);
+    let flows = || (rack..spec.total_flows).step_by(spec.racks);
+    let n_flows = flows().count();
+    let rack_bytes = n_flows as u64 * spec.bytes_per_flow;
+    let wiring = Wiring {
+        seed,
+        mtu: spec.mtu,
+        activity_bin: spec.activity_bin,
+        trace_bin: None,
+        pkt_log_capacity: None,
+        delivery_batching: spec.delivery_batching,
+        observe: Observe::Off,
+        host_pps_cap: spec.host_pps_cap,
+        max_rto_retries: None,
+        path_capacity_bytes: harness::bdp_bytes(spec.link_gbps, spec.hop_delay.as_secs_f64() * 4.0)
+            + spec.buffer_bytes,
+        time_limit: spec
             .time_limit
-            .unwrap_or_else(|| spec.default_time_limit(rack_bytes));
-    }
-    plans
-}
-
-/// Build and run one rack cell to completion. Pure in `plan`: no global
-/// state, no host clock, no cross-rack references — the worker-thread
-/// contract.
-fn run_rack(plan: &RackPlan) -> Result<RackOutcome, PopulationError> {
-    let rack = plan.rack;
-    let mss = plan.mtu - HEADER_BYTES;
-    let mut net = Network::new(plan.seed);
-    net.set_delivery_batching(plan.delivery_batching);
-    net.enable_activity(plan.activity_bin);
-    let cfg = IncastConfig {
-        fan_in: plan.hosts,
-        edge_rate: Rate::from_gbps(plan.link_gbps),
-        bottleneck_rate: Rate::from_gbps(plan.link_gbps),
-        hop_delay: plan.hop_delay,
-        bond_links: plan.bond_links,
-        bottleneck_queue: BottleneckQueue::DropTail {
-            capacity_bytes: plan.buffer_bytes,
-        },
-        edge_buffer_bytes: plan.edge_buffer_bytes,
+            .unwrap_or_else(|| spec.default_time_limit(rack_bytes)),
+        wall_deadline: None,
     };
-    let cell = Incast::build(&mut net, &cfg);
-
-    // simlint::allow(rng-discipline, reason = "named stream: rack seed XOR 'popu' salt; rack-local so jitter draws are identical for any thread count or rack subset")
-    let mut jitter_rng = netsim::rng::SimRng::new(plan.seed ^ 0x706f_7075);
-    let jitters: Vec<SimDuration> = plan
-        .flows
-        .iter()
-        .map(|_| {
-            let ns = if plan.start_jitter.is_zero() {
-                0
-            } else {
-                jitter_rng.next_below(plan.start_jitter.as_nanos())
-            };
-            SimDuration::from_nanos(ns)
-        })
-        .collect();
-
-    // Path capacity for the constant-cwnd baseline module, mirroring the
-    // scenario runner's sizing against BDP + bottleneck buffer.
-    let rtt = plan.hop_delay.as_secs_f64() * 4.0;
-    let bdp = (plan.link_gbps * 1e9 / 8.0 * rtt) as u64;
-    let baseline_cwnd =
-        ((bdp + plan.buffer_bytes) as f64 * crate::scenario::BASELINE_CWND_FACTOR) as u64;
-    let cca_cfg = CcaConfig::new(mss).with_baseline_cwnd(baseline_cwnd);
-
-    // Round-robin flows onto hosts; each host multiplexes its share.
-    let mut host_flows: Vec<Vec<usize>> = vec![Vec::new(); plan.hosts];
-    for (l, _) in plan.flows.iter().enumerate() {
-        host_flows[l % plan.hosts].push(l);
-    }
-    for (h, locals) in host_flows.iter().enumerate() {
-        if locals.is_empty() {
-            continue;
-        }
-        let subs: Vec<TcpSender> = locals
+    let run = simulate_on(&wiring, |net, _obs| {
+        let cfg = IncastConfig {
+            fan_in: spec.hosts_per_rack,
+            edge_rate: Rate::from_gbps(spec.link_gbps),
+            bottleneck_rate: Rate::from_gbps(spec.link_gbps),
+            hop_delay: spec.hop_delay,
+            bond_links: spec.bond_links,
+            bottleneck_queue: BottleneckQueue::DropTail {
+                capacity_bytes: spec.buffer_bytes,
+            },
+            edge_buffer_bytes: spec.edge_buffer_bytes,
+        };
+        let cell = Incast::build(net, &cfg);
+        // Every host multiplexes, even one left with a single flow.
+        let mut senders: Vec<SenderHost> = cell
+            .senders
             .iter()
-            .map(|&l| {
-                let f = &plan.flows[l];
-                let cc = f.cca.build(&cca_cfg);
-                let min_gap = plan
-                    .host_pps_cap
-                    .map(|pps| {
-                        let pps = if cc.uses_pacing() {
-                            pps * PACING_PPS_BONUS
-                        } else {
-                            pps
-                        };
-                        SimDuration::from_secs_f64(1.0 / pps)
-                    })
-                    .unwrap_or(SimDuration::ZERO);
-                let cfg = TcpSenderConfig::bulk(
-                    FlowId::from_raw(f.flow),
-                    cell.receiver,
-                    plan.mtu,
-                    f.bytes,
-                )
-                .with_min_pkt_gap(min_gap)
-                .with_rtt_hint(plan.hop_delay * 4)
-                .with_start_delay(f.start + jitters[l]);
-                TcpSender::new(cfg, cc)
+            .map(|&host| SenderHost {
+                host,
+                flows: Vec::new(),
+                mux: true,
             })
             .collect();
-        net.attach_agent(cell.senders[h], Box::new(MuxSender::new(subs)));
-    }
-    let policy = if plan.flows.iter().any(|f| f.cca == CcaKind::Dctcp) {
-        CcaKind::Dctcp.ack_policy()
-    } else {
-        CcaKind::Cubic.ack_policy()
-    };
-    net.attach_agent(cell.receiver, Box::new(TcpReceiver::new(policy)));
-
-    match net.run_until(plan.time_limit) {
-        RunOutcome::Stalled => {
-            return Err(PopulationError::Rack {
-                rack,
-                error: ScenarioError::Stalled { at: net.now() },
-            })
-        }
-        RunOutcome::Drained
-        | RunOutcome::Stopped
-        | RunOutcome::TimeLimit
-        | RunOutcome::DeadlineExceeded => {}
-    }
-
-    // Per-flow reports, in rack-local order (the merger re-sorts).
-    let mut reports = Vec::with_capacity(plan.flows.len());
-    for (h, locals) in host_flows.iter().enumerate() {
-        let Some(mux) = net.agent::<MuxSender>(cell.senders[h]) else {
-            continue; // host had no flows
-        };
-        for (j, &l) in locals.iter().enumerate() {
-            let f = &plan.flows[l];
-            let flow = FlowId::from_raw(f.flow);
-            let stats = mux.sub(j).stats();
-            let terminal_at = match (stats.completed_at, stats.aborted_at) {
-                (Some(done), _) => done,
-                (None, Some(gave_up)) => gave_up,
-                (None, None) => {
-                    return Err(PopulationError::Rack {
-                        rack,
-                        error: ScenarioError::Incomplete {
-                            flow,
-                            limit: plan.time_limit,
-                        },
-                    })
-                }
-            };
-            let Some(started_at) = stats.started_at else {
-                return Err(PopulationError::Rack {
-                    rack,
-                    error: ScenarioError::Incomplete {
-                        flow,
-                        limit: plan.time_limit,
-                    },
-                });
-            };
-            let fct = terminal_at.saturating_since(started_at);
-            reports.push(FlowReport {
-                flow,
-                cca: f.cca,
-                outcome: stats.outcome(),
-                bytes: f.bytes,
-                bytes_acked: stats.bytes_acked,
-                started_at,
-                completed_at: terminal_at,
-                fct,
-                mean_goodput: netsim::units::average_rate(stats.bytes_acked, fct),
-                retransmits: stats.retx_segs,
-                rtos: stats.rto_count,
-                segs_sent: stats.segs_sent,
-                acks_processed: stats.acks_processed,
-                compute_cost_factor: mux.sub(j).compute_cost_factor(),
+        let jitters = harness::start_jitters(seed ^ JITTER_SALT, spec.start_jitter, n_flows);
+        let spread_ns = spec.arrival_spread.as_nanos();
+        for (local, (f, jitter)) in flows().zip(jitters).enumerate() {
+            let ramp = SimDuration::from_nanos(spread_ns * f as u64 / spec.total_flows as u64);
+            senders[local % spec.hosts_per_rack].flows.push(PlacedFlow {
+                flow: FlowId::from_raw(f as u32),
+                spec: FlowSpec::bulk(ccas[f], spec.bytes_per_flow).with_start_delay(ramp + jitter),
+                receiver: cell.receiver,
+                base_rtt: spec.hop_delay * 4,
             });
         }
-    }
-
-    // Energy over [0, last terminal time in the rack], per sender host
-    // with the CC cost weighted by each resident flow's ack share (the
-    // scenario runner's colocated-sender accounting).
-    let window_end = reports
-        .iter()
-        .map(|r| r.completed_at)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let window = window_end.saturating_since(SimTime::ZERO);
-    let meter = EnergyMeter::new(calibration::reference_host_model());
-    let ref_cost = calibration::cc_cost_per_ack_ref_j();
-    let mut sender_energy_j = 0.0;
-    let mut receiver_energy_j = 0.0;
-    if let Some(activity) = net.activity() {
-        // Walk hosts in rack order so float summation order is fixed.
-        let mut base = 0usize;
-        for (h, locals) in host_flows.iter().enumerate() {
-            if locals.is_empty() {
-                continue;
-            }
-            let Some(host_reports) = reports.get(base..base + locals.len()) else {
-                debug_assert!(false, "host report slice out of range");
-                continue;
-            };
-            base += locals.len();
-            let total_acks: u64 = host_reports.iter().map(|r| r.acks_processed).sum();
-            let weighted_factor = if total_acks == 0 {
-                0.0
-            } else {
-                host_reports
-                    .iter()
-                    .map(|r| r.compute_cost_factor * r.acks_processed as f64)
-                    .sum::<f64>()
-                    / total_acks as f64
-            };
-            let ctx = HostContext {
-                background_util: 0.0,
-                cc_cost_per_ack_j: ref_cost * weighted_factor,
-            };
-            sender_energy_j += meter
-                .measure_host(activity, cell.senders[h], window, ctx)
-                .joules;
-        }
-        receiver_energy_j = meter
-            .measure_host(activity, cell.receiver, window, HostContext::default())
-            .joules;
-    }
-
+        senders.retain(|host| !host.flows.is_empty());
+        Ok(Placement {
+            senders,
+            receivers: vec![cell.receiver],
+        })
+    })
+    .map_err(|error| PopulationError::Rack { rack, error })?;
+    let energy = run.meter(StressLoad::IDLE);
     Ok(RackOutcome {
-        reports,
-        sender_energy_j,
-        receiver_energy_j,
-        counters: net.counters(),
-        sim_end: net.now(),
+        sender_energy_j: energy.sender_energy_j,
+        receiver_energy_j: energy.receiver_energy_j,
+        counters: run.engine,
+        sim_end: run.sim_end,
+        // Host-major within the rack; the merger re-sorts globally.
+        reports: run.reports,
     })
 }
 
@@ -681,33 +474,32 @@ pub fn run_population_with_threads(
     spec: &PopulationSpec,
     threads: usize,
 ) -> Result<PopulationOutcome, PopulationError> {
-    let plans = build_plans(spec);
-    let threads = threads.clamp(1, plans.len().max(1));
+    // Racks past the last flow are empty and never run.
+    let racks_run = spec.racks.min(spec.total_flows);
+    let ccas = spec.cca_assignment();
+    let ccas = ccas.as_slice();
+    let threads = threads.clamp(1, racks_run.max(1));
     // simlint::allow(wall-clock, reason = "events_per_sec reporting only; the reading never feeds back into simulated state")
     let t0 = std::time::Instant::now();
     let mut slots: Vec<Option<Result<RackOutcome, PopulationError>>> =
-        (0..plans.len()).map(|_| None).collect();
+        (0..racks_run).map(|_| None).collect();
     if threads <= 1 {
-        for (i, plan) in plans.iter().enumerate() {
-            slots[i] = Some(run_rack(plan));
+        for (rack, slot) in slots.iter_mut().enumerate() {
+            *slot = Some(run_rack(spec, ccas, rack));
         }
     } else {
         // Striped static assignment: worker w runs racks w, w+T, w+2T...
         // Assignment affects only wall time, never results — each rack
-        // is a pure function of its plan and the merge below is in rack
-        // order regardless of which worker ran it.
+        // is a pure function of (spec, rack) and the merge below is in
+        // rack order regardless of which worker ran it.
         let joined = std::thread::scope(|s| {
-            let plans = &plans;
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
                     s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut i = w;
-                        while i < plans.len() {
-                            out.push((i, run_rack(&plans[i])));
-                            i += threads;
-                        }
-                        out
+                        (w..racks_run)
+                            .step_by(threads)
+                            .map(|rack| (rack, run_rack(spec, ccas, rack)))
+                            .collect::<Vec<_>>()
                     })
                 })
                 .collect();
@@ -738,7 +530,6 @@ pub fn run_population_with_threads(
     let mut heap_pushes = 0u64;
     let mut migrations = 0u64;
     let mut sim_end = SimTime::ZERO;
-    let racks_run = slots.len();
     for (w, slot) in slots.into_iter().enumerate() {
         let Some(result) = slot else {
             return Err(PopulationError::Worker { worker: w });

@@ -7,37 +7,26 @@
 //! shared receiver host, the flows themselves, optional background
 //! compute load, and the energy measurement window ("from when the
 //! experiment began until both flows successfully completed", §1).
+//! [`simulate`] is this topology's placement on the shared run harness
+//! ([`crate::harness`]), which owns the wiring, the run loop, the flow
+//! reports and the energy readout.
 
+use crate::harness::{self, simulate_on, PlacedFlow, Placement, SenderHost, Wiring};
 use crate::iperf::{FlowReport, FlowSpec};
 use crate::stress::StressLoad;
-use cca::{CcaConfig, CcaKind};
-use energy::calibration::{self, MAX_HOST_PPS, PACING_PPS_BONUS};
-use energy::host::HostContext;
-use energy::meter::{EnergyMeter, EnergyReading};
-use netsim::engine::{EngineCounters, Network, NetworkStats, RunOutcome};
+use cca::CcaKind;
+use energy::calibration::MAX_HOST_PPS;
+use energy::meter::EnergyReading;
+use netsim::engine::{EngineCounters, RunOutcome};
 use netsim::fault::FaultSpec;
-use netsim::ids::{FlowId, NodeId};
+use netsim::ids::FlowId;
 use netsim::packet::HEADER_BYTES;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::{BottleneckQueue, Dumbbell, DumbbellConfig};
-use netsim::trace::HostActivity;
 use netsim::units::Rate;
-use obs::{
-    FlowEvent, Labels, NoopRecorder, ObsRecorder, ObsReport, Recorder, SharedRecorder, TrackKind,
-};
-use std::cell::RefCell;
-use std::rc::Rc;
-use transport::mux::MuxSender;
-use transport::receiver::TcpReceiver;
-use transport::sender::{TcpSender, TcpSenderConfig};
+use obs::ObsReport;
 
-/// Constant-cwnd sizing for the baseline module, relative to path
-/// capacity (BDP + bottleneck buffer). 1.4x keeps the sender permanently
-/// overshooting — bursty and lossy (~11% retransmissions) but still
-/// progressing through SACK/RACK recovery — which lands its energy
-/// penalty in the paper's 8.2-14.2% band (§4.3) — bursty, lossy, but still making progress through SACK
-/// recovery, like the paper's §4.3 runs.
-pub const BASELINE_CWND_FACTOR: f64 = 1.40;
+pub use crate::harness::{EnergyMeasurement, SimulatedRun, BASELINE_CWND_FACTOR};
 
 /// How much observability a run carries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -54,11 +43,6 @@ pub enum Observe {
     /// Perfetto trace, returned as [`ScenarioOutcome::obs`].
     Full,
 }
-
-/// At most this many per-flow energy samples enter a flow's flight
-/// ring: power bins arrive every millisecond and would otherwise evict
-/// the cwnd/loss/RTO history the ring exists to keep.
-const MAX_FLIGHT_ENERGY_SAMPLES: usize = 64;
 
 /// One experiment run.
 #[derive(Clone, Debug)]
@@ -121,13 +105,6 @@ pub struct Scenario {
     /// dispatch is bit-identical to per-packet dispatch.
     pub delivery_batching: bool,
 }
-
-/// Engine stall watchdog budget: abort the run if this many events are
-/// processed without a single packet delivered to a host. Fault-free
-/// runs deliver packets every handful of events, and even a fully
-/// backed-off sender generates only a few timer events per RTO, so a
-/// genuine run never comes close; only a livelocked event loop does.
-const STALL_BUDGET_EVENTS: u64 = 2_000_000;
 
 impl Scenario {
     /// The paper's testbed defaults: 10 Gb/s, ~100 µs base RTT, 1 MB
@@ -229,8 +206,7 @@ impl Scenario {
 
     /// Path bandwidth-delay product in bytes (excluding queueing).
     pub fn bdp_bytes(&self) -> u64 {
-        let rtt = self.hop_delay.as_secs_f64() * 4.0;
-        (self.link_gbps * 1e9 / 8.0 * rtt) as u64
+        harness::bdp_bytes(self.link_gbps, self.hop_delay.as_secs_f64() * 4.0)
     }
 
     fn uses_dctcp(&self) -> bool {
@@ -391,458 +367,119 @@ impl ScenarioOutcome {
     }
 }
 
-/// A finished packet-level simulation, before any energy metering.
-///
-/// Everything in it is a function of the scenario's network inputs
-/// alone: [`simulate`] never reads [`Scenario::background_load`]
-/// (background compute changes power, not packets — DESIGN.md, "Run
-/// phases"). [`SimulatedRun::meter`] evaluates the recorded host
-/// activity under a load and can be called any number of times, which
-/// is how Figure 4 measures one transfer at four load levels.
-pub struct SimulatedRun {
-    /// Per-flow iperf-style reports, in flow order.
-    pub reports: Vec<FlowReport>,
-    /// The measurement window: experiment start until the last flow
-    /// completed.
-    pub window: SimDuration,
-    /// How the engine's run loop returned.
-    pub run_outcome: RunOutcome,
-    /// Drop, mark, fault and frame-conservation counters.
-    pub net_stats: NetworkStats,
-    /// Per-flow throughput series in Gb/s (if tracing was enabled).
-    pub throughput_traces: Option<Vec<Vec<f64>>>,
-    /// Simulation time when the run loop returned.
-    pub sim_end: SimTime,
-    /// Engine performance counters.
-    pub engine: EngineCounters,
-    /// The finished network: owns the host activity record the meter
-    /// integrates, plus the packet log and flow trace the recorder reads.
-    net: Network,
-    /// The metered sender hosts, each with the CC compute-cost factor of
-    /// the flows it served (a single host when senders are colocated).
-    senders: Vec<(NodeId, f64)>,
-    receiver: NodeId,
-    /// One sender host per flow (not colocated): per-flow energy
-    /// samples are attributable.
-    host_per_flow: bool,
-    obs_rec: Option<Rc<RefCell<ObsRecorder>>>,
-}
-
-/// One energy measurement of a [`SimulatedRun`] under a background load.
-#[derive(Clone, Debug)]
-pub struct EnergyMeasurement {
-    /// Total sender-side energy over the window.
-    pub sender_energy_j: f64,
-    /// Per-sender-host energy readings.
-    pub sender_readings: Vec<EnergyReading>,
-    /// The receiver host's energy over the same window.
-    pub receiver_energy_j: f64,
-    /// Per-sender-host instantaneous power series (W per activity bin).
-    pub sender_power_series_w: Vec<Vec<f64>>,
-}
-
 /// Run a scenario to completion and measure it: [`simulate`], then meter
 /// under the scenario's own background load.
 pub fn run(scenario: &Scenario) -> Result<ScenarioOutcome, ScenarioError> {
     Ok(simulate(scenario)?.finish(scenario.background_load))
 }
 
-/// The packet-level phase of [`run`]: build the testbed, wire the
-/// flows, run the engine to quiescence and collect the flow reports.
-/// Reads every scenario field except `background_load`.
+/// Salt of the dumbbell's start-jitter stream (`"jutt"`).
+const JITTER_SALT: u64 = 0x6a75_7474;
+
+/// The packet-level phase of [`run`]: the dumbbell's placement on the
+/// shared harness ([`simulate_on`]). Builds the testbed, installs the
+/// bottleneck fault, jitters the starts and puts one flow on each sender
+/// host (or all of them behind one multiplexing host). Reads every
+/// scenario field except `background_load`.
 pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
-    let mss = scenario.mtu - HEADER_BYTES;
-    let mut net = Network::new(scenario.seed);
-    net.set_delivery_batching(scenario.delivery_batching);
-    net.enable_activity(scenario.activity_bin);
-    if let Some(bin) = scenario.trace_bin {
-        net.enable_flow_trace(bin);
-    }
-    if let Some(capacity) = scenario.pkt_log_capacity {
-        net.enable_packet_log(capacity);
-    }
-
-    // The observability seam. `obs_rec` keeps the concrete type so the
-    // driver can feed post-run series and finalize; `recorder` is the
-    // erased handle shared with the engine and every sender.
-    let obs_rec: Option<Rc<RefCell<ObsRecorder>>> =
-        (scenario.observe == Observe::Full).then(|| Rc::new(RefCell::new(ObsRecorder::new())));
-    let recorder: Option<SharedRecorder> = match scenario.observe {
-        Observe::Off => None,
-        Observe::Noop => Some(Rc::new(RefCell::new(NoopRecorder))),
-        Observe::Full => obs_rec.clone().map(|r| r as Rc<RefCell<dyn obs::Recorder>>),
+    let wiring = Wiring {
+        seed: scenario.seed,
+        mtu: scenario.mtu,
+        activity_bin: scenario.activity_bin,
+        trace_bin: scenario.trace_bin,
+        pkt_log_capacity: scenario.pkt_log_capacity,
+        delivery_batching: scenario.delivery_batching,
+        observe: scenario.observe,
+        host_pps_cap: scenario.host_pps_cap,
+        max_rto_retries: scenario.max_rto_retries,
+        path_capacity_bytes: scenario.bdp_bytes() + scenario.buffer_bytes,
+        time_limit: scenario
+            .time_limit
+            .unwrap_or_else(|| scenario.default_time_limit()),
+        wall_deadline: scenario.wall_deadline,
     };
-    if let Some(rec) = &recorder {
-        net.set_recorder(rec.clone());
-    }
-
-    let queue = if scenario.uses_dctcp() {
-        BottleneckQueue::EcnThreshold {
-            capacity_bytes: scenario.buffer_bytes,
-            mark_bytes: scenario.dctcp_k_bytes(),
-        }
-    } else {
-        BottleneckQueue::DropTail {
-            capacity_bytes: scenario.buffer_bytes,
-        }
-    };
-    let cfg = DumbbellConfig {
-        bottleneck_rate: Rate::from_gbps(scenario.link_gbps),
-        edge_rate: Rate::from_gbps(scenario.link_gbps),
-        sender_bond_links: 2,
-        hop_delay: scenario.hop_delay,
-        bottleneck_queue: queue,
-        edge_buffer_bytes: 4_000_000,
-        host_min_pkt_gap: SimDuration::ZERO,
-        senders: if scenario.colocate_senders {
-            1
+    simulate_on(&wiring, |net, obs_rec| {
+        let queue = if scenario.uses_dctcp() {
+            BottleneckQueue::EcnThreshold {
+                capacity_bytes: scenario.buffer_bytes,
+                mark_bytes: scenario.dctcp_k_bytes(),
+            }
         } else {
-            scenario.flows.len()
-        },
-    };
-    let dumbbell = Dumbbell::build(&mut net, &cfg);
-    if let Some(spec) = &scenario.bottleneck_fault {
-        net.set_link_fault(dumbbell.bottleneck, spec.clone())
-            .map_err(ScenarioError::Fault)?;
-    }
-    net.set_stall_budget(Some(STALL_BUDGET_EVENTS));
-
-    // Human-readable track names for the trace viewer.
-    if let Some(rec) = &obs_rec {
-        let mut r = rec.borrow_mut();
-        for (i, spec) in scenario.flows.iter().enumerate() {
-            r.name_flow(i as u32, &format!("flow {i} ({})", spec.cca.name()));
-        }
-        for (i, &host) in dumbbell.senders.iter().enumerate() {
-            r.name_host(host.index() as u32, &format!("sender {i}"));
-        }
-        r.name_host(dumbbell.receiver.index() as u32, "receiver");
-        r.name_queue(dumbbell.bottleneck.index() as u32, "bottleneck");
-    }
-
-    let baseline_cwnd =
-        ((scenario.bdp_bytes() + scenario.buffer_bytes) as f64 * BASELINE_CWND_FACTOR) as u64;
-    let cca_cfg = CcaConfig::new(mss).with_baseline_cwnd(baseline_cwnd);
-
-    // simlint::allow(rng-discipline, reason = "named stream: scenario seed XOR 'jutt' salt; isolated so adding flows never perturbs engine or fault draws")
-    let mut jitter_rng = netsim::rng::SimRng::new(scenario.seed ^ 0x6a75_7474);
-    let mut jitters = Vec::with_capacity(scenario.flows.len());
-    for _ in &scenario.flows {
-        let ns = if scenario.start_jitter.is_zero() {
-            0
-        } else {
-            jitter_rng.next_below(scenario.start_jitter.as_nanos())
+            BottleneckQueue::DropTail {
+                capacity_bytes: scenario.buffer_bytes,
+            }
         };
-        jitters.push(SimDuration::from_nanos(ns));
-    }
-    let build_sender = |i: usize, spec: &FlowSpec| -> TcpSender {
-        let flow = FlowId::from_raw(i as u32);
-        let cc = spec.cca.build(&cca_cfg);
-        let min_gap = scenario
-            .host_pps_cap
-            .map(|pps| {
-                let pps = if cc.uses_pacing() {
-                    pps * PACING_PPS_BONUS
-                } else {
-                    pps
-                };
-                SimDuration::from_secs_f64(1.0 / pps)
-            })
-            .unwrap_or(SimDuration::ZERO);
-        // Seed the RTT estimator with the path's base RTT, standing in
-        // for the handshake sample (see TcpSenderConfig::initial_rtt_hint).
-        let base_rtt = scenario.hop_delay * 4;
-        let mut cfg = TcpSenderConfig::bulk(flow, dumbbell.receiver, scenario.mtu, spec.bytes)
-            .with_min_pkt_gap(min_gap)
-            .with_rtt_hint(base_rtt)
-            .with_start_delay(spec.start_delay + jitters[i]);
-        if let Some(retries) = scenario.max_rto_retries {
-            cfg = cfg.with_max_rto_retries(retries);
+        let cfg = DumbbellConfig {
+            bottleneck_rate: Rate::from_gbps(scenario.link_gbps),
+            edge_rate: Rate::from_gbps(scenario.link_gbps),
+            sender_bond_links: 2,
+            hop_delay: scenario.hop_delay,
+            bottleneck_queue: queue,
+            edge_buffer_bytes: 4_000_000,
+            host_min_pkt_gap: SimDuration::ZERO,
+            senders: if scenario.colocate_senders {
+                1
+            } else {
+                scenario.flows.len()
+            },
+        };
+        let dumbbell = Dumbbell::build(net, &cfg);
+        if let Some(spec) = &scenario.bottleneck_fault {
+            net.set_link_fault(dumbbell.bottleneck, spec.clone())
+                .map_err(ScenarioError::Fault)?;
         }
-        if let Some(rate) = spec.rate_limit {
-            cfg = cfg.with_rate_limit(rate);
+        // Human-readable track names for the trace viewer.
+        if let Some(rec) = obs_rec {
+            let mut r = rec.borrow_mut();
+            for (i, &host) in dumbbell.senders.iter().enumerate() {
+                r.name_host(host.index() as u32, &format!("sender {i}"));
+            }
+            r.name_host(dumbbell.receiver.index() as u32, "receiver");
+            r.name_queue(dumbbell.bottleneck.index() as u32, "bottleneck");
         }
-        for &(at, rate) in &spec.rate_schedule {
-            cfg = cfg.with_rate_change(at, rate);
-        }
-        let mut sender = TcpSender::new(cfg, cc);
-        if let Some(rec) = &recorder {
-            sender.set_recorder(rec.clone());
-        }
-        sender
-    };
-    if scenario.colocate_senders {
-        let subs: Vec<TcpSender> = scenario
+
+        let jitters = harness::start_jitters(
+            scenario.seed ^ JITTER_SALT,
+            scenario.start_jitter,
+            scenario.flows.len(),
+        );
+        let flows = scenario
             .flows
             .iter()
+            .zip(jitters)
             .enumerate()
-            .map(|(i, spec)| build_sender(i, spec))
-            .collect();
-        net.attach_agent(dumbbell.senders[0], Box::new(MuxSender::new(subs)));
-    } else {
-        for (i, spec) in scenario.flows.iter().enumerate() {
-            net.attach_agent(dumbbell.senders[i], Box::new(build_sender(i, spec)));
-        }
-    }
-
-    // The receiver's ack policy follows the (single) algorithm family in
-    // use; the paper never mixes DCTCP with non-ECN algorithms.
-    let policy = if scenario.uses_dctcp() {
-        CcaKind::Dctcp.ack_policy()
-    } else {
-        CcaKind::Cubic.ack_policy()
-    };
-    net.attach_agent(dumbbell.receiver, Box::new(TcpReceiver::new(policy)));
-
-    let limit = scenario
-        .time_limit
-        .unwrap_or_else(|| scenario.default_time_limit());
-    if let Some(budget) = scenario.wall_deadline {
-        // simlint::allow(wall-clock, reason = "converts the caller's wall budget into the engine watchdog deadline; decides when to abandon a run, never what it computes")
-        net.set_wall_deadline(Some(std::time::Instant::now() + budget));
-    }
-    let run_outcome = net.run_until(limit);
-    match run_outcome {
-        RunOutcome::Stalled => return Err(ScenarioError::Stalled { at: net.now() }),
-        RunOutcome::DeadlineExceeded => {
-            return Err(ScenarioError::DeadlineExceeded {
-                at: net.now(),
-                budget: scenario.wall_deadline.unwrap_or_default(),
-            })
-        }
-        RunOutcome::Drained | RunOutcome::Stopped | RunOutcome::TimeLimit => {}
-    }
-
-    // Collect per-flow reports; every flow must have reached a terminal
-    // state — completed, or cleanly aborted by its retry budget.
-    let mut reports = Vec::with_capacity(scenario.flows.len());
-    for (i, spec) in scenario.flows.iter().enumerate() {
-        let flow = FlowId::from_raw(i as u32);
-        let (stats, cost_factor) = if scenario.colocate_senders {
-            let mux = net
-                .agent::<MuxSender>(dumbbell.senders[0])
-                .expect("mux agent present");
-            (mux.sub(i).stats(), mux.sub(i).compute_cost_factor())
+            .map(|(i, (spec, jitter))| PlacedFlow {
+                flow: FlowId::from_raw(i as u32),
+                spec: FlowSpec {
+                    start_delay: spec.start_delay + jitter,
+                    ..spec.clone()
+                },
+                receiver: dumbbell.receiver,
+                base_rtt: scenario.hop_delay * 4,
+            });
+        let senders = if scenario.colocate_senders {
+            vec![SenderHost {
+                host: dumbbell.senders[0],
+                flows: flows.collect(),
+                mux: true,
+            }]
         } else {
-            let sender = net
-                .agent::<TcpSender>(dumbbell.senders[i])
-                .expect("sender agent present");
-            (sender.stats(), sender.compute_cost_factor())
-        };
-        // An aborted flow's terminal time is the abort; its goodput is
-        // over the bytes it actually moved.
-        let terminal_at = match (stats.completed_at, stats.aborted_at) {
-            (Some(done), _) => done,
-            (None, Some(gave_up)) => gave_up,
-            (None, None) => return Err(ScenarioError::Incomplete { flow, limit }),
-        };
-        let started_at = stats
-            .started_at
-            .ok_or(ScenarioError::Incomplete { flow, limit })?;
-        let fct = terminal_at.saturating_since(started_at);
-        reports.push(FlowReport {
-            flow,
-            cca: spec.cca,
-            outcome: stats.outcome(),
-            bytes: spec.bytes,
-            bytes_acked: stats.bytes_acked,
-            started_at,
-            completed_at: terminal_at,
-            fct,
-            mean_goodput: netsim::units::average_rate(stats.bytes_acked, fct),
-            retransmits: stats.retx_segs,
-            rtos: stats.rto_count,
-            segs_sent: stats.segs_sent,
-            acks_processed: stats.acks_processed,
-            compute_cost_factor: cost_factor,
-        });
-    }
-
-    // The measurement window: RAPL-style reads cover [0, last completion].
-    let window_end = reports
-        .iter()
-        .map(|r| r.completed_at)
-        .max()
-        .expect("at least one flow");
-    let window = window_end.saturating_since(SimTime::ZERO);
-
-    let senders = if scenario.colocate_senders {
-        // One host serves every flow: weight the CC cost by each flow's
-        // share of the processed acks.
-        let total_acks: u64 = reports.iter().map(|r| r.acks_processed).sum();
-        let weighted_factor = if total_acks == 0 {
-            0.0
-        } else {
-            reports
+            dumbbell
+                .senders
                 .iter()
-                .map(|r| r.compute_cost_factor * r.acks_processed as f64)
-                .sum::<f64>()
-                / total_acks as f64
+                .zip(flows)
+                .map(|(&host, flow)| SenderHost {
+                    host,
+                    flows: vec![flow],
+                    mux: false,
+                })
+                .collect()
         };
-        vec![(dumbbell.senders[0], weighted_factor)]
-    } else {
-        dumbbell
-            .senders
-            .iter()
-            .zip(&reports)
-            .map(|(&host, report)| (host, report.compute_cost_factor))
-            .collect()
-    };
-
-    let throughput_traces = net.flow_trace().map(|trace| {
-        (0..scenario.flows.len())
-            .map(|i| trace.throughput_gbps(FlowId::from_raw(i as u32)))
-            .collect()
-    });
-
-    Ok(SimulatedRun {
-        reports,
-        window,
-        run_outcome,
-        net_stats: net.network_stats(),
-        throughput_traces,
-        sim_end: net.now(),
-        engine: net.counters(),
-        net,
-        senders,
-        receiver: dumbbell.receiver,
-        host_per_flow: !scenario.colocate_senders,
-        obs_rec,
+        Ok(Placement {
+            senders,
+            receivers: vec![dumbbell.receiver],
+        })
     })
-}
-
-impl SimulatedRun {
-    fn activity(&self) -> &HostActivity {
-        self.net.activity().expect("activity recording enabled")
-    }
-
-    /// The energy-metering phase: RAPL-style reads of every host over the
-    /// window, with `load` as the sender hosts' background utilization.
-    /// A pure function of the recorded activity, the reports and `load`.
-    pub fn meter(&self, load: StressLoad) -> EnergyMeasurement {
-        let meter = EnergyMeter::new(calibration::reference_host_model());
-        let activity = self.activity();
-        let ref_cost = calibration::cc_cost_per_ack_ref_j();
-        let mut sender_readings = Vec::with_capacity(self.senders.len());
-        let mut sender_power_series_w = Vec::with_capacity(self.senders.len());
-        for &(host, cost_factor) in &self.senders {
-            let ctx = HostContext {
-                background_util: load.utilization(),
-                cc_cost_per_ack_j: ref_cost * cost_factor,
-            };
-            sender_readings.push(meter.measure_host(activity, host, self.window, ctx));
-            sender_power_series_w.push(meter.model().power_series(
-                activity.series(host),
-                activity.bin(),
-                ctx,
-            ));
-        }
-        let receiver_reading =
-            meter.measure_host(activity, self.receiver, self.window, HostContext::default());
-        EnergyMeasurement {
-            sender_energy_j: sender_readings.iter().map(|r| r.joules).sum(),
-            sender_readings,
-            receiver_energy_j: receiver_reading.joules,
-            sender_power_series_w,
-        }
-    }
-
-    /// Meter under `load`, feed the post-run series into the recorder (if
-    /// the run carried one) and assemble the outcome.
-    fn finish(self, load: StressLoad) -> ScenarioOutcome {
-        let energy = self.meter(load);
-        let power_bin = self.activity().bin();
-        // The engine and senders still hold `Rc` clones inside `net`, so
-        // the recorder is taken out of the cell rather than unwrapped.
-        let obs = self.obs_rec.as_ref().map(|rec| {
-            let mut r = rec.borrow_mut();
-            self.feed_recorder(&mut r, &energy.sender_power_series_w);
-            std::mem::take(&mut *r).finalize(self.sim_end.as_nanos())
-        });
-        let stats = self.net_stats;
-        ScenarioOutcome {
-            reports: self.reports,
-            window: self.window,
-            sender_energy_j: energy.sender_energy_j,
-            sender_readings: energy.sender_readings,
-            receiver_energy_j: energy.receiver_energy_j,
-            dropped_pkts: stats.dropped_pkts,
-            marked_pkts: stats.marked_pkts,
-            injected_drops: stats.injected_drops,
-            injected_corrupts: stats.injected_corrupts,
-            injected_dups: stats.injected_dups,
-            injected_reorders: stats.injected_reorders,
-            originated_pkts: stats.originated_pkts,
-            delivered_pkts: stats.delivered_pkts,
-            corrupt_discards: stats.corrupt_discards,
-            run_outcome: self.run_outcome,
-            throughput_traces: self.throughput_traces,
-            sender_power_series_w: energy.sender_power_series_w,
-            power_bin,
-            sim_end: self.sim_end,
-            engine: self.engine,
-            obs,
-        }
-    }
-
-    /// Post-run series for the observability report: host power tracks,
-    /// per-flow energy samples, packet-log totals and throughput tracks.
-    fn feed_recorder(&self, r: &mut ObsRecorder, sender_power_series_w: &[Vec<f64>]) {
-        let activity = self.activity();
-        let bin_ns = activity.bin().as_nanos();
-        for (series, &(host, _)) in sender_power_series_w.iter().zip(&self.senders) {
-            for (b, &w) in series.iter().enumerate() {
-                r.power_sample(b as u64 * bin_ns, host.index() as u32, w);
-            }
-        }
-        let receiver_series = calibration::reference_host_model().power_series(
-            activity.series(self.receiver),
-            activity.bin(),
-            HostContext::default(),
-        );
-        for (b, &w) in receiver_series.iter().enumerate() {
-            r.power_sample(b as u64 * bin_ns, self.receiver.index() as u32, w);
-        }
-        // Per-flow energy samples (one sender host per flow), strided so
-        // they don't evict the flight ring's protocol history.
-        if self.host_per_flow {
-            for (i, series) in sender_power_series_w.iter().enumerate() {
-                let stride = (series.len() / MAX_FLIGHT_ENERGY_SAMPLES).max(1);
-                for (b, &w) in series.iter().enumerate().step_by(stride) {
-                    r.flow_event(
-                        b as u64 * bin_ns,
-                        i as u32,
-                        FlowEvent::EnergySample {
-                            milliwatts: (w * 1_000.0).round().max(0.0) as u64,
-                        },
-                    );
-                }
-            }
-        }
-        if let Some(log) = self.net.packet_log() {
-            r.metrics_mut()
-                .counter_add("pktlog_records_total", Labels::new(), log.total_seen());
-            r.metrics_mut().counter_add(
-                "pktlog_dropped_records_total",
-                Labels::new(),
-                log.overflowed(),
-            );
-        }
-        if let (Some(trace), Some(traces)) = (self.net.flow_trace(), &self.throughput_traces) {
-            let trace_bin_ns = trace.bin().as_nanos();
-            for (i, series) in traces.iter().enumerate() {
-                for (b, &gbps) in series.iter().enumerate() {
-                    r.trace_mut().counter(
-                        b as u64 * trace_bin_ns,
-                        TrackKind::Flow,
-                        i as u32,
-                        "throughput_gbps",
-                        gbps,
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -5,6 +5,16 @@
 # engine or experiment changes. A pass/fail table for every stage is
 # printed at the end, even when a stage fails.
 #
+# The default test stage already holds every topology's run to pinned
+# bytes across commits: fig4 (tests/golden_figure_pins.rs), the observed
+# two-flow exports (golden_obs_pins.rs), the lossy four-CCA run
+# (golden_lossy_pins.rs), the resilience suite's tiny verdict — dumbbell,
+# incast, rack grid and parking lot in one artifact
+# (golden_resilience_pins.rs, crates/core/tests/golden_resilience.rs) —
+# the tiny population fingerprint (golden_population_pins.rs,
+# crates/workload/tests/golden_population.rs) and the parking-lot runner
+# (crates/scenario/tests/golden_parking.rs).
+#
 # Usage: scripts/verify.sh [--lint] [--chaos] [--resume] [--obs] [--perf] [--scenarios] [--supervise]
 #   --lint    additionally run the simlint static-analysis pass over the
 #             whole workspace: token rules (determinism, panic-hygiene,
