@@ -1,14 +1,14 @@
 //! Durable, supervised CCA × MTU campaign runner.
 //!
 //! Runs the Figures 5-8 measurement campaign with the durability layer
-//! switched on: fsynced per-cell checkpoint journaling (single-file or
-//! sharded per worker), supervised retry with exponential backoff,
-//! poison-cell quarantine, graceful SIGINT/SIGTERM shutdown, and
-//! optional per-cell deadlines and paranoid-mode physics audits.
+//! switched on: fsynced per-cell checkpoint journaling (one shard file
+//! per worker), supervised retry with exponential backoff, poison-cell
+//! quarantine, graceful SIGINT/SIGTERM shutdown, and optional per-cell
+//! deadlines and paranoid-mode physics audits.
 //!
 //! ```text
 //! campaign [--resume] [--paranoid] [--deadline <secs>]
-//!          [--threads <n>] [--journal <path> | --journal-dir <dir>]
+//!          [--threads <n>] [--journal-dir <dir>]
 //!          [--max-attempts <n>] [--backoff <n>]
 //!          [--cells-out <path>] [--trace-out <dir>]
 //! ```
@@ -21,10 +21,9 @@
 //!   blows it fails (and re-enters the retry schedule) instead of
 //!   hanging the campaign.
 //! * `--threads` — worker count (default: all cores).
-//! * `--journal` — single-file journal path (default:
-//!   `results/campaign_<scale>.jsonl`).
-//! * `--journal-dir` — sharded journal directory (one fsynced JSONL per
-//!   worker plus `quarantine.jsonl`); overrides `--journal`.
+//! * `--journal-dir` — journal directory: one fsynced JSONL per worker
+//!   plus `quarantine.jsonl` (default:
+//!   `results/campaign_<scale>.journal`).
 //! * `--max-attempts` — retry budget per cell per campaign life
 //!   (default 2: the classic one-salted-retry).
 //! * `--backoff` — exponential backoff base in claim counts (default 0:
@@ -59,7 +58,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: campaign [--resume] [--paranoid] [--deadline <secs>] \
-         [--threads <n>] [--journal <path> | --journal-dir <dir>] \
+         [--threads <n>] [--journal-dir <dir>] \
          [--max-attempts <n>] [--backoff <n>] [--cells-out <path>] \
          [--trace-out <dir>]"
     );
@@ -99,11 +98,11 @@ struct CellsProjection {
 
 fn main() {
     let scale = bench::scale_from_env();
+    let mut journal_dir = PathBuf::from("results").join(format!("campaign_{}.journal", scale.name));
     let mut opts = CampaignOptions {
         cancel: campaign::install_signal_handlers(),
         ..Default::default()
     };
-    let mut journal: Option<PathBuf> = None;
     let mut cells_out: Option<PathBuf> = None;
 
     let mut args = std::env::args();
@@ -116,14 +115,8 @@ fn main() {
                 opts.deadline = Some(Duration::from_secs_f64(parse_arg(&mut args, "--deadline")))
             }
             "--threads" => opts.threads = parse_arg(&mut args, "--threads"),
-            "--journal" => {
-                journal = Some(PathBuf::from(parse_arg::<String>(&mut args, "--journal")))
-            }
             "--journal-dir" => {
-                opts.journal_dir = Some(PathBuf::from(parse_arg::<String>(
-                    &mut args,
-                    "--journal-dir",
-                )))
+                journal_dir = PathBuf::from(parse_arg::<String>(&mut args, "--journal-dir"))
             }
             "--max-attempts" => {
                 opts.retry.max_attempts = parse_arg::<u32>(&mut args, "--max-attempts").max(1)
@@ -141,21 +134,12 @@ fn main() {
             }
         }
     }
-    if opts.journal_dir.is_none() {
-        opts.journal = Some(journal.unwrap_or_else(|| {
-            PathBuf::from("results").join(format!("campaign_{}.jsonl", scale.name))
-        }));
-    }
 
     bench::announce("Durable campaign", &scale);
     println!(
         "journal: {} | resume: {} | paranoid: {} | deadline: {} | threads: {} | \
          retry: {} | trace-out: {}\n",
-        opts.journal_dir
-            .as_deref()
-            .or(opts.journal.as_deref())
-            .unwrap_or(std::path::Path::new("-"))
-            .display(),
+        journal_dir.display(),
         opts.resume,
         opts.paranoid,
         opts.deadline
@@ -181,6 +165,7 @@ fn main() {
         trace_out: opts.trace_out.clone(),
     };
     let trace_out = opts.trace_out.clone();
+    opts.journal_dir = Some(journal_dir);
     let report =
         match campaign::run_campaign_with_runner(scale, opts, move |cca, mtu, bytes, seeds| {
             if poison == Some((cca, mtu)) {

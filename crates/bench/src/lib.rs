@@ -1,4 +1,4 @@
-//! # bench — figure regeneration and performance benchmarks
+//! # bench — figure regeneration, the campaign runner and the perf gates
 //!
 //! * `src/bin/fig1.rs` … `fig8.rs`, `theorem1.rs`, `all.rs` — binaries
 //!   that rerun each of the paper's figures and print the same
@@ -11,12 +11,13 @@
 //!   invariant audits, and graceful SIGINT/SIGTERM shutdown.
 //! * `src/bin/cca_table.rs` — the one-screen diagnostic table of every
 //!   CCA's behaviour at a chosen transfer size and MTU.
-//! * `src/sack_trace.rs` — the recorded loss-recovery trace behind
-//!   `perf_baseline`'s `sack_scaling` gate and the scoreboard
-//!   micro-bench.
-//! * `benches/` — Criterion benches: one scaled-down run per figure plus
-//!   micro-benchmarks of the simulator's hot paths and ablations of the
-//!   design choices called out in `DESIGN.md`.
+//! * `src/bin/perf_gates.rs` — the four host-independent perf ratios
+//!   (`obs_full_overhead`, `fig4_sharing`, `sack_scaling`,
+//!   `journal_sharding`), each timed interleaved in one process and held
+//!   to a budget; what `scripts/verify.sh --perf` runs. Absolute times
+//!   live on the benchmark ledger (`benchmark/README.md`).
+//! * `src/sack_trace.rs` — the recorded loss-recovery trace behind the
+//!   `sack_scaling` gate.
 
 pub mod sack_trace;
 

@@ -1,22 +1,22 @@
-//! The append-only per-cell checkpoint journal — single-file and sharded.
+//! The append-only per-cell checkpoint journal.
 //!
-//! **Single-file layout**: one JSONL file per campaign. Line 1 is a
-//! header carrying a *fingerprint* — a hash over everything that
-//! determines cell results: code revision, matrix schema, transfer size,
-//! repetition count, the exact seed schedule, the CCA × MTU job list,
-//! and the retry policy (whose human-readable spec the header also
-//! records, so resume provably replays the same schedule). Every
-//! following line is one completed (or terminally failed) cell, stored
-//! as an escaped JSON string plus a content hash over `fingerprint +
-//! record bytes`.
+//! **Layout** ([`create_sharded`] / [`load_sharded`]): a directory
+//! holding one JSONL file per worker (`shard-000.jsonl`,
+//! `shard-001.jsonl`, …; a one-worker campaign has one shard) plus
+//! `quarantine.jsonl` for poison cells. Each worker owns its shard
+//! exclusively, so appends never contend on a lock or serialize their
+//! fsyncs behind another worker's — the write path scales with the pool
+//! instead of bottlenecking on one file.
 //!
-//! **Sharded layout** ([`create_sharded`] / [`load_sharded`]): a
-//! directory holding one such JSONL per worker (`shard-000.jsonl`,
-//! `shard-001.jsonl`, …) plus `quarantine.jsonl` for poison cells. Each
-//! worker owns its shard exclusively, so appends never contend on a
-//! lock or serialize their fsyncs behind another worker's — the write
-//! path scales with the pool instead of bottlenecking on one file.
-//! Every shard carries the full header discipline independently, which
+//! **File format** ([`Writer`] / [`load`]): line 1 is a header carrying
+//! a *fingerprint* — a hash over everything that determines cell
+//! results: code revision, matrix schema, transfer size, repetition
+//! count, the exact seed schedule, the CCA × MTU job list, and the retry
+//! policy (whose human-readable spec the header also records, so resume
+//! provably replays the same schedule). Every following line is one
+//! completed (or terminally failed) cell, stored as an escaped JSON
+//! string plus a content hash over `fingerprint + record bytes`. Every
+//! shard carries the full header discipline independently, which
 //! shrinks the failure domain: a stale or garbled shard invalidates
 //! *its* records, not the campaign.
 //!
@@ -26,8 +26,9 @@
 //!   are never merged into a fresh campaign;
 //! * a **bad content hash** invalidates just that record — bit rot or a
 //!   partial overwrite costs one cell, not the run;
-//! * a **torn final line** (the classic crash-mid-append) is silently
-//!   dropped — exactly the record the crash interrupted;
+//! * a **torn final line** (the classic crash-mid-append) fails to
+//!   parse and is dropped and counted like any other bad record —
+//!   exactly the record the crash interrupted;
 //! * records are **fsynced one by one**, so a journal never claims a
 //!   cell the disk doesn't hold.
 //!
@@ -152,20 +153,21 @@ impl Entry {
     }
 }
 
-/// What loading a journal produced.
+/// What loading one journal file produced.
 #[derive(Debug, Default)]
 pub struct Loaded {
     /// Validated entries, in journal (completion) order.
     pub entries: Vec<Entry>,
-    /// Records dropped for corruption: unparsable line, bad hash, or a
-    /// payload that no longer deserializes. (A torn final line counts.)
+    /// Records dropped for corruption: unparsable line (a torn final
+    /// line included), bad hash, or a payload that no longer
+    /// deserializes.
     pub dropped: usize,
     /// True when the whole journal was discarded: missing/garbled header
     /// or a fingerprint from a different campaign configuration.
     pub stale: bool,
 }
 
-/// What loading a sharded journal directory produced. Validation is
+/// What loading a journal directory produced. Validation is
 /// per shard: one stale or torn shard costs its own records only.
 #[derive(Debug, Default)]
 pub struct LoadedShards {
@@ -201,8 +203,9 @@ impl std::error::Error for JournalError {
     }
 }
 
-/// Load and validate a journal. A missing file is an empty (not stale)
-/// journal; only I/O errors other than `NotFound` are surfaced.
+/// Load and validate one journal file (a shard or `quarantine.jsonl`).
+/// A missing file is an empty (not stale) journal; only I/O errors other
+/// than `NotFound` are surfaced.
 pub fn load(path: &Path, fingerprint: &Fingerprint) -> Result<Loaded, JournalError> {
     let body = match std::fs::read_to_string(path) {
         Ok(body) => body,
@@ -229,32 +232,24 @@ pub fn load(path: &Path, fingerprint: &Fingerprint) -> Result<Loaded, JournalErr
         out.stale = true;
         return Ok(out);
     }
-    let lines: Vec<&str> = lines.collect();
-    for (i, line) in lines.iter().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let last = i + 1 == lines.len();
+    for line in lines.filter(|line| !line.is_empty()) {
         match parse_record(line, fingerprint) {
             Some(entry) => out.entries.push(entry),
-            // A torn *final* line is the expected crash signature and is
-            // dropped silently; corruption anywhere else is counted too
-            // (the cell re-runs either way) but suggests real bit rot.
-            None => {
-                let _ = last;
-                out.dropped += 1;
-            }
+            // The cell re-runs wherever the bad record sat: a torn final
+            // line (the expected crash signature) counts the same as
+            // corruption mid-file.
+            None => out.dropped += 1,
         }
     }
     Ok(out)
 }
 
-/// The per-worker shard file inside a sharded journal directory.
+/// The per-worker shard file inside a journal directory.
 pub fn shard_path(dir: &Path, worker: usize) -> PathBuf {
     dir.join(format!("shard-{worker:03}.jsonl"))
 }
 
-/// The poison-cell quarantine shard inside a sharded journal directory.
+/// The poison-cell quarantine file inside a journal directory.
 pub fn quarantine_path(dir: &Path) -> PathBuf {
     dir.join("quarantine.jsonl")
 }
@@ -354,7 +349,7 @@ fn parse_record(line: &str, fingerprint: &Fingerprint) -> Option<Entry> {
     }
 }
 
-/// An open journal (or shard) being appended to.
+/// An open journal file (a shard or `quarantine.jsonl`) being appended to.
 pub struct Writer {
     path: PathBuf,
     file: File,
@@ -454,7 +449,7 @@ impl Writer {
     }
 }
 
-/// Create a fresh sharded journal under `dir`: one shard per worker,
+/// Create a fresh journal under `dir`: one shard per worker,
 /// all previous shard and quarantine files wiped first (so shards from
 /// a wider previous pool cannot resurrect stale records on the *next*
 /// resume). The compacted survivors `keep` land in shard 0; the other

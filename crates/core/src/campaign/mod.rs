@@ -7,10 +7,10 @@
 //! without touching what it computes:
 //!
 //! * [`journal`] — an append-only, fsynced, hash-verified checkpoint
-//!   journal; one record per completed cell. Fleet runs shard it one
-//!   file per worker ([`CampaignOptions::journal_dir`]), so appends
-//!   don't serialize behind a single fsync and a torn shard invalidates
-//!   its own records, not the campaign.
+//!   journal; one record per completed cell, in a directory
+//!   ([`CampaignOptions::journal_dir`]) of one shard file per worker, so
+//!   appends don't serialize behind a single fsync and a torn shard
+//!   invalidates its own records, not the campaign.
 //! * resume — [`CampaignOptions::resume`] re-runs only cells the
 //!   journal cannot vouch for. Because cell results are bit-exact
 //!   through JSON (shortest-roundtrip floats), a resumed campaign's
@@ -55,7 +55,7 @@ use crate::matrix::{
 use crate::scale::Scale;
 use cca::CcaKind;
 use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -66,14 +66,9 @@ use std::time::Duration;
 pub struct CampaignOptions {
     /// Worker threads (work-stealing; the result is schedule-invariant).
     pub threads: usize,
-    /// Single-file checkpoint journal path. `None` disables durability.
-    /// Ignored when `journal_dir` is set.
-    pub journal: Option<PathBuf>,
-    /// Sharded checkpoint journal directory: one fsynced JSONL per
-    /// worker (`shard-000.jsonl`, …) plus `quarantine.jsonl`. Wins over
-    /// `journal`. Prefer this for wide pools — per-worker shards keep
-    /// fsyncs off each other's critical path and shrink the corruption
-    /// blast radius to one shard.
+    /// Checkpoint journal directory: one fsynced JSONL per worker
+    /// (`shard-000.jsonl`, …; one worker, one shard) plus
+    /// `quarantine.jsonl`. `None` disables durability.
     pub journal_dir: Option<PathBuf>,
     /// Reuse journaled cells instead of re-running them. Only cells
     /// whose journal records pass fingerprint + hash validation count.
@@ -101,7 +96,6 @@ impl Default for CampaignOptions {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            journal: None,
             journal_dir: None,
             resume: false,
             retry: RetryPolicy::default(),
@@ -168,17 +162,6 @@ impl From<JournalError> for CampaignError {
     }
 }
 
-/// The quarantine sibling of a single-file journal
-/// (`campaign.jsonl` → `campaign.quarantine.jsonl`). Sharded journals
-/// keep theirs inside the directory instead.
-fn quarantine_sibling(journal: &Path) -> PathBuf {
-    let stem = journal
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("campaign");
-    journal.with_file_name(format!("{stem}.quarantine.jsonl"))
-}
-
 /// Run the measurement campaign durably with the production cell runner.
 pub fn run_campaign(scale: Scale, opts: CampaignOptions) -> Result<CampaignReport, CampaignError> {
     let policy = CellPolicy {
@@ -212,12 +195,7 @@ where
 
     let policy = opts.retry;
     let fingerprint = Fingerprint::for_policy(&scale, &policy);
-    let sharded_dir = opts.journal_dir.clone();
-    let single = if sharded_dir.is_some() {
-        None
-    } else {
-        opts.journal.clone()
-    };
+    let journal_dir = opts.journal_dir.as_deref();
 
     // Resume: harvest validated entries, keyed by job. Completed cells
     // are reused; failure records are *not* (a resume is the natural
@@ -227,14 +205,8 @@ where
     let mut reused: Vec<(usize, Cell)> = Vec::new();
     let mut prior_attempts: BTreeMap<usize, u32> = BTreeMap::new();
     let mut keep: Vec<journal::Entry> = Vec::new();
-    if opts.resume {
-        let entries = if let Some(dir) = &sharded_dir {
-            journal::load_sharded(dir, &fingerprint)?.entries
-        } else if let Some(path) = &single {
-            journal::dedupe(journal::load(path, &fingerprint)?.entries)
-        } else {
-            Vec::new()
-        };
+    if let (true, Some(dir)) = (opts.resume, journal_dir) {
+        let entries = journal::load_sharded(dir, &fingerprint)?.entries;
         let mut cells: HashMap<(String, u32), Cell> = HashMap::new();
         let mut fails: HashMap<(String, u32), CellFailure> = HashMap::new();
         for entry in entries {
@@ -270,32 +242,21 @@ where
     let pending = jobs.len() - reused.len();
     let threads = opts.threads.max(1).min(pending.max(1));
 
-    // (Re)create the journal(s): header + the surviving records,
-    // atomically. This compacts away torn/corrupt lines from a previous
-    // life and stamps the current fingerprint. Creation failures are
-    // fatal — a campaign that never had durability is a configuration
-    // error; only *append* failures later degrade.
-    let journals = if let Some(dir) = &sharded_dir {
-        let writers = journal::create_sharded(dir, &fingerprint, &keep, threads)?;
-        supervisor::Journals::Sharded(writers.into_iter().map(Mutex::new).collect())
-    } else if let Some(path) = &single {
-        // The quarantine sibling describes the previous life; wipe it so
-        // this life's (possibly empty) quarantine story is the only one.
-        let _ = std::fs::remove_file(quarantine_sibling(path));
-        supervisor::Journals::Single(Mutex::new(journal::Writer::create(
-            path,
-            &fingerprint,
-            &keep,
-        )?))
-    } else {
-        supervisor::Journals::None
+    // (Re)create the journal: one shard per worker, header + the
+    // surviving records, atomically. This compacts away torn/corrupt
+    // lines from a previous life, wipes its shards and quarantine file,
+    // and stamps the current fingerprint. Creation failures are fatal —
+    // a campaign that never had durability is a configuration error;
+    // only *append* failures later degrade.
+    let journals = match journal_dir {
+        Some(dir) => {
+            let writers = journal::create_sharded(dir, &fingerprint, &keep, threads)?;
+            supervisor::Journals::Sharded(writers.into_iter().map(Mutex::new).collect())
+        }
+        None => supervisor::Journals::None,
     };
-    let quarantine_file = if let Some(dir) = &sharded_dir {
-        Some(journal::quarantine_path(dir))
-    } else {
-        single.as_deref().map(quarantine_sibling)
-    };
-    let quarantine = supervisor::QuarantineSink::new(quarantine_file, fingerprint.clone());
+    let quarantine =
+        supervisor::QuarantineSink::new(journal_dir.map(journal::quarantine_path), fingerprint);
 
     let fresh: Vec<(usize, u32)> = (0..jobs.len())
         .filter(|&i| !have[i])
@@ -476,7 +437,7 @@ mod tests {
     #[test]
     fn resume_reuses_journaled_cells_and_runs_only_the_rest() {
         let dir = scratch("resume");
-        let journal = dir.join("campaign.jsonl");
+        let journal = dir.join("campaign.journal");
 
         // First life: cancel after 7 cells.
         let cancel = CancelToken::new();
@@ -485,7 +446,7 @@ mod tests {
             Scale::quick(),
             CampaignOptions {
                 threads: 1,
-                journal: Some(journal.clone()),
+                journal_dir: Some(journal.clone()),
                 cancel: cancel.clone(),
                 ..Default::default()
             },
@@ -507,7 +468,7 @@ mod tests {
             Scale::quick(),
             CampaignOptions {
                 threads: 4,
-                journal: Some(journal.clone()),
+                journal_dir: Some(journal.clone()),
                 resume: true,
                 ..Default::default()
             },
@@ -542,10 +503,10 @@ mod tests {
     #[test]
     fn without_resume_an_existing_journal_is_overwritten_not_reused() {
         let dir = scratch("fresh");
-        let journal = dir.join("campaign.jsonl");
+        let journal = dir.join("campaign.journal");
         let opts = || CampaignOptions {
             threads: 2,
-            journal: Some(journal.clone()),
+            journal_dir: Some(journal.clone()),
             ..Default::default()
         };
         let calls = AtomicUsize::new(0);
@@ -570,13 +531,13 @@ mod tests {
     #[test]
     fn resume_retries_journaled_failures() {
         let dir = scratch("refail");
-        let journal = dir.join("campaign.jsonl");
+        let journal = dir.join("campaign.journal");
         // First life: one cell fails terminally (both attempts).
         let first = run_campaign_with_runner(
             Scale::quick(),
             CampaignOptions {
                 threads: 2,
-                journal: Some(journal.clone()),
+                journal_dir: Some(journal.clone()),
                 ..Default::default()
             },
             |cca, mtu, _b, seeds| {
@@ -602,7 +563,7 @@ mod tests {
             Scale::quick(),
             CampaignOptions {
                 threads: 2,
-                journal: Some(journal.clone()),
+                journal_dir: Some(journal.clone()),
                 resume: true,
                 ..Default::default()
             },
@@ -621,7 +582,7 @@ mod tests {
         // 3-4 (fresh salts) in life 2 — not re-run salts it already
         // failed on. The journaled attempt counter threads this through.
         let dir = scratch("monotone");
-        let journal = dir.join("campaign.jsonl");
+        let journal = dir.join("campaign.journal");
         let base = Scale::quick().seeds();
         let observed: Mutex<Vec<u64>> = Mutex::new(Vec::new());
         let poison = (CcaKind::Bbr, 3000);
@@ -640,7 +601,7 @@ mod tests {
         };
         let opts = |resume| CampaignOptions {
             threads: 2,
-            journal: Some(journal.clone()),
+            journal_dir: Some(journal.clone()),
             resume,
             ..Default::default()
         };
@@ -748,29 +709,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_campaign_matches_single_journal_byte_for_byte() {
+    fn sharded_campaign_matches_one_shard_byte_for_byte() {
         let dir = scratch("sharded-match");
-        let run = |opts: CampaignOptions| {
+        let run = |threads, journal_dir: PathBuf| {
+            let opts = CampaignOptions {
+                threads,
+                journal_dir: Some(journal_dir),
+                ..Default::default()
+            };
             run_campaign_with_runner(Scale::quick(), opts, |cca, mtu, _b, _s| {
                 Ok(stub_cell(cca, mtu))
             })
             .unwrap()
         };
-        let single = run(CampaignOptions {
-            threads: 3,
-            journal: Some(dir.join("single.jsonl")),
-            ..Default::default()
-        });
-        let sharded = run(CampaignOptions {
-            threads: 3,
-            journal_dir: Some(dir.join("shards")),
-            ..Default::default()
-        });
+        let one = run(1, dir.join("one"));
+        let sharded = run(3, dir.join("shards"));
         assert_eq!(
-            serde_json::to_string(&single.matrix).unwrap(),
+            serde_json::to_string(&one.matrix).unwrap(),
             serde_json::to_string(&sharded.matrix).unwrap()
         );
-        assert!(journal::shard_path(&dir.join("shards"), 0).exists());
+        assert!(journal::shard_path(&dir.join("one"), 0).exists());
+        assert!(!journal::shard_path(&dir.join("one"), 1).exists());
+        assert!(journal::shard_path(&dir.join("shards"), 2).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -833,7 +793,7 @@ mod tests {
             Scale::quick(),
             CampaignOptions {
                 threads: 1,
-                journal: Some(PathBuf::from("/proc/greenenvy-no-such-dir/j.jsonl")),
+                journal_dir: Some(PathBuf::from("/proc/greenenvy-no-such-dir/journal")),
                 ..Default::default()
             },
             |cca, mtu, _b, _s| Ok(stub_cell(cca, mtu)),

@@ -181,8 +181,6 @@ pub struct SupervisionReport {
 pub(super) enum Journals {
     /// No durability (the plain-matrix path).
     None,
-    /// The classic single shared journal.
-    Single(Mutex<Writer>),
     /// One shard per worker: appends never cross-contend, and each
     /// worker's fsyncs queue behind its own file only.
     Sharded(Vec<Mutex<Writer>>),
@@ -428,7 +426,6 @@ impl Supervisor<'_> {
         }
         let result = match &self.journals {
             Journals::None => Ok(()),
-            Journals::Single(w) => relock(w).append(entry),
             Journals::Sharded(ws) => match ws.get(worker) {
                 Some(w) => relock(w).append(entry),
                 None => Ok(()),

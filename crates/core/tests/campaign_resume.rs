@@ -67,7 +67,7 @@ fn uninterrupted() -> Matrix {
 #[test]
 fn killed_campaign_resumes_to_a_bit_identical_matrix() {
     let dir = scratch("kill");
-    let journal_path = dir.join("campaign.jsonl");
+    let journal_dir = dir.join("campaign.journal");
 
     // Life 1: a SIGTERM-style cancellation lands after ~13 cells. (The
     // token is tripped from inside the runner, which is exactly what the
@@ -79,7 +79,7 @@ fn killed_campaign_resumes_to_a_bit_identical_matrix() {
         Scale::quick(),
         CampaignOptions {
             threads: 2,
-            journal: Some(journal_path.clone()),
+            journal_dir: Some(journal_dir.clone()),
             cancel: cancel.clone(),
             ..Default::default()
         },
@@ -107,7 +107,7 @@ fn killed_campaign_resumes_to_a_bit_identical_matrix() {
         Scale::quick(),
         CampaignOptions {
             threads: 4,
-            journal: Some(journal_path.clone()),
+            journal_dir: Some(journal_dir.clone()),
             resume: true,
             ..Default::default()
         },
@@ -131,33 +131,35 @@ fn killed_campaign_resumes_to_a_bit_identical_matrix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Run the full campaign once, journaled, and return the journal path.
-fn journaled_run(dir: &std::path::Path) -> PathBuf {
-    let journal_path = dir.join("campaign.jsonl");
+/// Run the full campaign once, journaled on one worker so shard 0 holds
+/// all 40 records, and return the journal directory and that shard.
+fn journaled_run(dir: &std::path::Path) -> (PathBuf, PathBuf) {
+    let journal_dir = dir.join("campaign.journal");
     let report = run_campaign_with_runner(
         Scale::quick(),
         CampaignOptions {
-            threads: 2,
-            journal: Some(journal_path.clone()),
+            threads: 1,
+            journal_dir: Some(journal_dir.clone()),
             ..Default::default()
         },
         |cca, mtu, _b, seeds| Ok(fake_cell(cca, mtu, seeds)),
     )
     .unwrap();
     assert_eq!(report.executed, TOTAL);
-    journal_path
+    let shard = journal::shard_path(&journal_dir, 0);
+    (journal_dir, shard)
 }
 
 /// Resume against the (possibly damaged) journal, counting how many
 /// cells actually re-execute, and assert the final matrix still matches
 /// the golden run bit for bit.
-fn resume_and_count(journal_path: &Path) -> usize {
+fn resume_and_count(journal_dir: &Path) -> usize {
     let calls = AtomicUsize::new(0);
     let report = run_campaign_with_runner(
         Scale::quick(),
         CampaignOptions {
             threads: 2,
-            journal: Some(journal_path.to_path_buf()),
+            journal_dir: Some(journal_dir.to_path_buf()),
             resume: true,
             ..Default::default()
         },
@@ -175,18 +177,18 @@ fn resume_and_count(journal_path: &Path) -> usize {
 #[test]
 fn truncated_final_line_re_runs_exactly_one_cell() {
     let dir = scratch("torn");
-    let journal_path = journaled_run(&dir);
+    let (journal_dir, journal_path) = journaled_run(&dir);
     // Tear the last record in half, as a crash mid-append would.
     let body = std::fs::read_to_string(&journal_path).unwrap();
     std::fs::write(&journal_path, &body[..body.len() - 40]).unwrap();
-    assert_eq!(resume_and_count(&journal_path), 1);
+    assert_eq!(resume_and_count(&journal_dir), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn bad_record_hash_re_runs_exactly_that_cell() {
     let dir = scratch("hash");
-    let journal_path = journaled_run(&dir);
+    let (journal_dir, journal_path) = journaled_run(&dir);
     // Flip one digit inside a mid-journal record's payload. The line
     // stays valid JSON; only the content hash can catch it.
     let body = std::fs::read_to_string(&journal_path).unwrap();
@@ -201,14 +203,14 @@ fn bad_record_hash_re_runs_exactly_that_cell() {
     assert_ne!(&corrupted, target);
     lines[20] = corrupted;
     std::fs::write(&journal_path, lines.join("\n") + "\n").unwrap();
-    assert_eq!(resume_and_count(&journal_path), 1);
+    assert_eq!(resume_and_count(&journal_dir), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn mismatched_fingerprint_re_runs_everything() {
     let dir = scratch("fingerprint");
-    let journal_path = journaled_run(&dir);
+    let (journal_dir, journal_path) = journaled_run(&dir);
     // A journal from a different campaign configuration: rewrite the
     // header with another scale's fingerprint. Every record now belongs
     // to a run whose results are not comparable.
@@ -224,7 +226,7 @@ fn mismatched_fingerprint_re_runs_everything() {
     // Sanity: the loader now reports the whole journal stale.
     let loaded = journal::load(&journal_path, &Fingerprint::of(&Scale::quick())).unwrap();
     assert!(loaded.stale);
-    assert_eq!(resume_and_count(&journal_path), TOTAL);
+    assert_eq!(resume_and_count(&journal_dir), TOTAL);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

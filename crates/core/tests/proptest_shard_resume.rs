@@ -1,7 +1,7 @@
 //! Property test: sharded-journal resume survives ANY per-shard
 //! corruption combination with a byte-identical merged matrix.
 //!
-//! The single-journal integration tests pin three corruption modes
+//! The one-shard integration tests pin three corruption modes
 //! (torn final line, flipped bit, stale fingerprint) one at a time.
 //! Sharding multiplies the failure surface — each shard can be torn,
 //! rotted, stale, truncated, or intact *independently* — so here the

@@ -69,7 +69,8 @@ pub trait Recorder {
 }
 
 /// A recorder that records nothing. Useful for measuring the pure cost
-/// of the instrumentation seam (see `perf_baseline`'s `obs_overhead`).
+/// of the instrumentation seam (`obs.noop_overhead_ratio` on the
+/// benchmark ledger).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopRecorder;
 

@@ -143,25 +143,3 @@ pub fn lint_workspace_with_config_file(root: &Path) -> Result<Report, String> {
     let cfg = config::parse(&text, &cfg_path.to_string_lossy())?;
     lint_workspace(root, &cfg)
 }
-
-/// Token pass only — no parse, call graph, taint, or registry rules.
-/// The cheap per-file layer, measured separately from the full run in
-/// the perf baseline. Suppressions that exist for semantic rules are
-/// not reported unused here (the pass that would use them didn't run).
-pub fn lint_workspace_tokens_with_config_file(root: &Path) -> Result<Report, String> {
-    let cfg_path = root.join(CONFIG_FILE);
-    let text = std::fs::read_to_string(&cfg_path)
-        .map_err(|e| format!("reading {}: {e}", cfg_path.display()))?;
-    let cfg = config::parse(&text, &cfg_path.to_string_lossy())?;
-    let files = load_workspace(root, &cfg)?;
-    let mut report = Report {
-        files_scanned: files.len(),
-        ..Report::default()
-    };
-    let sups = token_pass(&files, &cfg, &mut report.diags);
-    for (path, file_sups) in &sups {
-        rules::report_unused(file_sups, path, true, &mut report.diags);
-    }
-    report.sort();
-    Ok(report)
-}

@@ -122,8 +122,7 @@ impl PopulationSpec {
     /// flows sharing 22 racks with 1,000 BBR flows (the 10:1 CCA mix of
     /// the content-provider-fairness measurements), 1 MB per flow. This
     /// is the benchmark ledger's `many_flows` workload (`benchmark/`) and
-    /// the population the golden tests fingerprint at tiny scale;
-    /// `perf_baseline` also tracks its `events_per_sec`.
+    /// the population the golden tests fingerprint at tiny scale.
     pub fn bulk_10k_flows() -> Self {
         PopulationSpec::new(11_000, vec![(CcaKind::Cubic, 10), (CcaKind::Bbr, 1)])
             .with_grid(22, 10)
@@ -294,7 +293,7 @@ pub struct PopulationFingerprint {
 }
 
 impl PopulationOutcome {
-    /// Events per wall-clock second (the BENCH_netsim.json metric).
+    /// Events per wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs <= 0.0 {

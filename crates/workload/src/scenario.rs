@@ -36,8 +36,8 @@ pub enum Observe {
     #[default]
     Off,
     /// Hooks attached to a [`NoopRecorder`]: every call site fires but
-    /// records nothing. Exists so `perf_baseline` can price the seam
-    /// itself (`obs_overhead` in `BENCH_netsim.json`).
+    /// records nothing. Exists so the benchmark ledger can price the
+    /// seam itself (`obs.noop_overhead_ratio`).
     Noop,
     /// Full pipeline: metrics registry, per-flow flight recorder, and
     /// Perfetto trace, returned as [`ScenarioOutcome::obs`].

@@ -37,16 +37,20 @@
 #             tests, and a tiny-scale chaos run with --trace-out executed
 #             twice — the exported Perfetto traces must be byte-identical
 #             across the two runs.
-#   --perf    additionally run the perf-regression gate: re-measure the
-#             perf_baseline scenario suite (including bulk_10k_flows)
-#             and fail if any tracked events_per_sec falls more than 15%
-#             below the committed BENCH_netsim.json, if a fully
-#             observed run costs more than 2.0x the plain run
-#             (obs_full_overhead), if fig4 costs more than 0.5 of
-#             fig1 + fig2 (fig4_sharing: its loads share simulations), or
-#             if a scoreboard ack at a 2048-segment window costs more
-#             than 5.0x one at 128 segments (sack_scaling: ack cost
-#             follows the holes, not the window).
+#   --perf    additionally answer "did this change regress performance
+#             or break the benchmark build": run the four ratio gates
+#             (perf_gates: both sides of each ratio timed interleaved in
+#             one process, nothing compared with a committed number) and
+#             fail if a fully observed run costs more than 2.0x the plain
+#             run (obs_full_overhead), if fig4 costs more than 0.5 of
+#             fig1 + fig2 (fig4_sharing: its loads share simulations), if
+#             a scoreboard ack at a 2048-segment window costs more than
+#             5.0x one at 128 segments (sack_scaling: ack cost follows
+#             the holes, not the window), or if the journal at 4 shards
+#             appends fewer than 0.85x the records/s of 1 shard
+#             (journal_sharding); then build the benchmark ledger and run
+#             its quick self-check (benchmark/run.sh --quick). Absolute
+#             times live on the ledger, see benchmark/README.md.
 #   --scenarios
 #             additionally run the declarative resilience suite twice at
 #             tiny scale: every scenario must behave (positives pass
@@ -60,8 +64,8 @@
 #             quarantine.jsonl carrying the attempt history); the same
 #             campaign kill -9'd mid-flight and resumed on a narrower
 #             pool must produce a byte-identical cells projection; and
-#             the sharded journal must hold the single-journal
-#             throughput baseline (perf_baseline --check-journal).
+#             the journal at 4 shards must hold 0.85x the throughput of
+#             1 shard (perf_gates journal_sharding).
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -147,7 +151,8 @@ stage_smoke() {
 }
 
 stage_perf() {
-    cargo run --release --offline -p bench --bin perf_baseline -- --check
+    cargo run --release --offline -p bench --bin perf_gates &&
+    benchmark/run.sh --quick
 }
 
 stage_lint() {
@@ -161,6 +166,19 @@ stage_chaos() {
     cargo test -q --release --offline -p greenenvy --test golden_determinism &&
     (cd "$smoke" && GREENENVY_SCALE=quick \
         cargo run --release --offline --manifest-path "$repo/Cargo.toml" -p bench --bin chaos)
+}
+
+# Return once the shards under journal directory $1 hold more than $2
+# lines, or process $3 is gone, or a minute has passed. The whole tiny
+# campaign takes a fraction of a second, so poll every 10 ms or the
+# signal lands after the last cell.
+await_shard_lines() {
+    local dir=$1 lines=$2 pid=$3
+    for _ in $(seq 1 6000); do
+        if [[ $(cat "$dir"/shard-*.jsonl 2>/dev/null | wc -l) -gt $lines ]]; then return; fi
+        kill -0 "$pid" 2>/dev/null || return 0
+        sleep 0.01
+    done
 }
 
 stage_resume() {
@@ -178,22 +196,15 @@ stage_resume() {
         cargo run --release --offline --manifest-path "$repo/Cargo.toml" \
         -p bench --bin campaign -- --paranoid --threads 2) &
     local pid=$!
-    local journal="$drill/drill/results/campaign_tiny.jsonl"
-    for _ in $(seq 1 600); do
-        # >5 lines = header + some journaled cells: interrupt mid-flight.
-        if [[ -f "$journal" ]] && [[ $(wc -l <"$journal") -gt 5 ]]; then break; fi
-        if ! kill -0 "$pid" 2>/dev/null; then break; fi
-        sleep 0.1
-    done
-    if kill -TERM "$pid" 2>/dev/null; then
-        local status=0
-        wait "$pid" || status=$?
-        if [[ $status -ne 130 && $status -ne 0 ]]; then
-            echo "verify.sh: interrupted campaign exited $status (wanted 130 graceful or 0 completed)" >&2
-            return 1
-        fi
-    else
-        wait "$pid" || { echo "verify.sh: campaign died before the kill" >&2; return 1; }
+    # >5 lines = 2 shard headers + some journaled cells: interrupt
+    # mid-flight.
+    await_shard_lines "$drill/drill/results/campaign_tiny.journal" 5 "$pid"
+    kill -TERM "$pid" 2>/dev/null || true
+    local status=0
+    wait "$pid" || status=$?
+    if [[ $status -ne 130 && $status -ne 0 ]]; then
+        echo "verify.sh: interrupted campaign exited $status (wanted 130 graceful or 0 completed)" >&2
+        return 1
     fi
     (cd "$drill/drill" && GREENENVY_SCALE=tiny \
         cargo run --release --offline --manifest-path "$repo/Cargo.toml" \
@@ -276,7 +287,7 @@ stage_supervise() {
     supdir=$(mktemp -d)
 
     # Gate 1: sharding must not cost checkpoint throughput.
-    cargo run --release --offline -p bench --bin perf_baseline -- --check-journal || return 1
+    cargo run --release --offline -p bench --bin perf_gates -- journal_sharding || return 1
 
     # Gate 2: golden poisoned run. The injected cubic@1500 cell panics on
     # every attempt; the campaign must quarantine it and finish the other
@@ -314,22 +325,14 @@ stage_supervise() {
         exec "$repo/target/release/campaign" --threads 3 --journal-dir journal \
         --max-attempts 2 --backoff 1 2>/dev/null) &
     local pid=$!
-    local shards="$supdir/drill/journal"
-    for _ in $(seq 1 600); do
-        # >6 lines = 3 shard headers + some journaled cells: mid-flight.
-        if [[ $(cat "$shards"/shard-*.jsonl 2>/dev/null | wc -l) -gt 6 ]]; then break; fi
-        if ! kill -0 "$pid" 2>/dev/null; then break; fi
-        sleep 0.1
-    done
-    if kill -9 "$pid" 2>/dev/null; then
-        status=0
-        wait "$pid" || status=$?
-        if [[ $status -ne 137 && $status -ne 4 ]]; then
-            echo "verify.sh: killed campaign exited $status (wanted 137 SIGKILL or 4 completed)" >&2
-            return 1
-        fi
-    else
-        wait "$pid" || { echo "verify.sh: campaign died before the kill" >&2; return 1; }
+    # >6 lines = 3 shard headers + some journaled cells: mid-flight.
+    await_shard_lines "$supdir/drill/journal" 6 "$pid"
+    kill -9 "$pid" 2>/dev/null || true
+    status=0
+    wait "$pid" || status=$?
+    if [[ $status -ne 137 && $status -ne 4 ]]; then
+        echo "verify.sh: killed campaign exited $status (wanted 137 SIGKILL or 4 completed)" >&2
+        return 1
     fi
     status=0
     (cd "$supdir/drill" && GREENENVY_SCALE=tiny GREENENVY_POISON=cubic@1500 \
@@ -364,7 +367,7 @@ run_stage "clippy (workspace, -D warnings)" stage_clippy
 run_stage "tests (offline)" stage_test
 run_stage "figure smoke run (GREENENVY_SCALE=quick)" stage_smoke
 if [[ $perf -eq 1 ]]; then
-    run_stage "perf (baseline regression gate)" stage_perf
+    run_stage "perf (ratio gates + benchmark quick check)" stage_perf
 fi
 if [[ $lint -eq 1 ]]; then
     run_stage "lint (simlint --workspace + compliance)" stage_lint
