@@ -65,7 +65,10 @@ fn main() {
         scale.name
     );
     let spec = spec_at(&scale);
-    let out = run_population(&spec).unwrap_or_else(|e| panic!("population run: {e}"));
+    // Racks are independent, so they run on every core; the thread count
+    // moves `events_per_sec` and nothing else in the result.
+    let out = run_population_with_threads(&spec, host_threads())
+        .unwrap_or_else(|e| panic!("population run: {e}"));
 
     let mut rows = Vec::new();
     for (cca, mean_gbps) in out.goodput_by_cca() {
@@ -136,9 +139,10 @@ fn main() {
         result.joules_per_gb
     );
     println!(
-        "engine: {} events, {:.2} M events/s, sim {:.3} s",
+        "engine: {} events, {:.2} M events/s on {} thread(s), sim {:.3} s",
         result.events_processed,
         result.events_per_sec / 1e6,
+        out.threads,
         result.sim_end_s
     );
     if let Some(path) = bench::save_json(&format!("population_mix_{}", scale.name), &result) {

@@ -127,35 +127,61 @@ fn serial_scenario(cfg: &Config, seed: u64) -> Scenario {
     .with_seed(seed)
 }
 
-#[derive(Clone)]
 struct RawPoint {
     fraction: f64,
     energy: Vec<f64>,
     window: Vec<f64>,
 }
 
-/// Simulate each scenario once and meter it under every load: one
-/// `RawPoint` per load, in `loads` order. Each run is dropped before the
-/// next is built, so one network is alive at a time.
-fn measure(
-    scenarios: impl Iterator<Item = Scenario>,
-    fraction: f64,
-    loads: &[StressLoad],
-) -> Vec<RawPoint> {
-    let empty = RawPoint {
-        fraction,
-        energy: Vec::new(),
-        window: Vec::new(),
-    };
-    let mut points = vec![empty; loads.len()];
-    for s in scenarios {
-        let sim = simulate(&s).expect("two-flow scenario completes");
-        for (rp, &load) in points.iter_mut().zip(loads) {
-            rp.energy.push(sim.meter(load).sender_energy_j);
-            rp.window.push(sim.window.as_secs_f64());
+/// How the two flows share the link in one simulation of the sweep.
+#[derive(Clone, Copy)]
+enum Schedule {
+    /// Both flows unthrottled: the 50/50 reference.
+    Fair,
+    /// Flow #1 alone at line rate, then flow #2.
+    Serial,
+    /// Flow #1 capped at this fraction of the link, flow #2 at the rest.
+    Throttled(f64),
+}
+
+impl Schedule {
+    /// Flow #1's share of the link: the sweep's x-axis.
+    fn fraction(self) -> f64 {
+        match self {
+            Schedule::Fair => 0.5,
+            Schedule::Serial => 1.0,
+            Schedule::Throttled(f) => f,
         }
     }
-    points
+}
+
+/// What a job hands back: plain numbers, because the finished run is
+/// `!Send` and is dropped on the worker that built it.
+struct Measured {
+    /// Sender energy under each load, in `loads` order (J).
+    energy_j: Vec<f64>,
+    /// Measurement window (s).
+    window_s: f64,
+}
+
+/// Simulate one `(schedule, seed)` job and meter it under every load.
+/// One simulation is alive per worker: the run is dropped before the
+/// worker claims its next job (and the serial schedule's solo pre-run
+/// before its own run is built).
+fn measure(cfg: &Config, schedule: Schedule, seed: u64, loads: &[StressLoad]) -> Measured {
+    let scenario = match schedule {
+        Schedule::Fair => fair_scenario(cfg, seed),
+        Schedule::Serial => serial_scenario(cfg, seed),
+        Schedule::Throttled(f) => throttled_scenario(cfg, f, seed),
+    };
+    let sim = simulate(&scenario).expect("two-flow scenario completes");
+    Measured {
+        energy_j: loads
+            .iter()
+            .map(|&load| sim.meter(load).sender_energy_j)
+            .collect(),
+        window_s: sim.window.as_secs_f64(),
+    }
 }
 
 /// Extend every point's energy to a per-seed *common* measurement window
@@ -188,31 +214,58 @@ pub fn run(cfg: &Config) -> Result {
 /// power, not packets, so the loads share every simulation;
 /// `cfg.background` is not read — [`run`] passes it as the single load.
 pub(crate) fn run_under_loads(cfg: &Config, loads: &[StressLoad]) -> Vec<Result> {
-    let fair = measure(cfg.seeds.iter().map(|&s| fair_scenario(cfg, s)), 0.5, loads);
-    let serial = measure(
-        cfg.seeds.iter().map(|&s| serial_scenario(cfg, s)),
-        1.0,
-        loads,
-    );
+    run_under_loads_with_threads(cfg, loads, host_threads())
+}
 
-    let mut schedules = vec![fair, serial];
+/// [`run_under_loads`] with an explicit worker count (the thread-count
+/// invariance test pins it).
+///
+/// Every `(schedule, seed)` is an independent simulation, so the whole
+/// sweep is one flat job list on the parallel map. Jobs are listed
+/// schedule-major, seed-minor and their results regrouped by index, so
+/// every `Summary::of` sees its samples in seed order whichever worker
+/// produced them.
+pub(crate) fn run_under_loads_with_threads(
+    cfg: &Config,
+    loads: &[StressLoad],
+    threads: usize,
+) -> Vec<Result> {
     for &f in &cfg.fractions {
         assert!(
             f > 0.5 && f < 1.0,
             "sweep fractions must lie strictly between fair and serial"
         );
-        schedules.push(measure(
-            cfg.seeds.iter().map(|&s| throttled_scenario(cfg, f, s)),
-            f,
-            loads,
-        ));
     }
+    // Fair first: `evaluate` reads the reference from schedule 0.
+    let schedules: Vec<Schedule> = [Schedule::Fair, Schedule::Serial]
+        .into_iter()
+        .chain(cfg.fractions.iter().map(|&f| Schedule::Throttled(f)))
+        .collect();
+    let jobs: Vec<(Schedule, u64)> = schedules
+        .iter()
+        .flat_map(|&schedule| cfg.seeds.iter().map(move |&seed| (schedule, seed)))
+        .collect();
+    let measured = par_map_with_threads(&jobs, threads, |&(schedule, seed)| {
+        measure(cfg, schedule, seed, loads)
+    });
 
+    let n = cfg.seeds.len();
     loads
         .iter()
         .enumerate()
         .map(|(l, &load)| {
-            let raw = schedules.iter().map(|points| points[l].clone()).collect();
+            let raw = schedules
+                .iter()
+                .enumerate()
+                .map(|(s, schedule)| {
+                    let runs = &measured[s * n..(s + 1) * n];
+                    RawPoint {
+                        fraction: schedule.fraction(),
+                        energy: runs.iter().map(|m| m.energy_j[l]).collect(),
+                        window: runs.iter().map(|m| m.window_s).collect(),
+                    }
+                })
+                .collect();
             evaluate(raw, load)
         })
         .collect()
@@ -367,5 +420,34 @@ mod tests {
         let s = render(&result);
         assert!(s.contains("Figure 1"));
         assert!(s.contains("peak savings"));
+    }
+
+    #[test]
+    fn thread_count_does_not_change_a_byte() {
+        // Two seeds and two loads, so a worker finishing out of turn
+        // would reorder a Summary's samples if regrouping were wrong.
+        let cfg = Config {
+            seeds: vec![1, 2],
+            ..tiny_config()
+        };
+        let loads = [StressLoad::IDLE, StressLoad::fraction(0.5)];
+        let json = |threads| {
+            serde_json::to_string(&run_under_loads_with_threads(&cfg, &loads, threads))
+                .expect("figure result serializes")
+        };
+        let one = json(1);
+        assert_eq!(one, json(2));
+        assert_eq!(one, json(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly between fair and serial")]
+    fn a_bad_fraction_is_rejected_before_anything_is_simulated() {
+        // Petabyte flows: reaching a simulation would not fail fast.
+        run(&Config {
+            per_flow_bytes: 1 << 50,
+            fractions: vec![0.75, 1.0],
+            ..tiny_config()
+        });
     }
 }

@@ -98,49 +98,93 @@ pub fn run(cfg: &Config) -> Result {
         .expect("one result per load")
 }
 
+/// What one `(rate, seed)` job hands back: plain numbers, because the
+/// finished run is `!Send` and is dropped on the worker that built it.
+struct Measured {
+    /// Average sender power under each load, in `loads` order (W).
+    power_w: Vec<f64>,
+    /// Achieved goodput (Gb/s).
+    goodput_gbps: f64,
+}
+
+/// Simulate one throttled transfer and meter it under every load.
+fn measure(cfg: &Config, rate: f64, seed: u64, loads: &[StressLoad]) -> Measured {
+    // Every point is a *throttled* run — "sending smoothly at a certain
+    // throughput" (§4.1) — including the line-rate one; an unthrottled
+    // CUBIC flow would add loss-recovery noise that belongs to Figures
+    // 5-8, not to this curve.
+    let bytes = ((rate * 1e9 / 8.0) * cfg.duration_s) as u64;
+    let spec = FlowSpec::bulk(CcaKind::Cubic, bytes.max(10_000_000))
+        .with_rate_limit(Rate::from_gbps(rate));
+    let scenario = Scenario::new(cfg.mtu, vec![spec]).with_seed(seed);
+    let sim = simulate(&scenario).expect("throttled flow completes");
+    // Average sender power: energy over iperf time.
+    let window_s = sim.window.as_secs_f64();
+    Measured {
+        power_w: loads
+            .iter()
+            .map(|&load| sim.meter(load).sender_energy_j / window_s)
+            .collect(),
+        goodput_gbps: sim.reports[0].mean_goodput.gbps(),
+    }
+}
+
 /// Run the sweep's simulations once and evaluate them under each of
 /// `loads` (one `Result` per load, in order). Background load changes
 /// power, not packets, so the loads share every simulation;
 /// `cfg.background` is not read — [`run`] passes it as the single load.
 pub(crate) fn run_under_loads(cfg: &Config, loads: &[StressLoad]) -> Vec<Result> {
-    let mut curves: Vec<Vec<Point>> = loads
-        .iter()
-        .map(|_| Vec::with_capacity(cfg.rates_gbps.len()))
-        .collect();
+    run_under_loads_with_threads(cfg, loads, host_threads())
+}
+
+/// [`run_under_loads`] with an explicit worker count (the thread-count
+/// invariance test pins it).
+///
+/// Every `(rate, seed)` is an independent simulation, so the whole sweep
+/// is one flat job list on the parallel map. Jobs are listed rate-major,
+/// seed-minor and their results regrouped by index, so every
+/// `Summary::of` sees its samples in seed order whichever worker
+/// produced them.
+pub(crate) fn run_under_loads_with_threads(
+    cfg: &Config,
+    loads: &[StressLoad],
+    threads: usize,
+) -> Vec<Result> {
     for &rate in &cfg.rates_gbps {
         assert!(rate > 0.0, "zero rate is the analytic idle point");
-        let bytes = ((rate * 1e9 / 8.0) * cfg.duration_s) as u64;
-        let mut power_by_load = vec![Vec::new(); loads.len()];
-        let mut goodput = Vec::new();
-        for &seed in &cfg.seeds {
-            // Every point is a *throttled* run — "sending smoothly at a
-            // certain throughput" (§4.1) — including the line-rate one;
-            // an unthrottled CUBIC flow would add loss-recovery noise that
-            // belongs to Figures 5-8, not to this curve.
-            let spec = FlowSpec::bulk(CcaKind::Cubic, bytes.max(10_000_000))
-                .with_rate_limit(Rate::from_gbps(rate));
-            let scenario = Scenario::new(cfg.mtu, vec![spec]).with_seed(seed);
-            let sim = simulate(&scenario).expect("throttled flow completes");
-            // Average sender power: energy over iperf time.
-            let window_s = sim.window.as_secs_f64();
-            for (power, &load) in power_by_load.iter_mut().zip(loads) {
-                power.push(sim.meter(load).sender_energy_j / window_s);
-            }
-            goodput.push(sim.reports[0].mean_goodput.gbps());
-        }
-        for (points, power) in curves.iter_mut().zip(&power_by_load) {
-            points.push(Point {
-                target_gbps: rate,
-                goodput_gbps: Summary::of(&goodput),
-                power_w: Summary::of(power),
-                mix_power_w: 0.0, // filled below once line-rate power is known
-            });
-        }
     }
-    curves
-        .into_iter()
-        .zip(loads)
-        .map(|(points, &load)| with_mix_line(points, load))
+    let jobs: Vec<(f64, u64)> = cfg
+        .rates_gbps
+        .iter()
+        .flat_map(|&rate| cfg.seeds.iter().map(move |&seed| (rate, seed)))
+        .collect();
+    let measured = par_map_with_threads(&jobs, threads, |&(rate, seed)| {
+        measure(cfg, rate, seed, loads)
+    });
+
+    let n = cfg.seeds.len();
+    loads
+        .iter()
+        .enumerate()
+        .map(|(l, &load)| {
+            let points = cfg
+                .rates_gbps
+                .iter()
+                .enumerate()
+                .map(|(r, &rate)| {
+                    let runs = &measured[r * n..(r + 1) * n];
+                    let goodput: Vec<f64> = runs.iter().map(|m| m.goodput_gbps).collect();
+                    let power: Vec<f64> = runs.iter().map(|m| m.power_w[l]).collect();
+                    Point {
+                        target_gbps: rate,
+                        goodput_gbps: Summary::of(&goodput),
+                        power_w: Summary::of(&power),
+                        mix_power_w: 0.0, // filled by `with_mix_line` once line-rate power is known
+                    }
+                })
+                .collect();
+            with_mix_line(points, load)
+        })
         .collect()
 }
 
@@ -277,5 +321,32 @@ mod tests {
         let s = render(&r);
         assert!(s.contains("21.49"));
         assert!(s.contains("Figure 2"));
+    }
+
+    #[test]
+    fn thread_count_does_not_change_a_byte() {
+        let cfg = Config {
+            seeds: vec![1, 2],
+            ..tiny()
+        };
+        let loads = [StressLoad::IDLE, StressLoad::fraction(0.5)];
+        let json = |threads| {
+            serde_json::to_string(&run_under_loads_with_threads(&cfg, &loads, threads))
+                .expect("figure result serializes")
+        };
+        let one = json(1);
+        assert_eq!(one, json(2));
+        assert_eq!(one, json(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero rate is the analytic idle point")]
+    fn a_zero_rate_is_rejected_before_anything_is_simulated() {
+        // A day-long transfer first: reaching it would not fail fast.
+        run(&Config {
+            rates_gbps: vec![10.0, 0.0],
+            duration_s: 86_400.0,
+            ..tiny()
+        });
     }
 }

@@ -84,42 +84,49 @@ fn to_panel(out: &ScenarioOutcome, bin: SimDuration) -> Panel {
 
 /// Run both schedules.
 pub fn run(cfg: &Config) -> Result {
-    let fair_scenario = Scenario::new(
-        cfg.mtu,
-        vec![
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
-        ],
-    )
-    .with_seed(cfg.seed)
-    .with_trace(cfg.bin);
-    let fair = workload::scenario::run(&fair_scenario).expect("fair schedule completes");
+    run_with_threads(cfg, host_threads())
+}
 
-    let solo = Scenario::new(
-        cfg.mtu,
-        vec![FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes)],
-    )
-    .with_seed(cfg.seed);
-    let solo_fct = workload::scenario::run(&solo)
-        .expect("solo run completes")
-        .reports[0]
-        .completed_at
-        .saturating_since(SimTime::ZERO);
-    let unfair_scenario = Scenario::new(
-        cfg.mtu,
-        vec![
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes).with_start_delay(solo_fct),
-        ],
-    )
-    .with_seed(cfg.seed)
-    .with_trace(cfg.bin);
-    let unfair = workload::scenario::run(&unfair_scenario).expect("serial schedule completes");
+/// The two independent jobs of the figure.
+#[derive(Clone, Copy)]
+enum Schedule {
+    /// Both flows from t = 0.
+    Fair,
+    /// Flow #2 starts when a solo pre-run of flow #1 completes.
+    Serial,
+}
 
-    Result {
-        fair: to_panel(&fair, cfg.bin),
-        unfair: to_panel(&unfair, cfg.bin),
-    }
+/// Simulate one schedule and reduce it to its panel on the worker (the
+/// outcome holds the whole trace; the panel is what the figure keeps).
+fn panel(cfg: &Config, schedule: Schedule) -> Panel {
+    let flow = || FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes);
+    let second = match schedule {
+        Schedule::Fair => flow(),
+        Schedule::Serial => {
+            let solo = Scenario::new(cfg.mtu, vec![flow()]).with_seed(cfg.seed);
+            let solo_fct = simulate(&solo).expect("solo run completes").reports[0]
+                .completed_at
+                .saturating_since(SimTime::ZERO);
+            flow().with_start_delay(solo_fct)
+        }
+    };
+    let scenario = Scenario::new(cfg.mtu, vec![flow(), second])
+        .with_seed(cfg.seed)
+        .with_trace(cfg.bin);
+    let out = workload::scenario::run(&scenario).expect("two-flow schedule completes");
+    to_panel(&out, cfg.bin)
+}
+
+/// [`run`] with an explicit worker count (the thread-count invariance
+/// test pins it): the fair schedule and the solo-then-serial pair are
+/// two jobs on the parallel map.
+pub(crate) fn run_with_threads(cfg: &Config, threads: usize) -> Result {
+    let jobs = [Schedule::Fair, Schedule::Serial];
+    let [fair, unfair]: [Panel; 2] =
+        par_map_with_threads(&jobs, threads, |&schedule| panel(cfg, schedule))
+            .try_into()
+            .expect("one panel per schedule");
+    Result { fair, unfair }
 }
 
 /// Render both series, paper-style.
@@ -204,5 +211,16 @@ mod tests {
         let s = render(&r);
         assert!(s.contains("[fair]"));
         assert!(s.contains("[full-speed-then-idle]"));
+    }
+
+    #[test]
+    fn thread_count_does_not_change_a_byte() {
+        let json = |threads| {
+            serde_json::to_string(&run_with_threads(&tiny(), threads))
+                .expect("figure result serializes")
+        };
+        let one = json(1);
+        assert_eq!(one, json(2));
+        assert_eq!(one, json(5));
     }
 }

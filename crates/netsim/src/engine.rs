@@ -52,8 +52,9 @@ struct Node {
 #[derive(Debug)]
 enum Event {
     /// Frame finished propagation and arrives at `node`. The payload is
-    /// a 4-byte ref into the engine's [`FramePool`] — the event wheel
-    /// moves 32-byte entries, not 168-byte packets.
+    /// a 4-byte ref into the engine's [`FramePool`], not the 168-byte
+    /// packet: the event is 16 bytes, and the wheel links it once as a
+    /// 40-byte slab node that is never moved afterwards.
     Arrive { node: NodeId, pkt: FrameRef },
     /// Link finished serializing its in-flight frame.
     TxDone { link: LinkId },

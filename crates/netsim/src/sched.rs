@@ -12,10 +12,13 @@
 //! * a **near-future wheel** of `NUM_BUCKETS` buckets, each covering one
 //!   power-of-two-sized *tick* of simulated time (the bucket width is
 //!   auto-sized from link serialization times — see
-//!   [`Scheduler::set_bucket_width`]). Pushing an event whose tick is
-//!   within the wheel horizon is (in the common, time-ordered case) an
-//!   O(1) `Vec` append; a bucket is reversed once when it becomes
-//!   current so pops come off the back.
+//!   [`Scheduler::set_bucket_width`]). Every wheel entry is a node in
+//!   one slab `Vec`; a bucket is a singly linked list through that slab,
+//!   kept ascending by `(at, seq)`. Pushing an event whose tick is within
+//!   the wheel horizon links it (in the common, time-ordered case) behind
+//!   the bucket's tail in O(1); popping unlinks the head and puts the
+//!   slot on a free list, so the slab grows to the peak number of pending
+//!   entries and a scheduler allocates nothing per bucket.
 //! * an **overflow heap** for events beyond the horizon. When the wheel
 //!   advances, heap entries that have come within the horizon migrate to
 //!   their bucket. Far-future timers are usually cancelled/rescheduled
@@ -29,8 +32,8 @@
 //!
 //! * the current bucket holds exactly the entries of tick `base_tick`
 //!   (inserts require `at >= now`, and the horizon is one wheel length, so
-//!   each slot maps to a single tick); it is kept sorted descending by
-//!   `(at, seq)`, so popping from the back yields the global minimum;
+//!   each slot maps to a single tick); its list is ascending by
+//!   `(at, seq)`, so unlinking the head yields the global minimum;
 //! * every other wheel bucket holds strictly later ticks, and after
 //!   migration the heap holds only entries strictly beyond the horizon;
 //! * `seq` survives wheel/heap placement and migration untouched, so ties
@@ -54,9 +57,9 @@ const DEFAULT_SHIFT: u32 = 10;
 /// Smallest allowed bucket width (ns, power of two). Below 128 ns the
 /// wheel horizon gets shorter than an RTT.
 pub const MIN_BUCKET_NS: u64 = 128;
-/// Largest allowed bucket width (ns, power of two). Above 32 µs the
-/// current bucket holds so many events that lazy sorting approaches heap
-/// cost.
+/// Largest allowed bucket width (ns, power of two). Above 32 µs a
+/// bucket holds so many events that an out-of-order insert's walk
+/// approaches heap cost.
 pub const MAX_BUCKET_NS: u64 = 32_768;
 
 /// Outcome of [`Scheduler::pop_due`].
@@ -94,25 +97,32 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-struct Bucket<T> {
-    /// Entries, always sorted by `(at, seq)`. Staging buckets are kept
-    /// *ascending* so the engine's usual push — an event later than
-    /// everything already in its bucket — is a plain `Vec` append. When a
-    /// bucket becomes current it is reversed once to *descending*, so
-    /// popping the minimum is `Vec::pop` from the back.
-    items: Vec<Entry<T>>,
-    /// True while this bucket is (or was) current and reversed.
-    descending: bool,
+/// Slab index meaning "no node": ends a bucket's list and the free list.
+const NIL: u32 = u32::MAX;
+
+/// One wheel entry, living in the scheduler's slab from push to pop. It
+/// is linked into its bucket once and never moved or re-sorted.
+struct Node<T> {
+    at: SimTime,
+    seq: u64,
+    /// `None` only while the slot sits on the free list.
+    item: Option<T>,
+    /// Next node of the bucket (or of the free list), `NIL` at the end.
+    next: u32,
 }
 
-impl<T> Default for Bucket<T> {
-    fn default() -> Self {
-        Bucket {
-            items: Vec::new(),
-            descending: false,
-        }
-    }
+/// One wheel bucket: the ends of a singly linked list through the slab,
+/// ascending by `(at, seq)`. Both are `NIL` when the bucket is empty.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
 
 /// Operation counters, exported through the engine's perf counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -141,7 +151,13 @@ impl SchedStats {
 /// Hybrid calendar-wheel + heap priority queue over `(SimTime, insertion
 /// seq)`. See the module docs for the design and determinism argument.
 pub struct Scheduler<T> {
-    buckets: Vec<Bucket<T>>,
+    /// Every wheel entry, linked or free. Grows to the peak number of
+    /// entries pending on the wheel and no further: popped slots are
+    /// reused before the `Vec` is extended.
+    nodes: Vec<Node<T>>,
+    /// Head of the free-slot list through `nodes`.
+    free: u32,
+    buckets: Vec<Bucket>,
     /// Tick of the current bucket; the wheel covers
     /// `[base_tick, base_tick + NUM_BUCKETS)`.
     base_tick: u64,
@@ -157,10 +173,10 @@ pub struct Scheduler<T> {
 impl<T> Scheduler<T> {
     /// An empty scheduler with the default ~1 µs bucket width.
     pub fn new() -> Self {
-        let mut buckets = Vec::with_capacity(NUM_BUCKETS);
-        buckets.resize_with(NUM_BUCKETS, Bucket::default);
         Scheduler {
-            buckets,
+            nodes: Vec::new(),
+            free: NIL,
+            buckets: vec![EMPTY; NUM_BUCKETS],
             base_tick: 0,
             wheel_len: 0,
             heap: BinaryHeap::new(),
@@ -229,30 +245,78 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Binary-insert into the bucket for `tick`, preserving its sort
-    /// order. The overwhelmingly common case — an entry later than
-    /// everything in an ascending staging bucket — resolves to an append.
+    /// Move `entry` into a slab slot — a freed one if any — and return
+    /// its index. The node comes back unlinked (`next == NIL`).
+    fn alloc(&mut self, entry: Entry<T>) -> u32 {
+        let node = Node {
+            at: entry.at,
+            seq: entry.seq,
+            item: Some(entry.item),
+            next: NIL,
+        };
+        let idx = self.free;
+        if let Some(slot) = self.nodes.get_mut(idx as usize) {
+            self.free = slot.next;
+            *slot = node;
+            return idx;
+        }
+        let idx = self.nodes.len();
+        assert!(
+            idx < NIL as usize,
+            "more than 2^32 - 1 pending wheel entries"
+        );
+        self.nodes.push(node);
+        idx as u32
+    }
+
+    #[inline]
+    fn key(&self, idx: u32) -> (SimTime, u64) {
+        let node = &self.nodes[idx as usize];
+        (node.at, node.seq)
+    }
+
+    /// Link `entry` into the bucket for `tick`, keeping the list
+    /// ascending by `(at, seq)`. The overwhelmingly common case — an
+    /// entry later than everything already in its bucket — links behind
+    /// the tail; anything else walks from the head to its place. In
+    /// practice only an out-of-order push walks: heap migrations leave
+    /// the heap in ascending order for a bucket no push could reach
+    /// while its tick was beyond the horizon.
     fn wheel_insert(&mut self, tick: u64, entry: Entry<T>) {
-        let bucket = &mut self.buckets[(tick & MASK) as usize];
-        if bucket.items.is_empty() {
-            bucket.descending = false;
-            bucket.items.push(entry);
-        } else {
-            let key = (entry.at, entry.seq);
-            let pos = if bucket.descending {
-                bucket.items.partition_point(|e| (e.at, e.seq) > key)
-            } else {
-                bucket.items.partition_point(|e| (e.at, e.seq) < key)
+        let key = (entry.at, entry.seq);
+        let idx = self.alloc(entry);
+        let slot = (tick & MASK) as usize;
+        let Bucket { head, tail } = self.buckets[slot];
+        if tail == NIL {
+            self.buckets[slot] = Bucket {
+                head: idx,
+                tail: idx,
             };
-            bucket.items.insert(pos, entry);
+        } else if self.key(tail) < key {
+            self.nodes[tail as usize].next = idx;
+            self.buckets[slot].tail = idx;
+        } else {
+            // The tail sorts after `key`, so the walk stops at a node.
+            let mut prev = NIL;
+            let mut cur = head;
+            while self.key(cur) < key {
+                prev = cur;
+                cur = self.nodes[cur as usize].next;
+            }
+            self.nodes[idx as usize].next = cur;
+            if prev == NIL {
+                self.buckets[slot].head = idx;
+            } else {
+                self.nodes[prev as usize].next = idx;
+            }
         }
         self.wheel_len += 1;
     }
 
     /// Advance the wheel to the next non-empty bucket, migrating heap
     /// entries as they come within the horizon. Returns `false` iff the
-    /// scheduler is empty. On `true`, the current bucket is non-empty and
-    /// sorted, with the global minimum at its back.
+    /// scheduler is empty. On `true`, the current bucket is non-empty
+    /// with the global minimum at its head.
     fn normalize(&mut self) -> bool {
         loop {
             // Migrate heap entries now within the horizon. They come off
@@ -280,18 +344,44 @@ impl<T> Scheduler<T> {
                 self.base_tick = self.tick_of(top.at);
                 continue;
             }
-            let bucket = &mut self.buckets[(self.base_tick & MASK) as usize];
-            if bucket.items.is_empty() {
-                bucket.descending = false;
+            if self.buckets[(self.base_tick & MASK) as usize].head == NIL {
                 self.base_tick += 1;
                 continue;
             }
-            if !bucket.descending {
-                bucket.items.reverse();
-                bucket.descending = true;
-            }
             return true;
         }
+    }
+
+    /// The earliest entry. Only meaningful right after `normalize()`
+    /// returned `true`, which guarantees the current bucket has a head;
+    /// `None` here would be a scheduler bug, reported as an empty queue
+    /// rather than by aborting a campaign worker.
+    fn head(&self) -> Option<&Node<T>> {
+        let head = self.buckets[(self.base_tick & MASK) as usize].head;
+        let node = self.nodes.get(head as usize);
+        debug_assert!(node.is_some(), "normalize returned an empty bucket");
+        node
+    }
+
+    /// Unlink the current bucket's head and put its slot on the free
+    /// list. Same precondition as [`Scheduler::head`].
+    fn pop_head(&mut self) -> Option<(SimTime, T)> {
+        let slot = (self.base_tick & MASK) as usize;
+        let idx = self.buckets[slot].head;
+        let node = self.nodes.get_mut(idx as usize);
+        debug_assert!(node.is_some(), "normalize returned an empty bucket");
+        let node = node?;
+        let item = node.item.take()?;
+        let at = node.at;
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = idx;
+        self.buckets[slot].head = next;
+        if next == NIL {
+            self.buckets[slot].tail = NIL;
+        }
+        self.wheel_len -= 1;
+        self.stats.pops += 1;
+        Some((at, item))
     }
 
     /// Timestamp of the earliest entry without removing it.
@@ -299,8 +389,7 @@ impl<T> Scheduler<T> {
         if !self.normalize() {
             return None;
         }
-        let bucket = &self.buckets[(self.base_tick & MASK) as usize];
-        bucket.items.last().map(|e| e.at)
+        self.head().map(|n| n.at)
     }
 
     /// Remove and return the earliest `(at, item)` iff `pred` approves
@@ -311,15 +400,11 @@ impl<T> Scheduler<T> {
         if !self.normalize() {
             return None;
         }
-        let bucket = &mut self.buckets[(self.base_tick & MASK) as usize];
-        let head = bucket.items.last()?;
-        if !pred(head.at, &head.item) {
+        let head = self.head()?;
+        if !pred(head.at, head.item.as_ref()?) {
             return None;
         }
-        let entry = bucket.items.pop()?;
-        self.wheel_len -= 1;
-        self.stats.pops += 1;
-        Some((entry.at, entry.item))
+        self.pop_head()
     }
 
     /// Pop the earliest entry iff it is due at or before `limit`; an
@@ -330,22 +415,16 @@ impl<T> Scheduler<T> {
         if !self.normalize() {
             return Due::Empty;
         }
-        let bucket = &mut self.buckets[(self.base_tick & MASK) as usize];
-        let Some(head) = bucket.items.last() else {
-            // normalize() returned true, which guarantees a non-empty
-            // bucket; see the twin guard in `pop`.
-            debug_assert!(false, "normalize returned an empty bucket");
+        let Some(head) = self.head() else {
             return Due::Empty;
         };
         if head.at > limit {
             return Due::Later(head.at);
         }
-        let Some(entry) = bucket.items.pop() else {
-            return Due::Empty;
-        };
-        self.wheel_len -= 1;
-        self.stats.pops += 1;
-        Due::Item(entry.at, entry.item)
+        match self.pop_head() {
+            Some((at, item)) => Due::Item(at, item),
+            None => Due::Empty,
+        }
     }
 
     /// Remove and return the earliest `(at, item)`.
@@ -353,17 +432,7 @@ impl<T> Scheduler<T> {
         if !self.normalize() {
             return None;
         }
-        let bucket = &mut self.buckets[(self.base_tick & MASK) as usize];
-        let Some(entry) = bucket.items.pop() else {
-            // normalize() returned true, which guarantees a non-empty
-            // bucket; an empty pop would be a scheduler bug. Report the
-            // queue as empty rather than aborting a campaign worker.
-            debug_assert!(false, "normalize returned an empty bucket");
-            return None;
-        };
-        self.wheel_len -= 1;
-        self.stats.pops += 1;
-        Some((entry.at, entry.item))
+        self.pop_head()
     }
 }
 
@@ -402,6 +471,19 @@ mod tests {
         fn pop(&mut self) -> Option<(SimTime, T)> {
             self.heap.pop().map(|Reverse(e)| (e.at, e.item))
         }
+        fn peek(&self) -> Option<(SimTime, &T)> {
+            self.heap.peek().map(|Reverse(e)| (e.at, &e.item))
+        }
+    }
+
+    /// Deterministic xorshift for the randomized tests.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
     }
 
     #[test]
@@ -435,10 +517,13 @@ mod tests {
         s.push(far, 1); // beyond horizon -> heap
         s.push(SimTime::from_nanos(1), 0);
         assert_eq!(s.pop().unwrap().1, 0);
-        // Now the wheel jumps to the far tick; a push at the identical
-        // time goes to the wheel while 1 migrates from the heap. Seq
-        // order must still break the tie.
+        // Peeking jumps the wheel to the far tick and migrates 1 from the
+        // heap; a push at the identical time now goes straight to the
+        // wheel. Seq order must still break the tie.
+        assert_eq!(s.next_at(), Some(far));
+        assert_eq!(s.stats().migrations, 1);
         s.push(far, 2);
+        assert_eq!(s.stats().wheel_pushes, 2);
         assert_eq!(s.pop(), Some((far, 1)));
         assert_eq!(s.pop(), Some((far, 2)));
     }
@@ -448,7 +533,7 @@ mod tests {
         let mut s = Scheduler::new();
         let t = SimTime::from_nanos(100);
         s.push(t, "first");
-        assert_eq!(s.next_at(), Some(t)); // sorts the current bucket
+        assert_eq!(s.next_at(), Some(t)); // makes t's bucket current
                                           // Same-bucket, later time and same-bucket same-time inserts.
         s.push(SimTime::from_nanos(90).max(t), "tie");
         s.push(SimTime::from_nanos(900), "later");
@@ -459,52 +544,176 @@ mod tests {
 
     #[test]
     fn matches_reference_heap_on_random_workload() {
-        // Deterministic xorshift; mixes near-future (serialization-scale),
-        // mid-future (RTT-scale), and far-future (RTO-scale) pushes the
-        // way the engine does, interleaved with pops.
-        let mut rng: u64 = 0x9e3779b97f4a7c15;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
+        // Mixes near-future (serialization-scale), mid-future (RTT-scale)
+        // and far-future (RTO-scale) pushes the way the engine does, and
+        // interleaves them with every way of looking at or taking the
+        // head: `pop`, `pop_if` (accepting and refusing), `pop_due` (limit
+        // before, at and after the head) and `next_at`.
+        let mut next = xorshift(0x9e3779b97f4a7c15);
         let mut s = Scheduler::new();
         let mut r = RefSched::new();
         let mut now = SimTime::ZERO;
         let mut id = 0u32;
-        for _ in 0..50_000 {
-            let roll = next() % 100;
-            if roll < 60 {
-                let dt = match next() % 10 {
-                    0..=6 => SimDuration::from_nanos(next() % 5_000),
-                    7 | 8 => SimDuration::from_nanos(next() % 200_000),
-                    _ => SimDuration::from_millis(200 + next() % 100),
+        // Timestamps of far pushes, replayed later as exact ties.
+        let mut far_times: Vec<SimTime> = Vec::new();
+        let (mut accepted, mut refused) = (0u32, 0u32);
+        let (mut due, mut later) = (0u32, 0u32);
+        for _ in 0..80_000 {
+            // Push-heavy while few entries are pending, drain-heavy above
+            // that, so buckets stay populated and time keeps advancing
+            // into the far entries.
+            let push = next() % 100 < if r.heap.len() < 64 { 60 } else { 30 };
+            let op = next() % 10;
+            if push {
+                let at = match next() % 10 {
+                    // Mostly inside the bucket being drained or the next few.
+                    0..=5 => now + SimDuration::from_nanos(next() % 5_000),
+                    6 | 7 => now + SimDuration::from_nanos(next() % 200_000),
+                    8 => {
+                        let at = now + SimDuration::from_millis(2 + next() % 20);
+                        far_times.push(at);
+                        at
+                    }
+                    // A tie: with a far entry pushed long ago — by now it
+                    // has usually migrated from the heap, so the newcomer
+                    // must queue behind it on `seq` alone — or with `now`,
+                    // the timestamp of the head just popped.
+                    _ => match far_times.iter().position(|&t| t >= now) {
+                        Some(i) => far_times.swap_remove(i),
+                        None => now,
+                    },
                 };
                 // A burst of same-timestamp pushes ~10% of the time.
-                let copies = if next() % 10 == 0 { 3 } else { 1 };
+                let copies = if next().is_multiple_of(10) { 3 } else { 1 };
                 for _ in 0..copies {
-                    s.push(now + dt, id);
-                    r.push(now + dt, id);
+                    s.push(at, id);
+                    r.push(at, id);
                     id += 1;
                 }
-            } else {
+            } else if op < 4 {
                 let a = s.pop();
-                let b = r.pop();
-                assert_eq!(a, b, "divergence after {id} pushes");
+                assert_eq!(a, r.pop(), "divergence after {id} pushes");
                 if let Some((at, _)) = a {
                     now = at;
                 }
+            } else if op < 6 {
+                let want = r.peek().map(|(at, &item)| (at, item));
+                let got = s.pop_if(|at, &item| {
+                    assert_eq!(Some((at, item)), want, "pop_if showed the wrong head");
+                    item % 2 == 0
+                });
+                match want {
+                    Some((at, item)) if item % 2 == 0 => {
+                        assert_eq!(got, r.pop());
+                        now = at;
+                        accepted += 1;
+                    }
+                    Some(_) => {
+                        assert_eq!(got, None, "a refused head must stay queued");
+                        refused += 1;
+                    }
+                    None => assert_eq!(got, None),
+                }
+            } else if op < 9 {
+                let head_at = r.peek().map(|(at, _)| at);
+                let limit = match (head_at, next() % 3) {
+                    (Some(at), 0) if at > SimTime::ZERO => {
+                        SimTime::from_nanos(at.as_nanos() - 1 - next() % at.as_nanos().min(2_000))
+                    }
+                    (Some(at), 1) => at,
+                    (Some(at), _) => at + SimDuration::from_nanos(next() % 2_000),
+                    (None, _) => now,
+                };
+                match s.pop_due(limit) {
+                    Due::Item(at, item) => {
+                        assert!(at <= limit);
+                        assert_eq!(Some((at, item)), r.pop());
+                        now = at;
+                        due += 1;
+                    }
+                    Due::Later(at) => {
+                        assert!(at > limit);
+                        assert_eq!(Some(at), head_at, "Later must name the head");
+                        later += 1;
+                    }
+                    Due::Empty => assert_eq!(head_at, None),
+                }
+            } else {
+                assert_eq!(s.next_at(), r.peek().map(|(at, _)| at));
             }
+            assert_eq!(s.len(), r.heap.len());
         }
+        // Every branch of the interleaving actually ran.
+        assert!(
+            accepted > 1_000 && refused > 1_000,
+            "{accepted} / {refused}"
+        );
+        assert!(due > 1_000 && later > 1_000, "{due} / {later}");
+        assert!(s.stats().migrations > 1_000);
         loop {
             let a = s.pop();
-            let b = r.pop();
-            assert_eq!(a, b);
+            assert_eq!(a, r.pop());
             if a.is_none() {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn slab_follows_peak_pending_not_pushes() {
+        // Pop one, push one, with K entries pending throughout: however
+        // many times the wheel goes round, freed slots are reused and the
+        // slab never holds more than K nodes.
+        const K: usize = 64;
+        let mut s: Scheduler<u64> = Scheduler::new();
+        let mut now = SimTime::ZERO;
+        for i in 0..K as u64 {
+            s.push(now + SimDuration::from_nanos(800 + i * 37), i);
+        }
+        let mut i = K as u64;
+        while s.base_tick < 10 * NUM_BUCKETS as u64 {
+            let (at, _) = s.pop().expect("K entries pending");
+            now = at;
+            // Every 16th entry starts beyond the horizon and reaches the
+            // slab by migration.
+            let after = if i.is_multiple_of(16) {
+                SimDuration::from_millis(3)
+            } else {
+                SimDuration::from_nanos(800 + (i % 97) * 37)
+            };
+            s.push(now + after, i);
+            i += 1;
+            assert_eq!(s.len(), K);
+        }
+        assert!(s.stats().pops > 10 * K as u64, "the slab was recycled");
+        assert!(s.stats().migrations > 0);
+        assert!(s.nodes.len() <= K, "slab grew to {} nodes", s.nodes.len());
+    }
+
+    #[test]
+    fn one_bucket_of_ten_thousand_drains_in_order() {
+        // The widest bucket, filled in random order: every insert walks
+        // the list, and the drain must still be the exact (at, seq) order.
+        const N: u32 = 10_000;
+        let mut next = xorshift(0x2545f4914f6cdd1d);
+        let mut s = Scheduler::new();
+        s.set_bucket_width(MAX_BUCKET_NS);
+        let mut want = Vec::new();
+        for id in 0..N {
+            let at = SimTime::from_nanos(next() % MAX_BUCKET_NS);
+            s.push(at, id);
+            want.push((at, id));
+        }
+        assert_eq!(s.stats().wheel_pushes, N as u64);
+        assert_ne!(s.buckets[0].head, NIL);
+        assert!(
+            s.buckets.iter().skip(1).all(|b| b.head == NIL),
+            "all entries share the first bucket"
+        );
+        want.sort(); // ids are push order, so this is (at, seq)
+        let got: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
+        assert_eq!(got, want);
+        assert_eq!(s.nodes.len(), N as usize);
     }
 
     #[test]

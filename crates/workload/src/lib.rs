@@ -9,7 +9,10 @@
 //! ([`harness::SimulatedRun::meter`]). Two runners place flows on it here:
 //! the one-call dumbbell testbed ([`scenario::run`]) and the rack-sharded
 //! population ([`population::run_population`]); the `scenario` crate's
-//! parking lot is the third.
+//! parking lot is the third. Grids of independent runs — the racks of a
+//! population, the `(point, seed)` jobs of a figure sweep — go through one
+//! ordered parallel map ([`par::par_map`]) whose result does not depend on
+//! the thread count.
 //!
 //! ```
 //! use workload::prelude::*;
@@ -26,6 +29,7 @@
 pub mod arrivals;
 pub mod harness;
 pub mod iperf;
+pub mod par;
 pub mod population;
 pub mod scenario;
 pub mod stress;
@@ -34,6 +38,7 @@ pub mod stress;
 pub mod prelude {
     pub use crate::arrivals::{PoissonWorkload, SizeMix};
     pub use crate::iperf::{FlowReport, FlowSpec};
+    pub use crate::par::{host_threads, par_map, par_map_with_threads};
     pub use crate::population::{
         run_population, run_population_with_threads, PopulationError, PopulationFingerprint,
         PopulationOutcome, PopulationSpec,

@@ -24,6 +24,7 @@
 
 use crate::harness::{self, simulate_on, PlacedFlow, Placement, SenderHost, Wiring};
 use crate::iperf::{FlowReport, FlowSpec};
+use crate::par::par_map_with_threads;
 use crate::scenario::{Observe, ScenarioError};
 use crate::stress::StressLoad;
 use cca::CcaKind;
@@ -225,20 +226,12 @@ pub enum PopulationError {
         /// The underlying scenario-level failure.
         error: ScenarioError,
     },
-    /// A worker thread died or failed to deliver its rack outcomes.
-    Worker {
-        /// The worker's stripe index.
-        worker: usize,
-    },
 }
 
 impl std::fmt::Display for PopulationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PopulationError::Rack { rack, error } => write!(f, "rack {rack}: {error}"),
-            PopulationError::Worker { worker } => {
-                write!(f, "worker {worker} died without delivering its racks")
-            }
         }
     }
 }
@@ -474,48 +467,16 @@ pub fn run_population_with_threads(
     threads: usize,
 ) -> Result<PopulationOutcome, PopulationError> {
     // Racks past the last flow are empty and never run.
-    let racks_run = spec.racks.min(spec.total_flows);
+    let racks: Vec<usize> = (0..spec.racks.min(spec.total_flows)).collect();
+    let racks_run = racks.len();
     let ccas = spec.cca_assignment();
-    let ccas = ccas.as_slice();
     let threads = threads.clamp(1, racks_run.max(1));
     // simlint::allow(wall-clock, reason = "events_per_sec reporting only; the reading never feeds back into simulated state")
     let t0 = std::time::Instant::now();
-    let mut slots: Vec<Option<Result<RackOutcome, PopulationError>>> =
-        (0..racks_run).map(|_| None).collect();
-    if threads <= 1 {
-        for (rack, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_rack(spec, ccas, rack));
-        }
-    } else {
-        // Striped static assignment: worker w runs racks w, w+T, w+2T...
-        // Assignment affects only wall time, never results — each rack
-        // is a pure function of (spec, rack) and the merge below is in
-        // rack order regardless of which worker ran it.
-        let joined = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    s.spawn(move || {
-                        (w..racks_run)
-                            .step_by(threads)
-                            .map(|rack| (rack, run_rack(spec, ccas, rack)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<Vec<std::thread::Result<_>>>()
-        });
-        for (w, res) in joined.into_iter().enumerate() {
-            let Ok(list) = res else {
-                return Err(PopulationError::Worker { worker: w });
-            };
-            for (i, r) in list {
-                slots[i] = Some(r);
-            }
-        }
-    }
+    // Which worker runs which rack affects only wall time: each rack is
+    // a pure function of (spec, rack) and the merge below is in rack
+    // order. A rack's panic is re-raised here, as on one thread.
+    let outcomes = par_map_with_threads(&racks, threads, |&rack| run_rack(spec, &ccas, rack));
     let wall = t0.elapsed();
 
     // Deterministic merge: rack-index order, then global flow order.
@@ -529,11 +490,8 @@ pub fn run_population_with_threads(
     let mut heap_pushes = 0u64;
     let mut migrations = 0u64;
     let mut sim_end = SimTime::ZERO;
-    for (w, slot) in slots.into_iter().enumerate() {
-        let Some(result) = slot else {
-            return Err(PopulationError::Worker { worker: w });
-        };
-        let rack = result?;
+    for outcome in outcomes {
+        let rack = outcome?;
         reports.extend(rack.reports);
         sender_energy_j += rack.sender_energy_j;
         receiver_energy_j += rack.receiver_energy_j;

@@ -13,7 +13,12 @@
 # (golden_resilience_pins.rs, crates/core/tests/golden_resilience.rs) —
 # the tiny population fingerprint (golden_population_pins.rs,
 # crates/workload/tests/golden_population.rs) and the parking-lot runner
-# (crates/scenario/tests/golden_parking.rs).
+# (crates/scenario/tests/golden_parking.rs). It also holds everything
+# that runs on worker threads to byte-equality across thread counts: the
+# figure sweeps at 1, 2 and 5 threads (`thread_count_does_not_change_a_byte`
+# in crates/core/src/fig{1,2,3}.rs), the population at 1, 3 and 8, the
+# campaign matrix at 1, 2 and 8, and the ordered parallel map they share
+# (crates/workload/src/par.rs).
 #
 # Usage: scripts/verify.sh [--lint] [--chaos] [--resume] [--obs] [--perf] [--scenarios] [--supervise]
 #   --lint    additionally run the simlint static-analysis pass over the
