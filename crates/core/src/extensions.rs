@@ -17,16 +17,11 @@ use netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
 
-/// Common base power used to extend energies to a shared window
-/// (a completed host idles at exactly this power).
-fn base_power_w() -> f64 {
-    energy::calibration::P_IDLE_W
-}
-
 /// Extend an outcome's sender energy to `window_s`, charging idle power
 /// for the tail on each of `hosts` sender hosts.
 fn energy_over(out: &ScenarioOutcome, window_s: f64, hosts: f64) -> f64 {
-    out.sender_energy_j + (window_s - out.window.as_secs_f64()).max(0.0) * base_power_w() * hosts
+    let gap_s = (window_s - out.window.as_secs_f64()).max(0.0);
+    out.sender_energy_j + energy::calibration::idle_tail_j(gap_s, 0.0, hosts)
 }
 
 /// §5 — flow multiplexing at one sender.

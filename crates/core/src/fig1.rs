@@ -10,6 +10,7 @@
 use crate::scale::Scale;
 use analysis::stats::Summary;
 use cca::CcaKind;
+use energy::calibration::idle_tail_j;
 use netsim::units::Rate;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
@@ -190,13 +191,11 @@ fn measure(cfg: &Config, schedule: Schedule, seed: u64, loads: &[StressLoad]) ->
 /// `(W - w) * P_base` per host — this removes completion-jitter noise
 /// from the savings comparison without rerunning anything.
 fn equalize_windows(raw: &mut [RawPoint], load: StressLoad, hosts: f64) {
-    let fan = energy::calibration::reference_fan();
-    let base_w = energy::calibration::P_IDLE_W + fan.watts(load.utilization());
     let seeds = raw[0].window.len();
     for i in 0..seeds {
         let common = raw.iter().map(|rp| rp.window[i]).fold(0.0_f64, f64::max);
         for rp in raw.iter_mut() {
-            rp.energy[i] += (common - rp.window[i]) * base_w * hosts;
+            rp.energy[i] += idle_tail_j(common - rp.window[i], load.utilization(), hosts);
             rp.window[i] = common;
         }
     }

@@ -103,27 +103,11 @@ pub fn render(result: &Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{run_cell, MTUS};
+    use crate::matrix::MTUS;
     use cca::CcaKind;
-    use netsim::units::MB;
 
     fn mini_matrix() -> Matrix {
-        let seeds = [1u64];
-        let bytes = 250 * MB;
-        let mut cells = Vec::new();
-        for cca in [CcaKind::Bbr, CcaKind::Cubic, CcaKind::Baseline] {
-            for mtu in MTUS {
-                cells.push(run_cell(cca, mtu, bytes, &seeds).expect("cell completes"));
-            }
-        }
-        Matrix {
-            schema_version: crate::matrix::MATRIX_SCHEMA_VERSION,
-            transfer_bytes: bytes,
-            repetitions: 1,
-            seeds: seeds.to_vec(),
-            cells,
-            failed: Vec::new(),
-        }
+        crate::matrix::mini_matrix(&[CcaKind::Bbr, CcaKind::Cubic, CcaKind::Baseline], &MTUS)
     }
 
     #[test]

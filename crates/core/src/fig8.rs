@@ -80,31 +80,19 @@ pub fn render(result: &Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::run_cell;
     use cca::CcaKind;
-    use netsim::units::MB;
 
+    /// At MTU 9000 retransmission differences are sharpest.
     fn mini_matrix() -> Matrix {
-        let seeds = [1u64];
-        let bytes = 250 * MB;
-        let mut cells = Vec::new();
-        // At MTU 9000 retransmission differences are sharpest.
-        for cca in [
-            CcaKind::Bbr,
-            CcaKind::Vegas,
-            CcaKind::Cubic,
-            CcaKind::Baseline,
-        ] {
-            cells.push(run_cell(cca, 9000, bytes, &seeds).expect("cell completes"));
-        }
-        Matrix {
-            schema_version: crate::matrix::MATRIX_SCHEMA_VERSION,
-            transfer_bytes: bytes,
-            repetitions: 1,
-            seeds: seeds.to_vec(),
-            cells,
-            failed: Vec::new(),
-        }
+        crate::matrix::mini_matrix(
+            &[
+                CcaKind::Bbr,
+                CcaKind::Vegas,
+                CcaKind::Cubic,
+                CcaKind::Baseline,
+            ],
+            &[9000],
+        )
     }
 
     #[test]

@@ -388,6 +388,53 @@ where
         .matrix
 }
 
+/// The fig5–fig8 unit tests' shared fixture: a one-seed, 250 MB campaign
+/// over every cell those tests look at, simulated once per test binary.
+/// Returns the sub-matrix of `ccas` × `mtus`, CCA-major like a real
+/// campaign.
+#[cfg(test)]
+pub(crate) fn mini_matrix(ccas: &[CcaKind], mtus: &[u32]) -> Matrix {
+    const BYTES: u64 = 250 * netsim::units::MB;
+    const SEEDS: [u64; 1] = [1];
+    static CELLS: std::sync::OnceLock<Vec<Cell>> = std::sync::OnceLock::new();
+    let simulated = CELLS.get_or_init(|| {
+        let every_mtu = [
+            CcaKind::Bbr,
+            CcaKind::Cubic,
+            CcaKind::Baseline,
+            CcaKind::Bbr2,
+        ];
+        let mut wanted: Vec<(CcaKind, u32)> = every_mtu
+            .iter()
+            .flat_map(|&cca| MTUS.map(|mtu| (cca, mtu)))
+            .collect();
+        wanted.push((CcaKind::Vegas, 9000));
+        wanted
+            .iter()
+            .map(|&(cca, mtu)| run_cell(cca, mtu, BYTES, &SEEDS).expect("cell completes"))
+            .collect()
+    });
+    let cell = |cca: CcaKind, mtu: u32| {
+        simulated
+            .iter()
+            .find(|c| c.cca == cca.name() && c.mtu == mtu)
+            .unwrap_or_else(|| panic!("the fixture does not simulate {} at MTU {mtu}", cca.name()))
+            .clone()
+    };
+    Matrix {
+        schema_version: MATRIX_SCHEMA_VERSION,
+        transfer_bytes: BYTES,
+        repetitions: SEEDS.len(),
+        seeds: SEEDS.to_vec(),
+        cells: ccas
+            .iter()
+            .flat_map(|&cca| mtus.iter().map(move |&mtu| (cca, mtu)))
+            .map(|(cca, mtu)| cell(cca, mtu))
+            .collect(),
+        failed: Vec::new(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

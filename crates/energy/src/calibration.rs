@@ -133,6 +133,15 @@ pub fn reference_fan() -> FanModel {
     FanModel::new(P_BUSY_W - P_IDLE_W, FAN_R)
 }
 
+/// Energy `hosts` finished hosts spend waiting out `gap_s` seconds. A
+/// finished host idles at base power — idle package plus the fan at
+/// background `utilization` — so two runs of different length compare
+/// fairly once the shorter is padded to the common window with this
+/// (the step behind the paper's Fig 1 comparison).
+pub fn idle_tail_j(gap_s: f64, utilization: f64, hosts: f64) -> f64 {
+    gap_s * (P_IDLE_W + reference_fan().watts(utilization)) * hosts
+}
+
 /// Network power at throughput `gbps` above idle at zero background load:
 /// curve plus per-packet terms at the calibration MTU, reference CCA.
 fn net_power_w(gbps: f64) -> f64 {

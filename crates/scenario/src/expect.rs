@@ -112,10 +112,10 @@ pub fn recovery_times_ns(m: &Measured, band_frac: f64) -> Option<Vec<Option<u64>
 /// power (idle package + fan at zero load), mirroring the Fig-1
 /// methodology. Returns `(self_j, baseline_j)`.
 pub fn equalized_energy_j(m: &Measured, baseline: &Measured) -> (f64, f64) {
-    let base_w = calibration::P_IDLE_W + calibration::reference_fan().watts(0.0);
     let common = m.window.max(baseline.window).as_secs_f64();
     let pad = |x: &Measured| {
-        x.sender_energy_j + (common - x.window.as_secs_f64()) * base_w * x.n_sender_hosts as f64
+        let gap_s = common - x.window.as_secs_f64();
+        x.sender_energy_j + calibration::idle_tail_j(gap_s, 0.0, x.n_sender_hosts as f64)
     };
     (pad(m), pad(baseline))
 }

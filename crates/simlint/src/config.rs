@@ -56,8 +56,22 @@ pub struct Config {
 
 impl Config {
     /// Settings for `rule`, defaulting when the file does not mention it.
+    /// The sink rules are scoped to the replayed set, whatever else
+    /// their section says.
     pub fn rule(&self, rule: &str) -> RuleConfig {
-        self.rules.get(rule).cloned().unwrap_or_default()
+        let mut rc = self.rules.get(rule).cloned().unwrap_or_default();
+        if crate::rules::is_sink_family(rule) {
+            rc.crates = self.replayed().to_vec();
+        }
+        rc
+    }
+
+    /// The replayed crates: `crates` of `[rules.replayed-closure]`, the
+    /// one place the list is written. Empty: no constraint.
+    pub fn replayed(&self) -> &[String] {
+        self.rules
+            .get(crate::closure::RULE)
+            .map_or(&[], |rc| rc.crates.as_slice())
     }
 }
 
@@ -150,6 +164,17 @@ pub fn parse(text: &str, source: &str) -> Result<Config, String> {
                     }
                 }
             }
+        }
+    }
+    for (id, rc) in &cfg.rules {
+        if crate::rules::is_sink_family(id) && !rc.crates.is_empty() {
+            return Err(format!(
+                "{source}: [rules.{id}] is scoped by `crates` of [rules.{}], the one list of replayed crates",
+                crate::closure::RULE
+            ));
+        }
+        if id == crate::closure::RULE && !rc.enabled {
+            return Err(format!("{source}: [rules.{id}] has no off switch"));
         }
     }
     Ok(cfg)
@@ -293,9 +318,10 @@ mod tests {
             r#"
             version = 1
             skip_dirs = ["target", "vendor"] # keep out
+            [rules.replayed-closure]
+            crates = ["netsim", "transport"]
             [rules.wall-clock]
             severity = "error"
-            crates = ["netsim", "transport"]
             [rules.range-index]
             severity = "warn"
             enabled = false
@@ -309,9 +335,19 @@ mod tests {
         assert_eq!(wc.crates, vec!["netsim", "transport"]);
         assert!(wc.enabled);
         assert!(!cfg.rule("range-index").enabled);
-        // Unmentioned rule: defaults.
+        // Unmentioned rule: defaults — and a sink rule is scoped to the
+        // replayed set without a section of its own.
         let d = cfg.rule("raw-write");
         assert!(d.enabled && d.severity.is_none() && d.crates.is_empty());
+        assert_eq!(cfg.rule("thread-id").crates, vec!["netsim", "transport"]);
+    }
+
+    #[test]
+    fn the_replayed_list_is_written_once_and_cannot_be_switched_off() {
+        let err = parse("[rules.wall-clock]\ncrates = [\"netsim\"]\n", "t").unwrap_err();
+        assert!(err.contains("[rules.replayed-closure]"), "{err}");
+        let err = parse("[rules.replayed-closure]\nenabled = false\n", "t").unwrap_err();
+        assert!(err.contains("no off switch"), "{err}");
     }
 
     #[test]

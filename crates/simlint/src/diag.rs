@@ -1,9 +1,10 @@
-//! Typed diagnostics, human and JSON rendering, and a minimal JSON
-//! reader used by the `--json` schema round-trip test.
+//! Typed diagnostics and their human and JSON rendering.
 //!
 //! The JSON writer is hand-rolled because simlint is std-only by
 //! design (see `Cargo.toml`); the schema is small and flat enough that
-//! this is less code than a serde integration would be.
+//! this is less code than a serde integration would be. The tests read
+//! the output back through the workspace's `serde_json`, a
+//! dev-dependency.
 
 use std::fmt::Write as _;
 
@@ -190,204 +191,6 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// A minimal JSON value, for the round-trip test and any tool that wants
-/// to consume simlint output without a JSON dependency.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Strict enough for round-tripping simlint's own
-/// output; not a general-purpose validator.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let val = parse_value(b, pos)?;
-                fields.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            while let Some(&c) = b.get(*pos) {
-                match c {
-                    b'"' => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    b'\\' => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'u') => {
-                                let hex =
-                                    b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    _ => {
-                        // Copy the full UTF-8 sequence.
-                        let start = *pos;
-                        *pos += 1;
-                        while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                            *pos += 1;
-                        }
-                        s.push_str(
-                            std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?,
-                        );
-                    }
-                }
-            }
-            Err("unterminated string".into())
-        }
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>().map(Json::Num).map_err(|e| e.to_string())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,23 +233,18 @@ mod tests {
         };
         report.sort();
         let rendered = report.render_json();
-        let parsed = parse_json(&rendered).expect("own output must parse");
-        assert_eq!(parsed.get("version").and_then(Json::as_num), Some(1.0));
-        let findings = parsed.get("findings").and_then(Json::as_arr).unwrap();
+        let parsed: serde_json::Value =
+            serde_json::from_str(&rendered).expect("own output must parse");
+        assert_eq!(parsed["version"].as_u64(), Some(1));
+        let findings = parsed["findings"].as_array().unwrap();
         assert_eq!(findings.len(), 2);
         // Sorted by (path, line, col, rule): rng-discipline first.
+        assert_eq!(findings[0]["rule"].as_str(), Some("rng-discipline"));
+        assert_eq!(findings[0]["reason"].as_str(), Some("named stream \\ ok"));
         assert_eq!(
-            findings[0].get("rule").and_then(Json::as_str),
-            Some("rng-discipline")
-        );
-        assert_eq!(
-            findings[0].get("reason").and_then(Json::as_str),
-            Some("named stream \\ ok")
-        );
-        assert_eq!(
-            findings[1].get("message").and_then(Json::as_str),
+            findings[1]["message"].as_str(),
             Some("a \"quoted\" message\nwith newline")
         );
-        assert_eq!(findings[1].get("reason"), Some(&Json::Null));
+        assert!(findings[1]["reason"].is_null());
     }
 }

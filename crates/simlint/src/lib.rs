@@ -10,13 +10,14 @@
 //! plumbing, no external dependencies:
 //!
 //! * **token rules** — patterns over a comment/string-aware lexer,
-//!   scoped per crate/path via `simlint.toml`;
-//! * **semantic rules** — a lightweight item/call parser feeding a
-//!   cross-crate call graph: nondeterminism *taint* (a sink anywhere is
-//!   an error on every public sim-surface function that transitively
-//!   reaches it, full call path printed) plus registry rules
-//!   (exit codes, schema-version bumps via `schema.lock`, metric
-//!   names).
+//!   scoped per crate/path via `simlint.toml`. The determinism rules
+//!   among them match one sink table ([`rules::SINKS`]) in the replayed
+//!   crates, and [`closure`] reads those crates' manifests to prove the
+//!   set closed under "depends on" — so a sink a replayed run can reach
+//!   is always on a line these rules scan;
+//! * **registry rules** — a lightweight item/call parser feeding
+//!   workspace-wide tables (exit codes, schema-version bumps via
+//!   `schema.lock`, metric names).
 //!
 //! A third mode, `simlint compliance`, cross-checks `//= DESIGN.md#…` /
 //! `//= rfc9002#…` citations in source against the documented invariant
@@ -33,7 +34,7 @@
 //! DESIGN.md ("Static analysis & enforced invariants") for the mapping
 //! from each rule to the design invariant it protects.
 
-pub mod callgraph;
+pub mod closure;
 pub mod compliance;
 pub mod config;
 pub mod diag;
@@ -41,8 +42,6 @@ pub mod lexer;
 pub mod parse;
 pub mod registry;
 pub mod rules;
-pub mod semantic;
-pub mod taint;
 pub mod walk;
 
 pub use config::Config;
@@ -83,7 +82,7 @@ pub fn load_workspace(root: &Path, cfg: &Config) -> Result<Vec<LoadedFile>, Stri
 
 /// Token pass over loaded files. Appends findings and returns each
 /// file's suppressions (usage marked for token rules only) for the
-/// semantic pass to extend.
+/// registry rules to extend.
 pub fn token_pass(
     files: &[LoadedFile],
     cfg: &Config,
@@ -105,7 +104,7 @@ pub fn token_pass(
     sups
 }
 
-/// Lint already-loaded files: token pass, semantic pass, then
+/// Lint already-loaded files: token pass, registry rules, then
 /// unused-suppression settlement. The result is a pure function of the
 /// file *set* — callers may pass `files` in any order (pinned by the
 /// walk-order proptest).
@@ -117,8 +116,8 @@ pub fn lint_loaded(files: &[LoadedFile], cfg: &Config, lock_text: Option<&str>) 
 
     let mut sups = token_pass(files, cfg, &mut report.diags);
 
-    let analysis = semantic::analyze(files);
-    semantic::run(&analysis, cfg, lock_text, &mut sups, &mut report.diags);
+    let parsed = registry::parse_workspace(files);
+    registry::run(&parsed, cfg, lock_text, &mut sups, &mut report.diags);
 
     for (path, file_sups) in &sups {
         rules::report_unused(file_sups, path, false, &mut report.diags);
@@ -127,12 +126,16 @@ pub fn lint_loaded(files: &[LoadedFile], cfg: &Config, lock_text: Option<&str>) 
     report
 }
 
-/// Lint every source file under `root` using `cfg`: token pass,
-/// semantic pass, then unused-suppression settlement.
+/// Lint the workspace under `root` using `cfg`: every source file
+/// through [`lint_loaded`], and the replayed crates' manifests through
+/// [`closure::check`].
 pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     let files = load_workspace(root, cfg)?;
     let lock_text = std::fs::read_to_string(root.join(registry::SCHEMA_LOCK)).ok();
-    Ok(lint_loaded(&files, cfg, lock_text.as_deref()))
+    let mut report = lint_loaded(&files, cfg, lock_text.as_deref());
+    closure::check(root, cfg.replayed(), &mut report.diags);
+    report.sort();
+    Ok(report)
 }
 
 /// Load `simlint.toml` from `root` and lint the workspace with it.

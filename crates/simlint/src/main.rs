@@ -1,6 +1,6 @@
 //! CLI for [`simlint`]. See `simlint --help`.
 
-use simlint::{compliance, config, lexer, registry, rules, semantic, Report};
+use simlint::{compliance, config, lexer, registry, rules, Report};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -26,12 +26,12 @@ USAGE:
 
 MODES:
     --workspace          lint every .rs file under the workspace root: token
-                         rules plus the semantic pass (nondeterminism taint,
-                         exit-code/schema/metric registries). Default when no
-                         files are given.
-    files...             token-lint just these files (no semantic pass; paths
-                         are reported relative to the workspace root when
-                         possible)
+                         rules plus the workspace rules (replayed-crate
+                         dependency closure, exit-code/schema/metric
+                         registries). Default when no files are given.
+    files...             token-lint just these files (no workspace rules;
+                         paths are reported relative to the workspace root
+                         when possible)
     compliance           cross-check //= DESIGN.md#anchor and //= <spec>#anchor
                          citations against the documented invariant registry;
                          report coverage (markdown table, or --json schema v1).
@@ -44,6 +44,8 @@ OPTIONS:
     --json               emit the machine-readable report on stdout
     --show-suppressed    include suppressed findings in human output
     --list-rules         print every rule id, default severity, and description
+                         (the invariant each one protects: DESIGN.md, section
+                         `Static analysis & enforced invariants`)
     --update-schema-lock rewrite schema.lock from the current record-struct
                          shapes and *_SCHEMA consts, then exit
 
@@ -171,8 +173,8 @@ fn run() -> Result<i32, String> {
 
     if args.update_schema_lock {
         let files = simlint::load_workspace(&root, &cfg)?;
-        let analysis = semantic::analyze(&files);
-        let state = registry::schema_state(&analysis.parsed, &cfg.rule("schema-version-bump"));
+        let parsed = registry::parse_workspace(&files);
+        let state = registry::schema_state(&parsed, &cfg.rule("schema-version-bump"));
         let lock_path = root.join(registry::SCHEMA_LOCK);
         // simlint::allow(raw-write, reason = "schema.lock is a dev-tool artifact regenerated on demand, not a result; simlint depends on no workspace crate so it cannot use core::campaign::persist")
         std::fs::write(&lock_path, registry::render_lock(&state))

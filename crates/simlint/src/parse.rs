@@ -1,23 +1,19 @@
 //! A lightweight recursive-descent *item and call* parser over the
 //! token stream from [`crate::lexer`].
 //!
-//! This is deliberately not a Rust grammar. The semantic passes
-//! (call-graph taint, registry rules) need exactly four things from a
-//! source file: which functions it defines (with module/impl context
-//! and visibility), which paths it imports, which calls each function
-//! body makes, and where a short watch-list of identifiers is
-//! mentioned. Everything else — expressions, types, patterns — is
-//! skipped by brace matching. The parser never fails: like the lexer,
-//! it degrades gracefully on code `rustc` would reject, because the
-//! fixture corpus is exactly that.
+//! This is deliberately not a Rust grammar. The registry rules need
+//! four things from a source file: the calls its function bodies make
+//! (with the file's `use` aliases, to name the callee), the metric
+//! names it registers, its `*_SCHEMA` consts, and the token shape of
+//! its record types. Everything else — expressions, types, patterns —
+//! is skipped by brace matching. The parser never fails: like the
+//! lexer, it degrades gracefully on code `rustc` would reject, because
+//! the fixture corpus is exactly that.
 //!
 //! Positions where the parser is *conservative by design*:
 //!
-//! * nested `fn` items inside a body are not registered as symbols;
-//!   their calls attribute to the enclosing function (taint still
-//!   propagates, through the outer name);
-//! * a tuple-struct construction `Foo(x)` is recorded as a call and
-//!   simply fails to resolve (no function named `Foo`);
+//! * a tuple-struct construction `Foo(x)` is recorded as a call (no
+//!   rule looks for a function named `Foo`);
 //! * macro invocations are not expanded; calls inside macro arguments
 //!   are still visible as tokens and are recorded.
 
@@ -28,26 +24,17 @@ use std::collections::BTreeMap;
 /// One call expression inside a function body.
 #[derive(Clone, Debug)]
 pub struct Call {
-    /// Path segments as written (`["SystemTime", "now"]`,
-    /// `["helper", "stamp"]`, `["stamp"]`). For method calls this is
-    /// the single method name.
+    /// Path segments as written (`["process", "exit"]`, `["exit"]`).
+    /// For method calls this is the single method name.
     pub path: Vec<String>,
-    /// True for `.name(...)` receiver calls — resolved by the
-    /// trait-method dispatch fallback (any known method of that name).
+    /// True for `.name(...)` receiver calls.
     pub method: bool,
     pub line: u32,
     /// First argument when it is a bare integer literal (fuel for
     /// `exit-code-registry`: `process::exit(4)` vs `process::exit(EXIT_X)`).
     pub int_arg: Option<String>,
-}
-
-/// A watched identifier mention (used for ident-shaped taint sinks
-/// such as `HashMap` or `RandomState`, which appear in type position
-/// as often as in call position).
-#[derive(Clone, Debug)]
-pub struct Mention {
-    pub ident: String,
-    pub line: u32,
+    /// Inside a `#[cfg(test)]`/`#[test]` function or a test file.
+    pub in_test: bool,
 }
 
 /// A string literal passed as the first argument to one of the
@@ -63,41 +50,16 @@ pub struct MetricLit {
     pub in_test: bool,
 }
 
-/// One `fn` item with everything the call graph needs.
-#[derive(Clone, Debug)]
-pub struct FnItem {
-    /// Fully qualified: `crate::module::Type::name` (impl/trait
-    /// methods) or `crate::module::name` (free functions).
-    pub qual: String,
-    /// The bare function name.
-    pub name: String,
-    /// Enclosing impl/trait type name, if any.
-    pub type_ctx: Option<String>,
-    pub line: u32,
-    /// Declared `pub` (any `pub(...)` restriction counts as pub; the
-    /// taint surface cares about "callable from outside this module").
-    pub is_pub: bool,
-    /// Defined inside an `impl` or `trait` block.
-    pub is_method: bool,
-    /// Inside a `#[cfg(test)]`/`#[test]` region or a test file.
-    pub in_test: bool,
-    pub calls: Vec<Call>,
-    pub mentions: Vec<Mention>,
-}
-
 /// Parse result for one file.
 #[derive(Clone, Debug, Default)]
 pub struct ParsedFile {
     pub rel_path: String,
     pub crate_name: String,
-    /// Module path derived from the file's location under `src/`
-    /// (`campaign/journal.rs` → `["campaign", "journal"]`; inline
-    /// `mod` blocks extend it further per item).
-    pub module: Vec<String>,
-    /// `use` aliases: local name → absolute path segments (leading
-    /// `crate`/`self`/`super` already resolved against this file).
+    /// `use` aliases: local name → path segments as imported
+    /// (`use std::process::exit as quit` → `quit` → `std::process::exit`).
     pub uses: BTreeMap<String, Vec<String>>,
-    pub fns: Vec<FnItem>,
+    /// Every call in every function body, in source order.
+    pub calls: Vec<Call>,
     pub metric_lits: Vec<MetricLit>,
     /// Consts whose name contains `SCHEMA` with an integer value
     /// (fuel for `schema-version-bump`).
@@ -123,64 +85,31 @@ const METRIC_METHODS: &[&str] = &[
     "histogram_handle",
 ];
 
-/// Parse one file. `watch` is the ident watch-list recorded into
-/// [`FnItem::mentions`] (the ident-shaped taint sinks).
-pub fn parse_file(input: &FileInput<'_>, watch: &[&str]) -> ParsedFile {
+/// Parse one file.
+pub fn parse_file(input: &FileInput<'_>) -> ParsedFile {
     let lexed = lex(input.src);
     let test_mask = test_region_mask(&lexed.tokens);
     let mut p = Parser {
         toks: &lexed.tokens,
         test_mask: &test_mask,
         input,
-        watch,
         out: ParsedFile {
             rel_path: input.rel_path.to_string(),
             crate_name: input.crate_name.to_string(),
-            module: module_path_of(input.rel_path),
             ..ParsedFile::default()
         },
         shape: Fnv::new(),
     };
     let end = p.toks.len();
-    let module = p.out.module.clone();
-    p.items(0, end, &module, None);
+    p.items(0, end);
     p.out.shape_hash = p.shape.finish();
     p.out
-}
-
-/// Module path from the file's repo-relative location: the segments
-/// between `src/` and the file name, plus the file stem (dropping
-/// `lib`, `main`, and `mod`, which name their parent).
-pub fn module_path_of(rel_path: &str) -> Vec<String> {
-    let segs: Vec<&str> = rel_path.split('/').collect();
-    let Some(src_at) = segs.iter().position(|s| *s == "src") else {
-        // tests/, benches/, examples/, fixture roots: flat namespace
-        // under the file stem.
-        let stem = segs
-            .last()
-            .and_then(|f| f.strip_suffix(".rs"))
-            .unwrap_or_default();
-        return if stem.is_empty() {
-            Vec::new()
-        } else {
-            vec![stem.to_string()]
-        };
-    };
-    let mut out: Vec<String> = segs[src_at + 1..].iter().map(|s| s.to_string()).collect();
-    if let Some(file) = out.pop() {
-        match file.strip_suffix(".rs") {
-            Some("lib") | Some("main") | Some("mod") | None => {}
-            Some(stem) => out.push(stem.to_string()),
-        }
-    }
-    out
 }
 
 struct Parser<'a> {
     toks: &'a [Tok<'a>],
     test_mask: &'a [bool],
     input: &'a FileInput<'a>,
-    watch: &'a [&'a str],
     out: ParsedFile,
     shape: Fnv,
 }
@@ -190,19 +119,10 @@ impl<'a> Parser<'a> {
         self.input.is_test_file || self.test_mask.get(i).copied().unwrap_or(false)
     }
 
-    /// Scan items in `[start, end)` with the given module path and
-    /// impl/trait type context (`(type name, is trait surface)` — trait
-    /// decls and trait impls expose their methods without a `pub`
-    /// keyword, so the bool marks them implicitly public).
-    fn items(
-        &mut self,
-        start: usize,
-        end: usize,
-        module: &[String],
-        type_ctx: Option<(&str, bool)>,
-    ) {
+    /// Scan items in `[start, end)`, descending into `mod`, `impl` and
+    /// `trait` blocks.
+    fn items(&mut self, start: usize, end: usize) {
         let mut i = start;
-        let mut vis_pub = false;
         while i < end {
             let t = &self.toks[i];
             if t.is_punct('#') && self.peek_punct(i + 1, '[') {
@@ -210,68 +130,17 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if t.kind != TokKind::Ident {
-                // Visibility only survives across `(crate)`-style
-                // restrictions, which follow `pub` immediately.
-                if !(t.is_punct('(') || t.is_punct(')')) {
-                    vis_pub = vis_pub && t.is_punct('(');
-                }
                 i += 1;
                 continue;
             }
-            match t.text {
-                "pub" => {
-                    vis_pub = true;
-                    i += 1;
-                    // Step over a `pub(crate)` / `pub(in path)` group.
-                    if self.peek_punct(i, '(') {
-                        i = self.matching(i, '(', ')') + 1;
-                    }
-                }
-                "use" => {
-                    i = self.parse_use(i + 1, module);
-                    vis_pub = false;
-                }
-                "mod" => {
-                    // `mod name { ... }` recurses; `mod name;` skips.
-                    let name = self.ident_at(i + 1);
-                    let mut j = i + 2;
-                    while j < end && !self.toks[j].is_punct('{') && !self.toks[j].is_punct(';') {
-                        j += 1;
-                    }
-                    if j < end && self.toks[j].is_punct('{') {
-                        let close = self.matching(j, '{', '}');
-                        if let Some(name) = name {
-                            let mut m = module.to_vec();
-                            m.push(name);
-                            self.items(j + 1, close.min(end), &m, type_ctx);
-                        }
-                        i = close + 1;
-                    } else {
-                        i = j + 1;
-                    }
-                    vis_pub = false;
-                }
-                "impl" | "trait" => {
-                    i = self.parse_impl_or_trait(i, end, module, t.text == "trait");
-                    vis_pub = false;
-                }
-                "fn" => {
-                    i = self.parse_fn(i, end, module, type_ctx, vis_pub);
-                    vis_pub = false;
-                }
-                "struct" | "enum" | "union" => {
-                    i = self.parse_type_item(i, end);
-                    vis_pub = false;
-                }
-                "const" | "static" => {
-                    i = self.parse_const(i, end);
-                    vis_pub = false;
-                }
-                _ => {
-                    i += 1;
-                    vis_pub = false;
-                }
-            }
+            i = match t.text {
+                "use" => self.parse_use(i + 1),
+                "mod" | "impl" | "trait" => self.parse_block_item(i, end),
+                "fn" => self.parse_fn(i, end),
+                "struct" | "enum" | "union" => self.parse_type_item(i, end),
+                "const" | "static" => self.parse_const(i, end),
+                _ => i + 1,
+            };
         }
     }
 
@@ -336,9 +205,9 @@ impl<'a> Parser<'a> {
         self.toks.len().saturating_sub(1)
     }
 
-    /// `use a::b::{c, d as e}; use f::g::*;` — record alias → absolute
-    /// segments. Returns the index after the closing `;`.
-    fn parse_use(&mut self, start: usize, module: &[String]) -> usize {
+    /// `use a::b::{c, d as e}; use f::g::*;` — record alias → imported
+    /// path. Returns the index after the closing `;`.
+    fn parse_use(&mut self, start: usize) -> usize {
         // Collect the prefix path up to `{`, `;`, or `*`.
         let mut i = start;
         let mut prefix: Vec<String> = Vec::new();
@@ -356,7 +225,6 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let prefix = self.absolutize(&prefix, module);
         match self.toks.get(i) {
             Some(t) if t.is_punct('{') => {
                 let close = self.matching(i, '{', '}');
@@ -408,8 +276,7 @@ impl<'a> Parser<'a> {
                 i = close + 1;
             }
             Some(t) if t.is_punct('*') => {
-                // Glob imports are ignored: the resolver's suffix
-                // fallback covers cross-crate paths without them.
+                // Glob imports name nothing to alias.
                 i += 1;
             }
             Some(t) if t.is_ident("as") => {
@@ -430,84 +297,13 @@ impl<'a> Parser<'a> {
         i + 1
     }
 
-    /// Resolve a leading `crate`/`self`/`super` against this file.
-    fn absolutize(&self, segs: &[String], module: &[String]) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        let mut rest = segs;
-        match segs.first().map(String::as_str) {
-            Some("crate") => {
-                out.push(self.out.crate_name.clone());
-                rest = &segs[1..];
-            }
-            Some("self") => {
-                out.push(self.out.crate_name.clone());
-                out.extend(module.iter().cloned());
-                rest = &segs[1..];
-            }
-            Some("super") => {
-                out.push(self.out.crate_name.clone());
-                let mut m = module.to_vec();
-                let mut r = segs;
-                while r.first().map(String::as_str) == Some("super") {
-                    m.pop();
-                    r = &r[1..];
-                }
-                out.extend(m);
-                rest = r;
-            }
-            _ => {}
-        }
-        out.extend(rest.iter().cloned());
-        out
-    }
-
-    /// `impl [<..>] Type [for Trait] { .. }` / `trait Name { .. }`.
-    fn parse_impl_or_trait(
-        &mut self,
-        kw: usize,
-        end: usize,
-        module: &[String],
-        is_trait: bool,
-    ) -> usize {
+    /// `mod name { .. }`, `impl .. { .. }`, `trait .. { .. }`: recurse
+    /// into the body; `mod name;` skips.
+    fn parse_block_item(&mut self, kw: usize, end: usize) -> usize {
+        let is_mod = self.toks[kw].is_ident("mod");
         let mut i = kw + 1;
-        if self.peek_punct(i, '<') {
-            i = self.skip_angles(i) + 1;
-        }
-        // Type name: for `impl Trait for Type`, the segment after
-        // `for`; otherwise the last path segment before `{`/`where`.
-        let mut last_seg: Option<String> = None;
-        let mut after_for: Option<String> = None;
-        let mut saw_for = false;
-        while i < end {
-            let t = &self.toks[i];
-            if t.is_punct('{') {
-                break;
-            }
-            if t.is_ident("where") {
-                // Skip the where clause to the body brace.
-                while i < end && !self.toks[i].is_punct('{') {
-                    if self.toks[i].is_punct('<') {
-                        i = self.skip_angles(i);
-                    }
-                    i += 1;
-                }
-                break;
-            }
-            if t.is_ident("for") && !is_trait {
-                saw_for = true;
-                i += 1;
-                continue;
-            }
-            if t.kind == TokKind::Ident {
-                let name = t.text.trim_start_matches("r#").to_string();
-                if saw_for {
-                    // Keep the *last* segment of the for-type path.
-                    after_for = Some(name);
-                } else {
-                    last_seg = Some(name);
-                }
-            }
-            if t.is_punct('<') {
+        while i < end && !self.toks[i].is_punct('{') && !(is_mod && self.toks[i].is_punct(';')) {
+            if self.toks[i].is_punct('<') {
                 i = self.skip_angles(i);
             }
             i += 1;
@@ -516,32 +312,17 @@ impl<'a> Parser<'a> {
             return i + 1;
         }
         let close = self.matching(i, '{', '}');
-        let trait_surface = is_trait || saw_for;
-        let ty = after_for.or(last_seg);
-        self.items(
-            i + 1,
-            close.min(end),
-            module,
-            ty.as_deref().map(|t| (t, trait_surface)),
-        );
+        self.items(i + 1, close.min(end));
         close + 1
     }
 
-    /// `fn name(sig) [-> T] [where ..] { body }` — register the item
-    /// and scan its body for calls and mentions.
-    fn parse_fn(
-        &mut self,
-        kw: usize,
-        end: usize,
-        module: &[String],
-        type_ctx: Option<(&str, bool)>,
-        vis_pub: bool,
-    ) -> usize {
-        let Some(name) = self.ident_at(kw + 1) else {
+    /// `fn name(sig) [-> T] [where ..] { body }` — scan the body for
+    /// calls.
+    fn parse_fn(&mut self, kw: usize, end: usize) -> usize {
+        if self.ident_at(kw + 1).is_none() {
             // `fn(` — a function-pointer type, not an item.
             return kw + 1;
-        };
-        let line = self.toks[kw].line;
+        }
         let mut i = kw + 2;
         // Signature: skip to the body `{` or a bodyless `;`, balancing
         // parens and generics.
@@ -560,37 +341,17 @@ impl<'a> Parser<'a> {
             }
             i += 1;
         }
-        let mut qual: Vec<String> = vec![self.out.crate_name.clone()];
-        qual.extend(module.iter().cloned());
-        if let Some((ty, _)) = type_ctx {
-            qual.push(ty.to_string());
-        }
-        qual.push(name.clone());
-        let trait_surface = type_ctx.is_some_and(|(_, t)| t);
-        let mut item = FnItem {
-            qual: qual.join("::"),
-            name,
-            type_ctx: type_ctx.map(|(ty, _)| ty.to_string()),
-            line,
-            is_pub: vis_pub || trait_surface,
-            is_method: type_ctx.is_some(),
-            in_test: self.in_test(kw),
-            calls: Vec::new(),
-            mentions: Vec::new(),
-        };
         if i < end && self.toks[i].is_punct('{') {
             let close = self.matching(i, '{', '}');
-            self.scan_body(i + 1, close.min(end), &mut item);
-            self.out.fns.push(item);
+            self.scan_body(i + 1, close.min(end), self.in_test(kw));
             close + 1
         } else {
-            self.out.fns.push(item);
             i + 1
         }
     }
 
-    /// Collect calls, watched mentions, and metric literals in a body.
-    fn scan_body(&mut self, start: usize, end: usize, item: &mut FnItem) {
+    /// Collect calls and metric literals in a body.
+    fn scan_body(&mut self, start: usize, end: usize, in_test: bool) {
         let mut i = start;
         while i < end {
             let t = &self.toks[i];
@@ -606,17 +367,16 @@ impl<'a> Parser<'a> {
                     }
                     if self.peek_punct(j, '(') {
                         self.record_metric_lit(&name, j, self.in_test(i));
-                        item.calls.push(Call {
+                        self.out.calls.push(Call {
                             path: vec![name],
                             method: true,
                             line: t.line,
                             int_arg: self.int_arg_at(j),
+                            in_test,
                         });
                     }
-                    // Jump past the name (and any turbofish, whose
-                    // watched idents are still recorded) so the name
-                    // is not re-scanned as a path call.
-                    self.record_watch_range(i + 2, j, item);
+                    // Jump past the name (and any turbofish) so the
+                    // name is not re-scanned as a path call.
                     i = j;
                     continue;
                 }
@@ -625,30 +385,16 @@ impl<'a> Parser<'a> {
             }
             if t.kind == TokKind::Ident && !KEYWORDS.contains(&t.text) {
                 let base = t.text.trim_start_matches("r#");
-                if self.watch.contains(&base) {
-                    item.mentions.push(Mention {
-                        ident: base.to_string(),
-                        line: t.line,
-                    });
-                }
                 // Path call: `a::b::c(` (with optional turbofish).
                 let mut path = vec![base.to_string()];
                 let mut j = i + 1;
                 while self.peek_punct(j, ':') && self.peek_punct(j + 1, ':') {
                     if self.peek_punct(j + 2, '<') {
-                        let end = self.skip_angles(j + 2);
-                        self.record_watch_range(j + 2, end, item);
-                        j = end + 1;
+                        j = self.skip_angles(j + 2) + 1;
                         break;
                     }
                     match self.ident_at(j + 2) {
                         Some(seg) => {
-                            if self.watch.contains(&seg.as_str()) {
-                                item.mentions.push(Mention {
-                                    ident: seg.clone(),
-                                    line: self.toks[j + 2].line,
-                                });
-                            }
                             path.push(seg);
                             j += 3;
                         }
@@ -662,30 +408,18 @@ impl<'a> Parser<'a> {
                         j,
                         self.in_test(i),
                     );
-                    item.calls.push(Call {
+                    self.out.calls.push(Call {
                         path,
                         method: false,
                         line: t.line,
                         int_arg: self.int_arg_at(j),
+                        in_test,
                     });
                 }
                 i = j.max(i + 1);
                 continue;
             }
             i += 1;
-        }
-    }
-
-    /// Record watched-ident mentions in the token range `[a, b)`
-    /// (turbofish contents, which the main scan jumps over).
-    fn record_watch_range(&self, a: usize, b: usize, item: &mut FnItem) {
-        for t in self.toks.iter().take(b.min(self.toks.len())).skip(a) {
-            if t.kind == TokKind::Ident && self.watch.contains(&t.text.trim_start_matches("r#")) {
-                item.mentions.push(Mention {
-                    ident: t.text.trim_start_matches("r#").to_string(),
-                    line: t.line,
-                });
-            }
         }
     }
 
@@ -816,48 +550,40 @@ mod tests {
             is_test_file: false,
             src,
         };
-        parse_file(&input, &["HashMap", "RandomState"])
+        parse_file(&input)
+    }
+
+    fn call_names(pf: &ParsedFile) -> Vec<String> {
+        pf.calls
+            .iter()
+            .map(|c| {
+                if c.method {
+                    format!(".{}", c.path.join("::"))
+                } else {
+                    c.path.join("::")
+                }
+            })
+            .collect()
     }
 
     #[test]
-    fn module_paths() {
-        assert!(module_path_of("crates/x/src/lib.rs").is_empty());
-        assert_eq!(module_path_of("crates/x/src/a.rs"), ["a"]);
-        assert_eq!(module_path_of("crates/x/src/a/mod.rs"), ["a"]);
-        assert_eq!(module_path_of("crates/x/src/a/b.rs"), ["a", "b"]);
-        assert_eq!(module_path_of("crates/x/tests/t.rs"), ["t"]);
-        assert_eq!(module_path_of("src/lib.rs"), Vec::<String>::new());
-    }
-
-    #[test]
-    fn fn_items_with_context() {
+    fn bodies_are_found_in_every_item_context() {
         let pf = parse(
             r#"
-            pub fn free() {}
-            mod inner { pub fn nested() {} }
+            pub fn free() { a(); }
+            mod inner { pub fn nested() { b(); } }
+            mod elsewhere;
             struct S;
-            impl S { pub fn method(&self) {} fn private(&self) {} }
-            trait T { fn default_method(&self) { helper(); } }
-            impl T for S { fn default_method(&self) {} }
+            impl<T> S<T> where T: Fn() -> u8 { pub fn method(&self) { c(); } }
+            trait T { fn default_method(&self) { d(); } fn required(&self); }
+            impl T for [u8; 4] { fn default_method(&self) { e(); } }
+            #[cfg(test)]
+            mod tests { #[test] fn t() { f(); } }
             "#,
         );
-        let quals: Vec<&str> = pf.fns.iter().map(|f| f.qual.as_str()).collect();
-        assert_eq!(
-            quals,
-            [
-                "x::free",
-                "x::inner::nested",
-                "x::S::method",
-                "x::S::private",
-                "x::T::default_method",
-                "x::S::default_method",
-            ]
-        );
-        assert!(pf.fns[0].is_pub && !pf.fns[0].is_method);
-        assert!(pf.fns[2].is_method);
-        let t_default = &pf.fns[4];
-        assert_eq!(t_default.calls.len(), 1);
-        assert_eq!(t_default.calls[0].path, ["helper"]);
+        assert_eq!(call_names(&pf), ["a", "b", "c", "d", "e", "f"]);
+        let in_test: Vec<bool> = pf.calls.iter().map(|c| c.in_test).collect();
+        assert_eq!(in_test, [false, false, false, false, false, true]);
     }
 
     #[test]
@@ -867,7 +593,7 @@ mod tests {
             fn f() {
                 helper();
                 util::stamp();
-                std::time::SystemTime::now();
+                std::process::exit(4);
                 x.method_call();
                 y.collect::<Vec<_>>();
                 not_a_call!{};
@@ -875,26 +601,20 @@ mod tests {
             }
             "#,
         );
-        let f = &pf.fns[0];
-        let paths: Vec<String> = f
-            .calls
-            .iter()
-            .map(|c| {
-                if c.method {
-                    format!(".{}", c.path.join("::"))
-                } else {
-                    c.path.join("::")
-                }
-            })
-            .collect();
+        let paths = call_names(&pf);
         assert!(paths.contains(&"helper".to_string()));
         assert!(paths.contains(&"util::stamp".to_string()));
-        assert!(paths.contains(&"std::time::SystemTime::now".to_string()));
+        assert!(paths.contains(&"std::process::exit".to_string()));
         assert!(paths.contains(&".method_call".to_string()));
         assert!(paths.contains(&".collect".to_string()));
         assert!(paths.contains(&"arg".to_string()), "{paths:?}");
         assert!(!paths.contains(&"not_a_call".to_string()));
         assert!(!paths.contains(&"maybe_macro".to_string()));
+        let exit = pf
+            .calls
+            .iter()
+            .find(|c| c.path.last().is_some_and(|s| s == "exit"));
+        assert_eq!(exit.and_then(|c| c.int_arg.as_deref()), Some("4"));
     }
 
     #[test]
@@ -909,25 +629,7 @@ mod tests {
         assert_eq!(pf.uses["BTreeMap"], ["std", "collections", "BTreeMap"]);
         assert_eq!(pf.uses["stamp"], ["helper", "stamp"]);
         assert_eq!(pf.uses["wall"], ["helper", "clock"]);
-        assert_eq!(pf.uses["thing"], ["x", "sub", "thing"]);
-    }
-
-    #[test]
-    fn mentions_and_test_regions() {
-        let pf = parse(
-            r#"
-            fn hot() { let m: HashMap<u32, u32> = make(); }
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn t() { let s = RandomState::new(); }
-            }
-            "#,
-        );
-        assert_eq!(pf.fns[0].mentions.len(), 1);
-        assert_eq!(pf.fns[0].mentions[0].ident, "HashMap");
-        let test_fn = &pf.fns[1];
-        assert!(test_fn.in_test);
+        assert_eq!(pf.uses["thing"], ["crate", "sub", "thing"]);
     }
 
     #[test]

@@ -1,6 +1,14 @@
 //! The registry rules: workspace-wide consistency checks that need the
 //! parsed item/call view rather than a per-file token pattern.
 //!
+//! The token pass ([`crate::rules::lint_file_deferred`]) and these rules
+//! share one suppression namespace: the driver collects each file's
+//! `simlint::allow` markers during the token pass, hands them to [`run`]
+//! to be honored/marked-used, and only afterwards settles
+//! unused-suppression warnings. Results are a pure function of the file
+//! *set* — every rule sorts what it visits — which the walk-order
+//! proptest pins.
+//!
 //! * `exit-code-registry` — every `process::exit` argument must be a
 //!   named constant (the exit-code table in `greenenvy::exitcode`, or a
 //!   binary-local table), never an integer literal. Exit codes are part
@@ -14,32 +22,46 @@
 //!   snake_case, carry a registered prefix, and be owned by exactly one
 //!   crate.
 
-use crate::callgraph::Graph;
-use crate::config::RuleConfig;
+use crate::config::{Config, RuleConfig};
 use crate::diag::{Diagnostic, Severity};
-use crate::parse::ParsedFile;
-use crate::rules::Suppression;
+use crate::parse::{parse_file, Call, ParsedFile};
+use crate::rules::{rule_applies, FileInput, Suppression};
+use crate::LoadedFile;
 use std::collections::BTreeMap;
 
-/// Mirror of [`crate::rules::rule_applies`] for parsed files.
-fn applies(rc: &RuleConfig, crate_name: &str, rel_path: &str) -> bool {
-    if !rc.enabled {
-        return false;
-    }
-    if !rc.crates.is_empty() && !rc.crates.iter().any(|c| c == crate_name) {
-        return false;
-    }
-    if !rc.paths.is_empty() && !rc.paths.iter().any(|p| rel_path.starts_with(p.as_str())) {
-        return false;
-    }
-    if rc
-        .allow_paths
+/// Parse every loaded file. Input order does not matter.
+pub fn parse_workspace(files: &[LoadedFile]) -> Vec<ParsedFile> {
+    files
         .iter()
-        .any(|p| rel_path.starts_with(p.as_str()))
-    {
-        return false;
-    }
-    true
+        .map(|f| {
+            parse_file(&FileInput {
+                rel_path: &f.rel_path,
+                crate_name: &f.crate_name,
+                is_test_file: f.is_test_file,
+                src: &f.src,
+            })
+        })
+        .collect()
+}
+
+/// Run every registry rule. `lock_text` is the current `schema.lock`
+/// content (None: file absent).
+pub fn run(
+    parsed: &[ParsedFile],
+    cfg: &Config,
+    lock_text: Option<&str>,
+    sups: &mut BTreeMap<String, Vec<Suppression>>,
+    out: &mut Vec<Diagnostic>,
+) {
+    exit_codes(parsed, &cfg.rule("exit-code-registry"), sups, out);
+    schema_bump(
+        parsed,
+        &cfg.rule("schema-version-bump"),
+        lock_text,
+        sups,
+        out,
+    );
+    metric_names(parsed, &cfg.rule("metric-name-registry"), sups, out);
 }
 
 /// Reason of an allow naming `rule` at `line`, marking it used.
@@ -63,48 +85,52 @@ fn suppress_at(
 // exit-code-registry
 // ---------------------------------------------------------------------
 
+/// Is `call` a `process::exit(..)`, written out or through one of the
+/// file's `use` aliases (`use std::process::exit; exit(4)`)?
+fn is_process_exit(pf: &ParsedFile, call: &Call) -> bool {
+    let (head, rest) = match call.path.split_first() {
+        Some(split) if !call.method => split,
+        _ => return false,
+    };
+    let imported = pf
+        .uses
+        .get(head)
+        .map_or(std::slice::from_ref(head), Vec::as_slice);
+    let mut tail = imported.iter().chain(rest).rev();
+    tail.next().is_some_and(|s| s == "exit") && tail.next().is_some_and(|s| s == "process")
+}
+
 pub fn exit_codes(
-    g: &Graph,
+    files: &[ParsedFile],
     rc: &RuleConfig,
     sups: &mut BTreeMap<String, Vec<Suppression>>,
     out: &mut Vec<Diagnostic>,
 ) {
-    if !rc.enabled {
-        return;
-    }
     let severity = rc.severity.unwrap_or(Severity::Error);
-    for e in &g.edges {
-        if e.method {
+    for pf in files {
+        if !rule_applies(rc, &pf.crate_name, &pf.rel_path) {
             continue;
         }
-        let is_exit = e.expanded.len() >= 2
-            && e.expanded[e.expanded.len() - 2] == "process"
-            && e.expanded[e.expanded.len() - 1] == "exit";
-        if !is_exit {
-            continue;
+        for call in &pf.calls {
+            let Some(lit) = &call.int_arg else {
+                continue;
+            };
+            if !is_process_exit(pf, call) || (call.in_test && !rc.include_tests) {
+                continue;
+            }
+            let suppressed = suppress_at(sups, &pf.rel_path, call.line, "exit-code-registry");
+            out.push(Diagnostic {
+                rule: "exit-code-registry",
+                severity,
+                path: pf.rel_path.clone(),
+                line: call.line,
+                col: 1,
+                message: format!(
+                    "process::exit({lit}) uses a literal; name it in the exit-code registry (greenenvy::exitcode) instead"
+                ),
+                suppressed,
+            });
         }
-        let Some(lit) = &e.int_arg else {
-            continue;
-        };
-        let node = &g.fns[e.caller];
-        if !applies(rc, &node.crate_name, &node.rel_path) {
-            continue;
-        }
-        if node.in_test && !rc.include_tests {
-            continue;
-        }
-        let suppressed = suppress_at(sups, &node.rel_path, e.line, "exit-code-registry");
-        out.push(Diagnostic {
-            rule: "exit-code-registry",
-            severity,
-            path: node.rel_path.clone(),
-            line: e.line,
-            col: 1,
-            message: format!(
-                "process::exit({lit}) uses a literal; name it in the exit-code registry (greenenvy::exitcode) instead"
-            ),
-            suppressed,
-        });
     }
 }
 
@@ -134,7 +160,7 @@ pub fn schema_state(files: &[ParsedFile], rc: &RuleConfig) -> BTreeMap<String, S
         return out;
     }
     for pf in files {
-        if !applies(rc, &pf.crate_name, &pf.rel_path) {
+        if !rule_applies(rc, &pf.crate_name, &pf.rel_path) {
             continue;
         }
         out.insert(
@@ -311,7 +337,7 @@ pub fn metric_names(
     // Deterministic site order: files sorted by path, literals by line.
     let mut sorted: Vec<&ParsedFile> = files
         .iter()
-        .filter(|pf| applies(rc, &pf.crate_name, &pf.rel_path))
+        .filter(|pf| rule_applies(rc, &pf.crate_name, &pf.rel_path))
         .collect();
     sorted.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
 
@@ -386,20 +412,14 @@ pub fn metric_names(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::build;
-    use crate::parse::parse_file;
-    use crate::rules::FileInput;
 
     fn pf(rel_path: &str, crate_name: &str, src: &str) -> ParsedFile {
-        parse_file(
-            &FileInput {
-                rel_path,
-                crate_name,
-                is_test_file: false,
-                src,
-            },
-            &[],
-        )
+        parse_file(&FileInput {
+            rel_path,
+            crate_name,
+            is_test_file: false,
+            src,
+        })
     }
 
     //= DESIGN.md#inv-exit-code-registry
@@ -408,16 +428,26 @@ mod tests {
         let files = vec![pf(
             "crates/bench/src/bin/x.rs",
             "bench",
-            "fn main() { if bad() { std::process::exit(4); } std::process::exit(CODE); }\n",
+            "use std::process::exit as quit;\n\
+             fn main() { if bad() { std::process::exit(4); } std::process::exit(CODE); }\n\
+             fn other() { quit(5); my::exit(6); x.exit(7); }\n",
         )];
-        let g = build(&files);
         let mut out = Vec::new();
-        exit_codes(&g, &RuleConfig::default(), &mut BTreeMap::new(), &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
+        exit_codes(
+            &files,
+            &RuleConfig::default(),
+            &mut BTreeMap::new(),
+            &mut out,
+        );
+        let found: Vec<(u32, &str)> = out.iter().map(|d| (d.line, d.message.as_str())).collect();
+        assert_eq!(out.len(), 2, "{found:?}");
         assert!(
-            out[0].message.contains("process::exit(4)"),
-            "{}",
-            out[0].message
+            found[0].1.contains("process::exit(4)") && found[0].0 == 2,
+            "{found:?}"
+        );
+        assert!(
+            found[1].1.contains("process::exit(5)") && found[1].0 == 3,
+            "{found:?}"
         );
     }
 

@@ -18,9 +18,9 @@ pub struct RuleDef {
     pub description: &'static str,
 }
 
-/// All rules, in reporting order. The two pseudo-rules at the end
-/// (`suppression`, `unused-suppression`) police the allow mechanism
-/// itself and cannot be scoped away in config.
+/// All rules, in reporting order. The two pseudo-rules (`suppression`,
+/// `unused-suppression`) police the allow mechanism itself and cannot be
+/// scoped away in config.
 pub const RULES: &[RuleDef] = &[
     RuleDef {
         id: "hash-container",
@@ -35,7 +35,12 @@ pub const RULES: &[RuleDef] = &[
     RuleDef {
         id: "thread-id",
         default_severity: Severity::Error,
-        description: "thread identity and RandomState hashers vary run to run and break replay",
+        description: "thread identity and process-seeded hashers (RandomState, DefaultHasher) vary run to run and break replay",
+    },
+    RuleDef {
+        id: "ambient-input",
+        default_severity: Severity::Error,
+        description: "env::var* and OS entropy (OsRng, getrandom, from_entropy) read the process, not the configuration; replayed crates take inputs as arguments",
     },
     RuleDef {
         id: "rng-discipline",
@@ -58,11 +63,6 @@ pub const RULES: &[RuleDef] = &[
         description: "raw fs::write/File::create bypasses the atomic, fsynced durability layer (core::campaign::persist)",
     },
     RuleDef {
-        id: "float-unordered-acc",
-        default_severity: Severity::Error,
-        description: "float accumulation over an unordered container depends on iteration order; collect and sort first",
-    },
-    RuleDef {
         id: "suppression",
         default_severity: Severity::Error,
         description: "simlint::allow(...) must name known rules and give a reason",
@@ -72,13 +72,14 @@ pub const RULES: &[RuleDef] = &[
         default_severity: Severity::Warn,
         description: "a simlint::allow that suppressed nothing is stale; remove it",
     },
-    // -- Semantic (call-graph) rules: matched by crate::semantic, not by
-    //    the per-file token matchers. Registered here so --list-rules
-    //    shows them and allow annotations accept their ids.
+    // -- Workspace rules: checked once per run by crate::closure and
+    //    crate::registry, not by the per-file token matchers. Registered
+    //    here so --list-rules shows them and allow annotations accept
+    //    their ids.
     RuleDef {
-        id: "nondet-taint",
+        id: "replayed-closure",
         default_severity: Severity::Error,
-        description: "public sim-surface fn transitively reaches a nondeterminism sink (wall clock, thread id, RandomState, env, OS entropy)",
+        description: "a replayed crate may depend only on replayed crates and vendored stand-ins, so the sink rules see every line a replayed run can execute",
     },
     RuleDef {
         id: "exit-code-registry",
@@ -97,20 +98,27 @@ pub const RULES: &[RuleDef] = &[
     },
 ];
 
-/// Rule ids owned by the semantic pass ([`crate::semantic`]). The token
-/// pass never emits them and must not flag their suppressions as unused.
-pub const SEMANTIC_RULES: &[&str] = &[
-    "nondet-taint",
+/// Rule ids checked once per workspace run ([`crate::closure`],
+/// [`crate::registry`]). The token pass never emits them and must not
+/// flag their suppressions as unused.
+pub const WORKSPACE_RULES: &[&str] = &[
+    "replayed-closure",
     "exit-code-registry",
     "schema-version-bump",
     "metric-name-registry",
 ];
 
-/// True when `id` is matched by the semantic pass rather than the
-/// per-file token matchers.
-pub fn is_semantic(id: &str) -> bool {
-    SEMANTIC_RULES.contains(&id)
+/// True when `id` is checked workspace-wide rather than by the per-file
+/// token matchers.
+pub fn is_workspace_rule(id: &str) -> bool {
+    WORKSPACE_RULES.contains(&id)
 }
+
+/// Ids that named a rule in an earlier revision. A marker naming one is
+/// inert — neither an unknown-rule error nor an unused-suppression
+/// warning — so a file this repo may not edit (`benchmark/` is frozen
+/// per PR) can keep its marker until it is next touched.
+const RETIRED_RULES: &[&str] = &["nondet-taint"];
 
 pub fn rule_def(id: &str) -> Option<&'static RuleDef> {
     RULES.iter().find(|r| r.id == id)
@@ -131,31 +139,30 @@ pub struct FileInput<'a> {
 
 /// Lint one file, appending findings (suppressed ones included, marked).
 ///
-/// Suppressions that name only semantic rules are *not* flagged as
+/// Suppressions that name only workspace rules are *not* flagged as
 /// unused here — single-file token linting cannot know whether the
-/// workspace-wide semantic pass will consume them. The workspace driver
-/// uses [`lint_file_deferred`] and settles unused-suppression warnings
-/// after the semantic pass has run.
+/// workspace-wide rules will consume them. The workspace driver uses
+/// [`lint_file_deferred`] and settles unused-suppression warnings after
+/// those rules have run.
 pub fn lint_file(input: &FileInput<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
     let sups = lint_file_deferred(input, cfg, out);
     report_unused(&sups, input.rel_path, true, out);
 }
 
 /// Emit an unused-suppression warning for every suppression in `sups`
-/// still unused. With `skip_semantic_only`, suppressions naming only
-/// semantic rules are exempt (their usage is settled by the semantic
-/// pass).
+/// still unused. With `skip_workspace_only`, suppressions naming only
+/// workspace rules are exempt (their usage is settled by those rules).
 pub fn report_unused(
     sups: &[Suppression],
     rel_path: &str,
-    skip_semantic_only: bool,
+    skip_workspace_only: bool,
     out: &mut Vec<Diagnostic>,
 ) {
     for sup in sups {
         if sup.used {
             continue;
         }
-        if skip_semantic_only && sup.rules.iter().all(|r| is_semantic(r)) {
+        if skip_workspace_only && sup.rules.iter().all(|r| is_workspace_rule(r)) {
             continue;
         }
         out.push(Diagnostic {
@@ -196,24 +203,20 @@ pub fn lint_file_deferred(
 
     for def in RULES {
         let rc = cfg.rule(def.id);
-        if !rule_applies(&rc, input) {
+        if !rule_applies(&rc, input.crate_name, input.rel_path) {
             continue;
         }
         let severity = rc.severity.unwrap_or(def.default_severity);
         let skip_tests = !rc.include_tests;
         match def.id {
-            "hash-container" => ctx.rule_hash_container(severity, skip_tests),
-            "wall-clock" => ctx.rule_wall_clock(severity, skip_tests),
-            "thread-id" => ctx.rule_thread_id(severity, skip_tests),
-            "rng-discipline" => ctx.rule_rng_discipline(severity, skip_tests),
+            id if is_sink_family(id) => ctx.rule_sinks(id, severity, skip_tests),
             "panic-hygiene" => ctx.rule_panic_hygiene(severity, skip_tests),
             "range-index" => ctx.rule_range_index(severity, skip_tests),
             "raw-write" => ctx.rule_raw_write(severity, skip_tests),
-            "float-unordered-acc" => ctx.rule_float_unordered(severity, skip_tests),
             // Pseudo-rules run in collect_suppressions / below.
             "suppression" | "unused-suppression" => {}
-            // Semantic rules run workspace-wide in crate::semantic.
-            id if is_semantic(id) => {}
+            // Workspace rules run once per run, not per file.
+            id if is_workspace_rule(id) => {}
             other => unreachable!("unregistered rule {other}"),
         }
     }
@@ -233,29 +236,12 @@ pub fn lint_file_deferred(
 }
 
 /// Does `rc` apply to this file at all?
-pub fn rule_applies(rc: &RuleConfig, input: &FileInput<'_>) -> bool {
-    if !rc.enabled {
-        return false;
-    }
-    if !rc.crates.is_empty() && !rc.crates.iter().any(|c| c == input.crate_name) {
-        return false;
-    }
-    if !rc.paths.is_empty()
-        && !rc
-            .paths
-            .iter()
-            .any(|p| input.rel_path.starts_with(p.as_str()))
-    {
-        return false;
-    }
-    if rc
-        .allow_paths
-        .iter()
-        .any(|p| input.rel_path.starts_with(p.as_str()))
-    {
-        return false;
-    }
-    true
+pub fn rule_applies(rc: &RuleConfig, crate_name: &str, rel_path: &str) -> bool {
+    let under = |prefixes: &[String]| prefixes.iter().any(|p| rel_path.starts_with(p.as_str()));
+    rc.enabled
+        && (rc.crates.is_empty() || rc.crates.iter().any(|c| c == crate_name))
+        && (rc.paths.is_empty() || under(&rc.paths))
+        && !under(&rc.allow_paths)
 }
 
 // ---------------------------------------------------------------------
@@ -365,8 +351,8 @@ fn matching_brace(toks: &[Tok<'_>], open: usize) -> usize {
 // Suppressions
 // ---------------------------------------------------------------------
 
-/// One parsed `// simlint::allow(...)` marker. Public so the semantic
-/// pass can honor and mark-used the same suppressions the token pass
+/// One parsed `// simlint::allow(...)` marker. Public so the workspace
+/// rules can honor and mark-used the same suppressions the token pass
 /// collected.
 pub struct Suppression {
     pub rules: Vec<String>,
@@ -421,6 +407,7 @@ fn collect_suppressions(
             continue;
         };
         let mut rules = Vec::new();
+        let mut retired = false;
         let mut reason: Option<String> = None;
         for part in split_args(body) {
             let part = part.trim();
@@ -439,6 +426,8 @@ fn collect_suppressions(
                     continue;
                 }
                 reason = Some(text.to_string());
+            } else if RETIRED_RULES.contains(&part) {
+                retired = true;
             } else if !part.is_empty() {
                 if rule_def(part).is_none() {
                     out.push(err(format!(
@@ -456,7 +445,9 @@ fn collect_suppressions(
             continue;
         };
         if rules.is_empty() {
-            out.push(err("simlint::allow names no rules".into()));
+            if !retired {
+                out.push(err("simlint::allow names no rules".into()));
+            }
             continue;
         }
         let target_line = if c.trailing {
@@ -497,6 +488,122 @@ fn split_args(body: &str) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------
+// The sink table
+// ---------------------------------------------------------------------
+
+/// How a sink is spelled in the token stream.
+pub enum Pat {
+    /// The identifier anywhere, type or value position.
+    Ident(&'static str),
+    /// `head::leaf`, however it is brought into scope: written out,
+    /// imported (`use head::{leaf}`, `use head::*`) or renamed on import
+    /// (`use …::head as h`). `head` alone is fine (`Option<Instant>`).
+    Path(&'static str, &'static str),
+}
+
+pub struct Sink {
+    /// The rule that reports it and whose `simlint::allow` covers it.
+    pub family: &'static str,
+    pub pat: Pat,
+    pub message: &'static str,
+}
+
+/// Every way host state or an unnamed random stream can enter a run.
+/// The replayed crates are held to all of it (`simlint.toml` names them
+/// once; [`crate::closure`] proves nothing else is linked into a
+/// replayed run), so a sink is an error on the line it is written,
+/// private helper or not.
+pub const SINKS: &[Sink] = &[
+    Sink {
+        family: "hash-container",
+        pat: Pat::Ident("HashMap"),
+        message: "HashMap has nondeterministic iteration order; use BTreeMap/BTreeSet or an indexed Vec",
+    },
+    Sink {
+        family: "hash-container",
+        pat: Pat::Ident("HashSet"),
+        message: "HashSet has nondeterministic iteration order; use BTreeMap/BTreeSet or an indexed Vec",
+    },
+    Sink {
+        family: "wall-clock",
+        pat: Pat::Path("Instant", "now"),
+        message: "Instant::now() reads the host clock; simulated time must come from the engine",
+    },
+    Sink {
+        family: "wall-clock",
+        pat: Pat::Ident("SystemTime"),
+        message: "SystemTime reads the host clock; simulated time must come from the engine",
+    },
+    Sink {
+        family: "thread-id",
+        pat: Pat::Path("thread", "current"),
+        message: "thread::current() varies run to run; derive identity from simulation config",
+    },
+    Sink {
+        family: "thread-id",
+        pat: Pat::Ident("ThreadId"),
+        message: "ThreadId varies run to run; derive identity from simulation config",
+    },
+    Sink {
+        family: "thread-id",
+        pat: Pat::Ident("RandomState"),
+        message: "RandomState seeds hashers from process entropy; replay needs a fixed hasher",
+    },
+    Sink {
+        family: "thread-id",
+        pat: Pat::Ident("DefaultHasher"),
+        message: "DefaultHasher's keys are not pinned across processes or releases; replay needs a fixed hasher",
+    },
+    Sink {
+        family: "ambient-input",
+        pat: Pat::Path("env", "var"),
+        message: "env::var reads the process environment; pass the value in through the configuration",
+    },
+    Sink {
+        family: "ambient-input",
+        pat: Pat::Path("env", "var_os"),
+        message: "env::var_os reads the process environment; pass the value in through the configuration",
+    },
+    Sink {
+        family: "ambient-input",
+        pat: Pat::Path("env", "vars"),
+        message: "env::vars reads the process environment; pass the values in through the configuration",
+    },
+    Sink {
+        family: "ambient-input",
+        pat: Pat::Path("env", "vars_os"),
+        message: "env::vars_os reads the process environment; pass the values in through the configuration",
+    },
+    Sink {
+        family: "ambient-input",
+        pat: Pat::Ident("OsRng"),
+        message: "OsRng draws OS entropy; all randomness comes from named SimRng streams off the scenario seed",
+    },
+    Sink {
+        family: "ambient-input",
+        pat: Pat::Ident("getrandom"),
+        message: "getrandom draws OS entropy; all randomness comes from named SimRng streams off the scenario seed",
+    },
+    Sink {
+        family: "ambient-input",
+        pat: Pat::Ident("from_entropy"),
+        message: "from_entropy seeds from the OS; all randomness comes from named SimRng streams off the scenario seed",
+    },
+    Sink {
+        family: "rng-discipline",
+        pat: Pat::Path("SimRng", "new"),
+        message: "SimRng::new outside the named-stream seeding modules; fork a named stream \
+                  from the scenario seed (or allow with the stream's salt as the reason)",
+    },
+];
+
+/// True when `id` is one of the rules [`SINKS`] serves. These are the
+/// rules scoped to the replayed set.
+pub fn is_sink_family(id: &str) -> bool {
+    SINKS.iter().any(|s| s.family == id)
+}
+
+// ---------------------------------------------------------------------
 // The rule matchers
 // ---------------------------------------------------------------------
 
@@ -533,92 +640,53 @@ impl Ctx<'_, '_> {
             && self.toks.get(i + 3).is_some_and(|t| t.is_ident(b))
     }
 
-    fn rule_hash_container(&mut self, sev: Severity, skip_tests: bool) {
+    /// Every [`SINKS`] row of `family`, at each place the sink is named:
+    /// used, imported, or renamed on import.
+    fn rule_sinks(&mut self, family: &'static str, sev: Severity, skip_tests: bool) {
         for i in 0..self.toks.len() {
             if self.skip(i, skip_tests) {
                 continue;
             }
-            let t = &self.toks[i];
-            if t.is_ident("HashMap") || t.is_ident("HashSet") {
-                self.push(
-                    "hash-container",
-                    sev,
-                    i,
-                    format!(
-                        "{} has nondeterministic iteration order; use BTreeMap/BTreeSet or an indexed Vec",
-                        t.text
-                    ),
-                );
+            for s in SINKS.iter().filter(|s| s.family == family) {
+                if let Some(at) = self.sink_at(i, &s.pat) {
+                    self.push(family, sev, at, s.message.into());
+                }
             }
         }
     }
 
-    fn rule_wall_clock(&mut self, sev: Severity, skip_tests: bool) {
-        for i in 0..self.toks.len() {
-            if self.skip(i, skip_tests) {
-                continue;
-            }
-            if self.path2(i, "Instant", "now") {
-                self.push(
-                    "wall-clock",
-                    sev,
-                    i,
-                    "Instant::now() reads the host clock; simulated time must come from the engine"
-                        .into(),
-                );
-            } else if self.toks[i].is_ident("SystemTime") {
-                self.push(
-                    "wall-clock",
-                    sev,
-                    i,
-                    "SystemTime reads the host clock; simulated time must come from the engine"
-                        .into(),
-                );
-            }
+    /// Token index where `pat` is named, scanning from token `i`.
+    fn sink_at(&self, i: usize, pat: &Pat) -> Option<usize> {
+        let (head, leaf) = match *pat {
+            Pat::Ident(name) => return self.toks[i].is_ident(name).then_some(i),
+            Pat::Path(head, leaf) => (head, leaf),
+        };
+        if !self.toks[i].is_ident(head) {
+            return None;
         }
-    }
-
-    fn rule_thread_id(&mut self, sev: Severity, skip_tests: bool) {
-        for i in 0..self.toks.len() {
-            if self.skip(i, skip_tests) {
-                continue;
-            }
-            if self.path2(i, "thread", "current") {
-                self.push(
-                    "thread-id",
-                    sev,
-                    i,
-                    "thread::current() varies run to run; derive identity from simulation config"
-                        .into(),
-                );
-            } else if self.toks[i].is_ident("RandomState") {
-                self.push(
-                    "thread-id",
-                    sev,
-                    i,
-                    "RandomState seeds hashers from process entropy; replay needs a fixed hasher"
-                        .into(),
-                );
-            }
+        let next = |k: usize| self.toks.get(i + k);
+        // `use …::head as other;` — the rename would hide every later use.
+        if next(1).is_some_and(|t| t.is_ident("as")) {
+            let in_use_item = self.toks[..i]
+                .iter()
+                .rev()
+                .take_while(|t| !t.is_punct(';'))
+                .any(|t| t.is_ident("use"));
+            return in_use_item.then_some(i);
         }
-    }
-
-    fn rule_rng_discipline(&mut self, sev: Severity, skip_tests: bool) {
-        for i in 0..self.toks.len() {
-            if self.skip(i, skip_tests) {
-                continue;
-            }
-            if self.path2(i, "SimRng", "new") {
-                self.push(
-                    "rng-discipline",
-                    sev,
-                    i,
-                    "SimRng::new outside the named-stream seeding modules; fork a named stream \
-                     from the scenario seed (or allow with the stream's salt as the reason)"
-                        .into(),
-                );
-            }
+        if !(next(1).is_some_and(|t| t.is_punct(':')) && next(2).is_some_and(|t| t.is_punct(':'))) {
+            return None;
         }
+        // `head::leaf`, the glob `head::*`, or `head::{.., leaf, ..}`.
+        let after = next(3)?;
+        if after.is_ident(leaf) || after.is_punct('*') {
+            return Some(i);
+        }
+        if after.is_punct('{') {
+            let close = matching_brace(self.toks, i + 3);
+            return (i + 4..close).find(|&j| self.toks[j].is_ident(leaf));
+        }
+        None
     }
 
     fn rule_panic_hygiene(&mut self, sev: Severity, skip_tests: bool) {
@@ -732,77 +800,6 @@ impl Ctx<'_, '_> {
             }
         }
     }
-
-    /// Heuristic: an identifier declared as a Hash container in this file
-    /// whose `.values()/.keys()/.iter()` chain reaches `.sum/.fold/.product`
-    /// within the same statement.
-    fn rule_float_unordered(&mut self, sev: Severity, skip_tests: bool) {
-        // Pass 1: names declared as HashMap/HashSet (`x: HashMap<...>` or
-        // `x = HashMap::new()` styles both put the type after the name).
-        let mut hash_names: Vec<&str> = Vec::new();
-        for i in 0..self.toks.len() {
-            let t = &self.toks[i];
-            if (t.is_ident("HashMap") || t.is_ident("HashSet")) && i >= 2 {
-                // Walk back over `:` / `=` / `&` / `mut` to the name.
-                let mut j = i - 1;
-                while j > 0
-                    && (self.toks[j].is_punct(':')
-                        || self.toks[j].is_punct('=')
-                        || self.toks[j].is_punct('&')
-                        || self.toks[j].is_ident("mut"))
-                {
-                    j -= 1;
-                }
-                if self.toks[j].kind == TokKind::Ident {
-                    hash_names.push(self.toks[j].text);
-                }
-            }
-        }
-        if hash_names.is_empty() {
-            return;
-        }
-        // Pass 2: `name . (values|keys|iter) ( )` ... `. (sum|fold|product)`
-        // before the statement ends.
-        for i in 0..self.toks.len() {
-            if self.skip(i, skip_tests) {
-                continue;
-            }
-            let t = &self.toks[i];
-            if t.kind != TokKind::Ident || !hash_names.contains(&t.text) {
-                continue;
-            }
-            if !(self.toks.get(i + 1).is_some_and(|n| n.is_punct('.'))
-                && self.toks.get(i + 2).is_some_and(|n| {
-                    n.is_ident("values") || n.is_ident("keys") || n.is_ident("iter")
-                }))
-            {
-                continue;
-            }
-            for j in i + 3..self.toks.len().min(i + 48) {
-                let u = &self.toks[j];
-                if u.is_punct(';') || u.is_punct('{') {
-                    break;
-                }
-                if u.is_punct('.')
-                    && self.toks.get(j + 1).is_some_and(|n| {
-                        n.is_ident("sum") || n.is_ident("fold") || n.is_ident("product")
-                    })
-                {
-                    self.push(
-                        "float-unordered-acc",
-                        sev,
-                        i,
-                        format!(
-                            "accumulating over `{}` (a Hash container) is order-dependent for floats; \
-                             collect keys, sort, then fold",
-                            t.text
-                        ),
-                    );
-                    break;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -885,18 +882,10 @@ mod tests {
     }
 
     #[test]
-    fn float_accumulation_over_hash_container() {
-        let src = r#"
-            fn f(m: HashMap<u32, f64>) -> f64 {
-                let total: f64 = m.values().sum();
-                total
-            }
-        "#;
-        let diags = lint_src(src);
-        assert!(
-            diags.iter().any(|d| d.rule == "float-unordered-acc"),
-            "{diags:?}"
-        );
+    fn a_marker_naming_only_a_retired_rule_is_inert() {
+        let diags =
+            lint_src("// simlint::allow(nondet-taint, reason = \"frozen file\")\nfn f() {}\n");
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]

@@ -59,6 +59,7 @@ fn check_golden(name: &str) {
 //= DESIGN.md#inv-wall-clock
 //# Simulation state must be a pure function of config + seed.
 //= DESIGN.md#inv-thread-id
+//= DESIGN.md#inv-ambient-input
 //= DESIGN.md#inv-rng-discipline
 #[test]
 fn determinism_fixture() {
@@ -76,12 +77,6 @@ fn panic_fixture() {
 #[test]
 fn durability_fixture() {
     check_golden("durability.rs");
-}
-
-//= DESIGN.md#inv-float-unordered-acc
-#[test]
-fn float_fixture() {
-    check_golden("float.rs");
 }
 
 #[test]

@@ -5,10 +5,14 @@
 //! it, and check diagnostics and exit codes — the acceptance drill for
 //! "seeding a known-bad pattern produces the expected diagnostic".
 
+mod common;
+
+use common::Scratch;
+use serde_json::Value;
 use simlint::config::Config;
-use simlint::diag::{parse_json, Json, Report};
+use simlint::diag::Report;
 use simlint::rules::{lint_file, FileInput};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
 fn lint_snippet(src: &str) -> Report {
@@ -33,77 +37,34 @@ fn json_schema_round_trip() {
          fn g(m: HashMap<u32, f64>) -> f64 { m.values().sum() }\n",
     );
     let text = report.render_json();
-    let parsed = parse_json(&text).expect("simlint must emit valid JSON");
+    let parsed: Value = serde_json::from_str(&text).expect("simlint must emit valid JSON");
 
     // Schema fields.
-    assert_eq!(parsed.get("version").and_then(Json::as_num), Some(1.0));
+    assert_eq!(parsed["version"].as_u64(), Some(1));
+    assert_eq!(parsed["files_scanned"].as_u64(), Some(1));
+    let summary = &parsed["summary"];
     assert_eq!(
-        parsed.get("files_scanned").and_then(Json::as_num),
-        Some(1.0)
-    );
-    let summary = parsed.get("summary").expect("summary object");
-    assert_eq!(
-        summary.get("errors").and_then(Json::as_num),
-        Some(report.count_gating() as f64)
+        summary["errors"].as_u64(),
+        Some(report.count_gating() as u64)
     );
     assert_eq!(
-        summary.get("suppressed").and_then(Json::as_num),
-        Some(report.count_suppressed() as f64)
+        summary["suppressed"].as_u64(),
+        Some(report.count_suppressed() as u64)
     );
-    let findings = parsed.get("findings").and_then(Json::as_arr).unwrap();
+    let findings = parsed["findings"].as_array().unwrap();
     assert_eq!(findings.len(), report.diags.len());
 
     // Every finding round-trips field-for-field, in order.
     for (f, d) in findings.iter().zip(&report.diags) {
-        assert_eq!(f.get("rule").and_then(Json::as_str), Some(d.rule));
-        assert_eq!(
-            f.get("severity").and_then(Json::as_str),
-            Some(d.severity.as_str())
-        );
-        assert_eq!(f.get("path").and_then(Json::as_str), Some(d.path.as_str()));
-        assert_eq!(f.get("line").and_then(Json::as_num), Some(d.line as f64));
-        assert_eq!(f.get("col").and_then(Json::as_num), Some(d.col as f64));
-        assert_eq!(
-            f.get("message").and_then(Json::as_str),
-            Some(d.message.as_str())
-        );
-        match &d.suppressed {
-            Some(reason) => {
-                assert_eq!(f.get("suppressed"), Some(&Json::Bool(true)));
-                assert_eq!(
-                    f.get("reason").and_then(Json::as_str),
-                    Some(reason.as_str())
-                );
-            }
-            None => {
-                assert_eq!(f.get("suppressed"), Some(&Json::Bool(false)));
-                assert_eq!(f.get("reason"), Some(&Json::Null));
-            }
-        }
-    }
-}
-
-/// A scratch workspace under the target tmp dir, cleaned up on drop.
-struct Scratch {
-    root: PathBuf,
-}
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("simlint-{tag}"));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(root.join("crates/badcrate/src")).expect("mkdir scratch");
-        Scratch { root }
-    }
-
-    fn write(&self, rel: &str, body: &str) {
-        std::fs::write(self.root.join(rel), body).expect("write scratch file");
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
+        assert_eq!(f["rule"].as_str(), Some(d.rule));
+        assert_eq!(f["severity"].as_str(), Some(d.severity.as_str()));
+        assert_eq!(f["path"].as_str(), Some(d.path.as_str()));
+        assert_eq!(f["line"].as_u64(), Some(u64::from(d.line)));
+        assert_eq!(f["col"].as_u64(), Some(u64::from(d.col)));
+        assert_eq!(f["message"].as_str(), Some(d.message.as_str()));
+        assert_eq!(f["suppressed"].as_bool(), Some(d.suppressed.is_some()));
+        assert_eq!(f["reason"].as_str(), d.suppressed.as_deref());
+        assert_eq!(f["reason"].is_null(), d.suppressed.is_none());
     }
 }
 
@@ -124,16 +85,19 @@ fn run_simlint(root: &Path, extra: &[&str]) -> (i32, String, String) {
 const SCRATCH_CONFIG: &str = "\
 version = 1
 skip_dirs = [\"target\"]
-[rules.hash-container]
+[rules.replayed-closure]
 crates = [\"badcrate\"]
 [rules.panic-hygiene]
 crates = [\"badcrate\"]
 ";
 
+const SCRATCH_MANIFEST: &str = "[package]\nname = \"badcrate\"\n[dependencies]\n";
+
 #[test]
 fn seeded_bad_pattern_is_caught_end_to_end() {
     let scratch = Scratch::new("bad");
     scratch.write("simlint.toml", SCRATCH_CONFIG);
+    scratch.write("crates/badcrate/Cargo.toml", SCRATCH_MANIFEST);
     scratch.write(
         "crates/badcrate/src/lib.rs",
         "use std::collections::HashMap;\nfn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
@@ -152,20 +116,15 @@ fn seeded_bad_pattern_is_caught_end_to_end() {
     // JSON mode agrees.
     let (code, stdout, _) = run_simlint(&scratch.root, &["--json"]);
     assert_eq!(code, 1);
-    let parsed = parse_json(stdout.trim()).expect("valid JSON on stdout");
-    assert_eq!(
-        parsed
-            .get("summary")
-            .and_then(|s| s.get("errors"))
-            .and_then(Json::as_num),
-        Some(2.0)
-    );
+    let parsed: Value = serde_json::from_str(stdout.trim()).expect("valid JSON on stdout");
+    assert_eq!(parsed["summary"]["errors"].as_u64(), Some(2));
 }
 
 #[test]
 fn clean_and_suppressed_code_exits_zero() {
     let scratch = Scratch::new("clean");
     scratch.write("simlint.toml", SCRATCH_CONFIG);
+    scratch.write("crates/badcrate/Cargo.toml", SCRATCH_MANIFEST);
     scratch.write(
         "crates/badcrate/src/lib.rs",
         "use std::collections::BTreeMap;\n\
@@ -208,28 +167,19 @@ fn compliance_end_to_end_json_round_trip() {
 
     let (code, stdout, _) = run_simlint(&scratch.root, &["compliance", "--json"]);
     assert_eq!(code, 0);
-    let parsed = parse_json(stdout.trim()).expect("valid compliance JSON");
-    assert_eq!(parsed.get("version").and_then(Json::as_num), Some(1.0));
-    assert_eq!(parsed.get("ok"), Some(&Json::Bool(true)));
-    let regs = parsed.get("registries").and_then(Json::as_arr).unwrap();
-    assert_eq!(
-        regs[0].get("name").and_then(Json::as_str),
-        Some("DESIGN.md")
-    );
-    let anchors = regs[0].get("anchors").and_then(Json::as_arr).unwrap();
+    let parsed: Value = serde_json::from_str(stdout.trim()).expect("valid compliance JSON");
+    assert_eq!(parsed["version"].as_u64(), Some(1));
+    assert_eq!(parsed["ok"].as_bool(), Some(true));
+    let regs = parsed["registries"].as_array().unwrap();
+    assert_eq!(regs[0]["name"].as_str(), Some("DESIGN.md"));
+    let anchors = regs[0]["anchors"].as_array().unwrap();
     let inv = anchors
         .iter()
-        .find(|a| a.get("anchor").and_then(Json::as_str) == Some("inv-no-frob"))
+        .find(|a| a["anchor"].as_str() == Some("inv-no-frob"))
         .expect("rule-table anchor present");
-    assert_eq!(inv.get("required"), Some(&Json::Bool(true)));
-    assert_eq!(inv.get("test_citations").and_then(Json::as_num), Some(1.0));
-    assert_eq!(
-        parsed
-            .get("violations")
-            .and_then(Json::as_arr)
-            .map(|v| v.len()),
-        Some(0)
-    );
+    assert_eq!(inv["required"].as_bool(), Some(true));
+    assert_eq!(inv["test_citations"].as_u64(), Some(1));
+    assert_eq!(parsed["violations"].as_array().map(Vec::len), Some(0));
 }
 
 #[test]

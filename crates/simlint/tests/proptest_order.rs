@@ -1,33 +1,23 @@
 //! Walk-order independence: the full lint report — token findings,
-//! call-graph taint, registry rules, suppression settlement — must be a
-//! pure function of the file *set*. The OS readdir order that feeds the
-//! real walk varies across filesystems; if any pass leaked that order
-//! (a `HashMap`, an id assigned at visit time), diagnostics could
-//! appear, vanish, or reorder between machines.
+//! registry rules, suppression settlement — must be a pure function of
+//! the file *set*. The OS readdir order that feeds the real walk varies
+//! across filesystems; if any pass leaked that order (a `HashMap`, a
+//! first-come ownership claim), diagnostics could appear, vanish, or
+//! reorder between machines.
 //!
 //! The subject is the real workspace: every source file this repo
 //! ships, linted under the committed `simlint.toml`, shuffled.
-//!
-//= DESIGN.md#inv-nondet-taint
 
+mod common;
+
+use common::{repo_config, repo_root};
 use proptest::prelude::*;
 use simlint::{config, lint_loaded, load_workspace, LoadedFile};
-use std::path::Path;
-
-fn repo_root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/simlint has a workspace root two levels up")
-}
 
 fn load() -> (Vec<LoadedFile>, config::Config, Option<String>) {
-    let root = repo_root();
-    let cfg_text =
-        std::fs::read_to_string(root.join(simlint::CONFIG_FILE)).expect("workspace simlint.toml");
-    let cfg = config::parse(&cfg_text, simlint::CONFIG_FILE).expect("config parses");
-    let files = load_workspace(root, &cfg).expect("workspace loads");
-    let lock = std::fs::read_to_string(root.join("schema.lock")).ok();
+    let cfg = repo_config();
+    let files = load_workspace(repo_root(), &cfg).expect("workspace loads");
+    let lock = std::fs::read_to_string(repo_root().join("schema.lock")).ok();
     (files, cfg, lock)
 }
 

@@ -7,6 +7,7 @@
 
 use green_envy_repro::analysis::table::Table;
 use green_envy_repro::cca::CcaKind;
+use green_envy_repro::energy::calibration::idle_tail_j;
 use green_envy_repro::netsim::time::{SimDuration, SimTime};
 use green_envy_repro::workload::prelude::*;
 
@@ -49,13 +50,12 @@ fn main() {
         let background = StressLoad::fraction(load);
         // Compare over a common window: a finished host idles at base
         // power, so extend the shorter run analytically.
-        let base_w = green_envy_repro::energy::calibration::P_IDLE_W
-            + green_envy_repro::energy::calibration::reference_fan().watts(load);
         let w = fair.window.as_secs_f64().max(serial.window.as_secs_f64());
-        let fair_e =
-            fair.meter(background).sender_energy_j + (w - fair.window.as_secs_f64()) * base_w * 2.0;
-        let serial_e = serial.meter(background).sender_energy_j
-            + (w - serial.window.as_secs_f64()) * base_w * 2.0;
+        let padded = |run: &SimulatedRun| {
+            run.meter(background).sender_energy_j
+                + idle_tail_j(w - run.window.as_secs_f64(), load, 2.0)
+        };
+        let (fair_e, serial_e) = (padded(&fair), padded(&serial));
 
         t.row([
             format!("{:.0}%", load * 100.0),

@@ -5,14 +5,15 @@
 # engine or experiment changes. A pass/fail table for every stage is
 # printed at the end, even when a stage fails.
 #
-# The default test stage already holds every topology's run to pinned
-# bytes across commits: fig4 (tests/golden_figure_pins.rs), the observed
-# two-flow exports (golden_obs_pins.rs), the lossy four-CCA run
-# (golden_lossy_pins.rs), the resilience suite's tiny verdict — dumbbell,
-# incast, rack grid and parking lot in one artifact
-# (golden_resilience_pins.rs, crates/core/tests/golden_resilience.rs) —
-# the tiny population fingerprint (golden_population_pins.rs,
-# crates/workload/tests/golden_population.rs) and the parking-lot runner
+# The default test stage is the whole workspace — the same tests Tier-1's
+# `cargo test -q` at the root runs. It already holds every topology's run
+# to pinned bytes across commits: fig1/fig2/fig4
+# (crates/core/tests/golden_figures.rs), the observed exports
+# (golden_obs.rs), the lossy four-CCA run (golden_determinism.rs), the
+# resilience suite's tiny verdict — dumbbell, incast, rack grid and
+# parking lot in one artifact (golden_resilience.rs) — the tiny
+# population fingerprint (crates/workload/tests/golden_population.rs)
+# and the parking-lot runner
 # (crates/scenario/tests/golden_parking.rs). It also holds everything
 # that runs on worker threads to byte-equality across thread counts: the
 # figure sweeps at 1, 2 and 5 threads (`thread_count_does_not_change_a_byte`
@@ -22,17 +23,15 @@
 #
 # Usage: scripts/verify.sh [--lint] [--chaos] [--resume] [--obs] [--perf] [--scenarios] [--supervise]
 #   --lint    additionally run the simlint static-analysis pass over the
-#             whole workspace: token rules (determinism, panic-hygiene,
-#             durability, float discipline) plus the semantic pass
-#             (nondeterminism taint, exit-code/schema/metric registries),
-#             and the spec/invariant compliance tracker. Zero
-#             unsuppressed findings and full invariant coverage required.
+#             whole workspace (the rules are listed in DESIGN.md, "Static
+#             analysis & enforced invariants") and the spec/invariant
+#             compliance tracker. Zero unsuppressed findings and full
+#             invariant coverage required.
 #   --chaos   additionally run the fault-injection suite: the netsim and
 #             transport chaos property tests, the golden determinism
 #             fingerprints (clean, faulted, and the pinned lossy four-CCA
-#             run that guards loss recovery; tests/golden_lossy_pins.rs
-#             mirrors it in the default test stage), and a quick-scale
-#             run of the chaos experiment binary.
+#             run that guards loss recovery), and a quick-scale run of
+#             the chaos experiment binary.
 #   --resume  additionally drill the durability layer end to end: start a
 #             tiny-scale journaled campaign, SIGTERM it mid-flight, resume
 #             it, and require the merged matrix to be byte-identical to an
