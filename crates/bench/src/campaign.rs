@@ -6,12 +6,7 @@
 //! quarantine, graceful SIGINT/SIGTERM shutdown, and optional per-cell
 //! deadlines and paranoid-mode physics audits.
 //!
-//! ```text
-//! campaign [--resume] [--paranoid] [--deadline <secs>]
-//!          [--threads <n>] [--journal-dir <dir>]
-//!          [--max-attempts <n>] [--backoff <n>]
-//!          [--cells-out <path>] [--trace-out <dir>]
-//! ```
+//! Flags:
 //!
 //! * `--resume` — reuse journaled cells; only missing/failed ones run.
 //! * `--paranoid` — audit every repetition against the simulator's
@@ -38,16 +33,17 @@
 //!
 //! `GREENENVY_SCALE=paper|standard|quick|tiny` picks the workload.
 //! `GREENENVY_POISON=<cca>@<mtu>` makes that cell panic on every
-//! attempt — the supervision drill's fault injection.
+//! attempt — the supervision drill's fault injection; a value that names
+//! no cell is a usage error, not a drill that injects nothing.
 //!
-//! Exit status: 0 — complete matrix; 3 — finished with failed cells
-//! (no quarantine record, e.g. journal-free run); 4 — finished with
-//! quarantined poison cells (matrix partial but supervised: see
-//! `quarantine.jsonl`); 5 — degraded (journal I/O died mid-run; results
-//! are valid but no longer crash-durable); 130 — cancelled by a signal
-//! (journal intact, resume to continue); 1 — campaign machinery failed
-//! (e.g. journal cannot be created); 2 — usage error.
+//! Exit status (`greenenvy::exitcode`): `OK` — complete matrix;
+//! `INCOMPLETE` — finished with failed cells; `QUARANTINED` — finished
+//! minus quarantined poison cells (see `quarantine.jsonl`); `DEGRADED` —
+//! journal I/O died mid-run; `INTERRUPTED` — cancelled by a signal,
+//! resume to continue; `FAILURE` — the campaign machinery failed.
 
+use crate::args::{Args, Usage};
+use crate::Ctx;
 use greenenvy::campaign::{self, CampaignOptions};
 use greenenvy::exitcode;
 use greenenvy::matrix::{run_cell_with, Cell, CellPolicy};
@@ -55,34 +51,20 @@ use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: campaign [--resume] [--paranoid] [--deadline <secs>] \
-         [--threads <n>] [--journal-dir <dir>] \
-         [--max-attempts <n>] [--backoff <n>] [--cells-out <path>] \
-         [--trace-out <dir>]"
-    );
-    std::process::exit(exitcode::USAGE);
-}
-
-fn parse_arg<T: std::str::FromStr>(args: &mut std::env::Args, flag: &str) -> T {
-    let Some(raw) = args.next() else {
-        eprintln!("error: {flag} needs a value");
-        usage();
-    };
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid value {raw:?} for {flag}");
-        usage();
-    })
-}
-
 /// `GREENENVY_POISON=<cca>@<mtu>` — the injected always-panicking cell.
-fn poison_from_env() -> Option<(cca::CcaKind, u32)> {
-    let spec = std::env::var("GREENENVY_POISON").ok()?;
-    let (name, mtu) = spec.split_once('@')?;
-    let kind = cca::CcaKind::from_name(name)?;
-    let mtu = mtu.parse().ok()?;
-    Some((kind, mtu))
+fn poison_from_env() -> Result<Option<(cca::CcaKind, u32)>, Usage> {
+    let Some(spec) = std::env::var_os("GREENENVY_POISON") else {
+        return Ok(None);
+    };
+    let spec = spec.to_string_lossy();
+    spec.split_once('@')
+        .and_then(|(name, mtu)| Some((cca::CcaKind::from_name(name)?, mtu.parse().ok()?)))
+        .map(Some)
+        .ok_or_else(|| {
+            Usage(format!(
+                "invalid value {spec:?} for GREENENVY_POISON (want <cca>@<mtu>)"
+            ))
+        })
 }
 
 /// The matrix minus its failure bookkeeping: what two supervised runs
@@ -96,8 +78,9 @@ struct CellsProjection {
     cells: Vec<Cell>,
 }
 
-fn main() {
-    let scale = bench::scale_from_env();
+/// The `campaign` command.
+pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
+    let scale = ctx.scale()?;
     let mut journal_dir = PathBuf::from("results").join(format!("campaign_{}.journal", scale.name));
     let mut opts = CampaignOptions {
         cancel: campaign::install_signal_handlers(),
@@ -105,37 +88,23 @@ fn main() {
     };
     let mut cells_out: Option<PathBuf> = None;
 
-    let mut args = std::env::args();
-    args.next(); // program name
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--resume" => opts.resume = true,
             "--paranoid" => opts.paranoid = true,
-            "--deadline" => {
-                opts.deadline = Some(Duration::from_secs_f64(parse_arg(&mut args, "--deadline")))
-            }
-            "--threads" => opts.threads = parse_arg(&mut args, "--threads"),
-            "--journal-dir" => {
-                journal_dir = PathBuf::from(parse_arg::<String>(&mut args, "--journal-dir"))
-            }
-            "--max-attempts" => {
-                opts.retry.max_attempts = parse_arg::<u32>(&mut args, "--max-attempts").max(1)
-            }
-            "--backoff" => opts.retry.backoff_base = parse_arg(&mut args, "--backoff"),
-            "--cells-out" => {
-                cells_out = Some(PathBuf::from(parse_arg::<String>(&mut args, "--cells-out")))
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(PathBuf::from(parse_arg::<String>(&mut args, "--trace-out")))
-            }
-            _ => {
-                eprintln!("error: unknown flag {arg:?}");
-                usage();
-            }
+            "--deadline" => opts.deadline = Some(Duration::from_secs_f64(args.value(&flag)?)),
+            "--threads" => opts.threads = args.value(&flag)?,
+            "--journal-dir" => journal_dir = args.value(&flag)?,
+            "--max-attempts" => opts.retry.max_attempts = args.value::<u32>(&flag)?.max(1),
+            "--backoff" => opts.retry.backoff_base = args.value(&flag)?,
+            "--cells-out" => cells_out = Some(args.value(&flag)?),
+            "--trace-out" => opts.trace_out = Some(args.value(&flag)?),
+            _ => return Err(Usage(format!("unknown flag {flag:?}"))),
         }
     }
+    let poison = poison_from_env()?;
 
-    bench::announce("Durable campaign", &scale);
+    ctx.announce("Durable campaign", &scale);
     println!(
         "journal: {} | resume: {} | paranoid: {} | deadline: {} | threads: {} | \
          retry: {} | trace-out: {}\n",
@@ -151,7 +120,6 @@ fn main() {
             .map_or("off".to_string(), |p| p.display().to_string()),
     );
 
-    let poison = poison_from_env();
     if let Some((cca, mtu)) = poison {
         println!(
             "poison: {} @ mtu {mtu} will panic on every attempt (GREENENVY_POISON)\n",
@@ -179,14 +147,14 @@ fn main() {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: {e}");
-                std::process::exit(exitcode::FAILURE);
+                return Ok(exitcode::FAILURE);
             }
         };
 
     // The matrix artifact is emitted even when partial: resumed runs
-    // overwrite it, and the figure binaries' cache check refuses to
+    // overwrite it, and the figure commands' cache check refuses to
     // reuse an incomplete file.
-    if let Some(p) = bench::save_json(&format!("matrix_{}", scale.name), &report.matrix) {
+    if let Some(p) = crate::save_json(&format!("matrix_{}", scale.name), &report.matrix) {
         println!("matrix: {}", p.display());
     }
     if let Some(path) = &cells_out {
@@ -241,11 +209,11 @@ fn main() {
             "DEGRADED: {reason}\nresults above are valid but NOT crash-durable — \
              re-run with a healthy journal before trusting --resume"
         );
-        std::process::exit(exitcode::DEGRADED);
+        return Ok(exitcode::DEGRADED);
     }
     if report.cancelled {
         println!("cancelled — journal is intact; rerun with --resume to continue");
-        std::process::exit(exitcode::INTERRUPTED);
+        return Ok(exitcode::INTERRUPTED);
     }
     if !report.matrix.is_complete() {
         if !report.supervision.quarantined.is_empty() {
@@ -253,8 +221,9 @@ fn main() {
                 "complete minus {} quarantined poison cell(s) — see quarantine.jsonl",
                 report.supervision.quarantined.len()
             );
-            std::process::exit(exitcode::QUARANTINED);
+            return Ok(exitcode::QUARANTINED);
         }
-        std::process::exit(exitcode::INCOMPLETE);
+        return Ok(exitcode::INCOMPLETE);
     }
+    Ok(exitcode::OK)
 }

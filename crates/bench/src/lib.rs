@@ -1,25 +1,29 @@
-//! # bench — figure regeneration, the campaign runner and the perf gates
+//! # bench — every figure, campaign, drill and gate as one command
 //!
-//! * `src/bin/fig1.rs` … `fig8.rs`, `theorem1.rs`, `all.rs` — binaries
-//!   that rerun each of the paper's figures and print the same
-//!   rows/series the paper reports (`cargo run --release -p bench --bin
-//!   fig1`). `GREENENVY_SCALE=paper|standard|quick|tiny` selects the
-//!   workload size. Each binary also writes its typed result as JSON
-//!   under `results/`.
-//! * `src/bin/campaign.rs` — the durable CCA × MTU campaign runner:
-//!   checkpoint journal, `--resume`, per-cell `--deadline`, paranoid
-//!   invariant audits, and graceful SIGINT/SIGTERM shutdown.
-//! * `src/bin/cca_table.rs` — the one-screen diagnostic table of every
-//!   CCA's behaviour at a chosen transfer size and MTU.
-//! * `src/bin/perf_gates.rs` — the four host-independent perf ratios
-//!   (`obs_full_overhead`, `fig4_sharing`, `sack_scaling`,
-//!   `journal_sharding`), each timed interleaved in one process and held
-//!   to a budget; what `scripts/verify.sh --perf` runs. Absolute times
-//!   live on the benchmark ledger (`benchmark/README.md`).
-//! * `src/sack_trace.rs` — the recorded loss-recovery trace behind the
-//!   `sack_scaling` gate.
+//! `cargo run --release -p bench -- <command> [args]`. [`COMMANDS`]
+//! (`src/commands.rs`) is the one table of what can be run and `bench
+//! help` prints it: `fig1` … `fig8`, `theorem1`, `extensions` and `all`
+//! rerun the paper's figures at `GREENENVY_SCALE=paper|standard|quick|tiny`,
+//! print the rows/series the paper reports and write typed JSON under
+//! `results/`; `campaign`, `chaos`, `scenarios`, `population`, `report`
+//! and `perf_gates` are a module each, documented there; `sack_trace` is
+//! the recorded loss-recovery trace behind the `sack_scaling` gate.
+//!
+//! A command returns its exit code (a `greenenvy::exitcode` name) or an
+//! [`args::Usage`] error; only `src/main.rs` ends the process.
 
+pub mod args;
+pub mod campaign;
+pub mod chaos;
+mod commands;
+pub mod perf_gates;
+pub mod population;
+pub mod report;
 pub mod sack_trace;
+pub mod scenarios;
+
+pub(crate) use commands::{emit, EXTENSIONS};
+pub use commands::{help, Command, Ctx, COMMANDS};
 
 use greenenvy::campaign::persist;
 use serde::Serialize;
@@ -45,26 +49,9 @@ pub fn save_json_in<T: Serialize>(dir: &std::path::Path, name: &str, value: &T) 
     }
 }
 
-/// The scale `GREENENVY_SCALE` selects. A set-but-unknown value is a
-/// usage error: the binary exits instead of silently running standard.
-pub fn scale_from_env() -> greenenvy::Scale {
-    greenenvy::Scale::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(greenenvy::exitcode::USAGE)
-    })
-}
-
-/// Announce the scale a binary is running at.
-pub fn announce(figure: &str, scale: &greenenvy::Scale) {
-    println!(
-        "=== {figure} | scale: {} ({} bytes/transfer, {} reps) ===\n",
-        scale.name, scale.transfer_bytes, scale.repetitions
-    );
-}
-
 /// Load a cached campaign matrix for this scale from `results/`, or run
 /// it and cache it. Figures 5-8 all project the same campaign (as in the
-/// paper), so consecutive figure binaries reuse one run.
+/// paper), so consecutive figure commands reuse one run.
 pub fn load_or_run_matrix(scale: greenenvy::Scale) -> greenenvy::matrix::Matrix {
     let path = PathBuf::from("results").join(format!("matrix_{}.json", scale.name));
     if let Ok(body) = std::fs::read_to_string(&path) {
@@ -153,7 +140,7 @@ mod tests {
     fn tracked_standard_matrix_still_cache_hits() {
         // The checked-in artifact must keep deserializing under the
         // current schema and satisfying the cache key — otherwise every
-        // figure binary silently re-runs the standard-scale campaign.
+        // figure command silently re-runs the standard-scale campaign.
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../results/matrix_standard.json");
         let body = std::fs::read_to_string(&path).expect("tracked matrix artifact exists");

@@ -8,14 +8,14 @@
 //! this host says nothing about the code, and those live on the
 //! benchmark ledger instead (`benchmark/README.md`).
 //!
-//! Usage: `cargo run --release -p bench --bin perf_gates [-- <gate>...]`
-//!
-//! With no arguments every gate runs; otherwise only the named ones
-//! (`scripts/verify.sh --supervise` runs `journal_sharding` alone). An
-//! unknown name is a usage error, reported before anything is measured.
-//! Exit status: 0 — every measured ratio within its budget; 1 — at least
-//! one past it; 2 — usage error.
+//! `bench perf_gates [<gate>]...`: with no arguments every gate runs,
+//! otherwise only the named ones (`scripts/verify.sh --supervise` runs
+//! `journal_sharding` alone); an unknown name is a usage error, reported
+//! before anything is measured. Exit status: `OK` — every measured ratio
+//! within its budget; `FAILURE` — at least one past it.
 
+use crate::args::{Args, Usage};
+use crate::Ctx;
 use cca::CcaKind;
 use greenenvy::exitcode;
 use netsim::fault::FaultSpec;
@@ -135,7 +135,7 @@ fn fig4_sharing() -> Round {
 }
 
 fn sack_scaling() -> Round {
-    use bench::sack_trace::{record, replay};
+    use crate::sack_trace::{record, replay};
     // The same number of acks on both sides, so the ratio of two walls
     // is the ratio of two per-ack costs.
     const ACKS: usize = 50_000;
@@ -198,16 +198,18 @@ fn journal_sharding() -> Round {
     })
 }
 
-fn main() {
-    let wanted: Vec<String> = std::env::args().skip(1).collect();
+/// The `perf_gates` command.
+pub fn run(_: &Ctx, args: &mut Args) -> Result<i32, Usage> {
+    let wanted: Vec<String> = args.collect();
     if let Some(unknown) = wanted
         .iter()
         .find(|w| GATES.iter().all(|g| g.name != w.as_str()))
     {
         let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
-        eprintln!("error: unknown gate {unknown:?}");
-        eprintln!("usage: perf_gates [{}]...", names.join(" | "));
-        std::process::exit(exitcode::USAGE);
+        return Err(Usage(format!(
+            "unknown gate {unknown:?} (the gates: {})",
+            names.join(", ")
+        )));
     }
 
     let mut breaches = 0;
@@ -245,7 +247,8 @@ fn main() {
     }
     if breaches > 0 {
         eprintln!("perf gates: {breaches} ratio(s) past budget");
-        std::process::exit(exitcode::FAILURE);
+        return Ok(exitcode::FAILURE);
     }
     println!("perf gates: every ratio within budget");
+    Ok(exitcode::OK)
 }

@@ -3,16 +3,18 @@
 //! population engine.
 //!
 //! The paper measures "unfair is greener" on a handful of flows; this
-//! binary asks the deployment-scale version of the question: when the
+//! command asks the deployment-scale version of the question: when the
 //! two algorithm populations share racks, how is goodput split between
 //! them (Jain index, per-CCA means) and what does the energy bill per
 //! delivered gigabyte look like?
 //!
 //! `GREENENVY_SCALE=paper|standard|quick|tiny cargo run --release -p
-//! bench --bin population` — paper/standard run the full 11,000-flow
+//! bench -- population` — paper/standard run the full 11,000-flow
 //! `bulk_10k_flows` population; quick shrinks it 10x, tiny 100x. The
 //! typed result lands in `results/population_mix_<scale>.json`.
 
+use crate::args::{Args, Usage};
+use crate::Ctx;
 use greenenvy::Scale;
 use serde::Serialize;
 use workload::prelude::*;
@@ -58,8 +60,9 @@ fn spec_at(scale: &Scale) -> PopulationSpec {
     }
 }
 
-fn main() {
-    let scale = bench::scale_from_env();
+/// The `population` command.
+pub fn run(ctx: &Ctx, _: &mut Args) -> Result<i32, Usage> {
+    let scale = ctx.scale()?;
     println!(
         "=== population mix (10 CUBIC : 1 BBR) | scale: {} ===\n",
         scale.name
@@ -145,7 +148,8 @@ fn main() {
         out.threads,
         result.sim_end_s
     );
-    if let Some(path) = bench::save_json(&format!("population_mix_{}", scale.name), &result) {
+    if let Some(path) = crate::save_json(&format!("population_mix_{}", scale.name), &result) {
         println!("wrote {}", path.display());
     }
+    Ok(greenenvy::exitcode::OK)
 }

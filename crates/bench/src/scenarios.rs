@@ -1,9 +1,5 @@
 //! Run the resilience scenario suite and emit its verdict matrix.
 //!
-//! ```text
-//! scenarios [--out <file>] [--trace-out <dir>]
-//! ```
-//!
 //! * `--out` — write the verdict JSON to this exact path (atomic).
 //!   The verdict is a pure function of the suite's specs, so two runs
 //!   at the same scale produce byte-identical files — `verify.sh
@@ -15,49 +11,32 @@
 //! Exits non-zero unless every scenario behaved: positive entries
 //! passed all expectations, negative entries failed as designed.
 
+use crate::args::{Args, Usage};
+use crate::Ctx;
 use greenenvy::campaign::persist;
 use greenenvy::exitcode;
 use greenenvy::resilience;
 use std::path::PathBuf;
 
-fn main() {
-    let scale = bench::scale_from_env();
+/// The `scenarios` command.
+pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
+    let scale = ctx.scale()?;
     let mut out_path: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
-
-    let mut args = std::env::args();
-    args.next(); // program name
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(p) => out_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --out needs a file path");
-                    std::process::exit(exitcode::USAGE);
-                }
-            },
-            "--trace-out" => match args.next() {
-                Some(dir) => trace_out = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("error: --trace-out needs a directory");
-                    std::process::exit(exitcode::USAGE);
-                }
-            },
-            _ => {
-                eprintln!(
-                    "error: unknown flag {arg:?}\nusage: scenarios [--out <file>] [--trace-out <dir>]"
-                );
-                std::process::exit(exitcode::USAGE);
-            }
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--out" => out_path = Some(args.value(&flag)?),
+            "--trace-out" => trace_out = Some(args.value(&flag)?),
+            _ => return Err(Usage(format!("unknown flag {flag:?}"))),
         }
     }
 
-    bench::announce("Resilience suite", &scale);
+    ctx.announce("Resilience suite", &scale);
     let out = match resilience::run(scale) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: resilience suite failed to run: {e}");
-            std::process::exit(exitcode::FAILURE);
+            return Ok(exitcode::FAILURE);
         }
     };
     println!("{}", resilience::render(&out.verdict));
@@ -84,6 +63,7 @@ fn main() {
 
     if !out.verdict.all_behaved {
         eprintln!("error: suite misbehaved (see verdict above)");
-        std::process::exit(exitcode::FAILURE);
+        return Ok(exitcode::FAILURE);
     }
+    Ok(exitcode::OK)
 }

@@ -13,7 +13,6 @@
 //!   bottleneck and watch burst losses and per-byte energy grow with N.
 
 use cca::CcaKind;
-use netsim::time::SimTime;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
 
@@ -61,23 +60,18 @@ pub mod multiplexed {
     }
 
     fn schedule_pair(cfg: &Config, colocate: bool) -> (f64, f64) {
-        let mk = |flows: Vec<FlowSpec>| {
-            let mut s = Scenario::new(cfg.mtu, flows).with_seed(cfg.seed);
-            if colocate {
-                s = s.with_colocated_senders();
-            }
-            workload::scenario::run(&s).expect("schedule completes")
-        };
-        let fair = mk(vec![
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
-        ]);
-        let solo = mk(vec![FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes)]);
-        let t1 = solo.reports[0].completed_at.saturating_since(SimTime::ZERO);
-        let serial = mk(vec![
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes).with_start_delay(t1),
-        ]);
+        let mut pair = Scenario::new(
+            cfg.mtu,
+            vec![
+                FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
+                FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
+            ],
+        )
+        .with_seed(cfg.seed);
+        pair.colocate_senders = colocate;
+        let run = |s: &Scenario| workload::scenario::run(s).expect("schedule completes");
+        let fair = run(&pair);
+        let serial = run(&pair.serialized().expect("solo run completes"));
         let hosts = if colocate { 1.0 } else { 2.0 };
         let w = fair.window.as_secs_f64().max(serial.window.as_secs_f64());
         (energy_over(&fair, w, hosts), energy_over(&serial, w, hosts))

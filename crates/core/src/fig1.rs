@@ -107,25 +107,11 @@ fn throttled_scenario(cfg: &Config, fraction: f64, seed: u64) -> Scenario {
     .with_seed(seed)
 }
 
-/// Serial schedule: flow #1 alone at line rate, then flow #2. The second
-/// flow's start is the measured solo completion time of the first (a
-/// two-phase deterministic construction).
+/// Serial schedule: flow #1 alone at line rate, then flow #2.
 fn serial_scenario(cfg: &Config, seed: u64) -> Scenario {
-    let solo = Scenario::new(
-        cfg.mtu,
-        vec![FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes)],
-    )
-    .with_seed(seed);
-    let solo_fct = simulate(&solo).expect("solo flow completes").reports[0].completed_at;
-    Scenario::new(
-        cfg.mtu,
-        vec![
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
-            FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes)
-                .with_start_delay(solo_fct.saturating_since(netsim::time::SimTime::ZERO)),
-        ],
-    )
-    .with_seed(seed)
+    fair_scenario(cfg, seed)
+        .serialized()
+        .expect("solo flow completes")
 }
 
 struct RawPoint {

@@ -8,7 +8,7 @@
 
 use crate::scale::Scale;
 use cca::CcaKind;
-use netsim::time::{SimDuration, SimTime};
+use netsim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
 
@@ -100,19 +100,13 @@ enum Schedule {
 /// outcome holds the whole trace; the panel is what the figure keeps).
 fn panel(cfg: &Config, schedule: Schedule) -> Panel {
     let flow = || FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes);
-    let second = match schedule {
-        Schedule::Fair => flow(),
-        Schedule::Serial => {
-            let solo = Scenario::new(cfg.mtu, vec![flow()]).with_seed(cfg.seed);
-            let solo_fct = simulate(&solo).expect("solo run completes").reports[0]
-                .completed_at
-                .saturating_since(SimTime::ZERO);
-            flow().with_start_delay(solo_fct)
-        }
-    };
-    let scenario = Scenario::new(cfg.mtu, vec![flow(), second])
+    let scenario = Scenario::new(cfg.mtu, vec![flow(), flow()])
         .with_seed(cfg.seed)
         .with_trace(cfg.bin);
+    let scenario = match schedule {
+        Schedule::Fair => scenario,
+        Schedule::Serial => scenario.serialized().expect("solo run completes"),
+    };
     let out = workload::scenario::run(&scenario).expect("two-flow schedule completes");
     to_panel(&out, cfg.bin)
 }

@@ -104,8 +104,8 @@ fn faulted_two_flow_fingerprint_replays_identically() {
 /// per flow `(bytes_acked, retransmits, rtos, fct ns)`. Loss recovery —
 /// SACK marking, the RFC 6675 / RACK scan, TLP and RTO — decides every
 /// one of these, so a scoreboard change that moves a single loss
-/// declaration fails here (`tests/golden_lossy_pins.rs` mirrors the pin
-/// for Tier-1; re-capture both together).
+/// declaration fails here (this file runs in Tier-1 itself: `cargo test`
+/// at the root covers every crate).
 const GOLDEN_LOSSY_EVENTS_PROCESSED: u64 = 89_359;
 const GOLDEN_LOSSY_SIM_END_NS: u64 = 606_401_672;
 const GOLDEN_LOSSY_SENDER_ENERGY_BITS: u64 = 4626653305144082432;

@@ -8,8 +8,8 @@
 //! split into a simulate phase and a metering phase, so a refactor of
 //! the run or figure plumbing that moves a single emitted digit fails
 //! here across commits. Re-capture only with a deliberate model or
-//! engine change (`tests/golden_figure_pins.rs` mirrors the fig4 pin
-//! for Tier-1).
+//! engine change (this file runs in Tier-1 itself: `cargo test` at the
+//! root covers every crate).
 
 use greenenvy::campaign::journal::fnv64;
 use greenenvy::{fig1, fig2, fig4};

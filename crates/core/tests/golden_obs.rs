@@ -15,8 +15,8 @@
 //!    moved to pre-resolved handles, so an `obs` change that alters a
 //!    single artefact byte fails here across commits, not only
 //!    run-to-run. Re-capture only with a deliberate format or engine
-//!    change (`tests/golden_obs_pins.rs` mirrors the first pin for
-//!    Tier-1).
+//!    change (this file runs in Tier-1 itself: `cargo test` at the root
+//!    covers every crate).
 //!
 //! Plus the failure path: an aborted flow must leave its flight-ring
 //! dump in the cell artifact directory.

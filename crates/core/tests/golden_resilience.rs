@@ -8,7 +8,8 @@
 //! wiring, report assembly or energy readout moves it. Captured at the
 //! commit before the three runners were folded into one harness;
 //! re-capture only with a deliberate model, engine or suite change
-//! (`tests/golden_resilience_pins.rs` mirrors the pin for Tier-1).
+//! (this file runs in Tier-1 itself: `cargo test` at the root covers
+//! every crate).
 
 use greenenvy::campaign::journal::fnv64;
 use greenenvy::{resilience, Scale};

@@ -204,6 +204,23 @@ impl Scenario {
         self
     }
 
+    /// The paper's "full speed, then idle" schedule: flow *k* is held
+    /// back until a pre-run of flows `0..k` completes, so each flow has
+    /// the link to itself. The pre-run keeps every setting that shapes
+    /// packets and drops the ones that only record (trace, observability,
+    /// packet log).
+    pub fn serialized(mut self) -> Result<Scenario, ScenarioError> {
+        for k in 1..self.flows.len() {
+            let mut earlier = self.clone();
+            earlier.flows.truncate(k);
+            earlier.trace_bin = None;
+            earlier.observe = Observe::Off;
+            earlier.pkt_log_capacity = None;
+            self.flows[k].start_delay = simulate(&earlier)?.window;
+        }
+        Ok(self)
+    }
+
     /// Path bandwidth-delay product in bytes (excluding queueing).
     pub fn bdp_bytes(&self) -> u64 {
         harness::bdp_bytes(self.link_gbps, self.hop_delay.as_secs_f64() * 4.0)
@@ -523,6 +540,33 @@ mod tests {
         let fct = out.reports[0].fct.as_secs_f64();
         // 125 MB ~ 1 Gbit of payload at ~2 Gb/s wire => ~0.5 s.
         assert!((0.45..0.6).contains(&fct), "fct={fct}");
+    }
+
+    #[test]
+    fn serialized_holds_each_flow_back_until_the_earlier_ones_are_done() {
+        let flow = || FlowSpec::bulk(CcaKind::Cubic, 20 * MB);
+        let three = Scenario::new(9000, vec![flow(), flow(), flow()])
+            .with_seed(7)
+            .with_trace(SimDuration::from_millis(1));
+        let serial = three.clone().serialized().unwrap();
+        // Flow k starts when flows 0..k, run alone, have finished.
+        let alone = |k: usize| {
+            let mut earlier = serial.clone();
+            earlier.flows.truncate(k);
+            run(&earlier).unwrap().window
+        };
+        assert_eq!(serial.flows[0].start_delay, SimDuration::ZERO);
+        assert_eq!(serial.flows[1].start_delay, alone(1));
+        assert_eq!(serial.flows[2].start_delay, alone(2));
+        assert!(serial.flows[2].start_delay > serial.flows[1].start_delay);
+        // Only the start delays moved: the recording settings survive.
+        assert_eq!(serial.trace_bin, three.trace_bin);
+        assert_eq!(serial.seed, three.seed);
+        // Back to back, nobody shares the link: each flow runs near line rate.
+        let out = run(&serial).unwrap();
+        for r in &out.reports {
+            assert!(r.mean_goodput.gbps() > 5.0, "{}", r.mean_goodput.gbps());
+        }
     }
 
     #[test]

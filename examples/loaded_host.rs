@@ -8,7 +8,6 @@
 use green_envy_repro::analysis::table::Table;
 use green_envy_repro::cca::CcaKind;
 use green_envy_repro::energy::calibration::idle_tail_j;
-use green_envy_repro::netsim::time::{SimDuration, SimTime};
 use green_envy_repro::workload::prelude::*;
 
 fn main() {
@@ -18,27 +17,20 @@ fn main() {
         .unwrap_or(250);
     let bytes = per_flow_mb * 1_000_000;
 
-    let two_flows = |second_start| {
-        Scenario::new(
-            9000,
-            vec![
-                FlowSpec::bulk(CcaKind::Cubic, bytes),
-                FlowSpec::bulk(CcaKind::Cubic, bytes).with_start_delay(second_start),
-            ],
-        )
-    };
+    let pair = Scenario::new(
+        9000,
+        vec![
+            FlowSpec::bulk(CcaKind::Cubic, bytes),
+            FlowSpec::bulk(CcaKind::Cubic, bytes),
+        ],
+    );
 
     // Background load changes power, not packets: simulate each schedule
     // once (`simulate` never sees a load), then meter it per load below.
-    // The solo completion time defines the serial schedule.
-    let solo = simulate(&Scenario::new(
-        9000,
-        vec![FlowSpec::bulk(CcaKind::Cubic, bytes)],
-    ))
-    .expect("solo run completes");
-    let flow1_fct = solo.reports[0].completed_at.saturating_since(SimTime::ZERO);
-    let fair = simulate(&two_flows(SimDuration::ZERO)).expect("fair completes");
-    let serial = simulate(&two_flows(flow1_fct)).expect("serial completes");
+    // `serialized` holds flow 2 back until flow 1, run alone, is done.
+    let fair = simulate(&pair).expect("fair completes");
+    let serial =
+        simulate(&pair.serialized().expect("solo run completes")).expect("serial completes");
 
     let mut t = Table::new([
         "background load",

@@ -9,38 +9,25 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use green_envy_repro::cca::CcaKind;
-use green_envy_repro::netsim::time::SimTime;
 use green_envy_repro::workload::prelude::*;
 
 const TEN_GBIT: u64 = 1_250_000_000; // bytes
 
 fn main() {
     // Schedule A: both flows start together and share the link fairly.
-    let fair = workload::scenario::run(&Scenario::new(
+    let pair = Scenario::new(
         9000,
         vec![
             FlowSpec::bulk(CcaKind::Cubic, TEN_GBIT),
             FlowSpec::bulk(CcaKind::Cubic, TEN_GBIT),
         ],
-    ))
-    .expect("fair schedule completes");
+    );
+    let fair = workload::scenario::run(&pair).expect("fair schedule completes");
 
-    // Schedule B: flow 2 waits until flow 1 is done, then takes the
-    // whole link.
-    let solo = workload::scenario::run(&Scenario::new(
-        9000,
-        vec![FlowSpec::bulk(CcaKind::Cubic, TEN_GBIT)],
-    ))
-    .expect("solo run completes");
-    let flow1_fct = solo.reports[0].completed_at.saturating_since(SimTime::ZERO);
-    let serial = workload::scenario::run(&Scenario::new(
-        9000,
-        vec![
-            FlowSpec::bulk(CcaKind::Cubic, TEN_GBIT),
-            FlowSpec::bulk(CcaKind::Cubic, TEN_GBIT).with_start_delay(flow1_fct),
-        ],
-    ))
-    .expect("serial schedule completes");
+    // Schedule B: flow 2 waits until flow 1, run alone, is done, then
+    // takes the whole link.
+    let serial = workload::scenario::run(&pair.serialized().expect("solo run completes"))
+        .expect("serial schedule completes");
 
     println!("schedule            window     sender energy");
     println!(

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, formatting, workspace clippy,
 # the whole test suite, and a quick-scale smoke run of every figure
-# binary. This is what CI (and a reviewer) should run before merging
+# (`bench all`). This is what CI (and a reviewer) should run before merging
 # engine or experiment changes. A pass/fail table for every stage is
 # printed at the end, even when a stage fails.
+#
+# The build stage links the product once, as target/release/bench; every
+# later stage and drill runs `bench <command>` (the `bench help` table)
+# straight from that file, from a scratch cwd of its own.
 #
 # The default test stage is the whole workspace — the same tests Tier-1's
 # `cargo test -q` at the root runs. It already holds every topology's run
@@ -31,7 +35,7 @@
 #             transport chaos property tests, the golden determinism
 #             fingerprints (clean, faulted, and the pinned lossy four-CCA
 #             run that guards loss recovery), and a quick-scale run of
-#             the chaos experiment binary.
+#             the chaos experiment (`bench chaos`).
 #   --resume  additionally drill the durability layer end to end: start a
 #             tiny-scale journaled campaign, SIGTERM it mid-flight, resume
 #             it, and require the merged matrix to be byte-identical to an
@@ -134,6 +138,14 @@ stage_build() {
     cargo build --release --offline --workspace
 }
 
+# Every later stage runs the product through this: the one `bench`
+# binary the build stage just linked, so a stage costs what it runs, not
+# a cargo freshness check. Stages cd to a scratch directory first where
+# the command writes results/ (always relative to the cwd).
+bench() {
+    "$repo/target/release/bench" "$@"
+}
+
 stage_fmt() {
     cargo fmt --check
 }
@@ -147,15 +159,14 @@ stage_test() {
 }
 
 stage_smoke() {
-    # Run from a scratch directory: the figure binaries write
+    # Run from a scratch directory: the figure commands write
     # results/*.json relative to the cwd, and the quick-scale smoke must
     # not clobber the tracked standard-scale results at the repo root.
-    (cd "$smoke" && GREENENVY_SCALE=quick \
-        cargo run --release --offline --manifest-path "$repo/Cargo.toml" -p bench --bin all)
+    (cd "$smoke" && GREENENVY_SCALE=quick bench all)
 }
 
 stage_perf() {
-    cargo run --release --offline -p bench --bin perf_gates &&
+    bench perf_gates &&
     benchmark/run.sh --quick
 }
 
@@ -168,8 +179,7 @@ stage_chaos() {
     cargo test -q --release --offline -p netsim --test proptest_fault &&
     cargo test -q --release --offline -p transport --test proptest_chaos &&
     cargo test -q --release --offline -p greenenvy --test golden_determinism &&
-    (cd "$smoke" && GREENENVY_SCALE=quick \
-        cargo run --release --offline --manifest-path "$repo/Cargo.toml" -p bench --bin chaos)
+    (cd "$smoke" && GREENENVY_SCALE=quick bench chaos)
 }
 
 # Return once the shards under journal directory $1 hold more than $2
@@ -189,16 +199,15 @@ stage_resume() {
     drill=$(mktemp -d)
     # Golden reference: the campaign start to finish, uninterrupted.
     (cd "$drill" && mkdir -p golden && cd golden && GREENENVY_SCALE=tiny \
-        cargo run --release --offline --manifest-path "$repo/Cargo.toml" \
-        -p bench --bin campaign -- --paranoid --threads 2) || return 1
+        bench campaign --paranoid --threads 2) || return 1
 
     # Interrupted run: SIGTERM once the journal shows progress, then
     # --resume to completion. Exit 130 is the campaign's "cancelled,
     # journal intact" signal.
     mkdir -p "$drill/drill"
+    # exec so $pid IS the campaign process and the SIGTERM reaches it.
     (cd "$drill/drill" && GREENENVY_SCALE=tiny \
-        cargo run --release --offline --manifest-path "$repo/Cargo.toml" \
-        -p bench --bin campaign -- --paranoid --threads 2) &
+        exec "$repo/target/release/bench" campaign --paranoid --threads 2) &
     local pid=$!
     # >5 lines = 2 shard headers + some journaled cells: interrupt
     # mid-flight.
@@ -211,8 +220,7 @@ stage_resume() {
         return 1
     fi
     (cd "$drill/drill" && GREENENVY_SCALE=tiny \
-        cargo run --release --offline --manifest-path "$repo/Cargo.toml" \
-        -p bench --bin campaign -- --paranoid --threads 2 --resume) || return 1
+        bench campaign --paranoid --threads 2 --resume) || return 1
 
     if ! cmp -s "$drill/golden/results/matrix_tiny.json" "$drill/drill/results/matrix_tiny.json"; then
         echo "verify.sh: resumed matrix differs from the uninterrupted run" >&2
@@ -234,8 +242,7 @@ stage_obs() {
     local run
     for run in a b; do
         (cd "$tracedir" && mkdir -p "$run" && cd "$run" && GREENENVY_SCALE=tiny \
-            cargo run --release --offline --manifest-path "$repo/Cargo.toml" \
-            -p bench --bin chaos -- --trace-out traces) || { rm -rf "$tracedir"; return 1; }
+            bench chaos --trace-out traces) || { rm -rf "$tracedir"; return 1; }
     done
     local n
     n=$(ls "$tracedir/a/traces"/*.trace.json 2>/dev/null | wc -l)
@@ -266,8 +273,7 @@ stage_scenarios() {
     local run
     for run in a b; do
         (cd "$scndir" && mkdir -p "$run" && cd "$run" && GREENENVY_SCALE=tiny \
-            cargo run --release --offline --manifest-path "$repo/Cargo.toml" \
-            -p bench --bin scenarios -- --out verdict.json --trace-out obs) \
+            bench scenarios --out verdict.json --trace-out obs) \
             || { rm -rf "$scndir"; return 1; }
     done
     if ! cmp -s "$scndir/a/verdict.json" "$scndir/b/verdict.json"; then
@@ -291,7 +297,7 @@ stage_supervise() {
     supdir=$(mktemp -d)
 
     # Gate 1: sharding must not cost checkpoint throughput.
-    cargo run --release --offline -p bench --bin perf_gates -- journal_sharding || return 1
+    bench perf_gates journal_sharding || return 1
 
     # Gate 2: golden poisoned run. The injected cubic@1500 cell panics on
     # every attempt; the campaign must quarantine it and finish the other
@@ -299,8 +305,7 @@ stage_supervise() {
     mkdir -p "$supdir/golden"
     local status=0
     (cd "$supdir/golden" && GREENENVY_SCALE=tiny GREENENVY_POISON=cubic@1500 \
-        cargo run --release --offline --manifest-path "$repo/Cargo.toml" \
-        -p bench --bin campaign -- --threads 3 --journal-dir journal \
+        bench campaign --threads 3 --journal-dir journal \
         --max-attempts 2 --backoff 1 --cells-out cells.json 2>/dev/null) || status=$?
     if [[ $status -ne 4 ]]; then
         echo "verify.sh: poisoned campaign exited $status (wanted 4: quarantined)" >&2
@@ -322,11 +327,11 @@ stage_supervise() {
     # projection (measurements minus retry bookkeeping, which
     # legitimately differs across lives) must be byte-identical.
     mkdir -p "$supdir/drill"
-    # exec so $pid IS the campaign binary: a kill -9 must hit the worker
-    # pool itself, not a cargo/subshell wrapper that would leave the
-    # campaign running as an orphan (and the drill testing nothing).
+    # exec so $pid IS the campaign process: a kill -9 must hit the worker
+    # pool itself, not a subshell wrapper that would leave the campaign
+    # running as an orphan (and the drill testing nothing).
     (cd "$supdir/drill" && GREENENVY_SCALE=tiny GREENENVY_POISON=cubic@1500 \
-        exec "$repo/target/release/campaign" --threads 3 --journal-dir journal \
+        exec "$repo/target/release/bench" campaign --threads 3 --journal-dir journal \
         --max-attempts 2 --backoff 1 2>/dev/null) &
     local pid=$!
     # >6 lines = 3 shard headers + some journaled cells: mid-flight.
@@ -340,8 +345,7 @@ stage_supervise() {
     fi
     status=0
     (cd "$supdir/drill" && GREENENVY_SCALE=tiny GREENENVY_POISON=cubic@1500 \
-        cargo run --release --offline --manifest-path "$repo/Cargo.toml" \
-        -p bench --bin campaign -- --threads 2 --journal-dir journal \
+        bench campaign --threads 2 --journal-dir journal \
         --max-attempts 2 --backoff 1 --cells-out cells.json --resume 2>/dev/null) || status=$?
     if [[ $status -ne 4 ]]; then
         echo "verify.sh: resumed poisoned campaign exited $status (wanted 4: quarantined)" >&2

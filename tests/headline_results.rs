@@ -3,7 +3,6 @@
 
 use green_envy_repro::cca::CcaKind;
 use green_envy_repro::greenenvy::{fig1, fig2, theorem};
-use green_envy_repro::netsim::time::SimTime;
 use green_envy_repro::workload::prelude::*;
 
 const MB: u64 = 1_000_000;
@@ -101,28 +100,15 @@ fn jumbo_frames_save_energy() {
 #[test]
 fn full_speed_then_idle_beats_fair_share() {
     let bytes = 125 * MB;
-    let fair = workload::scenario::run(&Scenario::new(
+    let pair = Scenario::new(
         9000,
         vec![
             FlowSpec::bulk(CcaKind::Cubic, bytes),
             FlowSpec::bulk(CcaKind::Cubic, bytes),
         ],
-    ))
-    .unwrap();
-    let solo = workload::scenario::run(&Scenario::new(
-        9000,
-        vec![FlowSpec::bulk(CcaKind::Cubic, bytes)],
-    ))
-    .unwrap();
-    let t1 = solo.reports[0].completed_at.saturating_since(SimTime::ZERO);
-    let serial = workload::scenario::run(&Scenario::new(
-        9000,
-        vec![
-            FlowSpec::bulk(CcaKind::Cubic, bytes),
-            FlowSpec::bulk(CcaKind::Cubic, bytes).with_start_delay(t1),
-        ],
-    ))
-    .unwrap();
+    );
+    let fair = workload::scenario::run(&pair).unwrap();
+    let serial = workload::scenario::run(&pair.serialized().unwrap()).unwrap();
 
     // Same data, comparable windows, less energy.
     let window_ratio = serial.window.as_secs_f64() / fair.window.as_secs_f64();
