@@ -1,6 +1,9 @@
 //! Golden fixture tests: each `fixtures/<name>.rs` is linted with every
 //! rule enabled and the human-rendered report (suppressed findings
 //! included) is byte-compared against `fixtures/<name>.expected`.
+//! `fixtures/registry/` is a two-crate workspace with its own
+//! `simlint.toml` and lock texts, linted whole so the cross-file
+//! registry checks run; its report is `fixtures/registry.expected`.
 //!
 //! To refresh after an intentional rule change:
 //! `UPDATE_EXPECTED=1 cargo test -p simlint --test golden_fixtures`
@@ -9,6 +12,7 @@
 use simlint::config::Config;
 use simlint::diag::Report;
 use simlint::rules::{lint_file, FileInput};
+use simlint::{config, lint_loaded, load_workspace};
 use std::path::{Path, PathBuf};
 
 fn fixtures_dir() -> PathBuf {
@@ -36,9 +40,13 @@ fn lint_fixture(name: &str) -> Report {
 
 fn check_golden(name: &str) {
     let rendered = lint_fixture(name).render_human(true);
+    check_rendered(name, &rendered);
+}
+
+fn check_rendered(name: &str, rendered: &str) {
     let expected_path = fixtures_dir().join(name.replace(".rs", ".expected"));
     if std::env::var_os("UPDATE_EXPECTED").is_some() {
-        std::fs::write(&expected_path, &rendered).expect("writing expected file");
+        std::fs::write(&expected_path, rendered).expect("writing expected file");
         return;
     }
     let expected = std::fs::read_to_string(&expected_path).unwrap_or_else(|e| {
@@ -77,6 +85,39 @@ fn panic_fixture() {
 #[test]
 fn durability_fixture() {
     check_golden("durability.rs");
+}
+
+/// The registry workspace under its current lock (the whole report),
+/// then with no lock and with an unreadable one (what
+/// `schema-version-bump` says). The file order is reversed between
+/// runs: the report may not depend on it.
+//= DESIGN.md#inv-exit-code-registry
+//= DESIGN.md#inv-schema-version-bump
+//= DESIGN.md#inv-metric-name-registry
+#[test]
+fn registry_fixture() {
+    let root = fixtures_dir().join("registry");
+    let read = |name: &str| {
+        std::fs::read_to_string(root.join(name))
+            .unwrap_or_else(|e| panic!("reading fixtures/registry/{name}: {e}"))
+    };
+    let cfg = config::parse(&read(simlint::CONFIG_FILE), "fixtures/registry/simlint.toml")
+        .expect("fixture config parses");
+    let mut files = load_workspace(&root, &cfg).expect("fixture workspace loads");
+    let mut rendered = String::new();
+    for (title, lock) in [
+        ("schema.lock", Some(read("schema.lock"))),
+        ("no lock", None),
+        ("garbage.lock", Some(read("garbage.lock"))),
+    ] {
+        let mut report = lint_loaded(&files, &cfg, lock.as_deref());
+        if title != "schema.lock" {
+            report.diags.retain(|d| d.rule == "schema-version-bump");
+        }
+        rendered += &format!("== {title} ==\n{}", report.render_human(true));
+        files.reverse();
+    }
+    check_rendered("registry.rs", &rendered);
 }
 
 #[test]
