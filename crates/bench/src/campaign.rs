@@ -92,7 +92,16 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
         match flag.as_str() {
             "--resume" => opts.resume = true,
             "--paranoid" => opts.paranoid = true,
-            "--deadline" => opts.deadline = Some(Duration::from_secs_f64(args.value(&flag)?)),
+            "--deadline" => {
+                let raw: String = args.value(&flag)?;
+                let seconds = raw.parse().ok();
+                let deadline = seconds.and_then(|s| Duration::try_from_secs_f64(s).ok());
+                opts.deadline = Some(deadline.ok_or_else(|| {
+                    Usage(format!(
+                        "invalid value {raw:?} for {flag} (want seconds: finite, not negative)"
+                    ))
+                })?);
+            }
             "--threads" => opts.threads = args.value(&flag)?,
             "--journal-dir" => journal_dir = args.value(&flag)?,
             "--max-attempts" => opts.retry.max_attempts = args.value::<u32>(&flag)?.max(1),

@@ -144,6 +144,12 @@ fn cca_table(_: &Ctx, args: &mut Args) -> Result<i32, Usage> {
     let bytes: u64 = args.positional("bytes")?.unwrap_or(500_000_000);
     let mtu: u32 = args.positional("mtu")?.unwrap_or(9000);
     args.finish()?;
+    if mtu <= netsim::packet::HEADER_BYTES {
+        return Err(Usage(format!(
+            "invalid value \"{mtu}\" for mtu (a packet needs more than its {} header bytes)",
+            netsim::packet::HEADER_BYTES
+        )));
+    }
     let mut t = analysis::table::Table::new([
         "cca",
         "fct (s)",

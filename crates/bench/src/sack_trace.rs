@@ -12,14 +12,15 @@
 //! segments up to the window. Recording drives a scoreboard to learn
 //! *which* calls the sender makes; [`replay`] then issues exactly those
 //! calls to a fresh board with no model in the loop, so a timer around
-//! it sees the scoreboard alone. The receiver model is a second copy of
-//! the one in `crates/transport/tests/scoreboard_reference.rs` (a test
-//! target cannot be a dependency).
+//! it sees the scoreboard alone. The receiver model is
+//! [`transport::testing::ReceiverModel`], the one the scoreboard's
+//! reference test uses.
 
-use netsim::packet::{SackBlocks, MAX_SACK_BLOCKS};
+use netsim::packet::SackBlocks;
 use netsim::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use transport::scoreboard::Scoreboard;
+use transport::testing::ReceiverModel;
 
 const MSS: u32 = 1448;
 /// One first transmission in this many is lost.
@@ -38,67 +39,12 @@ pub enum BoardOp {
     Retransmit { at: SimTime },
 }
 
-/// Receiver side: the cumulative point and the merged out-of-order
-/// ranges (sorted, disjoint, never adjacent).
-#[derive(Default)]
-struct Receiver {
-    rcv_nxt: u64,
-    ooo: Vec<(u64, u64)>,
-    /// First byte of the most recent out-of-order arrival.
-    latest: Option<u64>,
-}
-
-impl Receiver {
-    /// Take a segment in; true if it must be acked at once.
-    fn arrive(&mut self, seq: u64, end: u64) -> bool {
-        if end <= self.rcv_nxt {
-            return true;
-        }
-        if seq > self.rcv_nxt {
-            self.ooo.push((seq, end));
-            self.ooo.sort_unstable();
-            self.ooo.dedup_by(|next, kept| {
-                let joins = next.0 <= kept.1;
-                if joins {
-                    kept.1 = kept.1.max(next.1);
-                }
-                joins
-            });
-            self.latest = Some(seq);
-            return true;
-        }
-        self.rcv_nxt = end;
-        while let Some(&(_, end)) = self.ooo.first().filter(|r| r.0 <= self.rcv_nxt) {
-            self.rcv_nxt = self.rcv_nxt.max(end);
-            self.ooo.remove(0);
-        }
-        if self.latest.is_some_and(|l| l < self.rcv_nxt) {
-            self.latest = None;
-        }
-        false
-    }
-
-    /// The block holding the latest arrival, then the lowest others.
-    fn blocks(&self) -> SackBlocks {
-        let first = self
-            .latest
-            .and_then(|l| self.ooo.iter().rev().find(|r| r.0 <= l))
-            .copied();
-        let rest = self.ooo.iter().copied().filter(|b| Some(*b) != first);
-        let mut blocks = SackBlocks::EMPTY;
-        for (start, end) in first.into_iter().chain(rest).take(MAX_SACK_BLOCKS) {
-            blocks.push(start, end);
-        }
-        blocks
-    }
-}
-
 /// Record the scoreboard calls of a transfer that runs until the sender
 /// has processed `acks` acknowledgements with `window` segments tracked.
 pub fn record(window: usize, acks: usize) -> Vec<BoardOp> {
     let mut ops = Vec::new();
     let mut board = Scoreboard::new(MSS);
-    let mut rx = Receiver::default();
+    let mut rx = ReceiverModel::default();
     let mut wire: VecDeque<(u64, u32)> = VecDeque::new();
     let (mut next_seq, mut sent, mut now_us, mut acked) = (0u64, 0u64, 0u64, 0usize);
     while acked < acks {
@@ -125,7 +71,7 @@ pub fn record(window: usize, acks: usize) -> Vec<BoardOp> {
                 break;
             }
         }
-        let (cum, blocks) = (rx.rcv_nxt, rx.blocks());
+        let (cum, blocks) = rx.ack();
         board.on_ack(cum, blocks.iter(), REORDER_WINDOW);
         ops.push(BoardOp::Ack { cum, blocks });
         acked += 1;
@@ -163,6 +109,7 @@ pub fn replay(ops: &[BoardOp]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::packet::MAX_SACK_BLOCKS;
 
     #[test]
     fn a_recorded_trace_has_holes_open_and_replays_to_the_same_delivery() {

@@ -80,7 +80,12 @@ fn malformed_values_are_usage_errors_not_silent_defaults() {
     assert_refused(&["theorem1", "10x000"], &[], &["10x000"]);
     assert_refused(&["cca_table", "500MB"], &[], &["500MB"]);
     assert_refused(&["cca_table", "1000", "9k"], &[], &["9k"]);
+    assert_refused(&["cca_table", "1000", "40"], &[], &["\"40\" for mtu"]);
     assert_refused(&["campaign", "--threads", "two"], &[], &["two"]);
+    for secs in ["-1", "nan", "inf", "1e300", "soon"] {
+        let named = format!("{secs:?} for --deadline");
+        assert_refused(&["campaign", "--deadline", secs], &[], &[&named]);
+    }
     for typo in ["cubic@15OO", "qubic@1500", "cubic"] {
         assert_refused(&["campaign"], &[("GREENENVY_POISON", typo)], &[typo]);
     }

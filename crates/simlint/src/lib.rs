@@ -6,18 +6,21 @@
 //! properties for the paths they exercise; `simlint` keeps future PRs
 //! from silently reintroducing the classic regressions (a `HashMap`
 //! iteration, a wall-clock read, an ad-hoc RNG stream, a raw
-//! `fs::write`) anywhere in the workspace. Two layers, no rustc
-//! plumbing, no external dependencies:
+//! `fs::write`) anywhere in the workspace. One reader — a
+//! comment/string-aware lexer, run once per file — and two kinds of rule
+//! over its tokens; no rustc plumbing, no external dependencies:
 //!
-//! * **token rules** — patterns over a comment/string-aware lexer,
-//!   scoped per crate/path via `simlint.toml`. The determinism rules
-//!   among them match one sink table ([`rules::SINKS`]) in the replayed
-//!   crates, and [`closure`] reads those crates' manifests to prove the
-//!   set closed under "depends on" — so a sink a replayed run can reach
-//!   is always on a line these rules scan;
-//! * **registry rules** — a lightweight item/call parser feeding
-//!   workspace-wide tables (exit codes, schema-version bumps via
-//!   `schema.lock`, metric names).
+//! * **token rules** — patterns scoped per crate/path via
+//!   `simlint.toml`. The determinism rules among them match one sink
+//!   table ([`rules::SINKS`]) in the replayed crates, and [`closure`]
+//!   reads those crates' manifests to prove the set closed under
+//!   "depends on" — so a sink a replayed run can reach is always on a
+//!   line these rules scan;
+//! * **registry rules** — token patterns too ([`registry`]: literal exit
+//!   codes, metric-name literals, record-type shapes), run only when the
+//!   whole workspace is linted because two of them compare files: one
+//!   owner per metric name, and `schema.lock` against every tracked
+//!   record file.
 //!
 //! A third mode, `simlint compliance`, cross-checks `//= DESIGN.md#…` /
 //! `//= rfc9002#…` citations in source against the documented invariant
@@ -39,7 +42,6 @@ pub mod compliance;
 pub mod config;
 pub mod diag;
 pub mod lexer;
-pub mod parse;
 pub mod registry;
 pub mod rules;
 pub mod walk;
@@ -47,6 +49,7 @@ pub mod walk;
 pub use config::Config;
 pub use diag::{Diagnostic, Report, Severity};
 
+use registry::{Registry, SchemaEntry};
 use rules::Suppression;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -80,14 +83,15 @@ pub fn load_workspace(root: &Path, cfg: &Config) -> Result<Vec<LoadedFile>, Stri
         .collect()
 }
 
-/// Token pass over loaded files. Appends findings and returns each
-/// file's suppressions (usage marked for token rules only) for the
-/// registry rules to extend.
-pub fn token_pass(
+/// The one pass over loaded files: each is lexed once and read by the
+/// token rules and the registry rules. Appends the per-file findings and
+/// returns what the registry kept plus each file's allows, unsettled.
+fn scan(
     files: &[LoadedFile],
     cfg: &Config,
     out: &mut Vec<Diagnostic>,
-) -> BTreeMap<String, Vec<Suppression>> {
+) -> (Registry, BTreeMap<String, Vec<Suppression>>) {
+    let mut registry = Registry::new(cfg);
     let mut sups = BTreeMap::new();
     for f in files {
         let input = rules::FileInput {
@@ -96,16 +100,16 @@ pub fn token_pass(
             is_test_file: f.is_test_file,
             src: &f.src,
         };
-        let s = rules::lint_file_deferred(&input, cfg, out);
+        let s = rules::scan_file(&input, cfg, Some(&mut registry), out);
         if !s.is_empty() {
             sups.insert(f.rel_path.clone(), s);
         }
     }
-    sups
+    (registry, sups)
 }
 
-/// Lint already-loaded files: token pass, registry rules, then
-/// unused-suppression settlement. The result is a pure function of the
+/// Lint already-loaded files: the scan, the registry's cross-file checks,
+/// then suppression settlement. The result is a pure function of the
 /// file *set* — callers may pass `files` in any order (pinned by the
 /// walk-order proptest).
 pub fn lint_loaded(files: &[LoadedFile], cfg: &Config, lock_text: Option<&str>) -> Report {
@@ -113,17 +117,19 @@ pub fn lint_loaded(files: &[LoadedFile], cfg: &Config, lock_text: Option<&str>) 
         files_scanned: files.len(),
         ..Report::default()
     };
-
-    let mut sups = token_pass(files, cfg, &mut report.diags);
-
-    let parsed = registry::parse_workspace(files);
-    registry::run(&parsed, cfg, lock_text, &mut sups, &mut report.diags);
-
-    for (path, file_sups) in &sups {
-        rules::report_unused(file_sups, path, false, &mut report.diags);
+    let (registry, mut sups) = scan(files, cfg, &mut report.diags);
+    registry.finish(lock_text, &mut report.diags);
+    for (path, file_sups) in &mut sups {
+        rules::settle(&mut report.diags, path, file_sups, false);
     }
     report.sort();
     report
+}
+
+/// Current schema state of every tracked record file: what
+/// `--update-schema-lock` writes and `schema-version-bump` compares.
+pub fn schema_state(files: &[LoadedFile], cfg: &Config) -> BTreeMap<String, SchemaEntry> {
+    scan(files, cfg, &mut Vec::new()).0.state
 }
 
 /// Lint the workspace under `root` using `cfg`: every source file

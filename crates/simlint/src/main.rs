@@ -25,10 +25,11 @@ USAGE:
     simlint compliance [--root <dir>] [--config <file>] [--json]
 
 MODES:
-    --workspace          lint every .rs file under the workspace root: token
-                         rules plus the workspace rules (replayed-crate
-                         dependency closure, exit-code/schema/metric
-                         registries). Default when no files are given.
+    --workspace          lint every .rs file under the workspace root, each
+                         lexed once: the token rules plus the workspace
+                         rules (exit-code/schema/metric registries on the
+                         same tokens, replayed-crate dependency closure on
+                         the manifests). Default when no files are given.
     files...             token-lint just these files (no workspace rules;
                          paths are reported relative to the workspace root
                          when possible)
@@ -173,8 +174,7 @@ fn run() -> Result<i32, String> {
 
     if args.update_schema_lock {
         let files = simlint::load_workspace(&root, &cfg)?;
-        let parsed = registry::parse_workspace(&files);
-        let state = registry::schema_state(&parsed, &cfg.rule("schema-version-bump"));
+        let state = simlint::schema_state(&files, &cfg);
         let lock_path = root.join(registry::SCHEMA_LOCK);
         // simlint::allow(raw-write, reason = "schema.lock is a dev-tool artifact regenerated on demand, not a result; simlint depends on no workspace crate so it cannot use core::campaign::persist")
         std::fs::write(&lock_path, registry::render_lock(&state))

@@ -10,6 +10,7 @@
 use crate::config::{Config, RuleConfig};
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{lex, Comment, Tok, TokKind};
+use crate::registry::Registry;
 
 /// Static description of one rule.
 pub struct RuleDef {
@@ -72,10 +73,9 @@ pub const RULES: &[RuleDef] = &[
         default_severity: Severity::Warn,
         description: "a simlint::allow that suppressed nothing is stale; remove it",
     },
-    // -- Workspace rules: checked once per run by crate::closure and
-    //    crate::registry, not by the per-file token matchers. Registered
-    //    here so --list-rules shows them and allow annotations accept
-    //    their ids.
+    // -- Workspace rules: checked on a workspace run only, by
+    //    crate::closure and crate::registry. Registered here so
+    //    --list-rules shows them and allow annotations accept their ids.
     RuleDef {
         id: "replayed-closure",
         default_severity: Severity::Error,
@@ -98,8 +98,8 @@ pub const RULES: &[RuleDef] = &[
     },
 ];
 
-/// Rule ids checked once per workspace run ([`crate::closure`],
-/// [`crate::registry`]). The token pass never emits them and must not
+/// Rule ids checked on a workspace run only ([`crate::closure`],
+/// [`crate::registry`]). [`lint_file`] never emits them and must not
 /// flag their suppressions as unused.
 pub const WORKSPACE_RULES: &[&str] = &[
     "replayed-closure",
@@ -108,8 +108,7 @@ pub const WORKSPACE_RULES: &[&str] = &[
     "metric-name-registry",
 ];
 
-/// True when `id` is checked workspace-wide rather than by the per-file
-/// token matchers.
+/// True when `id` is checked on a workspace run only.
 pub fn is_workspace_rule(id: &str) -> bool {
     WORKSPACE_RULES.contains(&id)
 }
@@ -139,33 +138,43 @@ pub struct FileInput<'a> {
 
 /// Lint one file, appending findings (suppressed ones included, marked).
 ///
-/// Suppressions that name only workspace rules are *not* flagged as
-/// unused here — single-file token linting cannot know whether the
-/// workspace-wide rules will consume them. The workspace driver uses
-/// [`lint_file_deferred`] and settles unused-suppression warnings after
-/// those rules have run.
+/// Allows that name only workspace rules are *not* flagged as unused
+/// here — a single file cannot know whether a workspace run would use
+/// them. `crate::lint_loaded` runs those rules in the same scan and
+/// settles every allow.
 pub fn lint_file(input: &FileInput<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    let sups = lint_file_deferred(input, cfg, out);
-    report_unused(&sups, input.rel_path, true, out);
+    let mut sups = scan_file(input, cfg, None, out);
+    settle(out, input.rel_path, &mut sups, true);
 }
 
-/// Emit an unused-suppression warning for every suppression in `sups`
-/// still unused. With `skip_workspace_only`, suppressions naming only
-/// workspace rules are exempt (their usage is settled by those rules).
-pub fn report_unused(
-    sups: &[Suppression],
+/// Settle one file's allows against the findings at its path: mark each
+/// finding an allow covers (and the allow used), then warn about every
+/// allow that covered nothing. With `skip_workspace_only`, allows naming
+/// only workspace rules are exempt from the warning.
+pub fn settle(
+    diags: &mut Vec<Diagnostic>,
     rel_path: &str,
+    sups: &mut [Suppression],
     skip_workspace_only: bool,
-    out: &mut Vec<Diagnostic>,
 ) {
-    for sup in sups {
-        if sup.used {
+    for d in diags.iter_mut() {
+        // A malformed marker is reported under `suppression`; no allow hides it.
+        if d.suppressed.is_some() || d.path != rel_path || d.rule == "suppression" {
             continue;
         }
+        if let Some(sup) = sups
+            .iter_mut()
+            .find(|s| s.target_line == Some(d.line) && s.rules.iter().any(|r| r == d.rule))
+        {
+            d.suppressed = Some(sup.reason.clone());
+            sup.used = true;
+        }
+    }
+    for sup in sups.iter().filter(|s| !s.used) {
         if skip_workspace_only && sup.rules.iter().all(|r| is_workspace_rule(r)) {
             continue;
         }
-        out.push(Diagnostic {
+        diags.push(Diagnostic {
             rule: "unused-suppression",
             severity: Severity::Warn,
             path: rel_path.to_string(),
@@ -180,27 +189,26 @@ pub fn report_unused(
     }
 }
 
-/// Token-pass body of [`lint_file`]: appends findings and returns the
-/// file's suppressions with token-rule usage marked, leaving
-/// unused-suppression reporting to the caller.
-pub fn lint_file_deferred(
+/// Lex `input` once and run every rule over its tokens: the token rules
+/// `cfg` scopes to it and, on a workspace run, the registry rules.
+/// Appends the findings and returns the file's allows, neither settled.
+pub(crate) fn scan_file(
     input: &FileInput<'_>,
     cfg: &Config,
+    registry: Option<&mut Registry>,
     out: &mut Vec<Diagnostic>,
 ) -> Vec<Suppression> {
     let lexed = lex(input.src);
     let toks = &lexed.tokens;
     let test_mask = test_region_mask(toks);
-    let mut suppressions = collect_suppressions(&lexed.comments, toks, input, out);
+    let suppressions = collect_suppressions(&lexed.comments, toks, input, out);
 
-    let mut raw: Vec<Diagnostic> = Vec::new();
     let mut ctx = Ctx {
         input,
         toks,
         test_mask: &test_mask,
-        out: &mut raw,
+        out,
     };
-
     for def in RULES {
         let rc = cfg.rule(def.id);
         if !rule_applies(&rc, input.crate_name, input.rel_path) {
@@ -213,25 +221,16 @@ pub fn lint_file_deferred(
             "panic-hygiene" => ctx.rule_panic_hygiene(severity, skip_tests),
             "range-index" => ctx.rule_range_index(severity, skip_tests),
             "raw-write" => ctx.rule_raw_write(severity, skip_tests),
-            // Pseudo-rules run in collect_suppressions / below.
+            // Pseudo-rules run in collect_suppressions / settle.
             "suppression" | "unused-suppression" => {}
-            // Workspace rules run once per run, not per file.
+            // Workspace rules: the registry below, crate::closure.
             id if is_workspace_rule(id) => {}
             other => unreachable!("unregistered rule {other}"),
         }
     }
-
-    // Apply inline suppressions.
-    for d in &mut raw {
-        if let Some(sup) = suppressions
-            .iter_mut()
-            .find(|s| s.target_line == Some(d.line) && s.rules.iter().any(|r| r == d.rule))
-        {
-            d.suppressed = Some(sup.reason.clone());
-            sup.used = true;
-        }
+    if let Some(registry) = registry {
+        registry.visit(input, toks, &test_mask, out);
     }
-    out.append(&mut raw);
     suppressions
 }
 
@@ -302,7 +301,7 @@ fn scan_attr(toks: &[Tok<'_>], open: usize) -> (usize, bool) {
 /// matching `}` of its first body brace, or the first top-level `;`
 /// (for `#[cfg(test)] use ...;`-style items). Any further attributes
 /// on the item are stepped over.
-fn item_end(toks: &[Tok<'_>], start: usize) -> usize {
+pub(crate) fn item_end(toks: &[Tok<'_>], start: usize) -> usize {
     let mut i = start;
     // Step over stacked attributes.
     while i + 1 < toks.len() && toks[i].is_punct('#') && toks[i + 1].is_punct('[') {
@@ -331,8 +330,24 @@ fn item_end(toks: &[Tok<'_>], start: usize) -> usize {
     toks.len().saturating_sub(1)
 }
 
+/// Is token `i` inside a `use` item? (`use` appears since the last `;`.)
+pub(crate) fn in_use_item(toks: &[Tok<'_>], i: usize) -> bool {
+    let mut item = toks[..i].iter().rev().take_while(|t| !t.is_punct(';'));
+    item.any(|t| t.is_ident("use"))
+}
+
+/// The punctuation `c` at `i`?
+pub(crate) fn punct_at(toks: &[Tok<'_>], i: usize, c: char) -> bool {
+    toks.get(i).is_some_and(|t| t.is_punct(c))
+}
+
+/// `::` at `i`?
+pub(crate) fn path_sep(toks: &[Tok<'_>], i: usize) -> bool {
+    punct_at(toks, i, ':') && punct_at(toks, i + 1, ':')
+}
+
 /// Index of the `}` matching the `{` at `open`.
-fn matching_brace(toks: &[Tok<'_>], open: usize) -> usize {
+pub(crate) fn matching_brace(toks: &[Tok<'_>], open: usize) -> usize {
     let mut depth = 0i32;
     for (i, t) in toks.iter().enumerate().skip(open) {
         if t.is_punct('{') {
@@ -351,9 +366,7 @@ fn matching_brace(toks: &[Tok<'_>], open: usize) -> usize {
 // Suppressions
 // ---------------------------------------------------------------------
 
-/// One parsed `// simlint::allow(...)` marker. Public so the workspace
-/// rules can honor and mark-used the same suppressions the token pass
-/// collected.
+/// One parsed `// simlint::allow(...)` marker.
 pub struct Suppression {
     pub rules: Vec<String>,
     pub reason: String,
@@ -635,8 +648,7 @@ impl Ctx<'_, '_> {
     /// `a::b` at position i?
     fn path2(&self, i: usize, a: &str, b: &str) -> bool {
         self.toks[i].is_ident(a)
-            && self.toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && self.toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
+            && path_sep(self.toks, i + 1)
             && self.toks.get(i + 3).is_some_and(|t| t.is_ident(b))
     }
 
@@ -667,14 +679,9 @@ impl Ctx<'_, '_> {
         let next = |k: usize| self.toks.get(i + k);
         // `use …::head as other;` — the rename would hide every later use.
         if next(1).is_some_and(|t| t.is_ident("as")) {
-            let in_use_item = self.toks[..i]
-                .iter()
-                .rev()
-                .take_while(|t| !t.is_punct(';'))
-                .any(|t| t.is_ident("use"));
-            return in_use_item.then_some(i);
+            return in_use_item(self.toks, i).then_some(i);
         }
-        if !(next(1).is_some_and(|t| t.is_punct(':')) && next(2).is_some_and(|t| t.is_punct(':'))) {
+        if !path_sep(self.toks, i + 1) {
             return None;
         }
         // `head::leaf`, the glob `head::*`, or `head::{.., leaf, ..}`.

@@ -40,11 +40,12 @@ fn lint_fixture(name: &str) -> Report {
 
 fn check_golden(name: &str) {
     let rendered = lint_fixture(name).render_human(true);
-    check_rendered(name, &rendered);
+    check_rendered(&name.replace(".rs", ".expected"), &rendered);
 }
 
-fn check_rendered(name: &str, rendered: &str) {
-    let expected_path = fixtures_dir().join(name.replace(".rs", ".expected"));
+/// Byte-compare `rendered` with `fixtures/<expected>`.
+fn check_rendered(expected: &str, rendered: &str) {
+    let expected_path = fixtures_dir().join(expected);
     if std::env::var_os("UPDATE_EXPECTED").is_some() {
         std::fs::write(&expected_path, rendered).expect("writing expected file");
         return;
@@ -58,7 +59,7 @@ fn check_rendered(name: &str, rendered: &str) {
     assert_eq!(
         rendered,
         expected,
-        "fixture {name} diagnostics drifted from golden file {}",
+        "diagnostics drifted from golden file {}",
         expected_path.display()
     );
 }
@@ -101,8 +102,11 @@ fn registry_fixture() {
         std::fs::read_to_string(root.join(name))
             .unwrap_or_else(|e| panic!("reading fixtures/registry/{name}: {e}"))
     };
-    let cfg = config::parse(&read(simlint::CONFIG_FILE), "fixtures/registry/simlint.toml")
-        .expect("fixture config parses");
+    let cfg = config::parse(
+        &read(simlint::CONFIG_FILE),
+        "fixtures/registry/simlint.toml",
+    )
+    .expect("fixture config parses");
     let mut files = load_workspace(&root, &cfg).expect("fixture workspace loads");
     let mut rendered = String::new();
     for (title, lock) in [
@@ -117,7 +121,7 @@ fn registry_fixture() {
         rendered += &format!("== {title} ==\n{}", report.render_human(true));
         files.reverse();
     }
-    check_rendered("registry.rs", &rendered);
+    check_rendered("registry.expected", &rendered);
 }
 
 #[test]

@@ -41,6 +41,8 @@ pub mod rtt;
 pub mod scoreboard;
 pub mod sender;
 pub mod stats;
+#[doc(hidden)]
+pub mod testing;
 
 /// The commonly-used names, re-exported in one place.
 pub mod prelude {

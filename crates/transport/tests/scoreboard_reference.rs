@@ -3,20 +3,21 @@
 //! replaced). Both boards are fed the same calls; after every call the
 //! return value and the whole observable state — `snd_una`, `in_flight`,
 //! `has_retransmit`, `len`, and every field of every tracked segment —
-//! must be equal. The acks come from a *receiver model* (merged
-//! out-of-order ranges, the block holding the latest arrival first, at
-//! most `MAX_SACK_BLOCKS` blocks) behind a lossy, reordering,
+//! must be equal. The acks come from a *receiver model*
+//! (`transport::testing::ReceiverModel`: merged out-of-order ranges, the
+//! block holding the latest arrival first, at most `MAX_SACK_BLOCKS`
+//! blocks) behind a lossy, reordering,
 //! duplicating channel, plus hand-mixed stale acks; a second property
 //! drops the receiver and feeds arbitrary, unaligned blocks.
 
 mod oracle;
 
-use netsim::packet::MAX_SACK_BLOCKS;
 use netsim::rng::SimRng;
 use netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use transport::scoreboard::{AckOutcome, Scoreboard, SegState, SentSegment};
+use transport::testing::ReceiverModel;
 
 const MSS: u32 = 1000;
 const REO: SimDuration = SimDuration::from_micros(50);
@@ -149,80 +150,10 @@ impl Pair {
     }
 }
 
-/// What the far end of the connection does with arriving segments: the
-/// same bookkeeping as `transport::receiver`, reduced to the part that
-/// shapes acks.
-#[derive(Default)]
-struct Receiver {
-    rcv_nxt: u64,
-    /// Out-of-order ranges, merged, keyed by start.
-    ooo: BTreeMap<u64, u64>,
-    /// First byte of the most recent out-of-order arrival.
-    latest: Option<u64>,
-}
-
-impl Receiver {
-    /// Take a segment in. True if it must be acked at once (out of order
-    /// or a duplicate), false if the ack may be delayed.
-    fn arrive(&mut self, seq: u64, end: u64) -> bool {
-        if end <= self.rcv_nxt {
-            return true;
-        }
-        if seq <= self.rcv_nxt {
-            self.rcv_nxt = end;
-            while let Some((&s, &e)) = self.ooo.first_key_value() {
-                if s > self.rcv_nxt {
-                    break;
-                }
-                self.rcv_nxt = self.rcv_nxt.max(e);
-                self.ooo.remove(&s);
-            }
-            if self.latest.is_some_and(|l| l < self.rcv_nxt) {
-                self.latest = None;
-            }
-            return false;
-        }
-        let (mut start, mut end) = (seq, end);
-        if let Some((&ps, &pe)) = self.ooo.range(..=start).next_back() {
-            if pe >= start {
-                start = ps;
-                end = end.max(pe);
-                self.ooo.remove(&ps);
-            }
-        }
-        while let Some((&ns, &ne)) = self.ooo.range(start..).next() {
-            if ns > end {
-                break;
-            }
-            end = end.max(ne);
-            self.ooo.remove(&ns);
-        }
-        self.ooo.insert(start, end);
-        self.latest = Some(seq);
-        true
-    }
-
-    /// The ack the receiver would send now: the block holding the latest
-    /// arrival first, then the lowest others, `MAX_SACK_BLOCKS` at most.
-    fn ack(&self) -> (u64, Vec<Block>) {
-        let first = self
-            .latest
-            .and_then(|l| self.ooo.range(..=l).next_back())
-            .map(|(&s, &e)| (s, e));
-        let rest = self
-            .ooo
-            .iter()
-            .map(|(&s, &e)| (s, e))
-            .filter(|b| Some(*b) != first);
-        (
-            self.rcv_nxt,
-            first
-                .into_iter()
-                .chain(rest)
-                .take(MAX_SACK_BLOCKS)
-                .collect(),
-        )
-    }
+/// The ack `rx` would send now, blocks as a list.
+fn ack_of(rx: &ReceiverModel) -> (u64, Vec<Block>) {
+    let (cum, blocks) = rx.ack();
+    (cum, blocks.iter().collect())
 }
 
 /// What a trace exercised, so the test can insist it was not vacuous.
@@ -249,7 +180,7 @@ fn run_transfer(
 ) -> Coverage {
     let mut rng = SimRng::new(seed);
     let mut pair = Pair::new();
-    let mut rx = Receiver::default();
+    let mut rx = ReceiverModel::default();
     let mut cov = Coverage::default();
     // The last segment is short.
     let total = segments * MSS as u64 - 400;
@@ -306,7 +237,7 @@ fn run_transfer(
                 unacked_arrivals += 1;
                 if rx.arrive(seq, seq + len as u64) || unacked_arrivals >= 2 {
                     unacked_arrivals = 0;
-                    let ack = rx.ack();
+                    let ack = ack_of(&rx);
                     history.push(ack.clone());
                     if rng.next_below(100) >= loss_pct {
                         acks.push_back(ack);
@@ -382,7 +313,7 @@ fn run_transfer(
             // The delayed-ack timer.
             _ if unacked_arrivals > 0 => {
                 unacked_arrivals = 0;
-                let ack = rx.ack();
+                let ack = ack_of(&rx);
                 history.push(ack.clone());
                 acks.push_back(ack);
             }
