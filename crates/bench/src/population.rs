@@ -68,10 +68,9 @@ pub fn run(ctx: &Ctx, _: &mut Args) -> Result<i32, Usage> {
         scale.name
     );
     let spec = spec_at(&scale);
-    // Racks are independent, so they run on every core; the thread count
-    // moves `events_per_sec` and nothing else in the result.
-    let out = run_population_with_threads(&spec, host_threads())
-        .unwrap_or_else(|e| panic!("population run: {e}"));
+    // Racks run on every core; the thread count moves `events_per_sec`
+    // and nothing else in the result.
+    let out = run_population(&spec).unwrap_or_else(|e| panic!("population run: {e}"));
 
     let mut rows = Vec::new();
     for (cca, mean_gbps) in out.goodput_by_cca() {

@@ -19,7 +19,7 @@
 use crate::coupling::LoadCoupling;
 use crate::model::{FanModel, ThroughputPowerCurve};
 use netsim::time::SimDuration;
-use netsim::trace::{ActivityBin, ActivityTotals};
+use netsim::trace::{ActivityBin, ActivitySeries, ActivityTotals};
 
 /// Per-event energy costs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -143,38 +143,47 @@ impl HostPowerModel {
 
     /// Per-bin instantaneous power of one host, from recorded activity —
     /// the exact integrand behind [`Self::energy_from_activity`], useful
-    /// for power-over-time traces.
+    /// for power-over-time traces. One element per bin of the dense
+    /// series; a bin without a packet reads the zero-traffic power.
     pub fn power_series(
         &self,
-        bins: &[ActivityBin],
+        series: ActivitySeries<'_>,
         bin: SimDuration,
         ctx: HostContext,
     ) -> Vec<f64> {
         let bin_s = bin.as_secs_f64();
-        bins.iter()
-            .map(|b| {
-                let gbps = (b.tx_bytes + b.rx_bytes) as f64 * 8.0 / bin_s / 1e9;
-                self.power_w(
-                    gbps,
-                    b.tx_pkts as f64 / bin_s,
-                    b.rx_pkts as f64 / bin_s,
-                    b.acks_rx as f64 / bin_s,
-                    b.retx_pkts as f64 / bin_s,
-                    ctx,
-                )
-            })
-            .collect()
+        let quiet_w = self.power_w(0.0, 0.0, 0.0, 0.0, 0.0, ctx);
+        let mut watts = vec![quiet_w; series.len() as usize];
+        for (i, b) in series.active() {
+            let Some(w) = watts.get_mut(i as usize) else {
+                continue;
+            };
+            let gbps = (b.tx_bytes + b.rx_bytes) as f64 * 8.0 / bin_s / 1e9;
+            *w = self.power_w(
+                gbps,
+                b.tx_pkts as f64 / bin_s,
+                b.rx_pkts as f64 / bin_s,
+                b.acks_rx as f64 / bin_s,
+                b.retx_pkts as f64 / bin_s,
+                ctx,
+            );
+        }
+        watts
     }
 
     /// Energy of one host over a window, from recorded activity.
     ///
-    /// * `bins` / `bin` — the host's activity series and its bin width,
+    /// * `active` / `bin` — the host's bins that saw a packet, as
+    ///   `(bin index, bin)` in ascending order
+    ///   ([`ActivitySeries::active`]), and the bin width. Bins not listed
+    ///   are idle: the curve contributes nothing there (`phi(0) = 0`),
+    ///   so skipping them leaves every bit of the sum where it was,
     /// * `window` — measurement window (idle power accrues even past the
     ///   last activity, like a RAPL read after the flows finish),
     /// * `totals` — lifetime counters for the per-event terms.
-    pub fn energy_from_activity(
+    pub fn energy_from_activity<'a>(
         &self,
-        bins: &[ActivityBin],
+        active: impl IntoIterator<Item = (u64, &'a ActivityBin)>,
         bin: SimDuration,
         window: SimDuration,
         totals: &ActivityTotals,
@@ -185,8 +194,7 @@ impl HostPowerModel {
         let k = self.coupling.k(ctx.background_util);
 
         let mut curve_j = 0.0;
-        let mut covered_s = 0.0;
-        for (i, b) in bins.iter().enumerate() {
+        for (i, b) in active {
             let start_s = i as f64 * bin_s;
             if start_s >= window_s {
                 break;
@@ -194,11 +202,7 @@ impl HostPowerModel {
             let span_s = bin_s.min(window_s - start_s);
             let gbps = (b.tx_bytes + b.rx_bytes) as f64 * 8.0 / bin_s / 1e9;
             curve_j += k * self.curve.watts(gbps) * span_s;
-            covered_s += span_s;
         }
-        // Bins beyond the recorded series are idle: the curve contributes
-        // nothing there (phi(0) = 0), but time still accrues.
-        let _ = covered_s;
 
         let pkt_j = k
             * self.costs.tx_pkt_j
@@ -234,6 +238,11 @@ mod tests {
             background_util: 0.0,
             cc_cost_per_ack_j: calibration::cc_cost_per_ack_ref_j(),
         }
+    }
+
+    /// A dense bin slice as the `(index, bin)` stream the model integrates.
+    fn dense(bins: &[ActivityBin]) -> impl Iterator<Item = (u64, &ActivityBin)> {
+        bins.iter().enumerate().map(|(i, b)| (i as u64, b))
     }
 
     #[test]
@@ -316,7 +325,13 @@ mod tests {
             rx_pkts: acks,
             acks_rx: acks,
         };
-        let e = m.energy_from_activity(&bins, bin, SimDuration::from_secs(1), &totals, ref_ctx());
+        let e = m.energy_from_activity(
+            dense(&bins),
+            bin,
+            SimDuration::from_secs(1),
+            &totals,
+            ref_ctx(),
+        );
         // per_bin quantization rounds pps down slightly; allow 1% slack.
         let expected = m.sender_power_at(10.0, 9000, 0.5, ref_ctx());
         assert!(
@@ -332,7 +347,7 @@ mod tests {
     fn idle_window_costs_idle_power_only() {
         let m = model();
         let e = m.energy_from_activity(
-            &[],
+            dense(&[]),
             SimDuration::from_millis(10),
             SimDuration::from_secs(2),
             &ActivityTotals::default(),
@@ -358,14 +373,14 @@ mod tests {
             })
             .collect();
         let half = m.energy_from_activity(
-            &bins,
+            dense(&bins),
             bin,
             SimDuration::from_millis(500),
             &ActivityTotals::default(),
             HostContext::default(),
         );
         let full = m.energy_from_activity(
-            &bins,
+            dense(&bins),
             bin,
             SimDuration::from_secs(1),
             &ActivityTotals::default(),
@@ -379,7 +394,7 @@ mod tests {
         let m = model();
         let mut totals = ActivityTotals::default();
         let base = m.energy_from_activity(
-            &[],
+            dense(&[]),
             SimDuration::from_millis(10),
             SimDuration::from_secs(1),
             &totals,
@@ -387,7 +402,7 @@ mod tests {
         );
         totals.retx_pkts = 10_000;
         let with_retx = m.energy_from_activity(
-            &[],
+            dense(&[]),
             SimDuration::from_millis(10),
             SimDuration::from_secs(1),
             &totals,
@@ -421,7 +436,7 @@ mod tests {
             cc_cost_per_ack_j: 1e-6,
         };
         let e = m.energy_from_activity(
-            &bins,
+            dense(&bins),
             SimDuration::from_millis(10),
             SimDuration::from_millis(20),
             &totals,

@@ -60,11 +60,14 @@ impl EnergyMeter {
         window: SimDuration,
         ctx: HostContext,
     ) -> EnergyReading {
-        let bins = activity.series(host);
         let totals = activity.totals(host);
-        let breakdown = self
-            .model
-            .energy_from_activity(bins, activity.bin(), window, &totals, ctx);
+        let breakdown = self.model.energy_from_activity(
+            activity.series(host).active(),
+            activity.bin(),
+            window,
+            &totals,
+            ctx,
+        );
 
         // The paper's procedure: counter read, scenario, counter read.
         let mut rapl = RaplPackage::new();

@@ -5,6 +5,11 @@ use netsim::time::SimDuration;
 use netsim::trace::{ActivityBin, ActivityTotals};
 use proptest::prelude::*;
 
+/// A dense bin slice as the `(index, bin)` stream the model integrates.
+fn dense(bins: &[ActivityBin]) -> impl Iterator<Item = (u64, &ActivityBin)> {
+    bins.iter().enumerate().map(|(i, b)| (i as u64, b))
+}
+
 proptest! {
     /// Curve fitting: for any realizable doubling pair, the fitted curve
     /// passes through both points and stays strictly concave.
@@ -80,21 +85,21 @@ proptest! {
         // isolates the time-integrated part.
         let totals = ActivityTotals::default();
         let full = model.energy_from_activity(
-            &series,
+            dense(&series),
             bin_w,
             SimDuration::from_millis(series.len() as u64),
             &totals,
             ctx,
         );
         let first = model.energy_from_activity(
-            &series[..split],
+            dense(&series[..split]),
             bin_w,
             SimDuration::from_millis(split as u64),
             &totals,
             ctx,
         );
         let rest = model.energy_from_activity(
-            &series[split..],
+            dense(&series[split..]),
             bin_w,
             SimDuration::from_millis((series.len() - split) as u64),
             &totals,
@@ -129,7 +134,7 @@ proptest! {
                 retx_pkts: 0,
             }];
             model
-                .energy_from_activity(&bins, bin_w, window, &ActivityTotals::default(), ctx)
+                .energy_from_activity(dense(&bins), bin_w, window, &ActivityTotals::default(), ctx)
                 .total_j()
         };
         prop_assert!(mk(base_bytes + extra) >= mk(base_bytes));

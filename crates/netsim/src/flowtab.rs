@@ -15,11 +15,13 @@
 //! history interleaving, so tables are safe inside the replayed
 //! simulation surface.
 //!
-//! [`DenseIndex`] is the companion lookup structure: a direct-mapped
-//! `raw id -> FlowKey` vector for the id spaces the simulator already
-//! keeps dense (flow ids within a scenario, node ids within a network).
-//! Together they replace both the `Vec<Option<Box<dyn Agent>>>` agent
-//! array and the `O(flows)` per-packet scan in the multiplexed sender.
+//! [`FlowIndex`] is the companion lookup structure: a compact
+//! open-addressed `raw id -> FlowKey` table sized by the entries it
+//! holds, never by the ids' magnitude. A rack of a population serves a
+//! thin slice of a global id space (50 of 11 000 flows per host), so the
+//! index must cost what the slice costs. Together they replace both the
+//! `Vec<Option<Box<dyn Agent>>>` agent array and the `O(flows)`
+//! per-packet scan in the multiplexed sender.
 
 use core::fmt;
 
@@ -216,54 +218,173 @@ impl<T: fmt::Debug> fmt::Debug for FlowTable<T> {
     }
 }
 
-/// Direct-mapped `raw id -> FlowKey` index for dense id spaces.
-///
-/// The simulator's ids (flows within a scenario, nodes within a
-/// network) are small consecutive integers, so a plain vector beats any
-/// hash or tree map and iterates deterministically for free.
-#[derive(Default)]
-pub struct DenseIndex {
-    keys: Vec<Option<FlowKey>>,
+/// One occupied slot of a [`FlowIndex`].
+#[derive(Clone, Copy)]
+struct Entry {
+    raw: u32,
+    key: FlowKey,
 }
 
-impl DenseIndex {
-    /// An empty index.
+/// Compact `raw id -> FlowKey` index: open addressing, linear probing.
+///
+/// The slot array is a power of two, at least [`FlowIndex::MIN_SLOTS`]
+/// once anything is stored, and doubles when an insert would take the
+/// load past one half — so it holds at most `max(8, 4 * len)` slots
+/// whatever the ids are. (It never shrinks: the bound is against the
+/// most entries ever held.) A direct-mapped vector is the better table
+/// when ids are `0..n` and the table holds all of them; it was the
+/// wrong one here because the ids an index sees are a *slice* of a
+/// population's global id space — a host serving 50 of 11 000 flows
+/// paid for 11 000 slots, and an id near `u32::MAX` sized a 48 GB
+/// allocation. The population case decided it; a dumbbell's handful of
+/// ids fit the minimum table and probe once.
+///
+/// The hash is one fixed multiplication (no `RandomState`, no per-run
+/// state), so slot order is a pure function of the operations applied
+/// and the index stays inside the replayed surface. Nothing observable
+/// depends on that order anyway: lookups are by id and `Debug` prints
+/// in ascending id order.
+#[derive(Default)]
+pub struct FlowIndex {
+    /// Empty until the first `set`, then a power of two.
+    slots: Vec<Option<Entry>>,
+    len: usize,
+}
+
+impl FlowIndex {
+    /// Smallest non-empty slot array.
+    const MIN_SLOTS: usize = 8;
+
+    /// An empty index. Allocates nothing until the first `set`.
     pub fn new() -> Self {
-        DenseIndex::default()
+        FlowIndex::default()
     }
 
-    /// Associate `raw` with `key`, growing the map as needed. Returns
-    /// the previous association, if any.
-    pub fn set(&mut self, raw: u32, key: FlowKey) -> Option<FlowKey> {
-        let i = raw as usize;
-        if self.keys.len() <= i {
-            self.keys.resize(i + 1, None);
+    /// Number of ids with an association.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no id has an association.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Slots allocated: what the index costs, whatever its ids are.
+    #[inline]
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Home slot of `raw` in a table of `slots` (a power of two, >= 2):
+    /// Fibonacci hashing — multiply by 2^32 / phi and keep the top bits,
+    /// which spreads clustered and strided ids alike.
+    #[inline]
+    fn home(raw: u32, slots: usize) -> usize {
+        debug_assert!(slots.is_power_of_two() && slots >= 2);
+        (raw.wrapping_mul(0x9E37_79B9) >> (32 - slots.trailing_zeros())) as usize
+    }
+
+    /// Slot holding `raw`, or the vacant slot where its probe ends.
+    /// `None` only for an unallocated table: a load of at most one half
+    /// guarantees every probe meets a vacancy.
+    #[inline]
+    fn probe(&self, raw: u32) -> Option<usize> {
+        let n = self.slots.len();
+        if n == 0 {
+            return None;
         }
-        self.keys[i].replace(key)
+        let mut i = Self::home(raw, n);
+        loop {
+            match self.slots.get(i)? {
+                Some(e) if e.raw != raw => i = (i + 1) & (n - 1),
+                _ => return Some(i),
+            }
+        }
+    }
+
+    /// Re-insert every entry into a table of `slots` slots.
+    fn rehash(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![None; slots]);
+        for e in old.into_iter().flatten() {
+            if let Some(slot) = self.probe(e.raw).and_then(|i| self.slots.get_mut(i)) {
+                *slot = Some(e);
+            }
+        }
+    }
+
+    /// Associate `raw` with `key`, growing the table when a new id would
+    /// take the load past one half. Returns the previous association, if
+    /// any.
+    pub fn set(&mut self, raw: u32, key: FlowKey) -> Option<FlowKey> {
+        if let Some(Some(e)) = self.probe(raw).and_then(|i| self.slots.get_mut(i)) {
+            return Some(std::mem::replace(&mut e.key, key));
+        }
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.rehash((self.slots.len() * 2).max(Self::MIN_SLOTS));
+        }
+        if let Some(slot) = self.probe(raw).and_then(|i| self.slots.get_mut(i)) {
+            *slot = Some(Entry { raw, key });
+            self.len += 1;
+        }
+        None
     }
 
     /// The key associated with `raw`, if any.
     #[inline]
     pub fn get(&self, raw: u32) -> Option<FlowKey> {
-        self.keys.get(raw as usize).copied().flatten()
+        let i = self.probe(raw)?;
+        self.slots.get(i).copied().flatten().map(|e| e.key)
     }
 
     /// Remove the association for `raw`, returning it.
+    ///
+    /// Backward-shift deletion: every entry further along the probe run
+    /// that would become unreachable across the new hole is moved back
+    /// into it, so no tombstones accumulate and later lookups see exactly
+    /// the table a fresh build of the survivors could have produced.
     pub fn clear(&mut self, raw: u32) -> Option<FlowKey> {
-        self.keys.get_mut(raw as usize).and_then(Option::take)
+        let mut hole = self.probe(raw)?;
+        let removed = self.slots.get_mut(hole)?.take()?;
+        self.len -= 1;
+        let n = self.slots.len();
+        let mut j = hole;
+        loop {
+            j = (j + 1) & (n - 1);
+            let Some(e) = self.slots.get(j).copied().flatten() else {
+                break;
+            };
+            // `e` may move back only if its home is not in (hole, j]
+            // cyclically — otherwise the move would put it before home.
+            let home = Self::home(e.raw, n);
+            let stays = if hole <= j {
+                hole < home && home <= j
+            } else {
+                hole < home || home <= j
+            };
+            if stays {
+                continue;
+            }
+            // `hole` is vacant and `j` holds `e`; both were just read.
+            self.slots.swap(hole, j);
+            hole = j;
+        }
+        Some(removed.key)
     }
 }
 
-impl fmt::Debug for DenseIndex {
+impl fmt::Debug for FlowIndex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map()
-            .entries(
-                self.keys
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, k)| k.map(|k| (i, k))),
-            )
-            .finish()
+        let mut entries: Vec<(u32, FlowKey)> = self
+            .slots
+            .iter()
+            .flatten()
+            .map(|e| (e.raw, e.key))
+            .collect();
+        entries.sort_unstable_by_key(|&(raw, _)| raw);
+        f.debug_map().entries(entries).finish()
     }
 }
 
@@ -351,18 +472,81 @@ mod tests {
     }
 
     #[test]
-    fn dense_index_maps_raw_ids() {
+    fn flow_index_maps_raw_ids() {
         let mut t = FlowTable::new();
-        let mut ix = DenseIndex::new();
+        let mut ix = FlowIndex::new();
         let k5 = t.insert("five");
         let k9 = t.insert("nine");
-        ix.set(5, k5);
-        ix.set(9, k9);
+        assert_eq!(ix.set(5, k5), None);
+        assert_eq!(ix.set(9, k9), None);
+        assert_eq!(ix.len(), 2);
         assert_eq!(ix.get(5), Some(k5));
         assert_eq!(ix.get(7), None);
         assert_eq!(ix.get(100), None);
-        assert_eq!(ix.clear(5), Some(k5));
+        assert_eq!(ix.set(5, k9), Some(k5), "overwrite returns the old key");
+        assert_eq!(ix.len(), 2);
+        assert_eq!(ix.clear(5), Some(k9));
+        assert_eq!(ix.clear(5), None);
         assert_eq!(ix.get(5), None);
         assert_eq!(t.get(ix.get(9).unwrap()), Some(&"nine"));
+    }
+
+    #[test]
+    fn flow_index_allocates_nothing_until_set() {
+        let ix = FlowIndex::new();
+        assert_eq!(ix.slots(), 0);
+        assert!(ix.is_empty());
+        assert_eq!(ix.get(0), None);
+    }
+
+    /// The parent's direct-mapped vector did `resize(raw + 1)`: one flow
+    /// with raw id 4 000 000 000 asked for 48 GB. An id's magnitude must
+    /// not size anything.
+    #[test]
+    fn flow_index_is_sized_by_entries_not_by_id_magnitude() {
+        let mut t = FlowTable::new();
+        let mut ix = FlowIndex::new();
+        let ids = [7u32, 10_999, 4_000_000_000];
+        let keys: Vec<FlowKey> = ids.iter().map(|&id| t.insert(id)).collect();
+        for (&id, &k) in ids.iter().zip(&keys) {
+            ix.set(id, k);
+        }
+        assert!(ix.slots() <= 8, "{} slots for three entries", ix.slots());
+        for (&id, &k) in ids.iter().zip(&keys) {
+            assert_eq!(ix.get(id), Some(k));
+        }
+        assert_eq!(ix.get(u32::MAX), None);
+    }
+
+    #[test]
+    fn flow_index_debug_prints_in_ascending_id_order() {
+        let mut t = FlowTable::new();
+        let mut ix = FlowIndex::new();
+        for id in [4_000_000_000u32, 7, 10_999] {
+            let k = t.insert(id);
+            ix.set(id, k);
+        }
+        assert_eq!(
+            format!("{ix:?}"),
+            "{7: k1g1, 10999: k2g1, 4000000000: k0g1}"
+        );
+    }
+
+    #[test]
+    fn flow_index_grows_at_half_load_and_keeps_every_entry() {
+        let mut t = FlowTable::new();
+        let mut ix = FlowIndex::new();
+        // One rack host's slice of a population: r, r + 220, ...
+        let ids: Vec<u32> = (0..50).map(|i| 13 + 220 * i).collect();
+        let keys: Vec<FlowKey> = ids.iter().map(|&id| t.insert(id)).collect();
+        for (n, (&id, &k)) in ids.iter().zip(&keys).enumerate() {
+            ix.set(id, k);
+            assert!(ix.slots() >= 2 * (n + 1), "load past one half");
+            assert!(ix.slots() <= (4 * (n + 1)).max(8), "table too sparse");
+        }
+        assert_eq!(ix.slots(), 128);
+        for (&id, &k) in ids.iter().zip(&keys) {
+            assert_eq!(ix.get(id), Some(k));
+        }
     }
 }

@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::agent::{Agent, Ctx, TOKEN_BITS, TOKEN_MASK};
     pub use crate::engine::{EngineCounters, Network, NetworkStats, RunOutcome};
     pub use crate::fault::{FaultSpec, FaultSpecError, LinkFlap};
-    pub use crate::flowtab::{DenseIndex, FlowKey, FlowTable};
+    pub use crate::flowtab::{FlowIndex, FlowKey, FlowTable};
     pub use crate::ids::{FlowId, LinkId, NodeId};
     pub use crate::link::{LinkSpec, LinkStats};
     pub use crate::packet::{
@@ -66,6 +66,6 @@ pub mod prelude {
         BottleneckQueue, Dumbbell, DumbbellConfig, Incast, IncastConfig, ParkingLot,
         ParkingLotConfig,
     };
-    pub use crate::trace::{ActivityBin, ActivityTotals, FlowTrace, HostActivity};
+    pub use crate::trace::{ActivityBin, ActivitySeries, ActivityTotals, FlowTrace, HostActivity};
     pub use crate::units::{average_rate, Rate, GB, KB, MB};
 }

@@ -7,7 +7,10 @@
 //!   plots (Fig. 3) and per-flow average throughputs.
 //! * [`HostActivity`] — per-host transmit/receive work time series (bytes
 //!   and packets, binned). The energy model integrates power over these
-//!   bins, exactly as RAPL integrates over the experiment interval.
+//!   bins, exactly as RAPL integrates over the experiment interval. Only
+//!   bins that saw a packet are stored: a sender waiting out an RTO, or a
+//!   rack draining its last straggler, costs nothing per idle millisecond,
+//!   and a packet at t = 1 h costs one bin, not 3.6 million.
 
 use crate::ids::{FlowId, NodeId};
 use crate::time::{SimDuration, SimTime};
@@ -131,10 +134,11 @@ pub struct ActivityTotals {
     pub acks_rx: u64,
 }
 
-/// One host's record: its bins and lifetime totals.
+/// One host's record: the bins that saw a packet, ascending by bin
+/// index, and lifetime totals.
 #[derive(Debug, Default)]
 struct HostRecord {
-    bins: Vec<ActivityBin>,
+    bins: Vec<(u64, ActivityBin)>,
     totals: ActivityTotals,
 }
 
@@ -145,6 +149,34 @@ pub struct HostActivity {
     /// Indexed by [`NodeId::index`], grown on first sight; a host that
     /// never moved a packet has no bins.
     records: Vec<HostRecord>,
+}
+
+/// A borrowed view of one host's activity: conceptually the dense series
+/// `0..len()` of bins, of which only those in [`Self::active`] are
+/// non-zero (and stored).
+#[derive(Clone, Copy, Debug)]
+pub struct ActivitySeries<'a> {
+    bins: &'a [(u64, ActivityBin)],
+}
+
+impl<'a> ActivitySeries<'a> {
+    /// Length of the dense series: the last active bin's index plus one
+    /// (0 for a host that never moved a packet).
+    pub fn len(&self) -> u64 {
+        self.bins.last().map_or(0, |&(i, _)| i + 1)
+    }
+
+    /// True if the host never moved a packet.
+    pub fn is_empty(&self) -> bool {
+        self.bins.is_empty()
+    }
+
+    /// The bins that saw at least one packet, as `(bin index, bin)` in
+    /// ascending index order. Every other bin of the series is
+    /// [`ActivityBin::default`].
+    pub fn active(&self) -> impl Iterator<Item = (u64, &'a ActivityBin)> {
+        self.bins.iter().map(|(i, b)| (*i, b))
+    }
 }
 
 impl HostActivity {
@@ -166,22 +198,36 @@ impl HostActivity {
         &mut self,
         host: NodeId,
         now: SimTime,
-    ) -> (&mut ActivityBin, &mut ActivityTotals) {
+    ) -> Option<(&mut ActivityBin, &mut ActivityTotals)> {
+        // `None` is unreachable — each `get_mut` follows the resize or
+        // insert that makes it succeed — but recording runs per packet on
+        // rack worker threads, so it uses the checked forms throughout.
         let h = host.index();
         if self.records.len() <= h {
             self.records.resize_with(h + 1, HostRecord::default);
         }
-        let record = &mut self.records[h];
-        let idx = (now.as_nanos() / self.bin.as_nanos()) as usize;
-        if record.bins.len() <= idx {
-            record.bins.resize(idx + 1, ActivityBin::default());
+        let HostRecord { bins, totals } = self.records.get_mut(h)?;
+        let idx = now.as_nanos() / self.bin.as_nanos();
+        // Simulated time never runs backwards inside a `Network`, so the
+        // bin is the last one or a new last one; an earlier time through
+        // the public API falls back to a sorted insert.
+        let pos = match bins.last() {
+            Some(&(last, _)) if last == idx => bins.len() - 1,
+            Some(&(last, _)) if last > idx => bins.partition_point(|&(i, _)| i < idx),
+            _ => bins.len(),
+        };
+        if bins.get(pos).is_none_or(|&(i, _)| i != idx) {
+            bins.insert(pos, (idx, ActivityBin::default()));
         }
-        (&mut record.bins[idx], &mut record.totals)
+        let (_, b) = bins.get_mut(pos)?;
+        Some((b, totals))
     }
 
     /// Record a transmission starting at `now` from `host`.
     pub fn record_tx(&mut self, host: NodeId, now: SimTime, wire_bytes: u64, is_retx: bool) {
-        let (b, t) = self.record_mut(host, now);
+        let Some((b, t)) = self.record_mut(host, now) else {
+            return;
+        };
         b.tx_bytes += wire_bytes;
         b.tx_pkts += 1;
         t.tx_bytes += wire_bytes;
@@ -194,7 +240,9 @@ impl HostActivity {
 
     /// Record a packet received by `host` at `now`.
     pub fn record_rx(&mut self, host: NodeId, now: SimTime, wire_bytes: u64, is_ack: bool) {
-        let (b, t) = self.record_mut(host, now);
+        let Some((b, t)) = self.record_mut(host, now) else {
+            return;
+        };
         b.rx_bytes += wire_bytes;
         b.rx_pkts += 1;
         t.rx_bytes += wire_bytes;
@@ -206,11 +254,13 @@ impl HostActivity {
     }
 
     /// The activity series for a host (empty if it never moved a packet).
-    pub fn series(&self, host: NodeId) -> &[ActivityBin] {
-        self.records
-            .get(host.index())
-            .map(|r| r.bins.as_slice())
-            .unwrap_or(&[])
+    pub fn series(&self, host: NodeId) -> ActivitySeries<'_> {
+        ActivitySeries {
+            bins: self
+                .records
+                .get(host.index())
+                .map_or(&[], |r| r.bins.as_slice()),
+        }
     }
 
     /// Lifetime totals for a host.
@@ -238,6 +288,15 @@ mod tests {
 
     const F: FlowId = FlowId::from_raw(1);
     const H: NodeId = NodeId::from_raw(0);
+
+    /// The series as the dense vector the recorder used to store.
+    fn dense(series: ActivitySeries<'_>) -> Vec<ActivityBin> {
+        let mut out = vec![ActivityBin::default(); series.len() as usize];
+        for (i, b) in series.active() {
+            out[i as usize] = *b;
+        }
+        out
+    }
 
     #[test]
     fn flow_trace_bins_bytes() {
@@ -288,7 +347,7 @@ mod tests {
         a.record_tx(H, SimTime::from_micros(100), 1500, false);
         a.record_tx(H, SimTime::from_micros(200), 1500, true);
         a.record_rx(H, SimTime::from_micros(300), 64, true);
-        let bins = a.series(H);
+        let bins = dense(a.series(H));
         assert_eq!(bins.len(), 1);
         assert_eq!(bins[0].tx_bytes, 3000);
         assert_eq!(bins[0].tx_pkts, 2);
@@ -319,10 +378,41 @@ mod tests {
         let mut a = HostActivity::new(SimDuration::from_millis(1));
         a.record_tx(H, SimTime::from_micros(500), 100, false);
         a.record_tx(H, SimTime::from_millis(3), 200, false);
-        let bins = a.series(H);
-        assert_eq!(bins.len(), 4);
+        assert_eq!(a.series(H).len(), 4);
+        assert_eq!(a.series(H).active().count(), 2, "empty bins are not stored");
+        let bins = dense(a.series(H));
         assert_eq!(bins[0].tx_bytes, 100);
         assert_eq!(bins[1], ActivityBin::default());
         assert_eq!(bins[3].tx_bytes, 200);
+    }
+
+    #[test]
+    fn host_activity_sorts_an_out_of_order_time_into_place() {
+        let mut a = HostActivity::new(SimDuration::from_millis(1));
+        a.record_tx(H, SimTime::from_millis(5), 500, false);
+        a.record_tx(H, SimTime::from_millis(2), 200, false);
+        a.record_rx(H, SimTime::from_millis(2), 20, true);
+        a.record_tx(H, SimTime::from_millis(0), 1, false);
+        a.record_tx(H, SimTime::from_millis(5), 50, true);
+        let indices: Vec<u64> = a.series(H).active().map(|(i, _)| i).collect();
+        assert_eq!(indices, vec![0, 2, 5]);
+        let bins = dense(a.series(H));
+        assert_eq!(bins[2].tx_bytes, 200);
+        assert_eq!(bins[2].acks_rx, 1);
+        assert_eq!(bins[5].tx_bytes, 550);
+        assert_eq!(bins[5].retx_pkts, 1);
+        assert_eq!(a.totals(H).tx_pkts, 4);
+    }
+
+    /// The parent resized a dense vector to `now / bin + 1`: one packet an
+    /// hour in asked for 3.6 million 48-byte bins (173 MB) on that host.
+    #[test]
+    fn host_activity_is_sized_by_active_bins_not_by_elapsed_time() {
+        let mut a = HostActivity::new(SimDuration::from_millis(1));
+        a.record_tx(H, SimTime::from_millis(1), 1500, false);
+        a.record_tx(H, SimTime::from_secs(3600), 1500, false);
+        let series = a.series(H);
+        assert_eq!(series.len(), 3_600_001);
+        assert_eq!(series.active().count(), 2);
     }
 }

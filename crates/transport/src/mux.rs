@@ -9,14 +9,16 @@
 //!
 //! At population scale (thousands of flows behind a few hosts) the mux
 //! sits on the per-ack hot path, so the sub-senders live in a
-//! [`FlowTable`] and packet dispatch goes through a [`DenseIndex`] from
+//! [`FlowTable`] and packet dispatch goes through a [`FlowIndex`] from
 //! flow id to table key: O(1) per ack where the old `Vec` scan was
-//! O(flows). Batched deliveries ([`Agent::on_packets`]) walk the index
-//! once per packet but pay the agent-dispatch setup only once.
+//! O(flows), and sized by the flows this host serves, not by the
+//! largest flow id in the population. Batched deliveries
+//! ([`Agent::on_packets`]) walk the index once per packet but pay the
+//! agent-dispatch setup only once.
 
 use crate::sender::TcpSender;
 use netsim::agent::{Agent, Ctx, TOKEN_BITS, TOKEN_MASK};
-use netsim::flowtab::{DenseIndex, FlowKey, FlowTable};
+use netsim::flowtab::{FlowIndex, FlowKey, FlowTable};
 use netsim::packet::Packet;
 
 /// Several TCP senders sharing one host.
@@ -26,7 +28,7 @@ pub struct MuxSender {
     /// timer-namespace dispatch (namespace = index + 1).
     order: Vec<FlowKey>,
     /// Flow raw id -> table key: the O(1) per-packet dispatch path.
-    by_flow: DenseIndex,
+    by_flow: FlowIndex,
 }
 
 impl MuxSender {
@@ -36,7 +38,7 @@ impl MuxSender {
         assert!(senders.len() < u16::MAX as usize, "too many sub-senders");
         let mut subs = FlowTable::with_capacity(senders.len());
         let mut order = Vec::with_capacity(senders.len());
-        let mut by_flow = DenseIndex::new();
+        let mut by_flow = FlowIndex::new();
         for sub in senders {
             let flow = sub.flow().index() as u32;
             let k = subs.insert(sub);

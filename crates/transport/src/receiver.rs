@@ -6,7 +6,7 @@
 
 use crate::stats::ReceiverFlowStats;
 use netsim::agent::{Agent, Ctx};
-use netsim::flowtab::{DenseIndex, FlowKey, FlowTable};
+use netsim::flowtab::{FlowIndex, FlowKey, FlowTable};
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::{AckInfo, Packet, PacketKind, SackBlocks};
 use netsim::time::{SimDuration, SimTime};
@@ -148,14 +148,15 @@ impl RxFlow {
 /// The receiver agent.
 ///
 /// Per-flow state lives in a flat [`FlowTable`] reached through a
-/// [`DenseIndex`] keyed by raw flow id: at population scale one receiver
-/// serves hundreds of flows, and the per-data-segment lookup is two
-/// indexed loads instead of a tree walk. Point lookups only — nothing
-/// ever iterates the table — so storage order is unobservable.
+/// [`FlowIndex`] keyed by raw flow id: at population scale one receiver
+/// serves hundreds of flows out of a global id space of thousands, and
+/// the per-data-segment lookup is one hashed probe and one indexed load
+/// instead of a tree walk. Point lookups only — nothing ever iterates
+/// the table — so storage order is unobservable.
 pub struct TcpReceiver {
     policy: AckPolicy,
     flows: FlowTable<RxFlow>,
-    by_flow: DenseIndex,
+    by_flow: FlowIndex,
 }
 
 impl TcpReceiver {
@@ -164,7 +165,7 @@ impl TcpReceiver {
         TcpReceiver {
             policy,
             flows: FlowTable::new(),
-            by_flow: DenseIndex::new(),
+            by_flow: FlowIndex::new(),
         }
     }
 

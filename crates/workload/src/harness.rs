@@ -203,8 +203,6 @@ pub struct EnergyMeasurement {
     pub sender_readings: Vec<EnergyReading>,
     /// The receiver hosts' energy over the same window.
     pub receiver_energy_j: f64,
-    /// Per-sender-host instantaneous power series (W per activity bin).
-    pub sender_power_series_w: Vec<Vec<f64>>,
 }
 
 /// The packet-level phase of every run: create the network, let `place`
@@ -427,31 +425,35 @@ fn ack_weighted_cost_factor(served: &[FlowReport]) -> f64 {
 }
 
 impl SimulatedRun {
+    /// How sender host `sender` is metered under `load`.
+    fn sender_ctx(sender: &MeteredHost, load: StressLoad) -> HostContext {
+        HostContext {
+            background_util: load.utilization(),
+            cc_cost_per_ack_j: calibration::cc_cost_per_ack_ref_j() * sender.cost_factor,
+        }
+    }
+
     /// The energy-metering phase: RAPL-style reads of every host over the
     /// window, with `load` as the sender hosts' background utilization.
     /// A pure function of the recorded activity, the reports and `load`.
+    /// Readings and sums only: racks and the figures' per-load re-metering
+    /// call this and nothing else, so the per-bin power series is rendered
+    /// by [`Self::finish`], its one consumer.
     pub fn meter(&self, load: StressLoad) -> EnergyMeasurement {
         let Some(activity) = self.net.activity() else {
             debug_assert!(false, "the harness always records activity");
             return EnergyMeasurement::default();
         };
         let meter = EnergyMeter::new(calibration::reference_host_model());
-        let ref_cost = calibration::cc_cost_per_ack_ref_j();
-        let mut sender_readings = Vec::with_capacity(self.senders.len());
-        let mut sender_power_series_w = Vec::with_capacity(self.senders.len());
         // Hosts in placement order, so float summation order is fixed.
-        for sender in &self.senders {
-            let ctx = HostContext {
-                background_util: load.utilization(),
-                cc_cost_per_ack_j: ref_cost * sender.cost_factor,
-            };
-            sender_readings.push(meter.measure_host(activity, sender.host, self.window, ctx));
-            sender_power_series_w.push(meter.model().power_series(
-                activity.series(sender.host),
-                activity.bin(),
-                ctx,
-            ));
-        }
+        let sender_readings: Vec<EnergyReading> = self
+            .senders
+            .iter()
+            .map(|sender| {
+                let ctx = Self::sender_ctx(sender, load);
+                meter.measure_host(activity, sender.host, self.window, ctx)
+            })
+            .collect();
         let receiver_energy_j = self
             .receivers
             .iter()
@@ -465,19 +467,38 @@ impl SimulatedRun {
             sender_energy_j: sender_readings.iter().map(|r| r.joules).sum(),
             sender_readings,
             receiver_energy_j,
-            sender_power_series_w,
         }
+    }
+
+    /// Per-sender-host instantaneous power (W per activity bin) under
+    /// `load`: the integrand of [`Self::meter`]'s readings, in sender order.
+    fn sender_power_series_w(&self, load: StressLoad) -> Vec<Vec<f64>> {
+        let Some(activity) = self.net.activity() else {
+            return Vec::new();
+        };
+        let model = calibration::reference_host_model();
+        self.senders
+            .iter()
+            .map(|sender| {
+                model.power_series(
+                    activity.series(sender.host),
+                    activity.bin(),
+                    Self::sender_ctx(sender, load),
+                )
+            })
+            .collect()
     }
 
     /// Meter under `load`, feed the post-run series into the recorder (if
     /// the run carried one) and assemble the outcome.
     pub fn finish(self, load: StressLoad) -> ScenarioOutcome {
         let energy = self.meter(load);
+        let sender_power_series_w = self.sender_power_series_w(load);
         // The engine and senders still hold `Rc` clones inside `net`, so
         // the recorder is taken out of the cell rather than unwrapped.
         let obs = self.obs_rec.as_ref().map(|rec| {
             let mut r = rec.borrow_mut();
-            self.feed_recorder(&mut r, &energy.sender_power_series_w);
+            self.feed_recorder(&mut r, &sender_power_series_w);
             std::mem::take(&mut *r).finalize(self.sim_end.as_nanos())
         });
         let stats = self.net_stats;
@@ -498,7 +519,7 @@ impl SimulatedRun {
             corrupt_discards: stats.corrupt_discards,
             run_outcome: self.run_outcome,
             throughput_traces: self.throughput_traces,
-            sender_power_series_w: energy.sender_power_series_w,
+            sender_power_series_w,
             power_bin: self.activity_bin,
             sim_end: self.sim_end,
             engine: self.engine,

@@ -12,7 +12,9 @@
 //! parking lot is the third. Grids of independent runs — the racks of a
 //! population, the `(point, seed)` jobs of a figure sweep — go through one
 //! ordered parallel map ([`par::par_map`]) whose result does not depend on
-//! the thread count.
+//! the thread count, and both run on every core by default. A population
+//! can afford that because a rack's memory is its flows and its active
+//! bins, nothing sized by a global id or by elapsed time.
 //!
 //! ```
 //! use workload::prelude::*;

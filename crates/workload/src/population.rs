@@ -15,16 +15,24 @@
 //! Racks share no links, so each rack is an isolated simulation — a pure
 //! function of the shared spec and its rack index, run as an incast
 //! placement on the run harness ([`crate::harness`]). That is the whole
-//! parallelism story: [`run_population_with_threads`] hands complete
-//! racks to worker threads, each worker builds and runs its own
-//! `Network` locally, and outcomes are merged in rack-index order. The
-//! merged result is therefore bit-identical for *any* thread count,
-//! including 1 — the engine's `(at, seq)` event order inside each rack
-//! is never touched. The golden fingerprint tests pin this.
+//! parallelism story: [`run_population`] hands complete racks to one
+//! worker thread per core, each worker builds and runs its own `Network`
+//! locally, and outcomes are merged in rack-index order. The merged
+//! result is therefore bit-identical for *any* thread count, including
+//! 1 — the engine's `(at, seq)` event order inside each rack is never
+//! touched. The golden fingerprint tests pin this through
+//! [`run_population_with_threads`].
+//!
+//! Every core means as many racks alive at once, so a rack's memory is
+//! kept proportional to the flows and packets it actually has: the
+//! flow-id index is sized by entries ([`netsim::flowtab::FlowIndex`]),
+//! host activity stores only bins that saw a packet
+//! ([`netsim::trace::HostActivity`]), and a rack's metering renders no
+//! power series.
 
 use crate::harness::{self, simulate_on, PlacedFlow, Placement, SenderHost, Wiring};
 use crate::iperf::{FlowReport, FlowSpec};
-use crate::par::par_map_with_threads;
+use crate::par::{host_threads, par_map_with_threads};
 use crate::scenario::{Observe, ScenarioError};
 use crate::stress::StressLoad;
 use cca::CcaKind;
@@ -452,16 +460,23 @@ fn run_rack(
     })
 }
 
-/// Run a population single-threaded. Identical result to
-/// [`run_population_with_threads`] with any worker count.
+/// Run a population with its racks spread over every core
+/// ([`host_threads`]). Identical result to
+/// [`run_population_with_threads`] with any worker count, including 1.
+///
+/// Like [`crate::par::par_map`], not to be called from inside a
+/// `par_map` job or a campaign cell: those already run one per core, and
+/// a nested pool only multiplies live racks (and their memory) without
+/// adding parallelism.
 pub fn run_population(spec: &PopulationSpec) -> Result<PopulationOutcome, PopulationError> {
-    run_population_with_threads(spec, 1)
+    run_population_with_threads(spec, host_threads())
 }
 
 /// Run a population with `threads` worker threads, whole racks per
 /// worker, merged in rack-index order. Because every rack is a pure
 /// function of its plan, the outcome is bit-identical for any
-/// `threads >= 1`.
+/// `threads >= 1`. This is the tests' seam for pinning that; product
+/// callers use [`run_population`].
 pub fn run_population_with_threads(
     spec: &PopulationSpec,
     threads: usize,
@@ -577,6 +592,29 @@ mod tests {
             assert_eq!(a.fct, b.fct);
             assert_eq!(a.retransmits, b.retransmits);
             assert_eq!(a.acks_processed, b.acks_processed);
+        }
+    }
+
+    /// The default path (every core) against the one-thread run, on the
+    /// golden tiny spec and on the 4-rack / 48-flow one: the fingerprint,
+    /// every field of every report (`Debug` prints floats round-trip, so
+    /// string equality is bit equality) and the receiver-side Joules.
+    #[test]
+    fn the_default_thread_count_changes_nothing() {
+        for spec in [PopulationSpec::bulk_10k_flows_tiny(), tiny_spec()] {
+            let default = run_population(&spec).expect("default threads");
+            let one = run_population_with_threads(&spec, 1).expect("1 thread");
+            assert_eq!(default.threads, host_threads().min(default.racks_run));
+            assert_eq!(one.threads, 1);
+            assert_eq!(default.fingerprint(), one.fingerprint());
+            assert_eq!(
+                format!("{:?}", default.reports),
+                format!("{:?}", one.reports)
+            );
+            assert_eq!(
+                default.receiver_energy_j.to_bits(),
+                one.receiver_energy_j.to_bits()
+            );
         }
     }
 

@@ -47,12 +47,11 @@ fn scenarios() -> Vec<(&'static str, Scenario)> {
     ]
 }
 
-/// Every float of a measurement, as bits.
+/// Every float of a measurement's readings and sums, as bits.
 fn energy_bits(
     sender_energy_j: f64,
     readings: &[energy::meter::EnergyReading],
     receiver_energy_j: f64,
-    series: &[Vec<f64>],
 ) -> Vec<u64> {
     let mut bits = vec![sender_energy_j.to_bits(), receiver_energy_j.to_bits()];
     for r in readings {
@@ -72,20 +71,11 @@ fn energy_bits(
             .map(f64::to_bits),
         );
     }
-    for host in series {
-        bits.push(host.len() as u64);
-        bits.extend(host.iter().map(|w| w.to_bits()));
-    }
     bits
 }
 
 fn measurement_bits(m: &EnergyMeasurement) -> Vec<u64> {
-    energy_bits(
-        m.sender_energy_j,
-        &m.sender_readings,
-        m.receiver_energy_j,
-        &m.sender_power_series_w,
-    )
+    energy_bits(m.sender_energy_j, &m.sender_readings, m.receiver_energy_j)
 }
 
 fn outcome_bits(out: &ScenarioOutcome) -> Vec<u64> {
@@ -93,14 +83,25 @@ fn outcome_bits(out: &ScenarioOutcome) -> Vec<u64> {
         out.sender_energy_j,
         &out.sender_readings,
         out.receiver_energy_j,
-        &out.sender_power_series_w,
     )
+}
+
+/// An outcome's readings, sums and every element of its per-host power
+/// series (rendered by `finish`, not by `meter`), as bits.
+fn finished_bits(out: &ScenarioOutcome) -> Vec<u64> {
+    let mut bits = outcome_bits(out);
+    for host in &out.sender_power_series_w {
+        bits.push(host.len() as u64);
+        bits.extend(host.iter().map(|w| w.to_bits()));
+    }
+    bits
 }
 
 #[test]
 fn one_simulation_metered_per_load_equals_a_run_per_load() {
     for (name, scenario) in scenarios() {
         let sim = simulate(&scenario).expect("simulation completes");
+        let mut last = None;
         for load in LOADS.map(StressLoad::fraction) {
             // `run` simulates with the load set on the scenario; `sim` never
             // saw it. Equality means `simulate` does not read the field.
@@ -150,7 +151,15 @@ fn one_simulation_metered_per_load_equals_a_run_per_load() {
                 ],
                 "{name}"
             );
+            last = Some((load, out));
         }
+        // The power series is rendered where the outcome is assembled:
+        // finishing the shared simulation under a load it never saw must
+        // give the fresh run's series too, element for element.
+        let (load, out) = last.expect("LOADS is not empty");
+        let finished = sim.finish(load);
+        assert!(finished.sender_power_series_w.iter().all(|s| !s.is_empty()));
+        assert_eq!(finished_bits(&finished), finished_bits(&out), "{name}");
     }
 }
 
@@ -185,5 +194,6 @@ fn an_observed_run_meters_like_a_plain_one() {
         measurement_bits(&plain.meter(load)),
         outcome_bits(&observed)
     );
+    assert_eq!(finished_bits(&plain.finish(load)), finished_bits(&observed));
     assert!(observed.obs.is_some(), "run still finalizes the report");
 }

@@ -21,7 +21,8 @@
 # (crates/scenario/tests/golden_parking.rs). It also holds everything
 # that runs on worker threads to byte-equality across thread counts: the
 # figure sweeps at 1, 2 and 5 threads (`thread_count_does_not_change_a_byte`
-# in crates/core/src/fig{1,2,3}.rs), the population at 1, 3 and 8, the
+# in crates/core/src/fig{1,2,3}.rs), the population at 1, 3 and 8 threads
+# and `run_population`'s default, every core, against one thread, the
 # campaign matrix at 1, 2 and 8, and the ordered parallel map they share
 # (crates/workload/src/par.rs).
 #
@@ -56,8 +57,12 @@
 #             5.0x one at 128 segments (sack_scaling: ack cost follows
 #             the holes, not the window), or if the journal at 4 shards
 #             appends fewer than 0.85x the records/s of 1 shard
-#             (journal_sharding); then build the benchmark ledger and run
-#             its quick self-check (benchmark/run.sh --quick). Absolute
+#             (journal_sharding); count the full population's peak live
+#             heap under a counting allocator and fail past 3.5 MB on one
+#             thread or 5 MB on two (examples/population_heap.rs: what
+#             lets racks run on every core); then build the benchmark
+#             ledger and run its quick self-check (benchmark/run.sh
+#             --quick). Absolute
 #             times live on the ledger, see benchmark/README.md.
 #   --scenarios
 #             additionally run the declarative resilience suite twice at
@@ -167,6 +172,7 @@ stage_smoke() {
 
 stage_perf() {
     bench perf_gates &&
+    cargo run --release --offline --quiet --example population_heap &&
     benchmark/run.sh --quick
 }
 
