@@ -36,12 +36,6 @@ impl CancelToken {
 /// installation is process-global and tokens stay plain atomics.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
-/// True once a SIGINT/SIGTERM has been observed (handlers must have been
-/// installed first).
-pub fn signalled() -> bool {
-    SIGNALLED.load(Ordering::SeqCst)
-}
-
 #[cfg(unix)]
 mod sys {
     use super::SIGNALLED;

@@ -82,44 +82,6 @@ impl EnergyMeter {
             breakdown,
         }
     }
-
-    /// Feed a host's per-bin power series into an observability recorder
-    /// as sim-time power samples, one per activity bin (stamped at the
-    /// bin start). This is the meter-side bridge to `obs`: the samples
-    /// come from the same integrand as [`Self::measure_host`], so the
-    /// exported power track matches the reported Joules.
-    pub fn record_power_series(
-        &self,
-        recorder: &mut dyn obs::Recorder,
-        activity: &HostActivity,
-        host: NodeId,
-        ctx: HostContext,
-    ) {
-        let series = self
-            .model
-            .power_series(activity.series(host), activity.bin(), ctx);
-        let bin_ns = activity.bin().as_nanos();
-        for (i, watts) in series.iter().enumerate() {
-            recorder.power_sample(i as u64 * bin_ns, host.index() as u32, *watts);
-        }
-    }
-
-    /// Measure several hosts over a common window and sum their energy —
-    /// the paper's "total energy usage during the experiment" across
-    /// participating servers.
-    pub fn measure_total(
-        &self,
-        activity: &HostActivity,
-        hosts: &[(NodeId, HostContext)],
-        window: SimDuration,
-    ) -> (f64, Vec<EnergyReading>) {
-        let readings: Vec<EnergyReading> = hosts
-            .iter()
-            .map(|&(h, ctx)| self.measure_host(activity, h, window, ctx))
-            .collect();
-        let total = readings.iter().map(|r| r.joules).sum();
-        (total, readings)
-    }
 }
 
 #[cfg(test)]
@@ -149,40 +111,6 @@ mod tests {
             "idle second dominates: {}",
             reading.joules
         );
-    }
-
-    #[test]
-    fn total_sums_hosts() {
-        let meter = EnergyMeter::new(calibration::reference_host_model());
-        let a = NodeId::from_raw(0);
-        let b = NodeId::from_raw(1);
-        let act = HostActivity::new(SimDuration::from_millis(10));
-        let window = SimDuration::from_secs(2);
-        let ctx = HostContext::default();
-        let (total, readings) = meter.measure_total(&act, &[(a, ctx), (b, ctx)], window);
-        assert_eq!(readings.len(), 2);
-        // Two idle hosts for two seconds: 2 * 2 * 21.49 J.
-        assert!((total - 2.0 * 2.0 * 21.49).abs() < 0.01, "total={total}");
-    }
-
-    #[test]
-    fn power_series_lands_in_the_recorder() {
-        let meter = EnergyMeter::new(calibration::reference_host_model());
-        let host = NodeId::from_raw(2);
-        let mut act = HostActivity::new(SimDuration::from_millis(10));
-        act.record_tx(host, SimTime::from_millis(1), 9000, false);
-        act.record_tx(host, SimTime::from_millis(25), 9000, false);
-        let mut rec = obs::ObsRecorder::new();
-        meter.record_power_series(&mut rec, &act, host, HostContext::default());
-        let report = rec.finalize(SimTime::from_millis(30).as_nanos());
-        // Three bins -> three samples, all at least idle power (in mW).
-        let key = obs::labels([("host", "n2".to_string())]);
-        let hist = report
-            .metrics
-            .histogram("host_power_mw", &key)
-            .expect("histogram");
-        assert_eq!(hist.count(), 3);
-        assert!(hist.min().unwrap() >= 21_000);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 
 use crate::agent::{Agent, AgentCommand, Ctx};
 use crate::fault::{FaultSpec, FaultState, FAULT_STREAM_SALT};
-use crate::flowtab::{FlowKey, FlowTable};
-use crate::ids::{FlowId, LinkId, NodeId};
+use crate::ids::{LinkId, NodeId};
 use crate::link::{LinkSpec, LinkState, LinkStats};
 use crate::packet::Packet;
 use crate::pktlog::{PacketEventKind, PacketLog};
@@ -43,10 +42,16 @@ struct Route {
     next: usize,
 }
 
+/// Everything the engine keeps per node, in one record: a node is never
+/// removed, so its id is its position in `Network::nodes` for good.
 struct Node {
     kind: NodeKind,
     /// Indexed by destination node id.
     routes: Vec<Route>,
+    /// The node's RNG stream (its agent draws from it).
+    rng: SimRng,
+    /// The attached agent (hosts only; `None` until `attach_agent`).
+    agent: Option<Box<dyn Agent>>,
 }
 
 #[derive(Debug)]
@@ -154,12 +159,6 @@ impl EngineCounters {
 pub struct Network {
     nodes: Vec<Node>,
     links: Vec<LinkState>,
-    /// Flat slab of attached agents: dense storage, generational handles.
-    /// `node_agents` maps a node id to its handle, so the per-event
-    /// dispatch is two indexed loads instead of chasing an `Option<Box>`
-    /// per node, and a detached slot is reused instead of leaking.
-    agents: FlowTable<Box<dyn Agent>>,
-    node_agents: Vec<Option<FlowKey>>,
     sched: Scheduler<Event>,
     now: SimTime,
     rng: SimRng,
@@ -167,8 +166,6 @@ pub struct Network {
     /// it (salted) so installing faults never perturbs `rng`'s fork
     /// order — fault-free runs stay bit-identical.
     master_seed: u64,
-    /// Per-node RNG streams (agents draw from their own stream).
-    node_rngs: Vec<SimRng>,
     flow_trace: Option<FlowTrace>,
     activity: Option<HostActivity>,
     pkt_log: Option<PacketLog>,
@@ -219,13 +216,10 @@ impl Network {
         Network {
             nodes: Vec::new(),
             links: Vec::new(),
-            agents: FlowTable::new(),
-            node_agents: Vec::new(),
             sched: Scheduler::new(),
             now: SimTime::ZERO,
             rng: SimRng::new(seed),
             master_seed: seed,
-            node_rngs: Vec::new(),
             flow_trace: None,
             activity: None,
             pkt_log: None,
@@ -331,13 +325,13 @@ impl Network {
 
     fn add_node(&mut self, kind: NodeKind) -> NodeId {
         let id = NodeId::from_raw(self.nodes.len() as u32);
+        let rng = self.rng.fork(id.index() as u64);
         self.nodes.push(Node {
             kind,
             routes: Vec::new(),
+            rng,
+            agent: None,
         });
-        self.node_agents.push(None);
-        let stream = self.rng.fork(id.index() as u64);
-        self.node_rngs.push(stream);
         id
     }
 
@@ -369,53 +363,34 @@ impl Network {
     /// Attach an agent to a host node. Panics if the node is a switch or
     /// already has an agent.
     pub fn attach_agent(&mut self, node: NodeId, agent: Box<dyn Agent>) {
-        assert_eq!(
-            self.nodes[node.index()].kind,
-            NodeKind::Host,
-            "agents attach to hosts"
-        );
-        let slot = &mut self.node_agents[node.index()];
-        assert!(slot.is_none(), "node already has an agent");
-        *slot = Some(self.agents.insert(agent));
+        let n = &mut self.nodes[node.index()];
+        assert_eq!(n.kind, NodeKind::Host, "agents attach to hosts");
+        assert!(n.agent.is_none(), "node already has an agent");
+        n.agent = Some(agent);
         self.report_agent_occupancy();
     }
 
-    /// Detach and return the agent attached to `node`, freeing its flow-
-    /// table slot for reuse. Timers already armed for the node fire into
-    /// the void (or into a replacement agent, which must tolerate stale
-    /// tokens — the standard DES idiom).
-    pub fn detach_agent(&mut self, node: NodeId) -> Option<Box<dyn Agent>> {
-        let key = self.node_agents.get_mut(node.index())?.take()?;
-        let agent = self.agents.remove(key);
-        debug_assert!(agent.is_some(), "node handle pointed at a vacant slot");
-        self.report_agent_occupancy();
-        agent
-    }
-
-    /// Live/capacity occupancy of the agent flow table, reported through
-    /// the recorder whenever an attach/detach changes it.
+    /// How many agents are attached, reported through the recorder after
+    /// every attach and once at start. An agent is never detached, so the
+    /// count is both the `live` and the `capacity` figure of the hook.
     fn report_agent_occupancy(&mut self) {
         if let Some(rec) = &self.recorder {
-            rec.borrow_mut().flow_table_occupancy(
-                self.now.as_nanos(),
-                self.agents.len() as u64,
-                self.agents.capacity() as u64,
-            );
+            let attached = self.nodes.iter().filter(|n| n.agent.is_some()).count() as u64;
+            rec.borrow_mut()
+                .flow_table_occupancy(self.now.as_nanos(), attached, attached);
         }
     }
 
     /// Borrow an attached agent, downcast to its concrete type.
     pub fn agent<T: Agent>(&self, node: NodeId) -> Option<&T> {
-        let key = (*self.node_agents.get(node.index())?)?;
-        let agent = self.agents.get(key)?;
-        (agent.as_ref() as &dyn Any).downcast_ref::<T>()
+        let agent = self.nodes.get(node.index())?.agent.as_deref()?;
+        (agent as &dyn Any).downcast_ref::<T>()
     }
 
     /// Mutably borrow an attached agent, downcast to its concrete type.
     pub fn agent_mut<T: Agent>(&mut self, node: NodeId) -> Option<&mut T> {
-        let key = (*self.node_agents.get(node.index())?)?;
-        let agent = self.agents.get_mut(key)?;
-        (agent.as_mut() as &mut dyn Any).downcast_mut::<T>()
+        let agent = self.nodes.get_mut(node.index())?.agent.as_deref_mut()?;
+        (agent as &mut dyn Any).downcast_mut::<T>()
     }
 
     /// Queue statistics of a link's qdisc.
@@ -835,21 +810,18 @@ impl Network {
     /// Run an agent callback and apply the commands it issued.
     ///
     /// The agent is borrowed *in place* through split field borrows (the
-    /// flow table, the node's RNG, and the command buffer are disjoint
-    /// fields), so a panicking agent unwinds with the table fully
+    /// node's agent, the node's RNG, and the command buffer are disjoint
+    /// fields), so a panicking agent unwinds with the node fully
     /// intact — there is no take/put-back window that could leave the
     /// slot empty and turn one cell's panic into a poisoned network.
     fn with_agent(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Agent, &mut Ctx<'_>)) {
-        let Some(Some(key)) = self.node_agents.get(node.index()).copied() else {
+        let Some(Node {
+            agent: Some(agent),
+            rng,
+            ..
+        }) = self.nodes.get_mut(node.index())
+        else {
             // No agent: packets/timers for this host are silently dropped.
-            return;
-        };
-        let Some(agent) = self.agents.get_mut(key) else {
-            debug_assert!(false, "node handle pointed at a vacant slot");
-            return;
-        };
-        let Some(rng) = self.node_rngs.get_mut(node.index()) else {
-            debug_assert!(false, "node without an RNG stream");
             return;
         };
         // No-op normally (the buffer is drained after every callback);
@@ -903,11 +875,8 @@ impl Network {
         }
         self.autosize_scheduler();
         self.report_agent_occupancy();
-        for i in 0..self.node_agents.len() {
-            let node = NodeId::from_raw(i as u32);
-            if self.node_agents[i].is_some() {
-                self.with_agent(node, |agent, ctx| agent.on_start(ctx));
-            }
+        for i in 0..self.nodes.len() {
+            self.with_agent(NodeId::from_raw(i as u32), |agent, ctx| agent.on_start(ctx));
         }
     }
 
@@ -958,14 +927,10 @@ impl Network {
     }
 }
 
-/// Convenience: the flow a packet belongs to, used by trace assertions.
-pub fn packet_flow(pkt: &Packet) -> FlowId {
-    pkt.flow
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::FlowId;
     use crate::packet::{AckInfo, EcnCodepoint, Packet, PacketKind};
     use crate::units::Rate;
 
@@ -1789,20 +1754,11 @@ mod tests {
     }
 
     #[test]
-    fn detach_agent_frees_and_reuses_the_slot() {
+    #[should_panic(expected = "node already has an agent")]
+    fn attach_agent_on_an_occupied_node_panics() {
         let (mut net, a, b) = two_hosts_direct();
-        net.attach_agent(a, Box::new(Echo::sending(b, 1)));
         net.attach_agent(b, Box::new(Echo::new(a)));
-        let taken = net.detach_agent(b).expect("agent was attached");
-        assert!((taken.as_ref() as &dyn Any)
-            .downcast_ref::<Echo>()
-            .is_some());
-        assert!(net.agent::<Echo>(b).is_none());
-        assert!(net.detach_agent(b).is_none(), "second detach is None");
-        // Reattach into the freed slot and run normally.
         net.attach_agent(b, Box::new(Echo::new(a)));
-        assert_eq!(net.run(), RunOutcome::Drained);
-        assert_eq!(net.agent::<Echo>(b).unwrap().received.len(), 1);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::agent::{Agent, Ctx, TOKEN_BITS, TOKEN_MASK};
     pub use crate::engine::{EngineCounters, Network, NetworkStats, RunOutcome};
     pub use crate::fault::{FaultSpec, FaultSpecError, LinkFlap};
-    pub use crate::flowtab::{FlowIndex, FlowKey, FlowTable};
+    pub use crate::flowtab::FlowIndex;
     pub use crate::ids::{FlowId, LinkId, NodeId};
     pub use crate::link::{LinkSpec, LinkStats};
     pub use crate::packet::{

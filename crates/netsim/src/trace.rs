@@ -17,14 +17,21 @@ use crate::time::{SimDuration, SimTime};
 use crate::units::Rate;
 use std::collections::BTreeMap;
 
+/// One flow's record: per-bin delivered payload bytes plus its first
+/// delivery, last delivery and lifetime total.
+#[derive(Debug)]
+struct FlowSeries {
+    bins: Vec<u64>,
+    first: SimTime,
+    last: SimTime,
+    bytes: u64,
+}
+
 /// Per-flow delivered-bytes recorder.
 #[derive(Debug)]
 pub struct FlowTrace {
     bin: SimDuration,
-    /// flow -> per-bin delivered payload bytes
-    bins: BTreeMap<FlowId, Vec<u64>>,
-    /// flow -> (first delivery time, last delivery time, total payload)
-    totals: BTreeMap<FlowId, (SimTime, SimTime, u64)>,
+    flows: BTreeMap<FlowId, FlowSeries>,
 }
 
 impl FlowTrace {
@@ -33,8 +40,7 @@ impl FlowTrace {
         assert!(!bin.is_zero(), "trace bin must be positive");
         FlowTrace {
             bin,
-            bins: BTreeMap::new(),
-            totals: BTreeMap::new(),
+            flows: BTreeMap::new(),
         }
     }
 
@@ -46,19 +52,23 @@ impl FlowTrace {
     /// Record `payload` bytes of flow `flow` delivered at `now`.
     pub fn record(&mut self, flow: FlowId, now: SimTime, payload: u64) {
         let idx = (now.as_nanos() / self.bin.as_nanos()) as usize;
-        let bins = self.bins.entry(flow).or_default();
-        if bins.len() <= idx {
-            bins.resize(idx + 1, 0);
+        let series = self.flows.entry(flow).or_insert(FlowSeries {
+            bins: Vec::new(),
+            first: now,
+            last: now,
+            bytes: 0,
+        });
+        if series.bins.len() <= idx {
+            series.bins.resize(idx + 1, 0);
         }
-        bins[idx] += payload;
-        let entry = self.totals.entry(flow).or_insert((now, now, 0));
-        entry.1 = now;
-        entry.2 += payload;
+        series.bins[idx] += payload;
+        series.last = now;
+        series.bytes += payload;
     }
 
     /// The delivered-bytes series for a flow (empty if never seen).
     pub fn series(&self, flow: FlowId) -> &[u64] {
-        self.bins.get(&flow).map(Vec::as_slice).unwrap_or(&[])
+        self.flows.get(&flow).map_or(&[], |s| s.bins.as_slice())
     }
 
     /// The throughput series for a flow in Gbps, one point per bin.
@@ -69,34 +79,26 @@ impl FlowTrace {
     /// than the full bin width, so a flow finishing mid-bin no longer
     /// shows a truncated closing rate.
     pub fn throughput_gbps(&self, flow: FlowId) -> Vec<f64> {
-        let end_ns = self
-            .totals
-            .get(&flow)
-            .map(|&(_, last, _)| last.as_nanos())
-            .unwrap_or(0);
+        let end_ns = self.flows.get(&flow).map_or(0, |s| s.last.as_nanos());
         obs::series::throughput_gbps(self.series(flow), self.bin.as_nanos(), end_ns)
     }
 
     /// Total payload bytes delivered for a flow.
     pub fn total_bytes(&self, flow: FlowId) -> u64 {
-        self.totals.get(&flow).map(|t| t.2).unwrap_or(0)
+        self.flows.get(&flow).map_or(0, |s| s.bytes)
     }
 
     /// Average delivery rate of a flow between its first and last delivery.
     pub fn average_rate(&self, flow: FlowId) -> Rate {
-        match self.totals.get(&flow) {
-            Some(&(first, last, bytes)) if last > first => {
-                crate::units::average_rate(bytes, last - first)
-            }
+        match self.flows.get(&flow) {
+            Some(s) if s.last > s.first => crate::units::average_rate(s.bytes, s.last - s.first),
             _ => Rate::ZERO,
         }
     }
 
-    /// All flows that delivered at least one byte.
+    /// All flows that delivered at least one byte, ascending by id.
     pub fn flows(&self) -> Vec<FlowId> {
-        let mut v: Vec<_> = self.bins.keys().copied().collect();
-        v.sort();
-        v
+        self.flows.keys().copied().collect()
     }
 }
 

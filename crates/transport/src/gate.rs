@@ -57,11 +57,15 @@ impl SendGate {
         self.next_allowed <= now
     }
 
-    /// Account for a packet of `wire_bytes` sent at `now` (must be
-    /// `ready`), applying the strictest of the three spacings. `pacing`
-    /// is the CC's current pacing rate, if it paces.
+    /// Account for a packet of `wire_bytes` sent at `now`, applying the
+    /// strictest of the three spacings. `pacing` is the CC's current
+    /// pacing rate, if it paces.
+    ///
+    /// The pump only sends when the gate is `ready`. A loss probe fires
+    /// on its own timer and is not held by the pacer; it is charged from
+    /// `next_allowed`, so the data that follows it still waits its full
+    /// gap and the long-term rate holds.
     pub fn on_send(&mut self, now: SimTime, wire_bytes: u64, pacing: Option<Rate>) {
-        debug_assert!(self.ready(now), "gate violated");
         let start = self.earliest(now);
         let mut gap = self.min_gap;
         if let Some(rate) = self.app_rate {
@@ -135,6 +139,19 @@ mod tests {
         let t1 = g.earliest(SimTime::ZERO);
         g.on_send(t1, 100, None);
         assert_eq!(g.earliest(t1), SimTime::from_micros(20));
+    }
+
+    #[test]
+    fn a_send_ahead_of_the_gate_is_charged_from_next_allowed() {
+        // A loss probe at t = 4 us while the gate is closed until 10 us:
+        // the next data segment is pushed out to 20 us, not 14 us.
+        let mut g = SendGate::new();
+        g.set_min_gap(SimDuration::from_micros(10));
+        g.on_send(SimTime::ZERO, 100, None);
+        let probe_at = SimTime::from_micros(4);
+        assert!(!g.ready(probe_at));
+        g.on_send(probe_at, 100, None);
+        assert_eq!(g.earliest(probe_at), SimTime::from_micros(20));
     }
 
     #[test]

@@ -8,26 +8,25 @@
 //! by token namespace.
 //!
 //! At population scale (thousands of flows behind a few hosts) the mux
-//! sits on the per-ack hot path, so the sub-senders live in a
-//! [`FlowTable`] and packet dispatch goes through a [`FlowIndex`] from
-//! flow id to table key: O(1) per ack where the old `Vec` scan was
-//! O(flows), and sized by the flows this host serves, not by the
-//! largest flow id in the population. Batched deliveries
-//! ([`Agent::on_packets`]) walk the index once per packet but pay the
-//! agent-dispatch setup only once.
+//! sits on the per-ack hot path. The sub-senders live in a `Vec` in
+//! construction order and packet dispatch goes through a [`FlowIndex`]
+//! from flow id to the sub's position in it: O(1) per ack, and sized by
+//! the flows this host serves, not by the largest flow id in the
+//! population. The position is the whole handle — the mux never removes
+//! a sub, so it is `sub(i)`'s index and the timer namespace minus one.
+//! Batched deliveries ([`Agent::on_packets`]) walk the index once per
+//! packet but pay the agent-dispatch setup only once.
 
 use crate::sender::TcpSender;
 use netsim::agent::{Agent, Ctx, TOKEN_BITS, TOKEN_MASK};
-use netsim::flowtab::{FlowIndex, FlowKey, FlowTable};
+use netsim::flowtab::FlowIndex;
 use netsim::packet::Packet;
 
 /// Several TCP senders sharing one host.
 pub struct MuxSender {
-    subs: FlowTable<TcpSender>,
-    /// Construction-order handles, for positional access (`sub(i)`) and
-    /// timer-namespace dispatch (namespace = index + 1).
-    order: Vec<FlowKey>,
-    /// Flow raw id -> table key: the O(1) per-packet dispatch path.
+    /// In construction order; a sub's timer namespace is its index + 1.
+    subs: Vec<TcpSender>,
+    /// Flow raw id -> index into `subs`: the O(1) per-packet dispatch path.
     by_flow: FlowIndex,
 }
 
@@ -36,90 +35,74 @@ impl MuxSender {
     pub fn new(senders: Vec<TcpSender>) -> Self {
         assert!(!senders.is_empty(), "a mux needs at least one sender");
         assert!(senders.len() < u16::MAX as usize, "too many sub-senders");
-        let mut subs = FlowTable::with_capacity(senders.len());
-        let mut order = Vec::with_capacity(senders.len());
         let mut by_flow = FlowIndex::new();
-        for sub in senders {
+        for (i, sub) in senders.iter().enumerate() {
             let flow = sub.flow().index() as u32;
-            let k = subs.insert(sub);
-            let clash = by_flow.set(flow, k);
+            let clash = by_flow.set(flow, i as u32);
             assert!(clash.is_none(), "duplicate flow id f{flow} in one mux");
-            order.push(k);
         }
         MuxSender {
-            subs,
-            order,
+            subs: senders,
             by_flow,
         }
     }
 
     /// Access a sub-sender by construction index. Panics on an
-    /// out-of-range index, exactly as the old `Vec` storage did.
+    /// out-of-range index.
     pub fn sub(&self, i: usize) -> &TcpSender {
-        self.subs
-            .get(self.order[i])
-            // simlint::allow(panic-hygiene, reason = "construction-order keys are never removed, so this is reachable only via an out-of-range caller index — the same contract as Vec indexing")
-            .expect("mux never removes sub-senders")
+        &self.subs[i]
     }
 
     /// Attach an observability recorder to every sub-sender.
     pub fn set_recorder(&mut self, recorder: obs::SharedRecorder) {
-        for (_, sub) in self.subs.iter_mut() {
+        for sub in &mut self.subs {
             sub.set_recorder(recorder.clone());
         }
     }
 
     /// Number of multiplexed senders.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.subs.len()
     }
 
     /// True if no sub-senders exist (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.subs.is_empty()
     }
 
     /// True once every sub-flow has completed.
     pub fn all_complete(&self) -> bool {
-        self.subs.iter().all(|(_, s)| s.is_complete())
+        self.subs.iter().all(TcpSender::is_complete)
     }
 
     /// Dispatch one callback to the sub-sender at construction index
-    /// `idx`, inside its timer-token namespace.
-    fn with_namespace<R>(
+    /// `idx`, inside its timer-token namespace. An index past the end
+    /// (a timer token from a namespace that is not ours) is ignored.
+    fn with_namespace(
         &mut self,
         idx: usize,
         ctx: &mut Ctx<'_>,
-        f: impl FnOnce(&mut TcpSender, &mut Ctx<'_>) -> R,
-    ) -> Option<R> {
-        let sub = self.subs.get_mut(self.order[idx])?;
-        ctx.set_token_namespace((idx + 1) as u16);
-        let r = f(sub, ctx);
-        ctx.set_token_namespace(0);
-        Some(r)
-    }
-
-    fn dispatch_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        let Some(key) = self.by_flow.get(pkt.flow.index() as u32) else {
-            return; // not ours
-        };
-        // Construction order is insertion order, and the mux never
-        // removes, so the slot index IS the construction index — the
-        // namespace tag comes straight off the key.
-        let idx = key.slot();
-        debug_assert_eq!(self.order[idx], key);
-        let Some(sub) = self.subs.get_mut(key) else {
+        f: impl FnOnce(&mut TcpSender, &mut Ctx<'_>),
+    ) {
+        let Some(sub) = self.subs.get_mut(idx) else {
             return;
         };
         ctx.set_token_namespace((idx + 1) as u16);
-        sub.on_packet(pkt, ctx);
+        f(sub, ctx);
         ctx.set_token_namespace(0);
+    }
+
+    fn dispatch_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        let Some(idx) = self.by_flow.get(pkt.flow.index() as u32) else {
+            return; // not ours
+        };
+        self.with_namespace(idx as usize, ctx, |sub, ctx| sub.on_packet(pkt, ctx));
     }
 }
 
 impl Agent for MuxSender {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for i in 0..self.order.len() {
+        for i in 0..self.subs.len() {
             self.with_namespace(i, ctx, |sub, ctx| sub.on_start(ctx));
         }
     }
@@ -139,13 +122,10 @@ impl Agent for MuxSender {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        let ns = (token >> TOKEN_BITS) as usize;
-        if ns == 0 || ns > self.order.len() {
-            return; // not a sub-sender token
-        }
-        self.with_namespace(ns - 1, ctx, |sub, ctx| {
-            sub.on_timer(token & TOKEN_MASK, ctx)
-        });
+        let Some(idx) = ((token >> TOKEN_BITS) as usize).checked_sub(1) else {
+            return; // namespace 0: not a sub-sender token
+        };
+        self.with_namespace(idx, ctx, |sub, ctx| sub.on_timer(token & TOKEN_MASK, ctx));
     }
 }
 
@@ -156,35 +136,28 @@ mod tests {
     use crate::receiver::{AckPolicy, TcpReceiver};
     use crate::sender::TcpSenderConfig;
     use netsim::engine::Network;
-    use netsim::ids::FlowId;
+    use netsim::ids::{FlowId, NodeId};
     use netsim::link::LinkSpec;
     use netsim::time::{SimDuration, SimTime};
     use netsim::units::Rate;
 
-    fn mux_net(flows: usize, bytes: u64) -> (Network, netsim::ids::NodeId, netsim::ids::NodeId) {
-        let mut net = Network::new(3);
+    /// Two hosts joined by a 10 Gb/s link each way.
+    fn two_hosts(seed: u64) -> (Network, NodeId, NodeId) {
+        let mut net = Network::new(seed);
         let a = net.add_host();
         let b = net.add_host();
-        let ab = net.add_link(
-            a,
-            b,
-            LinkSpec::droptail(
-                Rate::from_gbps(10.0),
-                SimDuration::from_micros(25),
-                1_000_000,
-            ),
-        );
-        let ba = net.add_link(
-            b,
-            a,
-            LinkSpec::droptail(
-                Rate::from_gbps(10.0),
-                SimDuration::from_micros(25),
-                4_000_000,
-            ),
-        );
+        let link = |buffer| {
+            LinkSpec::droptail(Rate::from_gbps(10.0), SimDuration::from_micros(25), buffer)
+        };
+        let ab = net.add_link(a, b, link(1_000_000));
+        let ba = net.add_link(b, a, link(4_000_000));
         net.add_route(a, b, ab);
         net.add_route(b, a, ba);
+        (net, a, b)
+    }
+
+    fn mux_net(flows: usize, bytes: u64) -> (Network, NodeId, NodeId) {
+        let (mut net, a, b) = two_hosts(3);
         let subs: Vec<TcpSender> = (0..flows)
             .map(|i| {
                 TcpSender::new(
@@ -246,29 +219,7 @@ mod tests {
     fn flow_id_dispatch_is_sparse_safe() {
         // Non-contiguous flow ids (the population generator numbers flows
         // globally, so one host's mux sees ids like 17, 3017, 6017).
-        let mut net = Network::new(4);
-        let a = net.add_host();
-        let b = net.add_host();
-        let ab = net.add_link(
-            a,
-            b,
-            LinkSpec::droptail(
-                Rate::from_gbps(10.0),
-                SimDuration::from_micros(25),
-                1_000_000,
-            ),
-        );
-        let ba = net.add_link(
-            b,
-            a,
-            LinkSpec::droptail(
-                Rate::from_gbps(10.0),
-                SimDuration::from_micros(25),
-                4_000_000,
-            ),
-        );
-        net.add_route(a, b, ab);
-        net.add_route(b, a, ba);
+        let (mut net, a, b) = two_hosts(4);
         let ids = [17u32, 3017, 6017];
         let subs: Vec<TcpSender> = ids
             .iter()
@@ -287,6 +238,52 @@ mod tests {
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(mux.sub(i).flow(), FlowId::from_raw(id));
             assert_eq!(mux.sub(i).stats().bytes_acked, 500_000);
+        }
+    }
+
+    #[test]
+    fn each_ack_and_each_timer_reaches_its_own_sub() {
+        // Ids whose magnitude must size nothing, one size per flow, and a
+        // rate limit on each so every send after the first is released by
+        // that sub's own pace timer. An ack delivered to the wrong sub
+        // would move the wrong `bytes_acked`; a pace timer fired in the
+        // wrong namespace would be a stale token there and leave its
+        // owner silent until a loss probe or an RTO.
+        let (mut net, a, b) = two_hosts(5);
+        let flows = [
+            (7u32, 300_000u64),
+            (10_999, 500_000),
+            (4_000_000_000, 700_000),
+        ];
+        let subs: Vec<TcpSender> = flows
+            .iter()
+            .map(|&(id, bytes)| {
+                TcpSender::new(
+                    TcpSenderConfig::bulk(FlowId::from_raw(id), b, 9000, bytes)
+                        .with_rate_limit(Rate::from_gbps(1.0)),
+                    Box::new(FixedCwnd::new(100_000)),
+                )
+            })
+            .collect();
+        net.attach_agent(a, Box::new(MuxSender::new(subs)));
+        // Immediate acks: the receiver's delayed-ack token keeps only the
+        // low 20 bits of a flow id.
+        net.attach_agent(b, Box::new(TcpReceiver::new(AckPolicy::Immediate)));
+        net.run_until(SimTime::from_secs(5));
+        let mux = net.agent::<MuxSender>(a).unwrap();
+        let recv = net.agent::<TcpReceiver>(b).unwrap();
+        for (i, &(id, bytes)) in flows.iter().enumerate() {
+            let sub = mux.sub(i);
+            assert_eq!(sub.flow(), FlowId::from_raw(id));
+            assert!(sub.is_complete(), "f{id}: {:?}", sub.stats());
+            let stats = sub.stats();
+            assert_eq!(stats.bytes_acked, bytes, "f{id}");
+            assert_eq!((stats.rto_count, stats.tlp_probes), (0, 0), "f{id}");
+            // Paced at 1 Gb/s from start to finish, not in one burst.
+            let fct = sub.fct().unwrap().as_secs_f64();
+            let ideal = bytes as f64 * 8.0 / 1e9;
+            assert!((ideal * 0.9..ideal * 1.2).contains(&fct), "f{id}: {fct}");
+            assert_eq!(recv.bytes_received(FlowId::from_raw(id)), bytes);
         }
     }
 }

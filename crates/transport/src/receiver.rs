@@ -6,7 +6,7 @@
 
 use crate::stats::ReceiverFlowStats;
 use netsim::agent::{Agent, Ctx};
-use netsim::flowtab::{FlowIndex, FlowKey, FlowTable};
+use netsim::flowtab::FlowIndex;
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::{AckInfo, Packet, PacketKind, SackBlocks};
 use netsim::time::{SimDuration, SimTime};
@@ -147,15 +147,18 @@ impl RxFlow {
 
 /// The receiver agent.
 ///
-/// Per-flow state lives in a flat [`FlowTable`] reached through a
-/// [`FlowIndex`] keyed by raw flow id: at population scale one receiver
-/// serves hundreds of flows out of a global id space of thousands, and
-/// the per-data-segment lookup is one hashed probe and one indexed load
+/// Per-flow state lives in a `Vec`, pushed when a flow's first segment
+/// arrives and never removed, reached through a [`FlowIndex`] from raw
+/// flow id to position: at population scale one receiver serves hundreds
+/// of flows out of a global id space of thousands, and the
+/// per-data-segment lookup is one hashed probe and one indexed load
 /// instead of a tree walk. Point lookups only — nothing ever iterates
-/// the table — so storage order is unobservable.
+/// the flows — so storage order is unobservable.
 pub struct TcpReceiver {
     policy: AckPolicy,
-    flows: FlowTable<RxFlow>,
+    /// In first-seen order.
+    flows: Vec<RxFlow>,
+    /// Flow raw id -> index into `flows`.
     by_flow: FlowIndex,
 }
 
@@ -164,29 +167,24 @@ impl TcpReceiver {
     pub fn new(policy: AckPolicy) -> Self {
         TcpReceiver {
             policy,
-            flows: FlowTable::new(),
+            flows: Vec::new(),
             by_flow: FlowIndex::new(),
         }
     }
 
-    fn flow_key(&self, flow: FlowId) -> Option<FlowKey> {
-        self.by_flow.get(flow.index() as u32)
+    fn flow(&self, flow: FlowId) -> Option<&RxFlow> {
+        let i = self.by_flow.get(flow.index() as u32)?;
+        self.flows.get(i as usize)
     }
 
     /// In-order bytes received for a flow.
     pub fn bytes_received(&self, flow: FlowId) -> u64 {
-        self.flow_key(flow)
-            .and_then(|k| self.flows.get(k))
-            .map(|f| f.rcv_nxt)
-            .unwrap_or(0)
+        self.flow(flow).map(|f| f.rcv_nxt).unwrap_or(0)
     }
 
     /// Per-flow receive statistics.
     pub fn flow_stats(&self, flow: FlowId) -> ReceiverFlowStats {
-        self.flow_key(flow)
-            .and_then(|k| self.flows.get(k))
-            .map(|f| f.stats)
-            .unwrap_or_default()
+        self.flow(flow).map(|f| f.stats).unwrap_or_default()
     }
 
     fn send_ack(flow_id: FlowId, flow: &mut RxFlow, ctx: &mut Ctx<'_>) {
@@ -211,16 +209,17 @@ impl TcpReceiver {
 
     fn on_data(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
         let raw = pkt.flow.index() as u32;
-        let key = match self.by_flow.get(raw) {
-            Some(k) => k,
+        let i = match self.by_flow.get(raw) {
+            Some(i) => i,
             None => {
-                let k = self.flows.insert(RxFlow::new(pkt.src));
-                self.by_flow.set(raw, k);
-                k
+                let i = self.flows.len() as u32;
+                self.flows.push(RxFlow::new(pkt.src));
+                self.by_flow.set(raw, i);
+                i
             }
         };
-        let Some(flow) = self.flows.get_mut(key) else {
-            return; // index and table disagree: treat as unknown flow
+        let Some(flow) = self.flows.get_mut(i as usize) else {
+            return; // index and flows disagree: treat as unknown flow
         };
         flow.stats.data_segs += 1;
         flow.echo = (pkt.sent_at, pkt.is_retx);
@@ -318,7 +317,7 @@ impl Agent for TcpReceiver {
         let Some(flow) = self
             .by_flow
             .get(flow_id.index() as u32)
-            .and_then(|k| self.flows.get_mut(k))
+            .and_then(|i| self.flows.get_mut(i as usize))
         else {
             return;
         };

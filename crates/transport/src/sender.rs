@@ -295,11 +295,6 @@ impl TcpSender {
         self.cfg.flow
     }
 
-    /// The congestion controller's kernel-style name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
     /// The CC's relative per-ack compute cost (energy model input).
     pub fn compute_cost_factor(&self) -> f64 {
         self.cc.compute_cost_factor()
@@ -338,12 +333,6 @@ impl TcpSender {
     /// Current smoothed RTT.
     pub fn srtt(&self) -> SimDuration {
         self.rtt.srtt()
-    }
-
-    /// Change the application rate limit mid-flow (experiments use this
-    /// to re-allocate bandwidth).
-    pub fn set_rate_limit(&mut self, rate: Option<Rate>) {
-        self.gate.set_app_rate(rate);
     }
 
     fn app_limited(&self) -> bool {
@@ -1131,6 +1120,53 @@ mod tests {
         let s = net.agent::<TcpSender>(a).unwrap();
         assert!(s.is_complete(), "{:?}", s.stats());
         assert!(!s.is_aborted());
+    }
+
+    #[test]
+    fn tlp_probe_goes_out_ahead_of_a_slow_pacer() {
+        use netsim::fault::FaultSpec;
+
+        /// A fixed window paced at 1 Mb/s: one 1500-byte frame every
+        /// 12 ms, longer than the 5 ms probe timeout.
+        struct SlowPacer;
+        impl CongestionControl for SlowPacer {
+            fn name(&self) -> &'static str {
+                "slow-pacer"
+            }
+            fn on_ack(&mut self, _ev: &crate::cc::AckEvent) {}
+            fn on_congestion_event(&mut self, _ev: &crate::cc::CongestionEvent) {}
+            fn on_rto(&mut self, _now: SimTime, _mss: u32) {}
+            fn cwnd(&self) -> u64 {
+                30_000
+            }
+            fn pacing_rate(&self) -> Option<Rate> {
+                Some(Rate::from_mbps(1.0))
+            }
+        }
+
+        let (mut net, a, b) = simple_net(10.0, 4 * MB);
+        // Four segments leave at 0, 12, 24 and 36 ms; the forward link is
+        // down over the fourth — a tail loss. The probe is due at ~41 ms,
+        // while the pacer holds new data until 48 ms.
+        let fwd = netsim::ids::LinkId::from_raw(0);
+        let flap = FaultSpec::random_loss(0.0)
+            .with_flap(SimTime::from_millis(30), SimTime::from_millis(40));
+        net.set_link_fault(fwd, flap).expect("valid fault spec");
+        let mut cfg = TcpSenderConfig::bulk(FLOW, b, 1500, 0);
+        cfg.total_bytes = 4 * cfg.mss as u64;
+        net.attach_agent(a, Box::new(TcpSender::new(cfg, Box::new(SlowPacer))));
+        net.attach_agent(b, Box::new(TcpReceiver::new(AckPolicy::Immediate)));
+        net.run_until(SimTime::from_secs(5));
+        let s = net.agent::<TcpSender>(a).unwrap();
+        assert!(s.is_complete(), "{:?}", s.stats());
+        let stats = s.stats();
+        assert_eq!(stats.tlp_probes, 1);
+        assert_eq!(stats.rto_count, 0, "the probe, not the RTO, recovered it");
+        let done = stats.completed_at.unwrap();
+        assert!(
+            done > SimTime::from_millis(41) && done < SimTime::from_millis(48),
+            "the probe was not held for the pacer: done at {done}"
+        );
     }
 
     #[test]

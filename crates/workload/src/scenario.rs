@@ -369,11 +369,6 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    /// Total energy including the receiver.
-    pub fn total_energy_with_receiver_j(&self) -> f64 {
-        self.sender_energy_j + self.receiver_energy_j
-    }
-
     /// Average sender power over the window (per the paper's Fig. 6:
     /// energy over iperf time).
     pub fn average_sender_power_w(&self) -> f64 {

@@ -10,8 +10,6 @@
 //! Exits 1 past either bound.
 //!
 //! Usage: `cargo run --release --example population_heap -- [seed]`
-//! (release only: the full-size population trips a debug-only pacing
-//! assertion in `transport::gate` that predates this example).
 
 use green_envy_repro::workload::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -32,20 +32,21 @@
 #             analysis & enforced invariants") and the spec/invariant
 #             compliance tracker. Zero unsuppressed findings and full
 #             invariant coverage required.
-#   --chaos   additionally run the fault-injection suite: the netsim and
-#             transport chaos property tests, the golden determinism
-#             fingerprints (clean, faulted, and the pinned lossy four-CCA
-#             run that guards loss recovery), and a quick-scale run of
-#             the chaos experiment (`bench chaos`).
+#   --chaos   additionally run the chaos experiment at quick scale
+#             (`bench chaos`). The fault-injection tests themselves — the
+#             netsim and transport chaos property tests and the golden
+#             determinism fingerprints — are part of the default test
+#             stage, which ran moments earlier; the flag adds only the
+#             drill.
 #   --resume  additionally drill the durability layer end to end: start a
 #             tiny-scale journaled campaign, SIGTERM it mid-flight, resume
 #             it, and require the merged matrix to be byte-identical to an
 #             uninterrupted run.
-#   --obs     additionally exercise the observability subsystem: the obs
-#             unit tests, the golden obs fingerprint/reproducibility
-#             tests, and a tiny-scale chaos run with --trace-out executed
+#   --obs     additionally run a tiny-scale chaos sweep with --trace-out
 #             twice — the exported Perfetto traces must be byte-identical
-#             across the two runs.
+#             across the two runs. The obs unit tests and the golden obs
+#             fingerprint/reproducibility tests are part of the default
+#             test stage; the flag adds only the drill.
 #   --perf    additionally answer "did this change regress performance
 #             or break the benchmark build": run the four ratio gates
 #             (perf_gates: both sides of each ratio timed interleaved in
@@ -182,9 +183,6 @@ stage_lint() {
 }
 
 stage_chaos() {
-    cargo test -q --release --offline -p netsim --test proptest_fault &&
-    cargo test -q --release --offline -p transport --test proptest_chaos &&
-    cargo test -q --release --offline -p greenenvy --test golden_determinism &&
     (cd "$smoke" && GREENENVY_SCALE=quick bench chaos)
 }
 
@@ -237,9 +235,6 @@ stage_resume() {
 }
 
 stage_obs() {
-    cargo test -q --release --offline -p obs &&
-    cargo test -q --release --offline -p greenenvy --test golden_obs || return 1
-
     # Run the tiny chaos sweep twice with --trace-out: deterministic
     # observability means every exported artifact is byte-identical
     # between the runs.
@@ -387,7 +382,7 @@ if [[ $lint -eq 1 ]]; then
     run_stage "lint (simlint --workspace + compliance)" stage_lint
 fi
 if [[ $chaos -eq 1 ]]; then
-    run_stage "chaos (fault injection + fingerprints)" stage_chaos
+    run_stage "chaos (bench chaos, GREENENVY_SCALE=quick)" stage_chaos
 fi
 if [[ $resume -eq 1 ]]; then
     run_stage "resume (kill/resume drill, GREENENVY_SCALE=tiny)" stage_resume
