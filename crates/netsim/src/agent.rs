@@ -8,6 +8,7 @@
 
 use crate::ids::NodeId;
 use crate::packet::Packet;
+use crate::pool::{FramePool, FrameRef};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
@@ -52,9 +53,13 @@ pub trait Agent: Any {
 
 /// Commands an agent issues during a callback; applied by the engine
 /// immediately after the callback returns.
+///
+/// A sent frame is already in the engine's [`FramePool`] when its command
+/// is queued, so the command carries the 4-byte ref, not the packet: a
+/// frame is copied once on its way in, and a command is 24 bytes.
 #[derive(Debug)]
 pub(crate) enum AgentCommand {
-    Send(Packet),
+    Send(FrameRef),
     SetTimer { at: SimTime, token: u64 },
     Stop,
 }
@@ -63,12 +68,16 @@ pub(crate) enum AgentCommand {
 ///
 /// `Ctx` buffers commands rather than mutating engine state directly; this
 /// keeps callbacks free of aliasing gymnastics and makes every effect of a
-/// callback take hold at one well-defined instant.
+/// callback take hold at one well-defined instant. The exception is a
+/// sent frame's bytes, which go straight into the engine's frame pool;
+/// the frame enters the network only when its command is applied.
 pub struct Ctx<'a> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) commands: &'a mut Vec<AgentCommand>,
+    /// The engine's frame pool: [`Ctx::send`] writes the frame here.
+    pub(crate) frames: &'a mut FramePool,
     /// Timer-token namespace for composite agents; see
     /// [`Ctx::set_token_namespace`]. Reset to 0 for every dispatch.
     pub(crate) token_ns: u16,
@@ -98,7 +107,9 @@ impl Ctx<'_> {
     /// field; `sent_at` is stamped with the current time.
     pub fn send(&mut self, mut pkt: Packet) {
         pkt.sent_at = self.now;
-        self.commands.push(AgentCommand::Send(pkt));
+        // Origination is the frame's entry into the pool: the one copy-in.
+        let frame = self.frames.alloc(pkt);
+        self.commands.push(AgentCommand::Send(frame));
     }
 
     /// Arm a timer to fire `after` from now, delivering `token` to

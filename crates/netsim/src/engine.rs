@@ -20,7 +20,7 @@ use crate::pool::{FramePool, FrameRef};
 use crate::queue::{EnqueueOutcome, QueueStats};
 use crate::rng::SimRng;
 use crate::sched::{SchedStats, Scheduler};
-use crate::time::{SimDuration, SimTime};
+use crate::time::{round_to_u64, SimDuration, SimTime};
 use crate::trace::{FlowTrace, HostActivity};
 use obs::SharedRecorder;
 use std::any::Any;
@@ -38,7 +38,8 @@ pub enum NodeKind {
 #[derive(Debug, Default, Clone)]
 struct Route {
     links: Vec<LinkId>,
-    /// Round-robin cursor for multi-link (bonded) routes.
+    /// Round-robin cursor for multi-link (bonded) routes: the index into
+    /// `links` of the next packet's link, always `< links.len()`.
     next: usize,
 }
 
@@ -59,13 +60,31 @@ enum Event {
     /// Frame finished propagation and arrives at `node`. The payload is
     /// a 4-byte ref into the engine's [`FramePool`], not the 168-byte
     /// packet: the event is 16 bytes, and the wheel links it once as a
-    /// 40-byte slab node that is never moved afterwards.
+    /// 40-byte slab node that is never moved afterwards (both asserted
+    /// below).
     Arrive { node: NodeId, pkt: FrameRef },
     /// Link finished serializing its in-flight frame.
     TxDone { link: LinkId },
     /// Agent timer.
     Timer { node: NodeId, token: u64 },
 }
+
+// Build-time guards on the per-event floor (DESIGN.md, "Per-event
+// floor"): a field that grows one of these types fails Tier-1 here
+// instead of silently adding bytes to every push, pop or send.
+#[cfg(target_pointer_width = "64")]
+const _: () = {
+    // Two 4-byte ids or a timer token, plus the tag: a push moves it in
+    // two registers.
+    assert!(std::mem::size_of::<Event>() == 16);
+    // The event plus `(at, seq)` and a link: the wheel's slab node. The
+    // slab is walked on every pop, so its stride is the cache footprint.
+    assert!(std::mem::size_of::<crate::sched::Node<Event>>() == 40);
+    // A send carries a `FrameRef`, not the 168-byte `Packet`: the frame
+    // is copied into the pool once, by `Ctx::send`. A packet back in the
+    // command makes it 168 bytes and the copy a second one.
+    assert!(std::mem::size_of::<AgentCommand>() == 24);
+};
 
 /// Why a run returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -479,6 +498,9 @@ impl Network {
         s
     }
 
+    /// Inlined with the scheduler's push (see [`Scheduler::push`]) so the
+    /// event reaches its slab node from registers.
+    #[inline]
     fn schedule(&mut self, at: SimTime, event: Event) {
         debug_assert!(at >= self.now, "event scheduled in the past");
         self.sched.push(at, event);
@@ -516,8 +538,13 @@ impl Network {
             .filter(|r| !r.links.is_empty())
             // simlint::allow(panic-hygiene, reason = "a missing route is a topology construction bug, not a runtime condition; it fires on the first packet of a misbuilt scenario, never mid-campaign")
             .unwrap_or_else(|| panic!("no route from {node} to {dst}"));
-        let link = route.links[route.next % route.links.len()];
-        route.next = route.next.wrapping_add(1);
+        let link = route.links[route.next];
+        // Wrap by compare, not `%`: no u64 division per packet
+        // (DESIGN.md, "Per-event floor").
+        route.next += 1;
+        if route.next == route.links.len() {
+            route.next = 0;
+        }
         self.transmit_on(link, frame);
     }
 
@@ -578,25 +605,24 @@ impl Network {
         };
         let occupancy = link.occupancy_time(self.frames.get(frame));
         link.update_util(now, occupancy);
-        // Read every link-derived value before stamping the frame: the
-        // pool borrow and the link borrow are disjoint fields, but the
-        // stamp wants both, so the link side is snapshotted first.
-        let queue_bytes = link.qdisc.len_bytes().min(u32::MAX as u64) as u32;
-        let util_x1000 = (link.util_ewma * 1000.0).round() as u16;
-        let link_mbps = link.mbps;
         let src = link.src;
         link.in_flight = Some(frame);
         link.tx_started = now;
         // In-band telemetry: every hop is INT-capable (as the paper's
         // Tofino is); the record keeps the most-utilized hop's state.
         // Stamped in place — the frame never leaves the pool for this.
+        // Acks carry no record, so they skip the arithmetic.
         let pkt = self.frames.get_mut(frame);
-        if pkt.is_data() && (!pkt.int.is_stamped() || util_x1000 >= pkt.int.util_x1000) {
-            pkt.int = crate::packet::IntRecord {
-                queue_bytes,
-                util_x1000,
-                link_mbps,
-            };
+        if pkt.is_data() {
+            // `as u16` saturated the rounded float; `min` keeps that.
+            let util_x1000 = round_to_u64(link.util_ewma * 1000.0).min(u16::MAX as u64) as u16;
+            if !pkt.int.is_stamped() || util_x1000 >= pkt.int.util_x1000 {
+                pkt.int = crate::packet::IntRecord {
+                    queue_bytes: link.qdisc.len_bytes().min(u32::MAX as u64) as u32,
+                    util_x1000,
+                    link_mbps: link.mbps,
+                };
+            }
         }
         // Record the host's transmit work when the packet hits the wire.
         let (wire, retx) = (pkt.wire_bytes as u64, pkt.is_retx && pkt.is_data());
@@ -754,25 +780,37 @@ impl Network {
         true
     }
 
+    /// Move a host arrival out of the pool — the frame's exit, and its
+    /// one copy-out, straight into the delivery batch — then run its
+    /// bookkeeping; a corrupt discard leaves the batch again.
+    fn receive(&mut self, node: NodeId, frame: FrameRef, buf: &mut Vec<Packet>) {
+        // `extend_from_slice` reserves before it reads, so the bytes go
+        // from the slot to the batch in one copy; `push(*pkt)` makes two.
+        buf.extend_from_slice(std::slice::from_ref(self.frames.get(frame)));
+        self.frames.release(frame);
+        if let Some(pkt) = buf.last() {
+            if !self.host_rx_bookkeeping(node, pkt) {
+                buf.pop();
+            }
+        }
+    }
+
     /// Deliver a host arrival, coalescing any *consecutive* arrivals at
     /// the same host with the same timestamp into one agent dispatch.
     ///
     /// Determinism argument (pinned by the workload equivalence
-    /// proptests): agent callbacks only buffer commands — they never
-    /// mutate engine state directly — so handing the agent packets
-    /// `[p1, p2]` in one call draws the same RNG stream and emits the
-    /// same command sequence as two back-to-back calls; commands then
+    /// proptests): agent callbacks only buffer commands — the one engine
+    /// state they touch is the frame pool, whose slot numbers nothing
+    /// observes — so handing the agent packets `[p1, p2]` in one call
+    /// draws the same RNG stream and emits the same command sequence as
+    /// two back-to-back calls; commands then
     /// apply in the same global order either way. Only *consecutive*
     /// `(at, seq)` events coalesce, so no event is ever reordered past
     /// another. Per-packet bookkeeping still runs per packet.
     fn deliver_to_host(&mut self, node: NodeId, frame: FrameRef) {
         let mut buf = std::mem::take(&mut self.delivery_buf);
         debug_assert!(buf.is_empty());
-        // Delivery is the frame's exit from the pool: the one copy-out.
-        let pkt = self.frames.take(frame);
-        if self.host_rx_bookkeeping(node, &pkt) {
-            buf.push(pkt);
-        }
+        self.receive(node, frame, &mut buf);
         if self.batch_deliveries {
             let now = self.now;
             while let Some((_, ev)) = self.sched.pop_if(|at, ev| {
@@ -784,10 +822,7 @@ impl Network {
                 // bounded by the batch, far below its 2^14 granularity.)
                 self.events_processed += 1;
                 if let Event::Arrive { pkt: coalesced, .. } = ev {
-                    let pkt = self.frames.take(coalesced);
-                    if self.host_rx_bookkeeping(node, &pkt) {
-                        buf.push(pkt);
-                    }
+                    self.receive(node, coalesced, &mut buf);
                 }
             }
         }
@@ -810,10 +845,12 @@ impl Network {
     /// Run an agent callback and apply the commands it issued.
     ///
     /// The agent is borrowed *in place* through split field borrows (the
-    /// node's agent, the node's RNG, and the command buffer are disjoint
-    /// fields), so a panicking agent unwinds with the node fully
-    /// intact — there is no take/put-back window that could leave the
-    /// slot empty and turn one cell's panic into a poisoned network.
+    /// node's agent, the node's RNG, the command buffer and the frame
+    /// pool are disjoint fields), so a panicking agent unwinds with the
+    /// node fully intact — there is no take/put-back window that could
+    /// leave the slot empty and turn one cell's panic into a poisoned
+    /// network. What a panicking callback had queued stays in `commands`
+    /// until [`Network::discard_commands`] at the next run.
     fn with_agent(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Agent, &mut Ctx<'_>)) {
         let Some(Node {
             agent: Some(agent),
@@ -824,20 +861,29 @@ impl Network {
             // No agent: packets/timers for this host are silently dropped.
             return;
         };
-        // No-op normally (the buffer is drained after every callback);
-        // after a *panicking* callback it discards the half-issued
-        // commands so a caught unwind can't leak them into the next
-        // dispatch.
-        self.commands.clear();
         let mut ctx = Ctx {
             now: self.now,
             node,
             rng,
             commands: &mut self.commands,
+            frames: &mut self.frames,
             token_ns: 0,
         };
         f(agent.as_mut(), &mut ctx);
         self.apply_commands(node);
+    }
+
+    /// Drop the commands a *panicking* callback left half-queued, so a
+    /// caught unwind cannot leak them into the next dispatch, and free
+    /// the frames its sends had already written into the pool. A no-op
+    /// otherwise: `apply_commands` drains the buffer after every callback
+    /// that returns.
+    fn discard_commands(&mut self) {
+        for cmd in self.commands.drain(..) {
+            if let AgentCommand::Send(frame) = cmd {
+                self.frames.release(frame);
+            }
+        }
     }
 
     /// Apply the commands buffered by an agent callback, in issue order.
@@ -851,11 +897,8 @@ impl Network {
         let mut commands = std::mem::take(&mut self.commands);
         for cmd in commands.drain(..) {
             match cmd {
-                AgentCommand::Send(pkt) => {
+                AgentCommand::Send(frame) => {
                     self.originated_pkts += 1;
-                    // Origination is the frame's entry into the pool:
-                    // the one copy-in.
-                    let frame = self.frames.alloc(pkt);
                     self.route_and_transmit(node, frame)
                 }
                 AgentCommand::SetTimer { at, token } => {
@@ -883,6 +926,9 @@ impl Network {
     /// Run until the event queue drains, a stop is requested, or `limit`
     /// simulated time is reached.
     pub fn run_until(&mut self, limit: SimTime) -> RunOutcome {
+        // A callback can only unwind out of this loop, so the next entry
+        // is the first chance to clean up after one.
+        self.discard_commands();
         self.start_agents();
         loop {
             if self.stop_requested {
@@ -1718,12 +1764,19 @@ mod tests {
             handled: u32,
         }
         impl Agent for Bomb {
-            fn on_packet(&mut self, _pkt: Packet, ctx: &mut Ctx<'_>) {
+            fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
                 self.handled += 1;
                 if self.handled >= self.fuse {
-                    // Issue a command first so the panic leaves the
-                    // buffer dirty — the next dispatch must discard it.
+                    // Queue commands first so the panic leaves the
+                    // buffer dirty — the next run must discard them, and
+                    // the send has already put a frame in the pool.
                     ctx.set_timer_after(SimDuration::from_micros(1), 99);
+                    ctx.send(Packet::ack(
+                        pkt.flow,
+                        ctx.node(),
+                        pkt.src,
+                        AckInfo::default(),
+                    ));
                     panic!("boom");
                 }
             }
@@ -1749,8 +1802,13 @@ mod tests {
         // And the network still runs: remaining queued events dispatch
         // into the (re-armed) agent without tripping over stale state.
         net.agent_mut::<Bomb>(b).unwrap().fuse = u32::MAX;
-        net.run();
+        assert_eq!(net.run(), RunOutcome::Drained);
         assert_eq!(net.agent::<Bomb>(b).unwrap().handled, 3);
+        // The half-queued send was never originated, and its frame went
+        // back to the pool: nothing leaks through the panic.
+        assert_eq!(net.frames.live(), 0);
+        assert_eq!(net.network_stats().conservation_residual(), 0);
+        assert_eq!(net.agent::<Echo>(a).unwrap().acks_received, 0);
     }
 
     #[test]

@@ -116,6 +116,12 @@ pub(crate) struct LinkState {
     /// the size actually changes. Same inputs, same function — the
     /// cached result is bit-identical to recomputing.
     ser_memo: (u64, SimDuration),
+    /// The same memo for [`LinkState::update_util`]: the last
+    /// `(occupancy, gap)` pair and its busy fraction. A link fed at a
+    /// steady rate — saturated, behind a paced or pps-capped sender, or
+    /// carrying an ack stream — repeats the pair packet after packet, so
+    /// the two float divisions are paid only when one of them changes.
+    util_memo: (SimDuration, SimDuration, f64),
 }
 
 impl LinkState {
@@ -135,17 +141,22 @@ impl LinkState {
             stats: LinkStats::default(),
             mbps: (spec.rate.bps() / 1e6).round().max(1.0) as u32,
             ser_memo: (u64::MAX, SimDuration::ZERO),
+            util_memo: (SimDuration::ZERO, SimDuration::ZERO, 0.0),
         }
     }
 
     /// Update the utilization EWMA for a transmission starting at `now`
     /// that will occupy the transmitter for `occupancy`.
-    pub(crate) fn update_util(&mut self, now: SimTime, occupancy: crate::time::SimDuration) {
+    pub(crate) fn update_util(&mut self, now: SimTime, occupancy: SimDuration) {
         if let Some(prev) = self.prev_tx_started {
-            let gap = now.saturating_since(prev).as_secs_f64();
-            if gap > 0.0 {
-                let inst = (occupancy.as_secs_f64() / gap).min(1.0);
-                self.util_ewma = 0.875 * self.util_ewma + 0.125 * inst;
+            let gap = now.saturating_since(prev);
+            if !gap.is_zero() {
+                let (occ, gap_memo, _) = self.util_memo;
+                if occ != occupancy || gap_memo != gap {
+                    let inst = (occupancy.as_secs_f64() / gap.as_secs_f64()).min(1.0);
+                    self.util_memo = (occupancy, gap, inst);
+                }
+                self.util_ewma = 0.875 * self.util_ewma + 0.125 * self.util_memo.2;
             }
         } else {
             self.util_ewma = 1.0; // first packet: transmitter fully busy
@@ -165,5 +176,52 @@ impl LinkState {
 
     pub(crate) fn is_busy(&self) -> bool {
         self.in_flight.is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `update_util`'s memo keeps the bits of the formula it caches,
+    /// `min(occupancy_s / gap_s, 1)` with both sides converted to seconds
+    /// per packet, over saturated, idle and zero gaps and repeated and
+    /// changing occupancies.
+    #[test]
+    fn update_util_matches_the_two_division_formula() {
+        let spec = LinkSpec::droptail(Rate::from_gbps(10.0), SimDuration::ZERO, 1);
+        let mut link = LinkState::new(NodeId::from_raw(0), NodeId::from_raw(1), spec);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut now = SimTime::from_micros(3);
+        link.update_util(now, SimDuration::from_nanos(1_200));
+        let mut want = 1.0f64;
+        for _ in 0..20_000 {
+            let occ = SimDuration::from_nanos(
+                [1_200, 67, 1_200, 7_200, next() % 50_000][next() as usize % 5],
+            );
+            let gap = match next() % 4 {
+                0 => occ,
+                1 => SimDuration::from_nanos(occ.as_nanos() / 2),
+                2 => SimDuration::ZERO,
+                _ => SimDuration::from_nanos(next() % 100_000),
+            };
+            now += gap;
+            link.update_util(now, occ);
+            if !gap.is_zero() {
+                let inst = (occ.as_secs_f64() / gap.as_secs_f64()).min(1.0);
+                want = 0.875 * want + 0.125 * inst;
+            }
+            assert_eq!(
+                link.util_ewma.to_bits(),
+                want.to_bits(),
+                "gap {gap:?} occ {occ:?}"
+            );
+        }
     }
 }

@@ -7,10 +7,11 @@
 //! packet-hop, plus 192-byte scheduler entries that blow out the wheel's
 //! cache footprint.
 //!
-//! [`FramePool`] fixes that shape. A frame is copied into the pool once
-//! when an agent originates it and copied out once when a host delivers
-//! it; everything between — queueing, serialization, fault injection,
-//! switch forwarding, the event wheel — passes a 4-byte [`FrameRef`].
+//! [`FramePool`] fixes that shape. A frame is copied into the pool once,
+//! by `Ctx::send` inside the agent's callback, and copied out once when a
+//! host delivers it; everything between — the command buffer, queueing,
+//! serialization, fault injection, switch forwarding, the event wheel —
+//! passes a 4-byte [`FrameRef`].
 //! Freed slots go on a free list and are reused in LIFO order, so the
 //! hot set stays small and cache-resident.
 //!
@@ -25,9 +26,9 @@
 //! # Ownership contract
 //!
 //! `FrameRef` is a plain index with no generation counter: the engine is
-//! the only holder, and every ref has exactly one owner (a qdisc FIFO, a
-//! link's in-flight slot, or a scheduled `Arrive` event) from `alloc` to
-//! `take`/`release`. Double-free or use-after-free is an engine bug, not
+//! the only holder, and every ref has exactly one owner (an agent's
+//! queued send command, a qdisc FIFO, a link's in-flight slot, or a
+//! scheduled `Arrive` event) from `alloc` to `take`/`release`. Double-free or use-after-free is an engine bug, not
 //! a runtime condition; debug builds assert liveness on every access.
 
 use crate::packet::Packet;

@@ -102,7 +102,7 @@ const NIL: u32 = u32::MAX;
 
 /// One wheel entry, living in the scheduler's slab from push to pop. It
 /// is linked into its bucket once and never moved or re-sorted.
-struct Node<T> {
+pub(crate) struct Node<T> {
     at: SimTime,
     seq: u64,
     /// `None` only while the slot sits on the free list.
@@ -225,6 +225,13 @@ impl<T> Scheduler<T> {
 
     /// Insert an item at time `at`. Later inserts at the same `at` pop
     /// later (FIFO within a timestamp).
+    ///
+    /// Always inlined, as is `wheel_insert` with `alloc` inside it: out
+    /// of line, the caller stores the item field by field and the callee
+    /// reloads it whole, a store-to-load forward that fails on every push
+    /// (DESIGN.md, "Per-event floor"). A plain `#[inline]` hint is not
+    /// enough; the engine pushes from four sites.
+    #[inline(always)]
     pub fn push(&mut self, at: SimTime, item: T) {
         self.seq += 1;
         let entry = Entry {
@@ -247,6 +254,7 @@ impl<T> Scheduler<T> {
 
     /// Move `entry` into a slab slot — a freed one if any — and return
     /// its index. The node comes back unlinked (`next == NIL`).
+    #[inline]
     fn alloc(&mut self, entry: Entry<T>) -> u32 {
         let node = Node {
             at: entry.at,
@@ -260,6 +268,15 @@ impl<T> Scheduler<T> {
             *slot = node;
             return idx;
         }
+        self.grow(node)
+    }
+
+    /// `alloc` with the free list empty: append a slot. Out of line
+    /// because it runs only until the slab reaches the peak pending
+    /// count, and `Vec` growth would bloat every inlined push.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, node: Node<T>) -> u32 {
         let idx = self.nodes.len();
         assert!(
             idx < NIL as usize,
@@ -282,11 +299,12 @@ impl<T> Scheduler<T> {
     /// practice only an out-of-order push walks: heap migrations leave
     /// the heap in ascending order for a bucket no push could reach
     /// while its tick was beyond the horizon.
+    #[inline(always)]
     fn wheel_insert(&mut self, tick: u64, entry: Entry<T>) {
         let key = (entry.at, entry.seq);
         let idx = self.alloc(entry);
         let slot = (tick & MASK) as usize;
-        let Bucket { head, tail } = self.buckets[slot];
+        let tail = self.buckets[slot].tail;
         if tail == NIL {
             self.buckets[slot] = Bucket {
                 head: idx,
@@ -296,21 +314,30 @@ impl<T> Scheduler<T> {
             self.nodes[tail as usize].next = idx;
             self.buckets[slot].tail = idx;
         } else {
-            // The tail sorts after `key`, so the walk stops at a node.
-            let mut prev = NIL;
-            let mut cur = head;
-            while self.key(cur) < key {
-                prev = cur;
-                cur = self.nodes[cur as usize].next;
-            }
-            self.nodes[idx as usize].next = cur;
-            if prev == NIL {
-                self.buckets[slot].head = idx;
-            } else {
-                self.nodes[prev as usize].next = idx;
-            }
+            self.link_before_tail(slot, idx, key);
         }
         self.wheel_len += 1;
+    }
+
+    /// The walk of [`Self::wheel_insert`]: link node `idx`, whose `key`
+    /// sorts before the tail of bucket `slot`, into its place. Kept out
+    /// of line so the inlined push stays small; it is handed indices, not
+    /// the entry, which is already in its node.
+    #[inline(never)]
+    fn link_before_tail(&mut self, slot: usize, idx: u32, key: (SimTime, u64)) {
+        // The tail sorts after `key`, so the walk stops at a node.
+        let mut prev = NIL;
+        let mut cur = self.buckets[slot].head;
+        while self.key(cur) < key {
+            prev = cur;
+            cur = self.nodes[cur as usize].next;
+        }
+        self.nodes[idx as usize].next = cur;
+        if prev == NIL {
+            self.buckets[slot].head = idx;
+        } else {
+            self.nodes[prev as usize].next = idx;
+        }
     }
 
     /// Advance the wheel to the next non-empty bucket, migrating heap

@@ -12,6 +12,27 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// `x.round() as u64`, bit for bit, for every `f64` — without calling
+/// `f64::round`, which the baseline x86-64 target (no SSE4.1 `roundsd`)
+/// lowers to a soft-float library call.
+///
+/// On `0 ≤ x < 2⁵²` the value truncates through `i64` and the fraction,
+/// which that range makes exact, rounds up from one half: half away from
+/// zero, as `round` does. Everything else — negatives, NaN, infinities,
+/// and values from 2⁵² up, which are already integers — takes the
+/// `round` path, so the saturating `as u64` cast decides them as before.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    const EXACT_BELOW: f64 = (1u64 << 52) as f64;
+    if (0.0..EXACT_BELOW).contains(&x) {
+        let whole = x as i64;
+        let half_up = x - whole as f64 >= 0.5;
+        (whole + half_up as i64) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
 /// An absolute simulation instant, in nanoseconds since simulation start.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -54,7 +75,7 @@ impl SimTime {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "SimTime cannot be negative");
-        SimTime((s * NANOS_PER_SEC as f64).round() as u64)
+        SimTime(round_to_u64(s * NANOS_PER_SEC as f64))
     }
 
     /// Raw nanoseconds since simulation start.
@@ -117,7 +138,7 @@ impl SimDuration {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "SimDuration cannot be negative");
-        SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
+        SimDuration(round_to_u64(s * NANOS_PER_SEC as f64))
     }
 
     /// Raw nanoseconds.
@@ -226,7 +247,7 @@ impl Mul<f64> for SimDuration {
     #[inline]
     fn mul(self, rhs: f64) -> SimDuration {
         debug_assert!(rhs >= 0.0);
-        SimDuration((self.0 as f64 * rhs).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * rhs))
     }
 }
 
@@ -327,6 +348,49 @@ mod tests {
         assert_eq!((d * 0.5).as_nanos(), 5_000);
         assert_eq!((d / 2).as_nanos(), 5_000);
         assert_eq!(d.saturating_mul(u64::MAX), SimDuration::MAX);
+    }
+
+    #[test]
+    fn round_to_u64_matches_f64_round_at_the_edges() {
+        let cases = [
+            0.0,
+            -0.0,
+            0.49999999999999994, // x + 0.5 rounds to 1.0; `round` gives 0
+            0.5,
+            1.5,
+            2.5,
+            -0.4,
+            -0.5,
+            -1.0,
+            -1e300,
+            4_503_599_627_370_495.5, // 2^52 - 0.5, the last half below 2^52
+            4_503_599_627_370_496.0, // 2^52: the fallback begins
+            9_007_199_254_740_993.0,
+            1.8446744073709552e19, // 2^64
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for x in cases {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        assert_eq!(round_to_u64(0.49999999999999994), 0);
+        assert_eq!(round_to_u64(2.5), 3, "half away from zero, not to even");
+        assert_eq!(round_to_u64(f64::NAN), 0);
+        assert_eq!(round_to_u64(-3.7), 0);
+        assert_eq!(round_to_u64(f64::INFINITY), u64::MAX, "saturates");
+        assert_eq!(round_to_u64(1.8446744073709552e19), u64::MAX);
+        // Every exponent from 2^52 to past 2^64, and the neighbours of
+        // each power of two.
+        for e in 52..=66 {
+            let p = 2f64.powi(e);
+            for x in [p, p.next_down(), p.next_up(), p * 1.5] {
+                assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+            }
+        }
     }
 
     #[test]

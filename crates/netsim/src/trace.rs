@@ -141,6 +141,10 @@ pub struct ActivityTotals {
 #[derive(Debug, Default)]
 struct HostRecord {
     bins: Vec<(u64, ActivityBin)>,
+    /// `[start, end)` in nanoseconds of the last bin in `bins` (empty
+    /// while `bins` is): a packet inside it finds its bin without the
+    /// u64 division, which is paid once per bin instead of per packet.
+    last_span: (u64, u64),
     totals: ActivityTotals,
 }
 
@@ -208,19 +212,34 @@ impl HostActivity {
         if self.records.len() <= h {
             self.records.resize_with(h + 1, HostRecord::default);
         }
-        let HostRecord { bins, totals } = self.records.get_mut(h)?;
-        let idx = now.as_nanos() / self.bin.as_nanos();
-        // Simulated time never runs backwards inside a `Network`, so the
-        // bin is the last one or a new last one; an earlier time through
-        // the public API falls back to a sorted insert.
-        let pos = match bins.last() {
-            Some(&(last, _)) if last == idx => bins.len() - 1,
-            Some(&(last, _)) if last > idx => bins.partition_point(|&(i, _)| i < idx),
-            _ => bins.len(),
+        let HostRecord {
+            bins,
+            last_span,
+            totals,
+        } = self.records.get_mut(h)?;
+        let ns = now.as_nanos();
+        let pos = if last_span.0 <= ns && ns < last_span.1 {
+            bins.len() - 1
+        } else {
+            let bin_ns = self.bin.as_nanos();
+            let idx = ns / bin_ns;
+            // Simulated time never runs backwards inside a `Network`, so
+            // the bin is the last one or a new last one; an earlier time
+            // through the public API falls back to a sorted insert.
+            let pos = match bins.last() {
+                Some(&(last, _)) if last == idx => bins.len() - 1,
+                Some(&(last, _)) if last > idx => bins.partition_point(|&(i, _)| i < idx),
+                _ => bins.len(),
+            };
+            if bins.get(pos).is_none_or(|&(i, _)| i != idx) {
+                bins.insert(pos, (idx, ActivityBin::default()));
+            }
+            if pos + 1 == bins.len() {
+                let start = idx * bin_ns;
+                *last_span = (start, start.saturating_add(bin_ns));
+            }
+            pos
         };
-        if bins.get(pos).is_none_or(|&(i, _)| i != idx) {
-            bins.insert(pos, (idx, ActivityBin::default()));
-        }
         let (_, b) = bins.get_mut(pos)?;
         Some((b, totals))
     }

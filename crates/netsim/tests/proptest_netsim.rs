@@ -1,8 +1,10 @@
 //! Property-based tests of the simulator substrate: queue conservation,
-//! SACK-block bookkeeping, the flow-id index against a `BTreeMap`, and
-//! end-to-end packet conservation through a random dumbbell.
+//! SACK-block bookkeeping, the flow-id index against a `BTreeMap`,
+//! end-to-end packet conservation through a random dumbbell, and the
+//! clock's rounding helper against `f64::round`.
 
 use netsim::prelude::*;
+use netsim::time::round_to_u64;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -220,5 +222,28 @@ proptest! {
             }
         }
         prop_assert_eq!(format!("{index:?}"), format!("{model:?}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(50_000))]
+
+    /// `round_to_u64` is `x.round() as u64` on random bit patterns: both
+    /// signs, every exponent, subnormals, NaN payloads and infinities.
+    #[test]
+    fn round_to_u64_matches_round_on_any_bits(bits in 0u64..=u64::MAX) {
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+    }
+
+    /// ... and on the ties `round` breaks away from zero, `k + 0.5` for
+    /// `k` below 2^52 at every magnitude, with the neighbours one ulp
+    /// either side.
+    #[test]
+    fn round_to_u64_matches_round_on_every_half(bits in 0u64..=u64::MAX, shift in 12u32..64) {
+        let half = (bits >> shift) as f64 + 0.5;
+        for x in [half, half.next_down(), half.next_up()] {
+            prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+        }
     }
 }

@@ -266,8 +266,8 @@ mod tests {
             })
             .collect();
         net.attach_agent(a, Box::new(MuxSender::new(subs)));
-        // Immediate acks: the receiver's delayed-ack token keeps only the
-        // low 20 bits of a flow id.
+        // Immediate acks keep each FCT at its paced ideal: a 500 us
+        // delayed-ack flush is a fifth of the shortest transfer.
         net.attach_agent(b, Box::new(TcpReceiver::new(AckPolicy::Immediate)));
         net.run_until(SimTime::from_secs(5));
         let mux = net.agent::<MuxSender>(a).unwrap();

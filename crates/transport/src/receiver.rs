@@ -5,7 +5,7 @@
 //! (keyed by [`FlowId`]), like a kernel serving multiple sockets.
 
 use crate::stats::ReceiverFlowStats;
-use netsim::agent::{Agent, Ctx};
+use netsim::agent::{Agent, Ctx, TOKEN_BITS};
 use netsim::flowtab::FlowIndex;
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::{AckInfo, Packet, PacketKind, SackBlocks};
@@ -57,6 +57,7 @@ impl AckPolicy {
 /// Per-flow receive state.
 #[derive(Debug)]
 struct RxFlow {
+    id: FlowId,
     peer: NodeId,
     rcv_nxt: u64,
     /// Out-of-order byte ranges, keyed by start.
@@ -82,8 +83,9 @@ struct RxFlow {
 }
 
 impl RxFlow {
-    fn new(peer: NodeId) -> Self {
+    fn new(id: FlowId, peer: NodeId) -> Self {
         RxFlow {
+            id,
             peer,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
@@ -162,6 +164,16 @@ pub struct TcpReceiver {
     by_flow: FlowIndex,
 }
 
+/// A delayed-ack timer token is the flow's position in `flows` in its low
+/// `POS_BITS` bits and the flow's timer generation, modulo `2^GEN_BITS`,
+/// above them: firing is one indexed load, and a flow id of any size
+/// finds its flow. A stale timer could pass for a live one only after
+/// `2^24` acks within one flush timeout.
+const POS_BITS: u32 = 24;
+const POS_MASK: u64 = (1 << POS_BITS) - 1;
+const GEN_BITS: u32 = TOKEN_BITS - POS_BITS;
+const GEN_MASK: u64 = (1 << GEN_BITS) - 1;
+
 impl TcpReceiver {
     /// A receiver with the given ack policy (shared by all flows).
     pub fn new(policy: AckPolicy) -> Self {
@@ -187,7 +199,7 @@ impl TcpReceiver {
         self.flow(flow).map(|f| f.stats).unwrap_or_default()
     }
 
-    fn send_ack(flow_id: FlowId, flow: &mut RxFlow, ctx: &mut Ctx<'_>) {
+    fn send_ack(flow: &mut RxFlow, ctx: &mut Ctx<'_>) {
         let info = AckInfo {
             cum_ack: flow.rcv_nxt,
             sacks: flow.sack_blocks(),
@@ -199,7 +211,7 @@ impl TcpReceiver {
             segs_acked: flow.pending_segs.max(1),
             int_echo: flow.int_echo,
         };
-        ctx.send(Packet::ack(flow_id, ctx.node(), flow.peer, info));
+        ctx.send(Packet::ack(flow.id, ctx.node(), flow.peer, info));
         flow.pending_segs = 0;
         flow.ece_pending = false;
         flow.delack_armed = false;
@@ -213,7 +225,11 @@ impl TcpReceiver {
             Some(i) => i,
             None => {
                 let i = self.flows.len() as u32;
-                self.flows.push(RxFlow::new(pkt.src));
+                assert!(
+                    (i as u64) <= POS_MASK,
+                    "a receiver serves at most 2^{POS_BITS} flows"
+                );
+                self.flows.push(RxFlow::new(pkt.flow, pkt.src));
                 self.by_flow.set(raw, i);
                 i
             }
@@ -243,7 +259,7 @@ impl TcpReceiver {
         if end <= flow.rcv_nxt {
             // Entirely old data (a spurious retransmission): dup-ack it.
             flow.stats.dup_segs += 1;
-            Self::send_ack(pkt.flow, flow, ctx);
+            Self::send_ack(flow, ctx);
             return;
         } else if seq <= flow.rcv_nxt {
             // In-order (possibly partially old): advance.
@@ -279,7 +295,7 @@ impl TcpReceiver {
             };
 
         if immediate {
-            Self::send_ack(pkt.flow, flow, ctx);
+            Self::send_ack(flow, ctx);
         } else if !flow.delack_armed {
             let timeout = match self.policy {
                 AckPolicy::Immediate => SimDuration::ZERO,
@@ -289,17 +305,8 @@ impl TcpReceiver {
             };
             flow.delack_armed = true;
             flow.timer_gen += 1;
-            let token = Self::timer_token(pkt.flow, flow.timer_gen);
-            ctx.set_timer_after(timeout, token);
+            ctx.set_timer_after(timeout, i as u64 | (flow.timer_gen & GEN_MASK) << POS_BITS);
         }
-    }
-
-    fn timer_token(flow: FlowId, gen: u64) -> u64 {
-        (flow.index() as u64) | (gen << 20)
-    }
-
-    fn decode_token(token: u64) -> (FlowId, u64) {
-        (FlowId::from_raw((token & 0xF_FFFF) as u32), token >> 20)
     }
 }
 
@@ -313,19 +320,14 @@ impl Agent for TcpReceiver {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        let (flow_id, gen) = Self::decode_token(token);
-        let Some(flow) = self
-            .by_flow
-            .get(flow_id.index() as u32)
-            .and_then(|i| self.flows.get_mut(i as usize))
-        else {
+        let Some(flow) = self.flows.get_mut((token & POS_MASK) as usize) else {
             return;
         };
-        if flow.timer_gen != gen || !flow.delack_armed {
+        if flow.timer_gen & GEN_MASK != token >> POS_BITS || !flow.delack_armed {
             return; // stale timer
         }
         if flow.pending_segs > 0 {
-            Self::send_ack(flow_id, flow, ctx);
+            Self::send_ack(flow, ctx);
         } else {
             flow.delack_armed = false;
         }
@@ -344,7 +346,7 @@ mod tests {
     /// agent records acks it gets back.
     struct Source {
         script: Vec<(SimDuration, Packet)>,
-        acks: Vec<AckInfo>,
+        acks: Vec<(SimTime, AckInfo)>,
     }
 
     impl Agent for Source {
@@ -353,9 +355,9 @@ mod tests {
                 ctx.set_timer_after(*delay, i as u64);
             }
         }
-        fn on_packet(&mut self, pkt: Packet, _ctx: &mut Ctx<'_>) {
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
             if let PacketKind::Ack(info) = pkt.kind {
-                self.acks.push(info);
+                self.acks.push((ctx.now(), info));
             }
         }
         fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
@@ -374,6 +376,16 @@ mod tests {
         policy: AckPolicy,
         script: impl Fn(NodeId, NodeId) -> Vec<(SimDuration, Packet)>,
     ) -> (Vec<AckInfo>, ReceiverFlowStats, u64) {
+        let (acks, stats, received) = run_flow_script(FLOW, policy, script);
+        (acks.into_iter().map(|(_, a)| a).collect(), stats, received)
+    }
+
+    /// [`run_script`] for any flow id, with each ack's arrival time.
+    fn run_flow_script(
+        flow: FlowId,
+        policy: AckPolicy,
+        script: impl Fn(NodeId, NodeId) -> Vec<(SimDuration, Packet)>,
+    ) -> (Vec<(SimTime, AckInfo)>, ReceiverFlowStats, u64) {
         let mut net = Network::new(9);
         let src = net.add_host();
         let dst = net.add_host();
@@ -406,8 +418,8 @@ mod tests {
         );
         net.attach_agent(dst, Box::new(TcpReceiver::new(policy)));
         net.run();
-        let stats = net.agent::<TcpReceiver>(dst).unwrap().flow_stats(FLOW);
-        let received = net.agent::<TcpReceiver>(dst).unwrap().bytes_received(FLOW);
+        let stats = net.agent::<TcpReceiver>(dst).unwrap().flow_stats(flow);
+        let received = net.agent::<TcpReceiver>(dst).unwrap().bytes_received(flow);
         let acks = net.agent::<Source>(src).unwrap().acks.clone();
         (acks, stats, received)
     }
@@ -432,11 +444,27 @@ mod tests {
 
     #[test]
     fn lone_segment_is_flushed_by_delack_timer() {
-        let (acks, ..) = run_script(AckPolicy::delayed_default(), |s, d| {
-            vec![(SimDuration::ZERO, seg(s, d, 0, 1000, EcnCodepoint::NotEct))]
-        });
-        assert_eq!(acks.len(), 1, "delack timeout must flush the ack");
-        assert_eq!(acks[0].cum_ack, 1000);
+        // 4 000 000 000 needs all 32 bits of a flow id: the flush timer
+        // must find its flow whatever the id's width.
+        for flow in [FLOW, FlowId::from_raw(4_000_000_000)] {
+            let (acks, stats, received) =
+                run_flow_script(flow, AckPolicy::delayed_default(), |s, d| {
+                    vec![(
+                        SimDuration::ZERO,
+                        Packet::data(flow, s, d, 0, 1000, EcnCodepoint::NotEct),
+                    )]
+                });
+            assert_eq!(received, 1000, "{flow:?}");
+            assert_eq!(acks.len(), 1, "{flow:?}: delack timeout must flush the ack");
+            assert_eq!(stats.acks_sent, 1, "{flow:?}");
+            let (at, ack) = acks[0];
+            assert_eq!(ack.cum_ack, 1000);
+            // The segment lands ~0.1 us in and waits out the 500 us flush.
+            assert!(
+                (SimTime::from_micros(500)..SimTime::from_micros(501)).contains(&at),
+                "{flow:?}: ack at {at}"
+            );
+        }
     }
 
     #[test]
