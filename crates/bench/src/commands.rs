@@ -269,7 +269,7 @@ pub const COMMANDS: &[Command] = &[
         run: report::run },
     Command { name: "campaign", in_all: false,
         usage: "[--resume] [--paranoid] [--deadline <secs>] [--threads <n>] [--journal-dir <dir>] \
-                [--max-attempts <n>] [--backoff <n>] [--cells-out <path>] [--trace-out <dir>]",
+                [--trace-out <dir>]",
         about: "the durable, supervised CCA x MTU campaign behind fig5-fig8",
         run: campaign::run },
     Command { name: "chaos", usage: "[--trace-out <dir>]", in_all: false, about: "the Figure 1 energy ordering under injected loss on the bottleneck",

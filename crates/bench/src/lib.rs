@@ -121,8 +121,6 @@ mod tests {
             cca: "cubic".into(),
             mtu: 1500,
             error: "x".into(),
-            retry_error: "y".into(),
-            attempts: 2,
         });
         assert!(
             !matrix_matches(&failed, &scale),

@@ -98,6 +98,24 @@ fn malformed_values_are_usage_errors_not_silent_defaults() {
 }
 
 #[test]
+fn retired_campaign_flags_are_usage_errors() {
+    // A campaign has no retry schedule and no cells-only projection: one
+    // attempt per cell per life, and the matrix is the artifact.
+    for (flag, value) in [
+        ("--max-attempts", "2"),
+        ("--backoff", "1"),
+        ("--cells-out", "x"),
+    ] {
+        let named = format!("{flag:?}");
+        assert_refused(
+            &["campaign", flag, value],
+            &[],
+            &[&named, "usage: bench campaign"],
+        );
+    }
+}
+
+#[test]
 fn all_is_its_commands_run_one_by_one_on_one_campaign() {
     let stdout = |out: &Output| String::from_utf8_lossy(&out.stdout).into_owned();
     let in_all = || COMMANDS.iter().filter(|c| c.in_all).map(|c| c.name);

@@ -20,11 +20,13 @@ pub const FAILURE: i32 = 1;
 pub const USAGE: i32 = 2;
 
 /// The campaign matrix finished the process but is incomplete (cells
-/// were skipped or never attempted); rerun with `--resume`.
+/// were skipped or never attempted); rerun with `--resume`. No command
+/// exits with it today; the value stays reserved.
 pub const INCOMPLETE: i32 = 3;
 
-/// Complete except for quarantined poison cells — results are valid
-/// for every non-quarantined cell; see `quarantine.jsonl`.
+/// Complete except for failed cells — results are valid for every
+/// other cell; each failure is a `"failed"` record in its worker's
+/// journal shard and an entry of the matrix's `failed` list.
 pub const QUARANTINED: i32 = 4;
 
 /// Results are valid but NOT crash-durable (journal or trace persist

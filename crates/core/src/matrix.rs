@@ -18,12 +18,7 @@ pub const MTUS: [u32; 4] = [1500, 3000, 6000, 9000];
 /// Version stamp written into every serialized [`Matrix`]. Bump when the
 /// result layout (or the meaning of a field) changes; loaders reject
 /// mismatches instead of misreading old files.
-pub const MATRIX_SCHEMA_VERSION: u32 = 1;
-
-/// Seed perturbation for the one automatic retry a failed cell gets.
-/// XORed into every seed so the retry explores a different random
-/// trajectory while staying a pure function of the original schedule.
-pub(crate) const RETRY_SEED_SALT: u64 = 0x5EED_CAFE_0B57_AC1E;
+pub const MATRIX_SCHEMA_VERSION: u32 = 2;
 
 /// One repetition of one cell failed, with enough context to re-run it.
 #[derive(Clone, Debug)]
@@ -84,16 +79,6 @@ impl CellError {
             | CellError::InvariantViolation { mtu, .. } => *mtu,
         }
     }
-
-    /// Stable failure-class tag, as recorded in quarantine attempt
-    /// history (caught panics use `"panic"`).
-    pub fn class(&self) -> &'static str {
-        match self {
-            CellError::Failed { .. } => "failed",
-            CellError::DeadlineExceeded { .. } => "deadline",
-            CellError::InvariantViolation { .. } => "invariant",
-        }
-    }
 }
 
 impl std::fmt::Display for CellError {
@@ -131,24 +116,17 @@ impl std::fmt::Display for CellError {
 
 impl std::error::Error for CellError {}
 
-/// A cell that exhausted its retry budget, as recorded in the emitted
-/// (partial) matrix and in journal `failed` records. A plain struct
-/// because the vendored serde derive only handles structs.
+/// A cell whose run on the declared seeds failed, as recorded in the
+/// emitted (partial) matrix and in journal `failed` records. A plain
+/// struct because the vendored serde derive only handles structs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CellFailure {
     /// Algorithm name.
     pub cca: String,
     /// MTU in bytes.
     pub mtu: u32,
-    /// The first failure's description (includes the seed).
+    /// The failure's description (includes the seed).
     pub error: String,
-    /// The last attempt's failure description.
-    pub retry_error: String,
-    /// Cumulative attempts spent on this cell, across campaign lives.
-    /// Journaled so a resume continues the monotone seed-salt sequence
-    /// (attempt `n` runs on `seed ^ attempt_salt(n)`) instead of
-    /// re-running salts that already failed.
-    pub attempts: u32,
 }
 
 /// One (CCA, MTU) cell, summarized over repetitions.
@@ -193,10 +171,10 @@ pub struct Matrix {
     /// scale's size parameters do.
     pub seeds: Vec<u64>,
     /// All cells, ordered by `MTUS` within the paper's Figure-5 CCA order.
-    /// Cells that failed (after a retry) are absent; see `failed`.
+    /// Cells that failed are absent; see `failed`.
     pub cells: Vec<Cell>,
-    /// Cells that failed their run *and* the automatic retry. A non-empty
-    /// list means the matrix is partial: present cells are still valid.
+    /// Cells whose run on `seeds` failed. A non-empty list means the
+    /// matrix is partial: present cells are still valid.
     pub failed: Vec<CellFailure>,
 }
 
@@ -369,12 +347,10 @@ pub fn run_matrix_with_threads(scale: Scale, threads: usize) -> Matrix {
 /// testing seam the failure-handling tests poison individual cells
 /// through. Production paths always pass [`run_cell`].
 ///
-/// A cell whose run fails is retried under the default
-/// [`crate::campaign::RetryPolicy`] — one more attempt, on a perturbed
-/// seed schedule (`seed ^ RETRY_SEED_SALT`); if the budget runs out,
-/// the campaign carries on and the cell is recorded in
-/// [`Matrix::failed`], so one poisoned configuration costs its own cell
-/// and nothing else.
+/// Every cell runs once, on the declared seeds. A cell whose run fails
+/// (or panics) is recorded in [`Matrix::failed`] and the campaign
+/// carries on, so one poisoned configuration costs its own cell and
+/// nothing else.
 pub fn run_matrix_with_runner<F>(scale: Scale, threads: usize, runner: F) -> Matrix
 where
     F: Fn(CcaKind, u32, u64, &[u64]) -> Result<Cell, CellError> + Sync,
@@ -494,9 +470,9 @@ mod tests {
 
     #[test]
     fn poisoned_cells_yield_a_partial_matrix_listing_every_failure() {
-        // Two poisoned configurations that fail both attempts: the
-        // campaign must finish, keep every healthy cell, and list both
-        // casualties — not die on the first.
+        // Two poisoned configurations: the campaign must finish, keep
+        // every healthy cell, and list both casualties — not die on the
+        // first.
         let poisoned = [(CcaKind::Cubic, 1500), (CcaKind::Reno, 9000)];
         let m = run_matrix_with_runner(Scale::quick(), 4, |cca, mtu, _bytes, seeds| {
             if poisoned.contains(&(cca, mtu)) {
@@ -516,27 +492,35 @@ mod tests {
                 .find(|f| f.cca == cca.name() && f.mtu == mtu)
                 .expect("failure recorded");
             assert!(f.error.contains("poisoned"), "{}", f.error);
-            assert!(!f.retry_error.is_empty());
         }
         // Healthy neighbours survived.
         assert!(m.cell(CcaKind::Cubic, 9000).is_some());
     }
 
     #[test]
-    fn flaky_cell_recovers_on_the_fresh_seed_retry() {
-        // Fail (Bbr, 3000) only on the original seed schedule; the retry
-        // runs with salted seeds and succeeds, so the matrix is complete.
-        let original = Scale::quick().seeds();
+    fn a_cell_failing_on_the_declared_seeds_runs_once_and_stays_failed() {
+        // Fail (Bbr, 3000) only on the declared seed schedule; any other
+        // seeds would succeed. The matrix reports only declared seeds, so
+        // the cell must be failed, not rescued on a substitute schedule.
+        let declared = Scale::quick().seeds();
+        let calls = std::sync::atomic::AtomicUsize::new(0);
         let m = run_matrix_with_runner(Scale::quick(), 2, |cca, mtu, _bytes, seeds| {
-            if (cca, mtu) == (CcaKind::Bbr, 3000) && seeds == original.as_slice() {
+            if (cca, mtu) != (CcaKind::Bbr, 3000) {
+                return Ok(stub_cell(cca, mtu));
+            }
+            calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            if seeds == declared.as_slice() {
                 Err(stub_err(cca, mtu, seeds[0], "flaky"))
             } else {
                 Ok(stub_cell(cca, mtu))
             }
         });
-        assert!(m.is_complete(), "failed: {:?}", m.failed);
-        assert_eq!(m.cells.len(), CcaKind::ALL.len() * MTUS.len());
-        assert!(m.cell(CcaKind::Bbr, 3000).is_some());
+        assert_eq!(calls.into_inner(), 1, "one attempt per cell per life");
+        assert!(m.cell(CcaKind::Bbr, 3000).is_none());
+        assert_eq!(m.failed.len(), 1);
+        assert_eq!((m.failed[0].cca.as_str(), m.failed[0].mtu), ("bbr", 3000));
+        assert_eq!(m.seeds, declared);
+        assert_eq!(m.cells.len(), CcaKind::ALL.len() * MTUS.len() - 1);
     }
 
     #[test]

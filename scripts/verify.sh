@@ -74,12 +74,12 @@
 #   --supervise
 #             additionally drill fleet supervision end to end: a sharded
 #             tiny-scale campaign with an injected always-panicking cell
-#             must finish with the poison cell quarantined (exit 4,
-#             quarantine.jsonl carrying the attempt history); the same
-#             campaign kill -9'd mid-flight and resumed on a narrower
-#             pool must produce a byte-identical cells projection; and
-#             the journal at 4 shards must hold 0.85x the throughput of
-#             1 shard (perf_gates journal_sharding).
+#             must finish without it (exit 4, the poison cell a "failed"
+#             record in a journal shard); the same campaign kill -9'd
+#             mid-flight and resumed on a narrower pool must produce a
+#             byte-identical matrix, failed list included; and the
+#             journal at 4 shards must hold 0.85x the throughput of 1
+#             shard (perf_gates journal_sharding).
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -300,40 +300,30 @@ stage_supervise() {
     # Gate 1: sharding must not cost checkpoint throughput.
     bench perf_gates journal_sharding || return 1
 
-    # Gate 2: golden poisoned run. The injected cubic@1500 cell panics on
-    # every attempt; the campaign must quarantine it and finish the other
-    # 39 cells (exit 4), with the attempt history in quarantine.jsonl.
+    # Gate 2: golden poisoned run. The injected cubic@1500 cell panics
+    # whenever it runs; the campaign must run it once, record it as a
+    # "failed" record in a shard and finish the other 39 cells (exit 4).
     mkdir -p "$supdir/golden"
     local status=0
     (cd "$supdir/golden" && GREENENVY_SCALE=tiny GREENENVY_POISON=cubic@1500 \
-        bench campaign --threads 3 --journal-dir journal \
-        --max-attempts 2 --backoff 1 --cells-out cells.json 2>/dev/null) || status=$?
+        bench campaign --threads 3 --journal-dir journal 2>/dev/null) || status=$?
     if [[ $status -ne 4 ]]; then
-        echo "verify.sh: poisoned campaign exited $status (wanted 4: quarantined)" >&2
+        echo "verify.sh: poisoned campaign exited $status (wanted 4: finished minus failed cells)" >&2
         return 1
     fi
-    local quarantine="$supdir/golden/journal/quarantine.jsonl"
-    if ! grep -q 'cubic' "$quarantine" || ! grep -q 'injected poison cell' "$quarantine"; then
-        echo "verify.sh: quarantine.jsonl does not name the poison cell" >&2
-        return 1
-    fi
-    if ! grep -q 'attempt' "$quarantine"; then
-        echo "verify.sh: quarantine.jsonl carries no attempt history" >&2
-        return 1
-    fi
+    poison_recorded "$supdir/golden/journal" || return 1
 
     # Gate 3: the same poisoned campaign kill -9'd mid-flight, then
     # resumed on a narrower pool. No graceful handler runs on SIGKILL —
-    # durability comes purely from the fsynced shard appends. The cells
-    # projection (measurements minus retry bookkeeping, which
-    # legitimately differs across lives) must be byte-identical.
+    # durability comes purely from the fsynced shard appends. The resume
+    # re-runs the poison cell on the same seeds, so the whole matrix,
+    # failed list included, must be byte-identical.
     mkdir -p "$supdir/drill"
     # exec so $pid IS the campaign process: a kill -9 must hit the worker
     # pool itself, not a subshell wrapper that would leave the campaign
     # running as an orphan (and the drill testing nothing).
     (cd "$supdir/drill" && GREENENVY_SCALE=tiny GREENENVY_POISON=cubic@1500 \
-        exec "$repo/target/release/bench" campaign --threads 3 --journal-dir journal \
-        --max-attempts 2 --backoff 1 2>/dev/null) &
+        exec "$repo/target/release/bench" campaign --threads 3 --journal-dir journal 2>/dev/null) &
     local pid=$!
     # >6 lines = 3 shard headers + some journaled cells: mid-flight.
     await_shard_lines "$supdir/drill/journal" 6 "$pid"
@@ -346,22 +336,35 @@ stage_supervise() {
     fi
     status=0
     (cd "$supdir/drill" && GREENENVY_SCALE=tiny GREENENVY_POISON=cubic@1500 \
-        bench campaign --threads 2 --journal-dir journal \
-        --max-attempts 2 --backoff 1 --cells-out cells.json --resume 2>/dev/null) || status=$?
+        bench campaign --threads 2 --journal-dir journal --resume 2>/dev/null) || status=$?
     if [[ $status -ne 4 ]]; then
-        echo "verify.sh: resumed poisoned campaign exited $status (wanted 4: quarantined)" >&2
+        echo "verify.sh: resumed poisoned campaign exited $status (wanted 4: finished minus failed cells)" >&2
         return 1
     fi
-    if ! grep -q 'cubic' "$supdir/drill/journal/quarantine.jsonl"; then
-        echo "verify.sh: resumed quarantine.jsonl does not name the poison cell" >&2
+    poison_recorded "$supdir/drill/journal" || return 1
+    local golden="$supdir/golden/results/matrix_tiny.json" resumed="$supdir/drill/results/matrix_tiny.json"
+    if ! cmp -s "$golden" "$resumed"; then
+        echo "verify.sh: resumed matrix differs from the uninterrupted poisoned run" >&2
+        diff "$golden" "$resumed" | head >&2 || true
         return 1
     fi
-    if ! cmp -s "$supdir/golden/cells.json" "$supdir/drill/cells.json"; then
-        echo "verify.sh: resumed cells projection differs from the uninterrupted poisoned run" >&2
-        diff "$supdir/golden/cells.json" "$supdir/drill/cells.json" | head >&2 || true
+    echo "supervise drill: poison cell failed once (exit 4) and kill -9 resume is byte-identical"
+}
+
+# The poison cell is a "failed" record in a shard of journal directory
+# $1, naming the injected panic, and the shards are the only journal
+# files there: no side file holds failures.
+poison_recorded() {
+    local dir=$1 other
+    if ! grep -h '"kind":"failed"' "$dir"/shard-*.jsonl | grep -q 'injected poison cell cubic @ mtu 1500'; then
+        echo "verify.sh: no \"failed\" record in $dir names the poison cell" >&2
         return 1
     fi
-    echo "supervise drill: poison cell quarantined (exit 4) and kill -9 resume is byte-identical"
+    other=$(cd "$dir" && ls -- *.jsonl | grep -v '^shard-[0-9]*\.jsonl$')
+    if [[ -n $other ]]; then
+        echo "verify.sh: $dir holds journal files besides its shards: $other" >&2
+        return 1
+    fi
 }
 
 repo=$PWD
@@ -394,7 +397,7 @@ if [[ $scenarios -eq 1 ]]; then
     run_stage "scenarios (resilience suite, GREENENVY_SCALE=tiny)" stage_scenarios
 fi
 if [[ $supervise -eq 1 ]]; then
-    run_stage "supervise (poison/quarantine/kill -9 drill, GREENENVY_SCALE=tiny)" stage_supervise
+    run_stage "supervise (poison cell + kill -9 drill, GREENENVY_SCALE=tiny)" stage_supervise
 fi
 
 print_summary
