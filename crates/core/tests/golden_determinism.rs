@@ -165,6 +165,55 @@ fn lossy_mix_fingerprint_is_stable() {
     assert_eq!(flows, GOLDEN_LOSSY_FLOWS, "per-flow recovery counts moved");
 }
 
+/// Exact fingerprint of [`hpcc_two_flow_scenario`]: engine events,
+/// simulated end, sender Joules as raw bits and per-flow retransmits.
+/// HPCC is the only CCA whose window reads the INT record the receiver
+/// echoes back on every ack, so this pins the echo path end to end: a
+/// change that drops, stales or re-stamps the echoed record moves HPCC's
+/// window and fails here.
+const GOLDEN_HPCC_EVENTS_PROCESSED: u64 = 67_016;
+const GOLDEN_HPCC_SIM_END_NS: u64 = 200_106_845;
+const GOLDEN_HPCC_SENDER_ENERGY_BITS: u64 = 4617103054519402496;
+const GOLDEN_HPCC_RETX: [u64; 2] = [0, 0];
+
+/// Two HPCC flows sharing the 10 Gb/s bottleneck at MTU 9000.
+fn hpcc_two_flow_scenario() -> Scenario {
+    Scenario::new(
+        9000,
+        vec![
+            FlowSpec::bulk(CcaKind::Hpcc, 40 * MB),
+            FlowSpec::bulk(CcaKind::Hpcc, 40 * MB),
+        ],
+    )
+    .with_seed(11)
+}
+
+#[test]
+fn hpcc_two_flow_fingerprint_is_stable() {
+    let out = workload::scenario::run(&hpcc_two_flow_scenario()).expect("hpcc scenario runs");
+    let retx: Vec<u64> = out.reports.iter().map(|r| r.retransmits).collect();
+    let observed = (
+        out.engine.events_processed,
+        out.sim_end.as_nanos(),
+        out.sender_energy_j.to_bits(),
+    );
+    println!("observed hpcc fingerprint: {observed:?} {retx:?}");
+    assert!(
+        out.reports.iter().all(|r| r.outcome.is_completed()),
+        "both HPCC flows finish"
+    );
+    assert_eq!(
+        observed,
+        (
+            GOLDEN_HPCC_EVENTS_PROCESSED,
+            GOLDEN_HPCC_SIM_END_NS,
+            GOLDEN_HPCC_SENDER_ENERGY_BITS
+        ),
+        "hpcc fingerprint moved — the INT echo or HPCC's window changed"
+    );
+    assert_eq!(retx, GOLDEN_HPCC_RETX, "per-flow HPCC retransmits moved");
+}
+
 /// The work-stealing campaign runner hands cells to whichever thread
 /// asks next, so the *assignment* of cells to threads is racy — but the
 /// cells themselves are pure functions of `(cca, mtu, seeds)`. The
