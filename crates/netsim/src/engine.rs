@@ -58,7 +58,7 @@ struct Node {
 #[derive(Debug)]
 enum Event {
     /// Frame finished propagation and arrives at `node`. The payload is
-    /// a 4-byte ref into the engine's [`FramePool`], not the 168-byte
+    /// a 4-byte ref into the engine's [`FramePool`], not the 128-byte
     /// packet: the event is 16 bytes, and the wheel links it once as a
     /// 40-byte slab node that is never moved afterwards (both asserted
     /// below).
@@ -80,10 +80,18 @@ const _: () = {
     // The event plus `(at, seq)` and a link: the wheel's slab node. The
     // slab is walked on every pop, so its stride is the cache footprint.
     assert!(std::mem::size_of::<crate::sched::Node<Event>>() == 40);
-    // A send carries a `FrameRef`, not the 168-byte `Packet`: the frame
+    // A send carries a `FrameRef`, not the 128-byte `Packet`: the frame
     // is copied into the pool once, by `Ctx::send`. A packet back in the
-    // command makes it 168 bytes and the copy a second one.
+    // command makes it outgrow the packet and the copy a second one.
     assert!(std::mem::size_of::<AgentCommand>() == 24);
+    // A frame is copied by value into the pool, into the delivery batch
+    // and into `on_packet`. At 128 bytes each copy is inline moves; one
+    // byte more and every copy is a `memmove` call again. The ack header
+    // sits inline in every frame, so it and its SACK blocks are pinned
+    // too.
+    assert!(std::mem::size_of::<crate::packet::Packet>() == 128);
+    assert!(std::mem::size_of::<crate::packet::AckInfo>() == 72);
+    assert!(std::mem::size_of::<crate::packet::SackBlocks>() == 40);
 };
 
 /// Why a run returned.
@@ -611,7 +619,8 @@ impl Network {
         // In-band telemetry: every hop is INT-capable (as the paper's
         // Tofino is); the record keeps the most-utilized hop's state.
         // Stamped in place — the frame never leaves the pool for this.
-        // Acks carry no record, so they skip the arithmetic.
+        // Data frames only: an ack's record is the receiver's echo of the
+        // data it acknowledges, and no hop ever stamps it.
         let pkt = self.frames.get_mut(frame);
         if pkt.is_data() {
             // `as u16` saturated the rounded float; `min` keeps that.

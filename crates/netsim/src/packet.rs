@@ -78,16 +78,24 @@ pub const MAX_SACK_BLOCKS: usize = 3;
 
 /// A compact, fixed-capacity set of SACK ranges `[start, end)` in byte
 /// sequence space, most recently received first.
+///
+/// A block is stored as a 64-bit start and a 32-bit length, so the set
+/// is 40 bytes and an ack fits a 128-byte [`Packet`]. A block longer
+/// than `u32::MAX` bytes keeps only its first `u32::MAX` bytes: the set
+/// can under-report what arrived, never over-report it. A real block
+/// lies inside the receiver's out-of-order window, a few MB at most.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SackBlocks {
-    blocks: [(u64, u64); MAX_SACK_BLOCKS],
+    starts: [u64; MAX_SACK_BLOCKS],
+    lens: [u32; MAX_SACK_BLOCKS],
     len: u8,
 }
 
 impl SackBlocks {
     /// An empty set of blocks.
     pub const EMPTY: SackBlocks = SackBlocks {
-        blocks: [(0, 0); MAX_SACK_BLOCKS],
+        starts: [0; MAX_SACK_BLOCKS],
+        lens: [0; MAX_SACK_BLOCKS],
         len: 0,
     };
 
@@ -105,30 +113,44 @@ impl SackBlocks {
 
     /// Append a block in insertion order, silently dropping the *oldest*
     /// (first-inserted) block when full. Blocks are half-open byte ranges
-    /// `[start, end)`; empty ranges are ignored. Callers that want RFC
-    /// 2018's most-recent-first wire order (the receiver) push in that
+    /// `[start, end)`; empty ranges are ignored, and a range longer than
+    /// `u32::MAX` bytes is cut to its first `u32::MAX`. Callers that want
+    /// RFC 2018's most-recent-first wire order (the receiver) push in that
     /// order themselves.
     pub fn push(&mut self, start: u64, end: u64) {
         if end <= start {
             return;
         }
-        if (self.len as usize) < MAX_SACK_BLOCKS {
-            self.blocks[self.len as usize] = (start, end);
+        let len = (end - start).min(u32::MAX as u64) as u32;
+        let i = if (self.len as usize) < MAX_SACK_BLOCKS {
             self.len += 1;
+            self.len as usize - 1
         } else {
             // Shift left, dropping the oldest (first) entry; append.
-            self.blocks.copy_within(1..MAX_SACK_BLOCKS, 0);
-            self.blocks[MAX_SACK_BLOCKS - 1] = (start, end);
-        }
+            self.starts.copy_within(1..MAX_SACK_BLOCKS, 0);
+            self.lens.copy_within(1..MAX_SACK_BLOCKS, 0);
+            MAX_SACK_BLOCKS - 1
+        };
+        self.starts[i] = start;
+        self.lens[i] = len;
     }
 
-    /// Iterate over present blocks.
+    /// Iterate over present blocks as `(start, end)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.blocks[..self.len as usize].iter().copied()
+        let n = self.len as usize;
+        // `start + len` cannot overflow: `push` stored `len <= end - start`.
+        self.starts[..n]
+            .iter()
+            .zip(&self.lens[..n])
+            .map(|(&s, &l)| (s, s + l as u64))
     }
 }
 
 /// Acknowledgement header fields.
+///
+/// The echo of the latest data segment's in-band telemetry is not here:
+/// it rides in the ack frame's own [`Packet::int`], which no hop stamps
+/// on an ack.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AckInfo {
     /// Cumulative ack: the next byte the receiver expects.
@@ -141,9 +163,6 @@ pub struct AckInfo {
     /// maintained by the receiver. Senders diff successive values to get
     /// the exact marked-byte fraction DCTCP needs.
     pub ce_bytes: u64,
-    /// Cumulative count of payload bytes delivered in-order or buffered at
-    /// the receiver; used by sender-side delivery-rate estimation.
-    pub delivered_bytes: u64,
     /// Echo of `sent_at` of the (latest) segment that triggered this ack,
     /// for RTT sampling.
     pub ts_echo: SimTime,
@@ -152,8 +171,6 @@ pub struct AckInfo {
     pub echo_is_retx: bool,
     /// How many data segments this (possibly delayed) ack covers.
     pub segs_acked: u32,
-    /// Echo of the latest data segment's in-band telemetry.
-    pub int_echo: IntRecord,
 }
 
 /// Whether a packet is a data segment or an acknowledgement.
@@ -192,7 +209,9 @@ pub struct Packet {
     /// frame still loads every downstream hop; the destination host's FCS
     /// check discards it before the agent sees it.
     pub corrupted: bool,
-    /// In-band telemetry, stamped hop by hop (INT-capable switches).
+    /// In-band telemetry. On a data segment, stamped hop by hop
+    /// (INT-capable switches); on an ack, the receiver's echo of the
+    /// latest data segment's record, which no hop stamps.
     pub int: IntRecord,
 }
 
@@ -356,6 +375,46 @@ mod tests {
         assert_eq!(s.len(), 3);
         let blocks: Vec<_> = s.iter().collect();
         assert_eq!(blocks, vec![(30, 40), (50, 60), (70, 80)]);
+    }
+
+    #[test]
+    fn sack_block_of_u32_max_bytes_round_trips() {
+        let mut s = SackBlocks::EMPTY;
+        let start = 7 << 40;
+        s.push(start, start + u32::MAX as u64);
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            vec![(start, start + u32::MAX as u64)]
+        );
+    }
+
+    #[test]
+    fn sack_block_longer_than_u32_max_keeps_its_first_u32_max_bytes() {
+        let mut s = SackBlocks::EMPTY;
+        let start = u64::MAX - (1 << 33);
+        s.push(start, start + (1 << 33));
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            vec![(start, start + u32::MAX as u64)]
+        );
+    }
+
+    #[test]
+    fn sack_block_eviction_keeps_starts_and_lengths_aligned() {
+        let mut s = SackBlocks::EMPTY;
+        // Distinct lengths, so a start paired with a neighbour's length
+        // would show up as a wrong end.
+        for (i, len) in [(0u64, 1u64), (1, 1 << 20), (2, 1 << 40), (3, 77), (4, 5)] {
+            s.push(i * (1 << 50), i * (1 << 50) + len);
+        }
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            vec![
+                (2 << 50, (2 << 50) + u32::MAX as u64),
+                (3 << 50, (3 << 50) + 77),
+                (4 << 50, (4 << 50) + 5),
+            ]
+        );
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! A flat frame pool: slab storage for packets in flight.
 //!
-//! A [`crate::packet::Packet`] is 168 bytes — dominated by the inline
-//! ack block — and at population scale (10⁴ flows) every hop used to
-//! copy it through the command buffer, the qdisc FIFO, the link's
-//! in-flight slot, and the scheduler wheel: ~1.3 KB of memcpy per
-//! packet-hop, plus 192-byte scheduler entries that blow out the wheel's
-//! cache footprint.
+//! A [`crate::packet::Packet`] is 128 bytes — over half of it the
+//! inline ack header — and at population scale (10⁴ flows) every hop
+//! used to copy it through the command buffer, the qdisc FIFO, the
+//! link's in-flight slot, and the scheduler wheel, in scheduler entries
+//! larger than the packet that blew out the wheel's cache footprint.
 //!
 //! [`FramePool`] fixes that shape. A frame is copied into the pool once,
 //! by `Ctx::send` inside the agent's callback, and copied out once when a

@@ -45,7 +45,7 @@ pub struct QueueStats {
 /// FIFO order until the link can serialize them.
 ///
 /// Frames live in the engine's [`FramePool`]; the discipline stores the
-/// 4-byte [`FrameRef`] plus a cached wire size, never the 168-byte
+/// 4-byte [`FrameRef`] plus a cached wire size, never the 128-byte
 /// packet. CE marking mutates the pooled frame in place.
 pub trait Qdisc: Send {
     /// Offer a frame. On `Dropped` the ref is NOT stored — the caller

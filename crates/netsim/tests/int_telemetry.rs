@@ -92,13 +92,23 @@ fn normalized_utilization_is_plausible() {
     assert_eq!(IntRecord::default().normalized_utilization(100e-6), 0.0);
 }
 
+/// The record a receiver puts on an ack: stamped-looking, but unlike any
+/// hop's (no dumbbell link runs at 1 Mb/s), and at zero utilization, so
+/// a hop that stamped acks would overwrite it.
+const ECHO: IntRecord = IntRecord {
+    queue_bytes: 0xABCDE,
+    util_x1000: 0,
+    link_mbps: 1,
+};
+
 #[test]
 fn acks_are_not_stamped() {
-    // Acks are control traffic; the INT hook only touches data packets.
+    // An ack's record is the receiver's echo of the data it acknowledges:
+    // it crosses the network exactly as sent, while the data frames on the
+    // same run are still stamped hop by hop.
     struct AckProbe {
         peer: NodeId,
-        stamped_acks: u32,
-        acks: u32,
+        ack_records: Vec<IntRecord>,
     }
     impl Agent for AckProbe {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -115,19 +125,21 @@ fn acks_are_not_stamped() {
         }
         fn on_packet(&mut self, p: Packet, _ctx: &mut Ctx<'_>) {
             if !p.is_data() {
-                self.acks += 1;
-                if p.int.is_stamped() {
-                    self.stamped_acks += 1;
-                }
+                self.ack_records.push(p.int);
             }
         }
         fn on_timer(&mut self, _t: u64, _ctx: &mut Ctx<'_>) {}
     }
-    struct Echo;
+    struct Echo {
+        data_records: Vec<IntRecord>,
+    }
     impl Agent for Echo {
         fn on_packet(&mut self, p: Packet, ctx: &mut Ctx<'_>) {
             if p.is_data() {
-                ctx.send(Packet::ack(p.flow, ctx.node(), p.src, AckInfo::default()));
+                self.data_records.push(p.int);
+                let mut ack = Packet::ack(p.flow, ctx.node(), p.src, AckInfo::default());
+                ack.int = ECHO;
+                ctx.send(ack);
             }
         }
         fn on_timer(&mut self, _t: u64, _ctx: &mut Ctx<'_>) {}
@@ -139,15 +151,24 @@ fn acks_are_not_stamped() {
         d.senders[0],
         Box::new(AckProbe {
             peer: d.receiver,
-            stamped_acks: 0,
-            acks: 0,
+            ack_records: Vec::new(),
         }),
     );
-    net.attach_agent(d.receiver, Box::new(Echo));
+    net.attach_agent(
+        d.receiver,
+        Box::new(Echo {
+            data_records: Vec::new(),
+        }),
+    );
     net.run();
     let probe = net.agent::<AckProbe>(d.senders[0]).unwrap();
-    assert_eq!(probe.acks, 10);
-    assert_eq!(probe.stamped_acks, 0);
+    assert_eq!(probe.ack_records, vec![ECHO; 10], "acks arrive as sent");
+    let echo = net.agent::<Echo>(d.receiver).unwrap();
+    assert_eq!(echo.data_records.len(), 10);
+    for r in &echo.data_records {
+        assert_eq!(r.link_mbps, 10_000, "the hottest hop stamped the data");
+        assert!(r.util_x1000 <= 1000);
+    }
 }
 
 #[test]

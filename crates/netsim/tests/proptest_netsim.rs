@@ -81,10 +81,17 @@ proptest! {
     }
 
     /// SACK block containers preserve insertion order, cap their length,
-    /// evict oldest-first, and never hold empty ranges.
+    /// evict oldest-first, never hold empty ranges, and cut a block longer
+    /// than `u32::MAX` bytes to its first `u32::MAX`.
     #[test]
     fn sack_blocks_are_well_formed(
-        ranges in proptest::collection::vec((0u64..10_000, 1u64..500), 0..12),
+        ranges in proptest::collection::vec(
+            (
+                prop_oneof![0u64..10_000, 0u64..=u64::MAX - (1 << 33)],
+                prop_oneof![1u64..500, 1u64..=(1 << 33)],
+            ),
+            0..12,
+        ),
     ) {
         let mut blocks = SackBlocks::EMPTY;
         for &(start, len) in &ranges {
@@ -95,10 +102,10 @@ proptest! {
             prop_assert!(e > s, "no empty ranges");
         }
         // The kept blocks are exactly the most recently inserted ones, in
-        // insertion order.
+        // insertion order, each clamped to `u32::MAX` bytes.
         let expected: Vec<(u64, u64)> = ranges
             .iter()
-            .map(|&(s, l)| (s, s + l))
+            .map(|&(s, l)| (s, s + l.min(u32::MAX as u64)))
             .rev()
             .take(netsim::packet::MAX_SACK_BLOCKS)
             .rev()

@@ -205,13 +205,14 @@ impl TcpReceiver {
             sacks: flow.sack_blocks(),
             ece: flow.ece_pending,
             ce_bytes: flow.ce_bytes,
-            delivered_bytes: flow.rcv_nxt,
             ts_echo: flow.echo.0,
             echo_is_retx: flow.echo.1,
             segs_acked: flow.pending_segs.max(1),
-            int_echo: flow.int_echo,
         };
-        ctx.send(Packet::ack(flow.id, ctx.node(), flow.peer, info));
+        let mut ack = Packet::ack(flow.id, ctx.node(), flow.peer, info);
+        // The INT echo rides in the ack's own record; no hop stamps an ack.
+        ack.int = flow.int_echo;
+        ctx.send(ack);
         flow.pending_segs = 0;
         flow.ece_pending = false;
         flow.delack_armed = false;

@@ -12,7 +12,7 @@ use crate::scoreboard::Scoreboard;
 use crate::stats::{FlowOutcome, SenderStats};
 use netsim::agent::{Agent, Ctx};
 use netsim::ids::{FlowId, NodeId};
-use netsim::packet::{EcnCodepoint, Packet, PacketKind};
+use netsim::packet::{AckInfo, EcnCodepoint, IntRecord, Packet, PacketKind};
 use netsim::time::{SimDuration, SimTime};
 use netsim::units::Rate;
 use obs::FlowEvent;
@@ -580,7 +580,9 @@ impl TcpSender {
         self.pump(ctx);
     }
 
-    fn on_ack_packet(&mut self, info: &netsim::packet::AckInfo, ctx: &mut Ctx<'_>) {
+    /// `int` is the ack frame's own record: the receiver's echo of the
+    /// latest data segment's in-band telemetry.
+    fn on_ack_packet(&mut self, info: &AckInfo, int: IntRecord, ctx: &mut Ctx<'_>) {
         if self.completed || self.aborted {
             return;
         }
@@ -704,7 +706,7 @@ impl TcpSender {
             cum_acked: info.cum_ack,
             round: self.round,
             in_recovery: self.in_recovery,
-            int: info.int_echo,
+            int,
             cwnd_limited,
         });
         self.record_cwnd(now);
@@ -745,7 +747,7 @@ impl Agent for TcpSender {
             return; // not ours (multiple senders on one host unsupported)
         }
         if let PacketKind::Ack(info) = pkt.kind {
-            self.on_ack_packet(&info, ctx);
+            self.on_ack_packet(&info, pkt.int, ctx);
         }
     }
 

@@ -63,7 +63,9 @@
 #             thread or 5 MB on two (examples/population_heap.rs: what
 #             lets racks run on every core); then build the benchmark
 #             ledger and run its quick self-check (benchmark/run.sh
-#             --quick). Absolute
+#             --quick), restore benchmark/Cargo.lock if the build
+#             rewrote it, and fail if benchmark/ or BENCHMARK.json is
+#             not clean in git afterwards. Absolute
 #             times live on the ledger, see benchmark/README.md.
 #   --scenarios
 #             additionally run the declarative resilience suite twice at
@@ -173,8 +175,23 @@ stage_smoke() {
 
 stage_perf() {
     bench perf_gates &&
-    cargo run --release --offline --quiet --example population_heap &&
-    benchmark/run.sh --quick
+    cargo run --release --offline --quiet --example population_heap || return 1
+    # Building the benchmark may rewrite a stale benchmark/Cargo.lock. Put
+    # the committed lock back, so a perf run never leaves an edit under
+    # benchmark/ for the next `git add -A` to pick up.
+    local lock status=0 dirty
+    lock=$(mktemp)
+    cp benchmark/Cargo.lock "$lock"
+    benchmark/run.sh --quick || status=$?
+    cp "$lock" benchmark/Cargo.lock
+    rm -f "$lock"
+    [[ $status -eq 0 ]] || return 1
+    dirty=$(git status --porcelain -- benchmark BENCHMARK.json)
+    if [[ -n $dirty ]]; then
+        echo "verify.sh: benchmark/ or BENCHMARK.json is not clean after the perf stage:" >&2
+        echo "$dirty" >&2
+        return 1
+    fi
 }
 
 stage_lint() {
