@@ -170,10 +170,13 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
             .expect("serial-beats-fair-energy is well-formed"),
     );
 
-    // 7. Incast fan-in: 8 senders, a 3:1 CUBIC:BBR mix, one rack.
+    // 7. Incast fan-in: one rack of 8 senders, a 3:1 CUBIC:BBR mix.
     suite.push(
         ScenarioBuilder::new("incast-fan-in")
-            .topology(Topology::Incast { senders: 8 })
+            .topology(Topology::RackGrid {
+                racks: 1,
+                hosts_per_rack: 8,
+            })
             .traffic(Traffic::Mix {
                 flows: 16,
                 mix: vec![(CcaKind::Cubic, 3), (CcaKind::Bbr, 1)],

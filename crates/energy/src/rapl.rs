@@ -14,15 +14,12 @@
 /// Default RAPL energy unit: 2^-16 J ≈ 15.3 µJ (ENERGY_STATUS_UNITS=16).
 pub const DEFAULT_UNIT_J: f64 = 1.0 / 65_536.0;
 
-/// A RAPL power domain, as exposed per package.
+/// A RAPL power domain, as exposed per package. Only the package plane
+/// is modelled: it is the one the paper reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RaplDomain {
-    /// Whole-package energy (PKG) — what the paper reads.
+    /// Whole-package energy (PKG).
     Package,
-    /// Core power plane (PP0).
-    Pp0,
-    /// DRAM plane.
-    Dram,
 }
 
 /// A single wrapping energy counter.
@@ -87,27 +84,21 @@ impl Default for RaplCounter {
     }
 }
 
-/// A package's set of RAPL domains. The experiments read `Package`; the
-/// other planes are maintained with fixed ratios for interface fidelity.
+/// A package's RAPL domains, read the way the paper reads them.
 #[derive(Clone, Debug, Default)]
 pub struct RaplPackage {
     package: RaplCounter,
-    pp0: RaplCounter,
-    dram: RaplCounter,
 }
 
 impl RaplPackage {
-    /// Create a package with default units on all domains.
+    /// Create a package with the default unit.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Deposit package energy. PP0 is credited with the core share and
-    /// DRAM with a small fixed share, mirroring typical testbed ratios.
+    /// Deposit package energy.
     pub fn deposit(&mut self, package_j: f64) {
         self.package.deposit(package_j);
-        self.pp0.deposit(package_j * 0.7);
-        self.dram.deposit(package_j * 0.12);
     }
 
     /// Read a domain's raw counter.
@@ -123,8 +114,6 @@ impl RaplPackage {
     fn counter(&self, domain: RaplDomain) -> &RaplCounter {
         match domain {
             RaplDomain::Package => &self.package,
-            RaplDomain::Pp0 => &self.pp0,
-            RaplDomain::Dram => &self.dram,
         }
     }
 }
@@ -186,21 +175,6 @@ mod tests {
         c.deposit(u32::MAX as f64);
         c.deposit(2.0);
         assert_eq!(c.read_raw(), 1);
-    }
-
-    #[test]
-    fn package_domains_track_shares() {
-        let mut p = RaplPackage::new();
-        let b_pkg = p.read_raw(RaplDomain::Package);
-        let b_pp0 = p.read_raw(RaplDomain::Pp0);
-        let b_dram = p.read_raw(RaplDomain::Dram);
-        p.deposit(100.0);
-        let pkg = p.delta_j(RaplDomain::Package, b_pkg, p.read_raw(RaplDomain::Package));
-        let pp0 = p.delta_j(RaplDomain::Pp0, b_pp0, p.read_raw(RaplDomain::Pp0));
-        let dram = p.delta_j(RaplDomain::Dram, b_dram, p.read_raw(RaplDomain::Dram));
-        assert!((pkg - 100.0).abs() < 1e-3);
-        assert!((pp0 - 70.0).abs() < 1e-3);
-        assert!((dram - 12.0).abs() < 1e-3);
     }
 
     #[test]

@@ -5,21 +5,21 @@
 //! [`netsim::fault::FaultSpec`], recovery checks need a scheduled
 //! outage to measure from, savings checks need a baseline run to
 //! compare against, population topologies can't take flow-level chaos)
-//! and freezes it into a [`ScenarioSpec`]; [`ScenarioSpec::run`] runs
-//! the topology's placement on the shared harness
-//! ([`workload::harness`]) — the dumbbell and rack grid from `workload`,
-//! the parking lot from this crate — and evaluates every expectation
-//! over the run's [`Measured`] summary.
+//! and compiles it, once, into the runner's own input: a
+//! [`workload::scenario::Scenario`] for the dumbbell and the parking lot,
+//! a [`PopulationSpec`] for the rack grid. [`ScenarioSpec::run`] hands
+//! that input to its `workload` placement on the shared harness
+//! ([`workload::harness`]) and evaluates every expectation over the
+//! run's [`Measured`] summary.
 
 use crate::chaos::{self, ChaosPhase};
 use crate::expect::{Expectation, ExpectationReport, Measured};
-use crate::parking::ParkingRun;
 use crate::traffic::Traffic;
-use netsim::fault::{FaultSpec, FaultSpecError};
+use netsim::fault::FaultSpecError;
 use netsim::time::{SimDuration, SimTime};
 use workload::iperf::FlowSpec;
 use workload::population::{PopulationError, PopulationSpec};
-use workload::scenario::{Observe, Scenario, ScenarioError, ScenarioOutcome};
+use workload::scenario::{simulate, simulate_parking_lot, Observe, Scenario, ScenarioError};
 
 /// The paper's testbed link rate, shared by every topology here.
 const LINK_GBPS: f64 = 10.0;
@@ -39,14 +39,10 @@ pub enum Topology {
     /// paper's testbed). Flow-level: supports chaos, traces, and every
     /// expectation.
     Dumbbell,
-    /// A single rack: `senders` hosts fanning into one receiver.
-    /// Population-level (takes one [`Traffic::Mix`]); no chaos/traces.
-    Incast {
-        /// Sender hosts fanning into the rack switch.
-        senders: usize,
-    },
-    /// `racks` independent rack cells of `hosts_per_rack` senders each,
-    /// the many-flow scale-out shape. Population-level.
+    /// `racks` independent rack cells of `hosts_per_rack` senders each
+    /// fanning into one receiver: one rack is an incast, more are the
+    /// many-flow scale-out shape. Population-level: takes one
+    /// [`Traffic::Mix`] and no chaos, traces, observability or RTO budget.
     RackGrid {
         /// Independent rack cells.
         racks: usize,
@@ -67,13 +63,9 @@ impl Topology {
     /// the grid.
     pub fn capacity_gbps(&self) -> f64 {
         match self {
-            Topology::Dumbbell | Topology::Incast { .. } | Topology::ParkingLot { .. } => LINK_GBPS,
+            Topology::Dumbbell | Topology::ParkingLot { .. } => LINK_GBPS,
             Topology::RackGrid { racks, .. } => *racks as f64 * LINK_GBPS,
         }
-    }
-
-    fn is_population(&self) -> bool {
-        matches!(self, Topology::Incast { .. } | Topology::RackGrid { .. })
     }
 }
 
@@ -97,7 +89,7 @@ pub enum BuildError {
         detail: String,
     },
     /// The composition asks for something no runner does (chaos,
-    /// traces or observability on a population topology).
+    /// traces, observability or an RTO budget on a population topology).
     Unsupported {
         /// What was asked and why it can't run.
         detail: String,
@@ -239,7 +231,7 @@ impl ScenarioBuilder {
     }
 
     /// Cap consecutive RTO retries so flows on a dead path abort
-    /// instead of backing off forever.
+    /// instead of backing off forever. Flow-level topologies only.
     pub fn with_max_rto_retries(mut self, retries: u32) -> Self {
         self.max_rto_retries = Some(retries);
         self
@@ -260,113 +252,159 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Validate the composition and freeze it into a runnable spec.
-    pub fn build(mut self) -> Result<ScenarioSpec, BuildError> {
-        if self.traffic.is_empty() {
+    /// Validate the composition and compile it into the runner's input.
+    pub fn build(self) -> Result<ScenarioSpec, BuildError> {
+        // The one place the builder's knobs are read: a new knob that no
+        // runner consumes fails to compile here instead of being dropped.
+        let ScenarioBuilder {
+            name,
+            topology,
+            traffic,
+            chaos,
+            expectations,
+            seed,
+            mtu,
+            mut trace_bin,
+            max_rto_retries,
+            observability,
+            baseline,
+        } = self;
+        if traffic.is_empty() {
             return Err(BuildError::NoTraffic);
         }
-        let fault = chaos::compile(&self.chaos).map_err(BuildError::Fault)?;
+        let fault = chaos::compile(&chaos).map_err(BuildError::Fault)?;
         // The recovery clock starts when the last scheduled outage ends.
-        let fault_clear = self.chaos.iter().filter_map(|p| p.clears_at()).max();
-        let needs_recovery = self
-            .expectations
+        let fault_clear = chaos.iter().filter_map(|p| p.clears_at()).max();
+        if expectations
             .iter()
-            .any(|e| e.needs_recovery_instrumentation());
-        if needs_recovery {
+            .any(|e| e.needs_recovery_instrumentation())
+        {
             if fault_clear.is_none() {
                 return Err(BuildError::RecoveryNeedsFlap);
             }
-            self.trace_bin.get_or_insert(RECOVERY_TRACE_BIN);
+            trace_bin.get_or_insert(RECOVERY_TRACE_BIN);
         }
-        if self.expectations.iter().any(|e| e.needs_baseline()) && self.baseline.is_none() {
+        if expectations.iter().any(|e| e.needs_baseline()) && baseline.is_none() {
             return Err(BuildError::OrderingNeedsBaseline);
         }
 
-        if self.topology.is_population() {
-            if !matches!(self.traffic.as_slice(), [Traffic::Mix { .. }]) {
-                return Err(BuildError::TopologyMismatch {
-                    detail: "population topologies take exactly one Traffic::Mix".into(),
-                });
+        let mismatch = |detail: String| BuildError::TopologyMismatch { detail };
+        let flows: Vec<FlowSpec> = traffic.iter().flat_map(Traffic::compile).collect();
+        let n_flows = flows.len();
+        let flow_level = || {
+            if traffic.iter().any(|t| matches!(t, Traffic::Mix { .. })) {
+                return Err(mismatch(
+                    "Traffic::Mix only fits population topologies (RackGrid)".into(),
+                ));
             }
-            // Every rack runs on the shared harness, but nothing merges
-            // per-rack faults, traces or reports into one population view.
-            let unmerged = [
-                (fault.is_some(), "chaos"),
-                (self.trace_bin.is_some(), "per-flow traces"),
-                (self.observability, "observability"),
-            ];
-            if let Some((_, what)) = unmerged.into_iter().find(|&(asked, _)| asked) {
-                return Err(BuildError::Unsupported {
-                    detail: format!(
-                        "{what} on a population topology: racks run independently and \
-                         their results are not merged; use a flow-level topology"
-                    ),
-                });
+            if flows.is_empty() {
+                return Err(BuildError::NoTraffic);
             }
-        } else {
-            if self
-                .traffic
-                .iter()
-                .any(|t| matches!(t, Traffic::Mix { .. }))
-            {
-                return Err(BuildError::TopologyMismatch {
-                    detail: "Traffic::Mix only fits population topologies (Incast, RackGrid)"
-                        .into(),
-                });
+            let mut sc = Scenario::new(mtu, flows).with_seed(seed);
+            sc.bottleneck_fault = fault.clone();
+            sc.trace_bin = trace_bin;
+            sc.max_rto_retries = max_rto_retries;
+            if observability {
+                sc.observe = Observe::Full;
             }
-            if let Topology::ParkingLot { hops } = self.topology {
+            Ok(sc)
+        };
+        let input = match topology {
+            Topology::Dumbbell => RunInput::Dumbbell(flow_level()?),
+            Topology::ParkingLot { hops } => {
                 if hops == 0 {
-                    return Err(BuildError::TopologyMismatch {
-                        detail: "a parking lot needs at least one hop".into(),
-                    });
+                    return Err(mismatch("a parking lot needs at least one hop".into()));
                 }
-                let flows: usize = self.traffic.iter().map(|t| t.flow_count()).sum();
-                if flows != hops + 1 {
-                    return Err(BuildError::TopologyMismatch {
+                if n_flows != hops + 1 {
+                    return Err(mismatch(format!(
+                        "a {hops}-hop parking lot takes exactly {} flows \
+                         (through + one local per hop), got {n_flows}",
+                        hops + 1
+                    )));
+                }
+                // The pps ceiling models the testbed's iperf hosts and the
+                // start jitter its unsynchronized iperf processes; the
+                // lot's hosts are unconstrained and start together.
+                let mut sc = flow_level()?;
+                sc.host_pps_cap = None;
+                sc.start_jitter = SimDuration::ZERO;
+                RunInput::ParkingLot(sc, hops)
+            }
+            Topology::RackGrid {
+                racks,
+                hosts_per_rack,
+            } => {
+                let [Traffic::Mix {
+                    flows,
+                    mix,
+                    bytes_per_flow,
+                }] = traffic.as_slice()
+                else {
+                    return Err(mismatch(
+                        "population topologies take exactly one Traffic::Mix".into(),
+                    ));
+                };
+                // Every rack runs on the shared harness, but nothing merges
+                // per-rack faults, traces or reports into one population
+                // view, and racks keep the transport's RTO budget.
+                let unmerged = [
+                    (fault.is_some(), "chaos"),
+                    (trace_bin.is_some(), "per-flow traces"),
+                    (observability, "observability"),
+                    (max_rto_retries.is_some(), "an RTO retry budget"),
+                ];
+                if let Some((_, what)) = unmerged.into_iter().find(|&(asked, _)| asked) {
+                    return Err(BuildError::Unsupported {
                         detail: format!(
-                            "a {hops}-hop parking lot takes exactly {} flows \
-                             (through + one local per hop), got {flows}",
-                            hops + 1
+                            "{what} on a population topology: racks run independently and \
+                             their results are not merged; use a flow-level topology"
                         ),
                     });
                 }
+                let mut spec = PopulationSpec::new(*flows, mix.clone())
+                    .with_grid(racks, hosts_per_rack)
+                    .with_bytes_per_flow(*bytes_per_flow)
+                    .with_seed(seed);
+                spec.mtu = mtu;
+                RunInput::Population(spec)
             }
-        }
+        };
 
         Ok(ScenarioSpec {
-            name: self.name,
-            topology: self.topology,
-            traffic: self.traffic,
-            chaos: self.chaos,
-            fault,
+            name,
+            capacity_gbps: topology.capacity_gbps(),
+            chaos,
             fault_clear,
-            expectations: self.expectations,
-            seed: self.seed,
-            mtu: self.mtu,
-            trace_bin: self.trace_bin,
-            max_rto_retries: self.max_rto_retries,
-            observability: self.observability,
-            baseline: self.baseline,
+            expectations,
+            baseline,
+            input,
         })
     }
+}
+
+/// What [`ScenarioBuilder::build`] compiles a composition into: the
+/// input of the `workload` placement that runs it.
+#[derive(Clone, Debug)]
+enum RunInput {
+    /// [`workload::scenario::simulate`].
+    Dumbbell(Scenario),
+    /// [`workload::scenario::simulate_parking_lot`] with this many hops.
+    ParkingLot(Scenario, usize),
+    /// [`workload::population::run_population`].
+    Population(PopulationSpec),
 }
 
 /// A validated, runnable scenario. Construct via [`ScenarioBuilder`].
 #[derive(Clone, Debug)]
 pub struct ScenarioSpec {
     name: String,
-    topology: Topology,
-    traffic: Vec<Traffic>,
+    /// The capacity expectations normalize against.
+    capacity_gbps: f64,
     chaos: Vec<ChaosPhase>,
-    fault: Option<FaultSpec>,
     fault_clear: Option<SimTime>,
     expectations: Vec<Expectation>,
-    seed: u64,
-    mtu: u32,
-    trace_bin: Option<SimDuration>,
-    max_rto_retries: Option<u32>,
-    observability: bool,
     baseline: Option<Box<ScenarioSpec>>,
+    input: RunInput,
 }
 
 /// One executed scenario: the measurements, the baseline's (if one was
@@ -433,113 +471,46 @@ impl ScenarioSpec {
     /// Execute on the topology's runner and summarize. Expectation-free:
     /// baselines run through this.
     fn measure(&self) -> Result<(Measured, Option<obs::ObsReport>), RunError> {
-        let measured =
-            |n_sender_hosts, reports, window, sender_energy_j, series, drops, sim_end| Measured {
-                reports,
-                window,
-                sender_energy_j,
-                n_sender_hosts,
-                capacity_gbps: self.topology.capacity_gbps(),
-                traces: self.trace_bin.zip(series),
-                injected_drops: drops,
-                sim_end,
-                fault_clear: self.fault_clear,
-            };
+        let measured = |n_sender_hosts, reports, window, sender_energy_j, sim_end| Measured {
+            reports,
+            window,
+            sender_energy_j,
+            n_sender_hosts,
+            capacity_gbps: self.capacity_gbps,
+            traces: None,
+            injected_drops: 0,
+            sim_end,
+            fault_clear: self.fault_clear,
+        };
+        let (sc, run) = match &self.input {
+            RunInput::Dumbbell(sc) => (sc, simulate(sc)?),
+            RunInput::ParkingLot(sc, hops) => (sc, simulate_parking_lot(sc, *hops)?),
+            RunInput::Population(spec) => {
+                let out = workload::population::run_population(spec)?;
+                // A population's window is when the last rack's engine drained,
+                // not the last completion: later than it by the trailing
+                // timers. Kept, because the pinned verdict bytes hold it.
+                let window = out.sim_end.saturating_since(SimTime::ZERO);
+                let hosts = spec.racks * spec.hosts_per_rack;
+                let summary =
+                    measured(hosts, out.reports, window, out.sender_energy_j, out.sim_end);
+                return Ok((summary, None));
+            }
+        };
+        let out = run.finish(sc.background_load);
         // One sender host per flow on both flow-level shapes.
-        let flow_level = |out: ScenarioOutcome| {
-            let summary = measured(
+        let summary = Measured {
+            traces: sc.trace_bin.zip(out.throughput_traces),
+            injected_drops: out.injected_drops,
+            ..measured(
                 out.reports.len(),
                 out.reports,
                 out.window,
                 out.sender_energy_j,
-                out.throughput_traces,
-                out.injected_drops,
                 out.sim_end,
-            );
-            (summary, out.obs)
+            )
         };
-        let population = |racks: usize, hosts_per_rack: usize| {
-            let spec = self.population(racks, hosts_per_rack);
-            let out = workload::population::run_population(&spec)?;
-            // A population's window is when the last rack's engine drained,
-            // not the last completion: later than it by the trailing
-            // timers. Kept, because the pinned verdict bytes hold it.
-            let window = out.sim_end.saturating_since(SimTime::ZERO);
-            let hosts = racks * hosts_per_rack;
-            let summary = measured(
-                hosts,
-                out.reports,
-                window,
-                out.sender_energy_j,
-                None,
-                0,
-                out.sim_end,
-            );
-            Ok((summary, None))
-        };
-        match self.topology {
-            Topology::Dumbbell => Ok(flow_level(workload::scenario::run(&self.dumbbell())?)),
-            Topology::ParkingLot { hops } => Ok(flow_level(self.parking(hops).run()?)),
-            Topology::Incast { senders } => population(1, senders),
-            Topology::RackGrid {
-                racks,
-                hosts_per_rack,
-            } => population(racks, hosts_per_rack),
-        }
-    }
-
-    fn flat_flows(&self) -> Vec<FlowSpec> {
-        self.traffic.iter().flat_map(|t| t.compile()).collect()
-    }
-
-    fn dumbbell(&self) -> Scenario {
-        let mut sc = Scenario::new(self.mtu, self.flat_flows()).with_seed(self.seed);
-        sc.bottleneck_fault = self.fault.clone();
-        sc.trace_bin = self.trace_bin;
-        sc.max_rto_retries = self.max_rto_retries;
-        sc.observe = self.observe();
-        sc
-    }
-
-    fn parking(&self, hops: usize) -> ParkingRun {
-        ParkingRun {
-            hops,
-            mtu: self.mtu,
-            link_gbps: LINK_GBPS,
-            hop_delay: SimDuration::from_micros(25),
-            buffer_bytes: 1_000_000,
-            flows: self.flat_flows(),
-            seed: self.seed,
-            trace_bin: self.trace_bin,
-            fault: self.fault.clone(),
-            max_rto_retries: self.max_rto_retries,
-            observe: self.observe(),
-        }
-    }
-
-    fn population(&self, racks: usize, hosts_per_rack: usize) -> PopulationSpec {
-        let Some(Traffic::Mix {
-            flows,
-            mix,
-            bytes_per_flow,
-        }) = self.traffic.first()
-        else {
-            unreachable!("build() guarantees exactly one Traffic::Mix");
-        };
-        let mut spec = PopulationSpec::new(*flows, mix.clone())
-            .with_grid(racks, hosts_per_rack)
-            .with_bytes_per_flow(*bytes_per_flow)
-            .with_seed(self.seed);
-        spec.mtu = self.mtu;
-        spec
-    }
-
-    fn observe(&self) -> Observe {
-        if self.observability {
-            Observe::Full
-        } else {
-            Observe::Off
-        }
+        Ok((summary, out.obs))
     }
 }
 
@@ -561,6 +532,20 @@ mod tests {
             ScenarioBuilder::new("t").build(),
             Err(BuildError::NoTraffic)
         ));
+    }
+
+    #[test]
+    fn traffic_without_a_flow_is_rejected() {
+        let err = ScenarioBuilder::new("t")
+            .traffic(Traffic::Rpc {
+                cca: CcaKind::Cubic,
+                responses: 0,
+                resp_bytes: 1_000,
+                interval: SimDuration::from_millis(1),
+                start: SimDuration::ZERO,
+            })
+            .build();
+        assert!(matches!(err, Err(BuildError::NoTraffic)));
     }
 
     #[test]
@@ -641,7 +626,10 @@ mod tests {
             })
             .build()
             .expect("valid scenario");
-        assert_eq!(spec.trace_bin, Some(RECOVERY_TRACE_BIN));
+        let RunInput::Dumbbell(sc) = &spec.input else {
+            panic!("a dumbbell compiles to a Scenario");
+        };
+        assert_eq!(sc.trace_bin, Some(RECOVERY_TRACE_BIN));
         assert_eq!(spec.fault_clear(), Some(SimTime::from_millis(7)));
     }
 
@@ -665,7 +653,10 @@ mod tests {
     #[test]
     fn incast_runs_a_population_mix() {
         let run = ScenarioBuilder::new("incast")
-            .topology(Topology::Incast { senders: 4 })
+            .topology(Topology::RackGrid {
+                racks: 1,
+                hosts_per_rack: 4,
+            })
             .traffic(Traffic::Mix {
                 flows: 8,
                 mix: vec![(CcaKind::Cubic, 3), (CcaKind::Bbr, 1)],
@@ -708,7 +699,10 @@ mod tests {
     fn mtu_reaches_population_topologies() {
         let segs_at = |mtu: u32| {
             let run = ScenarioBuilder::new("incast-mtu")
-                .topology(Topology::Incast { senders: 4 })
+                .topology(Topology::RackGrid {
+                    racks: 1,
+                    hosts_per_rack: 4,
+                })
                 .traffic(Traffic::Mix {
                     flows: 8,
                     mix: vec![(CcaKind::Cubic, 1)],
@@ -769,7 +763,10 @@ mod tests {
     #[test]
     fn observability_on_a_population_is_rejected() {
         let err = ScenarioBuilder::new("t")
-            .topology(Topology::Incast { senders: 2 })
+            .topology(Topology::RackGrid {
+                racks: 1,
+                hosts_per_rack: 2,
+            })
             .traffic(Traffic::Mix {
                 flows: 4,
                 mix: vec![(CcaKind::Cubic, 1)],
@@ -780,6 +777,47 @@ mod tests {
             .expect_err("nothing merges per-rack reports");
         assert!(matches!(err, BuildError::Unsupported { .. }));
         assert!(err.to_string().contains("observability on a population"));
+    }
+
+    #[test]
+    fn rto_budget_on_a_population_is_rejected() {
+        let err = ScenarioBuilder::new("t")
+            .topology(Topology::RackGrid {
+                racks: 2,
+                hosts_per_rack: 2,
+            })
+            .traffic(Traffic::Mix {
+                flows: 4,
+                mix: vec![(CcaKind::Cubic, 1)],
+                bytes_per_flow: 1_000,
+            })
+            .with_max_rto_retries(3)
+            .build()
+            .expect_err("racks keep the transport's RTO budget");
+        assert!(matches!(err, BuildError::Unsupported { .. }));
+        assert!(err.to_string().contains("RTO retry budget on a population"));
+    }
+
+    #[test]
+    fn parking_lot_compiles_to_a_scenario_with_pps_and_jitter_off() {
+        let spec = ScenarioBuilder::new("lot")
+            .topology(Topology::ParkingLot { hops: 1 })
+            .traffic(Traffic::bulk(CcaKind::Cubic, 1_000))
+            .traffic(Traffic::bulk(CcaKind::Cubic, 1_000))
+            .with_seed(9)
+            .with_mtu(1500)
+            .with_max_rto_retries(4)
+            .build()
+            .expect("valid scenario");
+        let RunInput::ParkingLot(sc, 1) = &spec.input else {
+            panic!("a one-hop lot compiles to a Scenario and its hop count");
+        };
+        assert_eq!(
+            (sc.host_pps_cap, sc.start_jitter),
+            (None, SimDuration::ZERO)
+        );
+        assert_eq!((sc.seed, sc.mtu, sc.max_rto_retries), (9, 1500, Some(4)));
+        assert_eq!(sc.flows.len(), 2);
     }
 
     #[test]

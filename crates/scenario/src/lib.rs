@@ -32,10 +32,13 @@
 //! The pieces:
 //!
 //! * [`builder`] — [`builder::ScenarioBuilder`] composes a topology
-//!   shape (dumbbell, incast, parking lot, rack grid), traffic
-//!   generators, named chaos phases, and expectations into a validated
-//!   [`builder::ScenarioSpec`]; `run()` executes it on the right
-//!   runner and evaluates every expectation.
+//!   shape (dumbbell, parking lot, rack grid), traffic generators, named
+//!   chaos phases, and expectations into a validated
+//!   [`builder::ScenarioSpec`]: `build()` compiles it once into the
+//!   input of a `workload` placement (a `Scenario` for the dumbbell and
+//!   the parking lot, a `PopulationSpec` for the grid), and `run()` runs
+//!   that placement and evaluates every expectation. The crate runs
+//!   nothing itself.
 //! * [`traffic`] — [`traffic::Traffic`] generators (bulk,
 //!   request/response RPC, rate-limited video, on/off web, and a
 //!   population CCA mix) compiling down to [`workload::iperf::FlowSpec`]s.
@@ -47,10 +50,6 @@
 //!   [`expect::Measured`] summary, each producing an
 //!   [`expect::ExpectationReport`] with the measured value, the
 //!   target, and the margin.
-//! * [`parking`] — the parking lot (one through flow crossing a chain
-//!   of bottlenecks against per-hop local flows) as a placement on
-//!   `workload`'s run harness, which the dumbbell and rack-grid runners
-//!   in `workload` go through too.
 //! * [`suite`] — named collections of scenarios with a deterministic
 //!   JSON verdict matrix and observability export (time-to-recover
 //!   histogram, per-scenario trace spans).
@@ -65,7 +64,6 @@
 pub mod builder;
 pub mod chaos;
 pub mod expect;
-pub mod parking;
 pub mod suite;
 pub mod traffic;
 

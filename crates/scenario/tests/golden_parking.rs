@@ -1,7 +1,7 @@
 //! Golden pin of the parking-lot runner.
 //!
-//! `parking::tests::runs_replay_bit_identically` compares a run with
-//! itself; this file pins the runner *across commits*: a 3-hop lot with
+//! `workload::scenario`'s `parking_lot_replays_bit_identically` compares a
+//! run with itself; this file pins the runner *across commits*: a 3-hop lot with
 //! a CUBIC through flow against CUBIC, BBR and constant-cwnd local
 //! flows (so pacing and the baseline-cwnd sizing are on the path), at
 //! MTU 1500 and 9000, clean and under 2 % random loss on the first
@@ -12,9 +12,8 @@
 use cca::CcaKind;
 use netsim::fault::FaultSpec;
 use netsim::time::SimDuration;
-use scenario::parking::ParkingRun;
 use workload::iperf::FlowSpec;
-use workload::scenario::Observe;
+use workload::scenario::{simulate_parking_lot, Scenario};
 
 /// Per flow `(fct ns, retransmits, acks_processed, segs_sent)`.
 type FlowPin = (u64, u64, u64, u64);
@@ -78,32 +77,31 @@ const PINNED: [(u32, bool, Pin); 4] = [
     ),
 ];
 
-fn lot(mtu: u32, lossy: bool) -> ParkingRun {
+fn lot(mtu: u32, lossy: bool) -> Scenario {
     let flow = |cca| FlowSpec::bulk(cca, 4_000_000);
-    ParkingRun {
-        hops: 3,
-        mtu,
-        link_gbps: 10.0,
-        hop_delay: SimDuration::from_micros(25),
-        buffer_bytes: 500_000,
-        flows: vec![
-            flow(CcaKind::Cubic),
-            flow(CcaKind::Cubic),
-            flow(CcaKind::Bbr),
-            flow(CcaKind::Baseline),
-        ],
-        seed: 7,
-        trace_bin: Some(SimDuration::from_millis(1)),
-        fault: lossy.then(|| FaultSpec::random_loss(0.02)),
-        max_rto_retries: None,
-        observe: Observe::Off,
-    }
+    let flows = vec![
+        flow(CcaKind::Cubic),
+        flow(CcaKind::Cubic),
+        flow(CcaKind::Bbr),
+        flow(CcaKind::Baseline),
+    ];
+    let mut sc = Scenario::new(mtu, flows)
+        .with_seed(7)
+        .with_trace(SimDuration::from_millis(1));
+    sc.buffer_bytes = 500_000;
+    sc.host_pps_cap = None;
+    sc.start_jitter = SimDuration::ZERO;
+    sc.bottleneck_fault = lossy.then(|| FaultSpec::random_loss(0.02));
+    sc
 }
 
 #[test]
 fn three_hop_lot_matches_the_pinned_runs() {
     for (mtu, lossy, pinned) in PINNED {
-        let out = lot(mtu, lossy).run().expect("parking lot runs");
+        let sc = lot(mtu, lossy);
+        let out = simulate_parking_lot(&sc, 3)
+            .expect("parking lot runs")
+            .finish(sc.background_load);
         let run = (
             out.sim_end.as_nanos(),
             out.sender_energy_j.to_bits(),

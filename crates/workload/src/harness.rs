@@ -10,10 +10,12 @@
 //! is the only energy readout. A topology contributes a closure that
 //! builds itself on the harness's network, installs its fault, draws its
 //! own start jitter and returns a [`Placement`]: the dumbbell
-//! ([`crate::scenario::simulate`]), one rack cell of a population
-//! ([`crate::population`]) and the parking lot (`scenario::parking`) are
-//! the three callers. What differs between them on purpose is an argument
-//! at the call site (see DESIGN.md, "Run phases").
+//! ([`crate::scenario::simulate`]), the parking lot
+//! ([`crate::scenario::simulate_parking_lot`]) and one rack cell of a
+//! population ([`crate::population`]) are the three callers. The first two
+//! read one [`crate::scenario::Scenario`] through one [`Wiring`]; what
+//! differs between topologies on purpose is an argument at the call site
+//! (see DESIGN.md, "Run phases").
 //!
 //! Racks run this code on worker threads, so the file is held to the
 //! engine's panic-hygiene and range-index rules (`simlint.toml`): a

@@ -6,10 +6,11 @@
 //! ([`harness::simulate_on`]) that wires placed flows onto a topology,
 //! runs them to completion and measures per-host energy over the
 //! experiment window with the calibrated RAPL model
-//! ([`harness::SimulatedRun::meter`]). Two runners place flows on it here:
-//! the one-call dumbbell testbed ([`scenario::run`]) and the rack-sharded
-//! population ([`population::run_population`]); the `scenario` crate's
-//! parking lot is the third. Grids of independent runs — the racks of a
+//! ([`harness::SimulatedRun::meter`]). Three placements put flows on it,
+//! all here: one [`scenario::Scenario`] on the dumbbell testbed
+//! ([`scenario::simulate`], [`scenario::run`]) or on a parking lot
+//! ([`scenario::simulate_parking_lot`]), and the rack-sharded population
+//! ([`population::run_population`]). Grids of independent runs — the racks of a
 //! population, the `(point, seed)` jobs of a figure sweep — go through one
 //! ordered parallel map ([`par::par_map`]) whose result does not depend on
 //! the thread count, and both run on every core by default. A population
@@ -46,7 +47,7 @@ pub mod prelude {
         PopulationOutcome, PopulationSpec,
     };
     pub use crate::scenario::{
-        run, simulate, Scenario, ScenarioError, ScenarioOutcome, SimulatedRun,
+        run, simulate, simulate_parking_lot, Scenario, ScenarioError, ScenarioOutcome, SimulatedRun,
     };
     pub use crate::stress::StressLoad;
 }

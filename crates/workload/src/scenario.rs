@@ -9,7 +9,14 @@
 //! experiment began until both flows successfully completed", §1).
 //! [`simulate`] is this topology's placement on the shared run harness
 //! ([`crate::harness`]), which owns the wiring, the run loop, the flow
-//! reports and the energy readout.
+//! reports and the energy readout. [`simulate_parking_lot`] places the
+//! same [`Scenario`] on a chain of bottlenecks instead: both read every
+//! run knob through one wiring, so a knob means the same thing on both.
+//!
+//! Figure jobs and campaign cells run these placements on worker threads,
+//! so the file is held to the engine's panic-hygiene and range-index
+//! rules (`simlint.toml`): a scenario that does not fit its topology is a
+//! typed [`ScenarioError`], never a panic.
 
 use crate::harness::{self, simulate_on, PlacedFlow, Placement, SenderHost, Wiring};
 use crate::iperf::{FlowReport, FlowSpec};
@@ -22,7 +29,7 @@ use netsim::fault::FaultSpec;
 use netsim::ids::FlowId;
 use netsim::packet::HEADER_BYTES;
 use netsim::time::{SimDuration, SimTime};
-use netsim::topology::{BottleneckQueue, Dumbbell, DumbbellConfig};
+use netsim::topology::{BottleneckQueue, Dumbbell, DumbbellConfig, ParkingLot, ParkingLotConfig};
 use netsim::units::Rate;
 use obs::ObsReport;
 
@@ -226,16 +233,50 @@ impl Scenario {
         harness::bdp_bytes(self.link_gbps, self.hop_delay.as_secs_f64() * 4.0)
     }
 
-    fn uses_dctcp(&self) -> bool {
-        self.flows.iter().any(|f| f.cca == CcaKind::Dctcp)
+    /// The bottleneck discipline of every contended link: ECN marking at
+    /// DCTCP's threshold K when any flow runs DCTCP, drop-tail otherwise.
+    /// K follows the classic guidance of ~65 packets at 10 Gb/s with
+    /// 1500-byte frames, scaled by MTU with a floor.
+    fn bottleneck_queue(&self) -> BottleneckQueue {
+        if self.flows.iter().any(|f| f.cca == CcaKind::Dctcp) {
+            BottleneckQueue::EcnThreshold {
+                capacity_bytes: self.buffer_bytes,
+                mark_bytes: (65 * self.mtu as u64)
+                    .min(self.buffer_bytes / 2)
+                    .max(30_000),
+            }
+        } else {
+            BottleneckQueue::DropTail {
+                capacity_bytes: self.buffer_bytes,
+            }
+        }
     }
 
-    /// DCTCP's marking threshold K: the classic guidance is ~65 packets
-    /// at 10 Gb/s with 1500-byte frames; we scale by MTU with a floor.
-    fn dctcp_k_bytes(&self) -> u64 {
-        (65 * self.mtu as u64)
-            .min(self.buffer_bytes / 2)
-            .max(30_000)
+    /// Every run knob of the scenario as the harness reads it, for any
+    /// topology. Only the path's bandwidth-delay product comes from the
+    /// topology: the constant-cwnd baseline is sized against it plus the
+    /// bottleneck buffer.
+    fn wiring(&self, path_bdp_bytes: u64) -> Wiring {
+        Wiring {
+            seed: self.seed,
+            mtu: self.mtu,
+            activity_bin: self.activity_bin,
+            trace_bin: self.trace_bin,
+            pkt_log_capacity: self.pkt_log_capacity,
+            delivery_batching: self.delivery_batching,
+            observe: self.observe,
+            host_pps_cap: self.host_pps_cap,
+            max_rto_retries: self.max_rto_retries,
+            path_capacity_bytes: path_bdp_bytes + self.buffer_bytes,
+            time_limit: self.time_limit.unwrap_or_else(|| self.default_time_limit()),
+            wall_deadline: self.wall_deadline,
+        }
+    }
+
+    /// One start jitter per flow, drawn below `start_jitter` from the
+    /// scenario's own stream.
+    fn start_jitters(&self) -> Vec<SimDuration> {
+        harness::start_jitters(self.seed ^ JITTER_SALT, self.start_jitter, self.flows.len())
     }
 
     fn default_time_limit(&self) -> SimTime {
@@ -285,6 +326,13 @@ pub enum ScenarioError {
     /// The scenario's fault spec was rejected at install time (bad
     /// probability, empty/overlapping flap window, oversized jitter).
     Fault(netsim::fault::FaultSpecError),
+    /// The scenario does not fit the topology it was placed on (a
+    /// parking lot with no hop, with other than `hops + 1` flows, or
+    /// with colocated senders).
+    Placement {
+        /// What the topology requires.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -304,6 +352,9 @@ impl std::fmt::Display for ScenarioError {
                 )
             }
             ScenarioError::Fault(err) => write!(f, "{err}"),
+            ScenarioError::Placement { detail } => {
+                write!(f, "scenario does not fit the topology: {detail}")
+            }
         }
     }
 }
@@ -394,39 +445,13 @@ const JITTER_SALT: u64 = 0x6a75_7474;
 /// host (or all of them behind one multiplexing host). Reads every
 /// scenario field except `background_load`.
 pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
-    let wiring = Wiring {
-        seed: scenario.seed,
-        mtu: scenario.mtu,
-        activity_bin: scenario.activity_bin,
-        trace_bin: scenario.trace_bin,
-        pkt_log_capacity: scenario.pkt_log_capacity,
-        delivery_batching: scenario.delivery_batching,
-        observe: scenario.observe,
-        host_pps_cap: scenario.host_pps_cap,
-        max_rto_retries: scenario.max_rto_retries,
-        path_capacity_bytes: scenario.bdp_bytes() + scenario.buffer_bytes,
-        time_limit: scenario
-            .time_limit
-            .unwrap_or_else(|| scenario.default_time_limit()),
-        wall_deadline: scenario.wall_deadline,
-    };
-    simulate_on(&wiring, |net, obs_rec| {
-        let queue = if scenario.uses_dctcp() {
-            BottleneckQueue::EcnThreshold {
-                capacity_bytes: scenario.buffer_bytes,
-                mark_bytes: scenario.dctcp_k_bytes(),
-            }
-        } else {
-            BottleneckQueue::DropTail {
-                capacity_bytes: scenario.buffer_bytes,
-            }
-        };
+    simulate_on(&scenario.wiring(scenario.bdp_bytes()), |net, obs_rec| {
         let cfg = DumbbellConfig {
             bottleneck_rate: Rate::from_gbps(scenario.link_gbps),
             edge_rate: Rate::from_gbps(scenario.link_gbps),
             sender_bond_links: 2,
             hop_delay: scenario.hop_delay,
-            bottleneck_queue: queue,
+            bottleneck_queue: scenario.bottleneck_queue(),
             edge_buffer_bytes: 4_000_000,
             host_min_pkt_gap: SimDuration::ZERO,
             senders: if scenario.colocate_senders {
@@ -450,15 +475,10 @@ pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
             r.name_queue(dumbbell.bottleneck.index() as u32, "bottleneck");
         }
 
-        let jitters = harness::start_jitters(
-            scenario.seed ^ JITTER_SALT,
-            scenario.start_jitter,
-            scenario.flows.len(),
-        );
         let flows = scenario
             .flows
             .iter()
-            .zip(jitters)
+            .zip(scenario.start_jitters())
             .enumerate()
             .map(|(i, (spec, jitter))| PlacedFlow {
                 flow: FlowId::from_raw(i as u32),
@@ -491,6 +511,93 @@ pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
             senders,
             receivers: vec![dumbbell.receiver],
         })
+    })
+}
+
+/// The same [`Scenario`] placed on a parking lot
+/// ([`netsim::topology::ParkingLot`]): `hops` chain links of
+/// `link_gbps` and `hop_delay`, each with the dumbbell's bottleneck
+/// discipline and buffer. Flow 0 is the through flow, crossing every
+/// hop; flow `1 + i` is the local flow over hop `i`; each runs on its
+/// own sender host and its RTT estimator is seeded with its own path's
+/// base RTT. The fault goes on the first chain link, the one every
+/// through-path packet crosses, and the constant-cwnd baseline is sized
+/// on the through path. Every other field reads as in [`simulate`].
+///
+/// A lot with no hop, a flow count other than `hops + 1` and
+/// `colocate_senders` are [`ScenarioError::Placement`].
+pub fn simulate_parking_lot(
+    scenario: &Scenario,
+    hops: usize,
+) -> Result<SimulatedRun, ScenarioError> {
+    let misfit = |detail: String| Err(ScenarioError::Placement { detail });
+    if hops == 0 {
+        return misfit("a parking lot needs at least one hop".into());
+    }
+    if scenario.flows.len() != hops + 1 {
+        return misfit(format!(
+            "a {hops}-hop parking lot takes exactly {} flows (through + one local per hop), got {}",
+            hops + 1,
+            scenario.flows.len()
+        ));
+    }
+    if scenario.colocate_senders {
+        return misfit("a parking lot runs every flow on its own sender host".into());
+    }
+    let through_rtt_s = scenario.hop_delay.as_secs_f64() * 2.0 * (hops + 1) as f64;
+    let wiring = scenario.wiring(harness::bdp_bytes(scenario.link_gbps, through_rtt_s));
+    simulate_on(&wiring, |net, obs_rec| {
+        let cfg = ParkingLotConfig {
+            hops,
+            link_rate: Rate::from_gbps(scenario.link_gbps),
+            edge_rate: Rate::from_gbps(scenario.link_gbps),
+            hop_delay: scenario.hop_delay,
+            bottleneck_queue: scenario.bottleneck_queue(),
+            edge_buffer_bytes: 4_000_000,
+        };
+        let lot = ParkingLot::build(net, &cfg);
+        if let Some(spec) = &scenario.bottleneck_fault {
+            net.set_link_fault(lot.bottlenecks[0], spec.clone())
+                .map_err(ScenarioError::Fault)?;
+        }
+        if let Some(rec) = obs_rec {
+            let mut r = rec.borrow_mut();
+            r.name_host(lot.through_sender.index() as u32, "through sender");
+            r.name_host(lot.through_receiver.index() as u32, "through receiver");
+            let locals = lot.local_senders.iter().zip(&lot.local_receivers);
+            for (i, ((sender, receiver), hop)) in locals.zip(&lot.bottlenecks).enumerate() {
+                r.name_host(sender.index() as u32, &format!("local sender {i}"));
+                r.name_host(receiver.index() as u32, &format!("local receiver {i}"));
+                r.name_queue(hop.index() as u32, &format!("hop {i}"));
+            }
+        }
+
+        let receivers: Vec<_> = std::iter::once(lot.through_receiver)
+            .chain(lot.local_receivers)
+            .collect();
+        let senders = std::iter::once(lot.through_sender)
+            .chain(lot.local_senders)
+            .zip(&receivers)
+            .zip(scenario.flows.iter().zip(scenario.start_jitters()))
+            .enumerate()
+            .map(|(i, ((host, &receiver), (spec, jitter)))| {
+                let path_hops = if i == 0 { hops + 1 } else { 2 } as u64;
+                SenderHost {
+                    host,
+                    flows: vec![PlacedFlow {
+                        flow: FlowId::from_raw(i as u32),
+                        spec: FlowSpec {
+                            start_delay: spec.start_delay + jitter,
+                            ..spec.clone()
+                        },
+                        receiver,
+                        base_rtt: scenario.hop_delay.saturating_mul(2 * path_hops),
+                    }],
+                    mux: false,
+                }
+            })
+            .collect();
+        Ok(Placement { senders, receivers })
     })
 }
 
@@ -911,5 +1018,125 @@ mod tests {
         let err = run(&s).unwrap_err();
         assert!(matches!(err, ScenarioError::Incomplete { .. }));
         assert!(err.to_string().contains("incomplete"));
+    }
+
+    /// Three hops, four CUBIC flows, the DSL's fills for the lot (no pps
+    /// ceiling, no start jitter) and a 500 kB buffer per chain link.
+    fn three_hop(bytes: u64) -> Scenario {
+        let mut s =
+            Scenario::new(1500, vec![FlowSpec::bulk(CcaKind::Cubic, bytes); 4]).with_seed(7);
+        s.buffer_bytes = 500_000;
+        s.host_pps_cap = None;
+        s.start_jitter = SimDuration::ZERO;
+        s
+    }
+
+    fn run_lot(s: &Scenario, hops: usize) -> Result<ScenarioOutcome, ScenarioError> {
+        Ok(simulate_parking_lot(s, hops)?.finish(s.background_load))
+    }
+
+    #[test]
+    fn parking_lot_through_flow_completes_against_cross_traffic() {
+        let m = run_lot(&three_hop(2_000_000), 3).expect("run completes");
+        assert_eq!(m.reports.len(), 4);
+        assert!(m.reports.iter().all(|r| r.outcome.is_completed()));
+        assert!(m.sender_energy_j > 0.0);
+        // The through flow crosses every contended hop; each local flow
+        // contends at exactly one. The through flow cannot beat the
+        // best local flow.
+        let through = m.reports[0].mean_goodput.gbps();
+        let best_local = m.reports[1..]
+            .iter()
+            .map(|r| r.mean_goodput.gbps())
+            .fold(0.0, f64::max);
+        assert!(
+            through <= best_local + 1e-9,
+            "through {through} vs best local {best_local}"
+        );
+    }
+
+    #[test]
+    fn parking_lot_replays_bit_identically() {
+        let a = run_lot(&three_hop(1_000_000), 3).expect("first run");
+        let b = run_lot(&three_hop(1_000_000), 3).expect("second run");
+        assert_eq!(a.sim_end, b.sim_end);
+        assert_eq!(a.sender_energy_j.to_bits(), b.sender_energy_j.to_bits());
+    }
+
+    #[test]
+    fn parking_lot_fault_on_the_first_hop_hits_the_through_flow() {
+        let s = three_hop(1_000_000).with_fault(FaultSpec::random_loss(0.02));
+        let m = run_lot(&s, 3).expect("survives 2% loss");
+        assert!(m.injected_drops > 0);
+        assert!(m.reports[0].retransmits > 0, "through flow crosses hop 0");
+    }
+
+    #[test]
+    fn parking_lot_invalid_fault_surfaces_as_scenario_error() {
+        let s = three_hop(100_000).with_fault(FaultSpec::random_loss(2.0));
+        match run_lot(&s, 3) {
+            Err(ScenarioError::Fault(_)) => {}
+            other => panic!("expected Fault error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parking_lot_misfits_are_typed_errors() {
+        let misfit = |s: &Scenario, hops: usize| match simulate_parking_lot(s, hops) {
+            Err(err @ ScenarioError::Placement { .. }) => err.to_string(),
+            Err(other) => panic!("expected a Placement error, got {other}"),
+            Ok(_) => panic!("a misfit lot ran"),
+        };
+        let one_flow = Scenario::new(1500, vec![FlowSpec::bulk(CcaKind::Cubic, 1_000)]);
+        assert!(misfit(&one_flow, 0).contains("at least one hop"));
+        assert!(misfit(&three_hop(1_000), 2).contains("exactly 3 flows"));
+        let colocated = three_hop(1_000).with_colocated_senders();
+        assert!(misfit(&colocated, 3).contains("own sender host"));
+    }
+
+    #[test]
+    fn parking_lot_honours_the_knobs_the_dumbbell_does() {
+        let lot = three_hop(1_000_000);
+        let plain = run_lot(&lot, 3).unwrap();
+
+        let logged = run_lot(&lot.clone().with_observability().with_packet_log(4096), 3).unwrap();
+        let report = logged.obs.expect("an observed lot returns a report");
+        assert!(report.metrics.counter_total("pktlog_records_total") > 0);
+
+        let fingerprint = |out: &ScenarioOutcome| {
+            let flows: Vec<_> = out.reports.iter().map(|r| (r.fct, r.retransmits)).collect();
+            (
+                out.engine.events_processed,
+                out.sim_end,
+                out.sender_energy_j.to_bits(),
+                flows,
+            )
+        };
+        let unbatched = run_lot(&lot.clone().with_delivery_batching(false), 3).unwrap();
+        assert_eq!(fingerprint(&unbatched), fingerprint(&plain));
+        assert_eq!(
+            unbatched.engine.dispatch_batches,
+            unbatched.engine.batched_pkts
+        );
+
+        let loaded = run_lot(
+            &lot.clone().with_background_load(StressLoad::fraction(0.5)),
+            3,
+        )
+        .unwrap();
+        assert!(loaded.sender_energy_j > plain.sender_energy_j);
+        assert_eq!(loaded.sim_end, plain.sim_end);
+        assert_eq!(
+            loaded.engine.events_processed,
+            plain.engine.events_processed
+        );
+
+        let mut dctcp = lot;
+        for f in &mut dctcp.flows {
+            f.cca = CcaKind::Dctcp;
+        }
+        let marked = run_lot(&dctcp, 3).unwrap();
+        assert!(marked.marked_pkts > 0, "the lot's hops mark for DCTCP");
+        assert_eq!(plain.marked_pkts, 0);
     }
 }
