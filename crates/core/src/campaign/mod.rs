@@ -88,9 +88,7 @@ pub struct CampaignOptions {
 impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            threads: workload::par::host_threads(),
             journal_dir: None,
             resume: false,
             deadline: None,

@@ -323,10 +323,7 @@ pub fn run_cell_with(
 /// Run the whole campaign at the given scale. Cells are independent
 /// simulations, so they run across all available cores.
 pub fn run_matrix(scale: Scale) -> Matrix {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    run_matrix_with_threads(scale, threads)
+    run_matrix_with_threads(scale, host_threads())
 }
 
 /// [`run_matrix`] with an explicit worker count (determinism tests pin

@@ -43,5 +43,5 @@ pub mod prelude {
     pub use crate::host::{EnergyBreakdown, HostContext, HostPowerModel, PacketCosts};
     pub use crate::meter::{EnergyMeter, EnergyReading};
     pub use crate::model::{is_strictly_concave, FanModel, ThroughputPowerCurve};
-    pub use crate::rapl::{RaplCounter, RaplDomain, RaplPackage, DEFAULT_UNIT_J};
+    pub use crate::rapl::{RaplCounter, DEFAULT_UNIT_J};
 }

@@ -6,10 +6,13 @@
 //! simulator's recorded [`HostActivity`] and the calibrated
 //! [`HostPowerModel`], deposits the modeled energy into a wrapping
 //! quantized counter, and differences raw reads — so reported Joules carry
-//! genuine RAPL quantization, exactly like the testbed numbers.
+//! genuine RAPL quantization, exactly like the testbed numbers. Like a
+//! real RAPL reader it reads at least once per counter wrap: a window
+//! holding more than half a register of energy is deposited in chunks,
+//! each differenced on its own, and the differences summed.
 
 use crate::host::{EnergyBreakdown, HostContext, HostPowerModel};
-use crate::rapl::{RaplDomain, RaplPackage};
+use crate::rapl::RaplCounter;
 use netsim::ids::NodeId;
 use netsim::time::SimDuration;
 use netsim::trace::HostActivity;
@@ -35,8 +38,13 @@ impl EnergyReading {
     }
 }
 
+/// Most energy deposited between two reads of the counter: half its
+/// 2³²-unit register at the default 2⁻¹⁶ J unit, so each differenced pair
+/// spans less than one wrap even with the carried sub-unit residue.
+const READ_EVERY_J: f64 = 32_768.0;
+
 /// Measures host energy from recorded activity via an emulated RAPL
-/// package per host.
+/// counter per host.
 pub struct EnergyMeter {
     model: HostPowerModel,
 }
@@ -69,12 +77,22 @@ impl EnergyMeter {
             ctx,
         );
 
-        // The paper's procedure: counter read, scenario, counter read.
-        let mut rapl = RaplPackage::new();
-        let before = rapl.read_raw(RaplDomain::Package);
-        rapl.deposit(breakdown.total_j());
-        let after = rapl.read_raw(RaplDomain::Package);
-        let joules = rapl.delta_j(RaplDomain::Package, before, after);
+        // The paper's procedure: counter read, scenario, counter read —
+        // with a read pair per chunk of less than one wrap.
+        let mut left = breakdown.total_j();
+        assert!(left.is_finite(), "non-finite energy {left} J");
+        let mut rapl = RaplCounter::new();
+        let mut joules = 0.0;
+        loop {
+            let chunk = left.min(READ_EVERY_J);
+            let before = rapl.read_raw();
+            rapl.deposit(chunk);
+            joules += rapl.delta_j(before, rapl.read_raw());
+            left -= chunk;
+            if left <= 0.0 {
+                break;
+            }
+        }
 
         EnergyReading {
             host,
@@ -125,5 +143,27 @@ mod tests {
             HostContext::default(),
         );
         assert!((reading.average_w() - 21.49).abs() < 0.01);
+    }
+
+    #[test]
+    fn an_hour_of_idle_survives_the_counter_wrap() {
+        // 21.49 W for 3 600 s is 77 364 J, past the register's 65 536 J:
+        // one read pair around the whole window would lose a wrap.
+        let meter = EnergyMeter::new(calibration::reference_host_model());
+        let host = NodeId::from_raw(0);
+        let act = HostActivity::new(SimDuration::from_millis(10));
+        let reading = meter.measure_host(
+            &act,
+            host,
+            SimDuration::from_secs(3_600),
+            HostContext::default(),
+        );
+        assert!(reading.breakdown.total_j() > 65_536.0);
+        assert!(
+            (reading.joules - reading.breakdown.total_j()).abs() <= crate::rapl::DEFAULT_UNIT_J,
+            "{} J read, {} J deposited",
+            reading.joules,
+            reading.breakdown.total_j()
+        );
     }
 }

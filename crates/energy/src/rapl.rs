@@ -9,20 +9,16 @@
 //!
 //! This module reproduces that interface faithfully — quantized units,
 //! 32-bit wraparound, monotone deposits — so experiments can measure
-//! energy the same way the paper did, wraparound bugs and all.
+//! energy the same way the paper did. Only the package plane is
+//! modelled: it is the one the paper reads. The register holds
+//! 2³² units (65 536 J at the default unit), so a reader that differences
+//! two reads must read at least once per wrap, as
+//! [`crate::meter::EnergyMeter`] does.
 
 /// Default RAPL energy unit: 2^-16 J ≈ 15.3 µJ (ENERGY_STATUS_UNITS=16).
 pub const DEFAULT_UNIT_J: f64 = 1.0 / 65_536.0;
 
-/// A RAPL power domain, as exposed per package. Only the package plane
-/// is modelled: it is the one the paper reads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RaplDomain {
-    /// Whole-package energy (PKG).
-    Package,
-}
-
-/// A single wrapping energy counter.
+/// A single wrapping energy counter: one package's PKG domain.
 #[derive(Clone, Debug)]
 pub struct RaplCounter {
     unit_j: f64,
@@ -69,9 +65,9 @@ impl RaplCounter {
     }
 
     /// Energy in Joules between two raw reads, assuming at most one wrap
-    /// (the standard RAPL-consumer assumption; the counter wraps after
-    /// ~18 hours at 1 kW with the default unit, so this is safe for any
-    /// experiment).
+    /// (the standard RAPL-consumer assumption). With the default unit the
+    /// counter wraps every 65 536 J: ~65 s at 1 kW, ~51 min at the
+    /// testbed's 21.49 W idle, so a longer window needs reads in between.
     pub fn delta_j(&self, before: u32, after: u32) -> f64 {
         let units = after.wrapping_sub(before) as u64;
         units as f64 * self.unit_j
@@ -81,40 +77,6 @@ impl RaplCounter {
 impl Default for RaplCounter {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A package's RAPL domains, read the way the paper reads them.
-#[derive(Clone, Debug, Default)]
-pub struct RaplPackage {
-    package: RaplCounter,
-}
-
-impl RaplPackage {
-    /// Create a package with the default unit.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Deposit package energy.
-    pub fn deposit(&mut self, package_j: f64) {
-        self.package.deposit(package_j);
-    }
-
-    /// Read a domain's raw counter.
-    pub fn read_raw(&self, domain: RaplDomain) -> u32 {
-        self.counter(domain).read_raw()
-    }
-
-    /// Joules between two raw reads of a domain.
-    pub fn delta_j(&self, domain: RaplDomain, before: u32, after: u32) -> f64 {
-        self.counter(domain).delta_j(before, after)
-    }
-
-    fn counter(&self, domain: RaplDomain) -> &RaplCounter {
-        match domain {
-            RaplDomain::Package => &self.package,
-        }
     }
 }
 

@@ -514,29 +514,6 @@ impl Network {
         self.sched.push(at, event);
     }
 
-    /// Size the scheduler's wheel buckets from the topology: one bucket
-    /// per fastest-link serialization time (a 1500-byte frame, or the
-    /// per-packet gap when a pps cap dominates), so back-to-back packets
-    /// land in adjacent buckets instead of piling into one.
-    fn autosize_scheduler(&mut self) {
-        if !self.sched.is_empty() {
-            return;
-        }
-        let width = self
-            .links
-            .iter()
-            .map(|l| {
-                l.rate
-                    .serialization_time(1500)
-                    .max(l.min_pkt_gap)
-                    .as_nanos()
-            })
-            .min();
-        if let Some(width) = width {
-            self.sched.set_bucket_width(width);
-        }
-    }
-
     /// Route the frame out of `node` and enqueue it on the chosen link.
     fn route_and_transmit(&mut self, node: NodeId, frame: FrameRef) {
         let dst = self.frames.get(frame).dst;
@@ -925,7 +902,6 @@ impl Network {
         if self.events_processed > 0 || self.now > SimTime::ZERO {
             return;
         }
-        self.autosize_scheduler();
         self.report_agent_occupancy();
         for i in 0..self.nodes.len() {
             self.with_agent(NodeId::from_raw(i as u32), |agent, ctx| agent.on_start(ctx));

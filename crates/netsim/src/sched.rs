@@ -10,9 +10,11 @@
 //! [`Scheduler`] exploits that shape:
 //!
 //! * a **near-future wheel** of `NUM_BUCKETS` buckets, each covering one
-//!   power-of-two-sized *tick* of simulated time (the bucket width is
-//!   auto-sized from link serialization times — see
-//!   [`Scheduler::set_bucket_width`]). Every wheel entry is a node in
+//!   1 024 ns *tick* of simulated time: the serialization time of a
+//!   1 500-byte frame at 10 Gb/s, the rate of every topology the product
+//!   builds, rounded down to a power of two. A network with other link
+//!   rates pops in the same order; it only does a different amount of
+//!   wheel work per event. Every wheel entry is a node in
 //!   one slab `Vec`; a bucket is a singly linked list through that slab,
 //!   kept ascending by `(at, seq)`. Pushing an event whose tick is within
 //!   the wheel horizon links it (in the common, time-ordered case) behind
@@ -45,22 +47,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Number of wheel buckets. Power of two so slot = tick & mask. 1024
-/// buckets at the default 1 µs tick give a ~1 ms horizon: several RTTs of
-/// the paper's testbed, which keeps all data-path events on the wheel.
+/// buckets of ~1 µs give a ~1 ms horizon: several RTTs of the paper's
+/// testbed, which keeps all data-path events on the wheel.
 const NUM_BUCKETS: usize = 1024;
 const MASK: u64 = NUM_BUCKETS as u64 - 1;
 
-/// Default bucket width: 2^10 ns ≈ 1 µs, the serialization time of a
-/// 1500-byte frame at 10 Gb/s (the paper's testbed NIC).
-const DEFAULT_SHIFT: u32 = 10;
-
-/// Smallest allowed bucket width (ns, power of two). Below 128 ns the
-/// wheel horizon gets shorter than an RTT.
-pub const MIN_BUCKET_NS: u64 = 128;
-/// Largest allowed bucket width (ns, power of two). Above 32 µs a
-/// bucket holds so many events that an out-of-order insert's walk
-/// approaches heap cost.
-pub const MAX_BUCKET_NS: u64 = 32_768;
+/// Bucket width as a shift: 2^10 ns ≈ 1 µs, the serialization time of a
+/// 1500-byte frame at 10 Gb/s (the paper's testbed NIC) rounded down.
+const BUCKET_SHIFT: u32 = 10;
 
 /// Outcome of [`Scheduler::pop_due`].
 pub enum Due<T> {
@@ -164,14 +158,12 @@ pub struct Scheduler<T> {
     /// Entries currently in wheel buckets.
     wheel_len: usize,
     heap: BinaryHeap<Reverse<Entry<T>>>,
-    /// log2 of the bucket width in nanoseconds.
-    shift: u32,
     seq: u64,
     stats: SchedStats,
 }
 
 impl<T> Scheduler<T> {
-    /// An empty scheduler with the default ~1 µs bucket width.
+    /// An empty scheduler.
     pub fn new() -> Self {
         Scheduler {
             nodes: Vec::new(),
@@ -180,27 +172,9 @@ impl<T> Scheduler<T> {
             base_tick: 0,
             wheel_len: 0,
             heap: BinaryHeap::new(),
-            shift: DEFAULT_SHIFT,
             seq: 0,
             stats: SchedStats::default(),
         }
-    }
-
-    /// Set the bucket width, rounded down to a power of two and clamped to
-    /// `[MIN_BUCKET_NS, MAX_BUCKET_NS]`. Only allowed while empty (the
-    /// engine sizes the wheel from link serialization times right before
-    /// the first event is scheduled).
-    pub fn set_bucket_width(&mut self, width_ns: u64) {
-        assert!(self.is_empty(), "cannot resize a non-empty scheduler");
-        let clamped = width_ns.clamp(MIN_BUCKET_NS, MAX_BUCKET_NS);
-        self.shift = 63 - clamped.leading_zeros();
-        // Keep the wheel position consistent with any time already elapsed.
-        self.base_tick = 0;
-    }
-
-    /// Current bucket width in nanoseconds.
-    pub fn bucket_width_ns(&self) -> u64 {
-        1 << self.shift
     }
 
     /// Number of pending entries (wheel + heap).
@@ -219,8 +193,8 @@ impl<T> Scheduler<T> {
     }
 
     #[inline]
-    fn tick_of(&self, at: SimTime) -> u64 {
-        at.as_nanos() >> self.shift
+    fn tick_of(at: SimTime) -> u64 {
+        at.as_nanos() >> BUCKET_SHIFT
     }
 
     /// Insert an item at time `at`. Later inserts at the same `at` pop
@@ -242,7 +216,7 @@ impl<T> Scheduler<T> {
         // Clamp: an `at` in the past (engine callers never produce one,
         // timers are clamped to `now`) still lands in the current bucket
         // rather than corrupting a wrapped slot.
-        let tick = self.tick_of(at).max(self.base_tick);
+        let tick = Self::tick_of(at).max(self.base_tick);
         if tick < self.base_tick + NUM_BUCKETS as u64 {
             self.stats.wheel_pushes += 1;
             self.wheel_insert(tick, entry);
@@ -350,7 +324,7 @@ impl<T> Scheduler<T> {
             // the heap in ascending order, so per-bucket these are
             // appends too.
             while let Some(Reverse(top)) = self.heap.peek() {
-                let tick = self.tick_of(top.at);
+                let tick = Self::tick_of(top.at);
                 if tick >= self.base_tick + NUM_BUCKETS as u64 {
                     break;
                 }
@@ -368,7 +342,7 @@ impl<T> Scheduler<T> {
                 };
                 // Nothing within a full horizon: jump straight to the
                 // heap's earliest tick instead of stepping through empties.
-                self.base_tick = self.tick_of(top.at);
+                self.base_tick = Self::tick_of(top.at);
                 continue;
             }
             if self.buckets[(self.base_tick & MASK) as usize].head == NIL {
@@ -528,7 +502,7 @@ mod tests {
     #[test]
     fn far_future_goes_through_heap_and_back() {
         let mut s = Scheduler::new();
-        // Far beyond the wheel horizon (1024 µs at default width).
+        // Far beyond the wheel horizon (~1 ms).
         s.push(SimTime::from_millis(250), "rto");
         s.push(SimTime::from_nanos(10), "now");
         assert_eq!(s.stats().heap_pushes, 1);
@@ -719,15 +693,14 @@ mod tests {
 
     #[test]
     fn one_bucket_of_ten_thousand_drains_in_order() {
-        // The widest bucket, filled in random order: every insert walks
+        // One bucket, filled in random order: nearly every insert walks
         // the list, and the drain must still be the exact (at, seq) order.
         const N: u32 = 10_000;
         let mut next = xorshift(0x2545f4914f6cdd1d);
         let mut s = Scheduler::new();
-        s.set_bucket_width(MAX_BUCKET_NS);
         let mut want = Vec::new();
         for id in 0..N {
-            let at = SimTime::from_nanos(next() % MAX_BUCKET_NS);
+            let at = SimTime::from_nanos(next() % (1 << BUCKET_SHIFT));
             s.push(at, id);
             want.push((at, id));
         }
@@ -741,17 +714,6 @@ mod tests {
         let got: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
         assert_eq!(got, want);
         assert_eq!(s.nodes.len(), N as usize);
-    }
-
-    #[test]
-    fn bucket_width_clamps_and_rounds() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        s.set_bucket_width(1_200); // 10 Gb/s * 1500 B
-        assert_eq!(s.bucket_width_ns(), 1024);
-        s.set_bucket_width(1);
-        assert_eq!(s.bucket_width_ns(), MIN_BUCKET_NS);
-        s.set_bucket_width(u64::MAX);
-        assert_eq!(s.bucket_width_ns(), MAX_BUCKET_NS);
     }
 
     #[test]

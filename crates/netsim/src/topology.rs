@@ -52,7 +52,10 @@ impl BottleneckQueue {
     }
 }
 
-/// Parameters of the dumbbell testbed.
+/// Parameters of the dumbbell testbed. Every link serializes at its
+/// rate with no per-packet gap: the host packet-rate ceiling of the
+/// paper's §4.4 is modelled at the sender (`TcpSenderConfig::min_pkt_gap`
+/// in `transport`), not on the links a topology builds.
 #[derive(Clone, Debug)]
 pub struct DumbbellConfig {
     /// Bottleneck (switch -> receiver) rate. The paper's is 10 Gb/s.
@@ -69,10 +72,6 @@ pub struct DumbbellConfig {
     pub bottleneck_queue: BottleneckQueue,
     /// Buffer on non-bottleneck links, in bytes.
     pub edge_buffer_bytes: u64,
-    /// Host packet-processing ceiling: minimum spacing between packets a
-    /// host can emit. `ZERO` disables. Models the per-packet CPU cost that
-    /// keeps small-MTU senders below line rate.
-    pub host_min_pkt_gap: SimDuration,
     /// Number of sender hosts (each gets its own edge link set).
     pub senders: usize,
 }
@@ -91,7 +90,6 @@ impl Default for DumbbellConfig {
                 capacity_bytes: 1_000_000,
             },
             edge_buffer_bytes: 4_000_000,
-            host_min_pkt_gap: SimDuration::ZERO,
             senders: 1,
         }
     }
@@ -137,8 +135,7 @@ impl Dumbbell {
         let rx_up = net.add_link(
             receiver,
             switch,
-            LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes)
-                .with_min_pkt_gap(cfg.host_min_pkt_gap),
+            LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
         );
         net.add_route(receiver, switch, rx_up);
 
@@ -151,8 +148,7 @@ impl Dumbbell {
                 let l = net.add_link(
                     host,
                     switch,
-                    LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes)
-                        .with_min_pkt_gap(cfg.host_min_pkt_gap),
+                    LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
                 );
                 net.add_route(host, receiver, l);
                 bond.push(l);

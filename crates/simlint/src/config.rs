@@ -6,15 +6,12 @@
 //! is a config error with a line number — better to fail loudly than to
 //! silently ignore a rule someone thought they configured.
 
-use crate::diag::Severity;
 use std::collections::BTreeMap;
 
-/// Settings for one rule. Empty lists mean "no constraint".
-#[derive(Clone, Debug)]
+/// Where one rule applies. Empty lists mean "no constraint". A rule
+/// always runs, at its own severity, on non-test code only.
+#[derive(Clone, Debug, Default)]
 pub struct RuleConfig {
-    pub enabled: bool,
-    /// Severity override (rules carry their own default).
-    pub severity: Option<Severity>,
     /// Crates the rule applies to (crate dir name, or `root` for the
     /// top-level package). Empty: all crates.
     pub crates: Vec<String>,
@@ -24,25 +21,9 @@ pub struct RuleConfig {
     /// Path prefixes exempt from the rule (e.g. the blessed durability
     /// module for the raw-write rule).
     pub allow_paths: Vec<String>,
-    /// Lint test code too (default: test modules/files are skipped).
-    pub include_tests: bool,
     /// Registered name prefixes (used by `metric-name-registry`; empty
     /// means any prefix is accepted).
     pub prefixes: Vec<String>,
-}
-
-impl Default for RuleConfig {
-    fn default() -> Self {
-        RuleConfig {
-            enabled: true,
-            severity: None,
-            crates: Vec::new(),
-            paths: Vec::new(),
-            allow_paths: Vec::new(),
-            include_tests: false,
-            prefixes: Vec::new(),
-        }
-    }
 }
 
 /// The whole config file.
@@ -145,17 +126,9 @@ pub fn parse(text: &str, source: &str) -> Result<Config, String> {
             Some(rule) => {
                 let rc = cfg.rules.get_mut(rule).expect("section pre-registered");
                 match key {
-                    "enabled" => rc.enabled = value.into_bool(key)?,
-                    "severity" => {
-                        let s = value.into_string(key)?;
-                        rc.severity = Some(Severity::parse(&s).ok_or_else(|| {
-                            format!("{source}:{lineno}: bad severity `{s}` (error|warn)")
-                        })?);
-                    }
                     "crates" => rc.crates = value.into_strings(key)?,
                     "paths" => rc.paths = value.into_strings(key)?,
                     "allow_paths" => rc.allow_paths = value.into_strings(key)?,
-                    "include_tests" => rc.include_tests = value.into_bool(key)?,
                     "prefixes" => rc.prefixes = value.into_strings(key)?,
                     _ => {
                         return Err(format!(
@@ -172,9 +145,6 @@ pub fn parse(text: &str, source: &str) -> Result<Config, String> {
                 "{source}: [rules.{id}] is scoped by `crates` of [rules.{}], the one list of replayed crates",
                 crate::closure::RULE
             ));
-        }
-        if id == crate::closure::RULE && !rc.enabled {
-            return Err(format!("{source}: [rules.{id}] has no off switch"));
         }
     }
     Ok(cfg)
@@ -217,26 +187,12 @@ fn strip_comment(line: &str) -> &str {
 
 enum Value {
     Str(String),
-    Bool(bool),
+    Bool,
     Int,
     Strings(Vec<String>),
 }
 
 impl Value {
-    fn into_string(self, key: &str) -> Result<String, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            _ => Err(format!("`{key}` wants a string")),
-        }
-    }
-
-    fn into_bool(self, key: &str) -> Result<bool, String> {
-        match self {
-            Value::Bool(b) => Ok(b),
-            _ => Err(format!("`{key}` wants true/false")),
-        }
-    }
-
     fn into_strings(self, key: &str) -> Result<Vec<String>, String> {
         match self {
             Value::Strings(v) => Ok(v),
@@ -246,11 +202,8 @@ impl Value {
 }
 
 fn parse_value(s: &str) -> Result<Value, String> {
-    if s == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if s == "false" {
-        return Ok(Value::Bool(false));
+    if s == "true" || s == "false" {
+        return Ok(Value::Bool);
     }
     if let Some(body) = s.strip_prefix('[') {
         let body = body
@@ -321,24 +274,22 @@ mod tests {
             [rules.replayed-closure]
             crates = ["netsim", "transport"]
             [rules.wall-clock]
-            severity = "error"
             [rules.range-index]
-            severity = "warn"
-            enabled = false
+            paths = ["crates/netsim/src/sched.rs"]
             "#,
             "test",
         )
         .unwrap();
         assert_eq!(cfg.skip_dirs, vec!["target", "vendor"]);
-        let wc = cfg.rule("wall-clock");
-        assert_eq!(wc.severity, Some(Severity::Error));
-        assert_eq!(wc.crates, vec!["netsim", "transport"]);
-        assert!(wc.enabled);
-        assert!(!cfg.rule("range-index").enabled);
+        assert_eq!(cfg.rule("wall-clock").crates, vec!["netsim", "transport"]);
+        assert_eq!(
+            cfg.rule("range-index").paths,
+            vec!["crates/netsim/src/sched.rs"]
+        );
         // Unmentioned rule: defaults — and a sink rule is scoped to the
         // replayed set without a section of its own.
         let d = cfg.rule("raw-write");
-        assert!(d.enabled && d.severity.is_none() && d.crates.is_empty());
+        assert!(d.crates.is_empty() && d.paths.is_empty());
         assert_eq!(cfg.rule("thread-id").crates, vec!["netsim", "transport"]);
     }
 
@@ -347,13 +298,15 @@ mod tests {
         let err = parse("[rules.wall-clock]\ncrates = [\"netsim\"]\n", "t").unwrap_err();
         assert!(err.contains("[rules.replayed-closure]"), "{err}");
         let err = parse("[rules.replayed-closure]\nenabled = false\n", "t").unwrap_err();
-        assert!(err.contains("no off switch"), "{err}");
+        assert!(err.contains("t:2: unknown rule key `enabled`"), "{err}");
     }
 
     #[test]
     fn errors_carry_line_numbers() {
-        let err = parse("[rules.x]\nseverity = \"fatal\"\n", "simlint.toml").unwrap_err();
-        assert!(err.contains("simlint.toml:2"), "{err}");
+        for key in ["enabled = true", "severity = \"warn\""] {
+            let err = parse(&format!("[rules.x]\n{key}\n"), "simlint.toml").unwrap_err();
+            assert!(err.contains("simlint.toml:2: unknown rule key"), "{err}");
+        }
         let err = parse("nonsense\n", "f").unwrap_err();
         assert!(err.contains("f:1"), "{err}");
     }

@@ -22,14 +22,6 @@ impl Severity {
             Severity::Error => "error",
         }
     }
-
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "warn" | "warning" => Some(Severity::Warn),
-            "error" => Some(Severity::Error),
-            _ => None,
-        }
-    }
 }
 
 /// One finding: rule, position, message, and (if an inline

@@ -47,16 +47,10 @@ pub(crate) struct Registry {
     pub(crate) state: BTreeMap<String, SchemaEntry>,
 }
 
-fn finding(
-    rule: &'static str,
-    rc: &RuleConfig,
-    path: &str,
-    line: u32,
-    message: String,
-) -> Diagnostic {
+fn finding(rule: &'static str, path: &str, line: u32, message: String) -> Diagnostic {
     Diagnostic {
         rule,
-        severity: rc.severity.unwrap_or(Severity::Error),
+        severity: Severity::Error,
         path: path.to_string(),
         line,
         col: 1,
@@ -89,12 +83,11 @@ impl Registry {
         let applies = |rc: &RuleConfig| rule_applies(rc, input.crate_name, input.rel_path);
         if applies(&self.exit) {
             for (i, lit) in exit_literals(toks) {
-                if in_test(i) && !self.exit.include_tests {
+                if in_test(i) {
                     continue;
                 }
                 out.push(finding(
                     "exit-code-registry",
-                    &self.exit,
                     input.rel_path,
                     toks[i].line,
                     format!(
@@ -105,7 +98,7 @@ impl Registry {
         }
         if applies(&self.metrics) {
             for (i, lit) in metric_literals(toks) {
-                if in_test(i) && !self.metrics.include_tests {
+                if in_test(i) {
                     continue;
                 }
                 self.sites.push(MetricSite {
@@ -313,7 +306,7 @@ impl Registry {
             return; // rule disabled, or not scoped to any present file
         }
         let mut diag = |path: &str, msg: String| {
-            out.push(finding("schema-version-bump", &self.schema, path, 1, msg));
+            out.push(finding("schema-version-bump", path, 1, msg));
         };
         let lock = match lock_text.map(parse_lock) {
             Some(Ok(lock)) => lock,
@@ -401,7 +394,7 @@ impl Registry {
         let rc = &self.metrics;
         let mut owner: BTreeMap<&str, &str> = BTreeMap::new(); // name → first crate
         let mut diag = |m: &MetricSite, msg: String| {
-            out.push(finding("metric-name-registry", rc, &m.path, m.line, msg));
+            out.push(finding("metric-name-registry", &m.path, m.line, msg));
         };
         for m in &self.sites {
             let snake = m

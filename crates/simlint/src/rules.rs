@@ -4,7 +4,7 @@
 //! Every rule is a pattern over the token stream produced by
 //! [`crate::lexer`]. Rules are registered in [`RULES`] with a default
 //! severity and a one-line description; `simlint.toml` scopes each rule
-//! to crates/paths and may override severity. See DESIGN.md ("Static
+//! to crates/paths. See DESIGN.md ("Static
 //! analysis & enforced invariants") for the invariant each rule guards.
 
 use crate::config::{Config, RuleConfig};
@@ -214,13 +214,12 @@ pub(crate) fn scan_file(
         if !rule_applies(&rc, input.crate_name, input.rel_path) {
             continue;
         }
-        let severity = rc.severity.unwrap_or(def.default_severity);
-        let skip_tests = !rc.include_tests;
+        let severity = def.default_severity;
         match def.id {
-            id if is_sink_family(id) => ctx.rule_sinks(id, severity, skip_tests),
-            "panic-hygiene" => ctx.rule_panic_hygiene(severity, skip_tests),
-            "range-index" => ctx.rule_range_index(severity, skip_tests),
-            "raw-write" => ctx.rule_raw_write(severity, skip_tests),
+            id if is_sink_family(id) => ctx.rule_sinks(id, severity),
+            "panic-hygiene" => ctx.rule_panic_hygiene(severity),
+            "range-index" => ctx.rule_range_index(severity),
+            "raw-write" => ctx.rule_raw_write(severity),
             // Pseudo-rules run in collect_suppressions / settle.
             "suppression" | "unused-suppression" => {}
             // Workspace rules: the registry below, crate::closure.
@@ -237,8 +236,7 @@ pub(crate) fn scan_file(
 /// Does `rc` apply to this file at all?
 pub fn rule_applies(rc: &RuleConfig, crate_name: &str, rel_path: &str) -> bool {
     let under = |prefixes: &[String]| prefixes.iter().any(|p| rel_path.starts_with(p.as_str()));
-    rc.enabled
-        && (rc.crates.is_empty() || rc.crates.iter().any(|c| c == crate_name))
+    (rc.crates.is_empty() || rc.crates.iter().any(|c| c == crate_name))
         && (rc.paths.is_empty() || under(&rc.paths))
         && !under(&rc.allow_paths)
 }
@@ -628,8 +626,9 @@ struct Ctx<'a, 'b> {
 }
 
 impl Ctx<'_, '_> {
-    fn skip(&self, i: usize, skip_tests: bool) -> bool {
-        skip_tests && (self.input.is_test_file || self.test_mask[i])
+    /// Test code is never linted.
+    fn skip(&self, i: usize) -> bool {
+        self.input.is_test_file || self.test_mask[i]
     }
 
     fn push(&mut self, rule: &'static str, severity: Severity, i: usize, message: String) {
@@ -654,9 +653,9 @@ impl Ctx<'_, '_> {
 
     /// Every [`SINKS`] row of `family`, at each place the sink is named:
     /// used, imported, or renamed on import.
-    fn rule_sinks(&mut self, family: &'static str, sev: Severity, skip_tests: bool) {
+    fn rule_sinks(&mut self, family: &'static str, sev: Severity) {
         for i in 0..self.toks.len() {
-            if self.skip(i, skip_tests) {
+            if self.skip(i) {
                 continue;
             }
             for s in SINKS.iter().filter(|s| s.family == family) {
@@ -696,9 +695,9 @@ impl Ctx<'_, '_> {
         None
     }
 
-    fn rule_panic_hygiene(&mut self, sev: Severity, skip_tests: bool) {
+    fn rule_panic_hygiene(&mut self, sev: Severity) {
         for i in 0..self.toks.len() {
-            if self.skip(i, skip_tests) {
+            if self.skip(i) {
                 continue;
             }
             let t = &self.toks[i];
@@ -738,9 +737,9 @@ impl Ctx<'_, '_> {
         }
     }
 
-    fn rule_range_index(&mut self, sev: Severity, skip_tests: bool) {
+    fn rule_range_index(&mut self, sev: Severity) {
         for i in 0..self.toks.len() {
-            if self.skip(i, skip_tests) {
+            if self.skip(i) {
                 continue;
             }
             // `expr[ ... .. ... ]`: `[` preceded by an expression-ending
@@ -781,9 +780,9 @@ impl Ctx<'_, '_> {
         }
     }
 
-    fn rule_raw_write(&mut self, sev: Severity, skip_tests: bool) {
+    fn rule_raw_write(&mut self, sev: Severity) {
         for i in 0..self.toks.len() {
-            if self.skip(i, skip_tests) {
+            if self.skip(i) {
                 continue;
             }
             let hit = if self.path2(i, "fs", "write") {

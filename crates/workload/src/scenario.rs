@@ -453,7 +453,6 @@ pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
             hop_delay: scenario.hop_delay,
             bottleneck_queue: scenario.bottleneck_queue(),
             edge_buffer_bytes: 4_000_000,
-            host_min_pkt_gap: SimDuration::ZERO,
             senders: if scenario.colocate_senders {
                 1
             } else {
