@@ -15,7 +15,6 @@ use crate::fault::{FaultSpec, FaultState, FAULT_STREAM_SALT};
 use crate::ids::{LinkId, NodeId};
 use crate::link::{LinkSpec, LinkState, LinkStats};
 use crate::packet::Packet;
-use crate::pktlog::{PacketEventKind, PacketLog};
 use crate::pool::{FramePool, FrameRef};
 use crate::queue::{EnqueueOutcome, QueueStats};
 use crate::rng::SimRng;
@@ -158,6 +157,30 @@ impl NetworkStats {
     }
 }
 
+/// The packet log's two counts, derived from [`NetworkStats`]: every
+/// packet fate the engine counts — congestive drop, CE mark, injected
+/// drop, corrupt discard, clean host delivery — is one record of a log
+/// that keeps at most `capacity` of them. Per-packet drop and mark
+/// detail lives on the obs recorder's queue track.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PacketLog {
+    seen: u64,
+    capacity: u64,
+}
+
+impl PacketLog {
+    /// Packet fates observed since the network was created.
+    pub fn total_seen(&self) -> u64 {
+        self.seen
+    }
+
+    /// Records past the log's capacity. Non-zero means a log of that
+    /// size would hold a suffix of the run, not the whole run.
+    pub fn overflowed(&self) -> u64 {
+        self.seen.saturating_sub(self.capacity)
+    }
+}
+
 /// Engine performance counters: event totals plus the scheduler's
 /// wheel/heap operation counts. Cheap to copy; sample before and after a
 /// run to attribute costs.
@@ -195,7 +218,7 @@ pub struct Network {
     master_seed: u64,
     flow_trace: Option<FlowTrace>,
     activity: Option<HostActivity>,
-    pkt_log: Option<PacketLog>,
+    pkt_log_capacity: Option<usize>,
     /// Observability seam (see [`Network::set_recorder`]). `None` — the
     /// default — keeps the hot path at a single branch per site, and the
     /// recorder never touches the RNG or the event queue, so attaching
@@ -249,7 +272,7 @@ impl Network {
             master_seed: seed,
             flow_trace: None,
             activity: None,
-            pkt_log: None,
+            pkt_log_capacity: None,
             recorder: None,
             commands: Vec::new(),
             delivery_buf: Vec::new(),
@@ -320,15 +343,25 @@ impl Network {
         self.activity.as_ref()
     }
 
-    /// Enable packet-level event logging (drops, marks, deliveries),
-    /// keeping the most recent `capacity` events.
+    /// Enable the packet log's counts (see [`PacketLog`]) for a log of
+    /// `capacity` records. A capacity of 0 reports every record as
+    /// overflowed.
     pub fn enable_packet_log(&mut self, capacity: usize) {
-        self.pkt_log = Some(PacketLog::new(capacity));
+        self.pkt_log_capacity = Some(capacity);
     }
 
-    /// The packet log, if enabled.
-    pub fn packet_log(&self) -> Option<&PacketLog> {
-        self.pkt_log.as_ref()
+    /// The packet log's counts, if enabled.
+    pub fn packet_log(&self) -> Option<PacketLog> {
+        let capacity = self.pkt_log_capacity?;
+        let s = self.network_stats();
+        Some(PacketLog {
+            seen: s.dropped_pkts
+                + s.marked_pkts
+                + s.injected_drops
+                + s.corrupt_discards
+                + s.delivered_pkts,
+            capacity: capacity as u64,
+        })
     }
 
     /// Attach an observability recorder. The engine reports queue
@@ -538,12 +571,9 @@ impl Network {
         let link = &mut self.links[link_id.index()];
         match link.qdisc.enqueue(frame, &mut self.frames, now) {
             EnqueueOutcome::Dropped => {
-                // The qdisc did not store the ref: log the drop, then
+                // The qdisc did not store the ref: report the drop, then
                 // free the slot — the frame's life ends here.
                 let pkt = self.frames.get(frame);
-                if let Some(log) = self.pkt_log.as_mut() {
-                    log.record(now, PacketEventKind::Dropped, pkt, Some(link_id), None);
-                }
                 if let Some(rec) = &self.recorder {
                     rec.borrow_mut().queue_drop(
                         now.as_nanos(),
@@ -557,9 +587,6 @@ impl Network {
             outcome @ (EnqueueOutcome::Enqueued | EnqueueOutcome::EnqueuedMarked) => {
                 if outcome == EnqueueOutcome::EnqueuedMarked {
                     let pkt = self.frames.get(frame);
-                    if let Some(log) = self.pkt_log.as_mut() {
-                        log.record(now, PacketEventKind::Marked, pkt, Some(link_id), None);
-                    }
                     if let Some(rec) = &self.recorder {
                         rec.borrow_mut().queue_mark(
                             now.as_nanos(),
@@ -673,9 +700,6 @@ impl Network {
         }
         if lost {
             let pkt = self.frames.get(frame);
-            if let Some(log) = self.pkt_log.as_mut() {
-                log.record(now, PacketEventKind::InjectedDrop, pkt, Some(link_id), None);
-            }
             if let Some(rec) = &self.recorder {
                 rec.borrow_mut().queue_drop(
                     now.as_nanos(),
@@ -726,10 +750,10 @@ impl Network {
     }
 
     /// Per-packet host receive bookkeeping: activity, FCS check, traces,
-    /// packet log, conservation counters. Returns `false` when the frame
-    /// is a corrupt discard that must not reach the agent. Runs once per
-    /// packet whether or not the dispatch itself is batched, so batching
-    /// cannot change any counter or trace.
+    /// and the conservation counters the packet log's counts read.
+    /// Returns `false` when the frame is a corrupt discard that must not
+    /// reach the agent. Runs once per packet whether or not the dispatch
+    /// itself is batched, so batching cannot change any counter or trace.
     fn host_rx_bookkeeping(&mut self, node: NodeId, pkt: &Packet) -> bool {
         debug_assert_eq!(pkt.dst, node, "host received mis-routed packet");
         if let Some(act) = self.activity.as_mut() {
@@ -740,24 +764,12 @@ impl Network {
             // recorded above) but discards the frame before the
             // transport ever sees it.
             self.corrupt_discards += 1;
-            if let Some(log) = self.pkt_log.as_mut() {
-                log.record(
-                    self.now,
-                    PacketEventKind::CorruptDiscard,
-                    pkt,
-                    None,
-                    Some(node),
-                );
-            }
             return false;
         }
         if pkt.is_data() {
             if let Some(trace) = self.flow_trace.as_mut() {
                 trace.record(pkt.flow, self.now, pkt.payload_bytes as u64);
             }
-        }
-        if let Some(log) = self.pkt_log.as_mut() {
-            log.record(self.now, PacketEventKind::Delivered, pkt, None, Some(node));
         }
         // A host delivery is the watchdog's definition of
         // application progress.
@@ -1332,7 +1344,8 @@ mod tests {
         net.attach_agent(b, Box::new(Echo::new(a)));
         net.run();
         let trace = net.flow_trace().unwrap();
-        assert_eq!(trace.total_bytes(FlowId::from_raw(0)), 4000);
+        let delivered: u64 = trace.series(FlowId::from_raw(0)).iter().sum();
+        assert_eq!(delivered, 4000);
     }
 
     #[test]
@@ -1414,13 +1427,8 @@ mod tests {
         // Injected losses never masquerade as congestive drops.
         assert_eq!(net.network_stats().dropped_pkts, 0);
         assert_eq!(net.network_stats().injected_drops, 5);
-        assert_eq!(
-            net.packet_log()
-                .unwrap()
-                .of_kind(PacketEventKind::InjectedDrop)
-                .len(),
-            5
-        );
+        // The injected drops are the run's only packet fates.
+        assert_eq!(net.packet_log().unwrap().total_seen(), 5);
     }
 
     #[test]
@@ -1438,13 +1446,9 @@ mod tests {
         assert_eq!(net.link_stats(LinkId::from_raw(0)).injected_corrupts, 4);
         assert_eq!(net.agent::<Echo>(b).unwrap().received.len(), 0);
         assert_eq!(net.agent::<Echo>(a).unwrap().acks_received, 0);
-        assert_eq!(
-            net.packet_log()
-                .unwrap()
-                .of_kind(PacketEventKind::CorruptDiscard)
-                .len(),
-            4
-        );
+        assert_eq!(net.network_stats().corrupt_discards, 4);
+        // The discards are the run's only packet fates.
+        assert_eq!(net.packet_log().unwrap().total_seen(), 4);
     }
 
     #[test]

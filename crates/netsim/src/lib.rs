@@ -4,8 +4,10 @@
 //! energy experiments: integer-nanosecond clock, deterministic event
 //! ordering, links with serialization/propagation delays and pluggable
 //! queue disciplines (drop-tail, DCTCP step marking, RED), switches with
-//! static routing, link bonding with round-robin spraying, and built-in
-//! per-flow and per-host measurement instrumentation.
+//! static routing, link bonding with round-robin spraying, built-in
+//! per-flow and per-host measurement instrumentation, and network-wide
+//! packet-fate counters ([`engine::NetworkStats`], from which the packet
+//! log's two counts, [`engine::PacketLog`], are derived).
 //!
 //! ## Quick tour
 //!
@@ -33,7 +35,6 @@ pub mod flowtab;
 pub mod ids;
 pub mod link;
 pub mod packet;
-pub mod pktlog;
 pub mod pool;
 pub mod queue;
 pub mod rng;
@@ -46,7 +47,7 @@ pub mod units;
 /// The commonly-used names, re-exported in one place.
 pub mod prelude {
     pub use crate::agent::{Agent, Ctx, TOKEN_BITS, TOKEN_MASK};
-    pub use crate::engine::{EngineCounters, Network, NetworkStats, RunOutcome};
+    pub use crate::engine::{EngineCounters, Network, NetworkStats, PacketLog, RunOutcome};
     pub use crate::fault::{FaultSpec, FaultSpecError, LinkFlap};
     pub use crate::flowtab::FlowIndex;
     pub use crate::ids::{FlowId, LinkId, NodeId};
@@ -54,7 +55,6 @@ pub mod prelude {
     pub use crate::packet::{
         AckInfo, EcnCodepoint, IntRecord, Packet, PacketKind, SackBlocks, HEADER_BYTES,
     };
-    pub use crate::pktlog::{PacketEvent, PacketEventKind, PacketLog};
     pub use crate::pool::{FramePool, FrameRef};
     pub use crate::queue::{
         DropTailQueue, EcnThresholdQueue, EnqueueOutcome, Qdisc, QueueStats, RedQueue,

@@ -4,7 +4,7 @@
 //!
 //! * [`FlowTrace`] — per-flow delivered-payload time series, binned at a
 //!   configurable interval. This regenerates the paper's throughput-vs-time
-//!   plots (Fig. 3) and per-flow average throughputs.
+//!   plots (Fig. 3).
 //! * [`HostActivity`] — per-host transmit/receive work time series (bytes
 //!   and packets, binned). The energy model integrates power over these
 //!   bins, exactly as RAPL integrates over the experiment interval. Only
@@ -14,17 +14,14 @@
 
 use crate::ids::{FlowId, NodeId};
 use crate::time::{SimDuration, SimTime};
-use crate::units::Rate;
 use std::collections::BTreeMap;
 
-/// One flow's record: per-bin delivered payload bytes plus its first
-/// delivery, last delivery and lifetime total.
+/// One flow's record: per-bin delivered payload bytes plus its last
+/// delivery.
 #[derive(Debug)]
 struct FlowSeries {
     bins: Vec<u64>,
-    first: SimTime,
     last: SimTime,
-    bytes: u64,
 }
 
 /// Per-flow delivered-bytes recorder.
@@ -54,16 +51,13 @@ impl FlowTrace {
         let idx = (now.as_nanos() / self.bin.as_nanos()) as usize;
         let series = self.flows.entry(flow).or_insert(FlowSeries {
             bins: Vec::new(),
-            first: now,
             last: now,
-            bytes: 0,
         });
         if series.bins.len() <= idx {
             series.bins.resize(idx + 1, 0);
         }
         series.bins[idx] += payload;
         series.last = now;
-        series.bytes += payload;
     }
 
     /// The delivered-bytes series for a flow (empty if never seen).
@@ -81,24 +75,6 @@ impl FlowTrace {
     pub fn throughput_gbps(&self, flow: FlowId) -> Vec<f64> {
         let end_ns = self.flows.get(&flow).map_or(0, |s| s.last.as_nanos());
         obs::series::throughput_gbps(self.series(flow), self.bin.as_nanos(), end_ns)
-    }
-
-    /// Total payload bytes delivered for a flow.
-    pub fn total_bytes(&self, flow: FlowId) -> u64 {
-        self.flows.get(&flow).map_or(0, |s| s.bytes)
-    }
-
-    /// Average delivery rate of a flow between its first and last delivery.
-    pub fn average_rate(&self, flow: FlowId) -> Rate {
-        match self.flows.get(&flow) {
-            Some(s) if s.last > s.first => crate::units::average_rate(s.bytes, s.last - s.first),
-            _ => Rate::ZERO,
-        }
-    }
-
-    /// All flows that delivered at least one byte, ascending by id.
-    pub fn flows(&self) -> Vec<FlowId> {
-        self.flows.keys().copied().collect()
     }
 }
 
@@ -326,7 +302,6 @@ mod tests {
         t.record(F, SimTime::from_millis(9), 200);
         t.record(F, SimTime::from_millis(15), 300);
         assert_eq!(t.series(F), &[300, 300]);
-        assert_eq!(t.total_bytes(F), 600);
     }
 
     #[test]
@@ -345,21 +320,10 @@ mod tests {
     }
 
     #[test]
-    fn flow_trace_average_rate() {
-        let mut t = FlowTrace::new(SimDuration::from_millis(1));
-        t.record(F, SimTime::from_secs(0), 0);
-        t.record(F, SimTime::from_secs(1), 1_250_000_000);
-        // 1.25 GB over 1 s = 10 Gbps.
-        assert!((t.average_rate(F).gbps() - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn flow_trace_unknown_flow_is_empty() {
         let t = FlowTrace::new(SimDuration::from_millis(10));
         assert!(t.series(F).is_empty());
-        assert_eq!(t.total_bytes(F), 0);
-        assert!(t.average_rate(F).is_zero());
-        assert!(t.flows().is_empty());
+        assert!(t.throughput_gbps(F).is_empty());
     }
 
     #[test]

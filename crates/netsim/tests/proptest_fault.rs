@@ -89,16 +89,17 @@ fn faulted_run(spec: &FaultSpec, n: u32, seed: u64) -> (u64, LinkStats, u64, u64
     net.attach_agent(b, Box::new(Count { seen: 0 }));
     net.run();
     let seen = net.agent::<Count>(b).unwrap().seen;
-    let discarded = net
-        .packet_log()
-        .expect("log enabled")
-        .of_kind(PacketEventKind::CorruptDiscard)
-        .len() as u64;
+    let stats = net.network_stats();
+    // The packet log counts exactly the fates the agent and the link saw.
+    assert_eq!(
+        net.packet_log().expect("log enabled").total_seen(),
+        seen + stats.corrupt_discards + stats.injected_drops + stats.dropped_pkts
+    );
     (
         seen,
         net.link_stats(ab),
-        net.network_stats().dropped_pkts,
-        discarded,
+        stats.dropped_pkts,
+        stats.corrupt_discards,
     )
 }
 

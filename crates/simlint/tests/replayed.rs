@@ -194,20 +194,23 @@ fn the_real_manifests_close_over_the_eight_replayed_crates() {
     closure::check(repo_root(), cfg.replayed(), &mut diags);
     assert!(diags.is_empty(), "{diags:?}");
 
-    // The check reads the real manifests: `scenario` does depend on
-    // `analysis`, so dropping `analysis` from the set must name that
-    // edge. A future `scenario → greenenvy` edge fails the same way.
+    // The check reads the real manifests: `workload` and `scenario` do
+    // depend on `analysis`, so dropping `analysis` from the set must name
+    // both edges. A future `scenario → greenenvy` edge fails the same way.
     let without: Vec<String> = REPLAYED
         .iter()
         .filter(|c| **c != "analysis")
         .map(|c| c.to_string())
         .collect();
     closure::check(repo_root(), &without, &mut diags);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].path, "crates/scenario/Cargo.toml");
-    assert!(
-        diags[0].message.contains("`analysis`"),
-        "{}",
-        diags[0].message
+    let mut paths: Vec<&str> = diags.iter().map(|d| d.path.as_str()).collect();
+    paths.sort_unstable();
+    assert_eq!(
+        paths,
+        ["crates/scenario/Cargo.toml", "crates/workload/Cargo.toml"],
+        "{diags:?}"
     );
+    for d in &diags {
+        assert!(d.message.contains("`analysis`"), "{}", d.message);
+    }
 }

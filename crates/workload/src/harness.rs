@@ -70,7 +70,7 @@ pub struct Wiring {
     pub activity_bin: SimDuration,
     /// Bin width for per-flow throughput traces (`None` = no traces).
     pub trace_bin: Option<SimDuration>,
-    /// Packet-log ring capacity (`None` disables the log).
+    /// Packet-log capacity (`None` disables the log).
     pub pkt_log_capacity: Option<usize>,
     /// Same-timestamp delivery batching in the engine.
     pub delivery_batching: bool,
@@ -188,7 +188,8 @@ pub struct SimulatedRun {
     /// Engine performance counters.
     pub engine: EngineCounters,
     /// The finished network: owns the host activity record the meter
-    /// integrates, plus the packet log and flow trace the recorder reads.
+    /// integrates, plus the flow trace and packet-log counts the recorder
+    /// reads.
     net: Network,
     senders: Vec<MeteredHost>,
     receivers: Vec<NodeId>,

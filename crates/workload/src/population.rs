@@ -353,12 +353,7 @@ impl PopulationOutcome {
     /// Jain fairness index over per-flow mean goodputs.
     pub fn jain_fairness(&self) -> f64 {
         let xs: Vec<f64> = self.reports.iter().map(|r| r.mean_goodput.gbps()).collect();
-        let sum: f64 = xs.iter().sum();
-        let sq: f64 = xs.iter().map(|x| x * x).sum();
-        if sq == 0.0 {
-            return 1.0;
-        }
-        (sum * sum) / (xs.len() as f64 * sq)
+        analysis::fairness::jain_index(&xs)
     }
 }
 

@@ -103,9 +103,10 @@ pub struct Scenario {
     pub wall_deadline: Option<std::time::Duration>,
     /// Observability mode (see [`Observe`]).
     pub observe: Observe,
-    /// Packet-log ring capacity (`None` disables the log). When
-    /// observability is on, the log's eviction count surfaces as the
-    /// `pktlog_dropped_records_total` metric.
+    /// Packet-log capacity (`None` disables the log). When observability
+    /// is on, the log's two counts (see [`netsim::engine::PacketLog`])
+    /// surface as the `pktlog_records_total` and
+    /// `pktlog_dropped_records_total` metrics.
     pub pkt_log_capacity: Option<usize>,
     /// Same-timestamp delivery batching in the engine (on by default).
     /// The batching-equivalence tests flip it off to pin that coalesced
@@ -199,7 +200,7 @@ impl Scenario {
         self
     }
 
-    /// Enable the engine's packet log with the given ring capacity.
+    /// Enable the engine's packet log with the given capacity.
     pub fn with_packet_log(mut self, capacity: usize) -> Self {
         self.pkt_log_capacity = Some(capacity);
         self
@@ -784,15 +785,8 @@ mod tests {
         ))
         .unwrap();
         let g: Vec<f64> = out.reports.iter().map(|r| r.mean_goodput.gbps()).collect();
-        let jain = analysis_jain(&g);
+        let jain = analysis::fairness::jain_index(&g);
         assert!(jain > 0.85, "swift-vs-swift Jain {jain:.3} ({g:?})");
-    }
-
-    /// Local Jain helper (workload doesn't depend on the analysis crate).
-    fn analysis_jain(xs: &[f64]) -> f64 {
-        let sum: f64 = xs.iter().sum();
-        let sq: f64 = xs.iter().map(|x| x * x).sum();
-        (sum * sum) / (xs.len() as f64 * sq)
     }
 
     #[test]
@@ -963,6 +957,24 @@ mod tests {
         assert!(json.contains("power_w"));
         assert!(json.contains("queue_bytes"));
         assert!(report.prometheus_text().contains("host_power_mw"));
+    }
+
+    #[test]
+    fn a_zero_capacity_packet_log_reports_every_record_dropped() {
+        let logged = Scenario::new(9000, vec![FlowSpec::bulk(CcaKind::Cubic, 5 * MB)])
+            .with_seed(7)
+            .with_observability()
+            .with_packet_log(0);
+        let report = run(&logged)
+            .unwrap()
+            .obs
+            .expect("full observability returns a report");
+        let seen = report.metrics.counter_total("pktlog_records_total");
+        assert!(seen > 0);
+        assert_eq!(
+            report.metrics.counter_total("pktlog_dropped_records_total"),
+            seen
+        );
     }
 
     #[test]
