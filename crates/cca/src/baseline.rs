@@ -21,13 +21,6 @@ impl Baseline {
         assert!(cwnd_bytes > 0);
         Baseline { cwnd: cwnd_bytes }
     }
-
-    /// The paper sizes the constant "large": comfortably above the path
-    /// BDP plus the bottleneck buffer, so the sender is never
-    /// window-limited and bursts freely into the queue.
-    pub fn sized_for(bdp_bytes: u64, buffer_bytes: u64) -> Self {
-        Baseline::new(2 * (bdp_bytes + buffer_bytes).max(1))
-    }
 }
 
 impl CongestionControl for Baseline {
@@ -67,12 +60,6 @@ mod tests {
         cc.on_congestion_event(&congestion(1_000_000));
         cc.on_rto(netsim::time::SimTime::ZERO, 1448);
         assert_eq!(cc.cwnd(), 5_000_000);
-    }
-
-    #[test]
-    fn sized_for_exceeds_pipe_plus_buffer() {
-        let cc = Baseline::sized_for(125_000, 1_000_000);
-        assert!(cc.cwnd() > 1_125_000);
     }
 
     #[test]

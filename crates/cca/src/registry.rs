@@ -136,12 +136,6 @@ impl CcaKind {
             _ => AckPolicy::delayed_default(),
         }
     }
-
-    /// True for algorithms safe to run with competing flows. The baseline
-    /// has no congestion response (paper footnote 2).
-    pub fn multi_flow_safe(self) -> bool {
-        self != CcaKind::Baseline
-    }
 }
 
 impl std::fmt::Display for CcaKind {
@@ -191,12 +185,6 @@ mod tests {
             CcaKind::Cubic.ack_policy(),
             AckPolicy::Delayed { .. }
         ));
-    }
-
-    #[test]
-    fn baseline_is_multi_flow_unsafe() {
-        assert!(!CcaKind::Baseline.multi_flow_safe());
-        assert!(CcaKind::Cubic.multi_flow_safe());
     }
 
     #[test]

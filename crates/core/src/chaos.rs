@@ -25,13 +25,11 @@ use serde::{Deserialize, Serialize};
 /// is ~2x bigger; the floor leaves room for loss-induced noise).
 pub const MIN_SAVINGS_PCT: f64 = 2.0;
 
-/// Configuration.
+/// Configuration (at the calibration MTU).
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Bytes per flow.
     pub per_flow_bytes: u64,
-    /// MTU.
-    pub mtu: u32,
     /// Random loss probabilities to sweep (0 = the clean baseline).
     pub loss_rates: Vec<f64>,
     /// Seeds (one fair + one serial run per seed per rate).
@@ -47,7 +45,6 @@ impl Config {
     pub fn at_scale(scale: Scale) -> Config {
         Config {
             per_flow_bytes: scale.two_flow_bytes,
-            mtu: 9000,
             loss_rates: vec![0.0, 1e-4, 1e-3, 1e-2],
             seeds: scale.seeds(),
             trace_out: None,
@@ -138,7 +135,7 @@ fn endpoint(
     seed: u64,
     observed: bool,
 ) -> ScenarioSpec {
-    let mut b = ScenarioBuilder::new(name).with_seed(seed).with_mtu(cfg.mtu);
+    let mut b = ScenarioBuilder::new(name).with_seed(seed);
     for t in flows {
         b = b.traffic(t);
     }
@@ -298,7 +295,6 @@ mod tests {
     fn tiny() -> Config {
         Config {
             per_flow_bytes: 125 * MB,
-            mtu: 9000,
             loss_rates: vec![0.0, 1e-3],
             seeds: vec![1],
             trace_out: None,

@@ -11,8 +11,13 @@
 //!   improves mean completion time *and* energy simultaneously.
 //! * [`incast`] — "and incast": fan N synchronized senders into the
 //!   bottleneck and watch burst losses and per-byte energy grow with N.
+//!
+//! Every extension runs at the calibration MTU ([`CAL_MTU_BYTES`]); the
+//! multiplexed, SRPT and incast runs on [`Scenario`]'s default seed.
 
 use cca::CcaKind;
+use energy::calibration::CAL_MTU_BYTES;
+use netsim::topology::LINK_GBPS;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
 
@@ -32,10 +37,6 @@ pub mod multiplexed {
     pub struct Config {
         /// Bytes per flow.
         pub per_flow_bytes: u64,
-        /// MTU.
-        pub mtu: u32,
-        /// Seed.
-        pub seed: u64,
     }
 
     impl Config {
@@ -43,8 +44,6 @@ pub mod multiplexed {
         pub fn at_scale(scale: crate::scale::Scale) -> Config {
             Config {
                 per_flow_bytes: scale.two_flow_bytes,
-                mtu: 9000,
-                seed: 1,
             }
         }
     }
@@ -61,13 +60,12 @@ pub mod multiplexed {
 
     fn schedule_pair(cfg: &Config, colocate: bool) -> (f64, f64) {
         let mut pair = Scenario::new(
-            cfg.mtu,
+            CAL_MTU_BYTES,
             vec![
                 FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
                 FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes),
             ],
-        )
-        .with_seed(cfg.seed);
+        );
         pair.colocate_senders = colocate;
         let run = |s: &Scenario| workload::scenario::run(s).expect("schedule completes");
         let fair = run(&pair);
@@ -110,10 +108,6 @@ pub mod srpt {
     pub struct Config {
         /// Flow sizes in bytes (a mixed batch).
         pub flow_bytes: Vec<u64>,
-        /// MTU.
-        pub mtu: u32,
-        /// Seed.
-        pub seed: u64,
     }
 
     impl Config {
@@ -122,8 +116,6 @@ pub mod srpt {
             let b = scale.two_flow_bytes / 4;
             Config {
                 flow_bytes: vec![b, 2 * b, 4 * b, 8 * b],
-                mtu: 9000,
-                seed: 1,
             }
         }
     }
@@ -172,35 +164,33 @@ pub mod srpt {
         let hosts = cfg.flow_bytes.len() as f64;
 
         // Fair: everyone starts at once and shares.
-        let fair_out = workload::scenario::run(
-            &Scenario::new(
-                cfg.mtu,
-                cfg.flow_bytes
-                    .iter()
-                    .map(|&b| FlowSpec::bulk(CcaKind::Cubic, b))
-                    .collect(),
-            )
-            .with_seed(cfg.seed),
-        )
+        let fair_out = workload::scenario::run(&Scenario::new(
+            CAL_MTU_BYTES,
+            cfg.flow_bytes
+                .iter()
+                .map(|&b| FlowSpec::bulk(CcaKind::Cubic, b))
+                .collect(),
+        ))
         .expect("fair batch completes");
 
         // SRPT: strictly shortest-first, one at a time at line rate.
         let mut order: Vec<usize> = (0..cfg.flow_bytes.len()).collect();
         order.sort_by_key(|&i| cfg.flow_bytes[i]);
-        let wire_factor = cfg.mtu as f64 / (cfg.mtu - netsim::packet::HEADER_BYTES) as f64;
+        let wire_factor =
+            CAL_MTU_BYTES as f64 / (CAL_MTU_BYTES - netsim::packet::HEADER_BYTES) as f64;
         let mut start = 0.0;
         let mut specs: Vec<(usize, FlowSpec)> = Vec::new();
         for &i in &order {
             let spec = FlowSpec::bulk(CcaKind::Cubic, cfg.flow_bytes[i])
                 .with_start_delay(netsim::time::SimDuration::from_secs_f64(start));
             specs.push((i, spec));
-            start += cfg.flow_bytes[i] as f64 * wire_factor * 8.0 / 10e9;
+            start += cfg.flow_bytes[i] as f64 * wire_factor * 8.0 / (LINK_GBPS * 1e9);
         }
         specs.sort_by_key(|&(i, _)| i); // restore flow-index order
-        let srpt_out = workload::scenario::run(
-            &Scenario::new(cfg.mtu, specs.into_iter().map(|(_, s)| s).collect())
-                .with_seed(cfg.seed),
-        )
+        let srpt_out = workload::scenario::run(&Scenario::new(
+            CAL_MTU_BYTES,
+            specs.into_iter().map(|(_, s)| s).collect(),
+        ))
         .expect("srpt batch completes");
 
         let w = fair_out
@@ -248,10 +238,6 @@ pub mod incast {
         pub fan_in: Vec<usize>,
         /// Bytes per sender.
         pub bytes_per_sender: u64,
-        /// MTU.
-        pub mtu: u32,
-        /// Seed.
-        pub seed: u64,
     }
 
     impl Config {
@@ -260,8 +246,6 @@ pub mod incast {
             Config {
                 fan_in: vec![2, 4, 8, 16, 32],
                 bytes_per_sender: scale.two_flow_bytes / 16,
-                mtu: 9000,
-                seed: 1,
             }
         }
     }
@@ -292,15 +276,12 @@ pub mod incast {
     pub fn run(cfg: &Config) -> Result {
         let mut rows = Vec::new();
         for &n in &cfg.fan_in {
-            let out = workload::scenario::run(
-                &Scenario::new(
-                    cfg.mtu,
-                    (0..n)
-                        .map(|_| FlowSpec::bulk(CcaKind::Cubic, cfg.bytes_per_sender))
-                        .collect(),
-                )
-                .with_seed(cfg.seed),
-            )
+            let out = workload::scenario::run(&Scenario::new(
+                CAL_MTU_BYTES,
+                (0..n)
+                    .map(|_| FlowSpec::bulk(CcaKind::Cubic, cfg.bytes_per_sender))
+                    .collect(),
+            ))
             .expect("incast completes");
             let total_bytes = (n as u64 * cfg.bytes_per_sender) as f64;
             rows.push(Row {
@@ -357,8 +338,6 @@ pub mod modern {
         pub ccas: Vec<CcaKind>,
         /// Bytes per transfer.
         pub bytes: u64,
-        /// MTU.
-        pub mtu: u32,
         /// Seeds.
         pub seeds: Vec<u64>,
     }
@@ -370,7 +349,6 @@ pub mod modern {
             Config {
                 ccas: vec![CcaKind::Swift, CcaKind::Hpcc, CcaKind::Cubic, CcaKind::Bbr],
                 bytes: scale.transfer_bytes / 5,
-                mtu: 9000,
                 seeds: scale.seeds(),
             }
         }
@@ -404,7 +382,7 @@ pub mod modern {
             .ccas
             .iter()
             .map(|&cca| {
-                let cell = crate::matrix::run_cell(cca, cfg.mtu, cfg.bytes, &cfg.seeds)
+                let cell = crate::matrix::run_cell(cca, CAL_MTU_BYTES, cfg.bytes, &cfg.seeds)
                     .unwrap_or_else(|e| panic!("extension cell failed: {e}"));
                 Row {
                     cca: cell.cca,
@@ -462,8 +440,6 @@ pub mod production {
         pub loads: Vec<f64>,
         /// Flows per run.
         pub flows: usize,
-        /// MTU.
-        pub mtu: u32,
         /// Seed.
         pub seed: u64,
     }
@@ -474,7 +450,6 @@ pub mod production {
             Config {
                 loads: vec![0.2, 0.4, 0.6, 0.8],
                 flows: (scale.transfer_bytes / 25_000_000).clamp(40, 400) as usize,
-                mtu: 9000,
                 seed: 1,
             }
         }
@@ -510,7 +485,7 @@ pub mod production {
             let flows = workload.generate(cfg.seed);
             let total_bytes: u64 = flows.iter().map(|f| f.bytes).sum();
             let out = workload::scenario::run(
-                &Scenario::new(cfg.mtu, flows)
+                &Scenario::new(CAL_MTU_BYTES, flows)
                     .with_seed(cfg.seed)
                     .with_colocated_senders(),
             )
@@ -572,8 +547,6 @@ mod tests {
     fn multiplexing_collapses_the_savings() {
         let r = multiplexed::run(&multiplexed::Config {
             per_flow_bytes: 125 * MB,
-            mtu: 9000,
-            seed: 1,
         });
         assert!(
             r.separate_savings_pct > 10.0,
@@ -593,8 +566,6 @@ mod tests {
         let b = 50 * MB;
         let r = srpt::run(&srpt::Config {
             flow_bytes: vec![b, 2 * b, 4 * b, 8 * b],
-            mtu: 9000,
-            seed: 1,
         });
         assert!(
             r.fct_improvement_pct > 10.0,
@@ -613,7 +584,6 @@ mod tests {
         let r = modern::run(&modern::Config {
             ccas: vec![CcaKind::Swift, CcaKind::Hpcc, CcaKind::Cubic],
             bytes: 100 * MB,
-            mtu: 9000,
             seeds: vec![1],
         });
         assert_eq!(r.rows.len(), 3);
@@ -646,7 +616,6 @@ mod tests {
         let r = production::run(&production::Config {
             loads: vec![0.2, 0.5],
             flows: 40,
-            mtu: 9000,
             seed: 3,
         });
         assert_eq!(r.rows.len(), 2);
@@ -669,8 +638,6 @@ mod tests {
         let r = incast::run(&incast::Config {
             fan_in: vec![2, 16],
             bytes_per_sender: 10 * MB,
-            mtu: 9000,
-            seed: 1,
         });
         assert_eq!(r.rows.len(), 2);
         let (small, big) = (&r.rows[0], &r.rows[1]);

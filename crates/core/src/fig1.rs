@@ -10,7 +10,8 @@
 use crate::scale::Scale;
 use analysis::stats::Summary;
 use cca::CcaKind;
-use energy::calibration::idle_tail_j;
+use energy::calibration::{idle_tail_j, CAL_MTU_BYTES};
+use netsim::topology::LINK_GBPS;
 use netsim::units::Rate;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
@@ -20,16 +21,13 @@ use workload::prelude::*;
 pub struct Config {
     /// Bytes per flow (the paper's 10 Gbit = 1.25 GB).
     pub per_flow_bytes: u64,
-    /// MTU (the paper's experiments run at 9000).
+    /// MTU (the paper's experiments run at [`CAL_MTU_BYTES`]).
     pub mtu: u32,
     /// Fractions of bandwidth allocated to the favoured flow, in
     /// `(0.5, 1.0)` exclusive; 0.5 (fair) and 1.0 (serial) always run.
     pub fractions: Vec<f64>,
     /// Seeds (one run per seed per point).
     pub seeds: Vec<u64>,
-    /// Background load on both sender hosts (0 for Figure 1; Figure 4
-    /// evaluates the same simulations under higher loads).
-    pub background: StressLoad,
 }
 
 impl Config {
@@ -37,10 +35,9 @@ impl Config {
     pub fn at_scale(scale: Scale) -> Config {
         Config {
             per_flow_bytes: scale.two_flow_bytes,
-            mtu: 9000,
+            mtu: CAL_MTU_BYTES,
             fractions: (11..20).map(|i| i as f64 * 0.05).collect(), // 0.55..0.95
             seeds: scale.seeds(),
-            background: StressLoad::IDLE,
         }
     }
 }
@@ -93,14 +90,15 @@ fn fair_scenario(cfg: &Config, seed: u64) -> Scenario {
 fn throttled_scenario(cfg: &Config, fraction: f64, seed: u64) -> Scenario {
     let mss = (cfg.mtu - netsim::packet::HEADER_BYTES) as f64;
     let wire_factor = cfg.mtu as f64 / mss;
-    let flow1_done_s = cfg.per_flow_bytes as f64 * wire_factor * 8.0 / (fraction * 10e9);
+    let flow1_done_s =
+        cfg.per_flow_bytes as f64 * wire_factor * 8.0 / (fraction * (LINK_GBPS * 1e9));
     Scenario::new(
         cfg.mtu,
         vec![
             FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes)
-                .with_rate_limit(Rate::from_gbps(10.0 * fraction)),
+                .with_rate_limit(Rate::from_gbps(LINK_GBPS * fraction)),
             FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes)
-                .with_rate_limit(Rate::from_gbps(10.0 * (1.0 - fraction)))
+                .with_rate_limit(Rate::from_gbps(LINK_GBPS * (1.0 - fraction)))
                 .with_rate_change(netsim::time::SimTime::from_secs_f64(flow1_done_s), None),
         ],
     )
@@ -187,17 +185,17 @@ fn equalize_windows(raw: &mut [RawPoint], load: StressLoad, hosts: f64) {
     }
 }
 
-/// Run the sweep under `cfg.background`.
+/// Run the sweep on idle hosts (Figure 4 evaluates the same simulations
+/// under higher loads).
 pub fn run(cfg: &Config) -> Result {
-    run_under_loads(cfg, &[cfg.background])
+    run_under_loads(cfg, &[StressLoad::IDLE])
         .pop()
         .expect("one result per load")
 }
 
 /// Run the sweep's simulations once and evaluate them under each of
 /// `loads` (one `Result` per load, in order). Background load changes
-/// power, not packets, so the loads share every simulation;
-/// `cfg.background` is not read — [`run`] passes it as the single load.
+/// power, not packets, so the loads share every simulation.
 pub(crate) fn run_under_loads(cfg: &Config, loads: &[StressLoad]) -> Vec<Result> {
     run_under_loads_with_threads(cfg, loads, host_threads())
 }
@@ -345,7 +343,6 @@ mod tests {
             mtu: 9000,
             fractions: vec![0.75],
             seeds: vec![1],
-            background: StressLoad::IDLE,
         }
     }
 

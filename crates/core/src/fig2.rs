@@ -9,12 +9,13 @@
 use crate::scale::Scale;
 use analysis::stats::Summary;
 use cca::CcaKind;
-use energy::calibration::P_IDLE_W;
+use energy::calibration::{CAL_MTU_BYTES, P_IDLE_W};
+use netsim::topology::LINK_GBPS;
 use netsim::units::Rate;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
 
-/// Configuration of the power-curve sweep.
+/// Configuration of the power-curve sweep, at the calibration MTU.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Target throughputs in Gb/s (0 rows are reported analytically as
@@ -23,25 +24,18 @@ pub struct Config {
     /// Nominal duration of each throttled transfer; sets the byte count
     /// as `rate * duration`.
     pub duration_s: f64,
-    /// MTU.
-    pub mtu: u32,
     /// Seeds.
     pub seeds: Vec<u64>,
-    /// Background compute load (Figure 4 evaluates the same simulations
-    /// under >0 loads).
-    pub background: StressLoad,
 }
 
 impl Config {
     /// The paper's sweep at the given scale: 0.5 Gb/s steps.
     pub fn at_scale(scale: Scale) -> Config {
-        let duration = (scale.two_flow_bytes as f64 * 8.0 / 10e9).max(0.2);
+        let duration = (scale.two_flow_bytes as f64 * 8.0 / (LINK_GBPS * 1e9)).max(0.2);
         Config {
             rates_gbps: (1..=20).map(|i| i as f64 * 0.5).collect(),
             duration_s: duration,
-            mtu: 9000,
             seeds: scale.seeds(),
-            background: StressLoad::IDLE,
         }
     }
 }
@@ -91,9 +85,10 @@ impl Result {
     }
 }
 
-/// Run the sweep under `cfg.background`.
+/// Run the sweep on idle hosts (Figure 4 evaluates the same simulations
+/// under higher loads).
 pub fn run(cfg: &Config) -> Result {
-    run_under_loads(cfg, &[cfg.background])
+    run_under_loads(cfg, &[StressLoad::IDLE])
         .pop()
         .expect("one result per load")
 }
@@ -116,7 +111,7 @@ fn measure(cfg: &Config, rate: f64, seed: u64, loads: &[StressLoad]) -> Measured
     let bytes = ((rate * 1e9 / 8.0) * cfg.duration_s) as u64;
     let spec = FlowSpec::bulk(CcaKind::Cubic, bytes.max(10_000_000))
         .with_rate_limit(Rate::from_gbps(rate));
-    let scenario = Scenario::new(cfg.mtu, vec![spec]).with_seed(seed);
+    let scenario = Scenario::new(CAL_MTU_BYTES, vec![spec]).with_seed(seed);
     let sim = simulate(&scenario).expect("throttled flow completes");
     // Average sender power: energy over iperf time.
     let window_s = sim.window.as_secs_f64();
@@ -131,8 +126,7 @@ fn measure(cfg: &Config, rate: f64, seed: u64, loads: &[StressLoad]) -> Measured
 
 /// Run the sweep's simulations once and evaluate them under each of
 /// `loads` (one `Result` per load, in order). Background load changes
-/// power, not packets, so the loads share every simulation;
-/// `cfg.background` is not read — [`run`] passes it as the single load.
+/// power, not packets, so the loads share every simulation.
 pub(crate) fn run_under_loads(cfg: &Config, loads: &[StressLoad]) -> Vec<Result> {
     run_under_loads_with_threads(cfg, loads, host_threads())
 }
@@ -263,9 +257,7 @@ mod tests {
         Config {
             rates_gbps: vec![2.5, 5.0, 7.5, 10.0],
             duration_s: 0.1,
-            mtu: 9000,
             seeds: vec![1],
-            background: StressLoad::IDLE,
         }
     }
 

@@ -8,17 +8,16 @@
 
 use crate::scale::Scale;
 use cca::CcaKind;
+use energy::calibration::CAL_MTU_BYTES;
 use netsim::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
 
-/// Configuration of the trace experiment.
+/// Configuration of the trace experiment, at the calibration MTU.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Bytes per flow.
     pub per_flow_bytes: u64,
-    /// MTU.
-    pub mtu: u32,
     /// Trace bin width.
     pub bin: SimDuration,
     /// Seed.
@@ -30,7 +29,6 @@ impl Config {
     pub fn at_scale(scale: Scale) -> Config {
         Config {
             per_flow_bytes: scale.two_flow_bytes,
-            mtu: 9000,
             bin: SimDuration::from_millis(10),
             seed: 1,
         }
@@ -100,7 +98,7 @@ enum Schedule {
 /// outcome holds the whole trace; the panel is what the figure keeps).
 fn panel(cfg: &Config, schedule: Schedule) -> Panel {
     let flow = || FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes);
-    let scenario = Scenario::new(cfg.mtu, vec![flow(), flow()])
+    let scenario = Scenario::new(CAL_MTU_BYTES, vec![flow(), flow()])
         .with_seed(cfg.seed)
         .with_trace(cfg.bin);
     let scenario = match schedule {
@@ -160,7 +158,6 @@ mod tests {
     fn tiny() -> Config {
         Config {
             per_flow_bytes: 125 * MB, // 1 Gbit => ~0.1 s phases
-            mtu: 9000,
             bin: SimDuration::from_millis(5),
             seed: 3,
         }

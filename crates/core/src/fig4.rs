@@ -10,10 +10,12 @@
 use crate::scale::Scale;
 use crate::{fig1, fig2};
 use analysis::stats::Summary;
+use energy::calibration::CAL_MTU_BYTES;
+use netsim::topology::LINK_GBPS;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
 
-/// Configuration.
+/// Configuration (at the calibration MTU).
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Background load fractions (the paper's 0, 0.25, 0.5, 0.75).
@@ -24,8 +26,6 @@ pub struct Config {
     pub per_flow_bytes: u64,
     /// Nominal duration for the curve transfers.
     pub duration_s: f64,
-    /// MTU.
-    pub mtu: u32,
     /// Seeds.
     pub seeds: Vec<u64>,
 }
@@ -37,8 +37,7 @@ impl Config {
             loads: vec![0.0, 0.25, 0.5, 0.75],
             rates_gbps: vec![2.0, 4.0, 6.0, 8.0, 10.0],
             per_flow_bytes: scale.two_flow_bytes,
-            duration_s: (scale.two_flow_bytes as f64 * 8.0 / 10e9).max(0.2),
-            mtu: 9000,
+            duration_s: (scale.two_flow_bytes as f64 * 8.0 / (LINK_GBPS * 1e9)).max(0.2),
             seeds: scale.seeds(),
         }
     }
@@ -76,9 +75,7 @@ pub fn run(cfg: &Config) -> Result {
         &fig2::Config {
             rates_gbps: cfg.rates_gbps.clone(),
             duration_s: cfg.duration_s,
-            mtu: cfg.mtu,
             seeds: cfg.seeds.clone(),
-            background: StressLoad::IDLE,
         },
         &loads,
     );
@@ -87,10 +84,9 @@ pub fn run(cfg: &Config) -> Result {
     let sweeps = fig1::run_under_loads(
         &fig1::Config {
             per_flow_bytes: cfg.per_flow_bytes,
-            mtu: cfg.mtu,
+            mtu: CAL_MTU_BYTES,
             fractions: vec![],
             seeds: cfg.seeds.clone(),
-            background: StressLoad::IDLE,
         },
         &loads,
     );
@@ -152,7 +148,6 @@ mod tests {
             rates_gbps: vec![5.0, 10.0],
             per_flow_bytes: 125 * MB,
             duration_s: 0.1,
-            mtu: 9000,
             seeds: vec![1],
         }
     }

@@ -292,16 +292,22 @@ pub fn render(verdict: &SuiteVerdict) -> String {
 mod tests {
     use super::*;
 
+    /// The tiny suite, run once and shared by every test here.
+    fn tiny() -> &'static SuiteOutcome {
+        static OUT: std::sync::OnceLock<SuiteOutcome> = std::sync::OnceLock::new();
+        OUT.get_or_init(|| run(Scale::tiny()).expect("suite runs"))
+    }
+
     #[test]
     fn tiny_suite_behaves_end_to_end() {
-        let out = run(Scale::tiny()).expect("suite runs");
+        let out = tiny();
         assert!(out.verdict.all_behaved, "{}", out.verdict.to_json());
         assert_eq!(out.verdict.scenarios.len(), 10);
     }
 
     #[test]
     fn negative_entry_fails_with_a_measured_recovery_time() {
-        let out = run(Scale::tiny()).expect("suite runs");
+        let out = tiny();
         let neg = out
             .verdict
             .scenarios
@@ -323,7 +329,7 @@ mod tests {
 
     #[test]
     fn savings_ordering_is_checked_not_eyeballed() {
-        let out = run(Scale::tiny()).expect("suite runs");
+        let out = tiny();
         let serial = out
             .verdict
             .scenarios
@@ -344,7 +350,7 @@ mod tests {
 
     #[test]
     fn render_lists_every_scenario() {
-        let out = run(Scale::tiny()).expect("suite runs");
+        let out = tiny();
         let s = render(&out.verdict);
         for v in &out.verdict.scenarios {
             assert!(s.contains(&v.name), "missing {}", v.name);

@@ -92,13 +92,6 @@ impl Scale {
         }
     }
 
-    /// Factor to scale an energy/retransmission count measured at this
-    /// scale up to the paper's 50 GB transfers (approximate: the
-    /// rate-proportional part of energy dominates).
-    pub fn to_paper_factor(&self) -> f64 {
-        (50 * GB) as f64 / self.transfer_bytes as f64
-    }
-
     /// Deterministic seed list for the repetitions.
     pub fn seeds(&self) -> Vec<u64> {
         (0..self.repetitions as u64)
@@ -173,12 +166,6 @@ mod tests {
         let err = Scale::from_env_value(Some(OsStr::from_bytes(b"qu\xffck")))
             .expect_err("not UTF-8, so not a scale name");
         assert!(err.value.starts_with("qu"), "{err}");
-    }
-
-    #[test]
-    fn paper_factor() {
-        assert_eq!(Scale::paper().to_paper_factor(), 1.0);
-        assert_eq!(Scale::standard().to_paper_factor(), 10.0);
     }
 
     #[test]

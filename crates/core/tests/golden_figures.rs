@@ -15,7 +15,6 @@ use greenenvy::campaign::journal::fnv64;
 use greenenvy::{fig1, fig2, fig4};
 use netsim::units::MB;
 use serde::Serialize;
-use workload::prelude::*;
 
 /// `(length, fnv64)` of a result's compact JSON.
 type Pin = (usize, u64);
@@ -36,7 +35,6 @@ fn fig1_matches_the_pinned_bytes() {
         mtu: 9000,
         fractions: vec![0.75],
         seeds: vec![1],
-        background: StressLoad::IDLE,
     });
     assert_eq!(pin(&result), PINNED_FIG1, "fig1 output moved");
 }
@@ -46,9 +44,7 @@ fn fig2_matches_the_pinned_bytes() {
     let result = fig2::run(&fig2::Config {
         rates_gbps: vec![2.5, 5.0, 7.5, 10.0],
         duration_s: 0.1,
-        mtu: 9000,
         seeds: vec![1],
-        background: StressLoad::IDLE,
     });
     assert_eq!(pin(&result), PINNED_FIG2, "fig2 output moved");
 }
@@ -60,7 +56,6 @@ fn fig4_matches_the_pinned_bytes() {
         rates_gbps: vec![5.0, 10.0],
         per_flow_bytes: 125 * MB,
         duration_s: 0.1,
-        mtu: 9000,
         seeds: vec![1],
     });
     assert_eq!(pin(&result), PINNED_FIG4, "fig4 output moved");

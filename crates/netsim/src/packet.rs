@@ -137,11 +137,11 @@ impl SackBlocks {
 
     /// Iterate over present blocks as `(start, end)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let n = self.len as usize;
         // `start + len` cannot overflow: `push` stored `len <= end - start`.
-        self.starts[..n]
+        self.starts
             .iter()
-            .zip(&self.lens[..n])
+            .zip(&self.lens)
+            .take(self.len as usize)
             .map(|(&s, &l)| (s, s + l as u64))
     }
 }

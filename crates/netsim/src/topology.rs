@@ -21,6 +21,26 @@ use crate::queue::{DropTailQueue, EcnThresholdQueue, Qdisc};
 use crate::time::SimDuration;
 use crate::units::Rate;
 
+/// Link rate of the paper's testbed, in Gb/s: the rate of every incast
+/// link and the dumbbell's and parking lot's default.
+pub const LINK_GBPS: f64 = 10.0;
+
+/// One-way propagation delay per hop (~100 µs base RTT across the
+/// dumbbell's four hops: a few switch hops' worth of fiber and forwarding).
+pub const HOP_DELAY: SimDuration = SimDuration::from_micros(25);
+
+/// The testbed's bottleneck buffer, in bytes: the dumbbell's and parking
+/// lot's default drop-tail capacity.
+pub const BUFFER_BYTES: u64 = 1_000_000;
+
+/// Buffer on every non-bottleneck link (host access links and the ack
+/// path), in bytes: generous, so only the bottleneck queues.
+pub const EDGE_BUFFER_BYTES: u64 = 4_000_000;
+
+/// Bonded sender -> switch links per dumbbell sender: the paper's sender
+/// uses 2×10 Gb/s round-robin bonding, so its NIC is never the bottleneck.
+pub const SENDER_BOND_LINKS: usize = 2;
+
 /// Which discipline the bottleneck queue runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BottleneckQueue {
@@ -55,41 +75,33 @@ impl BottleneckQueue {
 /// Parameters of the dumbbell testbed. Every link serializes at its
 /// rate with no per-packet gap: the host packet-rate ceiling of the
 /// paper's §4.4 is modelled at the sender (`TcpSenderConfig::min_pkt_gap`
-/// in `transport`), not on the links a topology builds.
+/// in `transport`), not on the links a topology builds. Every edge link
+/// runs at the bottleneck rate with [`EDGE_BUFFER_BYTES`] of buffer, and
+/// each sender has [`SENDER_BOND_LINKS`] bonded uplinks.
 #[derive(Clone, Debug)]
 pub struct DumbbellConfig {
-    /// Bottleneck (switch -> receiver) rate. The paper's is 10 Gb/s.
+    /// Bottleneck (switch -> receiver) rate, and the rate of every edge
+    /// link. The paper's is 10 Gb/s.
     pub bottleneck_rate: Rate,
-    /// Rate of each sender -> switch link.
-    pub edge_rate: Rate,
-    /// Number of parallel sender -> switch links (2 in the paper's bonded
-    /// setup, so the sender NIC is never the bottleneck).
-    pub sender_bond_links: usize,
     /// One-way propagation delay per hop (sender->switch and
     /// switch->receiver each get this).
     pub hop_delay: SimDuration,
     /// Bottleneck queue discipline.
     pub bottleneck_queue: BottleneckQueue,
-    /// Buffer on non-bottleneck links, in bytes.
-    pub edge_buffer_bytes: u64,
     /// Number of sender hosts (each gets its own edge link set).
     pub senders: usize,
 }
 
 impl Default for DumbbellConfig {
-    /// The paper's testbed: 10 Gb/s bottleneck, bonded 2×10 Gb/s sender
-    /// uplinks, ~25 us per-hop delay (a few switch hops' worth of fiber +
-    /// forwarding), 1 MB drop-tail bottleneck buffer.
+    /// The paper's testbed: [`LINK_GBPS`], [`HOP_DELAY`] per hop and a
+    /// [`BUFFER_BYTES`] drop-tail bottleneck, one sender.
     fn default() -> Self {
         DumbbellConfig {
-            bottleneck_rate: Rate::from_gbps(10.0),
-            edge_rate: Rate::from_gbps(10.0),
-            sender_bond_links: 2,
-            hop_delay: SimDuration::from_micros(25),
+            bottleneck_rate: Rate::from_gbps(LINK_GBPS),
+            hop_delay: HOP_DELAY,
             bottleneck_queue: BottleneckQueue::DropTail {
-                capacity_bytes: 1_000_000,
+                capacity_bytes: BUFFER_BYTES,
             },
-            edge_buffer_bytes: 4_000_000,
             senders: 1,
         }
     }
@@ -114,7 +126,7 @@ impl Dumbbell {
     /// Build the dumbbell inside `net` according to `cfg`.
     pub fn build(net: &mut Network, cfg: &DumbbellConfig) -> Dumbbell {
         assert!(cfg.senders >= 1, "need at least one sender");
-        assert!(cfg.sender_bond_links >= 1, "need at least one uplink");
+        let edge = || LinkSpec::droptail(cfg.bottleneck_rate, cfg.hop_delay, EDGE_BUFFER_BYTES);
 
         let switch = net.add_switch();
         let receiver = net.add_host();
@@ -132,33 +144,21 @@ impl Dumbbell {
         );
 
         // Reverse path: receiver -> switch (acks), generously buffered.
-        let rx_up = net.add_link(
-            receiver,
-            switch,
-            LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
-        );
+        let rx_up = net.add_link(receiver, switch, edge());
         net.add_route(receiver, switch, rx_up);
 
         let mut senders = Vec::with_capacity(cfg.senders);
         let mut uplinks = Vec::with_capacity(cfg.senders);
         for _ in 0..cfg.senders {
             let host = net.add_host();
-            let mut bond = Vec::with_capacity(cfg.sender_bond_links);
-            for _ in 0..cfg.sender_bond_links {
-                let l = net.add_link(
-                    host,
-                    switch,
-                    LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
-                );
+            let mut bond = Vec::with_capacity(SENDER_BOND_LINKS);
+            for _ in 0..SENDER_BOND_LINKS {
+                let l = net.add_link(host, switch, edge());
                 net.add_route(host, receiver, l);
                 bond.push(l);
             }
             // Switch routes: to this sender via a downlink.
-            let down = net.add_link(
-                switch,
-                host,
-                LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
-            );
+            let down = net.add_link(switch, host, edge());
             net.add_route(switch, host, down);
             // Receiver reaches this sender through the switch.
             net.add_route(receiver, host, rx_up);
@@ -177,55 +177,37 @@ impl Dumbbell {
             uplinks,
         }
     }
-
-    /// Round-trip propagation+forwarding delay for this topology, ignoring
-    /// serialization and queueing: four hop delays (two out, two back).
-    pub fn base_rtt(cfg: &DumbbellConfig) -> SimDuration {
-        cfg.hop_delay * 4
-    }
 }
 
-/// Parameters of the incast testbed.
+/// Parameters of the incast testbed. Every link runs at [`LINK_GBPS`]
+/// with [`HOP_DELAY`] per hop; non-bottleneck links hold
+/// [`EDGE_BUFFER_BYTES`].
 #[derive(Clone, Debug)]
 pub struct IncastConfig {
     /// Number of sender hosts fanning into the receiver.
     pub fan_in: usize,
-    /// Rate of each sender -> switch uplink (per bond member).
-    pub edge_rate: Rate,
-    /// Aggregate bottleneck (switch -> receiver) rate; a bonded
-    /// bottleneck splits it evenly over its members.
-    pub bottleneck_rate: Rate,
     /// LAG width: every link in the rack is a port-channel of this many
     /// members, sprayed round-robin (1 = plain links). Edge members each
-    /// run at the full `edge_rate` — the dumbbell's bonded-NIC
+    /// run at the full link rate — the dumbbell's bonded-NIC
     /// convention, so host NICs are never the bottleneck — while
-    /// bottleneck members split `bottleneck_rate` to preserve the
-    /// aggregate. Equal-size frames sprayed onto an idle bond serialize
+    /// bottleneck members split it to preserve the aggregate. Equal-size frames sprayed onto an idle bond serialize
     /// in lockstep and arrive at the far host in the same nanosecond,
     /// which is what feeds the engine's batched same-timestamp dispatch.
     pub bond_links: usize,
-    /// One-way propagation delay per hop.
-    pub hop_delay: SimDuration,
     /// Bottleneck queue discipline, per bond member. Incast collapse
     /// studies want this shallow; the default is a switch-port-sized
     /// 256 KB drop-tail.
     pub bottleneck_queue: BottleneckQueue,
-    /// Buffer on non-bottleneck links, in bytes.
-    pub edge_buffer_bytes: u64,
 }
 
 impl Default for IncastConfig {
     fn default() -> Self {
         IncastConfig {
             fan_in: 32,
-            edge_rate: Rate::from_gbps(10.0),
-            bottleneck_rate: Rate::from_gbps(10.0),
             bond_links: 1,
-            hop_delay: SimDuration::from_micros(25),
             bottleneck_queue: BottleneckQueue::DropTail {
                 capacity_bytes: 256_000,
             },
-            edge_buffer_bytes: 4_000_000,
         }
     }
 }
@@ -254,9 +236,11 @@ impl Incast {
     pub fn build(net: &mut Network, cfg: &IncastConfig) -> Incast {
         assert!(cfg.fan_in >= 1, "need at least one sender");
         assert!(cfg.bond_links >= 1, "need at least one bond member");
+        let rate = Rate::from_gbps(LINK_GBPS);
+        let edge = || LinkSpec::droptail(rate, HOP_DELAY, EDGE_BUFFER_BYTES);
         let switch = net.add_switch();
         let receiver = net.add_host();
-        let member_rate = Rate::from_bps(cfg.bottleneck_rate.bps() / cfg.bond_links as f64);
+        let member_rate = Rate::from_bps(rate.bps() / cfg.bond_links as f64);
         let mut bottlenecks = Vec::with_capacity(cfg.bond_links);
         for _ in 0..cfg.bond_links {
             let l = net.add_link(
@@ -264,7 +248,7 @@ impl Incast {
                 receiver,
                 LinkSpec {
                     rate: member_rate,
-                    prop_delay: cfg.hop_delay,
+                    prop_delay: HOP_DELAY,
                     qdisc: cfg.bottleneck_queue.build(),
                     min_pkt_gap: SimDuration::ZERO,
                 },
@@ -277,11 +261,7 @@ impl Incast {
         // switch and reach a multiplexed sender as one batch.
         let mut rx_ups = Vec::with_capacity(cfg.bond_links);
         for _ in 0..cfg.bond_links {
-            let l = net.add_link(
-                receiver,
-                switch,
-                LinkSpec::droptail(cfg.bottleneck_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
-            );
+            let l = net.add_link(receiver, switch, edge());
             net.add_route(receiver, switch, l);
             rx_ups.push(l);
         }
@@ -292,20 +272,12 @@ impl Incast {
             let host = net.add_host();
             let mut bond = Vec::with_capacity(cfg.bond_links);
             for _ in 0..cfg.bond_links {
-                let up = net.add_link(
-                    host,
-                    switch,
-                    LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
-                );
+                let up = net.add_link(host, switch, edge());
                 net.add_route(host, receiver, up);
                 bond.push(up);
             }
             for _ in 0..cfg.bond_links {
-                let down = net.add_link(
-                    switch,
-                    host,
-                    LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
-                );
+                let down = net.add_link(switch, host, edge());
                 net.add_route(switch, host, down);
             }
             for &ru in &rx_ups {
@@ -325,34 +297,29 @@ impl Incast {
     }
 }
 
-/// Parameters of the parking-lot chain.
+/// Parameters of the parking-lot chain. Access and reverse links run at
+/// the chain's rate with [`EDGE_BUFFER_BYTES`] of buffer.
 #[derive(Clone, Debug)]
 pub struct ParkingLotConfig {
     /// Number of bottleneck hops in the chain (and of local flows; ≥ 1).
     pub hops: usize,
-    /// Rate of every chain (bottleneck) link.
+    /// Rate of every link: chain (bottleneck), reverse and access.
     pub link_rate: Rate,
-    /// Rate of host access links.
-    pub edge_rate: Rate,
     /// One-way propagation delay per hop.
     pub hop_delay: SimDuration,
     /// Queue discipline on each forward chain link.
     pub bottleneck_queue: BottleneckQueue,
-    /// Buffer on access and reverse links, in bytes.
-    pub edge_buffer_bytes: u64,
 }
 
 impl Default for ParkingLotConfig {
     fn default() -> Self {
         ParkingLotConfig {
             hops: 3,
-            link_rate: Rate::from_gbps(10.0),
-            edge_rate: Rate::from_gbps(10.0),
-            hop_delay: SimDuration::from_micros(25),
+            link_rate: Rate::from_gbps(LINK_GBPS),
+            hop_delay: HOP_DELAY,
             bottleneck_queue: BottleneckQueue::DropTail {
-                capacity_bytes: 1_000_000,
+                capacity_bytes: BUFFER_BYTES,
             },
-            edge_buffer_bytes: 4_000_000,
         }
     }
 }
@@ -380,6 +347,7 @@ impl ParkingLot {
     /// Build the parking lot inside `net` according to `cfg`.
     pub fn build(net: &mut Network, cfg: &ParkingLotConfig) -> ParkingLot {
         assert!(cfg.hops >= 1, "need at least one hop");
+        let edge = || LinkSpec::droptail(cfg.link_rate, cfg.hop_delay, EDGE_BUFFER_BYTES);
         let n_sw = cfg.hops + 1;
         let switches: Vec<NodeId> = (0..n_sw).map(|_| net.add_switch()).collect();
 
@@ -398,27 +366,15 @@ impl ParkingLot {
                     min_pkt_gap: SimDuration::ZERO,
                 },
             ));
-            reverse.push(net.add_link(
-                switches[i + 1],
-                switches[i],
-                LinkSpec::droptail(cfg.link_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
-            ));
+            reverse.push(net.add_link(switches[i + 1], switches[i], edge()));
         }
 
         // Hosts: (host id, index of the switch it hangs off).
         let mut hosts: Vec<(NodeId, usize)> = Vec::new();
         let attach = |net: &mut Network, sw_idx: usize, hosts: &mut Vec<(NodeId, usize)>| {
             let host = net.add_host();
-            let up = net.add_link(
-                host,
-                switches[sw_idx],
-                LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
-            );
-            let down = net.add_link(
-                switches[sw_idx],
-                host,
-                LinkSpec::droptail(cfg.edge_rate, cfg.hop_delay, cfg.edge_buffer_bytes),
-            );
+            let up = net.add_link(host, switches[sw_idx], edge());
+            let down = net.add_link(switches[sw_idx], host, edge());
             net.add_route(switches[sw_idx], host, down);
             hosts.push((host, sw_idx));
             (host, up)
@@ -629,12 +585,6 @@ mod tests {
         net.attach_agent(d.receiver, Box::new(Sink));
         net.run();
         assert!(net.queue_stats(d.bottleneck).marked_pkts > 0);
-    }
-
-    #[test]
-    fn base_rtt_is_four_hops() {
-        let cfg = DumbbellConfig::default();
-        assert_eq!(Dumbbell::base_rtt(&cfg), SimDuration::from_micros(100));
     }
 
     #[test]

@@ -15,17 +15,14 @@
 use crate::chaos::{self, ChaosPhase};
 use crate::expect::{Expectation, ExpectationReport, Measured};
 use crate::traffic::Traffic;
+use energy::calibration::CAL_MTU_BYTES;
 use netsim::fault::FaultSpecError;
+use netsim::packet::HEADER_BYTES;
 use netsim::time::{SimDuration, SimTime};
+use netsim::topology::LINK_GBPS;
 use workload::iperf::FlowSpec;
 use workload::population::{PopulationError, PopulationSpec};
 use workload::scenario::{simulate, simulate_parking_lot, Observe, Scenario, ScenarioError};
-
-/// The paper's testbed link rate, shared by every topology here.
-const LINK_GBPS: f64 = 10.0;
-
-/// Default MTU (jumbo frames, like the runners' testbed defaults).
-const DEFAULT_MTU: u32 = 9000;
 
 /// Throughput-trace bin auto-enabled when a `RecoveryWithin`
 /// expectation needs per-flow series. Fine enough to resolve recovery
@@ -74,6 +71,12 @@ impl Topology {
 pub enum BuildError {
     /// The scenario has no traffic at all.
     NoTraffic,
+    /// The MTU leaves no room for payload after the
+    /// [`HEADER_BYTES`]-byte header.
+    MtuTooSmall {
+        /// The MTU asked for.
+        mtu: u32,
+    },
     /// The chaos phases compose into an illegal fault spec.
     Fault(FaultSpecError),
     /// A `RecoveryWithin` expectation with no flap phase: there is no
@@ -100,6 +103,12 @@ impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuildError::NoTraffic => write!(f, "scenario has no traffic"),
+            BuildError::MtuTooSmall { mtu } => {
+                write!(
+                    f,
+                    "MTU {mtu} does not exceed the {HEADER_BYTES}-byte header"
+                )
+            }
             BuildError::Fault(err) => write!(f, "chaos phases do not compose: {err}"),
             BuildError::RecoveryNeedsFlap => write!(
                 f,
@@ -169,7 +178,7 @@ pub struct ScenarioBuilder {
 
 impl ScenarioBuilder {
     /// Start a scenario named `name` on a dumbbell with the testbed
-    /// defaults (10 Gb/s, MTU 9000, seed 1).
+    /// defaults ([`LINK_GBPS`], jumbo frames ([`CAL_MTU_BYTES`]), seed 1).
     pub fn new(name: &str) -> ScenarioBuilder {
         ScenarioBuilder {
             name: name.to_string(),
@@ -178,7 +187,7 @@ impl ScenarioBuilder {
             chaos: Vec::new(),
             expectations: Vec::new(),
             seed: 1,
-            mtu: DEFAULT_MTU,
+            mtu: CAL_MTU_BYTES,
             trace_bin: None,
             max_rto_retries: None,
             observability: false,
@@ -271,6 +280,9 @@ impl ScenarioBuilder {
         } = self;
         if traffic.is_empty() {
             return Err(BuildError::NoTraffic);
+        }
+        if mtu <= HEADER_BYTES {
+            return Err(BuildError::MtuTooSmall { mtu });
         }
         let fault = chaos::compile(&chaos).map_err(BuildError::Fault)?;
         // The recovery clock starts when the last scheduled outage ends.
@@ -611,6 +623,45 @@ mod tests {
             .traffic(Traffic::bulk(CcaKind::Cubic, 1_000))
             .build();
         assert!(matches!(err, Err(BuildError::TopologyMismatch { .. })));
+    }
+
+    #[test]
+    fn an_mtu_within_the_header_is_rejected_on_every_topology() {
+        let bulk = || Traffic::bulk(CcaKind::Cubic, 1_000);
+        let mix = Traffic::Mix {
+            flows: 2,
+            mix: vec![(CcaKind::Cubic, 1)],
+            bytes_per_flow: 1_000,
+        };
+        let grid = Topology::RackGrid {
+            racks: 1,
+            hosts_per_rack: 2,
+        };
+        let shapes = [
+            (Topology::Dumbbell, vec![bulk()]),
+            (Topology::ParkingLot { hops: 1 }, vec![bulk(), bulk()]),
+            (grid, vec![mix]),
+        ];
+        for (topology, traffic) in shapes {
+            let build = |mtu: u32| {
+                let b = ScenarioBuilder::new("t")
+                    .topology(topology.clone())
+                    .with_mtu(mtu);
+                traffic
+                    .iter()
+                    .cloned()
+                    .fold(b, ScenarioBuilder::traffic)
+                    .build()
+            };
+            for mtu in [0, HEADER_BYTES] {
+                let err = build(mtu).expect_err("no room for payload");
+                assert!(
+                    matches!(err, BuildError::MtuTooSmall { mtu: m } if m == mtu),
+                    "{topology:?}: {err}"
+                );
+            }
+            assert!(build(HEADER_BYTES + 1).is_ok(), "{topology:?}");
+        }
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! ("a bulk backup", "an RPC fan", "a 25 Mb/s video"); compilation
 //! turns it into the [`FlowSpec`]s the runners consume. The mapping is
 //! deliberately boring — every generator is expressible as bulk flows
-//! with start delays, rate limits, and rate schedules — so the whole
+//! with start delays and rate limits — so the whole
 //! surface stays on the one battle-tested sender path.
 
 use cca::CcaKind;
-use netsim::time::{SimDuration, SimTime};
+use netsim::time::SimDuration;
 use netsim::units::Rate;
 use workload::iperf::FlowSpec;
 
@@ -51,24 +51,6 @@ pub enum Traffic {
         /// Start offset from simulation start.
         start: SimDuration,
     },
-    /// An on/off web-like source: bursts at full speed for `on`, then
-    /// throttles to a trickle for `off`, repeated `cycles` times. The
-    /// trickle (not a full stop) keeps the connection warm, like
-    /// persistent HTTP between page loads.
-    OnOffWeb {
-        /// Congestion control algorithm.
-        cca: CcaKind,
-        /// Application bytes over the whole pattern.
-        bytes: u64,
-        /// Full-speed burst duration.
-        on: SimDuration,
-        /// Trickle-throttled gap duration.
-        off: SimDuration,
-        /// Number of on/off cycles.
-        cycles: usize,
-        /// Start offset from simulation start.
-        start: SimDuration,
-    },
     /// A population CCA mix for rack-grid topologies: `flows` bulk
     /// transfers of `bytes_per_flow` each, assigned to algorithms by
     /// weighted round-robin (see
@@ -83,9 +65,6 @@ pub enum Traffic {
     },
 }
 
-/// Rate of the keep-warm trickle between web bursts, in Mbit/s.
-const WEB_TRICKLE_MBPS: f64 = 10.0;
-
 impl Traffic {
     /// A bulk transfer starting at t = 0.
     pub fn bulk(cca: CcaKind, bytes: u64) -> Traffic {
@@ -93,15 +72,6 @@ impl Traffic {
             cca,
             bytes,
             start: SimDuration::ZERO,
-        }
-    }
-
-    /// How many flows this generator compiles to.
-    pub fn flow_count(&self) -> usize {
-        match self {
-            Traffic::Bulk { .. } | Traffic::Video { .. } | Traffic::OnOffWeb { .. } => 1,
-            Traffic::Rpc { responses, .. } => *responses,
-            Traffic::Mix { flows, .. } => *flows,
         }
     }
 
@@ -133,29 +103,6 @@ impl Traffic {
             } => vec![FlowSpec::bulk(*cca, *bytes)
                 .with_rate_limit(*rate)
                 .with_start_delay(*start)],
-            Traffic::OnOffWeb {
-                cca,
-                bytes,
-                on,
-                off,
-                cycles,
-                start,
-            } => {
-                // Bursts are unthrottled; gaps throttle to the trickle.
-                // The schedule is absolute times, starting on.
-                let mut spec = FlowSpec::bulk(*cca, *bytes).with_start_delay(*start);
-                let mut t = start.as_nanos();
-                for _ in 0..*cycles {
-                    t += on.as_nanos();
-                    spec = spec.with_rate_change(
-                        SimTime::from_nanos(t),
-                        Some(Rate::from_mbps(WEB_TRICKLE_MBPS)),
-                    );
-                    t += off.as_nanos();
-                    spec = spec.with_rate_change(SimTime::from_nanos(t), None);
-                }
-                vec![spec]
-            }
             Traffic::Mix { .. } => Vec::new(),
         }
     }
@@ -203,34 +150,12 @@ mod tests {
     }
 
     #[test]
-    fn web_alternates_trickle_and_full_speed() {
-        let flows = Traffic::OnOffWeb {
-            cca: CcaKind::Cubic,
-            bytes: 1_000_000,
-            on: SimDuration::from_millis(10),
-            off: SimDuration::from_millis(5),
-            cycles: 2,
-            start: SimDuration::ZERO,
-        }
-        .compile();
-        let sched = &flows[0].rate_schedule;
-        assert_eq!(sched.len(), 4);
-        // on ends at 10 ms -> trickle; off ends at 15 ms -> unthrottled.
-        assert_eq!(sched[0].0, SimTime::from_millis(10));
-        assert!(sched[0].1.is_some());
-        assert_eq!(sched[1].0, SimTime::from_millis(15));
-        assert!(sched[1].1.is_none());
-        assert_eq!(sched[3].0, SimTime::from_millis(30));
-    }
-
-    #[test]
-    fn mix_counts_flows_but_compiles_to_none() {
+    fn mix_compiles_to_no_flows() {
         let t = Traffic::Mix {
             flows: 10,
             mix: vec![(CcaKind::Cubic, 1)],
             bytes_per_flow: 1_000,
         };
-        assert_eq!(t.flow_count(), 10);
         assert!(t.compile().is_empty());
     }
 }

@@ -11,6 +11,7 @@ use crate::iperf::FlowSpec;
 use cca::CcaKind;
 use netsim::rng::SimRng;
 use netsim::time::SimDuration;
+use netsim::topology::LINK_GBPS;
 
 /// A heavy-tailed flow-size distribution: a discrete mix of (probability,
 /// size) classes, defaulting to a web-search-like pattern.
@@ -58,10 +59,9 @@ impl SizeMix {
 /// A Poisson open-loop workload description.
 #[derive(Clone, Debug)]
 pub struct PoissonWorkload {
-    /// Target offered load as a fraction of the link rate.
+    /// Target offered load as a fraction of the testbed's link rate
+    /// ([`LINK_GBPS`]).
     pub load: f64,
-    /// Link rate in Gb/s (to convert load to arrival rate).
-    pub link_gbps: f64,
     /// Flow-size distribution.
     pub sizes: SizeMix,
     /// Number of flows to generate.
@@ -71,14 +71,13 @@ pub struct PoissonWorkload {
 }
 
 impl PoissonWorkload {
-    /// A workload offering `load` of a 10 Gb/s link with the web-search
-    /// mix.
+    /// A workload offering `load` of the testbed link with the
+    /// web-search mix.
     pub fn new(load: f64, flows: usize, cca: CcaKind) -> Self {
         assert!(load > 0.0 && load < 1.0, "open-loop load must be in (0,1)");
         assert!(flows > 0);
         PoissonWorkload {
             load,
-            link_gbps: 10.0,
             sizes: SizeMix::websearch(),
             flows,
             cca,
@@ -87,7 +86,7 @@ impl PoissonWorkload {
 
     /// Mean inter-arrival time for the configured load.
     pub fn mean_interarrival(&self) -> SimDuration {
-        let bytes_per_sec = self.load * self.link_gbps * 1e9 / 8.0;
+        let bytes_per_sec = self.load * LINK_GBPS * 1e9 / 8.0;
         let arrivals_per_sec = bytes_per_sec / self.sizes.mean_bytes();
         SimDuration::from_secs_f64(1.0 / arrivals_per_sec)
     }

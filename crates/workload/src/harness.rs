@@ -47,6 +47,15 @@ use transport::sender::{TcpSender, TcpSenderConfig};
 /// which lands its energy penalty in the paper's 8.2-14.2% band.
 pub const BASELINE_CWND_FACTOR: f64 = 1.40;
 
+/// Bin width of the host activity record the energy meter integrates:
+/// the resolution of the RAPL-style power series.
+pub const ACTIVITY_BIN: SimDuration = SimDuration::from_millis(1);
+
+/// Upper bound on a flow's random start jitter. Real iperf3 processes
+/// never start nanosecond-synchronized; the jitter de-phases loss
+/// patterns across seeds so repetitions produce genuine spread.
+pub const START_JITTER: SimDuration = SimDuration::from_micros(200);
+
 /// Engine stall watchdog budget: abort the run if this many events are
 /// processed without a single packet delivered to a host. Fault-free
 /// runs deliver packets every handful of events, and even a fully
@@ -216,10 +225,17 @@ pub struct EnergyMeasurement {
 /// `place` gets the network — with activity recording, traces, packet
 /// log and recorder already attached — and, under [`Observe::Full`], the
 /// recorder so it can name its hosts and queues for the trace viewer.
+///
+/// An MTU that leaves no payload beyond the [`HEADER_BYTES`] header is
+/// [`ScenarioError::MtuTooSmall`], before anything is built.
 pub fn simulate_on(
     wiring: &Wiring,
     place: impl FnOnce(&mut Network, Option<&RefCell<ObsRecorder>>) -> Result<Placement, ScenarioError>,
 ) -> Result<SimulatedRun, ScenarioError> {
+    let mss = match wiring.mtu.checked_sub(HEADER_BYTES) {
+        Some(mss) if mss > 0 => mss,
+        _ => return Err(ScenarioError::MtuTooSmall { mtu: wiring.mtu }),
+    };
     let mut net = Network::new(wiring.seed);
     net.set_delivery_batching(wiring.delivery_batching);
     net.enable_activity(wiring.activity_bin);
@@ -255,7 +271,6 @@ pub fn simulate_on(
         }
     }
 
-    let mss = wiring.mtu - HEADER_BYTES;
     let baseline_cwnd = (wiring.path_capacity_bytes as f64 * BASELINE_CWND_FACTOR) as u64;
     let cca_cfg = CcaConfig::new(mss).with_baseline_cwnd(baseline_cwnd);
     let build_sender = |f: &PlacedFlow| -> TcpSender {
@@ -592,5 +607,38 @@ impl SimulatedRun {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::iperf::FlowSpec;
+    use crate::population::{run_population, PopulationError, PopulationSpec};
+    use crate::scenario::{simulate, simulate_parking_lot, Scenario, ScenarioError, SimulatedRun};
+    use cca::CcaKind;
+
+    /// An MTU below the header is a typed error on every placement, not
+    /// an MSS that overflows (debug) or wraps (release).
+    #[test]
+    fn an_mtu_below_the_header_is_an_error() {
+        let flow = || FlowSpec::bulk(CcaKind::Cubic, 100_000);
+        let mut one = Scenario::new(9000, vec![flow()]);
+        one.mtu = 39;
+        let mut lot = Scenario::new(9000, vec![flow(), flow()]);
+        lot.mtu = 39;
+        let mut population = PopulationSpec::new(2, vec![(CcaKind::Cubic, 1)]).with_grid(1, 2);
+        population.mtu = 39;
+        let too_small = |r: Result<SimulatedRun, ScenarioError>| {
+            matches!(r, Err(ScenarioError::MtuTooSmall { mtu: 39 }))
+        };
+        assert!(too_small(simulate(&one)));
+        assert!(too_small(simulate_parking_lot(&lot, 1)));
+        assert!(matches!(
+            run_population(&population),
+            Err(PopulationError::Rack {
+                rack: 0,
+                error: ScenarioError::MtuTooSmall { mtu: 39 }
+            })
+        ));
     }
 }

@@ -30,18 +30,36 @@
 //! ([`netsim::trace::HostActivity`]), and a rack's metering renders no
 //! power series.
 
-use crate::harness::{self, simulate_on, PlacedFlow, Placement, SenderHost, Wiring};
+use crate::harness::{
+    self, simulate_on, PlacedFlow, Placement, SenderHost, Wiring, ACTIVITY_BIN, START_JITTER,
+};
 use crate::iperf::{FlowReport, FlowSpec};
 use crate::par::{host_threads, par_map_with_threads};
 use crate::scenario::{Observe, ScenarioError};
 use crate::stress::StressLoad;
 use cca::CcaKind;
+use energy::calibration::CAL_MTU_BYTES;
 use netsim::ids::FlowId;
 use netsim::time::{SimDuration, SimTime};
-use netsim::topology::{BottleneckQueue, Incast, IncastConfig};
-use netsim::units::Rate;
+use netsim::topology::{
+    BottleneckQueue, Incast, IncastConfig, BUFFER_BYTES, HOP_DELAY, LINK_GBPS, SENDER_BOND_LINKS,
+};
+
+/// Arrivals ramp linearly over this window (flow `f` of `total` starts
+/// at `ARRIVAL_SPREAD * f / total`), modelling staggered client arrivals
+/// rather than a synchronized stampede.
+pub const ARRIVAL_SPREAD: SimDuration = SimDuration::from_millis(20);
 
 /// A population of bulk flows over a grid of independent rack cells.
+///
+/// Every rack is an incast on the testbed's links ([`LINK_GBPS`],
+/// [`HOP_DELAY`], a [`BUFFER_BYTES`] drop-tail bottleneck). Flows start
+/// on a ramp over [`ARRIVAL_SPREAD`] plus up to [`START_JITTER`] of
+/// jitter. Hosts run with no packet-rate ceiling: the ceiling models a
+/// single iperf socket's host, which a multiplexed sender is not, and
+/// per-sub gaps would serialize the burst emission that feeds batched
+/// dispatch. Racks are metered in [`ACTIVITY_BIN`] bins and stop at a
+/// time limit derived from their bytes.
 #[derive(Clone, Debug)]
 pub struct PopulationSpec {
     /// MTU in bytes (wire size of a full segment).
@@ -54,50 +72,26 @@ pub struct PopulationSpec {
     pub mix: Vec<(CcaKind, u32)>,
     /// Application bytes per flow.
     pub bytes_per_flow: u64,
-    /// Arrivals ramp linearly over this window (flow `f` starts at
-    /// `spread * f / total`), modelling staggered client arrivals
-    /// rather than a synchronized stampede.
-    pub arrival_spread: SimDuration,
-    /// Per-flow random start jitter on top of the ramp, drawn from the
-    /// owning rack's seeded stream. `ZERO` disables.
-    pub start_jitter: SimDuration,
     /// Number of independent rack cells.
     pub racks: usize,
     /// Sender hosts per rack (the incast fan-in).
     pub hosts_per_rack: usize,
-    /// Edge and bottleneck rate in Gb/s (the paper's testbed is 10).
-    pub link_gbps: f64,
-    /// One-way propagation delay per hop.
-    pub hop_delay: SimDuration,
-    /// Bottleneck (switch -> receiver) buffer per rack, in bytes.
-    pub buffer_bytes: u64,
-    /// Buffer on non-bottleneck links, in bytes.
-    pub edge_buffer_bytes: u64,
     /// LAG width for every rack link (see [`IncastConfig::bond_links`]).
     /// The default of 2 mirrors the dumbbell's bonded sender NICs and
     /// produces the same-nanosecond delivery ties the engine's batched
     /// dispatch coalesces.
     pub bond_links: usize,
-    /// Host packet-processing ceiling in packets/sec (`None` disables).
-    /// Off by default for populations: the ceiling models a single
-    /// iperf socket's host, which a 20-flow multiplexed sender is not,
-    /// and per-sub gaps would serialize the burst emission that feeds
-    /// batched dispatch.
-    pub host_pps_cap: Option<f64>,
-    /// Bin width for energy activity integration.
-    pub activity_bin: SimDuration,
     /// Master RNG seed; each rack derives an isolated stream from it.
     pub seed: u64,
     /// Same-timestamp delivery batching in the engine (on by default;
     /// the equivalence tests flip it off to pin bit-identity).
     pub delivery_batching: bool,
-    /// Hard simulated-time limit per rack (`None` = derived default).
-    pub time_limit: Option<SimTime>,
 }
 
 impl PopulationSpec {
-    /// A population with the testbed defaults: MTU 9000, 10 Gb/s links,
-    /// 8 racks of 8 sender hosts, 1 MB per flow, arrivals over 20 ms.
+    /// A population with the testbed defaults: jumbo frames
+    /// ([`CAL_MTU_BYTES`]), bonded links, 8 racks of 8 sender hosts,
+    /// 1 MB per flow.
     pub fn new(total_flows: usize, mix: Vec<(CcaKind, u32)>) -> Self {
         assert!(total_flows > 0, "need at least one flow");
         assert!(!mix.is_empty(), "need at least one CCA in the mix");
@@ -106,24 +100,15 @@ impl PopulationSpec {
             "mix needs a positive weight"
         );
         PopulationSpec {
-            mtu: 9000,
+            mtu: CAL_MTU_BYTES,
             total_flows,
             mix,
             bytes_per_flow: 1_000_000,
-            arrival_spread: SimDuration::from_millis(20),
-            start_jitter: SimDuration::from_micros(200),
             racks: 8,
             hosts_per_rack: 8,
-            link_gbps: 10.0,
-            hop_delay: SimDuration::from_micros(25),
-            buffer_bytes: 1_000_000,
-            edge_buffer_bytes: 4_000_000,
-            bond_links: 2,
-            host_pps_cap: None,
-            activity_bin: SimDuration::from_millis(1),
+            bond_links: SENDER_BOND_LINKS,
             seed: 1,
             delivery_batching: true,
-            time_limit: None,
         }
     }
 
@@ -170,12 +155,6 @@ impl PopulationSpec {
         self
     }
 
-    /// Set the arrival ramp window.
-    pub fn with_arrival_spread(mut self, spread: SimDuration) -> Self {
-        self.arrival_spread = spread;
-        self
-    }
-
     /// Toggle same-timestamp delivery batching in the engine.
     pub fn with_delivery_batching(mut self, on: bool) -> Self {
         self.delivery_batching = on;
@@ -205,14 +184,14 @@ impl PopulationSpec {
         }
         out
     }
+}
 
-    /// Derived per-rack time limit: 20x the rack's ideal transfer time
-    /// plus the arrival ramp and a constant for RTO-heavy tails (the
-    /// same shape as the scenario runner's default).
-    fn default_time_limit(&self, rack_bytes: u64) -> SimTime {
-        let ideal = rack_bytes as f64 * 8.0 / (self.link_gbps * 1e9);
-        SimTime::from_secs_f64(20.0 * ideal + self.arrival_spread.as_secs_f64() + 30.0)
-    }
+/// Per-rack time limit: 20x the rack's ideal transfer time plus the
+/// arrival ramp and a constant for RTO-heavy tails (the same shape as the
+/// scenario runner's default).
+fn rack_time_limit(rack_bytes: u64) -> SimTime {
+    let ideal = rack_bytes as f64 * 8.0 / (LINK_GBPS * 1e9);
+    SimTime::from_secs_f64(20.0 * ideal + ARRIVAL_SPREAD.as_secs_f64() + 30.0)
 }
 
 /// What one rack produced (merged by the population runner).
@@ -389,31 +368,25 @@ fn run_rack(
     let wiring = Wiring {
         seed,
         mtu: spec.mtu,
-        activity_bin: spec.activity_bin,
+        activity_bin: ACTIVITY_BIN,
         trace_bin: None,
         pkt_log_capacity: None,
         delivery_batching: spec.delivery_batching,
         observe: Observe::Off,
-        host_pps_cap: spec.host_pps_cap,
+        host_pps_cap: None,
         max_rto_retries: None,
-        path_capacity_bytes: harness::bdp_bytes(spec.link_gbps, spec.hop_delay.as_secs_f64() * 4.0)
-            + spec.buffer_bytes,
-        time_limit: spec
-            .time_limit
-            .unwrap_or_else(|| spec.default_time_limit(rack_bytes)),
+        path_capacity_bytes: harness::bdp_bytes(LINK_GBPS, HOP_DELAY.as_secs_f64() * 4.0)
+            + BUFFER_BYTES,
+        time_limit: rack_time_limit(rack_bytes),
         wall_deadline: None,
     };
     let run = simulate_on(&wiring, |net, _obs| {
         let cfg = IncastConfig {
             fan_in: spec.hosts_per_rack,
-            edge_rate: Rate::from_gbps(spec.link_gbps),
-            bottleneck_rate: Rate::from_gbps(spec.link_gbps),
-            hop_delay: spec.hop_delay,
             bond_links: spec.bond_links,
             bottleneck_queue: BottleneckQueue::DropTail {
-                capacity_bytes: spec.buffer_bytes,
+                capacity_bytes: BUFFER_BYTES,
             },
-            edge_buffer_bytes: spec.edge_buffer_bytes,
         };
         let cell = Incast::build(net, &cfg);
         // Every host multiplexes, even one left with a single flow.
@@ -426,15 +399,15 @@ fn run_rack(
                 mux: true,
             })
             .collect();
-        let jitters = harness::start_jitters(seed ^ JITTER_SALT, spec.start_jitter, n_flows);
-        let spread_ns = spec.arrival_spread.as_nanos();
+        let jitters = harness::start_jitters(seed ^ JITTER_SALT, START_JITTER, n_flows);
+        let spread_ns = ARRIVAL_SPREAD.as_nanos();
         for (local, (f, jitter)) in flows().zip(jitters).enumerate() {
             let ramp = SimDuration::from_nanos(spread_ns * f as u64 / spec.total_flows as u64);
             senders[local % spec.hosts_per_rack].flows.push(PlacedFlow {
                 flow: FlowId::from_raw(f as u32),
                 spec: FlowSpec::bulk(ccas[f], spec.bytes_per_flow).with_start_delay(ramp + jitter),
                 receiver: cell.receiver,
-                base_rtt: spec.hop_delay * 4,
+                base_rtt: HOP_DELAY * 4,
             });
         }
         senders.retain(|host| !host.flows.is_empty());
@@ -540,7 +513,6 @@ mod tests {
         PopulationSpec::new(48, vec![(CcaKind::Cubic, 10), (CcaKind::Bbr, 1)])
             .with_grid(4, 4)
             .with_bytes_per_flow(200 * KB)
-            .with_arrival_spread(SimDuration::from_millis(5))
             .with_seed(42)
     }
 

@@ -18,7 +18,9 @@
 //! rules (`simlint.toml`): a scenario that does not fit its topology is a
 //! typed [`ScenarioError`], never a panic.
 
-use crate::harness::{self, simulate_on, PlacedFlow, Placement, SenderHost, Wiring};
+use crate::harness::{
+    self, simulate_on, PlacedFlow, Placement, SenderHost, Wiring, ACTIVITY_BIN, START_JITTER,
+};
 use crate::iperf::{FlowReport, FlowSpec};
 use crate::stress::StressLoad;
 use cca::CcaKind;
@@ -29,7 +31,10 @@ use netsim::fault::FaultSpec;
 use netsim::ids::FlowId;
 use netsim::packet::HEADER_BYTES;
 use netsim::time::{SimDuration, SimTime};
-use netsim::topology::{BottleneckQueue, Dumbbell, DumbbellConfig, ParkingLot, ParkingLotConfig};
+use netsim::topology::{
+    BottleneckQueue, Dumbbell, DumbbellConfig, ParkingLot, ParkingLotConfig, BUFFER_BYTES,
+    HOP_DELAY, LINK_GBPS,
+};
 use netsim::units::Rate;
 use obs::ObsReport;
 
@@ -82,10 +87,8 @@ pub struct Scenario {
     /// aggregate rate only.
     pub colocate_senders: bool,
     /// Upper bound on the per-flow random start jitter drawn from the
-    /// scenario seed. Real iperf3 processes never start nanosecond-
-    /// synchronized; the jitter de-phases loss patterns across seeds so
-    /// repetitions produce genuine spread (the simulator is otherwise a
-    /// pure function of its inputs). `ZERO` disables.
+    /// scenario seed ([`START_JITTER`] by default; the simulator is
+    /// otherwise a pure function of its inputs). `ZERO` disables.
     pub start_jitter: SimDuration,
     /// Fault injection on the bottleneck link ("chaos mode"): random
     /// loss, corruption, duplication, reordering, jitter, scheduled
@@ -115,25 +118,27 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// The paper's testbed defaults: 10 Gb/s, ~100 µs base RTT, 1 MB
-    /// drop-tail bottleneck buffer, calibrated host pps ceiling.
+    /// The paper's testbed defaults: [`LINK_GBPS`], [`HOP_DELAY`] per hop
+    /// (~100 µs base RTT), a [`BUFFER_BYTES`] drop-tail bottleneck buffer,
+    /// the calibrated host pps ceiling, [`ACTIVITY_BIN`] metering bins and
+    /// [`START_JITTER`].
     pub fn new(mtu: u32, flows: Vec<FlowSpec>) -> Self {
         assert!(mtu > HEADER_BYTES, "MTU must exceed header size");
         assert!(!flows.is_empty(), "need at least one flow");
         Scenario {
             mtu,
-            link_gbps: 10.0,
-            hop_delay: SimDuration::from_micros(25),
-            buffer_bytes: 1_000_000,
+            link_gbps: LINK_GBPS,
+            hop_delay: HOP_DELAY,
+            buffer_bytes: BUFFER_BYTES,
             flows,
             background_load: StressLoad::IDLE,
             seed: 1,
             trace_bin: None,
-            activity_bin: SimDuration::from_millis(1),
+            activity_bin: ACTIVITY_BIN,
             host_pps_cap: Some(MAX_HOST_PPS),
             time_limit: None,
             colocate_senders: false,
-            start_jitter: SimDuration::from_micros(200),
+            start_jitter: START_JITTER,
             bottleneck_fault: None,
             max_rto_retries: None,
             wall_deadline: None,
@@ -334,6 +339,12 @@ pub enum ScenarioError {
         /// What the topology requires.
         detail: String,
     },
+    /// The MTU leaves no room for payload after the
+    /// [`HEADER_BYTES`]-byte header.
+    MtuTooSmall {
+        /// The MTU asked for.
+        mtu: u32,
+    },
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -355,6 +366,12 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::Fault(err) => write!(f, "{err}"),
             ScenarioError::Placement { detail } => {
                 write!(f, "scenario does not fit the topology: {detail}")
+            }
+            ScenarioError::MtuTooSmall { mtu } => {
+                write!(
+                    f,
+                    "MTU {mtu} does not exceed the {HEADER_BYTES}-byte header"
+                )
             }
         }
     }
@@ -449,11 +466,8 @@ pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
     simulate_on(&scenario.wiring(scenario.bdp_bytes()), |net, obs_rec| {
         let cfg = DumbbellConfig {
             bottleneck_rate: Rate::from_gbps(scenario.link_gbps),
-            edge_rate: Rate::from_gbps(scenario.link_gbps),
-            sender_bond_links: 2,
             hop_delay: scenario.hop_delay,
             bottleneck_queue: scenario.bottleneck_queue(),
-            edge_buffer_bytes: 4_000_000,
             senders: if scenario.colocate_senders {
                 1
             } else {
@@ -550,10 +564,8 @@ pub fn simulate_parking_lot(
         let cfg = ParkingLotConfig {
             hops,
             link_rate: Rate::from_gbps(scenario.link_gbps),
-            edge_rate: Rate::from_gbps(scenario.link_gbps),
             hop_delay: scenario.hop_delay,
             bottleneck_queue: scenario.bottleneck_queue(),
-            edge_buffer_bytes: 4_000_000,
         };
         let lot = ParkingLot::build(net, &cfg);
         if let Some(spec) = &scenario.bottleneck_fault {

@@ -6,7 +6,6 @@
 //! Defaults: 500 MB per flow at MTU 9000.
 
 use green_envy_repro::greenenvy::fig1;
-use green_envy_repro::workload::prelude::StressLoad;
 
 fn main() {
     let per_flow_mb: u64 = std::env::args()
@@ -23,7 +22,6 @@ fn main() {
         mtu,
         fractions: (11..20).map(|i| i as f64 * 0.05).collect(),
         seeds: vec![1, 2],
-        background: StressLoad::IDLE,
     };
     println!("Sweeping two-flow allocations: {per_flow_mb} MB per flow, MTU {mtu}\n");
     let result = fig1::run(&cfg);

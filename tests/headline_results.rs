@@ -16,7 +16,6 @@ fn unfairness_saves_energy() {
         mtu: 9000,
         fractions: vec![0.7, 0.9],
         seeds: vec![11],
-        background: StressLoad::IDLE,
     };
     let result = fig1::run(&cfg);
     // Savings must increase monotonically with unfairness.
@@ -43,9 +42,7 @@ fn power_curve_is_concave_through_the_papers_points() {
     let cfg = fig2::Config {
         rates_gbps: vec![1.0, 2.5, 5.0, 7.5, 10.0],
         duration_s: 0.1,
-        mtu: 9000,
         seeds: vec![5],
-        background: StressLoad::IDLE,
     };
     let r = fig2::run(&cfg);
     assert!((r.idle_w - 21.49).abs() < 1e-9);
