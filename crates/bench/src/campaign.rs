@@ -135,8 +135,7 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
         };
 
     // The matrix artifact is emitted even when partial: resumed runs
-    // overwrite it, and the figure commands' cache check refuses to
-    // reuse an incomplete file.
+    // overwrite it.
     if let Some(p) = crate::save_json(&format!("matrix_{}", scale.name), &report.matrix) {
         println!("matrix: {}", p.display());
     }

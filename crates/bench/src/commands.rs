@@ -53,11 +53,12 @@ impl Ctx {
         }
     }
 
-    /// The fig5–8 campaign matrix, loaded or run by the first figure
-    /// that asks: one campaign, four projections, as in the paper.
+    /// The fig5–8 campaign matrix, run by the first figure that asks:
+    /// one campaign, four projections, as in the paper. Nothing is read
+    /// from disk, so a figure always reflects the code that prints it.
     pub fn matrix(&self, scale: Scale) -> Matrix {
         self.matrix
-            .get_or_init(|| crate::load_or_run_matrix(scale))
+            .get_or_init(|| greenenvy::matrix::run_matrix(scale))
             .clone()
     }
 }

@@ -3,6 +3,7 @@
 
 use bench::COMMANDS;
 use greenenvy::exitcode::{OK, USAGE};
+use greenenvy::matrix::Matrix;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -125,28 +126,56 @@ fn all_is_its_commands_run_one_by_one_on_one_campaign() {
     let out = bench_in("all", &["all"], &[]);
     assert_eq!(out.status.code(), Some(OK));
     assert_eq!(stdout(&out).matches("=== ").count(), 1, "one banner");
-    // fig5 simulated the campaign; `Ctx` handed it to fig6-8.
-    assert!(!stdout(&out).contains("reusing cached campaign"));
-
-    let mut reused = 0;
+    // Each figure command alone computes its own campaign; what `all`
+    // shares across fig5-8 must be exactly that.
     for name in in_all() {
         let out = bench_in("one-by-one", &[name], &[]);
         assert_eq!(out.status.code(), Some(OK), "{name}");
-        reused += usize::from(stdout(&out).contains("reusing cached campaign"));
     }
-    assert_eq!(reused, 3, "fig5 runs the campaign, fig6-8 load its matrix");
 
-    // Exactly the `in_all` artefacts plus the matrix, byte for byte.
+    // Exactly the `in_all` artefacts, byte for byte: no matrix file.
     let results = |cwd: &str| scratch(cwd).join("results");
-    let written = std::fs::read_dir(results("all")).unwrap().count();
-    assert_eq!(written, in_all().count() + 1);
-    for name in in_all().chain(["matrix_tiny"]) {
+    for cwd in ["all", "one-by-one"] {
+        let written = std::fs::read_dir(results(cwd)).unwrap().count();
+        assert_eq!(written, in_all().count(), "{cwd}");
+    }
+    for name in in_all() {
         let read = |cwd: &str| std::fs::read(results(cwd).join(format!("{name}.json")));
         assert!(
             read("all").expect(name) == read("one-by-one").expect(name),
             "{name}"
         );
     }
+}
+
+#[test]
+fn a_matrix_file_in_results_is_never_read() {
+    let embedded = |cwd: &str, fig: &str| -> serde_json::Value {
+        let path = scratch(cwd).join("results").join(format!("{fig}.json"));
+        let body = std::fs::read_to_string(&path).expect(fig);
+        serde_json::from_str::<serde_json::Value>(&body).unwrap()["matrix"].clone()
+    };
+    for cwd in ["clean", "planted"] {
+        let _ = std::fs::remove_dir_all(scratch(cwd));
+    }
+    assert_eq!(bench_in("clean", &["fig5"], &[]).status.code(), Some(OK));
+    let clean = embedded("clean", "fig5");
+
+    // The same matrix with one cell's energy moved, where a figure
+    // command would once have looked for a cached campaign.
+    let clean_text = serde_json::to_string(&clean).unwrap();
+    let mut planted: Matrix = serde_json::from_str(&clean_text).unwrap();
+    planted.cells[0].energy_j.mean *= 2.0;
+    let dir = scratch("planted").join("results");
+    std::fs::create_dir_all(&dir).unwrap();
+    let body = serde_json::to_string_pretty(&planted).unwrap();
+    std::fs::write(dir.join("matrix_tiny.json"), body).unwrap();
+
+    assert_eq!(bench_in("planted", &["fig6"], &[]).status.code(), Some(OK));
+    assert!(
+        embedded("planted", "fig6") == clean,
+        "fig6 read the planted matrix instead of running its campaign"
+    );
 }
 
 #[test]

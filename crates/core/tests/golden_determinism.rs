@@ -214,12 +214,62 @@ fn hpcc_two_flow_fingerprint_is_stable() {
     assert_eq!(retx, GOLDEN_HPCC_RETX, "per-flow HPCC retransmits moved");
 }
 
+/// Every CCA x MTU cell of the reference campaign below (10 MB, one
+/// seed, one thread): `(cca, mtu, energy_j.mean bits, fct_s.mean bits,
+/// retx.mean)`, in matrix order. The figure goldens cover five
+/// algorithms; this covers all ten, and a failure names the cell.
+#[rustfmt::skip]
+const GOLDEN_MATRIX_CELLS: [(&str, u32, u64, u64, f64); 40] = [
+    ("bbr", 1500, 4600897610335649792, 4576841998134203070, 0.0),
+    ("bbr", 3000, 4599763738969505792, 4576286860088666598, 0.0),
+    ("bbr", 6000, 4599137841975394304, 4575927701405090721, 0.0),
+    ("bbr", 9000, 4599254115330031616, 4576176375044419372, 0.0),
+    ("westwood", 1500, 4602057869980860416, 4578046599345253919, 0.0),
+    ("westwood", 3000, 4601221691387936768, 4576543066340645598, 190.0),
+    ("westwood", 6000, 4602408889068027904, 4578102453780466102, 191.0),
+    ("westwood", 9000, 4602003719033192448, 4578337211657234149, 129.0),
+    ("highspeed", 1500, 4602068590219231232, 4578046599345253919, 0.0),
+    ("highspeed", 3000, 4600831089882169344, 4576303398171189431, 190.0),
+    ("highspeed", 6000, 4600833838661238784, 4576193965167815158, 241.0),
+    ("highspeed", 9000, 4600194747527593984, 4576164649832717520, 160.0),
+    ("scalable", 1500, 4602079310457602048, 4578046599345253919, 0.0),
+    ("scalable", 3000, 4601653524579745792, 4576303398171189431, 313.0),
+    ("scalable", 6000, 4601451489318141952, 4576193965167815158, 337.0),
+    ("scalable", 9000, 4600632902911262720, 4576164649832717520, 230.0),
+    ("reno", 1500, 4602090030695972864, 4578046599345253919, 0.0),
+    ("reno", 3000, 4600649120707772416, 4576015167795037719, 190.0),
+    ("reno", 6000, 4600333285992693760, 4575905734791663446, 193.0),
+    ("reno", 9000, 4600037517364822016, 4576164649832717520, 134.0),
+    ("vegas", 1500, 4602722249881944064, 4578775370251687944, 0.0),
+    ("vegas", 3000, 4600353626957807616, 4576831704851009940, 0.0),
+    ("vegas", 6000, 4599587817109061632, 4576350275959566745, 0.0),
+    ("vegas", 9000, 4599624100992778240, 4576530783114935516, 0.0),
+    ("dctcp", 1500, 4602049898521559040, 4578046599345253919, 0.0),
+    ("dctcp", 3000, 4599773634574155776, 4576303398171189431, 0.0),
+    ("dctcp", 6000, 4599096335411445760, 4575905734791663446, 0.0),
+    ("dctcp", 9000, 4599256039475380224, 4576164649832717520, 17.0),
+    ("cubic", 1500, 4602105973614575616, 4578046599345253919, 0.0),
+    ("cubic", 3000, 4601044944893771776, 4576303398171189431, 213.0),
+    ("cubic", 6000, 4600833563783331840, 4575905734791663446, 270.0),
+    ("cubic", 9000, 4600156264620621824, 4575876419456565808, 185.0),
+    ("baseline", 1500, 4601311026707693568, 4577284354515855139, 0.0),
+    ("baseline", 3000, 4603252764242345984, 4578886359699093436, 375.0),
+    ("baseline", 6000, 4602520489498247168, 4579148211231219743, 182.0),
+    ("baseline", 9000, 4602143357009920000, 4579368388109719026, 116.0),
+    ("bbr2", 1500, 4603065572387717120, 4579240857697486940, 0.0),
+    ("bbr2", 3000, 4601509488556507136, 4577929459061621350, 0.0),
+    ("bbr2", 6000, 4600650220219400192, 4577317054252029551, 0.0),
+    ("bbr2", 9000, 4600622457550798848, 4577428363058691819, 0.0),
+];
+
 /// The work-stealing campaign runner hands cells to whichever thread
 /// asks next, so the *assignment* of cells to threads is racy — but the
 /// cells themselves are pure functions of `(cca, mtu, seeds)`. The
 /// serialized matrix must therefore be byte-identical at any thread
 /// count. (`{:?}`/serde_json print f64 shortest-roundtrip, so equal
 /// strings ⇔ bit-equal floats.)
+/// The 1-thread reference itself is pinned across commits to
+/// [`GOLDEN_MATRIX_CELLS`].
 #[test]
 fn matrix_is_thread_count_invariant() {
     let scale = Scale {
@@ -228,8 +278,29 @@ fn matrix_is_thread_count_invariant() {
         repetitions: 1,
         name: "golden-tiny",
     };
-    let reference =
-        serde_json::to_string(&run_matrix_with_threads(scale, 1)).expect("matrix serializes");
+    let matrix = run_matrix_with_threads(scale, 1);
+    let observed: Vec<_> = matrix
+        .cells
+        .iter()
+        .map(|c| {
+            let row = (
+                c.cca.as_str(),
+                c.mtu,
+                c.energy_j.mean.to_bits(),
+                c.fct_s.mean.to_bits(),
+                c.retx.mean,
+            );
+            println!("    {row:?},");
+            row
+        })
+        .collect();
+    assert!(matrix.failed.is_empty(), "{:?}", matrix.failed);
+    assert_eq!(observed.len(), GOLDEN_MATRIX_CELLS.len());
+    for (got, want) in observed.iter().zip(GOLDEN_MATRIX_CELLS) {
+        assert_eq!(*got, want, "cell {} @ mtu {} moved", want.0, want.1);
+    }
+
+    let reference = serde_json::to_string(&matrix).expect("matrix serializes");
     for threads in [2, 8] {
         let got = serde_json::to_string(&run_matrix_with_threads(scale, threads))
             .expect("matrix serializes");

@@ -273,15 +273,6 @@ pub struct PopulationFingerprint {
 }
 
 impl PopulationOutcome {
-    /// Events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.events_processed as f64 / secs
-    }
-
     /// Fraction of scheduler pushes served by the O(1) wheel path.
     pub fn wheel_hit_rate(&self) -> f64 {
         let total = self.wheel_pushes + self.heap_pushes;
@@ -454,7 +445,7 @@ pub fn run_population_with_threads(
     let racks_run = racks.len();
     let ccas = spec.cca_assignment();
     let threads = threads.clamp(1, racks_run.max(1));
-    // simlint::allow(wall-clock, reason = "events_per_sec reporting only; the reading never feeds back into simulated state")
+    // simlint::allow(wall-clock, reason = "events/s reporting only; the reading never feeds back into simulated state")
     let t0 = std::time::Instant::now();
     // Which worker runs which rack affects only wall time: each rack is
     // a pure function of (spec, rack) and the merge below is in rack

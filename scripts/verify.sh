@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, formatting, workspace clippy,
-# the whole test suite, and a quick-scale smoke run of every figure
-# (`bench all`). This is what CI (and a reviewer) should run before merging
-# engine or experiment changes. A pass/fail table for every stage is
-# printed at the end, even when a stage fails.
+# the whole test suite, and the regeneration check: every tracked
+# artifact under results/ rebuilt at standard scale from this tree and
+# compared byte for byte with the committed file. This is what CI (and a
+# reviewer) should run before merging engine or experiment changes. A
+# pass/fail table for every stage is printed at the end, even when a
+# stage fails.
 #
 # The build stage links the product once, as target/release/bench; every
 # later stage and drill runs `bench <command>` (the `bench help` table)
@@ -26,18 +28,12 @@
 # campaign matrix at 1, 2 and 8, and the ordered parallel map they share
 # (crates/workload/src/par.rs).
 #
-# Usage: scripts/verify.sh [--lint] [--chaos] [--resume] [--obs] [--perf] [--scenarios] [--supervise]
+# Usage: scripts/verify.sh [--lint] [--resume] [--obs] [--perf] [--scenarios] [--supervise]
 #   --lint    additionally run the simlint static-analysis pass over the
 #             whole workspace (the rules are listed in DESIGN.md, "Static
 #             analysis & enforced invariants") and the spec/invariant
 #             compliance tracker. Zero unsuppressed findings and full
 #             invariant coverage required.
-#   --chaos   additionally run the chaos experiment at quick scale
-#             (`bench chaos`). The fault-injection tests themselves — the
-#             netsim and transport chaos property tests and the golden
-#             determinism fingerprints — are part of the default test
-#             stage, which ran moments earlier; the flag adds only the
-#             drill.
 #   --resume  additionally drill the durability layer end to end: start a
 #             tiny-scale journaled campaign, SIGTERM it mid-flight, resume
 #             it, and require the merged matrix to be byte-identical to an
@@ -86,7 +82,6 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 lint=0
-chaos=0
 resume=0
 obs=0
 perf=0
@@ -95,7 +90,6 @@ supervise=0
 for arg in "$@"; do
     case "$arg" in
         --lint) lint=1 ;;
-        --chaos) chaos=1 ;;
         --resume) resume=1 ;;
         --obs) obs=1 ;;
         --perf) perf=1 ;;
@@ -167,10 +161,29 @@ stage_test() {
 }
 
 stage_smoke() {
-    # Run from a scratch directory: the figure commands write
-    # results/*.json relative to the cwd, and the quick-scale smoke must
-    # not clobber the tracked standard-scale results at the repo root.
-    (cd "$smoke" && GREENENVY_SCALE=quick bench all)
+    # Regenerate every tracked artifact from a scratch directory (the
+    # commands write results/ relative to the cwd), one invocation per
+    # command, and require each committed file back byte for byte: a
+    # result in results/ is one this tree prints.
+    local command f tracked status=0
+    for command in all extensions chaos population report; do
+        (cd "$smoke" && GREENENVY_SCALE=standard bench "$command") || return 1
+    done
+    tracked=$(git ls-files -- results)
+    for f in $tracked; do
+        if ! cmp -s "$f" "$smoke/$f"; then
+            echo "verify.sh: $f differs from what this tree regenerates" >&2
+            diff "$f" "$smoke/$f" | head >&2 || true
+            status=1
+        fi
+    done
+    for f in "$smoke"/results/*; do
+        if ! grep -qxF "results/${f##*/}" <<<"$tracked"; then
+            echo "verify.sh: regenerated results/${f##*/} is not tracked" >&2
+            status=1
+        fi
+    done
+    return $status
 }
 
 stage_perf() {
@@ -197,10 +210,6 @@ stage_perf() {
 stage_lint() {
     cargo run --release --offline -p simlint -- --workspace &&
     cargo run --release --offline -p simlint -- compliance
-}
-
-stage_chaos() {
-    (cd "$smoke" && GREENENVY_SCALE=quick bench chaos)
 }
 
 # Return once the shards under journal directory $1 hold more than $2
@@ -394,15 +403,12 @@ run_stage "build (release, offline)" stage_build
 run_stage "fmt (cargo fmt --check)" stage_fmt
 run_stage "clippy (workspace, -D warnings)" stage_clippy
 run_stage "tests (offline)" stage_test
-run_stage "figure smoke run (GREENENVY_SCALE=quick)" stage_smoke
+run_stage "regenerate results/ (GREENENVY_SCALE=standard)" stage_smoke
 if [[ $perf -eq 1 ]]; then
     run_stage "perf (ratio gates + benchmark quick check)" stage_perf
 fi
 if [[ $lint -eq 1 ]]; then
     run_stage "lint (simlint --workspace + compliance)" stage_lint
-fi
-if [[ $chaos -eq 1 ]]; then
-    run_stage "chaos (bench chaos, GREENENVY_SCALE=quick)" stage_chaos
 fi
 if [[ $resume -eq 1 ]]; then
     run_stage "resume (kill/resume drill, GREENENVY_SCALE=tiny)" stage_resume
