@@ -1,8 +1,8 @@
 //! Durable, supervised CCA × MTU campaign runner.
 //!
 //! Runs the Figures 5-8 measurement campaign with the durability layer
-//! switched on: fsynced per-cell checkpoint journaling (one shard file
-//! per worker), one attempt per cell on the declared seeds with panics
+//! switched on: fsynced per-cell checkpoint journaling (`--threads`
+//! shard files), one attempt per cell on the declared seeds with panics
 //! contained, graceful SIGINT/SIGTERM shutdown, and optional per-cell
 //! deadlines and paranoid-mode physics audits.
 //!
@@ -16,8 +16,8 @@
 //! * `--deadline` — wall-clock budget per cell, in seconds; a cell that
 //!   blows it fails instead of hanging the campaign.
 //! * `--threads` — worker count (default: all cores).
-//! * `--journal-dir` — journal directory: one fsynced JSONL per worker
-//!   (default: `results/campaign_<scale>.journal`).
+//! * `--journal-dir` — journal directory: one fsynced JSONL shard per
+//!   thread (default: `results/campaign_<scale>.journal`).
 //! * `--trace-out` — persist per-repetition observability artifacts
 //!   plus the supervisor's Prometheus snapshot into the directory.
 //!
@@ -28,31 +28,34 @@
 //!
 //! Exit status (`greenenvy::exitcode`): `OK` — complete matrix;
 //! `QUARANTINED` — finished minus failed cells (each a `"failed"` record
-//! in its worker's shard, and listed in the matrix's `failed`);
+//! in a journal shard, and listed in the matrix's `failed`);
 //! `DEGRADED` — journal I/O died mid-run; `INTERRUPTED` — cancelled by a
 //! signal, resume to continue; `FAILURE` — the campaign machinery
 //! failed.
 
 use crate::args::{Args, Usage};
 use crate::Ctx;
+use cca::CcaKind;
 use greenenvy::campaign::{self, CampaignOptions};
 use greenenvy::exitcode;
-use greenenvy::matrix::{run_cell_with, CellPolicy};
+use greenenvy::matrix::{run_cell_with, CellPolicy, MTUS};
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// `GREENENVY_POISON=<cca>@<mtu>` — the injected always-panicking cell.
-fn poison_from_env() -> Result<Option<(cca::CcaKind, u32)>, Usage> {
+/// `GREENENVY_POISON=<cca>@<mtu>` — the injected always-panicking cell,
+/// which must be one of the campaign's cells.
+fn poison_from_env() -> Result<Option<(CcaKind, u32)>, Usage> {
     let Some(spec) = std::env::var_os("GREENENVY_POISON") else {
         return Ok(None);
     };
     let spec = spec.to_string_lossy();
     spec.split_once('@')
-        .and_then(|(name, mtu)| Some((cca::CcaKind::from_name(name)?, mtu.parse().ok()?)))
+        .and_then(|(name, mtu)| Some((CcaKind::from_name(name)?, mtu.parse().ok()?)))
+        .filter(|(cca, mtu)| CcaKind::ALL.contains(cca) && MTUS.contains(mtu))
         .map(Some)
         .ok_or_else(|| {
             Usage(format!(
-                "invalid value {spec:?} for GREENENVY_POISON (want <cca>@<mtu>)"
+                "invalid value {spec:?} for GREENENVY_POISON (want <cca>@<mtu>, a campaign cell)"
             ))
         })
 }
@@ -129,7 +132,7 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
         }) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("error: {e}");
+                eprintln!("error: campaign {e}");
                 return Ok(exitcode::FAILURE);
             }
         };

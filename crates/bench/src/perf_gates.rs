@@ -77,8 +77,9 @@ const GATES: [Gate; 4] = [
         rounds: 5,
         measure: sack_scaling,
     },
-    // Sharding exists so checkpoint appends from a wide pool don't queue
-    // behind one file's fsyncs; it must at least not cost throughput.
+    // Sharding exists so checkpoint appends from a wide pool (the cell
+    // at pending slot `i` goes to shard `i % shards`) don't queue behind
+    // one file's fsyncs; it must at least not cost throughput.
     Gate {
         name: "journal_sharding",
         ratio_of: "fsynced records/s through 4 shards / through 1",

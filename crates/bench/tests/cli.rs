@@ -87,8 +87,17 @@ fn malformed_values_are_usage_errors_not_silent_defaults() {
         let named = format!("{secs:?} for --deadline");
         assert_refused(&["campaign", "--deadline", secs], &[], &[&named]);
     }
-    for typo in ["cubic@15OO", "qubic@1500", "cubic"] {
-        assert_refused(&["campaign"], &[("GREENENVY_POISON", typo)], &[typo]);
+    // A CCA or MTU the campaign does not run names no cell either. (At
+    // tiny scale, so a value let through costs seconds, not a campaign.)
+    for typo in [
+        "cubic@15OO",
+        "qubic@1500",
+        "cubic",
+        "hpcc@9000",
+        "cubic@1234",
+    ] {
+        let env = [("GREENENVY_SCALE", "tiny"), ("GREENENVY_POISON", typo)];
+        assert_refused(&["campaign"], &env, &[typo]);
     }
     // A command that runs at a scale refuses one that names none; a
     // scale-free command never reads the variable.

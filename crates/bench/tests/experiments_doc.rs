@@ -1,6 +1,7 @@
-//! EXPERIMENTS.md's headline table held to the tracked `results/`: each
-//! measured number a JSON artifact backs is formatted at the table's
-//! printed precision and must appear in its row. Only files are read;
+//! EXPERIMENTS.md's tables held to the tracked `results/`: each measured
+//! number a JSON artifact backs is formatted at the table's printed
+//! precision and must appear in its row (the headline table) or be its
+//! cell (the Fig 1, 2, 4, 5–8 and chaos tables). Only files are read;
 //! nothing is simulated.
 
 use serde_json::Value;
@@ -44,25 +45,102 @@ fn signed(x: f64) -> String {
     format!("{x:.2}").replace('-', "−")
 }
 
-#[test]
-fn headline_table_shows_what_results_hold() {
-    let doc = std::fs::read_to_string(root().join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
-    let table = doc
-        .split("## Headline claims")
+/// A count at no decimals, a space between every three digits from
+/// 1 000 up.
+fn grouped(x: f64) -> String {
+    let digits = format!("{x:.0}");
+    let mut out = String::new();
+    for (i, d) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
+            out.push(' ');
+        }
+        out.push(d);
+    }
+    out
+}
+
+/// The number a header or row label starts with: `50` of `50 %`,
+/// `9000` of `9000 (W)`.
+fn lead(label: &str) -> f64 {
+    let word = label.split(' ').next().unwrap_or_default();
+    word.parse()
+        .unwrap_or_else(|_| panic!("{label:?} starts with no number"))
+}
+
+fn doc() -> String {
+    std::fs::read_to_string(root().join("EXPERIMENTS.md")).expect("EXPERIMENTS.md")
+}
+
+/// The first table under the `## {heading}` section, as rows of trimmed
+/// cells with bold marks dropped; row 0 is the header.
+fn table(doc: &str, heading: &str) -> Vec<Vec<String>> {
+    let section = doc
+        .split(&format!("\n## {heading}"))
         .nth(1)
         .and_then(|rest| rest.split("\n## ").next())
-        .expect("a headline table");
+        .unwrap_or_else(|| panic!("no section {heading:?}"));
+    let rows: Vec<Vec<String>> = section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter(|l| !l.starts_with("|---"))
+        .map(|l| {
+            let cells = l.trim().trim_matches('|').split('|');
+            cells.map(|c| c.trim().replace("**", "")).collect()
+        })
+        .collect();
+    assert!(rows.len() > 1, "no table under {heading:?}");
+    rows
+}
+
+/// Every body cell of `table` must be `expect(row label, column header)`;
+/// the failure names each cell that is not.
+fn check(heading: &str, expect: impl Fn(&str, &str) -> String) {
+    let rows = table(&doc(), heading);
+    let (header, body) = rows.split_first().expect("a header row");
+    let mut stale = Vec::new();
+    for row in body {
+        for (col, cell) in header.iter().zip(row).skip(1) {
+            let want = expect(&row[0], col);
+            if *cell != want {
+                stale.push(format!(
+                    "{} / {col}: shows {cell:?}, results/ hold {want:?}",
+                    row[0]
+                ));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "EXPERIMENTS.md's {heading:?} table disagrees with results/:\n{}",
+        stale.join("\n")
+    );
+}
+
+/// `items` entry whose `key` field is `at` (a load, rate or fraction).
+fn at<'a>(items: &'a Value, key: &str, at: f64) -> &'a Value {
+    let items = items.as_array().expect("a list");
+    items
+        .iter()
+        .find(|v| (num(&v[key]) - at).abs() < 1e-9)
+        .unwrap_or_else(|| panic!("no {key} = {at}"))
+}
+
+#[test]
+fn headline_table_shows_what_results_hold() {
+    let rows = table(&doc(), "Headline claims");
     // A row is `| claim | paper | measured | verdict |`; only the
     // measured cell counts.
     let measured = |claim: &str| {
-        let line = table
-            .lines()
-            .find(|l| l.starts_with(&format!("| {claim}")))
+        let row = rows
+            .iter()
+            .find(|r| r[0].starts_with(claim))
             .unwrap_or_else(|| panic!("no headline row for {claim:?}"));
-        line.split('|').nth(3).expect("a measured cell")
+        row[2].as_str()
     };
 
     let fig1 = result("fig1");
+    let fig2 = result("fig2");
     let fig4 = result("fig4");
     let fig5 = result("fig5");
     let fig6 = result("fig6");
@@ -70,14 +148,13 @@ fn headline_table_shows_what_results_hold() {
     let fig8 = result("fig8");
     let theorem1 = result("theorem1");
 
-    let savings = |load: f64| {
-        let rows = fig4["rows"].as_array().unwrap();
-        let r = rows
-            .iter()
-            .find(|r| num(&r["load"]) == load)
-            .expect("a load");
+    let savings = |load| {
+        let r = at(&fig4["rows"], "load", load);
         format!("{:.2} %", num(&r["savings_pct"]["mean"]))
     };
+    let idle = num(&fig2["idle_w"]);
+    let half = num(&at(&fig2["points"], "target_gbps", 5.0)["power_w"]["mean"]);
+    let line = num(&fig2["line_rate_w"]);
     let vs_baseline = pairs(&fig5["vs_baseline_pct"]);
     let real_ccas = vs_baseline.iter().filter(|(cca, _)| cca != "bbr2");
 
@@ -85,6 +162,22 @@ fn headline_table_shows_what_results_hold() {
         (
             "\"full speed, then idle\"",
             format!("{:.1} %", num(&fig1["peak_savings_pct"])),
+        ),
+        (
+            "\"full speed, then idle\"",
+            format!(
+                "({:.1} J vs {:.1} J)",
+                num(&fig1["fair_energy_j"]["mean"]),
+                num(&at(&fig1["points"], "fraction", 1.0)["energy_j"]["mean"]),
+            ),
+        ),
+        (
+            "RAPL operating points",
+            format!("{idle:.2} / {half:.2} / {line:.2} W"),
+        ),
+        (
+            "marginal power",
+            format!("+{:.2} W / +{:.2} W", half - idle, line - half),
         ),
         (
             "savings at 25 %",
@@ -113,7 +206,7 @@ fn headline_table_shows_what_results_hold() {
         ),
         (
             "energy vs FCT",
-            format!("r = **{:.2}**", num(&fig7["energy_fct_correlation"])),
+            format!("r = {:.2}", num(&fig7["energy_fct_correlation"])),
         ),
         ("energy vs FCT", cluster(&fig7["cluster_1500"])),
         ("energy vs FCT", cluster(&fig7["cluster_jumbo"])),
@@ -126,11 +219,103 @@ fn headline_table_shows_what_results_hold() {
             format!("{} violations", theorem1["violations"].as_u64().unwrap()),
         ),
     ];
-    for (claim, shown) in expected {
-        let cell = measured(claim);
-        assert!(
-            cell.contains(&shown),
-            "EXPERIMENTS.md's {claim:?} row shows {cell:?}, not {shown:?} as results/ holds"
-        );
-    }
+    let stale: Vec<String> = expected
+        .iter()
+        .map(|(claim, shown)| (claim, measured(claim), shown))
+        .filter(|(_, cell, shown)| !cell.contains(shown.as_str()))
+        .map(|(claim, cell, shown)| format!("{claim:?} row shows {cell:?}, not {shown:?}"))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "EXPERIMENTS.md's headline table disagrees with results/:\n{}",
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn fig1_savings_row_shows_what_results_hold() {
+    let fig1 = result("fig1");
+    check("Figure 1", |row, col| {
+        assert_eq!(row, "measured savings");
+        let point = at(&fig1["points"], "fraction", lead(col) / 100.0);
+        format!("{:.1} %", num(&point["savings_pct"]["mean"]))
+    });
+}
+
+#[test]
+fn fig2_rows_show_what_results_hold() {
+    let fig2 = result("fig2");
+    check("Figure 2", |row, col| {
+        let gbps = lead(col);
+        let watts = match row {
+            _ if gbps == 0.0 => num(&fig2["idle_w"]),
+            "measured W" => num(&at(&fig2["points"], "target_gbps", gbps)["power_w"]["mean"]),
+            "full-speed-then-idle mix W" => {
+                num(&at(&fig2["points"], "target_gbps", gbps)["mix_power_w"])
+            }
+            _ => panic!("unknown Fig 2 row {row:?}"),
+        };
+        format!("{watts:.2}")
+    });
+}
+
+#[test]
+fn fig4_table_shows_what_results_hold() {
+    let fig4 = result("fig4");
+    let rates = fig4["rates_gbps"].as_array().expect("rates");
+    let line_rate = rates
+        .iter()
+        .position(|r| num(r) == 10.0)
+        .expect("a 10 Gb/s rate");
+    check("Figure 4", |row, col| {
+        let r = at(&fig4["rows"], "load", lead(row) / 100.0);
+        match col {
+            "idle W" => format!("{:.2}", num(&r["idle_w"])),
+            "P(10G) W" => format!("{:.2}", num(&r["power_w"][line_rate]["mean"])),
+            "full-speed-then-idle saving" => format!(
+                "{:.2} ± {:.2} %",
+                num(&r["savings_pct"]["mean"]),
+                num(&r["savings_pct"]["std"])
+            ),
+            _ => panic!("unknown Fig 4 column {col:?}"),
+        }
+    });
+}
+
+#[test]
+fn fig5_to_8_table_shows_what_results_hold() {
+    let fig5 = result("fig5");
+    let cells = fig5["matrix"]["cells"].as_array().expect("cells");
+    check("Figures 5–8", |cca, col| {
+        // `E@1500`, `P@9000 (W)`, `retx@9000 per 5 GB`.
+        let (what, mtu) = col.split_once('@').expect("a <what>@<mtu> column");
+        let mtu = lead(mtu);
+        let cell = cells
+            .iter()
+            .find(|c| c["cca"].as_str() == Some(cca) && num(&c["mtu"]) == mtu)
+            .unwrap_or_else(|| panic!("no {cca} @ {mtu} cell"));
+        match what {
+            // kJ per 50 GB, from 5 GB runs.
+            "E" => format!("{:.2}", num(&cell["energy_j"]["mean"]) * 10.0 / 1000.0),
+            "P" => format!("{:.2}", num(&cell["power_w"]["mean"])),
+            "retx" => grouped(num(&cell["retx"]["mean"])),
+            _ => panic!("unknown Fig 5–8 column {col:?}"),
+        }
+    });
+}
+
+#[test]
+fn chaos_table_shows_what_results_hold() {
+    let chaos = result("chaos");
+    check("Chaos", |row, col| {
+        let r = at(&chaos["rows"], "loss_rate", lead(row) / 100.0);
+        match col {
+            "drops/run" => grouped(num(&r["injected_drops"])),
+            "retx" => grouped(num(&r["retx"])),
+            "fair (J)" => format!("{:.2}", num(&r["fair_energy_j"]["mean"])),
+            "serial (J)" => format!("{:.2}", num(&r["serial_energy_j"]["mean"])),
+            "serial savings" => format!("{:.1} %", num(&r["savings_pct"]["mean"])),
+            _ => panic!("unknown chaos column {col:?}"),
+        }
+    });
 }

@@ -1,7 +1,7 @@
 //! Cooperative cancellation for long campaigns.
 //!
-//! A [`CancelToken`] is a shared flag the work-stealing campaign runner
-//! polls between cells. [`install_signal_handlers`] wires SIGINT/SIGTERM
+//! A [`CancelToken`] is a shared flag the campaign checks before it
+//! starts each cell. [`install_signal_handlers`] wires SIGINT/SIGTERM
 //! to a process-global token so an operator's Ctrl-C (or a scheduler's
 //! TERM) turns into a graceful drain — journal flushed, partial matrix
 //! emitted — instead of a mid-write kill.

@@ -1,11 +1,13 @@
 //! The append-only per-cell checkpoint journal.
 //!
 //! **Layout** ([`create_sharded`] / [`load_sharded`]): a directory
-//! holding one JSONL file per worker (`shard-000.jsonl`,
-//! `shard-001.jsonl`, …; a one-worker campaign has one shard). Each
-//! worker owns its shard exclusively, so appends never contend on a lock
-//! or serialize their fsyncs behind another worker's — the write path
-//! scales with the pool instead of bottlenecking on one file.
+//! holding one JSONL file per campaign thread (`shard-000.jsonl`,
+//! `shard-001.jsonl`, …; a one-thread campaign has one shard). The cell
+//! at pending position `slot` is appended to shard `slot % shards`, so
+//! concurrent appends mostly land on different files and do not
+//! serialize their fsyncs behind one — the write path scales with the
+//! pool instead of bottlenecking on one file. Two appends to one shard
+//! take turns on its lock.
 //!
 //! **File format** ([`Writer`] / [`load`]): line 1 is a header carrying
 //! a *fingerprint* — a hash over everything that determines cell
@@ -227,9 +229,9 @@ pub fn load(path: &Path, fingerprint: &Fingerprint) -> Result<Loaded, JournalErr
     Ok(out)
 }
 
-/// The per-worker shard file inside a journal directory.
-pub fn shard_path(dir: &Path, worker: usize) -> PathBuf {
-    dir.join(format!("shard-{worker:03}.jsonl"))
+/// Shard file `shard` inside a journal directory.
+pub fn shard_path(dir: &Path, shard: usize) -> PathBuf {
+    dir.join(format!("shard-{shard:03}.jsonl"))
 }
 
 /// Load every `shard-*.jsonl` under `dir`, validating each shard
@@ -394,11 +396,11 @@ impl Writer {
     }
 }
 
-/// Create a fresh journal under `dir`: one shard per worker, all
+/// Create a fresh journal under `dir`: `shards` shard files, all
 /// previous shard files wiped first (so shards from a wider previous
 /// pool cannot resurrect stale records on the *next* resume). The
 /// compacted survivors `keep` land in shard 0; the other shards start
-/// empty. Returns one open writer per worker, in index order.
+/// empty. Returns one open writer per shard, in index order.
 pub fn create_sharded(
     dir: &Path,
     fingerprint: &Fingerprint,

@@ -8,21 +8,22 @@
 //!
 //! * [`journal`] — an append-only, fsynced, hash-verified checkpoint
 //!   journal; one record per completed or failed cell, in a directory
-//!   ([`CampaignOptions::journal_dir`]) of one shard file per worker, so
-//!   appends don't serialize behind a single fsync and a torn shard
-//!   invalidates its own records, not the campaign.
+//!   ([`CampaignOptions::journal_dir`]) of [`CampaignOptions::threads`]
+//!   shard files, so appends don't serialize behind a single fsync and a
+//!   torn shard invalidates its own records, not the campaign.
 //! * resume — [`CampaignOptions::resume`] reuses journaled cells and
 //!   re-runs everything else, failed cells included, on the same seeds.
 //!   Because cell results are bit-exact through JSON (shortest-roundtrip
 //!   floats), a resumed campaign's matrix is byte-identical to an
 //!   uninterrupted one.
-//! * [`supervisor`] — the worker pool: one attempt per pending cell per
-//!   life, per-cell panic containment, one journal record per outcome,
-//!   and graceful degradation to in-memory checkpoints when the
-//!   journal's disk gives out mid-run.
-//! * [`cancel`] — SIGINT/SIGTERM turn into a graceful drain: workers
-//!   stop claiming cells, the journal is already flushed, and a partial
-//!   matrix comes back.
+//! * [`supervisor`] — the pending cells on the workspace's one parallel
+//!   map ([`workload::par`]): one attempt per pending cell per life,
+//!   per-cell panic containment, one journal record per outcome, and
+//!   graceful degradation to in-memory checkpoints when the journal's
+//!   disk gives out mid-run.
+//! * [`cancel`] — SIGINT/SIGTERM turn into a graceful drain: cells not
+//!   yet started are skipped, the journal is already flushed, and a
+//!   partial matrix comes back.
 //! * [`persist`] — atomic tmp-then-rename artifact writes, so no crash
 //!   leaves a half-written result file.
 //! * [`invariant`] — opt-in "paranoid mode" physics audits per
@@ -45,9 +46,7 @@ pub use journal::{Fingerprint, JournalError};
 pub use persist::{save_json_atomic, write_atomic, PersistError};
 pub use supervisor::{RetryPolicy, SupervisionReport};
 
-use crate::matrix::{
-    run_cell_with, Cell, CellError, CellPolicy, Matrix, MATRIX_SCHEMA_VERSION, MTUS,
-};
+use crate::matrix::{Cell, CellError, Matrix, MATRIX_SCHEMA_VERSION, MTUS};
 use crate::scale::Scale;
 use cca::CcaKind;
 use journal::Entry;
@@ -61,11 +60,13 @@ use std::time::Duration;
 /// deadline, no paranoia.
 #[derive(Clone, Debug)]
 pub struct CampaignOptions {
-    /// Worker threads (work-stealing; the result is schedule-invariant).
+    /// Worker threads of the parallel map, and the journal's shard count
+    /// (both capped at the number of pending cells); the result is
+    /// schedule-invariant.
     pub threads: usize,
-    /// Checkpoint journal directory: one fsynced JSONL per worker
-    /// (`shard-000.jsonl`, …; one worker, one shard). `None` disables
-    /// durability.
+    /// Checkpoint journal directory: `threads` fsynced JSONL shards
+    /// (`shard-000.jsonl`, …; the cell at pending position `slot` lands
+    /// in shard `slot % threads`). `None` disables durability.
     pub journal_dir: Option<PathBuf>,
     /// Reuse journaled cells instead of re-running them. Only cells
     /// whose journal records pass fingerprint + hash validation count;
@@ -117,65 +118,23 @@ pub struct CampaignReport {
     pub supervision: SupervisionReport,
 }
 
-/// A campaign-level failure. Cell failures don't land here (they're
-/// carried in the matrix); this is for the campaign machinery itself.
-#[derive(Debug)]
-pub enum CampaignError {
-    /// The checkpoint journal could not be created or read. (Append
-    /// failures mid-run degrade instead — see
-    /// [`SupervisionReport::degraded`].)
-    Journal(JournalError),
-    /// A worker *thread* died outside the per-cell panic containment.
-    Worker(String),
-}
-
-impl std::fmt::Display for CampaignError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CampaignError::Journal(e) => write!(f, "campaign journal failure: {e}"),
-            CampaignError::Worker(e) => write!(f, "campaign worker failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CampaignError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CampaignError::Journal(e) => Some(e),
-            CampaignError::Worker(_) => None,
-        }
-    }
-}
-
-impl From<JournalError> for CampaignError {
-    fn from(e: JournalError) -> Self {
-        CampaignError::Journal(e)
-    }
-}
-
-/// Run the measurement campaign durably with the production cell runner.
-pub fn run_campaign(scale: Scale, opts: CampaignOptions) -> Result<CampaignReport, CampaignError> {
-    let policy = CellPolicy {
-        wall_deadline: opts.deadline,
-        paranoid: opts.paranoid,
-        trace_out: opts.trace_out.clone(),
-    };
-    run_campaign_with_runner(scale, opts, move |cca, mtu, bytes, seeds| {
-        run_cell_with(cca, mtu, bytes, seeds, policy.clone())
-    })
-}
-
-/// [`run_campaign`] with a pluggable cell runner — the testing seam. The
-/// deadline/paranoid options act inside the *production* runner; a
-/// custom runner receives only `(cca, mtu, bytes, seeds)` and applies
-/// whatever policy it likes. Each pending cell is run once, on the
-/// declared seeds; a runner that panics is contained by the supervisor
-/// and the cell is recorded as failed.
+/// Run the measurement campaign with a pluggable cell runner. The
+/// deadline/paranoid/trace options act inside the production runner
+/// ([`run_cell_with`] under a [`CellPolicy`] built from them); a custom
+/// runner receives only `(cca, mtu, bytes, seeds)` and applies whatever
+/// policy it likes. Each pending cell is run once, on the declared seeds;
+/// a runner that panics is contained by the supervisor and the cell is
+/// recorded as failed. The one campaign-level error is a journal that
+/// cannot be created or read (append failures mid-run degrade instead —
+/// see [`SupervisionReport::degraded`]).
+///
+/// [`run_cell_with`]: crate::matrix::run_cell_with
+/// [`CellPolicy`]: crate::matrix::CellPolicy
 pub fn run_campaign_with_runner<F>(
     scale: Scale,
     opts: CampaignOptions,
     runner: F,
-) -> Result<CampaignReport, CampaignError>
+) -> Result<CampaignReport, JournalError>
 where
     F: Fn(CcaKind, u32, u64, &[u64]) -> Result<Cell, CellError> + Sync,
 {
@@ -213,7 +172,7 @@ where
     let reused_count = reused.len();
     let threads = opts.threads.max(1).min(pending.len().max(1));
 
-    // (Re)create the journal: one shard per worker, header + the reused
+    // (Re)create the journal: `threads` shards, header + the reused
     // cells, atomically. This compacts away torn/corrupt lines and
     // failure records from a previous life, wipes its shards, and stamps
     // the current fingerprint. Creation failures are fatal — a campaign
@@ -239,14 +198,6 @@ where
         reused: reused_count,
     }
     .run(&runner);
-
-    if !outcome.worker_panics.is_empty() {
-        return Err(CampaignError::Worker(format!(
-            "{} campaign worker(s) panicked: {}",
-            outcome.worker_panics.len(),
-            outcome.worker_panics.join(" | ")
-        )));
-    }
 
     let executed_count = outcome.executed.len();
     let mut indexed = reused;
@@ -574,30 +525,33 @@ mod tests {
     fn panicking_cells_are_contained_and_quarantined() {
         // A runner that panics outright must not take down the campaign:
         // the supervisor catches it per-cell and records the poison cell
-        // as failed, with its coordinates, after one attempt.
-        let calls = AtomicUsize::new(0);
-        let report = run_campaign_with_runner(
-            Scale::quick(),
-            CampaignOptions {
-                threads: 3,
-                ..Default::default()
-            },
-            |cca, mtu, _b, _s| {
-                if (cca, mtu) == (CcaKind::Cubic, 1500) {
-                    calls.fetch_add(1, Ordering::SeqCst);
-                    panic!("poison cell detonated");
-                }
-                Ok(stub_cell(cca, mtu))
-            },
-        )
-        .unwrap();
-        assert_eq!(report.matrix.failed.len(), 1);
-        assert_eq!(report.matrix.cells.len(), TOTAL - 1);
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        let q = &report.supervision.quarantined[0];
-        assert_eq!((q.cca.as_str(), q.mtu), ("cubic", 1500));
-        assert!(q.error.contains("poison cell detonated"), "{}", q.error);
-        assert!(q.error.contains("cubic @ mtu 1500"), "{}", q.error);
+        // as failed, with its coordinates, after one attempt. One thread
+        // runs every cell on the caller, three on spawned workers too.
+        for threads in [1, 3] {
+            let calls = AtomicUsize::new(0);
+            let report = run_campaign_with_runner(
+                Scale::quick(),
+                CampaignOptions {
+                    threads,
+                    ..Default::default()
+                },
+                |cca, mtu, _b, _s| {
+                    if (cca, mtu) == (CcaKind::Cubic, 1500) {
+                        calls.fetch_add(1, Ordering::SeqCst);
+                        panic!("poison cell detonated");
+                    }
+                    Ok(stub_cell(cca, mtu))
+                },
+            )
+            .unwrap();
+            assert_eq!(report.matrix.failed.len(), 1, "{threads} threads");
+            assert_eq!(report.matrix.cells.len(), TOTAL - 1);
+            assert_eq!(calls.load(Ordering::SeqCst), 1);
+            let q = &report.supervision.quarantined[0];
+            assert_eq!((q.cca.as_str(), q.mtu), ("cubic", 1500));
+            assert!(q.error.contains("poison cell detonated"), "{}", q.error);
+            assert!(q.error.contains("cubic @ mtu 1500"), "{}", q.error);
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Every result file the campaign (and the bench binaries) emit goes
 //! through [`write_atomic`]: write to a sibling temp file, fsync, rename
-//! over the destination. A crash mid-write leaves either the old file or
-//! the new one — never a torn half of each. Errors carry the path they
-//! failed on, so "No space left on device" names the artifact it cost.
+//! over the destination, fsync the directory. A crash mid-write leaves
+//! either the old file or the new one — never a torn half of each.
+//! Errors carry the path they failed on, so "No space left on device"
+//! names the artifact it cost.
 
 use serde::Serialize;
 use std::fmt;
@@ -40,13 +41,16 @@ fn err_at(path: &Path) -> impl FnOnce(io::Error) -> PersistError + '_ {
     }
 }
 
-/// Atomically replace `path` with `bytes`: temp file in the same
-/// directory (so the rename cannot cross filesystems), fsync, rename.
-/// The parent directory is created if missing.
+/// Atomically and durably replace `path` with `bytes`: temp file in the
+/// same directory (so the rename cannot cross filesystems), fsync,
+/// rename, fsync the directory. The parent directory is created if
+/// missing.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        fs::create_dir_all(dir).map_err(err_at(dir))?;
-    }
+    let dir = path
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    fs::create_dir_all(dir).map_err(err_at(dir))?;
     // Unique per process: concurrent writers of the same artifact race on
     // the rename (last one wins, both files whole), not on the temp file.
     let mut name = path.file_name().unwrap_or_default().to_os_string();
@@ -59,7 +63,12 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
         // rename-before-data can expose an empty file after a power cut.
         f.sync_all().map_err(err_at(&tmp))?;
         fs::rename(&tmp, path).map_err(err_at(path))?;
-        Ok(())
+        // The new name lives in the directory, and fsyncing the file does
+        // not make it durable (fsync(2)): without this a power cut can
+        // lose the file whose data is already on disk.
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(err_at(dir))
     })();
     if result.is_err() {
         let _ = fs::remove_file(&tmp);

@@ -1,27 +1,34 @@
 //! Campaign supervision: one attempt per pending cell per campaign life.
 //!
-//! The worker pool behind [`super::run_campaign_with_runner`]. A cell is
-//! a pure function of `(cca, mtu, bytes, seeds)`, so running it twice on
-//! the same seeds fails twice, and running it on other seeds would report
-//! numbers from a schedule the matrix does not declare. The supervisor
-//! therefore owns a short failure story:
+//! The per-cell story behind [`super::run_campaign_with_runner`]; the
+//! cells themselves run on the one ordered parallel map every grid in
+//! the workspace uses ([`workload::par::par_map_with_threads`]). A cell
+//! is a pure function of `(cca, mtu, bytes, seeds)`, so running it twice
+//! on the same seeds fails twice, and running it on other seeds would
+//! report numbers from a schedule the matrix does not declare. The
+//! supervisor therefore owns a short failure story:
 //!
-//! * **one claim per cell** — workers take pending cells off one atomic
-//!   cursor, in canonical job order, until the list is drained or the
-//!   campaign is cancelled;
+//! * **one call per cell** — each pending cell is one item of the map,
+//!   in canonical job order; once the campaign is cancelled, the items
+//!   not yet started are skipped;
 //! * **per-cell panic containment** — each cell runs on the declared
 //!   seeds under `catch_unwind`; a panic becomes a failure carrying the
 //!   cell's coordinates and cannot take the worker (and with it the
 //!   campaign) down;
 //! * **one record per cell** — the outcome is one `cell` or `failed`
-//!   record in the worker's journal shard; a later `--resume` reuses the
-//!   cell or re-runs the failure on the same seeds;
+//!   record in journal shard `slot % shards`, where `slot` is the cell's
+//!   position in the pending list; a later `--resume` reuses the cell or
+//!   re-runs the failure on the same seeds;
 //! * **graceful degradation** — a journal *append* failure (disk full,
 //!   EROFS) downgrades from fatal to degraded mode: the campaign keeps
 //!   computing with in-memory checkpoints, raises the
 //!   `campaign_degraded` gauge, and the campaign command exits with a
 //!   distinct code. (Journal *creation* failures are still fatal — a
 //!   campaign that never had durability is a configuration error.)
+//!
+//! A panic outside the per-cell containment is a supervisor bug: the map
+//! finishes the other cells, joins every worker and re-raises it on the
+//! caller.
 
 use super::cancel::CancelToken;
 use super::journal::{Entry, Writer};
@@ -29,8 +36,8 @@ use crate::matrix::{Cell, CellError, CellFailure};
 use cca::CcaKind;
 use obs::{labels, MetricsRegistry, MetricsSnapshot};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use workload::par::par_map_with_threads;
 
 /// Lock a mutex, recovering the data from a poisoned lock. Supervisor
 /// state stays consistent across a poisoning panic because every
@@ -67,23 +74,14 @@ pub struct SupervisionReport {
 pub(super) enum Journals {
     /// No durability (the plain-matrix path).
     None,
-    /// One shard per worker: appends never cross-contend, and each
-    /// worker's fsyncs queue behind its own file only.
+    /// Shard `slot % shards` takes the cell at `slot`: two workers
+    /// share a shard only when their slots are congruent, and its mutex
+    /// serializes their appends.
     Sharded(Vec<Mutex<Writer>>),
     /// Test-only: every append fails, exercising degraded mode without
     /// needing a genuinely full disk.
     #[cfg(test)]
     Failing,
-}
-
-/// The next pending job, or `None` once the list is drained or the
-/// campaign is cancelled. Each job is handed out exactly once; the
-/// cursor publishes no other data, so `Relaxed` suffices.
-fn claim(pending: &[usize], cursor: &AtomicUsize, cancel: &CancelToken) -> Option<usize> {
-    if cancel.is_cancelled() {
-        return None;
-    }
-    pending.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
 }
 
 /// Everything the supervisor needs to run a campaign's pending cells.
@@ -96,7 +94,7 @@ pub(super) struct Supervisor<'a> {
     pub seeds: &'a [u64],
     /// Bytes per transfer.
     pub transfer_bytes: u64,
-    /// Worker pool width.
+    /// Worker count of the map.
     pub threads: usize,
     /// Cooperative cancellation.
     pub cancel: CancelToken,
@@ -106,29 +104,25 @@ pub(super) struct Supervisor<'a> {
     pub reused: usize,
 }
 
-/// What the pool produced.
+/// What the supervised cells produced.
 pub(super) struct Supervised {
-    /// One `Cell` or `Failed` entry per executed job, unordered, by job
-    /// index.
+    /// One `Cell` or `Failed` entry per executed job, by job index, in
+    /// pending order.
     pub executed: Vec<(usize, Entry)>,
     /// Degradation reason, if a journal append failed.
     pub degraded: Option<String>,
-    /// Worker *thread* panics (distinct from caught cell panics; should
-    /// be impossible, but a supervisor that hides its own crashes is
-    /// worse than none).
-    pub worker_panics: Vec<String>,
-    /// Supervisor metrics frozen at pool drain.
+    /// Supervisor metrics frozen once every cell has returned.
     pub metrics: MetricsSnapshot,
 }
 
 impl Supervisor<'_> {
-    /// Checkpoint an entry to this worker's journal, degrading (not
-    /// failing) on I/O errors. The first failure wins, flips the
+    /// Checkpoint the entry of the cell at `slot` to its shard, degrading
+    /// (not failing) on I/O errors. The first failure wins, flips the
     /// `campaign_degraded` gauge, and announces loudly; journaling stops
     /// but the campaign keeps computing.
     fn checkpoint(
         &self,
-        worker: usize,
+        slot: usize,
         entry: &Entry,
         degraded: &Mutex<Option<String>>,
         metrics: &Mutex<MetricsRegistry>,
@@ -136,11 +130,11 @@ impl Supervisor<'_> {
         if relock(degraded).is_some() {
             return; // already degraded: in-memory only
         }
-        // No lock is held across the append: each worker fsyncs its own
-        // shard concurrently.
+        // Only the shard's own lock is held across the append: workers on
+        // different shards fsync concurrently.
         let result = match &self.journals {
             Journals::None => Ok(()),
-            Journals::Sharded(ws) => match ws.get(worker) {
+            Journals::Sharded(ws) => match ws.get(slot % ws.len().max(1)) {
                 Some(w) => relock(w).append(entry),
                 None => Ok(()),
             },
@@ -151,9 +145,9 @@ impl Supervisor<'_> {
             }),
         };
         let Err(error) = result else { return };
-        let mut slot = relock(degraded);
-        if slot.is_none() {
-            *slot = Some(error.to_string());
+        let mut reason = relock(degraded);
+        if reason.is_none() {
+            *reason = Some(error.to_string());
             relock(metrics).gauge_set("campaign_degraded", labels([]), 1.0);
             eprintln!(
                 "campaign: journal append failed ({error}); \
@@ -189,12 +183,11 @@ impl Supervisor<'_> {
         })
     }
 
-    /// Run the pool to drain (or cancellation).
+    /// Run every pending cell (or, once cancelled, skip the rest).
     pub(super) fn run<F>(self, runner: &F) -> Supervised
     where
         F: Fn(CcaKind, u32, u64, &[u64]) -> Result<Cell, CellError> + Sync,
     {
-        let cursor = AtomicUsize::new(0);
         let metrics = Mutex::new(MetricsRegistry::new());
         if self.reused > 0 {
             relock(&metrics).counter_add(
@@ -205,40 +198,22 @@ impl Supervisor<'_> {
         }
         let degraded: Mutex<Option<String>> = Mutex::new(None);
 
-        let (executed, worker_panics) = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|worker| {
-                    let (this, cursor, metrics, degraded) = (&self, &cursor, &metrics, &degraded);
-                    scope.spawn(move || {
-                        let mut done: Vec<(usize, Entry)> = Vec::new();
-                        while let Some(job) = claim(&this.pending, cursor, &this.cancel) {
-                            let entry = this.attempt(job, runner);
-                            this.checkpoint(worker, &entry, degraded, metrics);
-                            let (name, labels) = match &entry {
-                                Entry::Cell(_) => ("campaign_cells_completed_total", labels([])),
-                                Entry::Failed(f) => (
-                                    "campaign_quarantined_total",
-                                    labels([("cca", f.cca.clone())]),
-                                ),
-                            };
-                            relock(metrics).counter_add(name, labels, 1);
-                            done.push((job, entry));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            // Drain every worker before deciding the campaign's fate: a
-            // crash in one must not hide the results of the others.
-            let mut collected = Vec::new();
-            let mut panics = Vec::new();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => collected.extend(part),
-                    Err(payload) => panics.push(super::panic_text(payload.as_ref())),
-                }
+        let slots: Vec<(usize, usize)> = self.pending.iter().copied().enumerate().collect();
+        let outcomes = par_map_with_threads(&slots, self.threads, |&(slot, job)| {
+            if self.cancel.is_cancelled() {
+                return None;
             }
-            (collected, panics)
+            let entry = self.attempt(job, runner);
+            self.checkpoint(slot, &entry, &degraded, &metrics);
+            let (name, labels) = match &entry {
+                Entry::Cell(_) => ("campaign_cells_completed_total", labels([])),
+                Entry::Failed(f) => (
+                    "campaign_quarantined_total",
+                    labels([("cca", f.cca.clone())]),
+                ),
+            };
+            relock(&metrics).counter_add(name, labels, 1);
+            Some((job, entry))
         });
 
         let degraded = relock(&degraded).take();
@@ -247,9 +222,8 @@ impl Supervisor<'_> {
         // artifact.
         let metrics = relock(&metrics).snapshot(0);
         Supervised {
-            executed,
+            executed: outcomes.into_iter().flatten().collect(),
             degraded,
-            worker_panics,
             metrics,
         }
     }
@@ -258,23 +232,6 @@ impl Supervisor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cancelled_queue_stops_claiming() {
-        let pending = [4, 0, 7];
-        let cursor = AtomicUsize::new(0);
-        let cancel = CancelToken::new();
-        assert_eq!(claim(&pending, &cursor, &cancel), Some(4));
-        assert_eq!(claim(&pending, &cursor, &cancel), Some(0));
-        cancel.cancel();
-        assert_eq!(
-            claim(&pending, &cursor, &cancel),
-            None,
-            "cancel wins over pending work"
-        );
-        let drained = AtomicUsize::new(pending.len());
-        assert_eq!(claim(&pending, &drained, &CancelToken::new()), None);
-    }
 
     fn test_cell(cca: CcaKind, mtu: u32) -> Cell {
         let xs = [1.0, 2.0];
@@ -319,6 +276,5 @@ mod tests {
             Some(1.0),
             "the loud gauge is raised"
         );
-        assert!(out.worker_panics.is_empty());
     }
 }

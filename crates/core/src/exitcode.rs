@@ -25,8 +25,8 @@ pub const USAGE: i32 = 2;
 pub const INCOMPLETE: i32 = 3;
 
 /// Complete except for failed cells — results are valid for every
-/// other cell; each failure is a `"failed"` record in its worker's
-/// journal shard and an entry of the matrix's `failed` list.
+/// other cell; each failure is a `"failed"` record in a journal shard
+/// and an entry of the matrix's `failed` list.
 pub const QUARANTINED: i32 = 4;
 
 /// Results are valid but NOT crash-durable (journal or trace persist

@@ -73,11 +73,6 @@ pub fn from_matrix(matrix: Matrix) -> Result {
     }
 }
 
-/// Run the campaign and project it.
-pub fn run(scale: crate::scale::Scale) -> Result {
-    from_matrix(crate::matrix::run_matrix(scale))
-}
-
 /// Render the paper-style grouped bars as a table (kJ, scaled to the
 /// paper's 50 GB for comparability).
 pub fn render(result: &Result) -> String {

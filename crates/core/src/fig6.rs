@@ -57,11 +57,6 @@ pub fn from_matrix(matrix: Matrix) -> Result {
     }
 }
 
-/// Run the campaign and project it.
-pub fn run(scale: crate::scale::Scale) -> Result {
-    from_matrix(crate::matrix::run_matrix(scale))
-}
-
 /// Render the paper-style grouped bars as a table.
 pub fn render(result: &Result) -> String {
     let mut header = vec!["cca".to_string()];

@@ -72,11 +72,6 @@ pub fn from_matrix(matrix: Matrix) -> Result {
     }
 }
 
-/// Run the campaign and project it.
-pub fn run(scale: crate::scale::Scale) -> Result {
-    from_matrix(crate::matrix::run_matrix(scale))
-}
-
 /// Render the scatter as rows.
 pub fn render(result: &Result) -> String {
     let mut t = analysis::table::Table::new(["cca", "mtu", "fct (s)", "energy (J)"]);

@@ -21,7 +21,8 @@
 //! Each module exposes a `Config`/`run`/`render` triple returning typed,
 //! serde-serializable results; [`scale::Scale`] trades fidelity for time
 //! (`GREENENVY_SCALE=paper|standard|quick`). Figures 5-8 share one
-//! measurement campaign ([`matrix`]), exactly as in the paper.
+//! measurement campaign ([`matrix`]), exactly as in the paper: each
+//! projects it with `from_matrix` and prints with `render`.
 //!
 //! ```no_run
 //! use greenenvy::{fig1, scale::Scale};
@@ -52,15 +53,3 @@ pub mod scale;
 pub mod theorem;
 
 pub use scale::Scale;
-
-/// The commonly-used names, re-exported in one place.
-pub mod prelude {
-    pub use crate::campaign::{
-        install_signal_handlers, run_campaign, CampaignOptions, CampaignReport, CancelToken,
-    };
-    pub use crate::matrix::{
-        run_matrix, Cell, CellError, CellFailure, CellPolicy, Matrix, MATRIX_SCHEMA_VERSION, MTUS,
-    };
-    pub use crate::scale::Scale;
-    pub use crate::{extensions, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, savings, theorem};
-}
