@@ -39,6 +39,7 @@ use cca::CcaKind;
 use greenenvy::campaign::{self, CampaignOptions};
 use greenenvy::exitcode;
 use greenenvy::matrix::{run_cell_with, CellPolicy, MTUS};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -83,7 +84,7 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
                     ))
                 })?);
             }
-            "--threads" => opts.threads = args.value(&flag)?,
+            "--threads" => opts.threads = args.value::<NonZeroUsize>(&flag)?.get(),
             "--journal-dir" => journal_dir = args.value(&flag)?,
             "--trace-out" => opts.trace_out = Some(args.value(&flag)?),
             _ => return Err(Usage(format!("unknown flag {flag:?}"))),

@@ -12,6 +12,7 @@ use greenenvy::{exitcode, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, saving
 use serde::Serialize;
 use std::cell::{Cell, OnceCell};
 use std::fmt::Write as _;
+use std::num::{NonZeroU64, NonZeroUsize};
 use workload::prelude::*;
 
 /// One row of the table: `bench <name> <usage>`.
@@ -124,7 +125,7 @@ fn extensions(ctx: &Ctx, _: &mut Args) -> Result<i32, Usage> {
 }
 
 fn theorem1(_: &Ctx, args: &mut Args) -> Result<i32, Usage> {
-    let trials = args.positional("trials")?.unwrap_or(10_000);
+    let trials = args.positional("trials")?.map_or(10_000, NonZeroUsize::get);
     args.finish()?;
     let result = theorem::run(trials);
     emit("theorem1", &result, theorem::render);
@@ -142,7 +143,9 @@ fn all(ctx: &Ctx, _: &mut Args) -> Result<i32, Usage> {
 
 /// One-screen behaviour table of every CCA (defaults: 500 MB at MTU 9000).
 fn cca_table(_: &Ctx, args: &mut Args) -> Result<i32, Usage> {
-    let bytes: u64 = args.positional("bytes")?.unwrap_or(500_000_000);
+    let bytes = args
+        .positional("bytes")?
+        .map_or(500_000_000, NonZeroU64::get);
     let mtu: u32 = args.positional("mtu")?.unwrap_or(9000);
     args.finish()?;
     if mtu <= netsim::packet::HEADER_BYTES {

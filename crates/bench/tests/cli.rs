@@ -83,6 +83,14 @@ fn malformed_values_are_usage_errors_not_silent_defaults() {
     assert_refused(&["cca_table", "1000", "9k"], &[], &["9k"]);
     assert_refused(&["cca_table", "1000", "40"], &[], &["\"40\" for mtu"]);
     assert_refused(&["campaign", "--threads", "two"], &[], &["two"]);
+    // Zero workers, trials or bytes would run nothing and still exit 0.
+    assert_refused(
+        &["campaign", "--threads", "0"],
+        &[],
+        &["\"0\" for --threads"],
+    );
+    assert_refused(&["theorem1", "0"], &[], &["\"0\" for trials"]);
+    assert_refused(&["cca_table", "0"], &[], &["\"0\" for bytes"]);
     for secs in ["-1", "nan", "inf", "1e300", "soon"] {
         let named = format!("{secs:?} for --deadline");
         assert_refused(&["campaign", "--deadline", secs], &[], &[&named]);

@@ -7,11 +7,13 @@
 //! instants (loss, RTO, drop), and `"X"` duration spans (transfer,
 //! recovery episodes).
 //!
-//! The bytes are reproducible by construction: events append in
-//! deterministic simulation order, metadata sorts by pid, timestamps
-//! are integer sim-nanoseconds rendered as fixed-point microseconds,
-//! and the whole document is built by hand — no maps with random
-//! iteration order, no float formatting that depends on locale.
+//! Each event is rendered into the document when it is recorded, so a
+//! run holds its trace once, as the bytes it exports. The bytes are
+//! reproducible by construction: events append in deterministic
+//! simulation order, metadata sorts by pid and goes in front at the
+//! end, timestamps are integer sim-nanoseconds rendered as fixed-point
+//! microseconds, and the whole document is built by hand — no maps with
+//! random iteration order, no float formatting that depends on locale.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -37,28 +39,6 @@ impl TrackKind {
             TrackKind::Queue => 2_000_000 + id,
         }
     }
-}
-
-/// One recorded trace event (pre-serialization).
-#[derive(Clone, Debug)]
-enum Ev {
-    Counter {
-        ts_ns: u64,
-        pid: u32,
-        name: &'static str,
-        value: f64,
-    },
-    Instant {
-        ts_ns: u64,
-        pid: u32,
-        name: &'static str,
-    },
-    Span {
-        ts_ns: u64,
-        dur_ns: u64,
-        pid: u32,
-        name: String,
-    },
 }
 
 /// A counter sample buffered until its downsampling bin closes.
@@ -88,12 +68,58 @@ struct CounterTrack {
     pending: Option<Pending>,
 }
 
-/// Accumulates tracks and events; renders the JSON document once at the
-/// end of a run.
+/// The document's opening bytes, ahead of the first event.
+const HEADER: &str = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+
+/// The events recorded so far, already rendered: each one is `,{…}`,
+/// in recording order.
+#[derive(Clone, Debug, Default)]
+struct Body {
+    text: String,
+    events: usize,
+}
+
+impl Body {
+    fn counter(&mut self, ts_ns: u64, pid: u32, name: &str, value: f64) {
+        self.events += 1;
+        let _ = write!(
+            self.text,
+            ",{{\"ph\":\"C\",\"pid\":{pid},\"ts\":{},\"name\":\"{}\",\"args\":{{\"value\":{}}}}}",
+            Micros(ts_ns),
+            JsonStr(name),
+            JsonNum(value)
+        );
+    }
+
+    fn instant(&mut self, ts_ns: u64, pid: u32, name: &str) {
+        self.events += 1;
+        let _ = write!(
+            self.text,
+            ",{{\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"s\":\"p\",\"name\":\"{}\"}}",
+            Micros(ts_ns),
+            JsonStr(name)
+        );
+    }
+
+    fn span(&mut self, ts_ns: u64, dur_ns: u64, pid: u32, name: &str) {
+        self.events += 1;
+        let _ = write!(
+            self.text,
+            ",{{\"ph\":\"X\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"dur\":{},\"name\":\"{}\"}}",
+            Micros(ts_ns),
+            Micros(dur_ns),
+            JsonStr(name)
+        );
+    }
+}
+
+/// Renders each event into the document as it is recorded; the track
+/// names, which may be set after their tracks' events, go in front when
+/// the builder becomes the document ([`TraceBuilder::json`]).
 #[derive(Clone, Debug)]
 pub struct TraceBuilder {
     track_names: BTreeMap<u32, String>,
-    events: Vec<Ev>,
+    body: Body,
     /// Counter tracks in resolve order, reached by [`CounterSlot`].
     counters: Vec<CounterTrack>,
     /// `(pid, name)` → slot: walked on resolve and, for its order, on
@@ -114,7 +140,7 @@ impl TraceBuilder {
     pub fn new(counter_bin_ns: u64) -> Self {
         TraceBuilder {
             track_names: BTreeMap::new(),
-            events: Vec::new(),
+            body: Body::default(),
             counters: Vec::new(),
             counter_index: BTreeMap::new(),
             counter_bin_ns,
@@ -150,12 +176,7 @@ impl TraceBuilder {
     pub fn counter_at(&mut self, slot: CounterSlot, ts_ns: u64, value: f64) {
         let track = &mut self.counters[slot.0 as usize];
         if self.counter_bin_ns == 0 {
-            self.events.push(Ev::Counter {
-                ts_ns,
-                pid: track.pid,
-                name: track.name,
-                value,
-            });
+            self.body.counter(ts_ns, track.pid, track.name, value);
             return;
         }
         let bin = ts_ns / self.counter_bin_ns;
@@ -167,12 +188,8 @@ impl TraceBuilder {
             }
             pending => {
                 if let Some(flushed) = pending.replace(Pending { bin, ts_ns, value }) {
-                    self.events.push(Ev::Counter {
-                        ts_ns: flushed.ts_ns,
-                        pid: track.pid,
-                        name: track.name,
-                        value: flushed.value,
-                    });
+                    self.body
+                        .counter(flushed.ts_ns, track.pid, track.name, flushed.value);
                 }
             }
         }
@@ -194,21 +211,12 @@ impl TraceBuilder {
 
     /// Record an instant event on the track.
     pub fn instant(&mut self, ts_ns: u64, kind: TrackKind, id: u32, name: &'static str) {
-        self.events.push(Ev::Instant {
-            ts_ns,
-            pid: kind.pid(id),
-            name,
-        });
+        self.body.instant(ts_ns, kind.pid(id), name);
     }
 
     /// Record a complete-duration (`"X"`) span on the track.
     pub fn span(&mut self, ts_ns: u64, dur_ns: u64, kind: TrackKind, id: u32, name: &str) {
-        self.events.push(Ev::Span {
-            ts_ns,
-            dur_ns,
-            pid: kind.pid(id),
-            name: name.to_string(),
-        });
+        self.body.span(ts_ns, dur_ns, kind.pid(id), name);
     }
 
     /// Flush buffered counter samples (call once, at end of run; the
@@ -217,91 +225,49 @@ impl TraceBuilder {
     pub fn flush_counters(&mut self) {
         for (&(pid, name), &slot) in &self.counter_index {
             if let Some(p) = self.counters[slot as usize].pending.take() {
-                self.events.push(Ev::Counter {
-                    ts_ns: p.ts_ns,
-                    pid,
-                    name,
-                    value: p.value,
-                });
+                self.body.counter(p.ts_ns, pid, name, p.value);
             }
         }
     }
 
     /// Events recorded so far (metadata excluded).
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.body.events
     }
 
     /// True when no events were recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.body.events == 0
     }
 
-    /// Render the Trace Event Format document. Call after
-    /// [`TraceBuilder::flush_counters`].
-    pub fn json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.events.len() * 80);
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        let mut first = true;
+    /// The Trace Event Format document: the header and one `"M"` event
+    /// per named track, in pid order, put in front of the events in
+    /// place. Call after [`TraceBuilder::flush_counters`].
+    pub fn json(self) -> String {
+        let mut head = String::from(HEADER);
         for (pid, name) in &self.track_names {
-            push_sep(&mut out, &mut first);
             let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
+                head,
+                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}},",
                 JsonStr(name)
             );
         }
-        for ev in &self.events {
-            push_sep(&mut out, &mut first);
-            match ev {
-                Ev::Counter {
-                    ts_ns,
-                    pid,
-                    name,
-                    value,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"C\",\"pid\":{pid},\"ts\":{},\"name\":\"{}\",\"args\":{{\"value\":{}}}}}",
-                        Micros(*ts_ns),
-                        JsonStr(name),
-                        JsonNum(*value)
-                    );
-                }
-                Ev::Instant { ts_ns, pid, name } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"s\":\"p\",\"name\":\"{}\"}}",
-                        Micros(*ts_ns),
-                        JsonStr(name)
-                    );
-                }
-                Ev::Span {
-                    ts_ns,
-                    dur_ns,
-                    pid,
-                    name,
-                } => {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"dur\":{},\"name\":\"{}\"}}",
-                        Micros(*ts_ns),
-                        Micros(*dur_ns),
-                        JsonStr(name)
-                    );
-                }
+        let mut doc = self.body.text;
+        if doc.is_empty() {
+            // No event follows the last metadata's comma.
+            if head.ends_with(',') {
+                head.pop();
             }
+            doc = head;
+        } else {
+            // The first event's leading comma gives way to the head,
+            // which ends in `[` or in the last metadata's comma.
+            doc.reserve_exact(head.len() + 1);
+            doc.replace_range(..1, &head);
         }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn push_sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
+        doc.push_str("]}");
+        doc.shrink_to_fit();
+        doc
     }
 }
 
@@ -392,6 +358,7 @@ mod tests {
             tb.counter(ts, TrackKind::Queue, 2, "queue_bytes", v);
         }
         tb.flush_counters();
+        assert_eq!(tb.len(), 2);
         let json = tb.json();
         // Bin 0 collapsed to its last sample (ts 999, value 3).
         assert!(!json.contains("\"value\":1}"));
@@ -399,7 +366,6 @@ mod tests {
         assert!(json.contains("\"ts\":0.999"));
         assert!(json.contains("\"value\":3}"));
         assert!(json.contains("\"value\":4}"));
-        assert_eq!(tb.len(), 2);
     }
 
     #[test]

@@ -274,7 +274,7 @@ impl ObsRecorder {
     }
 
     /// Close open episodes, flush counter tails, snapshot the registry
-    /// at `end_ns`, and render the trace — the run is over.
+    /// at `end_ns`, and finish the trace document — the run is over.
     pub fn finalize(mut self, end_ns: u64) -> ObsReport {
         let trace = &mut self.trace;
         let mut close = |flow: u32, since: Option<u64>, name: &str| {

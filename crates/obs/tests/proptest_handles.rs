@@ -5,7 +5,9 @@
 //! call. These properties pin that from the outside: any interleaving
 //! of operations yields the same snapshot, exposition text and trace
 //! bytes whether each sample looks its series up or goes through a
-//! handle resolved earlier. The id tests pin the other half of the
+//! handle resolved earlier, and the trace, rendered as each event is
+//! recorded, is byte for byte what a two-pass renderer kept here as an
+//! oracle makes of the same events. The id tests pin the other half of the
 //! contract: per-entity state is reached by index, yet memory follows
 //! the entities seen — not the largest id — and a warmed-up sample
 //! allocates nothing.
@@ -219,6 +221,378 @@ proptest! {
         prop_assert_eq!(keyed.len(), slotted.len());
         prop_assert_eq!(keyed.json(), slotted.json());
     }
+}
+
+/// The two-pass renderer `TraceBuilder` replaced, kept as the oracle for
+/// its streamed document: every event is collected as a value, and the
+/// document is rendered in one pass at the end — metadata first, then
+/// the events in recording order.
+mod two_pass {
+    use obs::TrackKind;
+    use std::collections::BTreeMap;
+    use std::fmt::{self, Write as _};
+
+    enum Ev {
+        Counter {
+            ts_ns: u64,
+            pid: u32,
+            name: &'static str,
+            value: f64,
+        },
+        Instant {
+            ts_ns: u64,
+            pid: u32,
+            name: &'static str,
+        },
+        Span {
+            ts_ns: u64,
+            dur_ns: u64,
+            pid: u32,
+            name: String,
+        },
+    }
+
+    pub struct Reference {
+        bin_ns: u64,
+        track_names: BTreeMap<u32, String>,
+        events: Vec<Ev>,
+        /// `(pid, name)` → the open bin's `(bin, ts_ns, value)`.
+        pending: BTreeMap<(u32, &'static str), (u64, u64, f64)>,
+    }
+
+    impl Reference {
+        pub fn new(bin_ns: u64) -> Self {
+            Reference {
+                bin_ns,
+                track_names: BTreeMap::new(),
+                events: Vec::new(),
+                pending: BTreeMap::new(),
+            }
+        }
+
+        pub fn set_track_name(&mut self, kind: TrackKind, id: u32, name: &str) {
+            self.track_names.insert(kind.pid(id), name.to_string());
+        }
+
+        pub fn counter(
+            &mut self,
+            ts_ns: u64,
+            kind: TrackKind,
+            id: u32,
+            name: &'static str,
+            value: f64,
+        ) {
+            let pid = kind.pid(id);
+            if self.bin_ns == 0 {
+                self.events.push(Ev::Counter {
+                    ts_ns,
+                    pid,
+                    name,
+                    value,
+                });
+                return;
+            }
+            let bin = ts_ns / self.bin_ns;
+            if let Some((open, ts_ns, value)) =
+                self.pending.insert((pid, name), (bin, ts_ns, value))
+            {
+                if open != bin {
+                    self.events.push(Ev::Counter {
+                        ts_ns,
+                        pid,
+                        name,
+                        value,
+                    });
+                }
+            }
+        }
+
+        pub fn instant(&mut self, ts_ns: u64, kind: TrackKind, id: u32, name: &'static str) {
+            self.events.push(Ev::Instant {
+                ts_ns,
+                pid: kind.pid(id),
+                name,
+            });
+        }
+
+        pub fn span(&mut self, ts_ns: u64, dur_ns: u64, kind: TrackKind, id: u32, name: &str) {
+            self.events.push(Ev::Span {
+                ts_ns,
+                dur_ns,
+                pid: kind.pid(id),
+                name: name.to_string(),
+            });
+        }
+
+        pub fn flush_counters(&mut self) {
+            for ((pid, name), (_, ts_ns, value)) in std::mem::take(&mut self.pending) {
+                self.events.push(Ev::Counter {
+                    ts_ns,
+                    pid,
+                    name,
+                    value,
+                });
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.events.len()
+        }
+
+        pub fn json(&self) -> String {
+            let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+            let mut first = true;
+            let mut sep = |out: &mut String| {
+                if !std::mem::take(&mut first) {
+                    out.push(',');
+                }
+            };
+            for (pid, name) in &self.track_names {
+                sep(&mut out);
+                let _ = write!(
+                    out,
+                    "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{}\"}}}}",
+                    JsonStr(name)
+                );
+            }
+            for ev in &self.events {
+                sep(&mut out);
+                let _ = match ev {
+                    Ev::Counter {
+                        ts_ns,
+                        pid,
+                        name,
+                        value,
+                    } => write!(
+                        out,
+                        "{{\"ph\":\"C\",\"pid\":{pid},\"ts\":{},\"name\":\"{}\",\"args\":{{\"value\":{}}}}}",
+                        Micros(*ts_ns),
+                        JsonStr(name),
+                        JsonNum(*value)
+                    ),
+                    Ev::Instant { ts_ns, pid, name } => write!(
+                        out,
+                        "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"s\":\"p\",\"name\":\"{}\"}}",
+                        Micros(*ts_ns),
+                        JsonStr(name)
+                    ),
+                    Ev::Span {
+                        ts_ns,
+                        dur_ns,
+                        pid,
+                        name,
+                    } => write!(
+                        out,
+                        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"dur\":{},\"name\":\"{}\"}}",
+                        Micros(*ts_ns),
+                        Micros(*dur_ns),
+                        JsonStr(name)
+                    ),
+                };
+            }
+            out.push_str("]}");
+            out
+        }
+    }
+
+    struct Micros(u64);
+
+    impl fmt::Display for Micros {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "{}.{:03}", self.0 / 1_000, self.0 % 1_000)
+        }
+    }
+
+    struct JsonNum(f64);
+
+    impl fmt::Display for JsonNum {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            let v = self.0;
+            if !v.is_finite() {
+                f.write_str("0")
+            } else if v.fract() == 0.0 && v.abs() < 9.0e15 {
+                write!(f, "{}", v as i64)
+            } else {
+                write!(f, "{v}")
+            }
+        }
+    }
+
+    struct JsonStr<'a>(&'a str);
+
+    impl fmt::Display for JsonStr<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            for c in self.0.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    '\n' => f.write_str("\\n")?,
+                    '\r' => f.write_str("\\r")?,
+                    '\t' => f.write_str("\\t")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => f.write_char(c)?,
+                }
+            }
+            Ok(())
+        }
+    }
+}
+
+/// Event and track names, half of them needing JSON escapes.
+const NAMES: [&str; 6] = [
+    "transfer",
+    "flow f0 (cubic)",
+    "q\"uote \\ back",
+    "tab\tnl\ncr\r",
+    "ctl\u{1}\u{1f}",
+    "ünï ✓",
+];
+/// Counter tracks, one of them needing an escape.
+const STREAM_TRACKS: [&str; 3] = ["cwnd_bytes", "queue_bytes", "esc\"aped\\"];
+
+#[derive(Clone, Copy, Debug)]
+enum StreamOp {
+    /// A keyed sample (`slot` false) or one through a cached slot.
+    Counter {
+        kind: usize,
+        id: u32,
+        track: usize,
+        value: f64,
+        slot: bool,
+    },
+    Instant {
+        kind: usize,
+        id: u32,
+        name: usize,
+    },
+    /// A span that started `back_ns` before now.
+    Span {
+        kind: usize,
+        id: u32,
+        name: usize,
+        back_ns: u64,
+    },
+    Name {
+        kind: usize,
+        id: u32,
+        name: usize,
+    },
+}
+
+fn stream_op() -> impl Strategy<Value = (u64, StreamOp)> {
+    let value = prop_oneof![
+        -4.0f64..4.0e6,
+        (0u64..1 << 20).prop_map(|v| v as f64),
+        1.0e15f64..1.0e17,
+        Just(f64::NAN),
+        Just(f64::NEG_INFINITY),
+    ];
+    let op =
+        prop_oneof![
+            (0usize..3, 0u32..3, 0usize..3, value, 0u8..2).prop_map(
+                |(kind, id, track, value, slot)| StreamOp::Counter {
+                    kind,
+                    id,
+                    track,
+                    value,
+                    slot: slot == 1,
+                }
+            ),
+            (0usize..3, 0u32..3, 0usize..NAMES.len())
+                .prop_map(|(kind, id, name)| StreamOp::Instant { kind, id, name }),
+            (0usize..3, 0u32..3, 0usize..NAMES.len(), 0u64..5_000_000).prop_map(
+                |(kind, id, name, back_ns)| StreamOp::Span {
+                    kind,
+                    id,
+                    name,
+                    back_ns
+                }
+            ),
+            (0usize..3, 0u32..3, 0usize..NAMES.len()).prop_map(|(kind, id, name)| StreamOp::Name {
+                kind,
+                id,
+                name
+            }),
+        ];
+    (0u64..1_500, op)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The document rendered as each event is recorded equals the one
+    /// the two-pass renderer builds from the collected events: same
+    /// bytes and the same event count at every step, whatever the mix of
+    /// keyed and by-slot samples, downsampled or not, and with track
+    /// names set before, between and after their tracks' events.
+    #[test]
+    fn streamed_document_matches_the_two_pass_renderer(
+        ops in vec(stream_op(), 0..160),
+        downsample in 0u64..2,
+    ) {
+        let bin_ns = downsample * 1_000;
+        let mut streamed = TraceBuilder::new(bin_ns);
+        let mut reference = two_pass::Reference::new(bin_ns);
+        let mut slots: BTreeMap<(usize, u32, usize), obs::CounterSlot> = BTreeMap::new();
+        let mut ts_ns = 0;
+        for &(dt_ns, op) in &ops {
+            ts_ns += dt_ns;
+            match op {
+                StreamOp::Counter { kind, id, track, value, slot } => {
+                    let name = STREAM_TRACKS[track];
+                    if slot {
+                        let s = *slots.entry((kind, id, track)).or_insert_with(|| {
+                            streamed.counter_slot(KINDS[kind], id, name)
+                        });
+                        streamed.counter_at(s, ts_ns, value);
+                    } else {
+                        streamed.counter(ts_ns, KINDS[kind], id, name, value);
+                    }
+                    reference.counter(ts_ns, KINDS[kind], id, name, value);
+                }
+                StreamOp::Instant { kind, id, name } => {
+                    streamed.instant(ts_ns, KINDS[kind], id, NAMES[name]);
+                    reference.instant(ts_ns, KINDS[kind], id, NAMES[name]);
+                }
+                StreamOp::Span { kind, id, name, back_ns } => {
+                    let since = ts_ns.saturating_sub(back_ns);
+                    streamed.span(since, ts_ns - since, KINDS[kind], id, NAMES[name]);
+                    reference.span(since, ts_ns - since, KINDS[kind], id, NAMES[name]);
+                }
+                StreamOp::Name { kind, id, name } => {
+                    streamed.set_track_name(KINDS[kind], id, NAMES[name]);
+                    reference.set_track_name(KINDS[kind], id, NAMES[name]);
+                }
+            }
+            prop_assert_eq!(streamed.len(), reference.len());
+        }
+        streamed.flush_counters();
+        reference.flush_counters();
+        prop_assert_eq!(streamed.len(), reference.len());
+        prop_assert_eq!(streamed.is_empty(), reference.len() == 0);
+        prop_assert_eq!(streamed.json(), reference.json());
+    }
+}
+
+#[test]
+fn documents_without_events_or_without_names_match_the_two_pass_renderer() {
+    let empty = TraceBuilder::new(0);
+    assert_eq!(
+        empty.json(),
+        "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}"
+    );
+    let mut named = TraceBuilder::new(0);
+    let mut reference = two_pass::Reference::new(0);
+    for id in [2, 0] {
+        named.set_track_name(TrackKind::Queue, id, NAMES[3]);
+        reference.set_track_name(TrackKind::Queue, id, NAMES[3]);
+    }
+    assert_eq!(named.json(), reference.json());
+    let mut unnamed = TraceBuilder::new(0);
+    let mut reference = two_pass::Reference::new(0);
+    unnamed.instant(1, TrackKind::Host, 0, NAMES[2]);
+    reference.instant(1, TrackKind::Host, 0, NAMES[2]);
+    assert_eq!(unnamed.json(), reference.json());
 }
 
 const SPARSE_FLOWS: [u32; 3] = [7, 4_000_000_000, 0];

@@ -57,7 +57,10 @@
 #             (journal_sharding); count the full population's peak live
 #             heap under a counting allocator and fail past 3.5 MB on one
 #             thread or 5 MB on two (examples/population_heap.rs: what
-#             lets racks run on every core); then build the benchmark
+#             lets racks run on every core); count the observed lossy
+#             mix's peak live heap the same way and fail past 6.5 MB on
+#             any of its three seeds (examples/observed_heap.rs: the
+#             trace is held once); then build the benchmark
 #             ledger and run its quick self-check (benchmark/run.sh
 #             --quick), restore benchmark/Cargo.lock if the build
 #             rewrote it, and fail if benchmark/ or BENCHMARK.json is
@@ -188,7 +191,8 @@ stage_smoke() {
 
 stage_perf() {
     bench perf_gates &&
-    cargo run --release --offline --quiet --example population_heap || return 1
+    cargo run --release --offline --quiet --example population_heap &&
+    cargo run --release --offline --quiet --example observed_heap || return 1
     # Building the benchmark may rewrite a stale benchmark/Cargo.lock. Put
     # the committed lock back, so a perf run never leaves an edit under
     # benchmark/ for the next `git add -A` to pick up.
