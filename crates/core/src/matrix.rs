@@ -16,8 +16,8 @@ use workload::prelude::*;
 pub const MTUS: [u32; 4] = [1500, 3000, 6000, 9000];
 
 /// Version stamp written into every serialized [`Matrix`]. Bump when the
-/// result layout (or the meaning of a field) changes; loaders reject
-/// mismatches instead of misreading old files.
+/// result layout (or the meaning of a field) changes, so a reader of a
+/// written matrix can tell the layouts apart.
 pub const MATRIX_SCHEMA_VERSION: u32 = 2;
 
 /// One repetition of one cell failed, with enough context to re-run it.
@@ -158,17 +158,15 @@ impl Cell {
 /// The full campaign result.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Matrix {
-    /// Result-file layout version ([`MATRIX_SCHEMA_VERSION`]). Files
-    /// from before versioning lack the field, fail to deserialize, and
-    /// are re-run rather than misread.
+    /// Result-file layout version ([`MATRIX_SCHEMA_VERSION`]), for
+    /// readers of the written file.
     pub schema_version: u32,
     /// Bytes per transfer the campaign ran at.
     pub transfer_bytes: u64,
     /// Repetitions per cell.
     pub repetitions: usize,
-    /// The exact seed list every cell ran with. Stored so cached results
-    /// are invalidated when the seed schedule changes, not only when the
-    /// scale's size parameters do.
+    /// The exact seed list every cell ran with, so a written matrix names
+    /// its seed schedule and not only the scale's size parameters.
     pub seeds: Vec<u64>,
     /// All cells, ordered by `MTUS` within the paper's Figure-5 CCA order.
     /// Cells that failed are absent; see `failed`.

@@ -971,11 +971,44 @@ impl Network {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ids::FlowId;
     use crate::packet::{AckInfo, EcnCodepoint, Packet, PacketKind};
     use crate::units::Rate;
+    use std::fmt::Write;
+
+    /// What a topology builder made, one line per item: node kinds in id
+    /// order, every link's ends, rate, delay, discipline and buffer in id
+    /// order, then every route's members.
+    pub(crate) fn layout(net: &Network) -> String {
+        let mut out = String::new();
+        for (i, node) in net.nodes.iter().enumerate() {
+            writeln!(out, "node {i} {:?}", node.kind).unwrap();
+        }
+        for (i, l) in net.links.iter().enumerate() {
+            writeln!(
+                out,
+                "link {i} {}->{} {} bps {} ns {} {} B",
+                l.src.index(),
+                l.dst.index(),
+                l.rate.bps(),
+                l.prop_delay.as_nanos(),
+                l.qdisc.name(),
+                l.qdisc.capacity_bytes()
+            )
+            .unwrap();
+        }
+        for (i, node) in net.nodes.iter().enumerate() {
+            for (dst, route) in node.routes.iter().enumerate() {
+                if !route.links.is_empty() {
+                    let members: Vec<usize> = route.links.iter().map(|l| l.index()).collect();
+                    writeln!(out, "route {i}->{dst} {members:?}").unwrap();
+                }
+            }
+        }
+        out
+    }
 
     /// Test agent: sends `count` data packets to `peer` at start, records
     /// everything it receives, echoes an ack per data packet.

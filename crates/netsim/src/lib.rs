@@ -63,8 +63,7 @@ pub mod prelude {
     pub use crate::sched::{SchedStats, Scheduler};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{
-        BottleneckQueue, Dumbbell, DumbbellConfig, Incast, IncastConfig, ParkingLot,
-        ParkingLotConfig,
+        BottleneckQueue, Dumbbell, DumbbellConfig, ParkingLot, ParkingLotConfig,
     };
     pub use crate::trace::{ActivityBin, ActivitySeries, ActivityTotals, FlowTrace, HostActivity};
     pub use crate::units::{average_rate, Rate, GB, KB, MB};

@@ -68,6 +68,10 @@ pub trait Qdisc: Send {
 
     /// Human-readable discipline name, for traces and reports.
     fn name(&self) -> &'static str;
+
+    /// Byte capacity, read by the topology layout tests.
+    #[cfg(test)]
+    fn capacity_bytes(&self) -> u64;
 }
 
 /// Shared FIFO storage used by all disciplines: frame refs plus the
@@ -153,6 +157,11 @@ impl Qdisc for DropTailQueue {
     fn name(&self) -> &'static str {
         "droptail"
     }
+
+    #[cfg(test)]
+    fn capacity_bytes(&self) -> u64 {
+        self.capacity_bytes
+    }
 }
 
 /// Tail-drop FIFO with DCTCP-style instantaneous step marking.
@@ -226,6 +235,11 @@ impl Qdisc for EcnThresholdQueue {
 
     fn name(&self) -> &'static str {
         "ecn-threshold"
+    }
+
+    #[cfg(test)]
+    fn capacity_bytes(&self) -> u64 {
+        self.capacity_bytes
     }
 }
 
@@ -353,6 +367,11 @@ impl Qdisc for RedQueue {
 
     fn name(&self) -> &'static str {
         "red"
+    }
+
+    #[cfg(test)]
+    fn capacity_bytes(&self) -> u64 {
+        self.capacity_bytes
     }
 }
 

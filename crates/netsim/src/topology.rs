@@ -1,18 +1,15 @@
 //! Canonical topologies.
 //!
 //! [`Dumbbell`] builds the paper's testbed: sender host(s) connected to a
-//! switch (optionally over bonded links, as the paper's sender uses
-//! 2×10 Gb/s round-robin bonding), and a single bottleneck link from the
-//! switch to the receiver host. All experiments in the paper run on this
-//! shape.
+//! switch over bonded links (the paper's sender uses 2×10 Gb/s
+//! round-robin bonding), and a bottleneck from the switch to the
+//! receiver host. All experiments in the paper run on this shape, and a
+//! population's rack cell is the same star with a two-wide bottleneck.
 //!
-//! Population-scale studies add two more classics: [`Incast`] (N senders
-//! fan into one receiver through a single switch — the many-flows shape
-//! of a CDN edge or a partition/aggregate datacenter job) and
-//! [`ParkingLot`] (a chain of bottlenecks where one long "through" flow
-//! competes with a short local flow on every hop — the standard
-//! multi-bottleneck fairness stressor). Examples can of course wire
-//! arbitrary topologies by hand.
+//! [`ParkingLot`] is the other classic: a chain of bottlenecks where one
+//! long "through" flow competes with a short local flow on every hop —
+//! the standard multi-bottleneck fairness stressor. Examples can of
+//! course wire arbitrary topologies by hand.
 
 use crate::engine::Network;
 use crate::ids::{LinkId, NodeId};
@@ -21,8 +18,8 @@ use crate::queue::{DropTailQueue, EcnThresholdQueue, Qdisc};
 use crate::time::SimDuration;
 use crate::units::Rate;
 
-/// Link rate of the paper's testbed, in Gb/s: the rate of every incast
-/// link and the dumbbell's and parking lot's default.
+/// Link rate of the paper's testbed, in Gb/s: the dumbbell's and parking
+/// lot's default.
 pub const LINK_GBPS: f64 = 10.0;
 
 /// One-way propagation delay per hop (~100 µs base RTT across the
@@ -83,6 +80,15 @@ pub struct DumbbellConfig {
     /// Bottleneck (switch -> receiver) rate, and the rate of every edge
     /// link. The paper's is 10 Gb/s.
     pub bottleneck_rate: Rate,
+    /// Width of the switch <-> receiver path: that many bottleneck
+    /// members, each at `bottleneck_rate / bottleneck_links` with its own
+    /// `bottleneck_queue`, as many receiver -> switch ack links, and as
+    /// many switch -> sender downlinks, all sprayed round-robin. 1 is the
+    /// paper's testbed; a rack cell uses [`SENDER_BOND_LINKS`], so
+    /// equal-size frames sprayed onto an idle bond arrive at the far host
+    /// in the same nanosecond, which feeds the engine's batched
+    /// same-timestamp dispatch.
+    pub bottleneck_links: usize,
     /// One-way propagation delay per hop (sender->switch and
     /// switch->receiver each get this).
     pub hop_delay: SimDuration,
@@ -93,11 +99,12 @@ pub struct DumbbellConfig {
 }
 
 impl Default for DumbbellConfig {
-    /// The paper's testbed: [`LINK_GBPS`], [`HOP_DELAY`] per hop and a
-    /// [`BUFFER_BYTES`] drop-tail bottleneck, one sender.
+    /// The paper's testbed: one [`LINK_GBPS`] bottleneck, [`HOP_DELAY`]
+    /// per hop and a [`BUFFER_BYTES`] drop-tail, one sender.
     fn default() -> Self {
         DumbbellConfig {
             bottleneck_rate: Rate::from_gbps(LINK_GBPS),
+            bottleneck_links: 1,
             hop_delay: HOP_DELAY,
             bottleneck_queue: BottleneckQueue::DropTail {
                 capacity_bytes: BUFFER_BYTES,
@@ -116,7 +123,8 @@ pub struct Dumbbell {
     pub switch: NodeId,
     /// The receiver host.
     pub receiver: NodeId,
-    /// The bottleneck link (switch -> receiver).
+    /// The bottleneck link (switch -> receiver); its first member when
+    /// the bottleneck is wider than one link.
     pub bottleneck: LinkId,
     /// Per-sender uplink ids (bonded groups flattened).
     pub uplinks: Vec<Vec<LinkId>>,
@@ -126,26 +134,43 @@ impl Dumbbell {
     /// Build the dumbbell inside `net` according to `cfg`.
     pub fn build(net: &mut Network, cfg: &DumbbellConfig) -> Dumbbell {
         assert!(cfg.senders >= 1, "need at least one sender");
+        assert!(
+            cfg.bottleneck_links >= 1,
+            "need at least one bottleneck link"
+        );
+        let width = cfg.bottleneck_links;
         let edge = || LinkSpec::droptail(cfg.bottleneck_rate, cfg.hop_delay, EDGE_BUFFER_BYTES);
 
         let switch = net.add_switch();
         let receiver = net.add_host();
 
-        // Bottleneck: switch -> receiver.
-        let bottleneck = net.add_link(
-            switch,
-            receiver,
-            LinkSpec {
-                rate: cfg.bottleneck_rate,
-                prop_delay: cfg.hop_delay,
-                qdisc: cfg.bottleneck_queue.build(),
-                min_pkt_gap: SimDuration::ZERO,
-            },
-        );
+        // Bottleneck: switch -> receiver, its members splitting the rate.
+        let member_rate = Rate::from_bps(cfg.bottleneck_rate.bps() / width as f64);
+        let mut bottlenecks = Vec::with_capacity(width);
+        for _ in 0..width {
+            let l = net.add_link(
+                switch,
+                receiver,
+                LinkSpec {
+                    rate: member_rate,
+                    prop_delay: cfg.hop_delay,
+                    qdisc: cfg.bottleneck_queue.build(),
+                    min_pkt_gap: SimDuration::ZERO,
+                },
+            );
+            net.add_route(switch, receiver, l);
+            bottlenecks.push(l);
+        }
 
-        // Reverse path: receiver -> switch (acks), generously buffered.
-        let rx_up = net.add_link(receiver, switch, edge());
-        net.add_route(receiver, switch, rx_up);
+        // Reverse path: receiver -> switch (acks), generously buffered and
+        // as wide as the bottleneck, so ack pairs emitted in the same
+        // nanosecond keep their tie through the switch.
+        let mut rx_ups = Vec::with_capacity(width);
+        for _ in 0..width {
+            let l = net.add_link(receiver, switch, edge());
+            net.add_route(receiver, switch, l);
+            rx_ups.push(l);
+        }
 
         let mut senders = Vec::with_capacity(cfg.senders);
         let mut uplinks = Vec::with_capacity(cfg.senders);
@@ -157,141 +182,23 @@ impl Dumbbell {
                 net.add_route(host, receiver, l);
                 bond.push(l);
             }
-            // Switch routes: to this sender via a downlink.
-            let down = net.add_link(switch, host, edge());
-            net.add_route(switch, host, down);
-            // Receiver reaches this sender through the switch.
-            net.add_route(receiver, host, rx_up);
+            for _ in 0..width {
+                let down = net.add_link(switch, host, edge());
+                net.add_route(switch, host, down);
+            }
+            // The receiver reaches this sender through the switch.
+            for &l in &rx_ups {
+                net.add_route(receiver, host, l);
+            }
             senders.push(host);
             uplinks.push(bond);
         }
-        // Switch routes everything destined to the receiver over the
-        // bottleneck.
-        net.add_route(switch, receiver, bottleneck);
 
         Dumbbell {
             senders,
             switch,
             receiver,
-            bottleneck,
-            uplinks,
-        }
-    }
-}
-
-/// Parameters of the incast testbed. Every link runs at [`LINK_GBPS`]
-/// with [`HOP_DELAY`] per hop; non-bottleneck links hold
-/// [`EDGE_BUFFER_BYTES`].
-#[derive(Clone, Debug)]
-pub struct IncastConfig {
-    /// Number of sender hosts fanning into the receiver.
-    pub fan_in: usize,
-    /// LAG width: every link in the rack is a port-channel of this many
-    /// members, sprayed round-robin (1 = plain links). Edge members each
-    /// run at the full link rate — the dumbbell's bonded-NIC
-    /// convention, so host NICs are never the bottleneck — while
-    /// bottleneck members split it to preserve the aggregate. Equal-size frames sprayed onto an idle bond serialize
-    /// in lockstep and arrive at the far host in the same nanosecond,
-    /// which is what feeds the engine's batched same-timestamp dispatch.
-    pub bond_links: usize,
-    /// Bottleneck queue discipline, per bond member. Incast collapse
-    /// studies want this shallow; the default is a switch-port-sized
-    /// 256 KB drop-tail.
-    pub bottleneck_queue: BottleneckQueue,
-}
-
-impl Default for IncastConfig {
-    fn default() -> Self {
-        IncastConfig {
-            fan_in: 32,
-            bond_links: 1,
-            bottleneck_queue: BottleneckQueue::DropTail {
-                capacity_bytes: 256_000,
-            },
-        }
-    }
-}
-
-/// A built incast: N senders, one switch, one receiver, one bottleneck
-/// (possibly a bonded group).
-#[derive(Debug)]
-pub struct Incast {
-    /// Sender host ids, one per fan-in slot.
-    pub senders: Vec<NodeId>,
-    /// The switch every sender hangs off.
-    pub switch: NodeId,
-    /// The receiver everything converges on.
-    pub receiver: NodeId,
-    /// The first bottleneck member (the whole bottleneck when
-    /// `bond_links` is 1).
-    pub bottleneck: LinkId,
-    /// All bottleneck members (length = `bond_links`).
-    pub bottlenecks: Vec<LinkId>,
-    /// Per-sender uplink bond (sender -> switch), flattened per sender.
-    pub uplinks: Vec<Vec<LinkId>>,
-}
-
-impl Incast {
-    /// Build the incast inside `net` according to `cfg`.
-    pub fn build(net: &mut Network, cfg: &IncastConfig) -> Incast {
-        assert!(cfg.fan_in >= 1, "need at least one sender");
-        assert!(cfg.bond_links >= 1, "need at least one bond member");
-        let rate = Rate::from_gbps(LINK_GBPS);
-        let edge = || LinkSpec::droptail(rate, HOP_DELAY, EDGE_BUFFER_BYTES);
-        let switch = net.add_switch();
-        let receiver = net.add_host();
-        let member_rate = Rate::from_bps(rate.bps() / cfg.bond_links as f64);
-        let mut bottlenecks = Vec::with_capacity(cfg.bond_links);
-        for _ in 0..cfg.bond_links {
-            let l = net.add_link(
-                switch,
-                receiver,
-                LinkSpec {
-                    rate: member_rate,
-                    prop_delay: HOP_DELAY,
-                    qdisc: cfg.bottleneck_queue.build(),
-                    min_pkt_gap: SimDuration::ZERO,
-                },
-            );
-            net.add_route(switch, receiver, l);
-            bottlenecks.push(l);
-        }
-        // Reverse path (acks): bonded like everything else, so ack pairs
-        // emitted in the same nanosecond keep their tie through the
-        // switch and reach a multiplexed sender as one batch.
-        let mut rx_ups = Vec::with_capacity(cfg.bond_links);
-        for _ in 0..cfg.bond_links {
-            let l = net.add_link(receiver, switch, edge());
-            net.add_route(receiver, switch, l);
-            rx_ups.push(l);
-        }
-
-        let mut senders = Vec::with_capacity(cfg.fan_in);
-        let mut uplinks = Vec::with_capacity(cfg.fan_in);
-        for _ in 0..cfg.fan_in {
-            let host = net.add_host();
-            let mut bond = Vec::with_capacity(cfg.bond_links);
-            for _ in 0..cfg.bond_links {
-                let up = net.add_link(host, switch, edge());
-                net.add_route(host, receiver, up);
-                bond.push(up);
-            }
-            for _ in 0..cfg.bond_links {
-                let down = net.add_link(switch, host, edge());
-                net.add_route(switch, host, down);
-            }
-            for &ru in &rx_ups {
-                net.add_route(receiver, host, ru);
-            }
-            senders.push(host);
-            uplinks.push(bond);
-        }
-        Incast {
-            senders,
-            switch,
-            receiver,
             bottleneck: bottlenecks[0],
-            bottlenecks,
             uplinks,
         }
     }
@@ -476,6 +383,99 @@ mod tests {
         fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
     }
 
+    fn star(width: usize) -> String {
+        let mut net = Network::new(0);
+        let cfg = DumbbellConfig {
+            senders: 3,
+            bottleneck_links: width,
+            ..DumbbellConfig::default()
+        };
+        Dumbbell::build(&mut net, &cfg);
+        crate::engine::tests::layout(&net)
+    }
+
+    /// The paper's testbed with 3 senders: one 10 Gb/s bottleneck, one ack
+    /// link, and per sender two bonded uplinks and one downlink.
+    const STAR_1: &[&str] = &[
+        "node 0 Switch",
+        "node 1 Host",
+        "node 2 Host",
+        "node 3 Host",
+        "node 4 Host",
+        "link 0 0->1 10000000000 bps 25000 ns droptail 1000000 B",
+        "link 1 1->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 2 2->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 3 2->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 4 0->2 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 5 3->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 6 3->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 7 0->3 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 8 4->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 9 4->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 10 0->4 10000000000 bps 25000 ns droptail 4000000 B",
+        "route 0->1 [0]",
+        "route 0->2 [4]",
+        "route 0->3 [7]",
+        "route 0->4 [10]",
+        "route 1->0 [1]",
+        "route 1->2 [1]",
+        "route 1->3 [1]",
+        "route 1->4 [1]",
+        "route 2->1 [2, 3]",
+        "route 3->1 [5, 6]",
+        "route 4->1 [8, 9]",
+    ];
+
+    /// A rack cell with 3 senders: the bottleneck is two 5 Gb/s members, and
+    /// the ack path and each sender's downlinks are two links wide.
+    const STAR_2: &[&str] = &[
+        "node 0 Switch",
+        "node 1 Host",
+        "node 2 Host",
+        "node 3 Host",
+        "node 4 Host",
+        "link 0 0->1 5000000000 bps 25000 ns droptail 1000000 B",
+        "link 1 0->1 5000000000 bps 25000 ns droptail 1000000 B",
+        "link 2 1->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 3 1->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 4 2->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 5 2->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 6 0->2 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 7 0->2 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 8 3->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 9 3->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 10 0->3 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 11 0->3 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 12 4->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 13 4->0 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 14 0->4 10000000000 bps 25000 ns droptail 4000000 B",
+        "link 15 0->4 10000000000 bps 25000 ns droptail 4000000 B",
+        "route 0->1 [0, 1]",
+        "route 0->2 [6, 7]",
+        "route 0->3 [10, 11]",
+        "route 0->4 [14, 15]",
+        "route 1->0 [2, 3]",
+        "route 1->2 [2, 3]",
+        "route 1->3 [2, 3]",
+        "route 1->4 [2, 3]",
+        "route 2->1 [4, 5]",
+        "route 3->1 [8, 9]",
+        "route 4->1 [12, 13]",
+    ];
+
+    /// Node kinds, every link's ends, rate, delay and buffer, and every
+    /// route's members, in id order, for both widths of the star.
+    #[test]
+    fn star_layout_is_pinned() {
+        for (width, expected) in [(1, STAR_1), (2, STAR_2)] {
+            assert_eq!(
+                star(width).lines().collect::<Vec<_>>(),
+                expected,
+                "width {width}"
+            );
+        }
+    }
+
     #[test]
     fn dumbbell_carries_traffic_end_to_end() {
         let mut net = Network::new(11);
@@ -590,27 +590,27 @@ mod tests {
     #[test]
     fn incast_converges_all_senders_on_the_receiver() {
         let mut net = Network::new(15);
-        let cfg = IncastConfig {
-            fan_in: 8,
-            ..IncastConfig::default()
+        let cfg = DumbbellConfig {
+            senders: 8,
+            ..DumbbellConfig::default()
         };
-        let inc = Incast::build(&mut net, &cfg);
-        assert_eq!(inc.senders.len(), 8);
-        for &s in &inc.senders {
+        let d = Dumbbell::build(&mut net, &cfg);
+        assert_eq!(d.senders.len(), 8);
+        for &s in &d.senders {
             net.attach_agent(
                 s,
                 Box::new(Blaster {
-                    dst: inc.receiver,
+                    dst: d.receiver,
                     n: 10,
                     acked: 0,
                 }),
             );
         }
-        net.attach_agent(inc.receiver, Box::new(Sink));
+        net.attach_agent(d.receiver, Box::new(Sink));
         net.run();
         // Every sender's burst crossed the single bottleneck and was acked.
-        assert_eq!(net.link_stats(inc.bottleneck).tx_pkts, 80);
-        for &s in &inc.senders {
+        assert_eq!(net.link_stats(d.bottleneck).tx_pkts, 80);
+        for &s in &d.senders {
             assert_eq!(net.agent::<Blaster>(s).unwrap().acked, 10);
         }
     }
@@ -618,28 +618,28 @@ mod tests {
     #[test]
     fn incast_synchronized_burst_overflows_the_shallow_buffer() {
         let mut net = Network::new(16);
-        let cfg = IncastConfig {
-            fan_in: 24,
+        let cfg = DumbbellConfig {
+            senders: 24,
             bottleneck_queue: BottleneckQueue::DropTail {
                 capacity_bytes: 30_000,
             },
-            ..IncastConfig::default()
+            ..DumbbellConfig::default()
         };
-        let inc = Incast::build(&mut net, &cfg);
-        for &s in &inc.senders {
+        let d = Dumbbell::build(&mut net, &cfg);
+        for &s in &d.senders {
             net.attach_agent(
                 s,
                 Box::new(Blaster {
-                    dst: inc.receiver,
+                    dst: d.receiver,
                     n: 20,
                     acked: 0,
                 }),
             );
         }
-        net.attach_agent(inc.receiver, Box::new(Sink));
+        net.attach_agent(d.receiver, Box::new(Sink));
         net.run();
         assert!(
-            net.queue_stats(inc.bottleneck).dropped_pkts > 0,
+            net.queue_stats(d.bottleneck).dropped_pkts > 0,
             "a synchronized 24-way burst must overflow a 30 KB port buffer"
         );
     }

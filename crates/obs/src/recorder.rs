@@ -61,8 +61,9 @@ pub trait Recorder {
     }
 
     /// Occupancy of a flow table changed: `live` entries out of
-    /// `capacity` allocated slots. Fired at attach/detach time, not per
-    /// event, so it is off every hot path.
+    /// `capacity` allocated slots. Fired after each agent attach and once
+    /// at run start (agents are never detached), not per event, so it is
+    /// off every hot path.
     fn flow_table_occupancy(&mut self, at_ns: u64, live: u64, capacity: u64) {
         let _ = (at_ns, live, capacity);
     }

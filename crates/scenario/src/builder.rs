@@ -356,6 +356,17 @@ impl ScenarioBuilder {
                         "population topologies take exactly one Traffic::Mix".into(),
                     ));
                 };
+                if racks == 0 || hosts_per_rack == 0 {
+                    return Err(mismatch(format!(
+                        "a rack grid needs at least one rack and one host per rack, \
+                         got {racks} x {hosts_per_rack}"
+                    )));
+                }
+                if *flows == 0 || !mix.iter().any(|&(_, w)| w > 0) {
+                    return Err(mismatch(
+                        "a population mix needs at least one flow and a positive weight".into(),
+                    ));
+                }
                 // Every rack runs on the shared harness, but nothing merges
                 // per-rack faults, traces or reports into one population
                 // view, and racks keep the transport's RTO budget.
@@ -614,6 +625,41 @@ mod tests {
             .chaos(ChaosPhase::Loss { prob: 0.01 })
             .build();
         assert!(matches!(err, Err(BuildError::Unsupported { .. })));
+    }
+
+    #[test]
+    fn malformed_rack_grids_are_typed_errors() {
+        let grid = |racks, hosts_per_rack| Topology::RackGrid {
+            racks,
+            hosts_per_rack,
+        };
+        let mix = |flows, mix: &[(CcaKind, u32)]| Traffic::Mix {
+            flows,
+            mix: mix.to_vec(),
+            bytes_per_flow: 1_000,
+        };
+        let cubic = [(CcaKind::Cubic, 1)];
+        let cases = [
+            ("no racks", grid(0, 2), mix(4, &cubic)),
+            ("no hosts", grid(2, 0), mix(4, &cubic)),
+            ("no flows", grid(2, 2), mix(0, &cubic)),
+            ("empty mix", grid(2, 2), mix(4, &[])),
+            (
+                "zero weights",
+                grid(2, 2),
+                mix(4, &[(CcaKind::Cubic, 0), (CcaKind::Bbr, 0)]),
+            ),
+        ];
+        for (what, topology, traffic) in cases {
+            let err = ScenarioBuilder::new("t")
+                .topology(topology)
+                .traffic(traffic)
+                .build();
+            assert!(
+                matches!(err, Err(BuildError::TopologyMismatch { .. })),
+                "{what}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@ use netsim::engine::{EngineCounters, Network, NetworkStats, RunOutcome};
 use netsim::ids::{FlowId, NodeId};
 use netsim::packet::HEADER_BYTES;
 use netsim::time::{SimDuration, SimTime};
+use netsim::topology::BottleneckQueue;
 use obs::{FlowEvent, Labels, NoopRecorder, ObsRecorder, Recorder, SharedRecorder, TrackKind};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -141,6 +142,27 @@ pub struct Placement {
 /// A path's bandwidth-delay product in bytes (excluding queueing).
 pub fn bdp_bytes(link_gbps: f64, rtt_s: f64) -> u64 {
     (link_gbps * 1e9 / 8.0 * rtt_s) as u64
+}
+
+/// The discipline of every contended link, on every topology: ECN
+/// marking at DCTCP's threshold K when any flow crossing it runs DCTCP,
+/// drop-tail otherwise. K follows the classic guidance of ~65 packets at
+/// 10 Gb/s with 1500-byte frames, scaled by MTU with a floor.
+pub(crate) fn bottleneck_queue(
+    mtu: u32,
+    buffer_bytes: u64,
+    mut ccas: impl Iterator<Item = CcaKind>,
+) -> BottleneckQueue {
+    if ccas.any(|cca| cca == CcaKind::Dctcp) {
+        BottleneckQueue::EcnThreshold {
+            capacity_bytes: buffer_bytes,
+            mark_bytes: (65 * mtu as u64).min(buffer_bytes / 2).max(30_000),
+        }
+    } else {
+        BottleneckQueue::DropTail {
+            capacity_bytes: buffer_bytes,
+        }
+    }
 }
 
 /// Draw `n` start jitters below `bound` from the stream seeded with

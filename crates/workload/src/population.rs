@@ -6,14 +6,14 @@
 //! flows meet 1k BBR flows (the CCA-mix regime of the content-provider
 //! fairness studies in PAPERS.md)? A [`PopulationSpec`] describes N flows
 //! with a CCA mix, staggered arrivals, and a rack grid: `racks`
-//! independent incast cells of `hosts_per_rack` sender hosts, each host
+//! independent rack cells of `hosts_per_rack` sender hosts, each host
 //! kernel-multiplexing its share of flows behind one
 //! [`transport::mux::MuxSender`].
 //!
 //! ## Determinism under parallelism
 //!
 //! Racks share no links, so each rack is an isolated simulation — a pure
-//! function of the shared spec and its rack index, run as an incast
+//! function of the shared spec and its rack index, run as a dumbbell
 //! placement on the run harness ([`crate::harness`]). That is the whole
 //! parallelism story: [`run_population`] hands complete racks to one
 //! worker thread per core, each worker builds and runs its own `Network`
@@ -42,7 +42,7 @@ use energy::calibration::CAL_MTU_BYTES;
 use netsim::ids::FlowId;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::{
-    BottleneckQueue, Incast, IncastConfig, BUFFER_BYTES, HOP_DELAY, LINK_GBPS, SENDER_BOND_LINKS,
+    Dumbbell, DumbbellConfig, BUFFER_BYTES, HOP_DELAY, LINK_GBPS, SENDER_BOND_LINKS,
 };
 
 /// Arrivals ramp linearly over this window (flow `f` of `total` starts
@@ -52,8 +52,9 @@ pub const ARRIVAL_SPREAD: SimDuration = SimDuration::from_millis(20);
 
 /// A population of bulk flows over a grid of independent rack cells.
 ///
-/// Every rack is an incast on the testbed's links ([`LINK_GBPS`],
-/// [`HOP_DELAY`], a [`BUFFER_BYTES`] drop-tail bottleneck). Flows start
+/// Every rack is the testbed's dumbbell ([`LINK_GBPS`], [`HOP_DELAY`], a
+/// [`BUFFER_BYTES`] bottleneck under the run harness's one queue rule)
+/// with a [`SENDER_BOND_LINKS`]-wide bottleneck. Flows start
 /// on a ramp over [`ARRIVAL_SPREAD`] plus up to [`START_JITTER`] of
 /// jitter. Hosts run with no packet-rate ceiling: the ceiling models a
 /// single iperf socket's host, which a multiplexed sender is not, and
@@ -74,13 +75,8 @@ pub struct PopulationSpec {
     pub bytes_per_flow: u64,
     /// Number of independent rack cells.
     pub racks: usize,
-    /// Sender hosts per rack (the incast fan-in).
+    /// Sender hosts per rack (the rack's fan-in).
     pub hosts_per_rack: usize,
-    /// LAG width for every rack link (see [`IncastConfig::bond_links`]).
-    /// The default of 2 mirrors the dumbbell's bonded sender NICs and
-    /// produces the same-nanosecond delivery ties the engine's batched
-    /// dispatch coalesces.
-    pub bond_links: usize,
     /// Master RNG seed; each rack derives an isolated stream from it.
     pub seed: u64,
     /// Same-timestamp delivery batching in the engine (on by default;
@@ -106,7 +102,6 @@ impl PopulationSpec {
             bytes_per_flow: 1_000_000,
             racks: 8,
             hosts_per_rack: 8,
-            bond_links: SENDER_BOND_LINKS,
             seed: 1,
             delivery_batching: true,
         }
@@ -200,6 +195,7 @@ struct RackOutcome {
     sender_energy_j: f64,
     receiver_energy_j: f64,
     counters: netsim::engine::EngineCounters,
+    marked_pkts: u64,
     sim_end: SimTime,
 }
 
@@ -246,6 +242,8 @@ pub struct PopulationOutcome {
     pub heap_pushes: u64,
     /// Heap entries later migrated into the wheel.
     pub migrations: u64,
+    /// Packets CE-marked at rack bottlenecks, across racks.
+    pub marked_pkts: u64,
     /// Latest simulated end time across racks.
     pub sim_end: SimTime,
     /// Wall-clock time for the whole population run (reporting only;
@@ -340,8 +338,8 @@ fn rack_seed(master: u64, rack: usize) -> u64 {
 /// Salt of a rack's start-jitter stream (`"popu"`).
 const JITTER_SALT: u64 = 0x706f_7075;
 
-/// Build and run rack cell `rack` of the population to completion: an
-/// incast placement on the shared harness. Flow `f` lands on rack
+/// Build and run rack cell `rack` of the population to completion: a
+/// dumbbell placement on the shared harness. Flow `f` lands on rack
 /// `f % racks` (even CCA mix per rack; `ccas` is the population-wide
 /// [`PopulationSpec::cca_assignment`]) and, within the rack, on host
 /// `local_index % hosts`, each host multiplexing its share — all pure
@@ -372,14 +370,17 @@ fn run_rack(
         wall_deadline: None,
     };
     let run = simulate_on(&wiring, |net, _obs| {
-        let cfg = IncastConfig {
-            fan_in: spec.hosts_per_rack,
-            bond_links: spec.bond_links,
-            bottleneck_queue: BottleneckQueue::DropTail {
-                capacity_bytes: BUFFER_BYTES,
-            },
+        let cfg = DumbbellConfig {
+            bottleneck_links: SENDER_BOND_LINKS,
+            bottleneck_queue: harness::bottleneck_queue(
+                spec.mtu,
+                BUFFER_BYTES,
+                flows().map(|f| ccas[f]),
+            ),
+            senders: spec.hosts_per_rack,
+            ..DumbbellConfig::default()
         };
-        let cell = Incast::build(net, &cfg);
+        let cell = Dumbbell::build(net, &cfg);
         // Every host multiplexes, even one left with a single flow.
         let mut senders: Vec<SenderHost> = cell
             .senders
@@ -413,6 +414,7 @@ fn run_rack(
         sender_energy_j: energy.sender_energy_j,
         receiver_energy_j: energy.receiver_energy_j,
         counters: run.engine,
+        marked_pkts: run.net_stats.marked_pkts,
         sim_end: run.sim_end,
         // Host-major within the rack; the merger re-sorts globally.
         reports: run.reports,
@@ -463,6 +465,7 @@ pub fn run_population_with_threads(
     let mut wheel_pushes = 0u64;
     let mut heap_pushes = 0u64;
     let mut migrations = 0u64;
+    let mut marked_pkts = 0u64;
     let mut sim_end = SimTime::ZERO;
     for outcome in outcomes {
         let rack = outcome?;
@@ -475,6 +478,7 @@ pub fn run_population_with_threads(
         wheel_pushes += rack.counters.sched.wheel_pushes;
         heap_pushes += rack.counters.sched.heap_pushes;
         migrations += rack.counters.sched.migrations;
+        marked_pkts += rack.marked_pkts;
         sim_end = sim_end.max(rack.sim_end);
     }
     reports.sort_by_key(|r| r.flow.index());
@@ -488,6 +492,7 @@ pub fn run_population_with_threads(
         wheel_pushes,
         heap_pushes,
         migrations,
+        marked_pkts,
         sim_end,
         wall,
         racks_run,
@@ -601,6 +606,22 @@ mod tests {
         let b = run_population(&spec).expect("b");
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.sender_energy_j.to_bits(), b.sender_energy_j.to_bits());
+    }
+
+    /// A rack's bottleneck follows the same queue rule as the dumbbell:
+    /// DCTCP flows get CE marks, CUBIC flows a plain drop-tail.
+    #[test]
+    fn a_dctcp_rack_marks_and_a_cubic_rack_does_not() {
+        let rack = |cca| {
+            PopulationSpec::new(16, vec![(cca, 1)])
+                .with_grid(1, 8)
+                .with_bytes_per_flow(2_000_000)
+                .with_seed(1)
+        };
+        let dctcp = run_population(&rack(CcaKind::Dctcp)).expect("dctcp rack");
+        let cubic = run_population(&rack(CcaKind::Cubic)).expect("cubic rack");
+        assert!(dctcp.marked_pkts > 0, "a DCTCP rack must see CE marks");
+        assert_eq!(cubic.marked_pkts, 0);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::harness::{
 };
 use crate::iperf::{FlowReport, FlowSpec};
 use crate::stress::StressLoad;
-use cca::CcaKind;
 use energy::calibration::MAX_HOST_PPS;
 use energy::meter::EnergyReading;
 use netsim::engine::{EngineCounters, RunOutcome};
@@ -239,23 +238,14 @@ impl Scenario {
         harness::bdp_bytes(self.link_gbps, self.hop_delay.as_secs_f64() * 4.0)
     }
 
-    /// The bottleneck discipline of every contended link: ECN marking at
-    /// DCTCP's threshold K when any flow runs DCTCP, drop-tail otherwise.
-    /// K follows the classic guidance of ~65 packets at 10 Gb/s with
-    /// 1500-byte frames, scaled by MTU with a floor.
+    /// The discipline of every contended link
+    /// ([`harness::bottleneck_queue`] over the scenario's flows).
     fn bottleneck_queue(&self) -> BottleneckQueue {
-        if self.flows.iter().any(|f| f.cca == CcaKind::Dctcp) {
-            BottleneckQueue::EcnThreshold {
-                capacity_bytes: self.buffer_bytes,
-                mark_bytes: (65 * self.mtu as u64)
-                    .min(self.buffer_bytes / 2)
-                    .max(30_000),
-            }
-        } else {
-            BottleneckQueue::DropTail {
-                capacity_bytes: self.buffer_bytes,
-            }
-        }
+        harness::bottleneck_queue(
+            self.mtu,
+            self.buffer_bytes,
+            self.flows.iter().map(|f| f.cca),
+        )
     }
 
     /// Every run knob of the scenario as the harness reads it, for any
@@ -466,6 +456,7 @@ pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
     simulate_on(&scenario.wiring(scenario.bdp_bytes()), |net, obs_rec| {
         let cfg = DumbbellConfig {
             bottleneck_rate: Rate::from_gbps(scenario.link_gbps),
+            bottleneck_links: 1,
             hop_delay: scenario.hop_delay,
             bottleneck_queue: scenario.bottleneck_queue(),
             senders: if scenario.colocate_senders {
@@ -616,6 +607,7 @@ pub fn simulate_parking_lot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cca::CcaKind;
     use netsim::units::{GB, MB};
 
     fn quick(mtu: u32, cca: CcaKind, bytes: u64) -> ScenarioOutcome {

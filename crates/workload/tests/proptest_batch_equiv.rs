@@ -43,16 +43,14 @@ proptest! {
         flows in 8usize..48,
         racks in 1usize..4,
         hosts in 2usize..6,
-        bond in 1usize..4,
         kb_per_flow in 50u64..300,
         seed in 0u64..1_000_000,
         mix in mix_strategy(),
     ) {
-        let mut spec = PopulationSpec::new(flows, mix)
+        let spec = PopulationSpec::new(flows, mix)
             .with_grid(racks, hosts)
             .with_bytes_per_flow(kb_per_flow * 1_000)
             .with_seed(seed);
-        spec.bond_links = bond;
 
         let batched = run_population(&spec.clone().with_delivery_batching(true))
             .expect("batched population");

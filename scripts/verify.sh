@@ -16,11 +16,14 @@
 # to pinned bytes across commits: fig1/fig2/fig4
 # (crates/core/tests/golden_figures.rs), the observed exports
 # (golden_obs.rs), the lossy four-CCA run (golden_determinism.rs), the
-# resilience suite's tiny verdict — dumbbell, incast, rack grid and
-# parking lot in one artifact (golden_resilience.rs) — the tiny
+# resilience suite's tiny verdict — dumbbell, one-rack and two-rack
+# grids and parking lot in one artifact (golden_resilience.rs) — the tiny
 # population fingerprint (crates/workload/tests/golden_population.rs)
 # and the parking-lot runner
-# (crates/scenario/tests/golden_parking.rs). It also holds everything
+# (crates/scenario/tests/golden_parking.rs). Under all of them, the star
+# every dumbbell and rack cell is built on is pinned link by link and
+# route by route at both widths (`star_layout_is_pinned` in
+# crates/netsim/src/topology.rs). It also holds everything
 # that runs on worker threads to byte-equality across thread counts: the
 # figure sweeps at 1, 2 and 5 threads (`thread_count_does_not_change_a_byte`
 # in crates/core/src/fig{1,2,3}.rs), the population at 1, 3 and 8 threads
