@@ -69,16 +69,17 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
         cancel: campaign::install_signal_handlers(),
         ..Default::default()
     };
+    let mut policy = CellPolicy::default();
 
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--resume" => opts.resume = true,
-            "--paranoid" => opts.paranoid = true,
+            "--paranoid" => policy.paranoid = true,
             "--deadline" => {
                 let raw: String = args.value(&flag)?;
                 let seconds = raw.parse().ok();
                 let deadline = seconds.and_then(|s| Duration::try_from_secs_f64(s).ok());
-                opts.deadline = Some(deadline.ok_or_else(|| {
+                policy.wall_deadline = Some(deadline.ok_or_else(|| {
                     Usage(format!(
                         "invalid value {raw:?} for {flag} (want seconds: finite, not negative)"
                     ))
@@ -86,7 +87,7 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
             }
             "--threads" => opts.threads = args.value::<NonZeroUsize>(&flag)?.get(),
             "--journal-dir" => journal_dir = args.value(&flag)?,
-            "--trace-out" => opts.trace_out = Some(args.value(&flag)?),
+            "--trace-out" => policy.trace_out = Some(args.value(&flag)?),
             _ => return Err(Usage(format!("unknown flag {flag:?}"))),
         }
     }
@@ -98,11 +99,13 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
          trace-out: {}\n",
         journal_dir.display(),
         opts.resume,
-        opts.paranoid,
-        opts.deadline
+        policy.paranoid,
+        policy
+            .wall_deadline
             .map_or("none".to_string(), |d| format!("{}s/cell", d.as_secs_f64())),
         opts.threads,
-        opts.trace_out
+        policy
+            .trace_out
             .as_deref()
             .map_or("off".to_string(), |p| p.display().to_string()),
     );
@@ -114,12 +117,7 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
         );
     }
 
-    let cell_policy = CellPolicy {
-        wall_deadline: opts.deadline,
-        paranoid: opts.paranoid,
-        trace_out: opts.trace_out.clone(),
-    };
-    let trace_out = opts.trace_out.clone();
+    let trace_out = policy.trace_out.clone();
     opts.journal_dir = Some(journal_dir);
     let report =
         match campaign::run_campaign_with_runner(scale, opts, move |cca, mtu, bytes, seeds| {
@@ -129,7 +127,7 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
                     cca.name()
                 );
             }
-            run_cell_with(cca, mtu, bytes, seeds, cell_policy.clone())
+            run_cell_with(cca, mtu, bytes, seeds, policy.clone())
         }) {
             Ok(r) => r,
             Err(e) => {

@@ -15,7 +15,7 @@
 //! | `scalable` | Kelly, CCR '03 | [`scalable`] |
 //! | `bbr` | Cardwell et al., CACM '17 | [`bbr`] |
 //! | `bbr2` (alpha) | IETF-104 slides, 2019 | [`bbr`] |
-//! | `baseline` | the paper's constant-cwnd kernel module | [`baseline`] |
+//! | `baseline` | the paper's constant-cwnd kernel module | [`transport::cc::FixedCwnd`] |
 //!
 //! Beyond the paper's ten, the §5 "benchmark the production algorithms"
 //! call is answered with [`swift`] (SIGCOMM '20) and [`hpcc`]
@@ -29,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod bbr;
 pub mod common;
 pub mod cubic;
@@ -154,6 +153,32 @@ pub(crate) mod testutil {
         CongestionEvent {
             now,
             ..congestion(flight)
+        }
+    }
+}
+
+/// The `baseline` row of the table: what [`CcaKind::Baseline`] builds.
+#[cfg(test)]
+mod baseline {
+    mod tests {
+        use crate::testutil::{ack, congestion};
+        use crate::{CcaConfig, CcaKind};
+
+        #[test]
+        fn window_never_moves() {
+            let cfg = CcaConfig::new(1448).with_baseline_cwnd(5_000_000);
+            let mut cc = CcaKind::Baseline.build(&cfg);
+            cc.on_ack(&ack(100_000, 1));
+            cc.on_congestion_event(&congestion(1_000_000));
+            cc.on_rto(netsim::time::SimTime::ZERO, 1448);
+            assert_eq!(cc.cwnd(), 5_000_000);
+        }
+
+        #[test]
+        fn zero_compute_cost() {
+            let cc = CcaKind::Baseline.build(&CcaConfig::new(1448).with_baseline_cwnd(1));
+            assert_eq!(cc.compute_cost_factor(), 0.0);
+            assert_eq!(cc.name(), "baseline");
         }
     }
 }

@@ -2,7 +2,6 @@
 //! by kernel-style name, plus per-algorithm transport policy (ack policy,
 //! ECN) — the analogue of `sysctl net.ipv4.tcp_congestion_control`.
 
-use crate::baseline::Baseline;
 use crate::bbr::{Bbr, Bbr2};
 use crate::cubic::Cubic;
 use crate::dctcp::Dctcp;
@@ -13,7 +12,7 @@ use crate::scalable::Scalable;
 use crate::swift::Swift;
 use crate::vegas::Vegas;
 use crate::westwood::Westwood;
-use transport::cc::CongestionControl;
+use transport::cc::{CongestionControl, FixedCwnd};
 use transport::receiver::AckPolicy;
 
 /// Construction parameters shared by all algorithms.
@@ -122,7 +121,7 @@ impl CcaKind {
             CcaKind::Scalable => Box::new(Scalable::new(cfg.mss)),
             CcaKind::Bbr => Box::new(Bbr::new(cfg.mss)),
             CcaKind::Bbr2 => Box::new(Bbr2::new(cfg.mss)),
-            CcaKind::Baseline => Box::new(Baseline::new(cfg.baseline_cwnd)),
+            CcaKind::Baseline => Box::new(FixedCwnd::new(cfg.baseline_cwnd)),
             CcaKind::Swift => Box::new(Swift::new(cfg.mss)),
             CcaKind::Hpcc => Box::new(Hpcc::new(cfg.mss)),
         }

@@ -53,11 +53,9 @@ use journal::Entry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// How a campaign should run. [`Default`] is exactly the
-/// [`crate::matrix::run_matrix`] behaviour: all cores, no journal, no
-/// deadline, no paranoia.
+/// [`crate::matrix::run_matrix`] behaviour: all cores, no journal.
 #[derive(Clone, Debug)]
 pub struct CampaignOptions {
     /// Worker threads of the parallel map, and the journal's shard count
@@ -72,18 +70,14 @@ pub struct CampaignOptions {
     /// whose journal records pass fingerprint + hash validation count;
     /// journaled failures re-run on the same seeds.
     pub resume: bool,
-    /// Per-cell wall-clock budget (covers all repetitions of the cell).
-    /// A cell that blows it fails with [`CellError::DeadlineExceeded`]
-    /// like any other failure.
-    pub deadline: Option<Duration>,
-    /// Run the [`invariant`] physics audit after every repetition.
+    /// Never read: the [`invariant`] audit is [`CellPolicy::paranoid`],
+    /// which the cell runner applies. The field is kept only because
+    /// `benchmark/src/workloads.rs` sets it.
+    ///
+    /// [`CellPolicy::paranoid`]: crate::matrix::CellPolicy::paranoid
     pub paranoid: bool,
     /// Cooperative cancellation; poll-checked between cells.
     pub cancel: CancelToken,
-    /// Persist per-repetition observability artifacts (Perfetto trace,
-    /// Prometheus snapshot, flight-ring dumps on failure) into this
-    /// directory. `None` runs uninstrumented.
-    pub trace_out: Option<PathBuf>,
 }
 
 impl Default for CampaignOptions {
@@ -92,10 +86,8 @@ impl Default for CampaignOptions {
             threads: workload::par::host_threads(),
             journal_dir: None,
             resume: false,
-            deadline: None,
             paranoid: false,
             cancel: CancelToken::new(),
-            trace_out: None,
         }
     }
 }
@@ -119,14 +111,13 @@ pub struct CampaignReport {
 }
 
 /// Run the measurement campaign with a pluggable cell runner. The
-/// deadline/paranoid/trace options act inside the production runner
-/// ([`run_cell_with`] under a [`CellPolicy`] built from them); a custom
-/// runner receives only `(cca, mtu, bytes, seeds)` and applies whatever
-/// policy it likes. Each pending cell is run once, on the declared seeds;
-/// a runner that panics is contained by the supervisor and the cell is
-/// recorded as failed. The one campaign-level error is a journal that
-/// cannot be created or read (append failures mid-run degrade instead —
-/// see [`SupervisionReport::degraded`]).
+/// runner receives `(cca, mtu, bytes, seeds)`; a per-cell deadline,
+/// paranoid audits and trace output are its own [`CellPolicy`], applied
+/// by the production runner [`run_cell_with`]. Each pending cell is run
+/// once, on the declared seeds; a runner that panics is contained by the
+/// supervisor and the cell is recorded as failed. The one campaign-level
+/// error is a journal that cannot be created or read (append failures
+/// mid-run degrade instead — see [`SupervisionReport::degraded`]).
 ///
 /// [`run_cell_with`]: crate::matrix::run_cell_with
 /// [`CellPolicy`]: crate::matrix::CellPolicy

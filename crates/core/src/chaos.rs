@@ -14,6 +14,7 @@
 //! table. If every ordering check passes under loss, the unfairness
 //! argument does not depend on a pristine wire.
 
+use crate::campaign::persist::PersistError;
 use crate::scale::Scale;
 use analysis::stats::Summary;
 use scenario::expect;
@@ -92,57 +93,20 @@ pub struct Result {
     pub persist_failures: Vec<String>,
 }
 
-/// Why the sweep failed.
-#[derive(Debug)]
-pub enum ChaosError {
-    /// A scenario run failed (abort, stall, deadline).
-    Scenario(RunError),
-    /// An observability artifact could not be persisted.
-    Persist(crate::campaign::persist::PersistError),
-}
-
-impl std::fmt::Display for ChaosError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChaosError::Scenario(e) => write!(f, "{e}"),
-            ChaosError::Persist(e) => write!(f, "trace-out: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ChaosError {}
-
-impl From<RunError> for ChaosError {
-    fn from(e: RunError) -> Self {
-        ChaosError::Scenario(e)
-    }
-}
-
-impl From<crate::campaign::persist::PersistError> for ChaosError {
-    fn from(e: crate::campaign::persist::PersistError) -> Self {
-        ChaosError::Persist(e)
-    }
-}
-
-/// Declare one sweep endpoint: bulk CUBIC flows on the dumbbell, the
-/// swept loss rate as a chaos phase, observability when `--trace-out`
-/// is active.
-fn endpoint(
-    cfg: &Config,
-    name: &str,
-    flows: Vec<Traffic>,
-    loss: f64,
-    seed: u64,
-    observed: bool,
-) -> ScenarioSpec {
-    let mut b = ScenarioBuilder::new(name).with_seed(seed);
-    for t in flows {
-        b = b.traffic(t);
-    }
+/// Declare the sweep's two bulk CUBIC flows on the dumbbell, the swept
+/// loss rate as a chaos phase, observability when `--trace-out` is
+/// active. This is the fair endpoint; [`ScenarioSpec::serialized`] makes
+/// it the serial one.
+fn endpoint(cfg: &Config, name: &str, loss: f64, seed: u64) -> ScenarioSpec {
+    let bulk = || Traffic::bulk(CcaKind::Cubic, cfg.per_flow_bytes);
+    let mut b = ScenarioBuilder::new(name)
+        .with_seed(seed)
+        .traffic(bulk())
+        .traffic(bulk());
     if loss > 0.0 {
         b = b.chaos(ChaosPhase::Loss { prob: loss });
     }
-    if observed && cfg.trace_out.is_some() {
+    if cfg.trace_out.is_some() {
         b = b
             .with_observability()
             .with_trace(SimDuration::from_millis(10));
@@ -155,7 +119,7 @@ fn persist_run(
     cfg: &Config,
     label: &str,
     run: &ScenarioRun,
-) -> std::result::Result<(), ChaosError> {
+) -> std::result::Result<(), PersistError> {
     if let (Some(dir), Some(report)) = (&cfg.trace_out, &run.obs) {
         let aborted = run
             .measured
@@ -174,8 +138,7 @@ fn persist_run(
 /// disk degrades the run (failures collected in
 /// [`Result::persist_failures`], sweep continues) rather than throwing
 /// away the measurements already taken.
-pub fn run(cfg: &Config) -> std::result::Result<Result, ChaosError> {
-    let bulk = || Traffic::bulk(CcaKind::Cubic, cfg.per_flow_bytes);
+pub fn run(cfg: &Config) -> std::result::Result<Result, RunError> {
     let mut rows = Vec::with_capacity(cfg.loss_rates.len());
     let mut persist_failures = Vec::new();
     for (rate_idx, &loss) in cfg.loss_rates.iter().enumerate() {
@@ -186,38 +149,18 @@ pub fn run(cfg: &Config) -> std::result::Result<Result, ChaosError> {
         let mut retx = Vec::new();
         let mut checks = Vec::new();
         for &seed in &cfg.seeds {
-            // The serial hand-off time: when a solo flow on the *same
-            // lossy wire* finishes (the loss is part of the schedule
-            // being compared, not an external disturbance).
-            let solo = endpoint(cfg, "solo", vec![bulk()], loss, seed, false).run()?;
-            let handoff = solo.measured.reports[0]
-                .completed_at
-                .saturating_since(SimTime::ZERO);
-
-            let fair = endpoint(cfg, "fair", vec![bulk(), bulk()], loss, seed, true).run()?;
-            let serial = endpoint(
-                cfg,
-                "serial",
-                vec![
-                    bulk(),
-                    Traffic::Bulk {
-                        cca: CcaKind::Cubic,
-                        bytes: cfg.per_flow_bytes,
-                        start: handoff,
-                    },
-                ],
-                loss,
-                seed,
-                true,
-            )
-            .run()?;
+            // The serial schedule is built on the *same lossy wire*: the
+            // loss is part of the schedule being compared, not an
+            // external disturbance.
+            let fair = endpoint(cfg, "fair", loss, seed).run()?;
+            let serial = endpoint(cfg, "serial", loss, seed).serialized()?.run()?;
             for (label, run) in [
                 (format!("rate{rate_idx}_seed{seed}_fair"), &fair),
                 (format!("rate{rate_idx}_seed{seed}_serial"), &serial),
             ] {
                 if let Err(e) = persist_run(cfg, &label, run) {
-                    eprintln!("warning: chaos trace for {label} lost: {e}");
-                    persist_failures.push(format!("{label}: {e}"));
+                    eprintln!("warning: chaos trace for {label} lost: trace-out: {e}");
+                    persist_failures.push(format!("{label}: trace-out: {e}"));
                 }
             }
 
@@ -372,6 +315,44 @@ mod tests {
         assert!(r.persist_failures[0].contains("rate0_seed1_fair"));
         assert!(r.persist_failures[1].contains("rate0_seed1_serial"));
         let _ = std::fs::remove_file(&blocker);
+    }
+
+    /// The `--trace-out` artifacts of two identical tiny sweeps are
+    /// byte-identical, file by file.
+    #[test]
+    fn trace_out_is_byte_identical_across_runs() {
+        let root = std::env::temp_dir().join(format!("greenenvy-chaos-det-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let sweep = |name: &str| {
+            let dir = root.join(name);
+            let cfg = Config {
+                trace_out: Some(dir.clone()),
+                ..Config::at_scale(Scale::tiny())
+            };
+            let r = run(&cfg).expect("sweep completes");
+            assert!(r.persist_failures.is_empty(), "{:?}", r.persist_failures);
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            files.sort();
+            files
+        };
+        let (a, b) = (sweep("a"), sweep("b"));
+        let traces = a
+            .iter()
+            .filter(|p| p.to_string_lossy().ends_with(".trace.json"));
+        assert_eq!(traces.count(), 2 * Scale::tiny().seeds().len() * 4, "{a:?}");
+        assert_eq!(a.len(), b.len());
+        for (fa, fb) in a.iter().zip(&b) {
+            assert_eq!(fa.file_name(), fb.file_name());
+            let bytes = std::fs::read(fa).unwrap();
+            assert!(
+                bytes == std::fs::read(fb).unwrap(),
+                "{fa:?} differs between runs"
+            );
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

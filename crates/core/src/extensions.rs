@@ -21,11 +21,12 @@ use netsim::topology::LINK_GBPS;
 use serde::{Deserialize, Serialize};
 use workload::prelude::*;
 
-/// Extend an outcome's sender energy to `window_s`, charging idle power
-/// for the tail on each of `hosts` sender hosts.
-fn energy_over(out: &ScenarioOutcome, window_s: f64, hosts: f64) -> f64 {
-    let gap_s = (window_s - out.window.as_secs_f64()).max(0.0);
-    out.sender_energy_j + energy::calibration::idle_tail_j(gap_s, 0.0, hosts)
+/// The sender energies of `outs`, each on `hosts` sender hosts, padded
+/// to their common window on idle hosts
+/// ([`energy::calibration::pad_to_common_window`]).
+fn common_window(outs: [&ScenarioOutcome; 2], hosts: f64) -> (f64, Vec<f64>) {
+    let runs = outs.map(|out| (out.sender_energy_j, out.window.as_secs_f64(), hosts));
+    energy::calibration::pad_to_common_window(&runs, 0.0)
 }
 
 /// §5 — flow multiplexing at one sender.
@@ -71,8 +72,8 @@ pub mod multiplexed {
         let fair = run(&pair);
         let serial = run(&pair.serialized().expect("solo run completes"));
         let hosts = if colocate { 1.0 } else { 2.0 };
-        let w = fair.window.as_secs_f64().max(serial.window.as_secs_f64());
-        (energy_over(&fair, w, hosts), energy_over(&serial, w, hosts))
+        let (_, energy) = common_window([&fair, &serial], hosts);
+        (energy[0], energy[1])
     }
 
     /// Run the comparison.
@@ -145,7 +146,7 @@ pub mod srpt {
         pub fct_improvement_pct: f64,
     }
 
-    fn measure(out: &ScenarioOutcome, hosts: f64, window_s: f64) -> Schedule {
+    fn measure(out: &ScenarioOutcome, energy_j: f64, window_s: f64) -> Schedule {
         let mean_fct = out
             .reports
             .iter()
@@ -154,7 +155,7 @@ pub mod srpt {
             / out.reports.len() as f64;
         Schedule {
             mean_fct_s: mean_fct,
-            energy_j: energy_over(out, window_s, hosts),
+            energy_j,
             window_s,
         }
     }
@@ -193,12 +194,9 @@ pub mod srpt {
         ))
         .expect("srpt batch completes");
 
-        let w = fair_out
-            .window
-            .as_secs_f64()
-            .max(srpt_out.window.as_secs_f64());
-        let fair = measure(&fair_out, hosts, w);
-        let srpt = measure(&srpt_out, hosts, w);
+        let (w, energy) = common_window([&fair_out, &srpt_out], hosts);
+        let fair = measure(&fair_out, energy[0], w);
+        let srpt = measure(&srpt_out, energy[1], w);
         Result {
             fair,
             srpt,

@@ -10,7 +10,7 @@
 use crate::scale::Scale;
 use analysis::stats::Summary;
 use cca::CcaKind;
-use energy::calibration::{idle_tail_j, CAL_MTU_BYTES};
+use energy::calibration::{pad_to_common_window, CAL_MTU_BYTES};
 use netsim::topology::LINK_GBPS;
 use netsim::units::Rate;
 use serde::{Deserialize, Serialize};
@@ -170,16 +170,20 @@ fn measure(cfg: &Config, schedule: Schedule, seed: u64, loads: &[StressLoad]) ->
 }
 
 /// Extend every point's energy to a per-seed *common* measurement window
-/// (the latest completion across all schedules of that seed). A completed
-/// host idles at exactly base power, so the extension is the analytic
-/// `(W - w) * P_base` per host — this removes completion-jitter noise
-/// from the savings comparison without rerunning anything.
+/// (the latest completion across all schedules of that seed) with
+/// [`pad_to_common_window`]. A completed host idles at exactly base
+/// power, so the extension is analytic — this removes completion-jitter
+/// noise from the savings comparison without rerunning anything.
 fn equalize_windows(raw: &mut [RawPoint], load: StressLoad, hosts: f64) {
     let seeds = raw[0].window.len();
     for i in 0..seeds {
-        let common = raw.iter().map(|rp| rp.window[i]).fold(0.0_f64, f64::max);
-        for rp in raw.iter_mut() {
-            rp.energy[i] += idle_tail_j(common - rp.window[i], load.utilization(), hosts);
+        let runs: Vec<_> = raw
+            .iter()
+            .map(|rp| (rp.energy[i], rp.window[i], hosts))
+            .collect();
+        let (common, padded) = pad_to_common_window(&runs, load.utilization());
+        for (rp, energy) in raw.iter_mut().zip(padded) {
+            rp.energy[i] = energy;
             rp.window[i] = common;
         }
     }

@@ -61,26 +61,6 @@ pub enum CellError {
     },
 }
 
-impl CellError {
-    /// The algorithm of the failing cell.
-    pub fn cca(&self) -> CcaKind {
-        match self {
-            CellError::Failed { cca, .. }
-            | CellError::DeadlineExceeded { cca, .. }
-            | CellError::InvariantViolation { cca, .. } => *cca,
-        }
-    }
-
-    /// The MTU of the failing cell.
-    pub fn mtu(&self) -> u32 {
-        match self {
-            CellError::Failed { mtu, .. }
-            | CellError::DeadlineExceeded { mtu, .. }
-            | CellError::InvariantViolation { mtu, .. } => *mtu,
-        }
-    }
-}
-
 impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

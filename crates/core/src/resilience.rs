@@ -38,9 +38,9 @@ fn two_bulk(name: &str, bytes: u64, seed: u64) -> ScenarioBuilder {
         .with_seed(seed)
 }
 
-/// Build the curated suite at `scale`. Runs one solo measurement (for
-/// the serial schedule's hand-off time), so this takes a moment at
-/// large scales; everything else is pure spec construction.
+/// Build the curated suite at `scale`. Serializing the Figure-1 entry
+/// runs its first flow alone (for the hand-off time), so this takes a
+/// moment at large scales; everything else is pure spec construction.
 pub fn suite(scale: Scale) -> Result<Suite, RunError> {
     let bytes = scale.two_flow_bytes;
     let seed = scale.seeds()[0];
@@ -137,37 +137,21 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
 
     // 6. The Figure-1 headline as a checked expectation: the serial
     //    "full speed, then idle" schedule must beat the fair 50/50
-    //    split on window-equalized energy. The hand-off time comes from
-    //    a real solo run on the same seed, exactly like the chaos
-    //    experiment's schedule construction.
-    let solo = ScenarioBuilder::new("solo-probe")
-        .traffic(Traffic::bulk(CcaKind::Cubic, bytes))
-        .with_seed(seed)
-        .build()
-        .expect("solo-probe is well-formed")
-        .run()?;
-    let solo_fct = solo.measured.reports[0]
-        .completed_at
-        .saturating_since(SimTime::ZERO);
+    //    split on window-equalized energy. The schedule is the fair
+    //    pair serialized, as in the chaos experiment.
     let fair = two_bulk("fair-split-baseline", bytes, seed)
         .build()
         .expect("fair-split-baseline is well-formed");
     suite.push(
-        ScenarioBuilder::new("serial-beats-fair-energy")
-            .traffic(Traffic::bulk(CcaKind::Cubic, bytes))
-            .traffic(Traffic::Bulk {
-                cca: CcaKind::Cubic,
-                bytes,
-                start: solo_fct,
-            })
-            .with_seed(seed)
+        two_bulk("serial-beats-fair-energy", bytes, seed)
             .baseline(fair)
             .expect_check(Expectation::AbortFree)
             .expect_check(Expectation::SavingsOrdering {
                 min_savings_pct: 2.0,
             })
             .build()
-            .expect("serial-beats-fair-energy is well-formed"),
+            .expect("serial-beats-fair-energy is well-formed")
+            .serialized()?,
     );
 
     // 7. Incast fan-in: one rack of 8 senders, a 3:1 CUBIC:BBR mix.

@@ -142,6 +142,26 @@ pub fn idle_tail_j(gap_s: f64, utilization: f64, hosts: f64) -> f64 {
     gap_s * (P_IDLE_W + reference_fan().watts(utilization)) * hosts
 }
 
+/// The paper's energy window for a set of runs compared with each other:
+/// from experiment start until every flow of every run has completed.
+/// Each run is `(sender_energy_j, window_s, sender_hosts)`; the shorter
+/// ones are padded with [`idle_tail_j`] to the set's longest window, with
+/// background `utilization` on the idling hosts. Returns that common
+/// window and the padded energies, in run order.
+pub fn pad_to_common_window(runs: &[(f64, f64, f64)], utilization: f64) -> (f64, Vec<f64>) {
+    let common = runs
+        .iter()
+        .map(|&(_, window_s, _)| window_s)
+        .fold(0.0, f64::max);
+    let padded = runs
+        .iter()
+        .map(|&(energy_j, window_s, hosts)| {
+            energy_j + idle_tail_j(common - window_s, utilization, hosts)
+        })
+        .collect();
+    (common, padded)
+}
+
 /// Network power at throughput `gbps` above idle at zero background load:
 /// curve plus per-packet terms at the calibration MTU, reference CCA.
 fn net_power_w(gbps: f64) -> f64 {

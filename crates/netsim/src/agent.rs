@@ -61,7 +61,6 @@ pub trait Agent: Any {
 pub(crate) enum AgentCommand {
     Send(FrameRef),
     SetTimer { at: SimTime, token: u64 },
-    Stop,
 }
 
 /// The agent's window into the simulation.
@@ -136,11 +135,6 @@ impl Ctx<'_> {
     /// to 0 on every engine dispatch.
     pub fn set_token_namespace(&mut self, ns: u16) {
         self.token_ns = ns;
-    }
-
-    /// Request that the simulation stop after this callback.
-    pub fn request_stop(&mut self) {
-        self.commands.push(AgentCommand::Stop);
     }
 
     /// This node's deterministic RNG stream.

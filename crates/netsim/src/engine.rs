@@ -3,8 +3,8 @@
 //! [`Network`] owns the topology (nodes, links, routes), the event queue,
 //! the clock, and the attached [`Agent`]s. A run processes events in
 //! timestamp order — ties broken by insertion order, so identical
-//! configurations replay identically — until the queue drains, a stop is
-//! requested, or a time limit is reached.
+//! configurations replay identically — until the queue drains or a time
+//! limit is reached.
 //!
 //! Routing is static: each node maps a destination host to one *or more*
 //! outgoing links. Multi-link routes are sprayed round-robin per packet,
@@ -98,8 +98,6 @@ const _: () = {
 pub enum RunOutcome {
     /// No events remain; the system is quiescent.
     Drained,
-    /// An agent called [`Ctx::request_stop`].
-    Stopped,
     /// The configured time limit was reached with events still pending.
     TimeLimit,
     /// The stall watchdog fired: more than the configured budget of
@@ -232,7 +230,6 @@ pub struct Network {
     /// single [`Agent::on_packets`] dispatch (see
     /// [`Network::set_delivery_batching`]). On by default.
     batch_deliveries: bool,
-    stop_requested: bool,
     events_processed: u64,
     dispatch_batches: u64,
     batched_pkts: u64,
@@ -277,7 +274,6 @@ impl Network {
             commands: Vec::new(),
             delivery_buf: Vec::new(),
             batch_deliveries: true,
-            stop_requested: false,
             events_processed: 0,
             dispatch_batches: 0,
             batched_pkts: 0,
@@ -558,7 +554,7 @@ impl Network {
             .unwrap_or_else(|| panic!("no route from {node} to {dst}"));
         let link = route.links[route.next];
         // Wrap by compare, not `%`: no u64 division per packet
-        // (DESIGN.md, "Per-event floor").
+        // (DESIGN.md, "An event's life").
         route.next += 1;
         if route.next == route.links.len() {
             route.next = 0;
@@ -902,7 +898,6 @@ impl Network {
                 AgentCommand::SetTimer { at, token } => {
                     self.schedule(at.max(self.now), Event::Timer { node, token })
                 }
-                AgentCommand::Stop => self.stop_requested = true,
             }
         }
         self.commands = commands;
@@ -920,17 +915,14 @@ impl Network {
         }
     }
 
-    /// Run until the event queue drains, a stop is requested, or `limit`
-    /// simulated time is reached.
+    /// Run until the event queue drains or `limit` simulated time is
+    /// reached.
     pub fn run_until(&mut self, limit: SimTime) -> RunOutcome {
         // A callback can only unwind out of this loop, so the next entry
         // is the first chance to clean up after one.
         self.discard_commands();
         self.start_agents();
         loop {
-            if self.stop_requested {
-                return RunOutcome::Stopped;
-            }
             let (at, event) = match self.sched.pop_due(limit) {
                 crate::sched::Due::Item(at, event) => (at, event),
                 // Leave the event queued so a later run resumes it.
@@ -964,7 +956,7 @@ impl Network {
         }
     }
 
-    /// Run until quiescent or stopped (no time limit).
+    /// Run until quiescent (no time limit).
     pub fn run(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
     }
@@ -1303,28 +1295,6 @@ pub(crate) mod tests {
         net.attach_agent(a, Box::new(TimerAgent));
         assert_eq!(net.run(), RunOutcome::Drained);
         assert_eq!(net.events_processed(), 3);
-    }
-
-    #[test]
-    fn stop_request_halts_run() {
-        struct Stopper;
-        impl Agent for Stopper {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.set_timer_after(SimDuration::from_millis(1), 0);
-                ctx.set_timer_after(SimDuration::from_millis(10), 1);
-            }
-            fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
-            fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-                if token == 0 {
-                    ctx.request_stop();
-                }
-            }
-        }
-        let mut net = Network::new(7);
-        let a = net.add_host();
-        net.attach_agent(a, Box::new(Stopper));
-        assert_eq!(net.run(), RunOutcome::Stopped);
-        assert_eq!(net.now(), SimTime::from_millis(1));
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl<T> Scheduler<T> {
     /// Always inlined, as is `wheel_insert` with `alloc` inside it: out
     /// of line, the caller stores the item field by field and the callee
     /// reloads it whole, a store-to-load forward that fails on every push
-    /// (DESIGN.md, "Per-event floor"). A plain `#[inline]` hint is not
+    /// (DESIGN.md, "An event's life"). A plain `#[inline]` hint is not
     /// enough; the engine pushes from four sites.
     #[inline(always)]
     pub fn push(&mut self, at: SimTime, item: T) {

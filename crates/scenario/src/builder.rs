@@ -281,9 +281,7 @@ impl ScenarioBuilder {
         if traffic.is_empty() {
             return Err(BuildError::NoTraffic);
         }
-        if mtu <= HEADER_BYTES {
-            return Err(BuildError::MtuTooSmall { mtu });
-        }
+        workload::harness::mss(mtu).map_err(|_| BuildError::MtuTooSmall { mtu })?;
         let fault = chaos::compile(&chaos).map_err(BuildError::Fault)?;
         // The recovery clock starts when the last scheduled outage ends.
         let fault_clear = chaos.iter().filter_map(|p| p.clears_at()).max();
@@ -356,17 +354,12 @@ impl ScenarioBuilder {
                         "population topologies take exactly one Traffic::Mix".into(),
                     ));
                 };
-                if racks == 0 || hosts_per_rack == 0 {
-                    return Err(mismatch(format!(
-                        "a rack grid needs at least one rack and one host per rack, \
-                         got {racks} x {hosts_per_rack}"
-                    )));
-                }
-                if *flows == 0 || !mix.iter().any(|&(_, w)| w > 0) {
-                    return Err(mismatch(
-                        "a population mix needs at least one flow and a positive weight".into(),
-                    ));
-                }
+                let mut spec = PopulationSpec::new(*flows, mix.clone())
+                    .with_grid(racks, hosts_per_rack)
+                    .with_bytes_per_flow(*bytes_per_flow)
+                    .with_seed(seed);
+                spec.mtu = mtu;
+                spec.check().map_err(|err| mismatch(err.to_string()))?;
                 // Every rack runs on the shared harness, but nothing merges
                 // per-rack faults, traces or reports into one population
                 // view, and racks keep the transport's RTO budget.
@@ -384,11 +377,6 @@ impl ScenarioBuilder {
                         ),
                     });
                 }
-                let mut spec = PopulationSpec::new(*flows, mix.clone())
-                    .with_grid(racks, hosts_per_rack)
-                    .with_bytes_per_flow(*bytes_per_flow)
-                    .with_seed(seed);
-                spec.mtu = mtu;
                 RunInput::Population(spec)
             }
         };
@@ -466,6 +454,19 @@ impl ScenarioSpec {
     /// The instant the last scheduled outage clears, if any.
     pub fn fault_clear(&self) -> Option<SimTime> {
         self.fault_clear
+    }
+
+    /// The paper's "full speed, then idle" schedule of this scenario: the
+    /// compiled [`Scenario`] through [`Scenario::serialized`], with the
+    /// expectations and the baseline kept. A parking lot or a rack grid
+    /// has no such schedule: [`ScenarioError::Placement`].
+    pub fn serialized(self) -> Result<ScenarioSpec, RunError> {
+        let RunInput::Dumbbell(sc) = self.input else {
+            let detail = "only a dumbbell's flows run one after another".into();
+            return Err(ScenarioError::Placement { detail }.into());
+        };
+        let input = RunInput::Dumbbell(sc.serialized()?);
+        Ok(ScenarioSpec { input, ..self })
     }
 
     /// Run the scenario (baseline first, if attached) and evaluate

@@ -109,15 +109,18 @@ pub fn recovery_times_ns(m: &Measured, band_frac: f64) -> Option<Vec<Option<u64>
 
 /// Window-equalized sender energies for a comparative check: both runs
 /// padded to the longer window with completed hosts idling at base
-/// power (idle package + fan at zero load), mirroring the Fig-1
-/// methodology. Returns `(self_j, baseline_j)`.
+/// power (idle package + fan at zero load), the Fig-1 methodology
+/// ([`calibration::pad_to_common_window`]). Returns `(self_j, baseline_j)`.
 pub fn equalized_energy_j(m: &Measured, baseline: &Measured) -> (f64, f64) {
-    let common = m.window.max(baseline.window).as_secs_f64();
-    let pad = |x: &Measured| {
-        let gap_s = common - x.window.as_secs_f64();
-        x.sender_energy_j + calibration::idle_tail_j(gap_s, 0.0, x.n_sender_hosts as f64)
+    let run = |x: &Measured| {
+        (
+            x.sender_energy_j,
+            x.window.as_secs_f64(),
+            x.n_sender_hosts as f64,
+        )
     };
-    (pad(m), pad(baseline))
+    let (_, padded) = calibration::pad_to_common_window(&[run(m), run(baseline)], 0.0);
+    (padded[0], padded[1])
 }
 
 /// One typed post-run check.

@@ -122,7 +122,10 @@ pub trait CongestionControl: Send {
 
 /// The paper's custom baseline: a constant, large congestion window and no
 /// per-ack computation at all. §4.3: "a new kernel module that replaces
-/// any CC mechanism with a large, constant cwnd value".
+/// any CC mechanism with a large, constant cwnd value". `cca`'s
+/// `CcaKind::Baseline` builds it. RTO, SACK and loss recovery still run;
+/// only the window never moves. With no congestion response it must
+/// never share a path with competing flows (the paper's footnote 2).
 #[derive(Debug, Clone)]
 pub struct FixedCwnd {
     cwnd_bytes: u64,
@@ -138,7 +141,7 @@ impl FixedCwnd {
 
 impl CongestionControl for FixedCwnd {
     fn name(&self) -> &'static str {
-        "fixed"
+        "baseline"
     }
 
     fn initial_cwnd(&self, _mss: u32) -> u64 {
@@ -169,6 +172,23 @@ mod tests {
         let mut cc = FixedCwnd::new(1_000_000);
         assert_eq!(cc.cwnd(), 1_000_000);
         assert_eq!(cc.initial_cwnd(1448), 1_000_000);
+        cc.on_ack(&AckEvent {
+            now: SimTime::ZERO,
+            newly_acked_bytes: 100_000,
+            rtt_sample: Some(SimDuration::from_micros(100)),
+            srtt: SimDuration::from_micros(100),
+            min_rtt: SimDuration::from_micros(100),
+            bytes_in_flight: 0,
+            delivery_rate: None,
+            app_limited: false,
+            ce_marked_bytes: 0,
+            ecn_echo: false,
+            cum_acked: 100_000,
+            round: 1,
+            in_recovery: false,
+            int: netsim::packet::IntRecord::default(),
+            cwnd_limited: true,
+        });
         cc.on_congestion_event(&CongestionEvent {
             now: SimTime::ZERO,
             bytes_in_flight: 500_000,
@@ -180,6 +200,7 @@ mod tests {
         assert!(cc.pacing_rate().is_none());
         assert!(!cc.wants_ecn());
         assert_eq!(cc.compute_cost_factor(), 0.0);
+        assert_eq!(cc.name(), "baseline");
     }
 
     //= rfc9002#section-7

@@ -139,6 +139,16 @@ pub struct Placement {
     pub receivers: Vec<NodeId>,
 }
 
+/// The payload of a full segment at `mtu`: what the [`HEADER_BYTES`]
+/// header leaves. An MTU that leaves nothing is
+/// [`ScenarioError::MtuTooSmall`].
+pub fn mss(mtu: u32) -> Result<u32, ScenarioError> {
+    match mtu.checked_sub(HEADER_BYTES) {
+        Some(mss) if mss > 0 => Ok(mss),
+        _ => Err(ScenarioError::MtuTooSmall { mtu }),
+    }
+}
+
 /// A path's bandwidth-delay product in bytes (excluding queueing).
 pub fn bdp_bytes(link_gbps: f64, rtt_s: f64) -> u64 {
     (link_gbps * 1e9 / 8.0 * rtt_s) as u64
@@ -254,10 +264,7 @@ pub fn simulate_on(
     wiring: &Wiring,
     place: impl FnOnce(&mut Network, Option<&RefCell<ObsRecorder>>) -> Result<Placement, ScenarioError>,
 ) -> Result<SimulatedRun, ScenarioError> {
-    let mss = match wiring.mtu.checked_sub(HEADER_BYTES) {
-        Some(mss) if mss > 0 => mss,
-        _ => return Err(ScenarioError::MtuTooSmall { mtu: wiring.mtu }),
-    };
+    let mss = mss(wiring.mtu)?;
     let mut net = Network::new(wiring.seed);
     net.set_delivery_batching(wiring.delivery_batching);
     net.enable_activity(wiring.activity_bin);
@@ -362,7 +369,7 @@ pub fn simulate_on(
                 budget: wiring.wall_deadline.unwrap_or_default(),
             })
         }
-        RunOutcome::Drained | RunOutcome::Stopped | RunOutcome::TimeLimit => {}
+        RunOutcome::Drained | RunOutcome::TimeLimit => {}
     }
 
     // Collect per-flow reports; every flow must have reached a terminal

@@ -89,12 +89,6 @@ impl PopulationSpec {
     /// ([`CAL_MTU_BYTES`]), bonded links, 8 racks of 8 sender hosts,
     /// 1 MB per flow.
     pub fn new(total_flows: usize, mix: Vec<(CcaKind, u32)>) -> Self {
-        assert!(total_flows > 0, "need at least one flow");
-        assert!(!mix.is_empty(), "need at least one CCA in the mix");
-        assert!(
-            mix.iter().any(|&(_, w)| w > 0),
-            "mix needs a positive weight"
-        );
         PopulationSpec {
             mtu: CAL_MTU_BYTES,
             total_flows,
@@ -138,7 +132,6 @@ impl PopulationSpec {
 
     /// Set the rack grid (racks x sender hosts per rack).
     pub fn with_grid(mut self, racks: usize, hosts_per_rack: usize) -> Self {
-        assert!(racks > 0 && hosts_per_rack > 0, "grid must be non-empty");
         self.racks = racks;
         self.hosts_per_rack = hosts_per_rack;
         self
@@ -154,6 +147,26 @@ impl PopulationSpec {
     pub fn with_delivery_batching(mut self, on: bool) -> Self {
         self.delivery_batching = on;
         self
+    }
+
+    /// The rules a population must meet before anything is built: at
+    /// least one rack, one host per rack and one flow, and a mix with a
+    /// positive weight. [`run_population`] checks them first; a spec that
+    /// breaks one is [`PopulationError::Malformed`].
+    pub fn check(&self) -> Result<(), PopulationError> {
+        let malformed = |detail: String| Err(PopulationError::Malformed { detail });
+        if self.racks == 0 || self.hosts_per_rack == 0 {
+            return malformed(format!(
+                "a rack grid needs at least one rack and one host per rack, got {} x {}",
+                self.racks, self.hosts_per_rack
+            ));
+        }
+        if self.total_flows == 0 || !self.mix.iter().any(|&(_, w)| w > 0) {
+            return malformed(
+                "a population mix needs at least one flow and a positive weight".into(),
+            );
+        }
+        Ok(())
     }
 
     /// The CCA of every flow, in global flow order: smooth weighted
@@ -202,6 +215,11 @@ struct RackOutcome {
 /// Why a population run failed.
 #[derive(Debug)]
 pub enum PopulationError {
+    /// The spec breaks one of [`PopulationSpec::check`]'s rules.
+    Malformed {
+        /// The rule it breaks.
+        detail: String,
+    },
     /// One rack's simulation failed (stalled, incomplete, ...).
     Rack {
         /// Which rack.
@@ -214,6 +232,7 @@ pub enum PopulationError {
 impl std::fmt::Display for PopulationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            PopulationError::Malformed { detail } => write!(f, "{detail}"),
             PopulationError::Rack { rack, error } => write!(f, "rack {rack}: {error}"),
         }
     }
@@ -442,6 +461,7 @@ pub fn run_population_with_threads(
     spec: &PopulationSpec,
     threads: usize,
 ) -> Result<PopulationOutcome, PopulationError> {
+    spec.check()?;
     // Racks past the last flow are empty and never run.
     let racks: Vec<usize> = (0..spec.racks.min(spec.total_flows)).collect();
     let racks_run = racks.len();
@@ -632,6 +652,33 @@ mod tests {
         let by_cca = out.goodput_by_cca();
         assert_eq!(by_cca.len(), 2);
         assert!(by_cca.iter().all(|&(_, g)| g > 0.0));
+    }
+
+    /// Every field of a spec is `pub`: each rule is checked before a
+    /// rack is built, never a panic on a worker or a run of nothing.
+    #[test]
+    fn malformed_populations_are_typed_errors() {
+        type Break = fn(&mut PopulationSpec);
+        let spec = || PopulationSpec::new(4, vec![(CcaKind::Cubic, 1)]).with_grid(2, 2);
+        let cases: [(&str, Break); 5] = [
+            ("no racks", |s| s.racks = 0),
+            ("no hosts", |s| s.hosts_per_rack = 0),
+            ("no flows", |s| s.total_flows = 0),
+            ("empty mix", |s| s.mix.clear()),
+            ("zero weights", |s| {
+                s.mix = vec![(CcaKind::Cubic, 0), (CcaKind::Bbr, 0)]
+            }),
+        ];
+        for (what, break_it) in cases {
+            let mut bad = spec();
+            break_it(&mut bad);
+            let err = run_population(&bad).expect_err(what);
+            assert!(
+                err.to_string().contains("needs at least one"),
+                "{what}: {err}"
+            );
+        }
+        assert!(run_population(&spec()).is_ok());
     }
 
     #[test]

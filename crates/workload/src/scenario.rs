@@ -122,8 +122,6 @@ impl Scenario {
     /// the calibrated host pps ceiling, [`ACTIVITY_BIN`] metering bins and
     /// [`START_JITTER`].
     pub fn new(mtu: u32, flows: Vec<FlowSpec>) -> Self {
-        assert!(mtu > HEADER_BYTES, "MTU must exceed header size");
-        assert!(!flows.is_empty(), "need at least one flow");
         Scenario {
             mtu,
             link_gbps: LINK_GBPS,
@@ -323,8 +321,8 @@ pub enum ScenarioError {
     /// probability, empty/overlapping flap window, oversized jitter).
     Fault(netsim::fault::FaultSpecError),
     /// The scenario does not fit the topology it was placed on (a
-    /// parking lot with no hop, with other than `hops + 1` flows, or
-    /// with colocated senders).
+    /// dumbbell with no flow; a parking lot with no hop, with other than
+    /// `hops + 1` flows, or with colocated senders).
     Placement {
         /// What the topology requires.
         detail: String,
@@ -452,7 +450,15 @@ const JITTER_SALT: u64 = 0x6a75_7474;
 /// bottleneck fault, jitters the starts and puts one flow on each sender
 /// host (or all of them behind one multiplexing host). Reads every
 /// scenario field except `background_load`.
+///
+/// A scenario with no flow is [`ScenarioError::Placement`] and an MTU
+/// within the header [`ScenarioError::MtuTooSmall`], before anything is
+/// built.
 pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
+    if scenario.flows.is_empty() {
+        let detail = "a dumbbell needs at least one flow".into();
+        return Err(ScenarioError::Placement { detail });
+    }
     simulate_on(&scenario.wiring(scenario.bdp_bytes()), |net, obs_rec| {
         let cfg = DumbbellConfig {
             bottleneck_rate: Rate::from_gbps(scenario.link_gbps),
@@ -1107,6 +1113,24 @@ mod tests {
         assert!(misfit(&three_hop(1_000), 2).contains("exactly 3 flows"));
         let colocated = three_hop(1_000).with_colocated_senders();
         assert!(misfit(&colocated, 3).contains("own sender host"));
+    }
+
+    /// `flows` is `pub`: a scenario emptied after `Scenario::new` is a
+    /// typed error on either sender layout, not a panic in the builder
+    /// or the multiplexing sender.
+    #[test]
+    fn a_scenario_without_flows_is_a_typed_error() {
+        let mut empty = Scenario::new(1500, vec![FlowSpec::bulk(CcaKind::Cubic, 1_000)]);
+        empty.flows.clear();
+        for sc in [empty.clone(), empty.with_colocated_senders()] {
+            match simulate(&sc) {
+                Err(err @ ScenarioError::Placement { .. }) => {
+                    assert!(err.to_string().contains("at least one flow"), "{err}")
+                }
+                Err(other) => panic!("expected a Placement error, got {other}"),
+                Ok(_) => panic!("a scenario without flows ran"),
+            }
+        }
     }
 
     #[test]

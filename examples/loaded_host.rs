@@ -7,7 +7,7 @@
 
 use green_envy_repro::analysis::table::Table;
 use green_envy_repro::cca::CcaKind;
-use green_envy_repro::energy::calibration::idle_tail_j;
+use green_envy_repro::energy::calibration::pad_to_common_window;
 use green_envy_repro::workload::prelude::*;
 
 fn main() {
@@ -42,12 +42,12 @@ fn main() {
         let background = StressLoad::fraction(load);
         // Compare over a common window: a finished host idles at base
         // power, so extend the shorter run analytically.
-        let w = fair.window.as_secs_f64().max(serial.window.as_secs_f64());
-        let padded = |run: &SimulatedRun| {
-            run.meter(background).sender_energy_j
-                + idle_tail_j(w - run.window.as_secs_f64(), load, 2.0)
+        let run = |sim: &SimulatedRun| {
+            let energy_j = sim.meter(background).sender_energy_j;
+            (energy_j, sim.window.as_secs_f64(), 2.0)
         };
-        let (fair_e, serial_e) = (padded(&fair), padded(&serial));
+        let (_, padded) = pad_to_common_window(&[run(&fair), run(&serial)], load);
+        let (fair_e, serial_e) = (padded[0], padded[1]);
 
         t.row([
             format!("{:.0}%", load * 100.0),

@@ -42,10 +42,13 @@
 #             it, and require the merged matrix to be byte-identical to an
 #             uninterrupted run.
 #   --obs     additionally run a tiny-scale chaos sweep with --trace-out
-#             twice — the exported Perfetto traces must be byte-identical
-#             across the two runs. The obs unit tests and the golden obs
-#             fingerprint/reproducibility tests are part of the default
-#             test stage; the flag adds only the drill.
+#             twice through the `bench` binary — the exported Perfetto
+#             traces must be byte-identical across the two runs. The same
+#             check runs in process in the default test stage
+#             (crates/core/src/chaos.rs,
+#             trace_out_is_byte_identical_across_runs), as do the obs unit
+#             tests and the golden obs fingerprint/reproducibility tests;
+#             the flag adds only the drill through the CLI.
 #   --perf    additionally answer "did this change regress performance
 #             or break the benchmark build": run the four ratio gates
 #             (perf_gates: both sides of each ratio timed interleaved in
