@@ -31,7 +31,7 @@
 //! in a journal shard, and listed in the matrix's `failed`);
 //! `DEGRADED` — journal I/O died mid-run; `INTERRUPTED` — cancelled by a
 //! signal, resume to continue; `FAILURE` — the campaign machinery
-//! failed.
+//! failed, or the matrix could not be written.
 
 use crate::args::{Args, Usage};
 use crate::Ctx;
@@ -138,9 +138,7 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
 
     // The matrix artifact is emitted even when partial: resumed runs
     // overwrite it.
-    if let Some(p) = crate::save_json(&format!("matrix_{}", scale.name), &report.matrix) {
-        println!("matrix: {}", p.display());
-    }
+    let written = crate::save_json("matrix:", &format!("matrix_{}", scale.name), &report.matrix);
     if let Some(dir) = &trace_out {
         let prom = report.supervision.metrics.prometheus_text();
         let path = dir.join("campaign_supervisor.prom");
@@ -159,6 +157,9 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
     );
     for f in &report.matrix.failed {
         eprintln!("failed: {} @ mtu {}: {}", f.cca, f.mtu, f.error);
+    }
+    if written != exitcode::OK {
+        return Ok(written);
     }
 
     if let Some(reason) = &report.supervision.degraded {

@@ -7,7 +7,8 @@
 //!
 //! Exit status: 0 — sweep complete; 5 — degraded (measurements complete
 //! but one or more trace artifacts failed to persist); 1 — the sweep
-//! itself failed; 2 — usage error.
+//! itself failed, or `results/chaos.json` could not be written; 2 —
+//! usage error.
 use crate::args::{Args, Usage};
 use crate::Ctx;
 use greenenvy::chaos;
@@ -35,7 +36,7 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
             return Ok(exitcode::FAILURE);
         }
     };
-    crate::emit("chaos", &result, chaos::render);
+    let code = crate::emit("chaos", &result, chaos::render);
     if !result.persist_failures.is_empty() {
         eprintln!(
             "DEGRADED: {} trace artifact(s) failed to persist:",
@@ -44,7 +45,9 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
         for f in &result.persist_failures {
             eprintln!("  {f}");
         }
-        return Ok(exitcode::DEGRADED);
+        if code == exitcode::OK {
+            return Ok(exitcode::DEGRADED);
+        }
     }
-    Ok(exitcode::OK)
+    Ok(code)
 }

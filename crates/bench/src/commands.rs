@@ -64,12 +64,11 @@ impl Ctx {
     }
 }
 
-/// Print a result's rendering and write it as `results/<name>.json`.
-pub fn emit<T: Serialize>(name: &str, result: &T, render: impl FnOnce(&T) -> String) {
+/// Print a result's rendering and write it as `results/<name>.json`;
+/// the exit code is [`save_json`]'s.
+pub fn emit<T: Serialize>(name: &str, result: &T, render: impl FnOnce(&T) -> String) -> i32 {
     println!("{}", render(result));
-    if let Some(path) = save_json(name, result) {
-        println!("json: {}", path.display());
-    }
+    save_json("json:", name, result)
 }
 
 /// A figure-shaped command: banner, run at the ambient scale, [`emit`].
@@ -82,8 +81,7 @@ fn figure<T: Serialize>(
 ) -> Result<i32, Usage> {
     let scale = ctx.scale()?;
     ctx.announce(title, &scale);
-    emit(name, &run(scale), render);
-    Ok(exitcode::OK)
+    Ok(emit(name, &run(scale), render))
 }
 
 /// Figure 4's table, then the paper's §4.2 dollar extrapolation fed with
@@ -102,8 +100,9 @@ fn render_fig4(result: &fig4::Result) -> String {
     format!("{}\n{}", fig4::render(result), savings::render(&measured))
 }
 
-/// An artefact name and the experiment that [`emit`]s it at a scale.
-type Extension = (&'static str, fn(&str, Scale));
+/// An artefact name and the experiment that [`emit`]s it at a scale,
+/// returning [`emit`]'s exit code.
+type Extension = (&'static str, fn(&str, Scale) -> i32);
 
 /// The §5 extension experiments `extensions` runs.
 #[rustfmt::skip]
@@ -118,27 +117,36 @@ pub const EXTENSIONS: &[Extension] = &[
 fn extensions(ctx: &Ctx, _: &mut Args) -> Result<i32, Usage> {
     let scale = ctx.scale()?;
     ctx.announce("Extensions (paper §5)", &scale);
-    for (name, run) in EXTENSIONS {
-        run(name, scale);
-    }
-    Ok(exitcode::OK)
+    let codes = EXTENSIONS.iter().map(|(name, run)| run(name, scale));
+    Ok(codes.fold(exitcode::OK, i32::max))
 }
 
+/// `FAILURE` when a trial violates the theorem (or its artefact cannot
+/// be written).
 fn theorem1(_: &Ctx, args: &mut Args) -> Result<i32, Usage> {
     let trials = args.positional("trials")?.map_or(10_000, NonZeroUsize::get);
     args.finish()?;
     let result = theorem::run(trials);
-    emit("theorem1", &result, theorem::render);
-    assert_eq!(result.violations, 0, "Theorem 1 violated!");
-    Ok(exitcode::OK)
+    let code = emit("theorem1", &result, theorem::render);
+    if result.violations > 0 {
+        eprintln!(
+            "error: Theorem 1 violated in {} of {trials} trials",
+            result.violations
+        );
+        return Ok(exitcode::FAILURE);
+    }
+    Ok(code)
 }
 
+/// Every `in_all` command in order; the exit code is the worst (highest)
+/// of theirs, each of which is `OK` or `FAILURE`.
 fn all(ctx: &Ctx, _: &mut Args) -> Result<i32, Usage> {
     ctx.announce("All figures", &ctx.scale()?);
+    let mut code = exitcode::OK;
     for command in COMMANDS.iter().filter(|c| c.in_all) {
-        (command.run)(ctx, &mut Args::new(Vec::new()))?;
+        code = code.max((command.run)(ctx, &mut Args::new(Vec::new()))?);
     }
-    Ok(exitcode::OK)
+    Ok(code)
 }
 
 /// One-screen behaviour table of every CCA (defaults: 500 MB at MTU 9000).

@@ -25,28 +25,39 @@ pub mod scenarios;
 pub(crate) use commands::{emit, EXTENSIONS};
 pub use commands::{help, Command, Ctx, COMMANDS};
 
-use greenenvy::campaign::persist;
+use greenenvy::campaign::persist::{self, PersistError};
+use greenenvy::exitcode;
 use serde::Serialize;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Write an experiment result as pretty JSON under `results/`, returning
-/// the path. The write is atomic (temp file + rename): a crash or a
-/// concurrent reader never sees a torn artifact. Failures are reported
-/// but non-fatal (the printed tables are the primary artefact).
-pub fn save_json<T: Serialize>(name: &str, value: &T) -> Option<PathBuf> {
-    save_json_in(&PathBuf::from("results"), name, value)
-}
-
-/// [`save_json`] with an explicit directory.
-pub fn save_json_in<T: Serialize>(dir: &std::path::Path, name: &str, value: &T) -> Option<PathBuf> {
-    let path = dir.join(format!("{name}.json"));
-    match persist::save_json_atomic(&path, value) {
-        Ok(()) => Some(path),
+/// Write an experiment result as pretty JSON to `results/<name>.json`
+/// and report it: `<said> <path>` on stdout and `OK`, or the error on
+/// stderr and `FAILURE` — an artifact that could not be written fails
+/// the command.
+pub fn save_json<T: Serialize>(said: &str, name: &str, value: &T) -> i32 {
+    match save_json_in(Path::new("results"), name, value) {
+        Ok(path) => {
+            println!("{said} {}", path.display());
+            exitcode::OK
+        }
         Err(e) => {
-            eprintln!("warning: {e}");
-            None
+            eprintln!("error: {e}");
+            exitcode::FAILURE
         }
     }
+}
+
+/// Write `value` as pretty JSON to `<dir>/<name>.json`, returning the
+/// path. The write is atomic (temp file + rename): a crash or a
+/// concurrent reader never sees a torn artifact.
+pub fn save_json_in<T: Serialize>(
+    dir: &Path,
+    name: &str,
+    value: &T,
+) -> Result<PathBuf, PersistError> {
+    let path = dir.join(format!("{name}.json"));
+    persist::save_json_atomic(&path, value)?;
+    Ok(path)
 }
 
 #[cfg(test)]

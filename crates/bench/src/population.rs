@@ -145,8 +145,6 @@ pub fn run(ctx: &Ctx, _: &mut Args) -> Result<i32, Usage> {
         out.threads,
         result.sim_end_s
     );
-    if let Some(path) = crate::save_json(&format!("population_mix_{}", scale.name), &result) {
-        println!("wrote {}", path.display());
-    }
-    Ok(greenenvy::exitcode::OK)
+    let name = format!("population_mix_{}", scale.name);
+    Ok(crate::save_json("wrote", &name, &result))
 }

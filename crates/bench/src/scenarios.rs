@@ -8,8 +8,12 @@
 //!   (Prometheus text with the time-to-recover histogram, Perfetto
 //!   trace with one span per scenario) into the given directory.
 //!
-//! Exits non-zero unless every scenario behaved: positive entries
-//! passed all expectations, negative entries failed as designed.
+//! Exit status (`greenenvy::exitcode`): `OK` — every scenario behaved
+//! (positive entries passed all expectations, negative entries failed
+//! as designed) and every artifact was written; `FAILURE` — a scenario
+//! misbehaved or the suite failed to run, or the verdict could not be
+//! written; `DEGRADED` — the verdict is written and sound, but an
+//! observability export under `--trace-out` is not.
 
 use crate::args::{Args, Usage};
 use crate::Ctx;
@@ -41,29 +45,41 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
     };
     println!("{}", resilience::render(&out.verdict));
 
-    let verdict_json = out.verdict.to_json();
     let path = out_path
         .unwrap_or_else(|| PathBuf::from("results").join(format!("scenarios_{}.json", scale.name)));
-    match persist::write_atomic(&path, verdict_json.as_bytes()) {
-        Ok(()) => println!("json: {}", path.display()),
-        Err(e) => eprintln!("warning: {e}"),
-    }
+    let mut code = match persist::write_atomic(&path, out.verdict.to_json().as_bytes()) {
+        Ok(()) => {
+            println!("json: {}", path.display());
+            exitcode::OK
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            exitcode::FAILURE
+        }
+    };
 
     if let Some(dir) = trace_out {
-        let prom = dir.join(format!("{}.prom", resilience::SUITE_NAME));
-        let trace = dir.join(format!("{}.trace.json", resilience::SUITE_NAME));
-        if let Err(e) = persist::write_atomic(&prom, out.prometheus.as_bytes()) {
-            eprintln!("warning: {e}");
+        let mut written = Vec::new();
+        for (ext, text) in [("prom", &out.prometheus), ("trace.json", &out.trace_json)] {
+            let path = dir.join(format!("{}.{ext}", resilience::SUITE_NAME));
+            match persist::write_atomic(&path, text.as_bytes()) {
+                Ok(()) => written.push(path.display().to_string()),
+                Err(e) => {
+                    eprintln!("DEGRADED: suite obs export lost: trace-out: {e}");
+                    if code == exitcode::OK {
+                        code = exitcode::DEGRADED;
+                    }
+                }
+            }
         }
-        if let Err(e) = persist::write_atomic(&trace, out.trace_json.as_bytes()) {
-            eprintln!("warning: {e}");
+        if !written.is_empty() {
+            println!("obs: {}", written.join(" "));
         }
-        println!("obs: {} {}", prom.display(), trace.display());
     }
 
     if !out.verdict.all_behaved {
         eprintln!("error: suite misbehaved (see verdict above)");
         return Ok(exitcode::FAILURE);
     }
-    Ok(exitcode::OK)
+    Ok(code)
 }

@@ -2,7 +2,7 @@
 //! what `all` adds up to, and what the docs may call a command.
 
 use bench::COMMANDS;
-use greenenvy::exitcode::{OK, USAGE};
+use greenenvy::exitcode::{DEGRADED, FAILURE, OK, USAGE};
 use greenenvy::matrix::Matrix;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -113,6 +113,35 @@ fn malformed_values_are_usage_errors_not_silent_defaults() {
     assert_refused(&["fig1"], &typo, &["no-such-scale"]);
     let out = bench_in("scale-free", &["theorem1", "50"], &typo);
     assert_eq!(out.status.code(), Some(OK));
+}
+
+#[test]
+fn an_artifact_that_cannot_be_written_fails_the_command() {
+    // A regular file named `results` leaves nothing writable under it.
+    let cwd = "blocked";
+    let _ = std::fs::remove_dir_all(scratch(cwd));
+    std::fs::create_dir_all(scratch(cwd)).unwrap();
+    std::fs::write(scratch(cwd).join("results"), b"not a directory").unwrap();
+    for args in [&["theorem1", "100"][..], &["scenarios"], &["all"]] {
+        let out = bench_in(cwd, args, &[]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(FAILURE), "{args:?}: {err}");
+        assert!(err.contains("cannot write results"), "{args:?}: {err}");
+    }
+    // The verdict lands elsewhere, the obs export under the file: the
+    // results stand, their sidecars do not, and no path is claimed.
+    let args = [
+        "scenarios",
+        "--out",
+        "verdict.json",
+        "--trace-out",
+        "results/obs",
+    ];
+    let out = bench_in(cwd, &args, &[]);
+    assert_eq!(out.status.code(), Some(DEGRADED));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("json: verdict.json"), "{stdout}");
+    assert!(!stdout.contains("obs:"), "{stdout}");
 }
 
 #[test]

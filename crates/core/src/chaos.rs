@@ -7,12 +7,15 @@
 //! then idle" serial schedule — with random loss injected on the
 //! bottleneck, sweeping the rate from 0 to 1%.
 //!
-//! Built on the [`scenario`] DSL: each endpoint is a declarative
-//! [`ScenarioBuilder`] composition, and the energy ordering is checked
-//! by a [`Expectation::SavingsOrdering`] expectation per seed — a
-//! structured verdict with the measured savings, not an eyeballed
-//! table. If every ordering check passes under loss, the unfairness
-//! argument does not depend on a pristine wire.
+//! Built on the [`scenario`] DSL: the fair endpoint is two bulk CUBIC
+//! flows in a dumbbell [`Scenario`], the swept loss rate is a chaos
+//! phase on its bottleneck, and the serial endpoint is the same spec
+//! through [`ScenarioSpec::serialized`], on the same lossy wire. The
+//! energy ordering is checked by a [`Expectation::SavingsOrdering`]
+//! expectation per seed — a structured verdict with the measured
+//! savings, not an eyeballed table. If every ordering check passes
+//! under loss, the unfairness argument does not depend on a pristine
+//! wire.
 
 use crate::campaign::persist::PersistError;
 use crate::scale::Scale;
@@ -94,22 +97,20 @@ pub struct Result {
 }
 
 /// Declare the sweep's two bulk CUBIC flows on the dumbbell, the swept
-/// loss rate as a chaos phase, observability when `--trace-out` is
-/// active. This is the fair endpoint; [`ScenarioSpec::serialized`] makes
-/// it the serial one.
+/// loss rate as a chaos phase, observability and 10 ms traces when
+/// `--trace-out` is active. This is the fair endpoint;
+/// [`ScenarioSpec::serialized`] makes it the serial one.
 fn endpoint(cfg: &Config, name: &str, loss: f64, seed: u64) -> ScenarioSpec {
-    let bulk = || Traffic::bulk(CcaKind::Cubic, cfg.per_flow_bytes);
-    let mut b = ScenarioBuilder::new(name)
-        .with_seed(seed)
-        .traffic(bulk())
-        .traffic(bulk());
-    if loss > 0.0 {
-        b = b.chaos(ChaosPhase::Loss { prob: loss });
-    }
+    let flows = vec![FlowSpec::bulk(CcaKind::Cubic, cfg.per_flow_bytes); 2];
+    let mut sc = Scenario::new(CAL_MTU_BYTES, flows).with_seed(seed);
     if cfg.trace_out.is_some() {
-        b = b
+        sc = sc
             .with_observability()
             .with_trace(SimDuration::from_millis(10));
+    }
+    let mut b = ScenarioBuilder::new(name, Topology::Dumbbell(sc));
+    if loss > 0.0 {
+        b = b.chaos(ChaosPhase::Loss { prob: loss });
     }
     b.build().expect("chaos endpoints are well-formed")
 }

@@ -1,9 +1,10 @@
 //! **Resilience suite** — the curated scenario battery with
 //! machine-checkable expectations.
 //!
-//! Every scenario here is built on the [`scenario`] DSL: a topology, a
-//! traffic mix, optional chaos on the bottleneck, and typed
-//! expectations that evaluate into structured pass/fail reports. The
+//! Every scenario here is built on the [`scenario`] DSL: a topology
+//! carrying its runner's input (flows, seed, MTU), optional chaos on the
+//! bottleneck, and typed expectations that evaluate into structured
+//! pass/fail reports. The
 //! suite answers, in one deterministic verdict matrix, the questions
 //! the paper's robustness story depends on:
 //!
@@ -27,15 +28,16 @@
 use crate::scale::Scale;
 use scenario::prelude::*;
 use scenario::suite::run_suite;
+use scenario::traffic::{rpc_fan, video};
 
 /// The suite name (verdict header, artifact filenames).
 pub const SUITE_NAME: &str = "resilience";
 
+/// Two bulk CUBIC flows of `bytes` on the testbed dumbbell.
 fn two_bulk(name: &str, bytes: u64, seed: u64) -> ScenarioBuilder {
-    ScenarioBuilder::new(name)
-        .traffic(Traffic::bulk(CcaKind::Cubic, bytes))
-        .traffic(Traffic::bulk(CcaKind::Cubic, bytes))
-        .with_seed(seed)
+    let flows = vec![FlowSpec::bulk(CcaKind::Cubic, bytes); 2];
+    let sc = Scenario::new(CAL_MTU_BYTES, flows).with_seed(seed);
+    ScenarioBuilder::new(name, Topology::Dumbbell(sc))
 }
 
 /// Build the curated suite at `scale`. Serializing the Figure-1 entry
@@ -63,25 +65,11 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
             .expect("clean-dumbbell-cubic2 is well-formed"),
     );
 
-    // 2. A mixed application layer: bulk + RPC fan + rate-limited video
-    //    sharing one bottleneck. Everything must complete.
+    // 2. A mixed application layer sharing one bottleneck: bulk + RPC
+    //    fan + rate-limited video (`mixed`). Everything must complete.
+    let app_mix = Topology::Dumbbell(mixed(bytes, seed));
     suite.push(
-        ScenarioBuilder::new("mixed-bulk-rpc-video")
-            .traffic(Traffic::bulk(CcaKind::Cubic, bytes))
-            .traffic(Traffic::Rpc {
-                cca: CcaKind::Cubic,
-                responses: 4,
-                resp_bytes: bytes / 32,
-                interval: SimDuration::from_millis(1),
-                start: SimDuration::from_millis(1),
-            })
-            .traffic(Traffic::Video {
-                cca: CcaKind::Bbr,
-                bytes: bytes / 8,
-                rate: Rate::from_mbps(200.0),
-                start: SimDuration::ZERO,
-            })
-            .with_seed(seed)
+        ScenarioBuilder::new("mixed-bulk-rpc-video", app_mix)
             .expect_check(Expectation::AbortFree)
             // The rate-limited video trails long after the bulk flows
             // finish, idling the bottleneck for most of the window, so
@@ -155,36 +143,24 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
     );
 
     // 7. Incast fan-in: one rack of 8 senders, a 3:1 CUBIC:BBR mix.
+    let incast = PopulationSpec::new(16, vec![(CcaKind::Cubic, 3), (CcaKind::Bbr, 1)])
+        .with_grid(1, 8)
+        .with_bytes_per_flow(bytes / 16)
+        .with_seed(seed);
     suite.push(
-        ScenarioBuilder::new("incast-fan-in")
-            .topology(Topology::RackGrid {
-                racks: 1,
-                hosts_per_rack: 8,
-            })
-            .traffic(Traffic::Mix {
-                flows: 16,
-                mix: vec![(CcaKind::Cubic, 3), (CcaKind::Bbr, 1)],
-                bytes_per_flow: bytes / 16,
-            })
-            .with_seed(seed)
+        ScenarioBuilder::new("incast-fan-in", Topology::RackGrid(incast))
             .expect_check(Expectation::AbortFree)
             .build()
             .expect("incast-fan-in is well-formed"),
     );
 
     // 8. The many-flow scale-out shape: two racks of four hosts.
+    let grid = PopulationSpec::new(16, vec![(CcaKind::Cubic, 10), (CcaKind::Bbr, 1)])
+        .with_grid(2, 4)
+        .with_bytes_per_flow(bytes / 16)
+        .with_seed(seed);
     suite.push(
-        ScenarioBuilder::new("rack-grid-mix")
-            .topology(Topology::RackGrid {
-                racks: 2,
-                hosts_per_rack: 4,
-            })
-            .traffic(Traffic::Mix {
-                flows: 16,
-                mix: vec![(CcaKind::Cubic, 10), (CcaKind::Bbr, 1)],
-                bytes_per_flow: bytes / 16,
-            })
-            .with_seed(seed)
+        ScenarioBuilder::new("rack-grid-mix", Topology::RackGrid(grid))
             .expect_check(Expectation::AbortFree)
             .expect_check(Expectation::EnergyBudget {
                 max_j_per_gb: 400.0,
@@ -197,13 +173,13 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
     //    against per-hop locals. Unfairness is structural here — the
     //    band explicitly sits *below* perfect fairness, checking the
     //    topology actually bites.
+    let lot = Scenario::new(
+        CAL_MTU_BYTES,
+        vec![FlowSpec::bulk(CcaKind::Cubic, bytes / 2); 3],
+    )
+    .with_seed(seed);
     suite.push(
-        ScenarioBuilder::new("parking-lot-through")
-            .topology(Topology::ParkingLot { hops: 2 })
-            .traffic(Traffic::bulk(CcaKind::Cubic, bytes / 2))
-            .traffic(Traffic::bulk(CcaKind::Cubic, bytes / 2))
-            .traffic(Traffic::bulk(CcaKind::Cubic, bytes / 2))
-            .with_seed(seed)
+        ScenarioBuilder::new("parking-lot-through", Topology::ParkingLot(lot, 2))
             .expect_check(Expectation::AbortFree)
             .expect_check(Expectation::JainFairnessBand {
                 min: 0.30,
@@ -232,6 +208,22 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
     );
 
     Ok(suite)
+}
+
+/// The mixed entry's dumbbell: a bulk transfer, an RPC fan (four
+/// responses of `bytes / 32` issued 1 ms apart from 1 ms on) and a BBR
+/// video stream of `bytes / 8` throttled to its 200 Mb/s encode rate.
+fn mixed(bytes: u64, seed: u64) -> Scenario {
+    let ms = SimDuration::from_millis;
+    let mut flows = vec![FlowSpec::bulk(CcaKind::Cubic, bytes)];
+    flows.extend(rpc_fan(CcaKind::Cubic, 4, bytes / 32, ms(1), ms(1)));
+    flows.push(video(
+        CcaKind::Bbr,
+        bytes / 8,
+        Rate::from_mbps(200.0),
+        SimDuration::ZERO,
+    ));
+    Scenario::new(CAL_MTU_BYTES, flows).with_seed(seed)
 }
 
 /// Build and run the suite at `scale`.
@@ -329,6 +321,27 @@ mod tests {
         assert!(
             ordering.measured > 2.0,
             "serial must save energy over fair: {ordering:?}"
+        );
+    }
+
+    #[test]
+    fn mixed_entry_fans_rpcs_out_and_throttles_the_video() {
+        let flows = mixed(3_200_000, 1).flows;
+        let shape: Vec<_> = flows
+            .iter()
+            .map(|f| (f.cca, f.bytes, f.start_delay, f.rate_limit.map(|r| r.bps())))
+            .collect();
+        let rpc = |ms| (CcaKind::Cubic, 100_000, SimDuration::from_millis(ms), None);
+        assert_eq!(
+            shape,
+            [
+                (CcaKind::Cubic, 3_200_000, SimDuration::ZERO, None),
+                rpc(1),
+                rpc(2),
+                rpc(3),
+                rpc(4),
+                (CcaKind::Bbr, 400_000, SimDuration::ZERO, Some(200e6)),
+            ]
         );
     }
 

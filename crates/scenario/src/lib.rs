@@ -3,17 +3,16 @@
 //! Every experiment in this workspace used to be a hand-rolled binary
 //! with ad-hoc pass/fail judgment: run the sim, print a table, eyeball
 //! the JSON. This crate replaces that with the authoring shape of a
-//! modern resilience harness: **topology → traffic → chaos →
-//! expectations**, where "success" is a typed post-run check that
-//! evaluates into a structured report, not a human opinion.
+//! modern resilience harness: **run input → chaos → expectations**,
+//! where "success" is a typed post-run check that evaluates into a
+//! structured report, not a human opinion.
 //!
 //! ```
 //! use scenario::prelude::*;
 //!
-//! let spec = ScenarioBuilder::new("flap-recovery")
-//!     .topology(Topology::Dumbbell)
-//!     .traffic(Traffic::bulk(CcaKind::Cubic, 12_000_000))
-//!     .traffic(Traffic::bulk(CcaKind::Cubic, 12_000_000))
+//! let flows = vec![FlowSpec::bulk(CcaKind::Cubic, 12_000_000); 2];
+//! let testbed = Scenario::new(CAL_MTU_BYTES, flows);
+//! let spec = ScenarioBuilder::new("flap-recovery", Topology::Dumbbell(testbed))
 //!     .chaos(ChaosPhase::flap(
 //!         SimTime::from_millis(5),
 //!         SimDuration::from_millis(2),
@@ -31,17 +30,15 @@
 //!
 //! The pieces:
 //!
-//! * [`builder`] — [`builder::ScenarioBuilder`] composes a topology
-//!   shape (dumbbell, parking lot, rack grid), traffic generators, named
-//!   chaos phases, and expectations into a validated
-//!   [`builder::ScenarioSpec`]: `build()` compiles it once into the
-//!   input of a `workload` placement (a `Scenario` for the dumbbell and
-//!   the parking lot, a `PopulationSpec` for the grid), and `run()` runs
-//!   that placement and evaluates every expectation. The crate runs
-//!   nothing itself.
-//! * [`traffic`] — [`traffic::Traffic`] generators (bulk,
-//!   request/response RPC, rate-limited video, on/off web, and a
-//!   population CCA mix) compiling down to [`workload::iperf::FlowSpec`]s.
+//! * [`builder`] — a [`builder::Topology`] carries the input of the
+//!   `workload` runner that places it (a `Scenario` for the dumbbell
+//!   and the parking lot, a `PopulationSpec` for the rack grid);
+//!   [`builder::ScenarioBuilder`] adds named chaos phases,
+//!   expectations and a baseline, and `build()` checks that those
+//!   compose into a [`builder::ScenarioSpec`]. `run()` runs the input
+//!   on its placement and evaluates every expectation; the runner
+//!   rejects an input that does not fit before it builds anything. The
+//!   crate runs nothing itself.
 //! * [`chaos`] — [`chaos::ChaosPhase`] wraps
 //!   [`netsim::fault::FaultSpec`] knobs as named, labelled phases
 //!   (`loss(p)`, `flap(at, for)`, ...), validated at build time.
@@ -50,6 +47,8 @@
 //!   [`expect::Measured`] summary, each producing an
 //!   [`expect::ExpectationReport`] with the measured value, the
 //!   target, and the margin.
+//! * [`traffic`] — named flow shapes ([`traffic::rpc_fan`],
+//!   [`traffic::video`]) written as the `FlowSpec`s a runner reads.
 //! * [`suite`] — named collections of scenarios with a deterministic
 //!   JSON verdict matrix and observability export (time-to-recover
 //!   histogram, per-scenario trace spans).
@@ -67,7 +66,8 @@ pub mod expect;
 pub mod suite;
 pub mod traffic;
 
-/// The commonly-used names, re-exported in one place.
+/// The commonly-used names, re-exported in one place: the DSL's own and
+/// the runner inputs a [`builder::Topology`] carries.
 pub mod prelude {
     pub use crate::builder::{
         BuildError, RunError, ScenarioBuilder, ScenarioRun, ScenarioSpec, Topology,
@@ -75,8 +75,11 @@ pub mod prelude {
     pub use crate::chaos::ChaosPhase;
     pub use crate::expect::{Expectation, ExpectationReport, Measured};
     pub use crate::suite::{ScenarioVerdict, Suite, SuiteEntry, SuiteOutcome, SuiteVerdict};
-    pub use crate::traffic::Traffic;
     pub use cca::CcaKind;
+    pub use energy::calibration::CAL_MTU_BYTES;
     pub use netsim::time::{SimDuration, SimTime};
     pub use netsim::units::Rate;
+    pub use workload::iperf::FlowSpec;
+    pub use workload::population::PopulationSpec;
+    pub use workload::scenario::Scenario;
 }

@@ -231,17 +231,23 @@ fn record_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ScenarioBuilder;
+    use crate::builder::{ScenarioBuilder, Topology};
     use crate::chaos::ChaosPhase;
-    use crate::traffic::Traffic;
     use cca::CcaKind;
+    use energy::calibration::CAL_MTU_BYTES;
     use netsim::time::{SimDuration, SimTime};
+    use workload::iperf::FlowSpec;
+    use workload::scenario::Scenario;
+
+    /// `n` CUBIC flows of `bytes` on the dumbbell, seed 9.
+    fn cubic(name: &str, n: usize, bytes: u64) -> ScenarioBuilder {
+        let flows = vec![FlowSpec::bulk(CcaKind::Cubic, bytes); n];
+        let sc = Scenario::new(CAL_MTU_BYTES, flows).with_seed(9);
+        ScenarioBuilder::new(name, Topology::Dumbbell(sc))
+    }
 
     fn passing(name: &str) -> ScenarioSpec {
-        ScenarioBuilder::new(name)
-            .traffic(Traffic::bulk(CcaKind::Cubic, 1_000_000))
-            .traffic(Traffic::bulk(CcaKind::Cubic, 1_000_000))
-            .with_seed(9)
+        cubic(name, 2, 1_000_000)
             .expect_check(Expectation::AbortFree)
             .build()
             .expect("valid scenario")
@@ -249,9 +255,7 @@ mod tests {
 
     fn failing(name: &str) -> ScenarioSpec {
         // A utilization floor no 10 Gb/s link can reach.
-        ScenarioBuilder::new(name)
-            .traffic(Traffic::bulk(CcaKind::Cubic, 1_000_000))
-            .with_seed(9)
+        cubic(name, 1, 1_000_000)
             .expect_check(Expectation::UtilizationFloor { min_fraction: 1.5 })
             .build()
             .expect("valid scenario")
@@ -309,10 +313,7 @@ mod tests {
 
     #[test]
     fn recovery_scenarios_feed_the_histogram() {
-        let spec = ScenarioBuilder::new("flappy")
-            .traffic(Traffic::bulk(CcaKind::Cubic, 4_000_000))
-            .traffic(Traffic::bulk(CcaKind::Cubic, 4_000_000))
-            .with_seed(9)
+        let spec = cubic("flappy", 2, 4_000_000)
             .chaos(ChaosPhase::flap(
                 SimTime::from_millis(2),
                 SimDuration::from_millis(1),

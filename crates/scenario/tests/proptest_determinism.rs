@@ -25,10 +25,12 @@ fn arb_expectations() -> impl Strategy<Value = Vec<Expectation>> {
 }
 
 fn spec(name: &str, seed: u64, bytes: u64, expectations: &[Expectation]) -> ScenarioSpec {
-    let mut b = ScenarioBuilder::new(name)
-        .traffic(Traffic::bulk(CcaKind::Cubic, bytes))
-        .traffic(Traffic::bulk(CcaKind::Reno, bytes))
-        .with_seed(seed);
+    let flows = vec![
+        FlowSpec::bulk(CcaKind::Cubic, bytes),
+        FlowSpec::bulk(CcaKind::Reno, bytes),
+    ];
+    let sc = Scenario::new(CAL_MTU_BYTES, flows).with_seed(seed);
+    let mut b = ScenarioBuilder::new(name, Topology::Dumbbell(sc));
     for e in expectations {
         b = b.expect_check(e.clone());
     }

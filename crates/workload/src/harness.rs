@@ -193,6 +193,15 @@ pub(crate) fn start_jitters(stream_seed: u64, bound: SimDuration, n: usize) -> V
         .collect()
 }
 
+/// The measurement window of a set of flows: RAPL-style reads cover
+/// `[0, last terminal time]` (zero for no flow).
+pub fn measurement_window(reports: &[FlowReport]) -> SimDuration {
+    let window_end = reports.iter().map(|r| r.completed_at).max();
+    window_end
+        .unwrap_or(SimTime::ZERO)
+        .saturating_since(SimTime::ZERO)
+}
+
 /// A sender host as the meter sees it.
 struct MeteredHost {
     host: NodeId,
@@ -429,11 +438,7 @@ pub fn simulate_on(
         });
     }
 
-    // The measurement window: RAPL-style reads cover [0, last terminal time].
-    let window_end = reports.iter().map(|r| r.completed_at).max();
-    let window = window_end
-        .unwrap_or(SimTime::ZERO)
-        .saturating_since(SimTime::ZERO);
+    let window = measurement_window(&reports);
     let throughput_traces = net.flow_trace().map(|trace| {
         reports
             .iter()

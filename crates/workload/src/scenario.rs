@@ -10,8 +10,10 @@
 //! [`simulate`] is this topology's placement on the shared run harness
 //! ([`crate::harness`]), which owns the wiring, the run loop, the flow
 //! reports and the energy readout. [`simulate_parking_lot`] places the
-//! same [`Scenario`] on a chain of bottlenecks instead: both read every
-//! run knob through one wiring, so a knob means the same thing on both.
+//! same [`Scenario`] on a chain of bottlenecks instead: both read their
+//! run knobs through one wiring, so a knob means the same thing on both.
+//! The two testbed host rules, the pps ceiling and the start jitter, are
+//! the dumbbell's alone.
 //!
 //! Figure jobs and campaign cells run these placements on worker threads,
 //! so the file is held to the engine's panic-hygiene and range-index
@@ -77,6 +79,7 @@ pub struct Scenario {
     /// Bin width for energy activity integration.
     pub activity_bin: SimDuration,
     /// Host packet-processing ceiling in packets/sec (`None` disables).
+    /// The dumbbell's alone: the parking lot's hosts run without one.
     pub host_pps_cap: Option<f64>,
     /// Hard simulated-time limit (safety net against livelock).
     pub time_limit: Option<SimTime>,
@@ -87,7 +90,8 @@ pub struct Scenario {
     pub colocate_senders: bool,
     /// Upper bound on the per-flow random start jitter drawn from the
     /// scenario seed ([`START_JITTER`] by default; the simulator is
-    /// otherwise a pure function of its inputs). `ZERO` disables.
+    /// otherwise a pure function of its inputs). `ZERO` disables. The
+    /// dumbbell's alone: the parking lot's flows start together.
     pub start_jitter: SimDuration,
     /// Fault injection on the bottleneck link ("chaos mode"): random
     /// loss, corruption, duplication, reordering, jitter, scheduled
@@ -533,7 +537,11 @@ pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
 /// own sender host and its RTT estimator is seeded with its own path's
 /// base RTT. The fault goes on the first chain link, the one every
 /// through-path packet crosses, and the constant-cwnd baseline is sized
-/// on the through path. Every other field reads as in [`simulate`].
+/// on the through path. `host_pps_cap` and `start_jitter` are not read:
+/// the ceiling models the testbed's iperf hosts and the jitter its
+/// unsynchronized iperf processes, so the lot's hosts run unconstrained
+/// and its flows start together. Every other field reads as in
+/// [`simulate`].
 ///
 /// A lot with no hop, a flow count other than `hops + 1` and
 /// `colocate_senders` are [`ScenarioError::Placement`].
@@ -556,7 +564,10 @@ pub fn simulate_parking_lot(
         return misfit("a parking lot runs every flow on its own sender host".into());
     }
     let through_rtt_s = scenario.hop_delay.as_secs_f64() * 2.0 * (hops + 1) as f64;
-    let wiring = scenario.wiring(harness::bdp_bytes(scenario.link_gbps, through_rtt_s));
+    let wiring = Wiring {
+        host_pps_cap: None,
+        ..scenario.wiring(harness::bdp_bytes(scenario.link_gbps, through_rtt_s))
+    };
     simulate_on(&wiring, |net, obs_rec| {
         let cfg = ParkingLotConfig {
             hops,
@@ -587,18 +598,15 @@ pub fn simulate_parking_lot(
         let senders = std::iter::once(lot.through_sender)
             .chain(lot.local_senders)
             .zip(&receivers)
-            .zip(scenario.flows.iter().zip(scenario.start_jitters()))
+            .zip(&scenario.flows)
             .enumerate()
-            .map(|(i, ((host, &receiver), (spec, jitter)))| {
+            .map(|(i, ((host, &receiver), spec))| {
                 let path_hops = if i == 0 { hops + 1 } else { 2 } as u64;
                 SenderHost {
                     host,
                     flows: vec![PlacedFlow {
                         flow: FlowId::from_raw(i as u32),
-                        spec: FlowSpec {
-                            start_delay: spec.start_delay + jitter,
-                            ..spec.clone()
-                        },
+                        spec: spec.clone(),
                         receiver,
                         base_rtt: scenario.hop_delay.saturating_mul(2 * path_hops),
                     }],
@@ -1041,14 +1049,11 @@ mod tests {
         assert!(err.to_string().contains("incomplete"));
     }
 
-    /// Three hops, four CUBIC flows, the DSL's fills for the lot (no pps
-    /// ceiling, no start jitter) and a 500 kB buffer per chain link.
+    /// Three hops, four CUBIC flows and a 500 kB buffer per chain link.
     fn three_hop(bytes: u64) -> Scenario {
         let mut s =
             Scenario::new(1500, vec![FlowSpec::bulk(CcaKind::Cubic, bytes); 4]).with_seed(7);
         s.buffer_bytes = 500_000;
-        s.host_pps_cap = None;
-        s.start_jitter = SimDuration::ZERO;
         s
     }
 
@@ -1074,6 +1079,21 @@ mod tests {
             through <= best_local + 1e-9,
             "through {through} vs best local {best_local}"
         );
+    }
+
+    /// The lot reads neither the testbed's pps ceiling nor its start
+    /// jitter: setting either leaves every byte of the run where it was.
+    #[test]
+    fn parking_lot_hosts_are_unconstrained_and_start_together() {
+        let fingerprint = |s: &Scenario| {
+            let out = run_lot(s, 3).unwrap();
+            let flows: Vec<_> = out.reports.iter().map(|r| (r.fct, r.segs_sent)).collect();
+            (out.sim_end, out.sender_energy_j.to_bits(), flows)
+        };
+        let mut capped = three_hop(1_000_000);
+        capped.host_pps_cap = Some(1_000.0);
+        capped.start_jitter = SimDuration::from_millis(50);
+        assert_eq!(fingerprint(&capped), fingerprint(&three_hop(1_000_000)));
     }
 
     #[test]

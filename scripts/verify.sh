@@ -76,8 +76,11 @@
 #             additionally run the declarative resilience suite twice at
 #             tiny scale: every scenario must behave (positives pass
 #             their expectations, the negative entry fails its
-#             RecoveryWithin check as designed) and the two verdict JSON
-#             artifacts must be byte-identical.
+#             RecoveryWithin check as designed) and the two runs' verdict
+#             JSON and observability exports (obs/resilience.prom,
+#             obs/resilience.trace.json) must be byte-identical. The
+#             default test stage pins all three across commits
+#             (crates/core/tests/golden_resilience.rs).
 #   --supervise
 #             additionally drill fleet supervision end to end: a sharded
 #             tiny-scale campaign with an injected always-panicking cell
@@ -303,8 +306,9 @@ stage_obs() {
 }
 
 stage_scenarios() {
-    # The suite verdict is documented as a pure function of its specs:
-    # two tiny-scale runs must behave AND emit byte-identical JSON.
+    # The suite verdict and its obs exports are documented as pure
+    # functions of its specs: two tiny-scale runs must behave AND emit
+    # byte-identical files.
     local scndir
     scndir=$(mktemp -d)
     local run
@@ -313,11 +317,14 @@ stage_scenarios() {
             bench scenarios --out verdict.json --trace-out obs) \
             || { rm -rf "$scndir"; return 1; }
     done
-    if ! cmp -s "$scndir/a/verdict.json" "$scndir/b/verdict.json"; then
-        echo "verify.sh: scenario verdicts differ between identical runs" >&2
-        diff "$scndir/a/verdict.json" "$scndir/b/verdict.json" | head >&2 || true
-        rm -rf "$scndir"; return 1
-    fi
+    local f
+    for f in verdict.json obs/resilience.prom obs/resilience.trace.json; do
+        if ! cmp -s "$scndir/a/$f" "$scndir/b/$f"; then
+            echo "verify.sh: scenario $f differs between identical runs" >&2
+            diff "$scndir/a/$f" "$scndir/b/$f" | head >&2 || true
+            rm -rf "$scndir"; return 1
+        fi
+    done
     if ! grep -q '"all_behaved": true' "$scndir/a/verdict.json"; then
         echo "verify.sh: resilience suite misbehaved" >&2
         rm -rf "$scndir"; return 1
@@ -326,7 +333,7 @@ stage_scenarios() {
         echo "verify.sh: recovery histogram missing from the obs export" >&2
         rm -rf "$scndir"; return 1
     fi
-    echo "scenario drill: suite behaved, verdicts byte-identical across two runs"
+    echo "scenario drill: suite behaved, verdict and obs exports byte-identical across two runs"
     rm -rf "$scndir"
 }
 
