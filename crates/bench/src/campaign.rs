@@ -19,7 +19,9 @@
 //! * `--journal-dir` — journal directory: one fsynced JSONL shard per
 //!   thread (default: `results/campaign_<scale>.journal`).
 //! * `--trace-out` — persist per-repetition observability artifacts
-//!   plus the supervisor's Prometheus snapshot into the directory.
+//!   plus the supervisor's Prometheus snapshot into the directory. An
+//!   artifact that cannot be written costs only itself: every cell is
+//!   still measured, and the run ends `DEGRADED`.
 //!
 //! `GREENENVY_SCALE=paper|standard|quick|tiny` picks the workload.
 //! `GREENENVY_POISON=<cca>@<mtu>` makes that cell panic whenever it
@@ -29,7 +31,8 @@
 //! Exit status (`greenenvy::exitcode`): `OK` — complete matrix;
 //! `QUARANTINED` — finished minus failed cells (each a `"failed"` record
 //! in a journal shard, and listed in the matrix's `failed`);
-//! `DEGRADED` — journal I/O died mid-run; `INTERRUPTED` — cancelled by a
+//! `DEGRADED` — journal I/O died mid-run, or the matrix is complete but
+//! a `--trace-out` artifact is not; `INTERRUPTED` — cancelled by a
 //! signal, resume to continue; `FAILURE` — the campaign machinery
 //! failed, or the matrix could not be written.
 
@@ -38,9 +41,10 @@ use crate::Ctx;
 use cca::CcaKind;
 use greenenvy::campaign::{self, CampaignOptions};
 use greenenvy::exitcode;
-use greenenvy::matrix::{run_cell_with, CellPolicy, MTUS};
+use greenenvy::matrix::{run_cell_persisting, CellPolicy, MTUS};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// `GREENENVY_POISON=<cca>@<mtu>` — the injected always-panicking cell,
@@ -117,33 +121,36 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
         );
     }
 
-    let trace_out = policy.trace_out.clone();
     opts.journal_dir = Some(journal_dir);
-    let report =
-        match campaign::run_campaign_with_runner(scale, opts, move |cca, mtu, bytes, seeds| {
-            if poison == Some((cca, mtu)) {
-                panic!(
-                    "injected poison cell {} @ mtu {mtu} (GREENENVY_POISON)",
-                    cca.name()
-                );
-            }
-            run_cell_with(cca, mtu, bytes, seeds, policy.clone())
-        }) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: campaign {e}");
-                return Ok(exitcode::FAILURE);
-            }
-        };
+    let lost = Mutex::new(Vec::new());
+    let lose = |what: String| {
+        eprintln!("warning: trace lost: {what}");
+        lost.lock().expect("no panic while pushing").push(what);
+    };
+    let report = match campaign::run_campaign_with_runner(scale, opts, |cca, mtu, bytes, seeds| {
+        if poison == Some((cca, mtu)) {
+            panic!(
+                "injected poison cell {} @ mtu {mtu} (GREENENVY_POISON)",
+                cca.name()
+            );
+        }
+        run_cell_persisting(cca, mtu, bytes, seeds, &policy, &lose)
+    }) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: campaign {e}");
+            return Ok(exitcode::FAILURE);
+        }
+    };
 
     // The matrix artifact is emitted even when partial: resumed runs
     // overwrite it.
     let written = crate::save_json("matrix:", &format!("matrix_{}", scale.name), &report.matrix);
-    if let Some(dir) = &trace_out {
+    if let Some(dir) = &policy.trace_out {
         let prom = report.supervision.metrics.prometheus_text();
         let path = dir.join("campaign_supervisor.prom");
         if let Err(e) = campaign::write_atomic(&path, prom.as_bytes()) {
-            eprintln!("warning: supervisor metrics persist failed: {e}");
+            lose(format!("campaign_supervisor: trace-out: {e}"));
         } else {
             println!("supervisor metrics: {}", path.display());
         }
@@ -179,6 +186,11 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
             report.matrix.failed.len()
         );
         return Ok(exitcode::QUARANTINED);
+    }
+    let lost = lost.into_inner().expect("no panic while pushing").len();
+    if lost > 0 {
+        eprintln!("DEGRADED: every cell is measured, but {lost} trace artifact(s) are lost");
+        return Ok(exitcode::DEGRADED);
     }
     Ok(exitcode::OK)
 }

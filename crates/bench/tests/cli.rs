@@ -144,6 +144,31 @@ fn an_artifact_that_cannot_be_written_fails_the_command() {
     assert!(!stdout.contains("obs:"), "{stdout}");
 }
 
+/// A `--trace-out` directory that cannot be made costs the campaign its
+/// sidecars, never a cell: all 40 cells are measured, the matrix is
+/// whole, and the run ends `DEGRADED`.
+#[test]
+fn a_lost_campaign_trace_degrades_and_keeps_every_cell() {
+    let cwd = "campaign-blocked";
+    let _ = std::fs::remove_dir_all(scratch(cwd));
+    std::fs::create_dir_all(scratch(cwd)).unwrap();
+    std::fs::write(scratch(cwd).join("blocker"), b"not a directory").unwrap();
+    let out = bench_in(cwd, &["campaign", "--trace-out", "blocker/traces"], &[]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(DEGRADED), "{err}");
+    assert!(err.contains("41 trace artifact(s) are lost"), "{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("40 executed, 0 skipped, 0 failed"),
+        "{stdout}"
+    );
+    let path = scratch(cwd).join("results").join("matrix_tiny.json");
+    let body = std::fs::read_to_string(path).expect("the matrix is written");
+    let matrix: Matrix = serde_json::from_str(&body).unwrap();
+    assert!(matrix.is_complete(), "{:?}", matrix.failed);
+    assert_eq!(matrix.cells.len(), 40);
+}
+
 #[test]
 fn retired_campaign_flags_are_usage_errors() {
     // A campaign has no retry schedule and no cells-only projection: one

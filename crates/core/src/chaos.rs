@@ -8,12 +8,12 @@
 //! bottleneck, sweeping the rate from 0 to 1%.
 //!
 //! Built on the [`scenario`] DSL: the fair endpoint is two bulk CUBIC
-//! flows in a dumbbell [`Scenario`], the swept loss rate is a chaos
-//! phase on its bottleneck, and the serial endpoint is the same spec
-//! through [`ScenarioSpec::serialized`], on the same lossy wire. The
-//! energy ordering is checked by a [`Expectation::SavingsOrdering`]
-//! expectation per seed — a structured verdict with the measured
-//! savings, not an eyeballed table. If every ordering check passes
+//! flows in a dumbbell [`Scenario`], the swept loss rate is that
+//! `Scenario`'s bottleneck [`FaultSpec`], and the serial endpoint is the
+//! same spec through [`ScenarioSpec::serialized`], on the same lossy
+//! wire. The energy ordering is checked by a
+//! [`Expectation::SavingsOrdering`] expectation per seed — a structured
+//! verdict with the measured savings, not an eyeballed table. If every ordering check passes
 //! under loss, the unfairness argument does not depend on a pristine
 //! wire.
 
@@ -97,7 +97,7 @@ pub struct Result {
 }
 
 /// Declare the sweep's two bulk CUBIC flows on the dumbbell, the swept
-/// loss rate as a chaos phase, observability and 10 ms traces when
+/// loss rate as its bottleneck fault, observability and 10 ms traces when
 /// `--trace-out` is active. This is the fair endpoint;
 /// [`ScenarioSpec::serialized`] makes it the serial one.
 fn endpoint(cfg: &Config, name: &str, loss: f64, seed: u64) -> ScenarioSpec {
@@ -108,11 +108,12 @@ fn endpoint(cfg: &Config, name: &str, loss: f64, seed: u64) -> ScenarioSpec {
             .with_observability()
             .with_trace(SimDuration::from_millis(10));
     }
-    let mut b = ScenarioBuilder::new(name, Topology::Dumbbell(sc));
     if loss > 0.0 {
-        b = b.chaos(ChaosPhase::Loss { prob: loss });
+        sc = sc.with_fault(FaultSpec::random_loss(loss));
     }
-    b.build().expect("chaos endpoints are well-formed")
+    ScenarioBuilder::new(name, Topology::Dumbbell(sc))
+        .build()
+        .expect("chaos endpoints are well-formed")
 }
 
 /// Persist one sweep run's artifacts (no-op unless `trace_out` is set).

@@ -201,13 +201,31 @@ pub fn run_cell(cca: CcaKind, mtu: u32, bytes: u64, seeds: &[u64]) -> Result<Cel
 
 /// [`run_cell`] under an explicit policy: an optional wall-clock budget
 /// shared by the cell's repetitions (the unspent remainder rolls into
-/// each next repetition), and optional paranoid-mode physics audits.
+/// each next repetition), and optional paranoid-mode physics audits. A
+/// `--trace-out` artifact that fails to persist is a warning on stderr.
 pub fn run_cell_with(
     cca: CcaKind,
     mtu: u32,
     bytes: u64,
     seeds: &[u64],
     policy: CellPolicy,
+) -> Result<Cell, CellError> {
+    run_cell_persisting(cca, mtu, bytes, seeds, &policy, &|lost| {
+        eprintln!("warning: trace lost: {lost}")
+    })
+}
+
+/// [`run_cell_with`], handing each repetition whose `--trace-out`
+/// artifacts failed to persist to `lost`, as `"<label>: trace-out:
+/// <error>"`. A lost artifact costs its sidecar, never the measurement:
+/// the cell still completes.
+pub fn run_cell_persisting(
+    cca: CcaKind,
+    mtu: u32,
+    bytes: u64,
+    seeds: &[u64],
+    policy: &CellPolicy,
+    lost: &dyn Fn(String),
 ) -> Result<Cell, CellError> {
     let deadline = policy
         .wall_deadline
@@ -270,13 +288,12 @@ pub fn run_cell_with(
         let r = &out.reports[0];
         if let (Some(dir), Some(report)) = (&policy.trace_out, &out.obs) {
             let label = format!("{}_mtu{}_seed{}", cca.name(), mtu, seed);
-            crate::campaign::artifacts::persist_cell_obs(
-                dir,
-                &label,
-                report,
-                !r.outcome.is_completed(),
-            )
-            .map_err(|e| cell_err(e.to_string()))?;
+            let aborted = !r.outcome.is_completed();
+            if let Err(e) =
+                crate::campaign::artifacts::persist_cell_obs(dir, &label, report, aborted)
+            {
+                lost(format!("{label}: trace-out: {e}"));
+            }
         }
         if !r.outcome.is_completed() {
             return Err(cell_err(format!("flow {}", r.outcome)));

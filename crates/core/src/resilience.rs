@@ -2,8 +2,8 @@
 //! machine-checkable expectations.
 //!
 //! Every scenario here is built on the [`scenario`] DSL: a topology
-//! carrying its runner's input (flows, seed, MTU), optional chaos on the
-//! bottleneck, and typed expectations that evaluate into structured
+//! carrying its runner's input (flows, seed, MTU, an optional fault on
+//! the bottleneck) and typed expectations that evaluate into structured
 //! pass/fail reports. The
 //! suite answers, in one deterministic verdict matrix, the questions
 //! the paper's robustness story depends on:
@@ -33,10 +33,12 @@ use scenario::traffic::{rpc_fan, video};
 /// The suite name (verdict header, artifact filenames).
 pub const SUITE_NAME: &str = "resilience";
 
-/// Two bulk CUBIC flows of `bytes` on the testbed dumbbell.
-fn two_bulk(name: &str, bytes: u64, seed: u64) -> ScenarioBuilder {
+/// Two bulk CUBIC flows of `bytes` on the testbed dumbbell, with `fault`
+/// on its bottleneck.
+fn two_bulk(name: &str, bytes: u64, seed: u64, fault: Option<FaultSpec>) -> ScenarioBuilder {
     let flows = vec![FlowSpec::bulk(CcaKind::Cubic, bytes); 2];
-    let sc = Scenario::new(CAL_MTU_BYTES, flows).with_seed(seed);
+    let mut sc = Scenario::new(CAL_MTU_BYTES, flows).with_seed(seed);
+    sc.bottleneck_fault = fault;
     ScenarioBuilder::new(name, Topology::Dumbbell(sc))
 }
 
@@ -47,11 +49,13 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
     let bytes = scale.two_flow_bytes;
     let seed = scale.seeds()[0];
     let mut suite = Suite::new(SUITE_NAME);
+    // A 3 ms outage of the bottleneck from 4 ms on.
+    let outage = FaultSpec::default().with_flap(SimTime::from_millis(4), SimTime::from_millis(7));
 
     // 1. The clean testbed: two CUBIC flows must share fairly, fill the
     //    pipe, stay abort-free, and spend bounded energy per byte.
     suite.push(
-        two_bulk("clean-dumbbell-cubic2", bytes, seed)
+        two_bulk("clean-dumbbell-cubic2", bytes, seed, None)
             .expect_check(Expectation::AbortFree)
             .expect_check(Expectation::UtilizationFloor { min_fraction: 0.60 })
             .expect_check(Expectation::JainFairnessBand {
@@ -82,8 +86,7 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
     // 3. Random loss at 0.1%: the transport absorbs it without aborting
     //    and still keeps the pipe busy.
     suite.push(
-        two_bulk("loss-1e3", bytes, seed)
-            .chaos(ChaosPhase::Loss { prob: 1e-3 })
+        two_bulk("loss-1e3", bytes, seed, Some(FaultSpec::random_loss(1e-3)))
             .expect_check(Expectation::AbortFree)
             .expect_check(Expectation::UtilizationFloor { min_fraction: 0.45 })
             .build()
@@ -92,13 +95,11 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
 
     // 4. Reordering + corruption together: dupacks that lie and frames
     //    that arrive broken. Still no aborts.
+    let reorder_corrupt = FaultSpec::default()
+        .with_reordering(5e-3, SimDuration::from_micros(200))
+        .with_corruption(1e-4);
     suite.push(
-        two_bulk("reorder-corrupt", bytes, seed)
-            .chaos(ChaosPhase::Reorder {
-                prob: 5e-3,
-                hold: SimDuration::from_micros(200),
-            })
-            .chaos(ChaosPhase::Corrupt { prob: 1e-4 })
+        two_bulk("reorder-corrupt", bytes, seed, Some(reorder_corrupt))
             .expect_check(Expectation::AbortFree)
             .expect_check(Expectation::UtilizationFloor { min_fraction: 0.40 })
             .build()
@@ -109,11 +110,7 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
     //    flows must re-enter their fair-share band within 500 ms of the
     //    link coming back, and nobody aborts.
     suite.push(
-        two_bulk("flap-recovery", bytes, seed)
-            .chaos(ChaosPhase::flap(
-                SimTime::from_millis(4),
-                SimDuration::from_millis(3),
-            ))
+        two_bulk("flap-recovery", bytes, seed, Some(outage.clone()))
             .expect_check(Expectation::AbortFree)
             .expect_check(Expectation::RecoveryWithin {
                 band_frac: 0.25,
@@ -127,11 +124,11 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
     //    "full speed, then idle" schedule must beat the fair 50/50
     //    split on window-equalized energy. The schedule is the fair
     //    pair serialized, as in the chaos experiment.
-    let fair = two_bulk("fair-split-baseline", bytes, seed)
+    let fair = two_bulk("fair-split-baseline", bytes, seed, None)
         .build()
         .expect("fair-split-baseline is well-formed");
     suite.push(
-        two_bulk("serial-beats-fair-energy", bytes, seed)
+        two_bulk("serial-beats-fair-energy", bytes, seed, None)
             .baseline(fair)
             .expect_check(Expectation::AbortFree)
             .expect_check(Expectation::SavingsOrdering {
@@ -194,11 +191,7 @@ pub fn suite(scale: Scale) -> Result<Suite, RunError> {
     //     `RecoveryWithin` check with the real measured recovery time —
     //     the suite's proof that the expectations engine has teeth.
     suite.push_negative(
-        two_bulk("flap-no-recovery-window", bytes, seed)
-            .chaos(ChaosPhase::flap(
-                SimTime::from_millis(4),
-                SimDuration::from_millis(3),
-            ))
+        two_bulk("flap-no-recovery-window", bytes, seed, Some(outage))
             .expect_check(Expectation::RecoveryWithin {
                 band_frac: 0.25,
                 within: SimDuration::from_millis(1),

@@ -1,21 +1,21 @@
-//! The scenario builder: a runner's input, chaos, expectations.
+//! The scenario builder: a runner's input plus expectations.
 //!
 //! [`ScenarioBuilder`] takes the input the `workload` runner already
 //! reads — a [`Scenario`] for the dumbbell and the parking lot, a
 //! [`PopulationSpec`] for the rack grid — inside a [`Topology`], and adds
-//! only what the DSL owns: chaos phases, expectations and a baseline.
-//! [`ScenarioBuilder::build`] checks that those compose (chaos phases
-//! must compile to a legal [`netsim::fault::FaultSpec`], recovery checks
-//! need a scheduled outage to measure from, savings checks need a
-//! baseline run to compare against, a rack grid can't take flow-level
-//! chaos); what the input itself must satisfy, the runner checks before
-//! it builds anything. [`ScenarioSpec::run`] hands the input to its
-//! `workload` placement on the shared harness ([`workload::harness`])
+//! only what the DSL owns: expectations and a baseline. A fault is part
+//! of that input: the [`Scenario`]'s `bottleneck_fault`, which the
+//! verdict labels and a recovery check measure from.
+//! [`ScenarioBuilder::build`] checks that the expectations compose with
+//! the input (recovery checks need a scheduled outage to measure from,
+//! savings checks need a baseline run to compare against); what the
+//! input itself must satisfy, a legal fault included, the runner checks
+//! before it builds anything. [`ScenarioSpec::run`] hands the input to
+//! its `workload` placement on the shared harness ([`workload::harness`])
 //! and evaluates every expectation over the run's [`Measured`] summary.
 
-use crate::chaos::{self, ChaosPhase};
 use crate::expect::{Expectation, ExpectationReport, Measured};
-use netsim::fault::FaultSpecError;
+use netsim::fault::FaultSpec;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topology::LINK_GBPS;
 use workload::harness::measurement_window;
@@ -33,7 +33,7 @@ const RECOVERY_TRACE_BIN: SimDuration = SimDuration::from_millis(1);
 pub enum Topology {
     /// N sender hosts through one bottleneck to one receiver (the
     /// paper's testbed), run by [`workload::scenario::simulate`].
-    /// Flow-level: takes chaos and every expectation.
+    /// Flow-level: takes a bottleneck fault and every expectation.
     Dumbbell(Scenario),
     /// A chain of `hops` bottlenecks, run by
     /// [`workload::scenario::simulate_parking_lot`]: flow 0 crosses all
@@ -42,7 +42,7 @@ pub enum Topology {
     /// Independent rack cells of sender hosts each fanning into one
     /// receiver, run by [`workload::population::run_population`]: one
     /// rack is an incast, more are the many-flow scale-out shape.
-    /// Population-level: takes no chaos.
+    /// Population-level: a [`PopulationSpec`] carries no fault.
     RackGrid(PopulationSpec),
 }
 
@@ -56,39 +56,38 @@ impl Topology {
             Topology::RackGrid(spec) => spec.racks as f64 * LINK_GBPS,
         }
     }
+
+    /// The fault on the bottleneck, if the input carries one.
+    fn fault(&self) -> Option<&FaultSpec> {
+        match self {
+            Topology::Dumbbell(sc) | Topology::ParkingLot(sc, _) => sc.bottleneck_fault.as_ref(),
+            Topology::RackGrid(_) => None,
+        }
+    }
 }
 
 /// Why a scenario composition was rejected at build time.
 #[derive(Debug)]
 pub enum BuildError {
-    /// The chaos phases compose into an illegal fault spec.
-    Fault(FaultSpecError),
-    /// A `RecoveryWithin` expectation with no flap phase: there is no
-    /// fault-clear instant to measure recovery from.
+    /// A `RecoveryWithin` expectation on an input whose fault has no
+    /// flap: there is no fault-clear instant to measure recovery from.
     RecoveryNeedsFlap,
     /// A `SavingsOrdering` expectation with no attached baseline run.
     OrderingNeedsBaseline,
-    /// The composition asks for something no runner does (chaos on a
-    /// population topology).
-    Unsupported {
-        /// What was asked and why it can't run.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BuildError::Fault(err) => write!(f, "chaos phases do not compose: {err}"),
             BuildError::RecoveryNeedsFlap => write!(
                 f,
-                "recovery_within needs a flap phase to define the fault-clear instant"
+                "recovery_within needs a flap in the bottleneck fault to define the \
+                 fault-clear instant"
             ),
             BuildError::OrderingNeedsBaseline => write!(
                 f,
                 "savings_ordering needs a baseline scenario (ScenarioBuilder::baseline)"
             ),
-            BuildError::Unsupported { detail } => write!(f, "unsupported composition: {detail}"),
         }
     }
 }
@@ -98,8 +97,8 @@ impl std::error::Error for BuildError {}
 /// Why a validated scenario failed to run.
 #[derive(Debug)]
 pub enum RunError {
-    /// A flow-level runner failed (misfit input, stall, incomplete
-    /// flow, deadline).
+    /// A flow-level runner failed (misfit input, illegal fault, stall,
+    /// incomplete flow, deadline).
     Scenario(ScenarioError),
     /// The population runner failed (a malformed spec, a rack stalled).
     Population(PopulationError),
@@ -133,7 +132,6 @@ impl From<PopulationError> for RunError {
 pub struct ScenarioBuilder {
     name: String,
     topology: Topology,
-    chaos: Vec<ChaosPhase>,
     expectations: Vec<Expectation>,
     baseline: Option<Box<ScenarioSpec>>,
 }
@@ -144,18 +142,9 @@ impl ScenarioBuilder {
         ScenarioBuilder {
             name: name.to_string(),
             topology,
-            chaos: Vec::new(),
             expectations: Vec::new(),
             baseline: None,
         }
-    }
-
-    /// Add one chaos phase on the bottleneck link. The phases, when
-    /// there are any, are the run's bottleneck fault: they replace any
-    /// `bottleneck_fault` the topology's [`Scenario`] carries.
-    pub fn chaos(mut self, phase: ChaosPhase) -> Self {
-        self.chaos.push(phase);
-        self
     }
 
     /// Add one post-run expectation. (Named `expect_check` because
@@ -172,57 +161,31 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Check that chaos, expectations and baseline compose, and fold
-    /// the chaos phases (and, for a recovery check, 1 ms traces) into
-    /// the runner's input.
+    /// Check that the expectations and the baseline compose with the
+    /// input, and turn on 1 ms traces for a recovery check.
     pub fn build(self) -> Result<ScenarioSpec, BuildError> {
-        let ScenarioBuilder {
-            name,
-            mut topology,
-            chaos,
-            expectations,
-            baseline,
-        } = self;
-        let fault = chaos::compile(&chaos).map_err(BuildError::Fault)?;
-        // The recovery clock starts when the last scheduled outage ends.
-        let fault_clear = chaos.iter().filter_map(|p| p.clears_at()).max();
-        let needs_traces = expectations
+        let mut spec = ScenarioSpec {
+            name: self.name,
+            expectations: self.expectations,
+            baseline: self.baseline,
+            topology: self.topology,
+        };
+        let needs_traces = spec
+            .expectations
             .iter()
             .any(|e| e.needs_recovery_instrumentation());
-        if needs_traces && fault_clear.is_none() {
+        if needs_traces && spec.fault_clear().is_none() {
             return Err(BuildError::RecoveryNeedsFlap);
         }
-        if expectations.iter().any(|e| e.needs_baseline()) && baseline.is_none() {
+        if spec.expectations.iter().any(|e| e.needs_baseline()) && spec.baseline.is_none() {
             return Err(BuildError::OrderingNeedsBaseline);
         }
-        match &mut topology {
-            Topology::Dumbbell(sc) | Topology::ParkingLot(sc, _) => {
-                if fault.is_some() {
-                    sc.bottleneck_fault = fault;
-                }
-                if needs_traces {
-                    sc.trace_bin.get_or_insert(RECOVERY_TRACE_BIN);
-                }
+        if needs_traces {
+            if let Topology::Dumbbell(sc) | Topology::ParkingLot(sc, _) = &mut spec.topology {
+                sc.trace_bin.get_or_insert(RECOVERY_TRACE_BIN);
             }
-            // Every rack runs on the shared harness, but nothing merges
-            // per-rack faults into one population view.
-            Topology::RackGrid(_) if fault.is_some() => {
-                return Err(BuildError::Unsupported {
-                    detail: "chaos on a population topology: racks run independently and \
-                             their results are not merged; use a flow-level topology"
-                        .into(),
-                });
-            }
-            Topology::RackGrid(_) => {}
         }
-        Ok(ScenarioSpec {
-            name,
-            chaos,
-            fault_clear,
-            expectations,
-            baseline,
-            topology,
-        })
+        Ok(spec)
     }
 }
 
@@ -230,8 +193,6 @@ impl ScenarioBuilder {
 #[derive(Clone, Debug)]
 pub struct ScenarioSpec {
     name: String,
-    chaos: Vec<ChaosPhase>,
-    fault_clear: Option<SimTime>,
     expectations: Vec<Expectation>,
     baseline: Option<Box<ScenarioSpec>>,
     topology: Topology,
@@ -265,14 +226,41 @@ impl ScenarioSpec {
         &self.expectations
     }
 
-    /// Incident-timeline labels of the chaos phases, in order.
+    /// Incident-timeline labels of the bottleneck fault: one per
+    /// non-zero knob (loss, reorder, corrupt, duplicate, jitter), then
+    /// each flap in author order. Empty on a clean wire.
     pub fn chaos_labels(&self) -> Vec<String> {
-        self.chaos.iter().map(|p| p.label()).collect()
+        let Some(f) = self.topology.fault() else {
+            return Vec::new();
+        };
+        let knobs = [
+            (f.drop_prob > 0.0, format!("loss({})", f.drop_prob)),
+            (
+                f.reorder_prob > 0.0,
+                format!("reorder({}, hold {})", f.reorder_prob, f.reorder_delay),
+            ),
+            (f.corrupt_prob > 0.0, format!("corrupt({})", f.corrupt_prob)),
+            (
+                f.duplicate_prob > 0.0,
+                format!("duplicate({})", f.duplicate_prob),
+            ),
+            (!f.jitter.is_zero(), format!("jitter({})", f.jitter)),
+        ];
+        let flaps = f.flaps.iter().map(|flap| {
+            let down_for = flap.up.saturating_since(flap.down);
+            format!("flap(at {}, for {down_for})", flap.down)
+        });
+        knobs
+            .into_iter()
+            .filter_map(|(set, label)| set.then_some(label))
+            .chain(flaps)
+            .collect()
     }
 
-    /// The instant the last scheduled outage clears, if any.
+    /// The instant the last scheduled outage clears, if any: the latest
+    /// flap `up` of the bottleneck fault. The recovery clock starts here.
     pub fn fault_clear(&self) -> Option<SimTime> {
-        self.fault_clear
+        self.topology.fault()?.flaps.iter().map(|f| f.up).max()
     }
 
     /// The paper's "full speed, then idle" schedule of this scenario: the
@@ -323,7 +311,7 @@ impl ScenarioSpec {
             traces: None,
             injected_drops: 0,
             sim_end,
-            fault_clear: self.fault_clear,
+            fault_clear: self.fault_clear(),
         };
         let (sc, run) = match &self.topology {
             Topology::Dumbbell(sc) => (sc, simulate(sc)?),
@@ -414,9 +402,20 @@ mod tests {
     }
 
     #[test]
-    fn bad_chaos_is_rejected_at_build() {
-        let err = two_bulk().chaos(ChaosPhase::Loss { prob: -0.5 }).build();
-        assert!(matches!(err, Err(BuildError::Fault(_))));
+    /// An illegal bottleneck fault is the runner's typed error, raised
+    /// when the fault is installed on the link: a probability outside
+    /// `[0, 1]`, and a jitter that reaches the hop delay (which only
+    /// the link-relative check can see).
+    fn a_bad_fault_is_the_runners_error() {
+        let sc = Scenario::new(CAL_MTU_BYTES, vec![bulk(1_000_000); 2]);
+        let jitter = FaultSpec::default().with_jitter(sc.hop_delay);
+        for fault in [FaultSpec::random_loss(-0.5), jitter] {
+            let err = run_bare(Topology::Dumbbell(sc.clone().with_fault(fault)));
+            assert!(
+                matches!(err, Err(RunError::Scenario(ScenarioError::Fault(_)))),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -438,16 +437,6 @@ mod tests {
             })
             .build();
         assert!(matches!(err, Err(BuildError::OrderingNeedsBaseline)));
-    }
-
-    #[test]
-    fn chaos_on_a_rack_grid_is_rejected() {
-        let err = ScenarioBuilder::new("t", Topology::RackGrid(grid(2, 2, 4)))
-            .chaos(ChaosPhase::Loss { prob: 0.01 })
-            .build()
-            .expect_err("nothing merges per-rack faults");
-        assert!(matches!(err, BuildError::Unsupported { .. }));
-        assert!(err.to_string().contains("chaos on a population"));
     }
 
     /// A grid that breaks [`PopulationSpec::check`] is the population
@@ -509,13 +498,14 @@ mod tests {
         }
     }
 
+    /// A flap on the topology's own `Scenario` is what a recovery check
+    /// measures from: the spec builds, with 1 ms traces, and its fault
+    /// clears when the flap ends.
     #[test]
     fn recovery_auto_enables_traces() {
-        let spec = two_bulk()
-            .chaos(ChaosPhase::flap(
-                SimTime::from_millis(5),
-                SimDuration::from_millis(2),
-            ))
+        let flap = FaultSpec::default().with_flap(SimTime::from_millis(5), SimTime::from_millis(7));
+        let sc = Scenario::new(CAL_MTU_BYTES, vec![bulk(2_000_000); 2]).with_fault(flap);
+        let spec = ScenarioBuilder::new("t", Topology::Dumbbell(sc))
             .expect_check(Expectation::RecoveryWithin {
                 band_frac: 0.3,
                 within: SimDuration::from_millis(500),
@@ -526,8 +516,41 @@ mod tests {
             panic!("a dumbbell stays a dumbbell");
         };
         assert_eq!(sc.trace_bin, Some(RECOVERY_TRACE_BIN));
-        assert!(sc.bottleneck_fault.is_some(), "the flap is installed");
         assert_eq!(spec.fault_clear(), Some(SimTime::from_millis(7)));
+    }
+
+    /// The verdict's chaos labels are read off the topology's fault.
+    #[test]
+    fn chaos_labels_name_the_scenarios_fault() {
+        let labels = |fault: Option<FaultSpec>| {
+            let mut sc = Scenario::new(CAL_MTU_BYTES, vec![bulk(1_000); 2]);
+            sc.bottleneck_fault = fault;
+            ScenarioBuilder::new("t", Topology::Dumbbell(sc))
+                .build()
+                .expect("nothing to compose")
+                .chaos_labels()
+        };
+        assert!(labels(None).is_empty());
+        let ms = SimTime::from_millis;
+        let every_knob = FaultSpec::random_loss(0.5)
+            .with_corruption(0.25)
+            .with_duplication(0.125)
+            .with_reordering(0.75, SimDuration::from_micros(200))
+            .with_jitter(SimDuration::from_micros(5))
+            .with_flap(ms(9), ms(10))
+            .with_flap(ms(4), ms(7));
+        assert_eq!(
+            labels(Some(every_knob)),
+            [
+                "loss(0.5)",
+                "reorder(0.75, hold 200.000us)",
+                "corrupt(0.25)",
+                "duplicate(0.125)",
+                "jitter(5.000us)",
+                "flap(at 0.009000s, for 1.000ms)",
+                "flap(at 0.004000s, for 3.000ms)",
+            ]
+        );
     }
 
     #[test]

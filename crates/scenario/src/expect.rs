@@ -150,7 +150,8 @@ pub enum Expectation {
     AbortFree,
     /// After the scheduled fault clears, every flow's throughput must
     /// re-enter `band_frac` of its fair share within `within`.
-    /// Requires traces and a flap phase (the builder enforces both).
+    /// Requires traces and a flap in the bottleneck fault (the builder
+    /// enforces both).
     RecoveryWithin {
         /// Band floor as a fraction of the per-flow fair share.
         band_frac: f64,

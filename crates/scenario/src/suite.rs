@@ -86,7 +86,8 @@ pub struct ScenarioVerdict {
     pub behaved: bool,
     /// Simulated end time, seconds.
     pub sim_end_s: f64,
-    /// Chaos phases that were active, as incident-timeline labels.
+    /// The bottleneck fault, as incident-timeline labels (see
+    /// [`ScenarioSpec::chaos_labels`]).
     pub chaos: Vec<String>,
     /// Per-expectation reports, in declaration order.
     pub expectations: Vec<ExpectationReport>,
@@ -232,17 +233,23 @@ fn record_recovery(
 mod tests {
     use super::*;
     use crate::builder::{ScenarioBuilder, Topology};
-    use crate::chaos::ChaosPhase;
     use cca::CcaKind;
     use energy::calibration::CAL_MTU_BYTES;
+    use netsim::fault::FaultSpec;
     use netsim::time::{SimDuration, SimTime};
     use workload::iperf::FlowSpec;
     use workload::scenario::Scenario;
 
     /// `n` CUBIC flows of `bytes` on the dumbbell, seed 9.
     fn cubic(name: &str, n: usize, bytes: u64) -> ScenarioBuilder {
+        faulted(name, n, bytes, None)
+    }
+
+    /// [`cubic`] with `fault` on the bottleneck.
+    fn faulted(name: &str, n: usize, bytes: u64, fault: Option<FaultSpec>) -> ScenarioBuilder {
         let flows = vec![FlowSpec::bulk(CcaKind::Cubic, bytes); n];
-        let sc = Scenario::new(CAL_MTU_BYTES, flows).with_seed(9);
+        let mut sc = Scenario::new(CAL_MTU_BYTES, flows).with_seed(9);
+        sc.bottleneck_fault = fault;
         ScenarioBuilder::new(name, Topology::Dumbbell(sc))
     }
 
@@ -313,11 +320,8 @@ mod tests {
 
     #[test]
     fn recovery_scenarios_feed_the_histogram() {
-        let spec = cubic("flappy", 2, 4_000_000)
-            .chaos(ChaosPhase::flap(
-                SimTime::from_millis(2),
-                SimDuration::from_millis(1),
-            ))
+        let flap = FaultSpec::default().with_flap(SimTime::from_millis(2), SimTime::from_millis(3));
+        let spec = faulted("flappy", 2, 4_000_000, Some(flap))
             .expect_check(Expectation::RecoveryWithin {
                 band_frac: 0.2,
                 within: SimDuration::from_secs(5),
@@ -334,6 +338,25 @@ mod tests {
             "{}",
             out.prometheus
         );
+    }
+
+    /// A lossy scenario's verdict row names the loss on its wire.
+    #[test]
+    fn a_faulted_scenarios_verdict_names_its_fault() {
+        let lossy = faulted("lossy", 2, 1_000_000, Some(FaultSpec::random_loss(0.01)))
+            .expect_check(Expectation::AbortFree)
+            .build()
+            .expect("valid scenario");
+        let mut suite = Suite::new("t");
+        suite.push(lossy);
+        suite.push(passing("clean"));
+        let out = run_suite(&suite);
+        let chaos = |name: &str| {
+            let row = out.verdict.scenarios.iter().find(|v| v.name == name);
+            row.expect("one row per scenario").chaos.clone()
+        };
+        assert_eq!(chaos("lossy"), ["loss(0.01)"]);
+        assert!(chaos("clean").is_empty());
     }
 
     #[test]

@@ -47,8 +47,13 @@
 #             check runs in process in the default test stage
 #             (crates/core/src/chaos.rs,
 #             trace_out_is_byte_identical_across_runs), as do the obs unit
-#             tests and the golden obs fingerprint/reproducibility tests;
-#             the flag adds only the drill through the CLI.
+#             tests and the golden obs fingerprint/reproducibility tests.
+#             It also runs a tiny campaign with --trace-out twice: every
+#             artifact and the matrix must be byte-identical. Then it
+#             runs the campaign once more with --trace-out under a
+#             regular file: it must exit 5 (DEGRADED), and its matrix
+#             must be byte-identical to the healthy run's, because a lost
+#             trace costs only itself, never a cell.
 #   --perf    additionally answer "did this change regress performance
 #             or break the benchmark build": run the four ratio gates
 #             (perf_gates: both sides of each ratio timed interleaved in
@@ -302,6 +307,38 @@ stage_obs() {
         rm -rf "$tracedir"; return 1
     fi
     echo "obs drill: $n trace artifacts byte-identical across two chaos runs"
+
+    # The same for a traced tiny campaign: every artifact and the matrix.
+    for run in ca cb; do
+        (cd "$tracedir" && mkdir -p "$run" && cd "$run" && GREENENVY_SCALE=tiny \
+            bench campaign --trace-out traces) || { rm -rf "$tracedir"; return 1; }
+    done
+    n=$(ls "$tracedir/ca/traces"/*.trace.json 2>/dev/null | wc -l)
+    for f in $(cd "$tracedir/ca" && echo traces/* results/matrix_tiny.json); do
+        if ! cmp -s "$tracedir/ca/$f" "$tracedir/cb/$f"; then
+            echo "verify.sh: campaign artifact $f differs between identical runs" >&2
+            rm -rf "$tracedir"; return 1
+        fi
+    done
+    if [[ $n -ne 40 ]]; then
+        echo "verify.sh: expected 40 campaign traces, found $n" >&2
+        rm -rf "$tracedir"; return 1
+    fi
+
+    # A --trace-out that cannot be made: DEGRADED, and the same matrix.
+    mkdir -p "$tracedir/blocked" && : > "$tracedir/blocked/blocker"
+    local status=0
+    (cd "$tracedir/blocked" && GREENENVY_SCALE=tiny \
+        bench campaign --trace-out blocker/traces 2>/dev/null) || status=$?
+    if [[ $status -ne 5 ]]; then
+        echo "verify.sh: campaign with a blocked --trace-out exited $status (wanted 5 DEGRADED)" >&2
+        rm -rf "$tracedir"; return 1
+    fi
+    if ! cmp -s "$tracedir/ca/results/matrix_tiny.json" "$tracedir/blocked/results/matrix_tiny.json"; then
+        echo "verify.sh: a lost trace changed the campaign matrix" >&2
+        rm -rf "$tracedir"; return 1
+    fi
+    echo "obs drill: $n campaign traces and the matrix byte-identical across two runs; a blocked --trace-out degrades (exit 5) to the same matrix"
     rm -rf "$tracedir"
 }
 
