@@ -6,6 +6,7 @@
 //! objective the paper argues against optimizing), and plain-text table
 //! rendering for the figure-regeneration binaries.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chart;

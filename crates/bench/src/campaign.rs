@@ -3,8 +3,9 @@
 //! Runs the Figures 5-8 measurement campaign with the durability layer
 //! switched on: fsynced per-cell checkpoint journaling (`--threads`
 //! shard files), one attempt per cell on the declared seeds with panics
-//! contained, graceful SIGINT/SIGTERM shutdown, and optional per-cell
-//! deadlines and paranoid-mode physics audits.
+//! contained, and optional per-cell deadlines and paranoid-mode physics
+//! audits. A signal ends the campaign as it ends any process; every cell
+//! journaled before it is reused by `--resume`.
 //!
 //! Flags:
 //!
@@ -32,8 +33,7 @@
 //! `QUARANTINED` — finished minus failed cells (each a `"failed"` record
 //! in a journal shard, and listed in the matrix's `failed`);
 //! `DEGRADED` — journal I/O died mid-run, or the matrix is complete but
-//! a `--trace-out` artifact is not; `INTERRUPTED` — cancelled by a
-//! signal, resume to continue; `FAILURE` — the campaign machinery
+//! a `--trace-out` artifact is not; `FAILURE` — the campaign machinery
 //! failed, or the matrix could not be written.
 
 use crate::args::{Args, Usage};
@@ -69,10 +69,7 @@ fn poison_from_env() -> Result<Option<(CcaKind, u32)>, Usage> {
 pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
     let scale = ctx.scale()?;
     let mut journal_dir = PathBuf::from("results").join(format!("campaign_{}.journal", scale.name));
-    let mut opts = CampaignOptions {
-        cancel: campaign::install_signal_handlers(),
-        ..Default::default()
-    };
+    let mut opts = CampaignOptions::default();
     let mut policy = CellPolicy::default();
 
     while let Some(flag) = args.next() {
@@ -143,8 +140,8 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
         }
     };
 
-    // The matrix artifact is emitted even when partial: resumed runs
-    // overwrite it.
+    // The matrix artifact is emitted even with failed cells: resumed
+    // runs overwrite it.
     let written = crate::save_json("matrix:", &format!("matrix_{}", scale.name), &report.matrix);
     if let Some(dir) = &policy.trace_out {
         let prom = report.supervision.metrics.prometheus_text();
@@ -156,10 +153,9 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
         }
     }
     println!(
-        "cells: {} reused, {} executed, {} skipped, {} failed",
+        "cells: {} reused, {} executed, {} failed",
         report.reused,
         report.executed,
-        report.skipped,
         report.matrix.failed.len(),
     );
     for f in &report.matrix.failed {
@@ -175,10 +171,6 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
              re-run with a healthy journal before trusting --resume"
         );
         return Ok(exitcode::DEGRADED);
-    }
-    if report.cancelled {
-        println!("cancelled — journal is intact; rerun with --resume to continue");
-        return Ok(exitcode::INTERRUPTED);
     }
     if !report.matrix.is_complete() {
         println!(

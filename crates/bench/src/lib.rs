@@ -12,6 +12,8 @@
 //! A command returns its exit code (a `greenenvy::exitcode` name) or an
 //! [`args::Usage`] error; only `src/main.rs` ends the process.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod campaign;
 pub mod chaos;

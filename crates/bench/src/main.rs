@@ -1,6 +1,8 @@
 //! `bench <command> [args]`: look the command up in [`bench::COMMANDS`],
 //! run it, and exit with the code it returns.
 
+#![forbid(unsafe_code)]
+
 use bench::args::{Args, Usage};
 use bench::{Ctx, COMMANDS};
 use greenenvy::exitcode;

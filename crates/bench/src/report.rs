@@ -9,13 +9,10 @@ use serde_json::Value;
 use std::fmt::Write as _;
 use std::path::Path;
 
-fn load(name: &str) -> Option<Value> {
-    let body = std::fs::read_to_string(Path::new("results").join(format!("{name}.json"))).ok()?;
-    serde_json::from_str(&body).ok()
-}
-
 /// The `report` command: one section per artefact of the `all` commands
-/// and of `extensions`, in table order, for whichever files exist.
+/// and of `extensions`, in table order, for whichever files exist. An
+/// artefact that exists but does not read as its figure fails the
+/// command, naming the file, and no report is written.
 pub fn run(_: &Ctx, _: &mut Args) -> Result<i32, Usage> {
     let mut md = String::from(
         "# Regenerated results\n\n\
@@ -25,8 +22,16 @@ pub fn run(_: &Ctx, _: &mut Args) -> Result<i32, Usage> {
     );
     let figures = COMMANDS.iter().filter(|c| c.in_all).map(|c| c.name);
     for name in figures.chain(EXTENSIONS.iter().map(|e| e.0)) {
-        if let Some(artefact) = load(name) {
-            section(&mut md, name, &artefact);
+        let path = Path::new("results").join(format!("{name}.json"));
+        let added = match std::fs::read_to_string(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            read => read.map_err(|e| e.to_string()),
+        }
+        .and_then(|body| serde_json::from_str(&body).map_err(|e| e.to_string()))
+        .and_then(|artefact| section(&mut md, name, &artefact));
+        if let Err(e) = added {
+            eprintln!("error: {}: {e}", path.display());
+            return Ok(exitcode::FAILURE);
         }
     }
 
@@ -76,16 +81,20 @@ const TABLES: &[Table] = &[
 ];
 
 /// Append the artefact's section: its table if it has one in [`TABLES`],
-/// nothing for fig3's traces, a trimmed JSON dump for the rest.
-fn section(md: &mut String, name: &str, v: &Value) {
+/// nothing for fig3's traces, a trimmed JSON dump for the rest. A tabled
+/// artefact without its row array is an error.
+fn section(md: &mut String, name: &str, v: &Value) -> Result<(), String> {
     if name == "fig3" {
-        return;
+        return Ok(());
     }
     if let Some((_, keys, header, row)) = TABLES.iter().find(|t| t.0 == name) {
+        let rows = keys.iter().fold(v, |v, key| &v[*key]);
+        let rows = rows
+            .as_array()
+            .ok_or_else(|| format!("no `{}` array", keys.join(".")))?;
         let rule = "|---".repeat(header.matches('|').count() - 1);
         let _ = writeln!(md, "## Figure {}\n\n{header}\n{rule}|", &name[3..]);
-        let rows = keys.iter().fold(v, |v, key| &v[*key]);
-        for r in rows.as_array().into_iter().flatten() {
+        for r in rows {
             let _ = writeln!(md, "{}", row(r));
         }
         if name == "fig1" {
@@ -96,6 +105,7 @@ fn section(md: &mut String, name: &str, v: &Value) {
         let _ = writeln!(md, "## {name}\n\n```json\n{dump}\n```");
     }
     md.push('\n');
+    Ok(())
 }
 
 /// Keep reports readable: drop bulky embedded matrices from the summary.

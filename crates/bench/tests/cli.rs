@@ -5,7 +5,8 @@ use bench::COMMANDS;
 use greenenvy::exitcode::{DEGRADED, FAILURE, OK, USAGE};
 use greenenvy::matrix::Matrix;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::Duration;
 
 fn scratch(cwd: &str) -> PathBuf {
     Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{cwd}"))
@@ -158,15 +159,85 @@ fn a_lost_campaign_trace_degrades_and_keeps_every_cell() {
     assert_eq!(out.status.code(), Some(DEGRADED), "{err}");
     assert!(err.contains("41 trace artifact(s) are lost"), "{err}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("40 executed, 0 skipped, 0 failed"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("40 executed, 0 failed"), "{stdout}");
     let path = scratch(cwd).join("results").join("matrix_tiny.json");
     let body = std::fs::read_to_string(path).expect("the matrix is written");
     let matrix: Matrix = serde_json::from_str(&body).unwrap();
     assert!(matrix.is_complete(), "{:?}", matrix.failed);
     assert_eq!(matrix.cells.len(), 40);
+}
+
+/// A campaign stops the way any process stops: SIGKILLed mid-flight, it
+/// leaves the cells journaled so far, and `--resume` runs only the rest
+/// into the uninterrupted run's matrix, byte for byte.
+#[test]
+fn a_killed_campaign_resumes_to_the_uninterrupted_matrix() {
+    for cwd in ["uninterrupted", "killed"] {
+        let _ = std::fs::remove_dir_all(scratch(cwd));
+        std::fs::create_dir_all(scratch(cwd)).unwrap();
+    }
+    let args = ["campaign", "--threads", "1"];
+    assert_eq!(
+        bench_in("uninterrupted", &args, &[]).status.code(),
+        Some(OK)
+    );
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bench"))
+        .args(args)
+        .current_dir(scratch("killed"))
+        .env("GREENENVY_SCALE", "tiny")
+        .env_remove("GREENENVY_POISON")
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("bench starts");
+    // Whole records only: a torn last line is not a journaled cell.
+    let shard = scratch("killed").join("results/campaign_tiny.journal/shard-000.jsonl");
+    let records = || {
+        let body = std::fs::read_to_string(&shard).unwrap_or_default();
+        body.matches('\n').count().saturating_sub(1)
+    };
+    while records() < 3 && child.try_wait().expect("child status").is_none() {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    child.kill().expect("SIGKILL");
+    child.wait().expect("the killed campaign is reaped");
+    let journaled = records();
+    assert!(
+        (3..40).contains(&journaled),
+        "{journaled} records journaled"
+    );
+
+    let out = bench_in("killed", &[&args[..], &["--resume"]].concat(), &[]);
+    assert_eq!(out.status.code(), Some(OK));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let cells = format!("{journaled} reused, {} executed, 0 failed", 40 - journaled);
+    assert!(stdout.contains(&cells), "{stdout}");
+    let matrix = |cwd: &str| std::fs::read(scratch(cwd).join("results/matrix_tiny.json"));
+    assert!(matrix("killed").unwrap() == matrix("uninterrupted").unwrap());
+}
+
+/// `report` skips an artefact that is absent, but one that is there and
+/// does not read as its figure fails the command, naming the file, and
+/// no report is written.
+#[test]
+fn report_refuses_a_malformed_artefact() {
+    for (name, body) in [("fig1", "{\"bad\": "), ("fig5", "{}")] {
+        let cwd = format!("report-{name}");
+        let results = scratch(&cwd).join("results");
+        let _ = std::fs::remove_dir_all(scratch(&cwd));
+        std::fs::create_dir_all(&results).unwrap();
+        std::fs::write(results.join(format!("{name}.json")), body).unwrap();
+        let out = bench_in(&cwd, &["report"], &[]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(FAILURE), "{name}: {err}");
+        let named = format!("error: results/{name}.json: ");
+        assert!(err.contains(&named), "{name}: {err}");
+        assert!(!results.join("REPORT.md").exists(), "{name}");
+    }
+    let _ = std::fs::remove_dir_all(scratch("report-none"));
+    let out = bench_in("report-none", &["report"], &[]);
+    assert_eq!(out.status.code(), Some(OK));
+    assert!(scratch("report-none").join("results/REPORT.md").exists());
 }
 
 #[test]

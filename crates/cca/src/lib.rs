@@ -27,6 +27,7 @@
 //! per-ack Joule charge. Factors are calibrated to reproduce the measured
 //! power ordering of the paper's Figure 6 (see `DESIGN.md`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bbr;

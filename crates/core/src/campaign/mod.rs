@@ -15,15 +15,13 @@
 //!   re-runs everything else, failed cells included, on the same seeds.
 //!   Because cell results are bit-exact through JSON (shortest-roundtrip
 //!   floats), a resumed campaign's matrix is byte-identical to an
-//!   uninterrupted one.
+//!   uninterrupted one. No signal handler is installed: a campaign
+//!   stops the way any process stops, and keeps what its journal holds.
 //! * [`supervisor`] — the pending cells on the workspace's one parallel
 //!   map ([`workload::par`]): one attempt per pending cell per life,
 //!   per-cell panic containment, one journal record per outcome, and
 //!   graceful degradation to in-memory checkpoints when the journal's
 //!   disk gives out mid-run.
-//! * [`cancel`] — SIGINT/SIGTERM turn into a graceful drain: cells not
-//!   yet started are skipped, the journal is already flushed, and a
-//!   partial matrix comes back.
 //! * [`persist`] — atomic tmp-then-rename artifact writes, so no crash
 //!   leaves a half-written result file.
 //! * [`invariant`] — opt-in "paranoid mode" physics audits per
@@ -35,13 +33,11 @@
 //! [`run_campaign_with_runner`] with durability switched off.
 
 pub mod artifacts;
-pub mod cancel;
 pub mod invariant;
 pub mod journal;
 pub mod persist;
 pub mod supervisor;
 
-pub use cancel::{install_signal_handlers, CancelToken};
 pub use journal::{Fingerprint, JournalError};
 pub use persist::{save_json_atomic, write_atomic, PersistError};
 pub use supervisor::{RetryPolicy, SupervisionReport};
@@ -76,8 +72,6 @@ pub struct CampaignOptions {
     ///
     /// [`CellPolicy::paranoid`]: crate::matrix::CellPolicy::paranoid
     pub paranoid: bool,
-    /// Cooperative cancellation; poll-checked between cells.
-    pub cancel: CancelToken,
 }
 
 impl Default for CampaignOptions {
@@ -87,7 +81,6 @@ impl Default for CampaignOptions {
             journal_dir: None,
             resume: false,
             paranoid: false,
-            cancel: CancelToken::new(),
         }
     }
 }
@@ -95,16 +88,16 @@ impl Default for CampaignOptions {
 /// What a campaign did, beyond the matrix itself.
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
-    /// The (possibly partial) measurement matrix, in canonical order.
+    /// The measurement matrix, in canonical order.
     pub matrix: Matrix,
-    /// True when the campaign stopped early on a cancellation/signal.
+    /// Always `false`: a campaign is never cancelled, it runs every
+    /// pending cell or dies with its process. The field is kept only
+    /// because `benchmark/src/workloads.rs` reads it.
     pub cancelled: bool,
     /// Cells reused from the journal without re-running.
     pub reused: usize,
     /// Cells run in this invocation, successful or failed.
     pub executed: usize,
-    /// Cells never finished because cancellation arrived first.
-    pub skipped: usize,
     /// The supervision story: this invocation's failed cells,
     /// degradation, and the supervisor metrics snapshot.
     pub supervision: SupervisionReport,
@@ -184,7 +177,6 @@ where
         seeds: &seeds,
         transfer_bytes: scale.transfer_bytes,
         threads,
-        cancel: opts.cancel.clone(),
         journals,
         reused: reused_count,
     }
@@ -204,10 +196,9 @@ where
         }
     }
     Ok(CampaignReport {
-        cancelled: opts.cancel.is_cancelled(),
+        cancelled: false,
         reused: reused_count,
         executed: executed_count,
-        skipped: jobs.len() - reused_count - executed_count,
         supervision: SupervisionReport {
             quarantined: failed.clone(),
             degraded: outcome.degraded,
@@ -292,8 +283,6 @@ mod tests {
         assert_eq!(report.matrix.cells.len(), TOTAL);
         assert_eq!(report.executed, TOTAL);
         assert_eq!(report.reused, 0);
-        assert_eq!(report.skipped, 0);
-        assert!(!report.cancelled);
         assert!(report.supervision.quarantined.is_empty());
         assert!(report.supervision.degraded.is_none());
         let plain = crate::matrix::run_matrix_with_runner(Scale::quick(), 3, |cca, mtu, _b, _s| {
@@ -306,29 +295,20 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pre_cancelled_campaign_does_no_work() {
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let calls = AtomicUsize::new(0);
-        let report = run_campaign_with_runner(
-            Scale::quick(),
-            CampaignOptions {
-                threads: 4,
-                cancel,
-                ..Default::default()
-            },
-            |cca, mtu, _b, _s| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                Ok(stub_cell(cca, mtu))
-            },
-        )
-        .unwrap();
-        assert!(report.cancelled);
-        assert_eq!(report.executed, 0);
-        assert_eq!(report.skipped, TOTAL);
-        assert_eq!(calls.load(Ordering::SeqCst), 0);
-        assert!(report.matrix.cells.is_empty());
+    /// Emulate a kill after a whole journaled life: cut each of the
+    /// `shards` shards in `dir` back to its header plus its first `keep`
+    /// records, as if the process had died before the rest were
+    /// appended. Returns the number of records kept.
+    fn kill_after(dir: &std::path::Path, shards: usize, keep: usize) -> usize {
+        (0..shards)
+            .map(|shard| {
+                let path = journal::shard_path(dir, shard);
+                let body = std::fs::read_to_string(&path).unwrap();
+                let kept: Vec<&str> = body.lines().take(1 + keep).collect();
+                std::fs::write(&path, kept.join("\n") + "\n").unwrap();
+                kept.len() - 1
+            })
+            .sum()
     }
 
     #[test]
@@ -336,28 +316,19 @@ mod tests {
         let dir = scratch("resume");
         let journal = dir.join("campaign.journal");
 
-        // First life: cancel after 7 cells.
-        let cancel = CancelToken::new();
-        let first_calls = AtomicUsize::new(0);
+        // First life: killed once 7 cells are journaled.
         let first = run_campaign_with_runner(
             Scale::quick(),
             CampaignOptions {
                 threads: 1,
                 journal_dir: Some(journal.clone()),
-                cancel: cancel.clone(),
                 ..Default::default()
             },
-            |cca, mtu, _b, _s| {
-                if first_calls.fetch_add(1, Ordering::SeqCst) + 1 >= 7 {
-                    cancel.cancel();
-                }
-                Ok(stub_cell(cca, mtu))
-            },
+            |cca, mtu, _b, _s| Ok(stub_cell(cca, mtu)),
         )
         .unwrap();
-        assert!(first.cancelled);
-        assert_eq!(first.executed, 7);
-        assert_eq!(first.skipped, TOTAL - 7);
+        assert_eq!(first.executed, TOTAL);
+        assert_eq!(kill_after(&journal, 1, 7), 7);
 
         // Second life: resume. Exactly the un-journaled cells run.
         let second_calls = AtomicUsize::new(0);
@@ -375,7 +346,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(!second.cancelled);
         assert_eq!(second.reused, 7);
         assert_eq!(second.executed, TOTAL - 7);
         assert_eq!(second_calls.load(Ordering::SeqCst), TOTAL - 7);
@@ -600,26 +570,20 @@ mod tests {
     fn sharded_resume_reuses_across_shards() {
         let dir = scratch("sharded-resume");
         let shards = dir.join("journal");
-        let cancel = CancelToken::new();
-        let first_calls = AtomicUsize::new(0);
+        // First life on three shards, killed once each holds 3 records.
         let first = run_campaign_with_runner(
             Scale::quick(),
             CampaignOptions {
                 threads: 3,
                 journal_dir: Some(shards.clone()),
-                cancel: cancel.clone(),
                 ..Default::default()
             },
-            |cca, mtu, _b, _s| {
-                if first_calls.fetch_add(1, Ordering::SeqCst) + 1 >= 9 {
-                    cancel.cancel();
-                }
-                Ok(stub_cell(cca, mtu))
-            },
+            |cca, mtu, _b, _s| Ok(stub_cell(cca, mtu)),
         )
         .unwrap();
-        assert!(first.cancelled);
-        assert!(first.executed >= 9);
+        assert_eq!(first.executed, TOTAL);
+        let kept = kill_after(&shards, 3, 3);
+        assert_eq!(kept, 9);
         let second = run_campaign_with_runner(
             Scale::quick(),
             CampaignOptions {
@@ -631,8 +595,8 @@ mod tests {
             |cca, mtu, _b, _s| Ok(stub_cell(cca, mtu)),
         )
         .unwrap();
-        assert_eq!(second.reused, first.executed);
-        assert_eq!(second.executed, TOTAL - first.executed);
+        assert_eq!(second.reused, kept);
+        assert_eq!(second.executed, TOTAL - kept);
         let uninterrupted = run_campaign_with_runner(
             Scale::quick(),
             CampaignOptions {

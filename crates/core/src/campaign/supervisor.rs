@@ -9,8 +9,8 @@
 //! supervisor therefore owns a short failure story:
 //!
 //! * **one call per cell** — each pending cell is one item of the map,
-//!   in canonical job order; once the campaign is cancelled, the items
-//!   not yet started are skipped;
+//!   in canonical job order; a campaign stops only with its process,
+//!   and the journal is what survives it;
 //! * **per-cell panic containment** — each cell runs on the declared
 //!   seeds under `catch_unwind`; a panic becomes a failure carrying the
 //!   cell's coordinates and cannot take the worker (and with it the
@@ -30,7 +30,6 @@
 //! finishes the other cells, joins every worker and re-raises it on the
 //! caller.
 
-use super::cancel::CancelToken;
 use super::journal::{Entry, Writer};
 use crate::matrix::{Cell, CellError, CellFailure};
 use cca::CcaKind;
@@ -96,8 +95,6 @@ pub(super) struct Supervisor<'a> {
     pub transfer_bytes: u64,
     /// Worker count of the map.
     pub threads: usize,
-    /// Cooperative cancellation.
-    pub cancel: CancelToken,
     /// Outcome checkpoints.
     pub journals: Journals,
     /// Cells reused from the journal (for the metrics snapshot).
@@ -183,7 +180,7 @@ impl Supervisor<'_> {
         })
     }
 
-    /// Run every pending cell (or, once cancelled, skip the rest).
+    /// Run every pending cell.
     pub(super) fn run<F>(self, runner: &F) -> Supervised
     where
         F: Fn(CcaKind, u32, u64, &[u64]) -> Result<Cell, CellError> + Sync,
@@ -200,9 +197,6 @@ impl Supervisor<'_> {
 
         let slots: Vec<(usize, usize)> = self.pending.iter().copied().enumerate().collect();
         let outcomes = par_map_with_threads(&slots, self.threads, |&(slot, job)| {
-            if self.cancel.is_cancelled() {
-                return None;
-            }
             let entry = self.attempt(job, runner);
             self.checkpoint(slot, &entry, &degraded, &metrics);
             let (name, labels) = match &entry {
@@ -213,7 +207,7 @@ impl Supervisor<'_> {
                 ),
             };
             relock(&metrics).counter_add(name, labels, 1);
-            Some((job, entry))
+            (job, entry)
         });
 
         let degraded = relock(&degraded).take();
@@ -222,7 +216,7 @@ impl Supervisor<'_> {
         // artifact.
         let metrics = relock(&metrics).snapshot(0);
         Supervised {
-            executed: outcomes.into_iter().flatten().collect(),
+            executed: outcomes,
             degraded,
             metrics,
         }
@@ -255,7 +249,6 @@ mod tests {
             seeds: &[1, 2],
             transfer_bytes: 1,
             threads: 2,
-            cancel: CancelToken::new(),
             journals: Journals::Failing,
             reused: 0,
         }

@@ -19,11 +19,6 @@ pub const FAILURE: i32 = 1;
 /// Command-line usage error (bad flag, missing value).
 pub const USAGE: i32 = 2;
 
-/// The campaign matrix finished the process but is incomplete (cells
-/// were skipped or never attempted); rerun with `--resume`. No command
-/// exits with it today; the value stays reserved.
-pub const INCOMPLETE: i32 = 3;
-
 /// Complete except for failed cells — results are valid for every
 /// other cell; each failure is a `"failed"` record in a journal shard
 /// and an entry of the matrix's `failed` list.
@@ -33,10 +28,6 @@ pub const QUARANTINED: i32 = 4;
 /// failures); rerun with healthy storage before trusting `--resume`.
 pub const DEGRADED: i32 = 5;
 
-/// Interrupted by SIGINT; the journal is intact and `--resume`
-/// continues the run. 128 + SIGINT(2), the shell convention.
-pub const INTERRUPTED: i32 = 130;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,16 +36,8 @@ mod tests {
     //= DESIGN.md#inv-exit-code-registry
     #[test]
     fn codes_are_frozen_and_distinct() {
-        let all = [
-            OK,
-            FAILURE,
-            USAGE,
-            INCOMPLETE,
-            QUARANTINED,
-            DEGRADED,
-            INTERRUPTED,
-        ];
-        assert_eq!(all, [0, 1, 2, 3, 4, 5, 130]);
+        let all = [OK, FAILURE, USAGE, QUARANTINED, DEGRADED];
+        assert_eq!(all, [0, 1, 2, 4, 5]);
         let mut dedup = all.to_vec();
         dedup.sort_unstable();
         dedup.dedup();

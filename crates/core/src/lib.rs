@@ -32,6 +32,7 @@
 //! assert!(result.peak_savings_pct > 10.0); // the paper's ~16%
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;

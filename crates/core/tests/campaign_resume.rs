@@ -10,9 +10,7 @@
 
 use analysis::stats::Summary;
 use cca::CcaKind;
-use greenenvy::campaign::{
-    journal, run_campaign_with_runner, CampaignOptions, CancelToken, Fingerprint,
-};
+use greenenvy::campaign::{journal, run_campaign_with_runner, CampaignOptions, Fingerprint};
 use greenenvy::matrix::{Cell, CellError, Matrix, MTUS};
 use greenenvy::Scale;
 use std::path::{Path, PathBuf};
@@ -69,36 +67,31 @@ fn killed_campaign_resumes_to_a_bit_identical_matrix() {
     let dir = scratch("kill");
     let journal_dir = dir.join("campaign.journal");
 
-    // Life 1: a SIGTERM-style cancellation lands after ~13 cells. (The
-    // token is tripped from inside the runner, which is exactly what the
-    // signal handler's flag amounts to: cancellation observed between
-    // cells.)
-    let cancel = CancelToken::new();
-    let calls = AtomicUsize::new(0);
+    // Life 1 runs to the end on two shards; a kill after 12 cells is
+    // then emulated the way it lands: each shard keeps its header and
+    // the records fsynced before it (a torn last line is the
+    // corruption tests' business below).
     let first = run_campaign_with_runner(
         Scale::quick(),
         CampaignOptions {
             threads: 2,
             journal_dir: Some(journal_dir.clone()),
-            cancel: cancel.clone(),
             ..Default::default()
         },
-        |cca, mtu, _b, seeds| {
-            if calls.fetch_add(1, Ordering::SeqCst) + 1 >= 13 {
-                cancel.cancel();
-            }
-            Ok(fake_cell(cca, mtu, seeds))
-        },
+        |cca, mtu, _b, seeds| Ok(fake_cell(cca, mtu, seeds)),
     )
     .unwrap();
-    assert!(first.cancelled);
-    assert!(
-        first.executed < TOTAL,
-        "the kill must interrupt the campaign"
-    );
-    assert!(first.skipped > 0);
-    // The partial matrix is honest: exactly the executed cells.
-    assert_eq!(first.matrix.cells.len(), first.executed);
+    assert_eq!(first.executed, TOTAL);
+    let kept: usize = (0..2)
+        .map(|shard| {
+            let path = journal::shard_path(&journal_dir, shard);
+            let body = std::fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = body.lines().take(1 + 6).collect();
+            std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+            lines.len() - 1
+        })
+        .sum();
+    assert_eq!(kept, 12, "the kill must interrupt the campaign");
 
     // Life 2: --resume. Only the un-journaled cells execute, and the
     // merged matrix is byte-identical to the uninterrupted golden run.
@@ -117,11 +110,8 @@ fn killed_campaign_resumes_to_a_bit_identical_matrix() {
         },
     )
     .unwrap();
-    assert_eq!(
-        second.reused, first.executed,
-        "every journaled cell is reused"
-    );
-    assert_eq!(second.executed, TOTAL - first.executed);
+    assert_eq!(second.reused, kept, "every journaled cell is reused");
+    assert_eq!(second.executed, TOTAL - kept);
     assert_eq!(resumed_calls.load(Ordering::SeqCst), second.executed);
     assert_eq!(
         json(&second.matrix),

@@ -23,6 +23,7 @@
 //! assert!((p5 - 34.23).abs() < 1e-6); // the paper's Figure 2 point
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calibration;

@@ -26,6 +26,7 @@
 //! Hosts run [`agent::Agent`] implementations; the `transport` crate
 //! provides TCP-like senders and receivers on top of this interface.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agent;

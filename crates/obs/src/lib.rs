@@ -26,6 +26,7 @@
 //! sits below `netsim` in the dependency graph: ids and timestamps are
 //! plain integers, adapted by callers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod entity;

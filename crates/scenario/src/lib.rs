@@ -56,6 +56,7 @@
 //! float-summation order — so two runs of the same suite must emit
 //! byte-identical verdict JSON (`verify.sh --scenarios` enforces it).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

@@ -37,6 +37,8 @@
 //! DESIGN.md ("Static analysis & enforced invariants") for the mapping
 //! from each rule to the design invariant it protects.
 
+#![forbid(unsafe_code)]
+
 pub mod closure;
 pub mod compliance;
 pub mod config;

@@ -1,5 +1,7 @@
 //! CLI for [`simlint`]. See `simlint --help`.
 
+#![forbid(unsafe_code)]
+
 use simlint::{compliance, config, lexer, registry, rules, Report};
 use std::path::{Path, PathBuf};
 use std::time::Instant;

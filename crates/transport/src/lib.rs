@@ -31,6 +31,7 @@
 //! assert!(net.agent::<TcpSender>(d.senders[0]).unwrap().is_complete());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cc;

@@ -27,6 +27,7 @@
 //! assert!(out.reports[0].mean_goodput.gbps() > 8.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrivals;

@@ -240,6 +240,23 @@ impl Scenario {
         harness::bdp_bytes(self.link_gbps, self.hop_delay.as_secs_f64() * 4.0)
     }
 
+    /// The fields every placement reads, held to values a testbed can
+    /// have before anything is built ([`ScenarioError::Invalid`]).
+    fn check_fields(&self) -> Result<(), ScenarioError> {
+        let field = if !(self.link_gbps.is_finite() && self.link_gbps > 0.0) {
+            "link_gbps"
+        } else if self.buffer_bytes == 0 {
+            "buffer_bytes"
+        } else if self.activity_bin == SimDuration::ZERO {
+            "activity_bin"
+        } else if self.trace_bin == Some(SimDuration::ZERO) {
+            "trace_bin"
+        } else {
+            return Ok(());
+        };
+        Err(ScenarioError::Invalid { field })
+    }
+
     /// The discipline of every contended link
     /// ([`harness::bottleneck_queue`] over the scenario's flows).
     fn bottleneck_queue(&self) -> BottleneckQueue {
@@ -331,6 +348,13 @@ pub enum ScenarioError {
         /// What the topology requires.
         detail: String,
     },
+    /// A [`Scenario`] field no testbed has: a `link_gbps` that is not
+    /// positive and finite, or a zero `buffer_bytes`, `activity_bin` or
+    /// `trace_bin`.
+    Invalid {
+        /// The field.
+        field: &'static str,
+    },
     /// The MTU leaves no room for payload after the
     /// [`HEADER_BYTES`]-byte header.
     MtuTooSmall {
@@ -358,6 +382,9 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::Fault(err) => write!(f, "{err}"),
             ScenarioError::Placement { detail } => {
                 write!(f, "scenario does not fit the topology: {detail}")
+            }
+            ScenarioError::Invalid { field } => {
+                write!(f, "scenario field `{field}` must be positive and finite")
             }
             ScenarioError::MtuTooSmall { mtu } => {
                 write!(
@@ -455,10 +482,11 @@ const JITTER_SALT: u64 = 0x6a75_7474;
 /// host (or all of them behind one multiplexing host). Reads every
 /// scenario field except `background_load`.
 ///
-/// A scenario with no flow is [`ScenarioError::Placement`] and an MTU
-/// within the header [`ScenarioError::MtuTooSmall`], before anything is
-/// built.
+/// A field no testbed has is [`ScenarioError::Invalid`], a scenario with
+/// no flow [`ScenarioError::Placement`] and an MTU within the header
+/// [`ScenarioError::MtuTooSmall`], before anything is built.
 pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
+    scenario.check_fields()?;
     if scenario.flows.is_empty() {
         let detail = "a dumbbell needs at least one flow".into();
         return Err(ScenarioError::Placement { detail });
@@ -543,12 +571,14 @@ pub fn simulate(scenario: &Scenario) -> Result<SimulatedRun, ScenarioError> {
 /// and its flows start together. Every other field reads as in
 /// [`simulate`].
 ///
-/// A lot with no hop, a flow count other than `hops + 1` and
-/// `colocate_senders` are [`ScenarioError::Placement`].
+/// A field no testbed has is [`ScenarioError::Invalid`], as in
+/// [`simulate`]; a lot with no hop, a flow count other than `hops + 1`
+/// and `colocate_senders` are [`ScenarioError::Placement`].
 pub fn simulate_parking_lot(
     scenario: &Scenario,
     hops: usize,
 ) -> Result<SimulatedRun, ScenarioError> {
+    scenario.check_fields()?;
     let misfit = |detail: String| Err(ScenarioError::Placement { detail });
     if hops == 0 {
         return misfit("a parking lot needs at least one hop".into());
@@ -1149,6 +1179,42 @@ mod tests {
                 }
                 Err(other) => panic!("expected a Placement error, got {other}"),
                 Ok(_) => panic!("a scenario without flows ran"),
+            }
+        }
+    }
+
+    /// Every run-shaping field is `pub`: a value no testbed has is a
+    /// typed error naming the field, on the dumbbell and the lot alike,
+    /// not a panic deep in the build or a run on a testbed that is not
+    /// there.
+    #[test]
+    fn a_field_no_testbed_has_is_a_typed_error() {
+        let spoilt = |spoil: fn(&mut Scenario)| {
+            let mut sc = Scenario::new(9000, vec![FlowSpec::bulk(CcaKind::Cubic, 2 * MB); 2]);
+            spoil(&mut sc);
+            sc
+        };
+        let cases = [
+            (
+                "activity_bin",
+                spoilt(|s| s.activity_bin = SimDuration::ZERO),
+            ),
+            (
+                "trace_bin",
+                spoilt(|s| s.trace_bin = Some(SimDuration::ZERO)),
+            ),
+            ("buffer_bytes", spoilt(|s| s.buffer_bytes = 0)),
+            ("link_gbps", spoilt(|s| s.link_gbps = 0.0)),
+            ("link_gbps", spoilt(|s| s.link_gbps = -1.0)),
+            ("link_gbps", spoilt(|s| s.link_gbps = f64::NAN)),
+        ];
+        for (field, sc) in cases {
+            for run in [simulate(&sc), simulate_parking_lot(&sc, 1)] {
+                match run {
+                    Err(ScenarioError::Invalid { field: named, .. }) => assert_eq!(named, field),
+                    Err(other) => panic!("{field}: expected an Invalid error, got {other}"),
+                    Ok(_) => panic!("{field}: a scenario no testbed has ran"),
+                }
             }
         }
     }

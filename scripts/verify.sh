@@ -38,8 +38,9 @@
 #             compliance tracker. Zero unsuppressed findings and full
 #             invariant coverage required.
 #   --resume  additionally drill the durability layer end to end: start a
-#             tiny-scale journaled campaign, SIGTERM it mid-flight, resume
-#             it, and require the merged matrix to be byte-identical to an
+#             tiny-scale journaled campaign, SIGTERM it mid-flight (no
+#             handler: it dies with 143 like any process), resume it, and
+#             require the merged matrix to be byte-identical to an
 #             uninterrupted run.
 #   --obs     additionally run a tiny-scale chaos sweep with --trace-out
 #             twice through the `bench` binary — the exported Perfetto
@@ -250,8 +251,9 @@ stage_resume() {
         bench campaign --paranoid --threads 2) || return 1
 
     # Interrupted run: SIGTERM once the journal shows progress, then
-    # --resume to completion. Exit 130 is the campaign's "cancelled,
-    # journal intact" signal.
+    # --resume to completion. The campaign installs no handler, so the
+    # signal ends it as it ends any process (143 = 128 + SIGTERM); the
+    # fsynced journal shards are what survive.
     mkdir -p "$drill/drill"
     # exec so $pid IS the campaign process and the SIGTERM reaches it.
     (cd "$drill/drill" && GREENENVY_SCALE=tiny \
@@ -263,8 +265,8 @@ stage_resume() {
     kill -TERM "$pid" 2>/dev/null || true
     local status=0
     wait "$pid" || status=$?
-    if [[ $status -ne 130 && $status -ne 0 ]]; then
-        echo "verify.sh: interrupted campaign exited $status (wanted 130 graceful or 0 completed)" >&2
+    if [[ $status -ne 143 && $status -ne 0 ]]; then
+        echo "verify.sh: interrupted campaign exited $status (wanted 143 SIGTERM or 0 completed)" >&2
         return 1
     fi
     (cd "$drill/drill" && GREENENVY_SCALE=tiny \
@@ -394,7 +396,7 @@ stage_supervise() {
     poison_recorded "$supdir/golden/journal" || return 1
 
     # Gate 3: the same poisoned campaign kill -9'd mid-flight, then
-    # resumed on a narrower pool. No graceful handler runs on SIGKILL —
+    # resumed on a narrower pool. SIGKILL gives no code a chance to run —
     # durability comes purely from the fsynced shard appends. The resume
     # re-runs the poison cell on the same seeds, so the whole matrix,
     # failed list included, must be byte-identical.

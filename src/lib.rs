@@ -25,6 +25,8 @@
 //! * [`analysis`] — statistics and table rendering;
 //! * [`greenenvy`] — one module per figure/table of the paper.
 
+#![forbid(unsafe_code)]
+
 pub use analysis;
 pub use cca;
 pub use energy;
