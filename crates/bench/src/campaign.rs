@@ -25,9 +25,6 @@
 //!   still measured, and the run ends `DEGRADED`.
 //!
 //! `GREENENVY_SCALE=paper|standard|quick|tiny` picks the workload.
-//! `GREENENVY_POISON=<cca>@<mtu>` makes that cell panic whenever it
-//! runs — the supervision drill's fault injection; a value that names
-//! no cell is a usage error, not a drill that injects nothing.
 //!
 //! Exit status (`greenenvy::exitcode`): `OK` — complete matrix;
 //! `QUARANTINED` — finished minus failed cells (each a `"failed"` record
@@ -38,32 +35,13 @@
 
 use crate::args::{Args, Usage};
 use crate::Ctx;
-use cca::CcaKind;
 use greenenvy::campaign::{self, CampaignOptions};
 use greenenvy::exitcode;
-use greenenvy::matrix::{run_cell_persisting, CellPolicy, MTUS};
+use greenenvy::matrix::{run_cell_persisting, CellPolicy};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// `GREENENVY_POISON=<cca>@<mtu>` — the injected always-panicking cell,
-/// which must be one of the campaign's cells.
-fn poison_from_env() -> Result<Option<(CcaKind, u32)>, Usage> {
-    let Some(spec) = std::env::var_os("GREENENVY_POISON") else {
-        return Ok(None);
-    };
-    let spec = spec.to_string_lossy();
-    spec.split_once('@')
-        .and_then(|(name, mtu)| Some((CcaKind::from_name(name)?, mtu.parse().ok()?)))
-        .filter(|(cca, mtu)| CcaKind::ALL.contains(cca) && MTUS.contains(mtu))
-        .map(Some)
-        .ok_or_else(|| {
-            Usage(format!(
-                "invalid value {spec:?} for GREENENVY_POISON (want <cca>@<mtu>, a campaign cell)"
-            ))
-        })
-}
 
 /// The `campaign` command.
 pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
@@ -92,7 +70,6 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
             _ => return Err(Usage(format!("unknown flag {flag:?}"))),
         }
     }
-    let poison = poison_from_env()?;
 
     ctx.announce("Durable campaign", &scale);
     println!(
@@ -111,13 +88,6 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
             .map_or("off".to_string(), |p| p.display().to_string()),
     );
 
-    if let Some((cca, mtu)) = poison {
-        println!(
-            "poison: {} @ mtu {mtu} will panic whenever it runs (GREENENVY_POISON)\n",
-            cca.name()
-        );
-    }
-
     opts.journal_dir = Some(journal_dir);
     let lost = Mutex::new(Vec::new());
     let lose = |what: String| {
@@ -125,12 +95,6 @@ pub fn run(ctx: &Ctx, args: &mut Args) -> Result<i32, Usage> {
         lost.lock().expect("no panic while pushing").push(what);
     };
     let report = match campaign::run_campaign_with_runner(scale, opts, |cca, mtu, bytes, seeds| {
-        if poison == Some((cca, mtu)) {
-            panic!(
-                "injected poison cell {} @ mtu {mtu} (GREENENVY_POISON)",
-                cca.name()
-            );
-        }
         run_cell_persisting(cca, mtu, bytes, seeds, &policy, &lose)
     }) {
         Ok(r) => r,

@@ -294,7 +294,7 @@ pub const COMMANDS: &[Command] = &[
         run: cca_table },
     Command { name: "paper_cells", usage: "", in_all: false, about: "four CCAs at the paper's full 50 GB, to check scale invariance",
         run: paper_cells },
-    Command { name: "perf_gates", usage: "[<gate>]...", in_all: false, about: "the four host-independent perf ratios, each held to its budget",
+    Command { name: "perf_gates", usage: "", in_all: false, about: "the four host-independent perf ratios, each held to its budget",
         run: perf_gates::run },
     Command { name: "help", usage: "", in_all: false, about: "print this table",
         run: |_, _| { print!("{}", help()); Ok(exitcode::OK) } },

@@ -8,10 +8,7 @@
 //! this host says nothing about the code, and those live on the
 //! benchmark ledger instead (`benchmark/README.md`).
 //!
-//! `bench perf_gates [<gate>]...`: with no arguments every gate runs,
-//! otherwise only the named ones (`scripts/verify.sh --supervise` runs
-//! `journal_sharding` alone); an unknown name is a usage error, reported
-//! before anything is measured. Exit status: `OK` — every measured ratio
+//! `bench perf_gates` runs every gate. Exit status: `OK` — every ratio
 //! within its budget; `FAILURE` — at least one past it.
 
 use crate::args::{Args, Usage};
@@ -200,24 +197,9 @@ fn journal_sharding() -> Round {
 }
 
 /// The `perf_gates` command.
-pub fn run(_: &Ctx, args: &mut Args) -> Result<i32, Usage> {
-    let wanted: Vec<String> = args.collect();
-    if let Some(unknown) = wanted
-        .iter()
-        .find(|w| GATES.iter().all(|g| g.name != w.as_str()))
-    {
-        let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
-        return Err(Usage(format!(
-            "unknown gate {unknown:?} (the gates: {})",
-            names.join(", ")
-        )));
-    }
-
+pub fn run(_: &Ctx, _: &mut Args) -> Result<i32, Usage> {
     let mut breaches = 0;
-    for gate in GATES
-        .iter()
-        .filter(|g| wanted.is_empty() || wanted.iter().any(|w| w == g.name))
-    {
+    for gate in GATES {
         let mut round = (gate.measure)();
         let (mut numerators, mut denominators) = (Vec::new(), Vec::new());
         for _ in 0..gate.rounds {

@@ -4,7 +4,9 @@
 
 use crate::args::{Args, Usage};
 use crate::{Ctx, COMMANDS, EXTENSIONS};
-use greenenvy::exitcode;
+use analysis::stats::Summary;
+use greenenvy::matrix::Cell;
+use greenenvy::{exitcode, fig1, fig2, fig4, fig5, fig6};
 use serde_json::Value;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -27,8 +29,7 @@ pub fn run(_: &Ctx, _: &mut Args) -> Result<i32, Usage> {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             read => read.map_err(|e| e.to_string()),
         }
-        .and_then(|body| serde_json::from_str(&body).map_err(|e| e.to_string()))
-        .and_then(|artefact| section(&mut md, name, &artefact));
+        .and_then(|body| section(&mut md, name, &body));
         if let Err(e) = added {
             eprintln!("error: {}: {e}", path.display());
             return Ok(exitcode::FAILURE);
@@ -46,63 +47,79 @@ pub fn run(_: &Ctx, _: &mut Args) -> Result<i32, Usage> {
     Ok(exitcode::OK)
 }
 
-fn f(v: &Value) -> f64 {
-    v.as_f64().unwrap_or(0.0)
+/// Read an artefact as `T`: a missing or mistyped field is an error,
+/// never a zero in the report.
+fn parse<T: serde::Deserialize>(body: &str) -> Result<T, String> {
+    serde_json::from_str(body).map_err(|e| e.to_string())
 }
 
-fn cell_row(c: &Value, metric: &str) -> String {
-    let (cca, mtu) = (
-        c["cca"].as_str().unwrap_or("?"),
-        c["mtu"].as_u64().unwrap_or(0),
-    );
-    format!("| {cca} | {mtu} | {:.2} |", f(&c[metric]["mean"]))
-}
-
-/// An artefact, the keys down to its row array, the table header, and
-/// how one row is written.
-type Table = (
-    &'static str,
-    &'static [&'static str],
-    &'static str,
-    fn(&Value) -> String,
-);
-
-/// The figures the report tabulates.
-#[rustfmt::skip]
-const TABLES: &[Table] = &[
-    ("fig1", &["points"], "| flow-1 share | savings over fair (%) |",
-        |p| format!("| {:.0}% | {:.2} ± {:.2} |", f(&p["fraction"]) * 100.0, f(&p["savings_pct"]["mean"]), f(&p["savings_pct"]["std"]))),
-    ("fig2", &["points"], "| target (Gb/s) | power (W) | mix (W) |",
-        |p| format!("| {:.1} | {:.2} | {:.2} |", f(&p["target_gbps"]), f(&p["power_w"]["mean"]), f(&p["mix_power_w"]))),
-    ("fig4", &["rows"], "| load | savings (%) |",
-        |r| format!("| {:.0}% | {:.2} |", f(&r["load"]) * 100.0, f(&r["savings_pct"]["mean"]))),
-    ("fig5", &["matrix", "cells"], "| cca | mtu | energy_j (J) |", |c| cell_row(c, "energy_j")),
-    ("fig6", &["matrix", "cells"], "| cca | mtu | power_w (W) |", |c| cell_row(c, "power_w")),
-];
-
-/// Append the artefact's section: its table if it has one in [`TABLES`],
-/// nothing for fig3's traces, a trimmed JSON dump for the rest. A tabled
-/// artefact without its row array is an error.
-fn section(md: &mut String, name: &str, v: &Value) -> Result<(), String> {
-    if name == "fig3" {
-        return Ok(());
+/// Append a figure's table: its header, the rule under it, one line per
+/// row.
+fn table(md: &mut String, fig: &str, header: &str, rows: impl Iterator<Item = String>) {
+    let rule = "|---".repeat(header.matches('|').count() - 1);
+    let _ = writeln!(md, "## Figure {fig}\n\n{header}\n{rule}|");
+    for row in rows {
+        let _ = writeln!(md, "{row}");
     }
-    if let Some((_, keys, header, row)) = TABLES.iter().find(|t| t.0 == name) {
-        let rows = keys.iter().fold(v, |v, key| &v[*key]);
-        let rows = rows
-            .as_array()
-            .ok_or_else(|| format!("no `{}` array", keys.join(".")))?;
-        let rule = "|---".repeat(header.matches('|').count() - 1);
-        let _ = writeln!(md, "## Figure {}\n\n{header}\n{rule}|", &name[3..]);
-        for r in rows {
-            let _ = writeln!(md, "{}", row(r));
+}
+
+/// Append the artefact's section: a table for fig1, fig2, fig4, fig5
+/// and fig6, each read through its own result type, nothing for fig3's
+/// traces, a trimmed JSON dump for the rest.
+fn section(md: &mut String, name: &str, body: &str) -> Result<(), String> {
+    let cell =
+        |c: &Cell, metric: &Summary| format!("| {} | {} | {:.2} |", c.cca, c.mtu, metric.mean);
+    match name {
+        "fig1" => {
+            let r: fig1::Result = parse(body)?;
+            let rows = r.points.iter().map(|p| {
+                let s = &p.savings_pct;
+                format!(
+                    "| {:.0}% | {:.2} ± {:.2} |",
+                    p.fraction * 100.0,
+                    s.mean,
+                    s.std
+                )
+            });
+            table(md, "1", "| flow-1 share | savings over fair (%) |", rows);
+            let _ = writeln!(md, "\npeak savings: {:.1}%", r.peak_savings_pct);
         }
-        if name == "fig1" {
-            let _ = writeln!(md, "\npeak savings: {:.1}%", f(&v["peak_savings_pct"]));
+        "fig2" => {
+            let r: fig2::Result = parse(body)?;
+            let rows = r.points.iter().map(|p| {
+                format!(
+                    "| {:.1} | {:.2} | {:.2} |",
+                    p.target_gbps, p.power_w.mean, p.mix_power_w
+                )
+            });
+            table(md, "2", "| target (Gb/s) | power (W) | mix (W) |", rows);
         }
-    } else {
-        let dump = serde_json::to_string_pretty(&summarize(v)).unwrap_or_default();
-        let _ = writeln!(md, "## {name}\n\n```json\n{dump}\n```");
+        "fig4" => {
+            let r: fig4::Result = parse(body)?;
+            let rows = r
+                .rows
+                .iter()
+                .map(|r| format!("| {:.0}% | {:.2} |", r.load * 100.0, r.savings_pct.mean));
+            table(md, "4", "| load | savings (%) |", rows);
+        }
+        "fig5" => {
+            let cells = parse::<fig5::Result>(body)?.matrix.cells;
+            let rows = cells.iter().map(|c| cell(c, &c.energy_j));
+            table(md, "5", "| cca | mtu | energy_j (J) |", rows);
+        }
+        "fig6" => {
+            let cells = parse::<fig6::Result>(body)?.matrix.cells;
+            let rows = cells.iter().map(|c| cell(c, &c.power_w));
+            table(md, "6", "| cca | mtu | power_w (W) |", rows);
+        }
+        "fig3" => {
+            parse::<Value>(body)?;
+            return Ok(());
+        }
+        _ => {
+            let dump = serde_json::to_string_pretty(&summarize(&parse(body)?)).unwrap_or_default();
+            let _ = writeln!(md, "## {name}\n\n```json\n{dump}\n```");
+        }
     }
     md.push('\n');
     Ok(())

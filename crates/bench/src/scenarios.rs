@@ -2,8 +2,8 @@
 //!
 //! * `--out` — write the verdict JSON to this exact path (atomic).
 //!   The verdict is a pure function of the suite's specs, so two runs
-//!   at the same scale produce byte-identical files — `verify.sh
-//!   --scenarios` diffs them.
+//!   at the same scale produce byte-identical files
+//!   (`greenenvy`'s `tests/golden_resilience.rs` pins the tiny ones).
 //! * `--trace-out` — also persist the suite's observability exports
 //!   (Prometheus text with the time-to-recover histogram, Perfetto
 //!   trace with one span per scenario) into the given directory.

@@ -2,7 +2,7 @@
 //! what `all` adds up to, and what the docs may call a command.
 
 use bench::COMMANDS;
-use greenenvy::exitcode::{DEGRADED, FAILURE, OK, USAGE};
+use greenenvy::exitcode::{DEGRADED, FAILURE, OK, QUARANTINED, USAGE};
 use greenenvy::matrix::Matrix;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -20,7 +20,6 @@ fn bench_in(cwd: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
         .args(args)
         .current_dir(scratch(cwd))
         .env("GREENENVY_SCALE", "tiny")
-        .env_remove("GREENENVY_POISON")
         .envs(env.iter().copied())
         .output()
         .expect("bench runs")
@@ -48,13 +47,6 @@ fn unknown_or_missing_command_prints_the_table() {
     let help = bench_in("help", &["help"], &[]);
     assert_eq!(help.status.code(), Some(OK));
     assert_eq!(String::from_utf8_lossy(&help.stdout), bench::help());
-}
-
-#[test]
-fn unknown_gate_is_a_usage_error_and_nothing_is_measured() {
-    let args = ["perf_gates", "journal_sharding", "no_such_gate"];
-    // The message names the offender and lists the gates.
-    assert_refused(&args, &[], &["no_such_gate", "sack_scaling"]);
 }
 
 #[test]
@@ -96,18 +88,6 @@ fn malformed_values_are_usage_errors_not_silent_defaults() {
         let named = format!("{secs:?} for --deadline");
         assert_refused(&["campaign", "--deadline", secs], &[], &[&named]);
     }
-    // A CCA or MTU the campaign does not run names no cell either. (At
-    // tiny scale, so a value let through costs seconds, not a campaign.)
-    for typo in [
-        "cubic@15OO",
-        "qubic@1500",
-        "cubic",
-        "hpcc@9000",
-        "cubic@1234",
-    ] {
-        let env = [("GREENENVY_SCALE", "tiny"), ("GREENENVY_POISON", typo)];
-        assert_refused(&["campaign"], &env, &[typo]);
-    }
     // A command that runs at a scale refuses one that names none; a
     // scale-free command never reads the variable.
     let typo = [("GREENENVY_SCALE", "no-such-scale")];
@@ -145,14 +125,54 @@ fn an_artifact_that_cannot_be_written_fails_the_command() {
     assert!(!stdout.contains("obs:"), "{stdout}");
 }
 
-/// A `--trace-out` directory that cannot be made costs the campaign its
-/// sidecars, never a cell: all 40 cells are measured, the matrix is
-/// whole, and the run ends `DEGRADED`.
+/// A healthy `--trace-out` campaign writes the same artifacts and matrix
+/// twice over: a `.trace.json` and a `.prom` per cell plus the
+/// supervisor's snapshot. A `--trace-out` directory that cannot be made
+/// costs the campaign its sidecars, never a cell: all 40 cells are
+/// measured, the matrix is the healthy run's byte for byte, and the run
+/// ends `DEGRADED`.
 #[test]
 fn a_lost_campaign_trace_degrades_and_keeps_every_cell() {
+    let fresh = |cwd: &str| {
+        let _ = std::fs::remove_dir_all(scratch(cwd));
+        std::fs::create_dir_all(scratch(cwd)).unwrap();
+    };
+    for cwd in ["traced-a", "traced-b"] {
+        fresh(cwd);
+        let out = bench_in(cwd, &["campaign", "--trace-out", "traces"], &[]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(OK), "{cwd}: {err}");
+    }
+    let traces = |cwd: &str| -> Vec<String> {
+        let dir = std::fs::read_dir(scratch(cwd).join("traces")).expect("traces written");
+        let mut names: Vec<String> = dir
+            .map(|e| format!("traces/{}", e.unwrap().file_name().to_string_lossy()))
+            .collect();
+        names.sort();
+        names
+    };
+    let names = traces("traced-a");
+    assert_eq!(names, traces("traced-b"));
+    let count = |suffix: &str| names.iter().filter(|n| n.ends_with(suffix)).count();
+    let counts = (count(".trace.json"), count(".prom"), names.len());
+    assert_eq!(counts, (40, 41, 81), "{names:?}");
+    assert!(names.contains(&"traces/campaign_supervisor.prom".to_string()));
+    let matrix = "results/matrix_tiny.json";
+    for name in names.iter().map(String::as_str).chain([matrix]) {
+        let read = |cwd: &str| std::fs::read(scratch(cwd).join(name)).expect(name);
+        let body = read("traced-a");
+        assert!(body == read("traced-b"), "{name} differs between two runs");
+        if name.ends_with(".trace.json") {
+            let body = String::from_utf8_lossy(&body);
+            assert!(
+                body.contains("\"traceEvents\""),
+                "{name} is no Chrome trace"
+            );
+        }
+    }
+
     let cwd = "campaign-blocked";
-    let _ = std::fs::remove_dir_all(scratch(cwd));
-    std::fs::create_dir_all(scratch(cwd)).unwrap();
+    fresh(cwd);
     std::fs::write(scratch(cwd).join("blocker"), b"not a directory").unwrap();
     let out = bench_in(cwd, &["campaign", "--trace-out", "blocker/traces"], &[]);
     let err = String::from_utf8_lossy(&out.stderr);
@@ -160,33 +180,55 @@ fn a_lost_campaign_trace_degrades_and_keeps_every_cell() {
     assert!(err.contains("41 trace artifact(s) are lost"), "{err}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("40 executed, 0 failed"), "{stdout}");
-    let path = scratch(cwd).join("results").join("matrix_tiny.json");
-    let body = std::fs::read_to_string(path).expect("the matrix is written");
-    let matrix: Matrix = serde_json::from_str(&body).unwrap();
-    assert!(matrix.is_complete(), "{:?}", matrix.failed);
-    assert_eq!(matrix.cells.len(), 40);
+    let body = std::fs::read(scratch(cwd).join(matrix)).expect("the matrix is written");
+    let healthy = std::fs::read(scratch("traced-a").join(matrix)).unwrap();
+    assert!(body == healthy, "a lost trace changed the matrix");
+}
+
+/// A cell that fails is a `"failed"` journal record and a `failed`
+/// matrix entry, and the campaign exits `QUARANTINED`. A zero
+/// `--deadline` fails every cell before it simulates anything.
+#[test]
+fn failed_cells_are_journaled_and_the_campaign_exits_quarantined() {
+    let cwd = "quarantined";
+    let _ = std::fs::remove_dir_all(scratch(cwd));
+    let args = ["campaign", "--deadline", "0", "--journal-dir", "journal"];
+    let out = bench_in(cwd, &args, &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(QUARANTINED), "{stdout}");
+    assert!(stdout.contains("40 executed, 40 failed"), "{stdout}");
+    let shards = std::fs::read_dir(scratch(cwd).join("journal")).unwrap();
+    let failed: usize = shards
+        .map(|shard| std::fs::read_to_string(shard.unwrap().path()).unwrap())
+        .map(|body| body.matches("\"kind\":\"failed\"").count())
+        .sum();
+    assert_eq!(failed, 40);
+    let path = scratch(cwd).join("results/matrix_tiny.json");
+    let matrix: Matrix = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    assert_eq!((matrix.cells.len(), matrix.failed.len()), (0, 40));
 }
 
 /// A campaign stops the way any process stops: SIGKILLed mid-flight, it
 /// leaves the cells journaled so far, and `--resume` runs only the rest
-/// into the uninterrupted run's matrix, byte for byte.
+/// into the uninterrupted run's matrix, byte for byte. Both lives run
+/// `--paranoid`, so every one of the 40 real cells passes the invariant
+/// audit too.
 #[test]
 fn a_killed_campaign_resumes_to_the_uninterrupted_matrix() {
     for cwd in ["uninterrupted", "killed"] {
         let _ = std::fs::remove_dir_all(scratch(cwd));
         std::fs::create_dir_all(scratch(cwd)).unwrap();
     }
-    let args = ["campaign", "--threads", "1"];
-    assert_eq!(
-        bench_in("uninterrupted", &args, &[]).status.code(),
-        Some(OK)
-    );
+    let args = ["campaign", "--threads", "1", "--paranoid"];
+    let out = bench_in("uninterrupted", &args, &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(OK), "{stdout}");
+    assert!(stdout.contains("paranoid: true"), "{stdout}");
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_bench"))
         .args(args)
         .current_dir(scratch("killed"))
         .env("GREENENVY_SCALE", "tiny")
-        .env_remove("GREENENVY_POISON")
         .stdout(Stdio::null())
         .spawn()
         .expect("bench starts");
@@ -208,8 +250,9 @@ fn a_killed_campaign_resumes_to_the_uninterrupted_matrix() {
     );
 
     let out = bench_in("killed", &[&args[..], &["--resume"]].concat(), &[]);
-    assert_eq!(out.status.code(), Some(OK));
     let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(OK), "{stdout}");
+    assert!(stdout.contains("paranoid: true"), "{stdout}");
     let cells = format!("{journaled} reused, {} executed, 0 failed", 40 - journaled);
     assert!(stdout.contains(&cells), "{stdout}");
     let matrix = |cwd: &str| std::fs::read(scratch(cwd).join("results/matrix_tiny.json"));
@@ -221,7 +264,11 @@ fn a_killed_campaign_resumes_to_the_uninterrupted_matrix() {
 /// no report is written.
 #[test]
 fn report_refuses_a_malformed_artefact() {
-    for (name, body) in [("fig1", "{\"bad\": "), ("fig5", "{}")] {
+    for (name, body) in [
+        ("fig1", "{\"bad\": "),
+        ("fig1", r#"{"points": [{"fraction": 0.5}]}"#),
+        ("fig5", "{}"),
+    ] {
         let cwd = format!("report-{name}");
         let results = scratch(&cwd).join("results");
         let _ = std::fs::remove_dir_all(scratch(&cwd));
@@ -323,6 +370,12 @@ fn a_matrix_file_in_results_is_never_read() {
 #[test]
 fn docs_name_only_commands_in_the_table() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    // The flags `verify.sh` accepts: the `--<flag>)` arms of its `case`.
+    let verify = std::fs::read_to_string(root.join("scripts/verify.sh")).unwrap();
+    let flags: Vec<&str> = verify
+        .lines()
+        .filter_map(|line| Some(line.trim().strip_prefix("--")?.split_once(')')?.0))
+        .collect();
     for doc in [
         "README.md",
         "EXPERIMENTS.md",
@@ -333,10 +386,11 @@ fn docs_name_only_commands_in_the_table() {
         // An invocation is `bench <word>`, `-p bench -- <word>` or the
         // shell's `"$repo/target/release/bench" <word>`, and its word is a
         // row of the table; what follows `--bin` no longer is. ("bench"
-        // inside a longer word, `workbench`, is not an invocation.)
+        // inside a longer word, `workbench`, is not an invocation.) A
+        // `verify.sh --<word>` names one of its flags.
         let text = std::fs::read_to_string(root.join(doc)).expect(doc);
         let text = text.replace('"', "").replace("bench -- ", "bench ");
-        for (marker, is_invocation) in [("bench ", true), ("--bin ", false)] {
+        for marker in ["bench ", "--bin ", "verify.sh --"] {
             for (at, _) in text.match_indices(marker) {
                 let ident = |c: &char| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_';
                 let word: String = text[at + marker.len()..]
@@ -347,11 +401,18 @@ fn docs_name_only_commands_in_the_table() {
                     continue;
                 }
                 let is_command = COMMANDS.iter().any(|c| c.name == word);
-                assert_eq!(
-                    is_command, is_invocation,
-                    "{doc}: `{marker}{word}` — commands are the rows of bench::COMMANDS, \
-                     run as `-p bench -- <name>` (and the crate is `bench`, in backticks)"
-                );
+                let (held, rule) = match marker {
+                    "verify.sh --" => (
+                        flags.contains(&word.as_str()),
+                        "verify.sh takes only the flags its `case` lists",
+                    ),
+                    _ => (
+                        is_command == (marker == "bench "),
+                        "commands are the rows of bench::COMMANDS, run as \
+                         `-p bench -- <name>` (and the crate is `bench`, in backticks)",
+                    ),
+                };
+                assert!(held, "{doc}: `{marker}{word}` — {rule}");
             }
         }
     }

@@ -613,6 +613,84 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Supervision end to end: a cell whose runner always panics ends as
+    /// one `failed` record in a journal shard while the other 39 finish,
+    /// and the same campaign killed mid-flight on three shards and
+    /// resumed on two ends in the uninterrupted run's matrix, failed
+    /// list included, byte for byte.
+    #[test]
+    fn a_killed_supervised_campaign_resumes_to_the_same_failed_cell() {
+        let dir = scratch("supervise");
+        let run = |journal: &std::path::Path, threads, resume| {
+            let opts = CampaignOptions {
+                threads,
+                journal_dir: Some(journal.to_path_buf()),
+                resume,
+                ..Default::default()
+            };
+            run_campaign_with_runner(Scale::quick(), opts, |cca, mtu, _b, _s| {
+                if (cca, mtu) == (CcaKind::Cubic, 1500) {
+                    panic!("injected poison cell");
+                }
+                Ok(stub_cell(cca, mtu))
+            })
+            .unwrap()
+        };
+        // The failure is a record in a shard, and the journal directory
+        // holds shards only: no side file keeps failures.
+        let journal_names_the_panic = |journal: &std::path::Path| {
+            let fingerprint = Fingerprint::of(&Scale::quick());
+            let loaded = journal::load_sharded(journal, &fingerprint).unwrap();
+            let failed: Vec<&str> = loaded
+                .entries
+                .iter()
+                .filter_map(|entry| match entry {
+                    Entry::Failed(f) => Some(f.error.as_str()),
+                    Entry::Cell(_) => None,
+                })
+                .collect();
+            assert_eq!(failed.len(), 1, "{failed:?}");
+            assert!(failed[0].contains("injected poison cell"), "{failed:?}");
+            assert!(failed[0].contains("cubic @ mtu 1500"), "{failed:?}");
+            for file in std::fs::read_dir(journal).unwrap() {
+                let name = file.unwrap().file_name().to_string_lossy().into_owned();
+                let shard = name
+                    .strip_prefix("shard-")
+                    .and_then(|n| n.strip_suffix(".jsonl"));
+                let is_shard = shard.is_some_and(|n| n.bytes().all(|b| b.is_ascii_digit()));
+                assert!(is_shard, "{name} in the journal directory");
+            }
+        };
+
+        let golden = run(&dir.join("golden"), 3, false);
+        assert_eq!(golden.matrix.cells.len(), TOTAL - 1);
+        assert_eq!(golden.matrix.failed.len(), 1);
+        journal_names_the_panic(&dir.join("golden"));
+
+        // Killed once the failure is journaled: the resumed life finds it
+        // there and must run the cell again.
+        let drill = dir.join("drill");
+        run(&drill, 3, false);
+        let failed_at = (0..3)
+            .find_map(|shard| {
+                let body = std::fs::read_to_string(journal::shard_path(&drill, shard)).unwrap();
+                body.lines()
+                    .skip(1)
+                    .position(|l| l.contains("\"kind\":\"failed\""))
+            })
+            .unwrap();
+        let kept = kill_after(&drill, 3, failed_at + 1);
+        let resumed = run(&drill, 2, true);
+        assert_eq!(resumed.reused, kept - 1);
+        assert_eq!(resumed.executed, TOTAL - kept + 1);
+        journal_names_the_panic(&drill);
+        assert_eq!(
+            serde_json::to_string(&resumed.matrix).unwrap(),
+            serde_json::to_string(&golden.matrix).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn unwritable_journal_is_a_campaign_error_naming_the_path() {
         let err = run_campaign_with_runner(

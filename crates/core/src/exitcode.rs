@@ -1,8 +1,12 @@
 //! The exit-code registry: one named constant per process exit status
 //! used by the sim binaries.
 //!
-//! Exit codes are part of the scripted interface — `verify.sh` and the
-//! campaign drivers branch on them — so the values here are frozen.
+//! Exit codes are part of the scripted interface — scripts and the
+//! campaign drivers branch on them, and `bench`'s `tests/cli.rs` holds
+//! the binary to 4 and 5
+//! (`failed_cells_are_journaled_and_the_campaign_exits_quarantined`,
+//! `a_lost_campaign_trace_degrades_and_keeps_every_cell`) — so the
+//! values here are frozen.
 //! Binaries must exit through these names, never integer literals; the
 //! `exit-code-registry` simlint rule enforces that. (simlint itself
 //! depends on no workspace crate and keeps a local three-entry table.)

@@ -21,9 +21,10 @@
 //! `RecoveryWithin` check with a measured recovery time. A checker that
 //! can't reject anything proves nothing.
 //!
-//! Thresholds are calibrated at [`Scale::tiny`] (the `verify.sh
-//! --scenarios` gate) with wide margins; they hold at larger scales,
-//! where longer windows only improve utilization and fairness.
+//! Thresholds are calibrated at [`Scale::tiny`] (the scale
+//! `tests/golden_resilience.rs` pins) with wide margins; they hold at
+//! larger scales, where longer windows only improve utilization and
+//! fairness.
 
 use crate::scale::Scale;
 use scenario::prelude::*;

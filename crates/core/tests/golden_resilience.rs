@@ -1,9 +1,10 @@
 //! Golden pin of the resilience suite's artifacts.
 //!
-//! `verify.sh --scenarios` checks that two runs of the suite emit the
-//! same bytes; this file pins those bytes *across commits*: the length
-//! and fnv64 of `resilience::run(Scale::tiny())`'s verdict JSON, and of
-//! its two observability exports (Prometheus text and Perfetto trace). One
+//! Two runs of the suite emit the same bytes, and this file pins those
+//! bytes *across commits*: the length and fnv64 of
+//! `resilience::run(Scale::tiny())`'s verdict JSON, which says
+//! `"all_behaved": true`, and of its two observability exports
+//! (Prometheus text with the recovery histogram, and Perfetto trace). One
 //! artifact crosses the dumbbell (clean, lossy, flapped), an incast
 //! cell, a rack grid and the parking lot, so a change to any topology's
 //! wiring, report assembly or energy readout moves it. Captured at the

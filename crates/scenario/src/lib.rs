@@ -54,7 +54,8 @@
 //! Determinism contract: a suite verdict is a pure function of its
 //! specs — no wall-clock, no filesystem paths, fixed iteration and
 //! float-summation order — so two runs of the same suite must emit
-//! byte-identical verdict JSON (`verify.sh --scenarios` enforces it).
+//! byte-identical verdict JSON (`greenenvy`'s
+//! `tests/golden_resilience.rs` pins it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

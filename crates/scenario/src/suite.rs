@@ -7,7 +7,8 @@
 //! per-expectation results. The verdict is a pure function of the
 //! specs (no wall-clock, no paths, scenarios sorted by name, fixed
 //! float handling), so two runs of the same suite serialize
-//! byte-identically — `verify.sh --scenarios` diffs exactly that.
+//! byte-identically — `greenenvy`'s `tests/golden_resilience.rs` pins
+//! those bytes across commits.
 //!
 //! Alongside the verdict, the runner exports observability: a
 //! time-to-recover histogram ([`obs::recovery::RECOVERY_TIME_MS_METRIC`])

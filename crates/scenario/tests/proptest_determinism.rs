@@ -4,7 +4,8 @@
 //! The suite verdict is documented as a pure function of its specs —
 //! re-running a suite, or registering its scenarios in a different
 //! order, must serialize to byte-identical JSON. These properties back
-//! the `verify.sh --scenarios` byte-diff gate with randomized inputs:
+//! the resilience suite's pinned verdict bytes
+//! (`crates/core/tests/golden_resilience.rs`) with randomized inputs:
 //! arbitrary expectation thresholds, seeds, flow sizes, and
 //! permutations of both the expectation list and the entry list.
 

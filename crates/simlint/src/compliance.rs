@@ -25,7 +25,8 @@
 //! Citing an anchor that does not exist (stale after a heading rename)
 //! is an error, as is a dangling `//#` quote. The report renders as a
 //! markdown table or `--json` (schema version 1); any violation makes
-//! the exit code nonzero, which `verify.sh --lint` gates on.
+//! the exit code nonzero. `tests/clean_workspace.rs` holds the committed
+//! tree to zero violations.
 
 use crate::lexer::lex;
 use crate::rules::test_region_mask;

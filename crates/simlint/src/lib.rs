@@ -145,12 +145,3 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     report.sort();
     Ok(report)
 }
-
-/// Load `simlint.toml` from `root` and lint the workspace with it.
-pub fn lint_workspace_with_config_file(root: &Path) -> Result<Report, String> {
-    let cfg_path = root.join(CONFIG_FILE);
-    let text = std::fs::read_to_string(&cfg_path)
-        .map_err(|e| format!("reading {}: {e}", cfg_path.display()))?;
-    let cfg = config::parse(&text, &cfg_path.to_string_lossy())?;
-    lint_workspace(root, &cfg)
-}

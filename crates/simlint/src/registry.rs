@@ -4,8 +4,8 @@
 //! * `exit-code-registry` — every `process::exit` argument must be a
 //!   named constant (the exit-code table in `greenenvy::exitcode`, or a
 //!   binary-local table), never an integer literal. Exit codes are part
-//!   of the scripted interface (`verify.sh` branches on 4 and 5); a
-//!   literal in one binary drifts silently.
+//!   of the scripted interface (`bench`'s `tests/cli.rs` holds the
+//!   binary to 4 and 5); a literal in one binary drifts silently.
 //! * `schema-version-bump` — persisted record layouts (journal, matrix,
 //!   suite verdict) are fingerprinted into `schema.lock` alongside
 //!   their `*_SCHEMA` const values; editing a struct without bumping

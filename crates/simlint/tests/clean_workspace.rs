@@ -1,5 +1,6 @@
-//! Tier-1 holds the repo to what `scripts/verify.sh --lint` holds it to:
-//! the committed tree, under the committed `simlint.toml` and
+//! Tier-1 holds the repo to what `simlint --workspace` and
+//! `simlint compliance` hold it to: the committed tree, under the
+//! committed `simlint.toml` and
 //! `schema.lock`, lints clean, and every documented invariant is cited
 //! by a test.
 
